@@ -21,7 +21,6 @@ from .metrics import TaskRecord, billed_gb_seconds, efficiency, quality, utiliza
 from .runner import RunResult, Simulation, compare_scenario, run_one, run_scenario
 from .strategies import (
     STRATEGY_NAMES,
-    ClusterView,
     DispatchDecision,
     locality_score,
     make_strategy,
@@ -34,7 +33,6 @@ __all__ = [
     "Catalog",
     "Cluster",
     "ClusterParams",
-    "ClusterView",
     "Container",
     "DataObject",
     "DispatchDecision",

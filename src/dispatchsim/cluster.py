@@ -142,10 +142,58 @@ class ClusterParams:
     result_store: int | str = EXTERNAL_STORE
 
 
+class RunQueue(deque):
+    """A node's FIFO run queue of (invocation, dispatch_ms) pairs.
+
+    Every length change moves the node between the buckets of the
+    cluster's queue-length index, so callers use it as a plain deque.
+    Only append, extend, pop and popleft keep the index current.
+    """
+
+    __slots__ = ("_node_id", "_buckets")
+
+    def __init__(self, node_id: int, buckets: dict[int, set[int]]):
+        super().__init__()
+        self._node_id = node_id
+        self._buckets = buckets
+        buckets.setdefault(0, set()).add(node_id)
+
+    def _moved_from(self, old: int) -> None:
+        new = len(self)
+        if new == old:
+            return
+        buckets = self._buckets
+        bucket = buckets[old]
+        bucket.discard(self._node_id)
+        if not bucket:
+            del buckets[old]
+        buckets.setdefault(new, set()).add(self._node_id)
+
+    def append(self, item) -> None:
+        deque.append(self, item)
+        self._moved_from(len(self) - 1)
+
+    def extend(self, items) -> None:
+        old = len(self)
+        deque.extend(self, items)
+        self._moved_from(old)
+
+    def pop(self):
+        item = deque.pop(self)
+        self._moved_from(len(self) + 1)
+        return item
+
+    def popleft(self):
+        item = deque.popleft(self)
+        self._moved_from(len(self) + 1)
+        return item
+
+
 class Node:
     """Mutable per-node state: containers, local store, run queue, accumulators."""
 
-    def __init__(self, node_id: int, mem_capacity: int, store_capacity: float):
+    def __init__(self, node_id: int, mem_capacity: int, store_capacity: float,
+                 queue_buckets: dict[int, set[int]]):
         self.id = node_id
         self.mem_capacity = mem_capacity
         self.store_capacity = store_capacity
@@ -156,7 +204,7 @@ class Node:
         self.store_entries: dict[str, float] = {}  # entry id -> size MB
         self.origin_objects: set[str] = set()
         self.cache_order: deque[str] = deque()  # evictable entries, FIFO
-        self.run_queue: deque = deque()  # pending (invocation, dispatch_ms)
+        self.run_queue = RunQueue(node_id, queue_buckets)
         self.busy_ms_accum = 0  # container-time: summed active phases
         self.compute_ms_accum = 0
         self.occupied_ms_accum = 0  # wall-clock time with >= 1 busy container
@@ -178,7 +226,14 @@ def _code_key(function: str) -> str:
 
 
 class Cluster:
-    """Owns nodes, the live object replica map, and the cost model."""
+    """Owns nodes, the live object replica map, and the cost model.
+
+    Two indices let strategies skip scanning every node: ``warm_nodes``
+    maps a function to the nodes holding an idle warm container for it,
+    and ``queue_buckets`` maps each run-queue length to the nodes with
+    that length (empty buckets are dropped). The container lifecycle
+    methods and the nodes' run queues keep both current.
+    """
 
     def __init__(self, params: ClusterParams, functions: dict[str, FunctionSpec],
                  objects: list[DataObject] | None = None):
@@ -188,8 +243,11 @@ class Cluster:
         self.network = params.network
         self.functions = functions
         self.node_ids = list(range(params.nodes))
+        self.warm_nodes: dict[str, set[int]] = {}
+        self.queue_buckets: dict[int, set[int]] = {}
         self.nodes = {
-            i: Node(i, params.mem_capacity, params.store_capacity) for i in self.node_ids
+            i: Node(i, params.mem_capacity, params.store_capacity, self.queue_buckets)
+            for i in self.node_ids
         }
         # Fresh replica state per run: catalog objects are cloned without placements.
         self.objects: dict[str, DataObject] = {
@@ -287,6 +345,9 @@ class Cluster:
     def transfer_time(self, size_mb: float, remote: bool) -> int:
         return self.network.transfer_time(size_mb, remote)
 
+    def queue_len(self, node_id: int) -> int:
+        return len(self.nodes[node_id].run_queue)
+
     # ---- container lifecycle --------------------------------------------
 
     def acquire_container(self, node_id: int, function: str, now: int = 0):
@@ -296,6 +357,8 @@ class Cluster:
         pool = node.warm_pool.get(function)
         if pool:
             container = pool.pop()
+            if not pool:
+                self.warm_nodes[function].discard(node_id)
             container.busy = True
             self._mark_busy(node, now)
             if container.expiry_handle is not None:
@@ -318,7 +381,10 @@ class Cluster:
         node.busy_count -= 1
         if node.busy_count == 0:
             node.occupied_ms_accum += now - node._occupied_since
-        node.warm_pool.setdefault(container.function, []).append(container)
+        pool = node.warm_pool.setdefault(container.function, [])
+        if not pool:
+            self.warm_nodes.setdefault(container.function, set()).add(node.id)
+        pool.append(container)
 
     @staticmethod
     def _mark_busy(node: Node, now: int) -> None:
@@ -334,6 +400,8 @@ class Cluster:
         pool = node.warm_pool.get(container.function, [])
         if container in pool:
             pool.remove(container)
+            if not pool:
+                self.warm_nodes[container.function].discard(node.id)
             node.mem_used -= container.flavor
             return container.flavor
         return 0
@@ -411,8 +479,15 @@ class Cluster:
     # ---- diagnostics -----------------------------------------------------
 
     def check_invariants(self) -> None:
-        """Raise if per-node capacity accounting is inconsistent."""
+        """Raise if per-node capacity accounting is inconsistent, or if an
+        index disagrees with the node state it is derived from."""
+        warm_nodes: dict[str, set[int]] = {}
+        queue_buckets: dict[int, set[int]] = {}
         for node in self.nodes.values():
+            for function, pool in node.warm_pool.items():
+                if pool:
+                    warm_nodes.setdefault(function, set()).add(node.id)
+            queue_buckets.setdefault(len(node.run_queue), set()).add(node.id)
             warm_sum = sum(
                 c.flavor for pool in node.warm_pool.values() for c in pool
             )
@@ -423,6 +498,10 @@ class Cluster:
                 raise SimulationError(f"store accounting broken on node {node.id}")
             if node.store_used > node.store_capacity + 1e-9:
                 raise SimulationError(f"store over capacity on node {node.id}")
+        if {f: nodes for f, nodes in self.warm_nodes.items() if nodes} != warm_nodes:
+            raise SimulationError("warm-container index disagrees with the warm pools")
+        if self.queue_buckets != queue_buckets:
+            raise SimulationError("queue-length index disagrees with the run queues")
 
 
 def _truncate_at(phases: tuple[int, ...], cap: int) -> tuple[int, ...]:

@@ -24,7 +24,7 @@ import yaml
 
 from .cluster import DEFAULT_FLAVORS, EXTERNAL_STORE, ClusterParams, FunctionSpec, NetworkModel
 from .errors import ConfigError
-from .strategies import STRATEGY_NAMES
+from .strategies import STRATEGY_NAMES, scoring_param_errors
 from .workload import ArrivalSpec, ObjectSpec, PopularitySpec, WorkloadSpec
 
 
@@ -380,6 +380,8 @@ def validate(scenario: Scenario) -> list[Diagnostic]:
             err(f"{key}.name",
                 f"unknown strategy {s.name!r}; registered strategies: "
                 f"{', '.join(STRATEGY_NAMES)}")
+        for param, problem in scoring_param_errors(s.params):
+            err(f"{key}.params.{param}", problem)
         if s.steal_poll_ms < 1:
             err(f"{key}.steal_poll_ms", "must be at least 1 ms")
         if s.dispatch_latency_ms is not None and s.dispatch_latency_ms < 0:

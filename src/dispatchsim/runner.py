@@ -25,7 +25,7 @@ from .metrics import (
     billed_gb_seconds,
     summarize_run,
 )
-from .strategies import ClusterView, DispatchStrategy, make_strategy, replication_tick, steal_work
+from .strategies import DispatchStrategy, make_strategy, replication_tick, steal_work
 from .workload import Catalog, Invocation, build_catalog, generate_trace, load_trace
 
 
@@ -90,7 +90,6 @@ class Simulation:
         self.replication_period_ms = replication_period_ms
         self.replication_threshold = replication_threshold
         self.steal_rng = steal_rng or RandomSource(0, "steal")
-        self.view = ClusterView(cluster)
         self.records: list[TaskRecord] = []
         self.steals = 0
         self.replications = 0
@@ -124,7 +123,7 @@ class Simulation:
     def _arrival_handler(self, inv: Invocation):
         def handle():
             self.arrived += 1
-            decision = self.strategy.decide(inv, self.view)
+            decision = self.strategy.decide(inv, self.cluster)
             node = self.cluster.nodes[decision.node]
             node.dispatched += 1
             self.engine.schedule(

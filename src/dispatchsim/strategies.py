@@ -1,6 +1,6 @@
 """Event dispatching strategies.
 
-All strategies share one interface: decide(invocation, view) -> decision.
+All strategies share one interface: decide(invocation, cluster) -> decision.
 Baselines ignore data placement (round robin, least loaded, hash
 affinity); the data-aware family scores nodes by a weighted mix of warm
 code, byte locality and queue headroom; the proactive variant pins
@@ -13,12 +13,13 @@ random victims.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from .cluster import Cluster, PlacementOutcome
 from .engine import RandomSource
-from .errors import ConfigError, NoNodesError
+from .errors import ConfigError, NoNodesError, UnknownObjectError
 
 STRATEGY_NAMES = (
     "round_robin",
@@ -31,44 +32,12 @@ STRATEGY_NAMES = (
 
 DEFAULT_WEIGHTS = (0.3, 0.5, 0.2)  # warm code, data locality, queue headroom
 DEFAULT_QUEUE_CAP = 16
+_NO_NODES: frozenset[int] = frozenset()
 
 
 def stable_hash(text: str) -> int:
     """Platform-stable string hash (md5); Python's built-in hash is salted."""
     return int.from_bytes(hashlib.md5(text.encode("utf-8")).digest(), "big")
-
-
-class ClusterView:
-    """Read-only view of cluster state for decision making.
-
-    The engine is single-threaded, so every accessor reads the same
-    virtual instant; no copy is taken.
-    """
-
-    def __init__(self, cluster: Cluster):
-        self._cluster = cluster
-
-    @property
-    def node_ids(self) -> list[int]:
-        return self._cluster.node_ids
-
-    def queue_len(self, node_id: int) -> int:
-        return len(self._cluster.nodes[node_id].run_queue)
-
-    def free_mem(self, node_id: int) -> int:
-        return self._cluster.nodes[node_id].free_mem()
-
-    def store_free(self, node_id: int) -> float:
-        return self._cluster.nodes[node_id].store_free()
-
-    def warm_idle_count(self, node_id: int, function: str) -> int:
-        return self._cluster.nodes[node_id].warm_idle_count(function)
-
-    def has_replica(self, object_id: str, node_id: int) -> bool:
-        return node_id in self._cluster.objects[object_id].placements
-
-    def locality_fraction(self, data_refs, node_id: int) -> float:
-        return self._cluster.locality_fraction(data_refs, node_id)
 
 
 @dataclass(slots=True)
@@ -91,17 +60,37 @@ def make_cluster_key(inv) -> ClusterKey:
     return ClusterKey(inv.function, sig, inv.origin)
 
 
-def locality_score(view: ClusterView, inv, node_id: int,
+def locality_score(cluster: Cluster, inv, node_id: int,
                    weights: tuple[float, float, float] = DEFAULT_WEIGHTS,
                    queue_cap: int = DEFAULT_QUEUE_CAP) -> float:
     """How good a node is for an invocation, in [0, 1] for weights summing
     to 1: warm code present, byte locality of the references, and queue
     headroom."""
+    node = cluster.nodes[node_id]
+    code_warm = 1.0 if node.warm_pool.get(inv.function) else 0.0
+    data_local = cluster.locality_fraction(inv.data_refs, node_id)
+    return _weighted(weights, code_warm, data_local, len(node.run_queue), queue_cap)
+
+
+def _weighted(weights: tuple[float, float, float], code_warm: float, data_local: float,
+              qlen: int, queue_cap: int) -> float:
     w_code, w_data, w_load = weights
-    code_warm = 1.0 if view.warm_idle_count(node_id, inv.function) else 0.0
-    data_local = view.locality_fraction(inv.data_refs, node_id)
-    headroom = 1.0 - min(1.0, view.queue_len(node_id) / queue_cap)
+    headroom = 1.0 - min(1.0, qlen / queue_cap)
     return w_code * code_warm + w_data * data_local + w_load * headroom
+
+
+def scoring_param_errors(params: dict) -> list[tuple[str, str]]:
+    """(parameter, problem) for each scoring weight or queue_cap in params
+    that the data-aware scorer cannot take; absent keys keep defaults."""
+    errors = []
+    for key in ("w_code", "w_data", "w_load"):
+        value = params.get(key, 0.0)
+        if not isinstance(value, (int, float)) or not math.isfinite(value) or value < 0:
+            errors.append((key, "must be a finite number >= 0"))
+    queue_cap = params.get("queue_cap", DEFAULT_QUEUE_CAP)
+    if not isinstance(queue_cap, int) or queue_cap < 1:
+        errors.append(("queue_cap", "must be an integer >= 1"))
+    return errors
 
 
 class DispatchStrategy:
@@ -116,11 +105,11 @@ class DispatchStrategy:
             self.default_latency_ms if latency_ms is None else latency_ms
         )
 
-    def decide(self, inv, view: ClusterView) -> DispatchDecision:
+    def decide(self, inv, cluster: Cluster) -> DispatchDecision:
         raise NotImplementedError
 
-    def _require_nodes(self, view: ClusterView) -> list[int]:
-        ids = view.node_ids
+    def _require_nodes(self, cluster: Cluster) -> list[int]:
+        ids = cluster.node_ids
         if not ids:
             raise NoNodesError("no live nodes to dispatch to")
         return ids
@@ -133,8 +122,8 @@ class RoundRobinStrategy(DispatchStrategy):
         super().__init__(latency_ms)
         self.cursor = 0
 
-    def decide(self, inv, view: ClusterView) -> DispatchDecision:
-        ids = self._require_nodes(view)
+    def decide(self, inv, cluster: Cluster) -> DispatchDecision:
+        ids = self._require_nodes(cluster)
         node = ids[self.cursor % len(ids)]
         self.cursor += 1
         return DispatchDecision(node, self.dispatch_latency_ms, "round_robin")
@@ -143,19 +132,19 @@ class RoundRobinStrategy(DispatchStrategy):
 class LeastLoadedStrategy(DispatchStrategy):
     name = "least_loaded"
 
-    def decide(self, inv, view: ClusterView) -> DispatchDecision:
-        ids = self._require_nodes(view)
-        node = min(ids, key=lambda n: (view.queue_len(n), n))
+    def decide(self, inv, cluster: Cluster) -> DispatchDecision:
+        self._require_nodes(cluster)
+        qlen = min(cluster.queue_buckets)
         return DispatchDecision(
-            node, self.dispatch_latency_ms, f"queue={view.queue_len(node)}"
+            min(cluster.queue_buckets[qlen]), self.dispatch_latency_ms, f"queue={qlen}"
         )
 
 
 class HashAffinityStrategy(DispatchStrategy):
     name = "hash_affinity"
 
-    def decide(self, inv, view: ClusterView) -> DispatchDecision:
-        ids = self._require_nodes(view)
+    def decide(self, inv, cluster: Cluster) -> DispatchDecision:
+        ids = self._require_nodes(cluster)
         node = ids[stable_hash(inv.function) % len(ids)]
         return DispatchDecision(node, self.dispatch_latency_ms, "hash")
 
@@ -170,21 +159,70 @@ class DataAwareStrategy(DispatchStrategy):
                  w_load: float = DEFAULT_WEIGHTS[2], queue_cap: int = DEFAULT_QUEUE_CAP,
                  latency_ms: int | None = None):
         super().__init__(latency_ms)
+        errors = scoring_param_errors(
+            {"w_code": w_code, "w_data": w_data, "w_load": w_load, "queue_cap": queue_cap}
+        )
+        if errors:
+            raise ConfigError("; ".join(f"{key} {problem}" for key, problem in errors))
         self.weights = (w_code, w_data, w_load)
         self.queue_cap = queue_cap
 
-    def _best_node(self, inv, view: ClusterView) -> tuple[int, float]:
+    def _best_node(self, inv, cluster: Cluster) -> tuple[int, float]:
+        """The argmax of locality_score over all nodes, ties to the lowest
+        id, from scoring only the replica holders of the references and
+        the best warm and cold representatives of everyone else."""
+        self._require_nodes(cluster)
+        candidates: set[int] = set()
+        total = 0.0
+        for ref in inv.data_refs:
+            obj = cluster.objects.get(ref)
+            if obj is None:
+                raise UnknownObjectError(ref)
+            total += obj.size
+            candidates |= obj.placements
+        # A node without a replica has byte locality 0, or 1 when no byte is referenced.
+        candidates.update(self._representatives(cluster, inv.function, 0.0 if total else 1.0))
         best_node = -1
         best_score = float("-inf")
-        for nid in self._require_nodes(view):  # ascending ids: ties keep the lowest
-            score = locality_score(view, inv, nid, self.weights, self.queue_cap)
+        for nid in sorted(candidates):  # ascending ids: ties keep the lowest
+            score = locality_score(cluster, inv, nid, self.weights, self.queue_cap)
             if score > best_score:
                 best_score = score
                 best_node = nid
         return best_node, best_score
 
-    def decide(self, inv, view: ClusterView) -> DispatchDecision:
-        node, score = self._best_node(inv, view)
+    def _representatives(self, cluster: Cluster, function: str,
+                         data_local: float) -> list[int]:
+        """For the warm and the cold class, the node a scan of all nodes
+        would pick if no node held a referenced byte.
+
+        Within a class the score only falls as the queue grows (the weights
+        are non-negative), so the best sit at the shortest queue length.
+        A longer length can tie it (every length past queue_cap, w_load = 0,
+        or a load term lost to rounding); its nodes then compete on id too.
+        """
+        warm = cluster.warm_nodes.get(function, _NO_NODES)
+        levels = sorted(cluster.queue_buckets.items())
+        reps = []
+        for code_warm in (1.0, 0.0):
+            top = rep = None
+            for qlen, nodes in levels:
+                members = nodes & warm if code_warm else nodes - warm
+                if not members:
+                    continue
+                score = _weighted(self.weights, code_warm, data_local, qlen, self.queue_cap)
+                if top is None:
+                    top, rep = score, min(members)
+                elif score == top:
+                    rep = min(rep, min(members))
+                else:
+                    break
+            if rep is not None:
+                reps.append(rep)
+        return reps
+
+    def decide(self, inv, cluster: Cluster) -> DispatchDecision:
+        node, score = self._best_node(inv, cluster)
         return DispatchDecision(node, self.dispatch_latency_ms, f"score={score:.4f}")
 
 
@@ -226,11 +264,11 @@ class ProactiveClusterStrategy(DataAwareStrategy):
         self.assignments: dict[ClusterKey, int] = {}
         self.counters = PopularityCounter(decay)
 
-    def decide(self, inv, view: ClusterView) -> DispatchDecision:
+    def decide(self, inv, cluster: Cluster) -> DispatchDecision:
         key = make_cluster_key(inv)
         node = self.assignments.get(key)
         if node is None:
-            node, score = self._best_node(inv, view)
+            node, score = self._best_node(inv, cluster)
             self.assignments[key] = node
             rationale = f"key={key.data_signature} score={score:.4f}"
         else:

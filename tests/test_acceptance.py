@@ -7,6 +7,7 @@ lines as they execute.
 import resource
 import time
 
+import pytest
 import yaml
 
 from dispatchsim.cli import main
@@ -245,7 +246,9 @@ def test_criterion_9_stealing_conserves_work_and_cuts_makespan():
            and stolen.makespan_ms < plain.makespan_ms)
 
 
-def test_criterion_10_scale_100k_invocations_64_nodes():
+@pytest.mark.parametrize("strategy", ["round_robin", "least_loaded", "hash_affinity",
+                                      "mcgrath_queues", "data_aware", "proactive_cluster"])
+def test_criterion_10_scale_100k_invocations_64_nodes(strategy):
     raw = scenario_dict(
         cluster={"nodes": 64, "mem_capacity": 4096, "store_capacity": 4000},
         workload={
@@ -255,6 +258,7 @@ def test_criterion_10_scale_100k_invocations_64_nodes():
             "objects": {"count": 64, "size": 10, "popularity": {"kind": "uniform"}},
             "refs_per_invocation": 1,
         },
+        strategy={"name": strategy},
     )
     scenario = parse_scenario(raw)
     started = time.perf_counter()
@@ -262,5 +266,5 @@ def test_criterion_10_scale_100k_invocations_64_nodes():
     elapsed = time.perf_counter() - started
     peak_gb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / (1024 * 1024)
     print(f"  {len(result.records)} tasks in {elapsed:.2f}s, peak rss {peak_gb:.2f}GB")
-    report(10, "scale (100k invocations, 64 nodes, <10s, <1GB)",
+    report(10, f"scale (100k invocations, 64 nodes, <10s, <1GB), {strategy}",
            len(result.records) == 100_000 and elapsed < 10.0 and peak_gb < 1.0)

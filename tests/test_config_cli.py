@@ -184,6 +184,35 @@ def test_cli_validate_valid_and_invalid(tmp_path, capsys):
     assert "seeds" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("override, key", [
+    ("strategy.params.queue_cap=0", "strategy.params.queue_cap"),
+    ("strategy.params.queue_cap=-3", "strategy.params.queue_cap"),
+    ("strategy.params.queue_cap=2.5", "strategy.params.queue_cap"),
+    ("strategy.params.w_data=-1", "strategy.params.w_data"),
+    ("strategy.params.w_code=.nan", "strategy.params.w_code"),
+    ("strategy.params.w_load=.inf", "strategy.params.w_load"),
+])
+def test_cli_validate_rejects_bad_scoring_params(tmp_path, capsys, override, key):
+    # Regression: these passed validation, and queue_cap=0 then crashed
+    # a data_aware run with ZeroDivisionError.
+    cfg = write_config(tmp_path, scenario_dict())
+    for command in ("validate", "run"):
+        assert main([command, cfg, "strategy.name=data_aware", override,
+                     "--out-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {key}:" in err
+        assert "Traceback" not in err
+
+
+def test_scoring_params_are_checked_in_every_strategies_entry():
+    raw = scenario_dict(strategies=[
+        {"name": "data_aware", "params": {"w_code": -0.1}},
+        {"name": "mcgrath_queues", "params": {"queue_cap": 0}},
+    ])
+    keys = {d.key for d in validate(parse_scenario(raw)) if d.severity == "error"}
+    assert keys == {"strategy.0.params.w_code", "strategy.1.params.queue_cap"}
+
+
 def test_cli_validate_surfaces_warnings_but_passes(tmp_path, capsys):
     raw = scenario_dict(
         cluster={"store_capacity": 50},

@@ -1,0 +1,258 @@
+"""Indexed dispatch against the all-node scan it replaces.
+
+The data-aware family scores only replica holders plus one warm and one
+cold representative, and least_loaded reads the lowest queue-length
+bucket. Both must pick the node, and the score, that scoring every node
+in ascending id picks.
+"""
+
+import copy
+from collections import deque
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from dispatchsim import runner
+from dispatchsim.cluster import Cluster, ClusterParams, DataObject, FunctionSpec
+from dispatchsim.config import parse_scenario
+from dispatchsim.errors import ConfigError, SimulationError
+from dispatchsim.strategies import (
+    DataAwareStrategy,
+    DispatchDecision,
+    LeastLoadedStrategy,
+    ProactiveClusterStrategy,
+    locality_score,
+    make_strategy,
+)
+from dispatchsim.workload import Invocation
+
+FUNCTIONS = ("f1", "f2", "f3")
+OBJECT_SIZES = {"a": 0.0, "b": 10.0, "c": 40.0, "d": 70.0, "z": 0.0}
+
+# ---- brute-force references -----------------------------------------------------
+
+
+def brute_force_best(strategy, inv, cluster):
+    """The original scorer: every node, ascending id, ties keep the lowest."""
+    best_node = -1
+    best_score = float("-inf")
+    for nid in cluster.node_ids:
+        score = locality_score(cluster, inv, nid, strategy.weights, strategy.queue_cap)
+        if score > best_score:
+            best_score = score
+            best_node = nid
+    return best_node, best_score
+
+
+def brute_force_least_loaded(cluster):
+    return min(cluster.node_ids, key=lambda n: (len(cluster.nodes[n].run_queue), n))
+
+
+class BruteDataAware(DataAwareStrategy):
+    _best_node = brute_force_best
+
+
+class BruteProactive(ProactiveClusterStrategy):
+    _best_node = brute_force_best
+
+
+class BruteLeastLoaded(LeastLoadedStrategy):
+    def decide(self, inv, cluster):
+        node = brute_force_least_loaded(cluster)
+        return DispatchDecision(
+            node, self.dispatch_latency_ms, f"queue={len(cluster.nodes[node].run_queue)}"
+        )
+
+
+BRUTE = {
+    DataAwareStrategy: BruteDataAware,
+    ProactiveClusterStrategy: BruteProactive,
+    LeastLoadedStrategy: BruteLeastLoaded,
+}
+
+
+def brute_make_strategy(name, params=None, latency_ms=None):
+    """make_strategy, with the indexed decision swapped for the scan."""
+    strategy = make_strategy(name, params, latency_ms)
+    strategy.__class__ = BRUTE[type(strategy)]
+    return strategy
+
+
+# ---- random cluster states ---------------------------------------------------------
+
+
+def build_state(nodes, store, queues, container_ops, placement_ops):
+    """A cluster after the given queue lengths, container lifecycle steps
+    (warm: acquire and release; take: acquire and keep; expire: reclaim
+    one idle container) and replica steps (origin placement, or a cached
+    copy that FIFO-evicts older copies)."""
+    c = Cluster(
+        ClusterParams(nodes=nodes, mem_capacity=1 << 20, store_capacity=store),
+        {f: FunctionSpec(f, flavor=128) for f in FUNCTIONS},
+        [DataObject(oid, size) for oid, size in OBJECT_SIZES.items()],
+    )
+    for nid, qlen in enumerate(queues[:nodes]):
+        c.nodes[nid].run_queue.extend([("x", 1)] * qlen)
+    for kind, nid, function in container_ops:
+        node = c.nodes[nid % nodes]
+        if kind == "expire":
+            pool = node.warm_pool.get(function)
+            if pool:
+                c.expire_container(pool[0])
+            continue
+        _, container = c.acquire_container(node.id, function)
+        if kind == "warm":
+            c.release_container(container)
+    for origin, oid, nid in placement_ops:
+        if origin:
+            c.place_object(oid, nid % nodes, origin=True)
+        else:
+            c.cache_object(oid, nid % nodes)
+    return c
+
+
+node_ops = st.tuples(
+    st.sampled_from(("warm", "warm", "take", "expire")),
+    st.integers(0, 15),
+    st.sampled_from(FUNCTIONS),
+)
+replica_ops = st.tuples(st.booleans(), st.sampled_from(sorted(OBJECT_SIZES)), st.integers(0, 15))
+weights = st.sampled_from((0.0, 1e-18, 0.1, 0.2, 0.3, 1.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    nodes=st.integers(1, 16),
+    queue_cap=st.integers(1, 4),
+    queues=st.lists(st.integers(0, 6), min_size=16, max_size=16),
+    container_ops=st.lists(node_ops, max_size=30),
+    placement_ops=st.lists(replica_ops, max_size=12),
+    store=st.sampled_from((80.0, 1000.0)),
+    function=st.sampled_from(FUNCTIONS),
+    refs=st.lists(st.sampled_from(sorted(OBJECT_SIZES)), max_size=3),
+    custom=st.tuples(weights, weights, weights),
+)
+def test_indexed_choice_equals_scan(nodes, queue_cap, queues, container_ops, placement_ops,
+                                    store, function, refs, custom):
+    c = build_state(nodes, store, queues, container_ops, placement_ops)
+    c.check_invariants()
+    event = Invocation("i", function, tuple(refs), "web", 0)
+    w_code, w_data, w_load = custom
+    for name, params in (
+        ("data_aware", {}),
+        ("mcgrath_queues", {}),
+        ("data_aware", {"w_code": w_code, "w_data": w_data, "w_load": w_load}),
+    ):
+        strategy = make_strategy(name, dict(params, queue_cap=queue_cap))
+        node, score = strategy._best_node(event, c)
+        want_node, want_score = brute_force_best(strategy, event, c)
+        assert node == want_node
+        assert score.hex() == want_score.hex()
+
+    decision = make_strategy("least_loaded").decide(event, c)
+    assert decision.node == brute_force_least_loaded(c)
+    assert decision.rationale == f"queue={len(c.nodes[decision.node].run_queue)}"
+
+
+def test_representative_is_lowest_id_across_all_full_buckets():
+    # Nodes 1 (queue 5) and 2 (queue 3) both sit past queue_cap 2, so they
+    # tie on headroom 0 and node 1 wins on id; node 0 is the warm class.
+    c = build_state(3, 1000.0, [0, 5, 3], [("warm", 0, "f1")], [])
+    strategy = make_strategy("data_aware", {"queue_cap": 2})
+    assert strategy._representatives(c, "f1", 0.0) == [0, 1]
+
+
+def test_zero_load_weight_ties_fall_to_the_lowest_id():
+    # Without a load term every cold node scores the same; the scan picks
+    # node 0 even though node 2 has the shorter queue.
+    c = build_state(3, 1000.0, [4, 2, 0], [], [])
+    strategy = make_strategy("data_aware", {"w_load": 0.0})
+    assert strategy._best_node(Invocation("i", "f1", (), "web", 0), c)[0] == 0
+
+
+def test_zero_byte_refs_tie_through_rounding():
+    # No referenced byte gives every node locality 1.0, and 1.0 absorbs the
+    # tiny load term, so all nodes tie and the scan keeps node 0.
+    c = build_state(3, 1000.0, [2, 0, 0], [], [])
+    strategy = make_strategy("data_aware", {"w_code": 0.0, "w_data": 1.0, "w_load": 1e-18})
+    for refs in ((), ("a", "z")):
+        assert strategy._best_node(Invocation("i", "f1", refs, "web", 0), c) == (0, 1.0)
+
+
+def test_negative_weight_and_bad_queue_cap_are_refused():
+    with pytest.raises(ConfigError, match="w_data"):
+        DataAwareStrategy(w_data=-1.0)
+    with pytest.raises(ConfigError, match="queue_cap"):
+        make_strategy("mcgrath_queues", {"queue_cap": 0})
+
+
+# ---- whole runs against the brute-force strategies -----------------------------------
+
+RUN_SCENARIO = {
+    "cluster": {"mem_capacity": 512, "keep_alive_ms": 300},
+    "workload": {
+        "horizon_ms": 800,
+        "arrival": {"kind": "poisson", "rate_per_s": 300},
+        "functions": [
+            {"name": "f1", "code_size": 10, "flavor": 128, "compute_ms": 50},
+            {"name": "f2", "code_size": 5, "flavor": 256, "compute_ms": 120, "weight": 0.5},
+        ],
+        "objects": {"count": 12, "size": [5, 60], "popularity": {"kind": "zipf", "s": 1.1}},
+        "refs_per_invocation": [0, 3],
+    },
+    "seeds": [1],
+}
+
+
+def run_records(nodes, queue_cap, stealing, name):
+    raw = copy.deepcopy(RUN_SCENARIO)
+    raw["cluster"]["nodes"] = nodes
+    raw["cluster"]["store_capacity"] = 200 + 600 // nodes  # origins fit, copies evict
+    raw["strategy"] = {"name": name, "work_stealing": stealing,
+                       "replication": {"period_ms": 100, "threshold": 3}}
+    if name != "least_loaded":
+        raw["strategy"]["params"] = {"queue_cap": queue_cap}
+    scenario = parse_scenario(raw)
+    result = runner.run_one(scenario, scenario.strategies[0], 1)
+    return result.row(), [(r.invocation_id, r.node, r.timeline.finished_at)
+                          for r in result.records]
+
+
+@pytest.mark.parametrize("name", ["least_loaded", "data_aware", "proactive_cluster",
+                                  "mcgrath_queues"])
+@pytest.mark.parametrize("stealing", [False, True])
+@pytest.mark.parametrize("queue_cap", [1, 2, 16])
+@pytest.mark.parametrize("nodes", [1, 3, 16])
+def test_run_equals_brute_force_run(monkeypatch, nodes, queue_cap, stealing, name):
+    indexed = run_records(nodes, queue_cap, stealing, name)
+    monkeypatch.setattr(runner, "make_strategy", brute_make_strategy)
+    assert run_records(nodes, queue_cap, stealing, name) == indexed
+
+
+# ---- index consistency ----------------------------------------------------------------
+
+
+def corrupt_warm_add(c):
+    c.warm_nodes.setdefault("f2", set()).add(1)
+
+
+def corrupt_warm_drop(c):
+    c.warm_nodes["f1"].discard(0)
+
+
+def corrupt_queue_bucket(c):
+    c.queue_buckets[0].discard(2)
+
+
+def corrupt_queue_bypass(c):
+    deque.append(c.nodes[2].run_queue, ("x", 1))  # length changes, index does not
+
+
+@pytest.mark.parametrize("corrupt", [corrupt_warm_add, corrupt_warm_drop,
+                                     corrupt_queue_bucket, corrupt_queue_bypass])
+def test_check_invariants_detects_a_stale_index(corrupt):
+    c = build_state(3, 1000.0, [0, 2, 0], [("warm", 0, "f1")], [])
+    c.check_invariants()
+    corrupt(c)
+    with pytest.raises(SimulationError, match="index"):
+        c.check_invariants()

@@ -7,7 +7,6 @@ from dispatchsim.cluster import Cluster, ClusterParams, DataObject, FunctionSpec
 from dispatchsim.engine import RandomSource
 from dispatchsim.strategies import (
     STRATEGY_NAMES,
-    ClusterView,
     DataAwareStrategy,
     PopularityCounter,
     locality_score,
@@ -39,20 +38,20 @@ def inv(function="f1", refs=(), origin="web", arrival=0, ident="i0"):
 
 
 def test_round_robin_single_node():
-    view = ClusterView(make_cluster(nodes=1))
+    view = make_cluster(nodes=1)
     rr = make_strategy("round_robin")
     assert [rr.decide(inv(), view).node for _ in range(4)] == [0, 0, 0, 0]
 
 
 def test_round_robin_cycles_in_node_order():
-    view = ClusterView(make_cluster(nodes=3))
+    view = make_cluster(nodes=3)
     rr = make_strategy("round_robin")
     assert [rr.decide(inv(), view).node for _ in range(6)] == [0, 1, 2, 0, 1, 2]
 
 
 def test_round_robin_exact_balance():
     # Counting oracle: 4k decisions over 4 nodes land exactly k per node.
-    view = ClusterView(make_cluster(nodes=4))
+    view = make_cluster(nodes=4)
     rr = make_strategy("round_robin")
     counts = {n: 0 for n in range(4)}
     for _ in range(4 * 250):
@@ -64,12 +63,12 @@ def test_least_loaded_picks_shortest_queue():
     c = make_cluster(nodes=3)
     c.nodes[0].run_queue.extend([("x", 1)] * 3)
     c.nodes[2].run_queue.extend([("x", 1)] * 2)
-    assert make_strategy("least_loaded").decide(inv(), ClusterView(c)).node == 1
+    assert make_strategy("least_loaded").decide(inv(), c).node == 1
 
 
 def test_least_loaded_ties_break_to_lowest_id():
     c = make_cluster(nodes=3)
-    assert make_strategy("least_loaded").decide(inv(), ClusterView(c)).node == 0
+    assert make_strategy("least_loaded").decide(inv(), c).node == 0
 
 
 def test_least_loaded_sees_queue_growth():
@@ -77,7 +76,7 @@ def test_least_loaded_sees_queue_growth():
     c.nodes[0].run_queue.append(("x", 1))
     c.nodes[1].run_queue.append(("x", 1))
     strategy = make_strategy("least_loaded")
-    view = ClusterView(c)
+    view = c
     chosen = strategy.decide(inv(), view).node
     assert chosen == 2
     c.nodes[chosen].run_queue.append(("x", 1))  # dispatch enqueues on the target
@@ -86,14 +85,14 @@ def test_least_loaded_sees_queue_growth():
 
 
 def test_hash_affinity_is_sticky_per_function():
-    view = ClusterView(make_cluster(nodes=4))
+    view = make_cluster(nodes=4)
     strategy = make_strategy("hash_affinity")
     first = strategy.decide(inv("f1"), view).node
     assert all(strategy.decide(inv("f1"), view).node == first for _ in range(5))
 
 
 def test_hash_affinity_single_node():
-    view = ClusterView(make_cluster(nodes=1))
+    view = make_cluster(nodes=1)
     assert make_strategy("hash_affinity").decide(inv("whatever"), view).node == 0
 
 
@@ -113,7 +112,7 @@ def test_score_is_one_for_warm_local_idle():
     c.place_object("a", 0)
     _, container = c.acquire_container(0, "f1")
     c.release_container(container)
-    score = locality_score(ClusterView(c), inv(refs=("a",)), 0)
+    score = locality_score(c, inv(refs=("a",)), 0)
     assert score == pytest.approx(1.0)
 
 
@@ -121,7 +120,7 @@ def test_score_is_zero_for_cold_remote_full_queue():
     c = make_cluster(objects=[("a", 100)])
     c.place_object("a", 1)
     c.nodes[0].run_queue.extend([("x", 1)] * 16)  # at queue_cap
-    score = locality_score(ClusterView(c), inv(refs=("a",)), 0)
+    score = locality_score(c, inv(refs=("a",)), 0)
     assert score == pytest.approx(0.0)
 
 
@@ -133,7 +132,7 @@ def test_score_hand_arithmetic():
     _, container = c.acquire_container(0, "f1")
     c.release_container(container)
     c.nodes[0].run_queue.extend([("x", 1)] * 5)
-    score = locality_score(ClusterView(c), inv(refs=("a", "b")), 0, queue_cap=10)
+    score = locality_score(c, inv(refs=("a", "b")), 0, queue_cap=10)
     assert score == pytest.approx(0.525)
 
 
@@ -143,7 +142,7 @@ def test_score_hand_arithmetic():
 def test_data_aware_follows_the_bytes():
     c = make_cluster(objects=[("a", 100)])
     c.place_object("a", 2)
-    decision = make_strategy("data_aware").decide(inv(refs=("a",)), ClusterView(c))
+    decision = make_strategy("data_aware").decide(inv(refs=("a",)), c)
     assert decision.node == 2
     assert "score=" in decision.rationale
 
@@ -152,7 +151,7 @@ def test_data_aware_empty_refs_reduces_to_load_term():
     c = make_cluster(nodes=3)
     c.nodes[0].run_queue.append(("x", 1))
     c.nodes[1].run_queue.append(("x", 1))
-    assert make_strategy("data_aware").decide(inv(), ClusterView(c)).node == 2
+    assert make_strategy("data_aware").decide(inv(), c).node == 2
 
 
 def test_data_aware_argmax_matches_brute_force_oracle():
@@ -163,7 +162,7 @@ def test_data_aware_argmax_matches_brute_force_oracle():
     c.nodes[1].run_queue.extend([("x", 1)] * 4)
     _, container = c.acquire_container(2, "f1")
     c.release_container(container)
-    view = ClusterView(c)
+    view = c
     event = inv(refs=("a", "b"))
     strategy = make_strategy("data_aware")
     decision = strategy.decide(event, view)
@@ -188,7 +187,7 @@ def test_weight_scaling_leaves_argmax_unchanged(queues, warm, scale):
         if warm[nid]:
             _, container = c.acquire_container(nid, "f1")
             c.release_container(container)
-    view = ClusterView(c)
+    view = c
     event = inv(refs=("a",))
     base = DataAwareStrategy().decide(event, view).node
     scaled = DataAwareStrategy(
@@ -200,7 +199,7 @@ def test_weight_scaling_leaves_argmax_unchanged(queues, warm, scale):
 def test_every_strategy_returns_a_live_node():
     c = make_cluster(nodes=5, objects=[("a", 10)])
     c.place_object("a", 3)
-    view = ClusterView(c)
+    view = c
     for name in STRATEGY_NAMES:
         decision = make_strategy(name).decide(inv(refs=("a",)), view)
         assert decision.node in view.node_ids
@@ -212,11 +211,11 @@ def test_mcgrath_prefers_warm_then_short_queue():
     _, container = c.acquire_container(2, "f1")
     c.release_container(container)
     strategy = make_strategy("mcgrath_queues")
-    assert strategy.decide(inv(refs=("a",)), ClusterView(c)).node == 2
+    assert strategy.decide(inv(refs=("a",)), c).node == 2
     # without any warm container, ties fall to the shortest queue
     cold = make_cluster(nodes=3)
     cold.nodes[0].run_queue.append(("x", 1))
-    assert make_strategy("mcgrath_queues").decide(inv(), ClusterView(cold)).node == 1
+    assert make_strategy("mcgrath_queues").decide(inv(), cold).node == 1
 
 
 def test_unknown_strategy_errors_with_registry():
@@ -237,7 +236,7 @@ def test_default_dispatch_latencies():
 
 
 def test_latency_override_applies_to_every_decision():
-    view = ClusterView(make_cluster())
+    view = make_cluster()
     strategy = make_strategy("data_aware", latency_ms=5)
     assert all(strategy.decide(inv(), view).dispatch_latency_ms == 5 for _ in range(3))
 
@@ -257,7 +256,7 @@ def test_proactive_is_sticky_for_equal_keys():
     c = make_cluster(objects=[("a", 100)])
     c.place_object("a", 1)
     strategy = make_strategy("proactive_cluster")
-    view = ClusterView(c)
+    view = c
     first = strategy.decide(inv(refs=("a",), ident="i1"), view).node
     # shift load and warmth elsewhere; the key still pins the node
     c.nodes[first].run_queue.extend([("x", 1)] * 10)
@@ -271,7 +270,7 @@ def test_proactive_disjoint_refs_form_distinct_keys():
     c.place_object("a", 1)
     c.place_object("b", 2)
     strategy = make_strategy("proactive_cluster")
-    view = ClusterView(c)
+    view = c
     assert strategy.decide(inv(refs=("a",), ident="i1"), view).node == 1
     assert strategy.decide(inv(refs=("b",), ident="i2"), view).node == 2
     assert len(strategy.assignments) == 2
@@ -283,15 +282,15 @@ def test_proactive_first_assignment_matches_data_aware():
     c2 = make_cluster(objects=[("a", 100)])
     c2.place_object("a", 2)
     event = inv(refs=("a",))
-    assert (make_strategy("proactive_cluster").decide(event, ClusterView(c1)).node
-            == make_strategy("data_aware").decide(event, ClusterView(c2)).node)
+    assert (make_strategy("proactive_cluster").decide(event, c1).node
+            == make_strategy("data_aware").decide(event, c2).node)
 
 
 def test_proactive_records_demand_at_chosen_node():
     c = make_cluster(objects=[("a", 100)])
     c.place_object("a", 1)
     strategy = make_strategy("proactive_cluster")
-    view = ClusterView(c)
+    view = c
     for i in range(3):
         strategy.decide(inv(refs=("a",), ident=f"i{i}"), view)
     assert strategy.counters.counts["a"] == 3.0
