@@ -49,14 +49,14 @@ class DataObject:
     origin: int | None = None
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class Container:
-    """One container; a busy container hosts exactly one invocation."""
+    """One container, busy with one invocation or idle in its node's warm
+    pool. Containers compare by identity."""
 
     function: str
     node: int
     flavor: int
-    busy: bool = True
     expiry_handle: object | None = None  # cancellable engine occurrence
 
 
@@ -359,7 +359,6 @@ class Cluster:
             container = pool.pop()
             if not pool:
                 self.warm_nodes[function].discard(node_id)
-            container.busy = True
             self._mark_busy(node, now)
             if container.expiry_handle is not None:
                 container.expiry_handle.cancel()
@@ -377,7 +376,6 @@ class Cluster:
     def release_container(self, container: Container, now: int = 0) -> None:
         """Busy -> warm-idle; the caller schedules the keep-alive expiry."""
         node = self.nodes[container.node]
-        container.busy = False
         node.busy_count -= 1
         if node.busy_count == 0:
             node.occupied_ms_accum += now - node._occupied_since
@@ -393,9 +391,8 @@ class Cluster:
         node.busy_count += 1
 
     def expire_container(self, container: Container) -> int:
-        """Reclaim an idle container's memory at keep-alive expiry."""
-        if container.busy:
-            return 0  # reused before the tombstone was cancelled; nothing to free
+        """Reclaim an idle container's memory at keep-alive expiry; frees
+        nothing for a container that is no longer idle."""
         node = self.nodes[container.node]
         pool = node.warm_pool.get(container.function, [])
         if container in pool:

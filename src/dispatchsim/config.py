@@ -115,24 +115,47 @@ def _require_mapping(value, key: str) -> dict:
     return value
 
 
+def _require_list(value, key: str) -> list:
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{key} must be a list")
+    return value
+
+
+_KINDS = {int: "an integer", float: "a number"}
+
+
+def _convert(value, convert, key: str):
+    """convert(value); a value it rejects is a ConfigError naming the key."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{key}: expected {_KINDS[convert]}, got {value!r}") from None
+
+
+def _field(raw: dict, key: str, default, convert, prefix: str):
+    """raw[key], or the default, through convert (int or float)."""
+    return _convert(raw.get(key, default), convert, f"{prefix}.{key}")
+
+
 def _parse_network(raw: dict) -> NetworkModel:
     return NetworkModel(
-        latency_ms=int(raw.get("latency_ms", 1)),
-        bandwidth_mb_per_s=float(raw.get("bandwidth_mb_per_s", 100.0)),
+        latency_ms=_field(raw, "latency_ms", 1, int, "cluster.network"),
+        bandwidth_mb_per_s=_field(raw, "bandwidth_mb_per_s", 100.0, float, "cluster.network"),
     )
 
 
 def _parse_cluster(raw: dict) -> ClusterParams:
+    flavors = _require_list(raw.get("flavors", DEFAULT_FLAVORS), "cluster.flavors")
     return ClusterParams(
-        nodes=int(raw.get("nodes", 1)),
-        mem_capacity=int(raw.get("mem_capacity", 4096)),
-        store_capacity=float(raw.get("store_capacity", 4000.0)),
-        flavors=tuple(int(f) for f in raw.get("flavors", DEFAULT_FLAVORS)),
+        nodes=_field(raw, "nodes", 1, int, "cluster"),
+        mem_capacity=_field(raw, "mem_capacity", 4096, int, "cluster"),
+        store_capacity=_field(raw, "store_capacity", 4000.0, float, "cluster"),
+        flavors=tuple(_convert(f, int, f"cluster.flavors.{i}") for i, f in enumerate(flavors)),
         network=_parse_network(_require_mapping(raw.get("network"), "cluster.network")),
-        container_boot_ms=int(raw.get("container_boot_ms", 100)),
-        keep_alive_ms=int(raw.get("keep_alive_ms", 600_000)),
-        billing_granularity_ms=int(raw.get("billing_granularity_ms", 100)),
-        max_execution_ms=int(raw.get("max_execution_ms", 300_000)),
+        container_boot_ms=_field(raw, "container_boot_ms", 100, int, "cluster"),
+        keep_alive_ms=_field(raw, "keep_alive_ms", 600_000, int, "cluster"),
+        billing_granularity_ms=_field(raw, "billing_granularity_ms", 100, int, "cluster"),
+        max_execution_ms=_field(raw, "max_execution_ms", 300_000, int, "cluster"),
         code_store=raw.get("code_store", EXTERNAL_STORE),
         result_store=raw.get("result_store", EXTERNAL_STORE),
     )
@@ -142,8 +165,8 @@ def _parse_arrival(raw: dict) -> ArrivalSpec:
     kind = raw.get("kind", "fixed_interval")
     return ArrivalSpec(
         kind=kind,
-        rate_per_s=float(raw.get("rate_per_s", 10.0)),
-        interval_ms=int(raw.get("interval_ms", 100)),
+        rate_per_s=_field(raw, "rate_per_s", 10.0, float, "workload.arrival"),
+        interval_ms=_field(raw, "interval_ms", 100, int, "workload.arrival"),
     )
 
 
@@ -151,54 +174,63 @@ def _parse_objects(raw: dict) -> ObjectSpec:
     pop_raw = _require_mapping(raw.get("popularity"), "workload.objects.popularity")
     size = raw.get("size", 100.0)
     if isinstance(size, (list, tuple)):
-        size = (float(size[0]), float(size[1]))
+        if len(size) != 2:
+            raise ConfigError("workload.objects.size must be a number or a [lo, hi] pair")
+        size = tuple(_convert(v, float, f"workload.objects.size.{i}") for i, v in enumerate(size))
     else:
-        size = float(size)
+        size = _convert(size, float, "workload.objects.size")
     return ObjectSpec(
-        count=int(raw.get("count", 0)),
+        count=_field(raw, "count", 0, int, "workload.objects"),
         size=size,
         popularity=PopularitySpec(
             kind=pop_raw.get("kind", "zipf"),
-            s=float(pop_raw.get("s", 1.1)),
+            s=_field(pop_raw, "s", 1.1, float, "workload.objects.popularity"),
         ),
     )
 
 
 def _parse_function(raw: dict, idx: int) -> tuple[FunctionSpec, float]:
+    key = f"workload.functions.{idx}"
     if "name" not in raw:
-        raise ConfigError(f"workload.functions.{idx}: missing name")
+        raise ConfigError(f"{key}: missing name")
     spec = FunctionSpec(
         name=str(raw["name"]),
-        code_size=float(raw.get("code_size", 0.0)),
-        flavor=int(raw.get("flavor", 128)),
-        compute_ms=int(raw.get("compute_ms", 1)),
-        write_back=float(raw.get("write_back", 0.0)),
+        code_size=_field(raw, "code_size", 0.0, float, key),
+        flavor=_field(raw, "flavor", 128, int, key),
+        compute_ms=_field(raw, "compute_ms", 1, int, key),
+        write_back=_field(raw, "write_back", 0.0, float, key),
     )
-    return spec, float(raw.get("weight", 1.0))
+    return spec, _field(raw, "weight", 1.0, float, key)
 
 
 def _parse_refs(raw) -> tuple[int, int]:
+    key = "workload.refs_per_invocation"
     if raw is None:
         return (0, 0)
     if isinstance(raw, int):
         return (raw, raw)
     if isinstance(raw, (list, tuple)) and len(raw) == 2:
-        return (int(raw[0]), int(raw[1]))
-    raise ConfigError("workload.refs_per_invocation must be an int or a [lo, hi] pair")
+        return (_convert(raw[0], int, f"{key}.0"), _convert(raw[1], int, f"{key}.1"))
+    raise ConfigError(f"{key} must be an int or a [lo, hi] pair")
+
+
+def _parse_origin(raw: dict, idx: int) -> tuple[str, float]:
+    return str(raw.get("tag", f"origin{idx}")), _field(raw, "weight", 1.0, float,
+                                                       f"workload.origins.{idx}")
 
 
 def _parse_workload(raw: dict) -> WorkloadSpec:
     functions = tuple(
         _parse_function(_require_mapping(f, f"workload.functions.{i}"), i)
-        for i, f in enumerate(raw.get("functions", []))
+        for i, f in enumerate(_require_list(raw.get("functions", []), "workload.functions"))
     )
     origins_raw = raw.get("origins") or [{"tag": "default", "weight": 1.0}]
     origins = tuple(
-        (str(o.get("tag", f"origin{i}")), float(o.get("weight", 1.0)))
-        for i, o in enumerate(origins_raw)
+        _parse_origin(_require_mapping(o, f"workload.origins.{i}"), i)
+        for i, o in enumerate(_require_list(origins_raw, "workload.origins"))
     )
     return WorkloadSpec(
-        horizon_ms=int(raw.get("horizon_ms", 10_000)),
+        horizon_ms=_field(raw, "horizon_ms", 10_000, int, "workload"),
         arrival=_parse_arrival(_require_mapping(raw.get("arrival"), "workload.arrival")),
         functions=functions,
         objects=_parse_objects(_require_mapping(raw.get("objects"), "workload.objects")),
@@ -208,18 +240,22 @@ def _parse_workload(raw: dict) -> WorkloadSpec:
     )
 
 
-def _parse_strategy(raw: dict) -> StrategyConfig:
-    replication = _require_mapping(raw.get("replication"), "strategy.replication")
+def _parse_strategy(raw: dict, key: str) -> StrategyConfig:
+    """One strategy block; key is its dotted path (strategy or strategies.N)."""
+    replication = _require_mapping(raw.get("replication"), f"{key}.replication")
     latency = raw.get("dispatch_latency_ms")
     return StrategyConfig(
         name=str(raw.get("name", "round_robin")),
-        params=dict(_require_mapping(raw.get("params"), "strategy.params")),
+        params=dict(_require_mapping(raw.get("params"), f"{key}.params")),
         work_stealing=bool(raw.get("work_stealing", False)),
-        steal_poll_ms=int(raw.get("steal_poll_ms", 10)),
-        dispatch_latency_ms=None if latency is None else int(latency),
-        replication_period_ms=int(replication.get("period_ms", 1000)),
-        replication_threshold=float(replication.get("threshold", 10.0)),
-        replication_decay=float(replication.get("decay", 0.5)),
+        steal_poll_ms=_field(raw, "steal_poll_ms", 10, int, key),
+        dispatch_latency_ms=(
+            None if latency is None else _convert(latency, int, f"{key}.dispatch_latency_ms")
+        ),
+        replication_period_ms=_field(replication, "period_ms", 1000, int, f"{key}.replication"),
+        replication_threshold=_field(replication, "threshold", 10.0, float,
+                                     f"{key}.replication"),
+        replication_decay=_field(replication, "decay", 0.5, float, f"{key}.replication"),
     )
 
 
@@ -227,11 +263,13 @@ def parse_scenario(raw: dict) -> Scenario:
     raw = _require_mapping(raw, "scenario")
     if "strategies" in raw:
         strategies = [
-            _parse_strategy(_require_mapping(s, f"strategies.{i}"))
-            for i, s in enumerate(raw["strategies"])
+            _parse_strategy(_require_mapping(s, f"strategies.{i}"), f"strategies.{i}")
+            for i, s in enumerate(_require_list(raw["strategies"], "strategies"))
         ]
     else:
-        strategies = [_parse_strategy(_require_mapping(raw.get("strategy"), "strategy"))]
+        strategies = [
+            _parse_strategy(_require_mapping(raw.get("strategy"), "strategy"), "strategy")
+        ]
     seeds_raw = raw.get("seeds", [1])
     if isinstance(seeds_raw, int):
         seeds_raw = [seeds_raw]
@@ -243,10 +281,11 @@ def parse_scenario(raw: dict) -> Scenario:
         cluster=_parse_cluster(_require_mapping(raw.get("cluster"), "cluster")),
         workload=_parse_workload(_require_mapping(raw.get("workload"), "workload")),
         strategies=strategies,
-        seeds=[int(s) for s in seeds_raw],
+        seeds=[_convert(s, int, f"seeds.{i}")
+               for i, s in enumerate(_require_list(seeds_raw, "seeds"))],
         output=OutputConfig(
             dir=str(output_raw.get("dir", "out")),
-            formats=tuple(str(f) for f in formats),
+            formats=tuple(str(f) for f in _require_list(formats, "output.formats")),
         ),
     )
 

@@ -58,11 +58,11 @@ def billed_gb_seconds(timeline: PhaseTimeline, flavor_mb: int,
     return (rounded_ms / 1000.0) * (flavor_mb / 1024.0)
 
 
-def efficiency(compute_ms_total: int, busy_ms_total: int) -> tuple[float, bool]:
-    """compute / busy over the whole run; the flag marks a zero-busy run."""
+def efficiency(compute_ms_total: int, busy_ms_total: int) -> float:
+    """compute / busy over the whole run; 0.0 for a run with no busy time."""
     if busy_ms_total == 0:
-        return 0.0, True
-    return compute_ms_total / busy_ms_total, False
+        return 0.0
+    return compute_ms_total / busy_ms_total
 
 
 def utilization(occupied_ms_total: int, node_count: int, elapsed_ms: int) -> float:
@@ -90,7 +90,6 @@ def summarize_run(strategy: str, seed, records: list[TaskRecord],
     over completed tasks; phase totals cover every recorded task."""
     completed = [r for r in records if r.status == COMPLETED]
     actuals = sorted(r.timeline.actual_ms() for r in completed)
-    eff, _zero_busy = efficiency(compute_ms_total, busy_ms_total)
     row = {
         "strategy": strategy,
         "seed": seed,
@@ -100,7 +99,7 @@ def summarize_run(strategy: str, seed, records: list[TaskRecord],
         "median_actual_ms": float(statistics.median(actuals)) if actuals else 0.0,
         "p95_actual_ms": float(percentile_nearest_rank(actuals, 0.95)),
         "mean_quality": statistics.fmean(quality(r) for r in completed) if completed else 0.0,
-        "efficiency": eff,
+        "efficiency": efficiency(compute_ms_total, busy_ms_total),
         "utilization": utilization(occupied_ms_total, node_count, elapsed_ms),
         "gb_seconds": sum(r.billed_gb_s for r in completed),
         "invocations_billed": len(completed),

@@ -97,12 +97,18 @@ class Simulation:
         self.arrived = 0
         self.done = 0
         self.last_completion = 0
+        self._labels = engine.record_log  # build event labels only for the log
+        # Stable sort: invocations arriving together keep their trace order.
+        self._arrivals = sorted(trace, key=lambda inv: inv.arrival)
 
     # ---- run loop ---------------------------------------------------------
 
     def run(self) -> None:
-        for inv in self.trace:
-            self.engine.schedule(inv.arrival, self._arrival_handler(inv), f"arrival:{inv.id}")
+        # Arrivals fire straight from the sorted trace; none is held as a
+        # pending event.
+        self.engine.schedule_sorted(
+            [inv.arrival for inv in self._arrivals], self._arrive, "arrival"
+        )
         if self.work_stealing and self.trace:
             self.engine.schedule(self.steal_poll_ms, self._steal_tick, "steal-tick")
         if self.strategy.needs_replication and self.trace:
@@ -120,18 +126,18 @@ class Simulation:
 
     # ---- handlers ---------------------------------------------------------
 
-    def _arrival_handler(self, inv: Invocation):
-        def handle():
-            self.arrived += 1
-            decision = self.strategy.decide(inv, self.cluster)
-            node = self.cluster.nodes[decision.node]
-            node.dispatched += 1
-            self.engine.schedule(
-                self.engine.now() + decision.dispatch_latency_ms,
-                lambda: self._offer(inv, node.id, decision.dispatch_latency_ms),
-                f"offer:{inv.id}",
-            )
-        return handle
+    def _arrive(self, index: int) -> None:
+        inv = self._arrivals[index]
+        self.arrived += 1
+        decision = self.strategy.decide(inv, self.cluster)
+        node_id = decision.node
+        self.cluster.nodes[node_id].dispatched += 1
+        latency = decision.dispatch_latency_ms
+        self.engine.after(
+            latency,
+            lambda: self._offer(inv, node_id, latency),
+            f"offer:{inv.id}" if self._labels else "",
+        )
 
     def _offer(self, inv: Invocation, node_id: int, dispatch_ms: int) -> None:
         if not self._try_start(inv, node_id, dispatch_ms):
@@ -152,7 +158,7 @@ class Simulation:
         self.engine.schedule(
             timeline.finished_at,
             lambda: self._complete(inv, container, timeline, failed),
-            f"completion:{inv.id}",
+            f"completion:{inv.id}" if self._labels else "",
         )
         return True
 
@@ -160,10 +166,11 @@ class Simulation:
         if timeline.actual_ms() != timeline.phase_sum():
             raise SimulationError(f"phase accounting broken for {inv.id}")
         self.cluster.release_container(container, self.engine.now())
-        container.expiry_handle = self.engine.schedule(
-            self.engine.now() + self.keep_alive_ms,
+        container.expiry_handle = self.engine.after(
+            self.keep_alive_ms,
             lambda: self._expire(container),
-            f"keep-alive-expiry:{container.node}:{container.function}",
+            (f"keep-alive-expiry:{container.node}:{container.function}"
+             if self._labels else ""),
         )
         spec = self.catalog.functions[inv.function]
         self.records.append(TaskRecord(

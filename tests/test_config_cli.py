@@ -204,6 +204,39 @@ def test_cli_validate_rejects_bad_scoring_params(tmp_path, capsys, override, key
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("override, key", [
+    ("cluster.nodes=abc", "cluster.nodes"),
+    ("cluster.network.bandwidth_mb_per_s=fast", "cluster.network.bandwidth_mb_per_s"),
+    ("cluster.keep_alive_ms=.inf", "cluster.keep_alive_ms"),
+    ("cluster.flavors=[128, big]", "cluster.flavors.1"),
+    ("cluster.flavors=5", "cluster.flavors"),
+    ("workload.functions=5", "workload.functions"),
+    ("workload.functions.0.compute_ms=[1]", "workload.functions.0.compute_ms"),
+    ("workload.arrival.interval_ms=soon", "workload.arrival.interval_ms"),
+    ("workload.objects.size=[1]", "workload.objects.size"),
+    ("workload.objects.popularity.s=x", "workload.objects.popularity.s"),
+    ("workload.refs_per_invocation=[0, x]", "workload.refs_per_invocation.1"),
+    ("workload.origins=7", "workload.origins"),
+    ("workload.origins=[{tag: a, weight: heavy}]", "workload.origins.0.weight"),
+    ("strategy.steal_poll_ms=often", "strategy.steal_poll_ms"),
+    ("strategy.replication.decay=half", "strategy.replication.decay"),
+    ("strategies=5", "strategies"),
+    ("strategies=[{name: data_aware, dispatch_latency_ms: x}]",
+     "strategies.0.dispatch_latency_ms"),
+    ("seeds=[1, two]", "seeds.1"),
+    ("output.formats=3", "output.formats"),
+])
+def test_cli_malformed_value_exits_2_naming_the_key(tmp_path, capsys, override, key):
+    # Regression: cluster.nodes=abc raised ValueError and workload.functions=5
+    # raised TypeError, each a traceback with exit code 1.
+    cfg = write_config(tmp_path, scenario_dict())
+    for command in ("validate", "run"):
+        assert main([command, cfg, override, "--out-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key}")
+        assert "Traceback" not in err
+
+
 def test_scoring_params_are_checked_in_every_strategies_entry():
     raw = scenario_dict(strategies=[
         {"name": "data_aware", "params": {"w_code": -0.1}},

@@ -1,10 +1,23 @@
-"""Engine contract: ordering, clock semantics, cancellation, determinism."""
+"""Engine contract: ordering, clock semantics, cancellation, determinism,
+and equivalence with the heap-only engine it replaced."""
+
+import functools
+import heapq
+import itertools
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from dispatchsim.engine import Engine, RandomSource
+from dispatchsim import runner
+from dispatchsim.config import load_scenario, parse_scenario
+from dispatchsim.engine import Engine, Occurrence, RandomSource
 from dispatchsim.errors import SchedulingInPastError
+
+from conftest import scenario_dict
+from test_acceptance import DATA_INTENSIVE
+
+DEMO_SCENARIOS = sorted((Path(__file__).parent.parent / "demos" / "scenarios").glob("*.yaml"))
 
 
 def record_into(log, tag):
@@ -149,3 +162,211 @@ def test_random_source_streams_are_independent_and_stable():
     b = [RandomSource(9, "b").random() for _ in range(4)]
     assert a1 == a2
     assert a1 != b
+
+
+def test_after_is_schedule_at_now_plus_delay():
+    eng = Engine(record_log=True)
+    eng.schedule(5, lambda: eng.after(3, lambda: None, "late"), "first")
+    eng.after(8, lambda: None, "early")
+    eng.run()
+    assert eng.log == [(5, 0, "first"), (8, 1, "early"), (8, 2, "late")]
+
+
+def test_cancelled_lane_entry_leaves_nothing_pending():
+    eng = Engine()
+    log = []
+    handle = eng.after(10, record_into(log, "cancelled"))
+    eng.after(10, record_into(log, "kept"))
+    handle.cancel()
+    assert eng.pending() == 1
+    assert eng.run() == 1
+    assert log == ["kept"]
+    handle.cancel()  # cancelling again, or after firing, is a no-op
+
+
+def test_schedule_sorted_fires_lazily_with_reserved_seqs():
+    eng = Engine(record_log=True)
+    seen = []
+    eng.schedule_sorted([0, 4, 4, 9], lambda i: seen.append((i, eng.now())), "batch")
+    eng.schedule(4, lambda: seen.append(("heap", eng.now())), "heap")
+    assert eng.pending() == 1  # batch items are not materialised
+    assert eng.run() == 5
+    assert seen == [(0, 0), (1, 4), (2, 4), ("heap", 4), (3, 9)]
+    assert [seq for _, seq, _ in eng.log] == [0, 1, 2, 4, 3]
+
+
+def test_schedule_sorted_rejects_unsorted_or_past_times():
+    eng = Engine()
+    with pytest.raises(ValueError):
+        eng.schedule_sorted([3, 1], lambda i: None)
+    eng.run_until(10)
+    with pytest.raises(SchedulingInPastError):
+        eng.schedule_sorted([5, 12], lambda i: None)
+    with pytest.raises(SchedulingInPastError):
+        eng.after(-1, lambda: None)
+
+
+# ---- differential check against the heap-only engine -----------------------------
+
+
+class HeapEngine:
+    """The engine before FIFO lanes and sorted batches: one binary heap with
+    tombstone cancellation. ``after`` and ``schedule_sorted`` are plain
+    ``schedule`` calls here, so it is the reference for both."""
+
+    def __init__(self, record_log: bool = False):
+        self._heap = []
+        self._seq = 0
+        self._now = 0
+        self.record_log = record_log
+        self.log = []
+
+    def now(self):
+        return self._now
+
+    def schedule(self, at, action, label=""):
+        if at < self._now:
+            raise SchedulingInPastError(f"t={at} < {self._now}")
+        occ = Occurrence(at, self._seq, action, label)
+        self._seq += 1
+        heapq.heappush(self._heap, (at, occ.seq, occ))
+        return occ
+
+    def after(self, delay, action, label=""):
+        return self.schedule(self._now + delay, action, label)
+
+    def schedule_sorted(self, times, action, label=""):
+        for i, at in enumerate(times):
+            self.schedule(at, functools.partial(action, i), label)
+
+    def _fire(self, occ):
+        self._now = occ.fire_at
+        if self.record_log:
+            self.log.append((occ.fire_at, occ.seq, occ.label))
+        occ.action()
+
+    def run_until(self, horizon):
+        if horizon < self._now:
+            raise SchedulingInPastError(f"horizon t={horizon} < {self._now}")
+        processed = 0
+        while self._heap and self._heap[0][0] <= horizon:
+            _, _, occ = heapq.heappop(self._heap)
+            if not occ.cancelled:
+                self._fire(occ)
+                processed += 1
+        self._now = horizon
+        return processed
+
+    def run(self):
+        processed = 0
+        while self._heap:
+            _, _, occ = heapq.heappop(self._heap)
+            if not occ.cancelled:
+                self._fire(occ)
+                processed += 1
+        return processed
+
+
+# An op schedules something, cancels an earlier handle, or (top level only)
+# advances the clock. Every firing handler applies the next follow-up op.
+_delay = st.integers(min_value=0, max_value=30)
+_op = st.one_of(
+    st.tuples(st.just("schedule"), _delay),
+    st.tuples(st.just("after"), st.sampled_from([0, 1, 5, 12])),
+    st.tuples(st.just("sorted"), st.lists(st.integers(min_value=0, max_value=6), max_size=6)),
+    st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=50)),
+)
+_top_op = st.one_of(_op, st.tuples(st.just("run_until"), _delay))
+
+
+def _drive(engine, top_ops, followups):
+    handles, fired = [], []
+    script = iter(followups)
+    counter = itertools.count()
+
+    def handler(name, *args):
+        fired.append((name, args, engine.now()))
+        op = next(script, None)
+        if op is not None:
+            apply(op)
+
+    def apply(op):
+        kind, arg = op
+        name = f"{kind}{next(counter)}"
+        if kind == "schedule":
+            handles.append(engine.schedule(engine.now() + arg,
+                                           functools.partial(handler, name), name))
+        elif kind == "after":
+            handles.append(engine.after(arg, functools.partial(handler, name), name))
+        elif kind == "sorted":
+            times, t = [], engine.now()
+            for step in arg:
+                t += step
+                times.append(t)
+            engine.schedule_sorted(times, functools.partial(handler, name), name)
+        elif handles:
+            handles[arg % len(handles)].cancel()
+
+    processed = []
+    for op in top_ops:
+        if op[0] == "run_until":
+            processed.append(engine.run_until(engine.now() + op[1]))
+        else:
+            apply(op)
+    processed.append(engine.run())
+    return engine.log, fired, processed, engine.now()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_top_op, max_size=25), st.lists(_op, max_size=40))
+def test_engine_matches_heap_engine_on_random_programs(top_ops, followups):
+    assert (_drive(Engine(record_log=True), top_ops, followups)
+            == _drive(HeapEngine(record_log=True), top_ops, followups))
+
+
+def _run_logged(monkeypatch, engine_cls, scenario, strategy_cfg, seed):
+    engines = []
+
+    def make_engine():
+        engines.append(engine_cls(record_log=True))
+        return engines[-1]
+
+    monkeypatch.setattr(runner, "Engine", make_engine)
+    result = runner.run_one(scenario, strategy_cfg, seed)
+    return engines[0].log, result.row()
+
+
+def _whole_run_cases():
+    for path in DEMO_SCENARIOS:
+        scenario = load_scenario(path)
+        for cfg in scenario.strategies:
+            for seed in scenario.seeds:
+                yield pytest.param(scenario, cfg, seed, id=f"{path.stem}-{cfg.label}-{seed}")
+    strategies = [{"name": name} for name in (
+        "round_robin", "least_loaded", "hash_affinity",
+        "mcgrath_queues", "data_aware", "proactive_cluster",
+    )] + [{"name": "least_loaded", "work_stealing": True}]
+    # Three functions competing for two containers' worth of memory, with a
+    # short keep-alive: expiries fire mid-run and unblock queued work.
+    tight_cluster = {"mem_capacity": 256, "keep_alive_ms": 40}
+    tight_workload = {"functions": [
+        {"name": f"f{i}", "code_size": 10, "flavor": 128, "compute_ms": 10 * i}
+        for i in (1, 2, 3)
+    ]}
+    for tag, cluster, workload in (("acceptance", {}, {}),
+                                   ("tight", tight_cluster, tight_workload)):
+        raw = scenario_dict(**DATA_INTENSIVE)
+        raw["cluster"].update(cluster)
+        raw["workload"].update(workload)
+        raw["strategies"] = strategies
+        scenario = parse_scenario(raw)
+        for cfg in scenario.strategies:
+            yield pytest.param(scenario, cfg, 1, id=f"{tag}-{cfg.label}")
+
+
+@pytest.mark.parametrize("scenario, strategy_cfg, seed", _whole_run_cases())
+def test_whole_run_matches_heap_engine(monkeypatch, scenario, strategy_cfg, seed):
+    log, row = _run_logged(monkeypatch, Engine, scenario, strategy_cfg, seed)
+    ref_log, ref_row = _run_logged(monkeypatch, HeapEngine, scenario, strategy_cfg, seed)
+    assert [(t, seq) for t, seq, _ in log] == [(t, seq) for t, seq, _ in ref_log]
+    assert row == ref_row

@@ -67,18 +67,15 @@ def test_quality_never_exceeds_one(overheads, compute):
 
 
 def test_efficiency_is_one_when_busy_is_all_compute():
-    value, zero_busy = efficiency(400, 400)
-    assert value == 1.0 and not zero_busy
+    assert efficiency(400, 400) == 1.0
 
 
 def test_efficiency_single_task_hand_division():
-    value, _ = efficiency(80, 482)
-    assert value == pytest.approx(0.1660, abs=5e-5)
+    assert efficiency(80, 482) == pytest.approx(0.1660, abs=5e-5)
 
 
-def test_efficiency_zero_busy_flag():
-    value, zero_busy = efficiency(0, 0)
-    assert value == 0.0 and zero_busy
+def test_efficiency_of_zero_busy_run_is_zero():
+    assert efficiency(0, 0) == 0.0
 
 
 def test_utilization_idle_cluster_is_zero():
