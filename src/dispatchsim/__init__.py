@@ -17,7 +17,14 @@ from .cluster import (
 )
 from .config import Scenario, StrategyConfig, load_scenario, parse_scenario, validate
 from .engine import Engine, RandomSource
-from .metrics import TaskRecord, billed_gb_seconds, efficiency, quality, utilization
+from .metrics import (
+    RecordStore,
+    TaskRecord,
+    billed_gb_seconds,
+    efficiency,
+    quality,
+    utilization,
+)
 from .runner import RunResult, Simulation, compare_scenario, run_one, run_scenario
 from .strategies import (
     STRATEGY_NAMES,
@@ -42,6 +49,7 @@ __all__ = [
     "NetworkModel",
     "PhaseTimeline",
     "RandomSource",
+    "RecordStore",
     "RunResult",
     "Scenario",
     "Simulation",

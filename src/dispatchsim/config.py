@@ -125,8 +125,11 @@ _KINDS = {int: "an integer", float: "a number"}
 
 
 def _convert(value, convert, key: str):
-    """convert(value); a value it rejects is a ConfigError naming the key."""
+    """convert(value); a value it rejects, or a non-integral number for an
+    integer, is a ConfigError naming the key."""
     try:
+        if convert is int and isinstance(value, float) and not value.is_integer():
+            raise ValueError(value)
         return convert(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{key}: expected {_KINDS[convert]}, got {value!r}") from None
@@ -244,10 +247,13 @@ def _parse_strategy(raw: dict, key: str) -> StrategyConfig:
     """One strategy block; key is its dotted path (strategy or strategies.N)."""
     replication = _require_mapping(raw.get("replication"), f"{key}.replication")
     latency = raw.get("dispatch_latency_ms")
+    work_stealing = raw.get("work_stealing", False)
+    if not isinstance(work_stealing, bool):
+        raise ConfigError(f"{key}.work_stealing: expected a boolean, got {work_stealing!r}")
     return StrategyConfig(
         name=str(raw.get("name", "round_robin")),
         params=dict(_require_mapping(raw.get("params"), f"{key}.params")),
-        work_stealing=bool(raw.get("work_stealing", False)),
+        work_stealing=work_stealing,
         steal_poll_ms=_field(raw, "steal_poll_ms", 10, int, key),
         dispatch_latency_ms=(
             None if latency is None else _convert(latency, int, f"{key}.dispatch_latency_ms")

@@ -27,6 +27,8 @@ import math
 import random
 from collections import OrderedDict
 from dataclasses import dataclass
+from itertools import islice
+from operator import gt
 from typing import Callable, Sequence
 
 from .errors import SchedulingInPastError
@@ -152,7 +154,7 @@ class Engine:
             raise SchedulingInPastError(
                 f"cannot schedule at t={times[0]}; clock is already at t={self._now}"
             )
-        if any(a > b for a, b in zip(times, times[1:])):
+        if any(map(gt, times, islice(times, 1, None))):
             raise ValueError("schedule_sorted needs non-decreasing times")
         self._batches.append(_Batch(times, action, label, self._seq))
         self._seq += len(times)

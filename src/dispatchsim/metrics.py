@@ -12,9 +12,14 @@ from __future__ import annotations
 import json
 import math
 import statistics
+from array import array
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
+from itertools import compress
+from operator import attrgetter, not_, truediv
 
 from .cluster import PhaseTimeline
+from .workload import Invocation
 
 COMPLETED = "completed"
 FAILED = "failed"
@@ -39,6 +44,93 @@ class TaskRecord:
     ideal_ms: int
     billed_gb_s: float
     status: str  # COMPLETED or FAILED
+
+
+_STRIDE = 7  # phase durations per record, in PhaseTimeline field order
+
+
+class RecordStore(Sequence[TaskRecord]):
+    """A run's task records as columns, in completion order.
+
+    Per record it keeps a reference to the invocation, the node, the seven
+    phase durations (strided in one ``array('q')``), the billed GB-s and a
+    failure flag: about 80 bytes, where a TaskRecord with its PhaseTimeline
+    takes about 250. It reads as a sequence of TaskRecords, each built when
+    it is accessed: the invocation gives the id, the function (whose ideal
+    time is looked up in ``ideal_ms``) and ``started_at`` (its arrival), and
+    ``finished_at`` is ``started_at`` plus the phase sum, which the cost
+    model guarantees for every timeline.
+    """
+
+    __slots__ = ("_ideal_ms", "_invocations", "_nodes", "_phases", "_billed", "_failed")
+
+    def __init__(self, ideal_ms: Mapping[str, int]):
+        self._ideal_ms = ideal_ms
+        self._invocations: list[Invocation] = []
+        self._nodes = array("i")
+        self._phases = array("q")
+        self._billed = array("d")
+        self._failed = array("b")
+
+    def append(self, inv: Invocation, node: int, timeline: PhaseTimeline,
+               billed_gb_s: float, failed: bool) -> None:
+        self._invocations.append(inv)
+        self._nodes.append(node)
+        self._phases.extend((
+            timeline.dispatch_ms, timeline.queue_wait_ms, timeline.boot_ms,
+            timeline.code_fetch_ms, timeline.data_fetch_ms, timeline.compute_ms,
+            timeline.write_back_ms,
+        ))
+        self._billed.append(billed_gb_s)
+        self._failed.append(failed)
+
+    @classmethod
+    def from_records(cls, records) -> RecordStore:
+        """A store holding the given TaskRecords. Raises ValueError for a
+        record it cannot represent: a finished_at other than started_at plus
+        the phase sum, or a second ideal_ms for one function."""
+        ideal_ms: dict[str, int] = {}
+        store = cls(ideal_ms)
+        for r in records:
+            t = r.timeline
+            if t.actual_ms() != t.phase_sum():
+                raise ValueError(f"record {r.invocation_id}: actual time is not the phase sum")
+            if ideal_ms.setdefault(r.function, r.ideal_ms) != r.ideal_ms:
+                raise ValueError(f"record {r.invocation_id}: second ideal_ms for {r.function}")
+            inv = Invocation(r.invocation_id, r.function, (), "", t.started_at)
+            store.append(inv, r.node, t, r.billed_gb_s, r.status == FAILED)
+        return store
+
+    def __len__(self) -> int:
+        return len(self._invocations)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self._record(i) for i in range(*index.indices(len(self)))]
+        count = len(self)
+        i = index + count if index < 0 else index
+        if not 0 <= i < count:
+            raise IndexError("record index out of range")
+        return self._record(i)
+
+    def __iter__(self):
+        return map(self._record, range(len(self)))
+
+    def _record(self, i: int) -> TaskRecord:
+        inv = self._invocations[i]
+        phases = self._phases[i * _STRIDE:(i + 1) * _STRIDE]
+        started_at = inv.arrival
+        failed = self._failed[i]
+        return TaskRecord(
+            invocation_id=inv.id,
+            function=inv.function,
+            node=self._nodes[i],
+            timeline=PhaseTimeline(*phases, started_at=started_at,
+                                   finished_at=started_at + sum(phases)),
+            ideal_ms=self._ideal_ms[inv.function],
+            billed_gb_s=self._billed[i],
+            status=FAILED if failed else COMPLETED,
+        )
 
 
 def quality(record: TaskRecord) -> float:
@@ -82,38 +174,47 @@ def percentile_nearest_rank(sorted_values: list, fraction: float) -> float:
     return sorted_values[rank - 1]
 
 
-def summarize_run(strategy: str, seed, records: list[TaskRecord],
+def summarize_run(strategy: str, seed, records: RecordStore,
                   compute_ms_total: int, busy_ms_total: int,
                   occupied_ms_total: int, node_count: int, elapsed_ms: int,
                   replications: int, steals: int) -> dict:
     """One report row (see CSV_COLUMNS). Latency statistics and quality are
     over completed tasks; phase totals cover every recorded task."""
-    completed = [r for r in records if r.status == COMPLETED]
-    actuals = sorted(r.timeline.actual_ms() for r in completed)
-    row = {
+    phases = memoryview(records._phases)  # strided views, no copies
+    columns = [phases[k::_STRIDE] for k in range(_STRIDE)]
+    dispatch, queue_wait, boot, code_fetch, data_fetch, compute, write_back = columns
+    failed = records._failed
+    # A task's actual time is its phase sum; see RecordStore.
+    actuals = list(compress(map(sum, zip(*columns)), map(not_, failed)))
+    ideals = map(records._ideal_ms.__getitem__,
+                 map(attrgetter("function"), compress(records._invocations, map(not_, failed))))
+    mean_quality = statistics.fmean(map(truediv, ideals, actuals)) if actuals else 0.0
+    actuals.sort()
+    tasks = len(records)
+    return {
         "strategy": strategy,
         "seed": seed,
-        "tasks": len(records),
-        "failures": len(records) - len(completed),
+        "tasks": tasks,
+        "failures": tasks - len(actuals),
         "mean_actual_ms": statistics.fmean(actuals) if actuals else 0.0,
         "median_actual_ms": float(statistics.median(actuals)) if actuals else 0.0,
         "p95_actual_ms": float(percentile_nearest_rank(actuals, 0.95)),
-        "mean_quality": statistics.fmean(quality(r) for r in completed) if completed else 0.0,
+        "mean_quality": mean_quality,
         "efficiency": efficiency(compute_ms_total, busy_ms_total),
         "utilization": utilization(occupied_ms_total, node_count, elapsed_ms),
-        "gb_seconds": sum(r.billed_gb_s for r in completed),
-        "invocations_billed": len(completed),
-        "dispatch_ms_total": sum(r.timeline.dispatch_ms for r in records),
-        "queue_ms_total": sum(r.timeline.queue_wait_ms for r in records),
-        "boot_ms_total": sum(r.timeline.boot_ms for r in records),
-        "code_fetch_ms_total": sum(r.timeline.code_fetch_ms for r in records),
-        "data_fetch_ms_total": sum(r.timeline.data_fetch_ms for r in records),
-        "compute_ms_total": sum(r.timeline.compute_ms for r in records),
-        "write_back_ms_total": sum(r.timeline.write_back_ms for r in records),
+        # Builtin sum in completion order: another order or fsum changes last bits.
+        "gb_seconds": sum(compress(records._billed, map(not_, failed))),
+        "invocations_billed": len(actuals),
+        "dispatch_ms_total": sum(dispatch),
+        "queue_ms_total": sum(queue_wait),
+        "boot_ms_total": sum(boot),
+        "code_fetch_ms_total": sum(code_fetch),
+        "data_fetch_ms_total": sum(data_fetch),
+        "compute_ms_total": sum(compute),
+        "write_back_ms_total": sum(write_back),
         "replications": replications,
         "steals": steals,
     }
-    return row
 
 
 def aggregate_rows(strategy: str, rows: list[dict]) -> dict:

@@ -12,30 +12,26 @@ recorded exactly once.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
+from operator import attrgetter, gt
 
 from .cluster import AcquireOutcome, Cluster, Container
 from .config import Scenario, StrategyConfig
 from .engine import Engine, RandomSource
 from .errors import SimulationError
-from .metrics import (
-    COMPLETED,
-    FAILED,
-    TaskRecord,
-    aggregate_rows,
-    billed_gb_seconds,
-    summarize_run,
-)
+from .metrics import RecordStore, aggregate_rows, billed_gb_seconds, summarize_run
 from .strategies import DispatchStrategy, make_strategy, replication_tick, steal_work
 from .workload import Catalog, Invocation, build_catalog, generate_trace, load_trace
 
 
 @dataclass
 class RunResult:
-    """Everything one (strategy, seed) run produced."""
+    """Everything one (strategy, seed) run produced. ``records`` is a
+    columnar view that builds each TaskRecord when it is read."""
 
     strategy: str
     seed: int
-    records: list[TaskRecord]
+    records: RecordStore
     horizon_ms: int
     elapsed_ms: int
     compute_ms_total: int
@@ -90,7 +86,9 @@ class Simulation:
         self.replication_period_ms = replication_period_ms
         self.replication_threshold = replication_threshold
         self.steal_rng = steal_rng or RandomSource(0, "steal")
-        self.records: list[TaskRecord] = []
+        self.records = RecordStore(
+            {name: spec.compute_ms for name, spec in catalog.functions.items()}
+        )
         self.steals = 0
         self.replications = 0
         self.replication_log: list = []
@@ -98,17 +96,22 @@ class Simulation:
         self.done = 0
         self.last_completion = 0
         self._labels = engine.record_log  # build event labels only for the log
-        # Stable sort: invocations arriving together keep their trace order.
-        self._arrivals = sorted(trace, key=lambda inv: inv.arrival)
+        # Both trace loaders sort by arrival, so a copy is made only for a
+        # trace built otherwise.
+        times = [inv.arrival for inv in trace]
+        if any(map(gt, times, islice(times, 1, None))):
+            # Stable sort: invocations arriving together keep their trace order.
+            trace = sorted(trace, key=attrgetter("arrival"))
+            times = [inv.arrival for inv in trace]
+        self._arrivals = trace
+        self._arrival_times = times
 
     # ---- run loop ---------------------------------------------------------
 
     def run(self) -> None:
         # Arrivals fire straight from the sorted trace; none is held as a
         # pending event.
-        self.engine.schedule_sorted(
-            [inv.arrival for inv in self._arrivals], self._arrive, "arrival"
-        )
+        self.engine.schedule_sorted(self._arrival_times, self._arrive, "arrival")
         if self.work_stealing and self.trace:
             self.engine.schedule(self.steal_poll_ms, self._steal_tick, "steal-tick")
         if self.strategy.needs_replication and self.trace:
@@ -172,20 +175,11 @@ class Simulation:
             (f"keep-alive-expiry:{container.node}:{container.function}"
              if self._labels else ""),
         )
-        spec = self.catalog.functions[inv.function]
-        self.records.append(TaskRecord(
-            invocation_id=inv.id,
-            function=inv.function,
-            node=container.node,
-            timeline=timeline,
-            ideal_ms=spec.compute_ms,
-            billed_gb_s=(
-                billed_gb_seconds(timeline, spec.flavor,
-                                  self.cluster.params.billing_granularity_ms)
-                if not failed else 0.0
-            ),
-            status=FAILED if failed else COMPLETED,
-        ))
+        billed = 0.0 if failed else billed_gb_seconds(
+            timeline, self.catalog.functions[inv.function].flavor,
+            self.cluster.params.billing_granularity_ms,
+        )
+        self.records.append(inv, container.node, timeline, billed, failed)
         self.done += 1
         self.last_completion = max(self.last_completion, timeline.finished_at)
         self._drain(container.node)

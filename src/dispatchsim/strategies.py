@@ -42,9 +42,17 @@ def stable_hash(text: str) -> int:
 
 @dataclass(slots=True)
 class DispatchDecision:
+    """Where an invocation goes and after what latency. The rationale text
+    is ``template.format(*args)``, formatted only when it is read."""
+
     node: int
     dispatch_latency_ms: int
-    rationale: str
+    template: str
+    args: tuple = ()
+
+    @property
+    def rationale(self) -> str:
+        return self.template.format(*self.args) if self.args else self.template
 
 
 class ClusterKey(NamedTuple):
@@ -136,7 +144,7 @@ class LeastLoadedStrategy(DispatchStrategy):
         self._require_nodes(cluster)
         qlen = min(cluster.queue_buckets)
         return DispatchDecision(
-            min(cluster.queue_buckets[qlen]), self.dispatch_latency_ms, f"queue={qlen}"
+            min(cluster.queue_buckets[qlen]), self.dispatch_latency_ms, "queue={}", (qlen,)
         )
 
 
@@ -223,7 +231,7 @@ class DataAwareStrategy(DispatchStrategy):
 
     def decide(self, inv, cluster: Cluster) -> DispatchDecision:
         node, score = self._best_node(inv, cluster)
-        return DispatchDecision(node, self.dispatch_latency_ms, f"score={score:.4f}")
+        return DispatchDecision(node, self.dispatch_latency_ms, "score={:.4f}", (score,))
 
 
 class PopularityCounter:
@@ -270,11 +278,11 @@ class ProactiveClusterStrategy(DataAwareStrategy):
         if node is None:
             node, score = self._best_node(inv, cluster)
             self.assignments[key] = node
-            rationale = f"key={key.data_signature} score={score:.4f}"
+            template, args = "key={} score={:.4f}", (key.data_signature, score)
         else:
-            rationale = f"key={key.data_signature} sticky"
+            template, args = "key={} sticky", (key.data_signature,)
         self.counters.record(inv.data_refs, node)
-        return DispatchDecision(node, self.dispatch_latency_ms, rationale)
+        return DispatchDecision(node, self.dispatch_latency_ms, template, args)
 
 
 @dataclass(frozen=True, slots=True)

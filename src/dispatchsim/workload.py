@@ -1,10 +1,11 @@
 """Invocation streams: synthetic generation and trace file ingestion.
 
-A trace is an arrival-ordered list of invocations. Synthetic traces draw
-from a seeded random source with a fixed per-invocation draw order
-(interarrival, function, reference count, references, origin), so the same
-(spec, seed) always yields the same trace. Trace files are JSON lines with
-fields id, function, arrival_ms, data_refs, origin.
+A trace is an arrival-ordered list of invocations; invocations with equal
+references share one ``data_refs`` tuple. Synthetic traces draw from a
+seeded random source with a fixed per-invocation draw order (interarrival,
+function, reference count, references, origin), so the same (spec, seed)
+always yields the same trace. Trace files are JSON lines with fields id,
+function, arrival_ms, data_refs, origin.
 """
 
 from __future__ import annotations
@@ -136,6 +137,7 @@ def generate_trace(spec: WorkloadSpec, catalog: Catalog, rng: RandomSource) -> l
     obj_picker = _WeightedPicker(_popularity_weights(spec.objects)) if object_ids else None
 
     lo, hi = spec.refs_per_invocation
+    shared_refs: dict[tuple[str, ...], tuple[str, ...]] = {}
     out: list[Invocation] = []
     arrival = 0
     t_float = 0.0
@@ -162,7 +164,9 @@ def generate_trace(spec: WorkloadSpec, catalog: Catalog, rng: RandomSource) -> l
                     seen.add(oid)
                     refs.append(oid)
         origin = origin_tags[origin_picker.pick(rng)]
-        out.append(Invocation(f"inv-{n:06d}", function, tuple(refs), origin, arrival))
+        refs_tuple = tuple(refs)
+        refs_tuple = shared_refs.setdefault(refs_tuple, refs_tuple)
+        out.append(Invocation(f"inv-{n:06d}", function, refs_tuple, origin, arrival))
         n += 1
     return out
 
@@ -181,6 +185,7 @@ def save_trace(trace: list[Invocation], path) -> None:
 
 def load_trace(path, catalog: Catalog) -> list[Invocation]:
     """Parse and validate a JSON-lines trace, sorted by arrival time."""
+    shared_refs: dict[tuple[str, ...], tuple[str, ...]] = {}
     out: list[Invocation] = []
     with open(path) as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -208,10 +213,11 @@ def load_trace(path, catalog: Catalog) -> list[Invocation]:
             for ref in refs:
                 if ref not in catalog.objects:
                     raise UnknownObjectError(f"line {line_no}: unknown object {ref!r}")
+            refs = tuple(refs)
             out.append(Invocation(
                 id=str(rec["id"]),
                 function=rec["function"],
-                data_refs=tuple(refs),
+                data_refs=shared_refs.setdefault(refs, refs),
                 origin=str(rec["origin"]),
                 arrival=rec["arrival_ms"],
             ))

@@ -6,7 +6,7 @@ import pytest
 import yaml
 
 from dispatchsim.cli import main
-from dispatchsim.config import apply_override, parse_scenario, validate
+from dispatchsim.config import apply_override, load_scenario, parse_scenario, validate
 from dispatchsim.errors import ConfigError
 
 from conftest import scenario_dict
@@ -225,6 +225,13 @@ def test_cli_validate_rejects_bad_scoring_params(tmp_path, capsys, override, key
      "strategies.0.dispatch_latency_ms"),
     ("seeds=[1, two]", "seeds.1"),
     ("output.formats=3", "output.formats"),
+    ("cluster.nodes=2.7", "cluster.nodes"),
+    ("workload.functions.0.compute_ms=12.5", "workload.functions.0.compute_ms"),
+    ("seeds=[1.5]", "seeds.0"),
+    ("strategy.work_stealing=nope", "strategy.work_stealing"),
+    ("strategy.work_stealing=1", "strategy.work_stealing"),
+    ("strategies=[{name: round_robin}, {name: hash_affinity, work_stealing: maybe}]",
+     "strategies.1.work_stealing"),
 ])
 def test_cli_malformed_value_exits_2_naming_the_key(tmp_path, capsys, override, key):
     # Regression: cluster.nodes=abc raised ValueError and workload.functions=5
@@ -235,6 +242,30 @@ def test_cli_malformed_value_exits_2_naming_the_key(tmp_path, capsys, override, 
         err = capsys.readouterr().err
         assert err.startswith(f"error: {key}")
         assert "Traceback" not in err
+
+
+def test_cli_integer_key_refuses_to_truncate_a_float(tmp_path, capsys):
+    # Regression: cluster.nodes=2.7 was "configuration valid" and ran 2 nodes.
+    cfg = write_config(tmp_path, scenario_dict())
+    out = tmp_path / "out"
+    for command in ("validate", "run"):
+        assert main([command, cfg, "cluster.nodes=2.7", "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == "error: cluster.nodes: expected an integer, got 2.7\n"
+    assert main(["run", cfg, "cluster.nodes=2.0", "--out-dir", str(out)]) == 0
+    assert "# cluster.nodes=2\n" in (out / "report.csv").read_text()
+
+
+def test_work_stealing_takes_only_a_yaml_boolean(tmp_path, capsys):
+    # Regression: strategy.work_stealing=nope ran round_robin+steal.
+    cfg = write_config(tmp_path, scenario_dict())
+    for command in ("validate", "run"):
+        assert main([command, cfg, "strategy.work_stealing=nope",
+                     "--out-dir", str(tmp_path / "out")]) == 2
+        assert (capsys.readouterr().err
+                == "error: strategy.work_stealing: expected a boolean, got 'nope'\n")
+    for value, label in (("yes", "round_robin+steal"), ("false", "round_robin")):
+        scenario = load_scenario(cfg, [f"strategy.work_stealing={value}"])
+        assert scenario.strategies[0].label == label
 
 
 def test_scoring_params_are_checked_in_every_strategies_entry():

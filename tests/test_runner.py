@@ -3,8 +3,17 @@
 import pytest
 
 from dispatchsim.config import parse_scenario
+from dispatchsim.engine import Engine
 from dispatchsim.metrics import COMPLETED
-from dispatchsim.runner import compare_scenario, prepare_workload, run_one, run_scenario
+from dispatchsim.runner import (
+    Simulation,
+    build_cluster,
+    compare_scenario,
+    prepare_workload,
+    run_one,
+    run_scenario,
+)
+from dispatchsim.strategies import make_strategy
 
 from conftest import scenario_dict
 
@@ -214,3 +223,19 @@ def test_compare_no_data_workload_differs_only_by_dispatch_latency():
     _, rows = compare_scenario(parse_scenario(raw))
     means = {row["strategy"]: row["mean_actual_ms"] for row in rows if row["seed"] == "mean"}
     assert means["data_aware"] - means["round_robin"] == pytest.approx(1.0)
+
+
+def test_sorted_trace_is_used_as_given_and_unsorted_one_is_sorted():
+    scenario = parse_scenario(scenario_dict(cluster={"nodes": 2}))
+    catalog, trace = prepare_workload(scenario, 1)
+
+    def simulate(t):
+        sim = Simulation(Engine(), build_cluster(scenario, catalog), make_strategy("round_robin"),
+                         t, catalog, horizon_ms=scenario.workload.horizon_ms)
+        sim.run()
+        return sim
+
+    in_order = simulate(trace)
+    assert in_order._arrivals is trace  # no per-run copy
+    reversed_run = simulate(trace[::-1])
+    assert list(reversed_run.records) == list(in_order.records)

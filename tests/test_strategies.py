@@ -147,6 +147,23 @@ def test_data_aware_follows_the_bytes():
     assert "score=" in decision.rationale
 
 
+@pytest.mark.parametrize("name, template", [
+    ("round_robin", "round_robin"),
+    ("least_loaded", "queue={}"),
+    ("hash_affinity", "hash"),
+    ("mcgrath_queues", "score={:.4f}"),
+    ("data_aware", "score={:.4f}"),
+    ("proactive_cluster", "key={} score={:.4f}"),
+])
+def test_decision_keeps_values_and_formats_rationale_on_read(name, template):
+    c = make_cluster(objects=[("a", 100)])
+    c.place_object("a", 2)
+    decision = make_strategy(name).decide(inv(refs=("a",)), c)
+    assert decision.template == template
+    assert not any(isinstance(arg, str) and "=" in arg for arg in decision.args)
+    assert decision.rationale == template.format(*decision.args)
+
+
 def test_data_aware_empty_refs_reduces_to_load_term():
     c = make_cluster(nodes=3)
     c.nodes[0].run_queue.append(("x", 1))

@@ -142,6 +142,22 @@ def test_trace_round_trip(tmp_path):
     assert load_trace(path, catalog) == trace
 
 
+def test_equal_references_share_one_tuple(tmp_path):
+    spec = make_spec(
+        horizon_ms=5000,
+        arrival=ArrivalSpec(kind="poisson", rate_per_s=200),
+        objects=ObjectSpec(count=3, size=10.0),
+        refs_per_invocation=(1, 2),
+    )
+    catalog, trace = build(spec)
+    path = tmp_path / "trace.jsonl"
+    save_trace(trace, path)
+    for loaded in (trace, load_trace(path, catalog)):
+        distinct = {inv.data_refs for inv in loaded}
+        assert len(loaded) > len(distinct)
+        assert len({id(inv.data_refs) for inv in loaded}) == len(distinct)
+
+
 def test_empty_trace_file_loads_empty(tmp_path):
     path = tmp_path / "empty.jsonl"
     path.write_text("")
