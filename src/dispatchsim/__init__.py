@@ -32,7 +32,15 @@ from .strategies import (
     locality_score,
     make_strategy,
 )
-from .workload import Catalog, Invocation, WorkloadSpec, generate_trace, load_trace, save_trace
+from .workload import (
+    Catalog,
+    Invocation,
+    Trace,
+    WorkloadSpec,
+    generate_trace,
+    load_trace,
+    save_trace,
+)
 
 __version__ = "0.1.0"
 
@@ -56,6 +64,7 @@ __all__ = [
     "StrategyConfig",
     "STRATEGY_NAMES",
     "TaskRecord",
+    "Trace",
     "WorkloadSpec",
     "billed_gb_seconds",
     "compare_scenario",

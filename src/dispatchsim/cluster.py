@@ -125,6 +125,11 @@ class PlacementOutcome(Enum):
     NO_CAPACITY = "no_capacity"
 
 
+# Enum member lookups cost about 0.1 us each; the per-invocation paths use these.
+_WARM_HIT, _COLD_START, _REJECTED = (
+    AcquireOutcome.WARM_HIT, AcquireOutcome.COLD_START, AcquireOutcome.REJECTED)
+
+
 @dataclass(frozen=True)
 class ClusterParams:
     """Static cluster configuration; capacities in MB, times in ms."""
@@ -143,11 +148,13 @@ class ClusterParams:
 
 
 class RunQueue(deque):
-    """A node's FIFO run queue of (invocation, dispatch_ms) pairs.
+    """A node's FIFO run queue of (trace index, invocation, dispatch_ms)
+    entries.
 
     Every length change moves the node between the buckets of the
-    cluster's queue-length index, so callers use it as a plain deque.
-    Only append, extend, pop and popleft keep the index current.
+    cluster's queue-length index, so callers use it as a plain deque: every
+    deque method that changes the length is overridden to keep the index
+    current.
     """
 
     __slots__ = ("_node_id", "_buckets")
@@ -173,10 +180,33 @@ class RunQueue(deque):
         deque.append(self, item)
         self._moved_from(len(self) - 1)
 
+    def appendleft(self, item) -> None:
+        deque.appendleft(self, item)
+        self._moved_from(len(self) - 1)
+
+    def insert(self, i: int, item) -> None:
+        deque.insert(self, i, item)
+        self._moved_from(len(self) - 1)
+
     def extend(self, items) -> None:
         old = len(self)
         deque.extend(self, items)
         self._moved_from(old)
+
+    def extendleft(self, items) -> None:
+        old = len(self)
+        deque.extendleft(self, items)
+        self._moved_from(old)
+
+    def __iadd__(self, items):
+        self.extend(items)
+        return self
+
+    def __imul__(self, n: int):
+        old = len(self)
+        deque.__imul__(self, n)
+        self._moved_from(old)
+        return self
 
     def pop(self):
         item = deque.pop(self)
@@ -187,6 +217,19 @@ class RunQueue(deque):
         item = deque.popleft(self)
         self._moved_from(len(self) + 1)
         return item
+
+    def remove(self, item) -> None:
+        deque.remove(self, item)
+        self._moved_from(len(self) + 1)
+
+    def __delitem__(self, i) -> None:
+        deque.__delitem__(self, i)
+        self._moved_from(len(self) + 1)
+
+    def clear(self) -> None:
+        old = len(self)
+        deque.clear(self)
+        self._moved_from(old)
 
 
 class Node:
@@ -363,15 +406,15 @@ class Cluster:
             if container.expiry_handle is not None:
                 container.expiry_handle.cancel()
                 container.expiry_handle = None
-            return AcquireOutcome.WARM_HIT, container
+            return _WARM_HIT, container
         spec = self.functions[function]
         if spec.flavor <= node.free_mem():
             node.mem_used += spec.flavor
             self._mark_busy(node, now)
             if node.mem_used > node.mem_capacity:
                 raise SimulationError(f"memory over-commit on node {node_id}")
-            return AcquireOutcome.COLD_START, Container(function, node_id, spec.flavor)
-        return AcquireOutcome.REJECTED, None
+            return _COLD_START, Container(function, node_id, spec.flavor)
+        return _REJECTED, None
 
     def release_container(self, container: Container, now: int = 0) -> None:
         """Busy -> warm-idle; the caller schedules the keep-alive expiry."""
@@ -458,16 +501,9 @@ class Cluster:
 
         started_at = inv.arrival
         exec_start = started_at + dispatch_ms + queue_wait_ms
-        timeline = PhaseTimeline(
-            dispatch_ms=dispatch_ms,
-            queue_wait_ms=queue_wait_ms,
-            boot_ms=boot,
-            code_fetch_ms=code_fetch,
-            data_fetch_ms=data_fetch,
-            compute_ms=compute,
-            write_back_ms=write_back,
-            started_at=started_at,
-            finished_at=exec_start + active,
+        timeline = PhaseTimeline(  # positional, in field order
+            dispatch_ms, queue_wait_ms, boot, code_fetch, data_fetch, compute, write_back,
+            started_at, exec_start + active,
         )
         node.busy_ms_accum += active
         node.compute_ms_accum += compute

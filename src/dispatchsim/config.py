@@ -24,7 +24,7 @@ import yaml
 
 from .cluster import DEFAULT_FLAVORS, EXTERNAL_STORE, ClusterParams, FunctionSpec, NetworkModel
 from .errors import ConfigError
-from .strategies import STRATEGY_NAMES, scoring_param_errors
+from .strategies import STRATEGY_NAMES, scoring_param_errors, unknown_param_errors
 from .workload import ArrivalSpec, ObjectSpec, PopularitySpec, WorkloadSpec
 
 
@@ -115,6 +115,15 @@ def _require_mapping(value, key: str) -> dict:
     return value
 
 
+def _known_keys(raw: dict, keys: tuple[str, ...], prefix: str) -> dict:
+    """raw, after checking that every key in it is one of keys."""
+    for key in raw:
+        if key not in keys:
+            path = f"{prefix}.{key}" if prefix else str(key)
+            raise ConfigError(f"{path}: unknown key (expected one of: {', '.join(keys)})")
+    return raw
+
+
 def _require_list(value, key: str) -> list:
     if not isinstance(value, (list, tuple)):
         raise ConfigError(f"{key} must be a list")
@@ -141,13 +150,20 @@ def _field(raw: dict, key: str, default, convert, prefix: str):
 
 
 def _parse_network(raw: dict) -> NetworkModel:
+    _known_keys(raw, ("latency_ms", "bandwidth_mb_per_s"), "cluster.network")
     return NetworkModel(
         latency_ms=_field(raw, "latency_ms", 1, int, "cluster.network"),
         bandwidth_mb_per_s=_field(raw, "bandwidth_mb_per_s", 100.0, float, "cluster.network"),
     )
 
 
+_CLUSTER_KEYS = ("nodes", "mem_capacity", "store_capacity", "flavors", "network",
+                 "container_boot_ms", "keep_alive_ms", "billing_granularity_ms",
+                 "max_execution_ms", "code_store", "result_store")
+
+
 def _parse_cluster(raw: dict) -> ClusterParams:
+    _known_keys(raw, _CLUSTER_KEYS, "cluster")
     flavors = _require_list(raw.get("flavors", DEFAULT_FLAVORS), "cluster.flavors")
     return ClusterParams(
         nodes=_field(raw, "nodes", 1, int, "cluster"),
@@ -165,6 +181,7 @@ def _parse_cluster(raw: dict) -> ClusterParams:
 
 
 def _parse_arrival(raw: dict) -> ArrivalSpec:
+    _known_keys(raw, ("kind", "rate_per_s", "interval_ms"), "workload.arrival")
     kind = raw.get("kind", "fixed_interval")
     return ArrivalSpec(
         kind=kind,
@@ -174,7 +191,11 @@ def _parse_arrival(raw: dict) -> ArrivalSpec:
 
 
 def _parse_objects(raw: dict) -> ObjectSpec:
-    pop_raw = _require_mapping(raw.get("popularity"), "workload.objects.popularity")
+    _known_keys(raw, ("count", "size", "popularity"), "workload.objects")
+    pop_raw = _known_keys(
+        _require_mapping(raw.get("popularity"), "workload.objects.popularity"),
+        ("kind", "s"), "workload.objects.popularity",
+    )
     size = raw.get("size", 100.0)
     if isinstance(size, (list, tuple)):
         if len(size) != 2:
@@ -194,6 +215,7 @@ def _parse_objects(raw: dict) -> ObjectSpec:
 
 def _parse_function(raw: dict, idx: int) -> tuple[FunctionSpec, float]:
     key = f"workload.functions.{idx}"
+    _known_keys(raw, ("name", "code_size", "flavor", "compute_ms", "write_back", "weight"), key)
     if "name" not in raw:
         raise ConfigError(f"{key}: missing name")
     spec = FunctionSpec(
@@ -218,11 +240,17 @@ def _parse_refs(raw) -> tuple[int, int]:
 
 
 def _parse_origin(raw: dict, idx: int) -> tuple[str, float]:
+    _known_keys(raw, ("tag", "weight"), f"workload.origins.{idx}")
     return str(raw.get("tag", f"origin{idx}")), _field(raw, "weight", 1.0, float,
                                                        f"workload.origins.{idx}")
 
 
+_WORKLOAD_KEYS = ("horizon_ms", "arrival", "functions", "objects", "refs_per_invocation",
+                  "origins", "trace_path")
+
+
 def _parse_workload(raw: dict) -> WorkloadSpec:
+    _known_keys(raw, _WORKLOAD_KEYS, "workload")
     functions = tuple(
         _parse_function(_require_mapping(f, f"workload.functions.{i}"), i)
         for i, f in enumerate(_require_list(raw.get("functions", []), "workload.functions"))
@@ -243,9 +271,17 @@ def _parse_workload(raw: dict) -> WorkloadSpec:
     )
 
 
+_STRATEGY_KEYS = ("name", "params", "work_stealing", "steal_poll_ms", "dispatch_latency_ms",
+                  "replication")
+
+
 def _parse_strategy(raw: dict, key: str) -> StrategyConfig:
     """One strategy block; key is its dotted path (strategy or strategies.N)."""
-    replication = _require_mapping(raw.get("replication"), f"{key}.replication")
+    _known_keys(raw, _STRATEGY_KEYS, key)
+    replication = _known_keys(
+        _require_mapping(raw.get("replication"), f"{key}.replication"),
+        ("period_ms", "threshold", "decay"), f"{key}.replication",
+    )
     latency = raw.get("dispatch_latency_ms")
     work_stealing = raw.get("work_stealing", False)
     if not isinstance(work_stealing, bool):
@@ -266,7 +302,8 @@ def _parse_strategy(raw: dict, key: str) -> StrategyConfig:
 
 
 def parse_scenario(raw: dict) -> Scenario:
-    raw = _require_mapping(raw, "scenario")
+    raw = _known_keys(_require_mapping(raw, "scenario"),
+                      ("cluster", "workload", "strategy", "strategies", "seeds", "output"), "")
     if "strategies" in raw:
         strategies = [
             _parse_strategy(_require_mapping(s, f"strategies.{i}"), f"strategies.{i}")
@@ -279,7 +316,8 @@ def parse_scenario(raw: dict) -> Scenario:
     seeds_raw = raw.get("seeds", [1])
     if isinstance(seeds_raw, int):
         seeds_raw = [seeds_raw]
-    output_raw = _require_mapping(raw.get("output"), "output")
+    output_raw = _known_keys(_require_mapping(raw.get("output"), "output"),
+                             ("dir", "formats"), "output")
     formats = output_raw.get("formats", ["csv"])
     if isinstance(formats, str):
         formats = [formats]
@@ -425,7 +463,8 @@ def validate(scenario: Scenario) -> list[Diagnostic]:
             err(f"{key}.name",
                 f"unknown strategy {s.name!r}; registered strategies: "
                 f"{', '.join(STRATEGY_NAMES)}")
-        for param, problem in scoring_param_errors(s.params):
+        for param, problem in (unknown_param_errors(s.name, s.params)
+                               or scoring_param_errors(s.params)):
             err(f"{key}.params.{param}", problem)
         if s.steal_poll_ms < 1:
             err(f"{key}.steal_poll_ms", "must be at least 1 ms")

@@ -16,10 +16,10 @@ from array import array
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from itertools import compress
-from operator import attrgetter, not_, truediv
+from operator import add, not_, truediv
 
 from .cluster import PhaseTimeline
-from .workload import Invocation
+from .workload import Invocation, Trace
 
 COMPLETED = "completed"
 FAILED = "failed"
@@ -52,29 +52,31 @@ _STRIDE = 7  # phase durations per record, in PhaseTimeline field order
 class RecordStore(Sequence[TaskRecord]):
     """A run's task records as columns, in completion order.
 
-    Per record it keeps a reference to the invocation, the node, the seven
-    phase durations (strided in one ``array('q')``), the billed GB-s and a
-    failure flag: about 80 bytes, where a TaskRecord with its PhaseTimeline
-    takes about 250. It reads as a sequence of TaskRecords, each built when
-    it is accessed: the invocation gives the id, the function (whose ideal
-    time is looked up in ``ideal_ms``) and ``started_at`` (its arrival), and
-    ``finished_at`` is ``started_at`` plus the phase sum, which the cost
-    model guarantees for every timeline.
+    Per record it keeps the invocation's index into the run's trace, the
+    node, the seven phase durations (strided in one ``array('q')``), the
+    billed GB-s and a failure flag: about 77 bytes, where a TaskRecord with
+    its PhaseTimeline takes about 250. It reads as a sequence of
+    TaskRecords, each built when it is accessed: the trace gives the id, the
+    function (whose ideal time is looked up in ``ideal_ms``) and
+    ``started_at`` (the arrival), and ``finished_at`` is ``started_at`` plus
+    the phase sum, which the cost model guarantees for every timeline.
     """
 
-    __slots__ = ("_ideal_ms", "_invocations", "_nodes", "_phases", "_billed", "_failed")
+    __slots__ = ("_ideal_ms", "_trace", "_index", "_nodes", "_phases", "_billed", "_failed")
 
-    def __init__(self, ideal_ms: Mapping[str, int]):
+    def __init__(self, ideal_ms: Mapping[str, int], trace: Trace | None = None):
         self._ideal_ms = ideal_ms
-        self._invocations: list[Invocation] = []
+        self._trace = Trace() if trace is None else trace
+        self._index = array("i")
         self._nodes = array("i")
         self._phases = array("q")
         self._billed = array("d")
         self._failed = array("b")
 
-    def append(self, inv: Invocation, node: int, timeline: PhaseTimeline,
+    def append(self, index: int, node: int, timeline: PhaseTimeline,
                billed_gb_s: float, failed: bool) -> None:
-        self._invocations.append(inv)
+        """Record the completion of trace[index]."""
+        self._index.append(index)
         self._nodes.append(node)
         self._phases.extend((
             timeline.dispatch_ms, timeline.queue_wait_ms, timeline.boot_ms,
@@ -89,20 +91,29 @@ class RecordStore(Sequence[TaskRecord]):
         """A store holding the given TaskRecords. Raises ValueError for a
         record it cannot represent: a finished_at other than started_at plus
         the phase sum, or a second ideal_ms for one function."""
+        records = list(records)
         ideal_ms: dict[str, int] = {}
-        store = cls(ideal_ms)
         for r in records:
             t = r.timeline
             if t.actual_ms() != t.phase_sum():
                 raise ValueError(f"record {r.invocation_id}: actual time is not the phase sum")
             if ideal_ms.setdefault(r.function, r.ideal_ms) != r.ideal_ms:
                 raise ValueError(f"record {r.invocation_id}: second ideal_ms for {r.function}")
-            inv = Invocation(r.invocation_id, r.function, (), "", t.started_at)
-            store.append(inv, r.node, t, r.billed_gb_s, r.status == FAILED)
+        # The trace is in arrival order; record k is its entry position[k].
+        order = sorted(range(len(records)), key=lambda k: records[k].timeline.started_at)
+        trace = Trace.from_invocations(
+            Invocation(records[k].invocation_id, records[k].function, (), "",
+                       records[k].timeline.started_at) for k in order)
+        position = [0] * len(records)
+        for p, k in enumerate(order):
+            position[k] = p
+        store = cls(ideal_ms, trace)
+        for r, p in zip(records, position):
+            store.append(p, r.node, r.timeline, r.billed_gb_s, r.status == FAILED)
         return store
 
     def __len__(self) -> int:
-        return len(self._invocations)
+        return len(self._index)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
@@ -117,7 +128,7 @@ class RecordStore(Sequence[TaskRecord]):
         return map(self._record, range(len(self)))
 
     def _record(self, i: int) -> TaskRecord:
-        inv = self._invocations[i]
+        inv = self._trace.view(self._index[i])
         phases = self._phases[i * _STRIDE:(i + 1) * _STRIDE]
         started_at = inv.arrival
         failed = self._failed[i]
@@ -131,6 +142,19 @@ class RecordStore(Sequence[TaskRecord]):
             billed_gb_s=self._billed[i],
             status=FAILED if failed else COMPLETED,
         )
+
+    def _phase_columns(self) -> list[memoryview]:
+        """The seven phase columns as strided views (no copies)."""
+        phases = memoryview(self._phases)
+        return [phases[k::_STRIDE] for k in range(_STRIDE)]
+
+    def makespan_ms(self) -> int:
+        """Last finish minus first start over the records; 0 when empty."""
+        if not self._index:
+            return 0
+        starts = list(map(self._trace.arrivals.__getitem__, self._index))
+        finishes = map(add, starts, map(sum, zip(*self._phase_columns())))
+        return max(finishes) - min(starts)
 
 
 def quality(record: TaskRecord) -> float:
@@ -180,14 +204,15 @@ def summarize_run(strategy: str, seed, records: RecordStore,
                   replications: int, steals: int) -> dict:
     """One report row (see CSV_COLUMNS). Latency statistics and quality are
     over completed tasks; phase totals cover every recorded task."""
-    phases = memoryview(records._phases)  # strided views, no copies
-    columns = [phases[k::_STRIDE] for k in range(_STRIDE)]
+    columns = records._phase_columns()
     dispatch, queue_wait, boot, code_fetch, data_fetch, compute, write_back = columns
     failed = records._failed
     # A task's actual time is its phase sum; see RecordStore.
     actuals = list(compress(map(sum, zip(*columns)), map(not_, failed)))
-    ideals = map(records._ideal_ms.__getitem__,
-                 map(attrgetter("function"), compress(records._invocations, map(not_, failed))))
+    trace = records._trace
+    ideal_by_code = [records._ideal_ms[name] for name in trace.functions]
+    ideals = map(ideal_by_code.__getitem__, map(
+        trace.function_codes.__getitem__, compress(records._index, map(not_, failed))))
     mean_quality = statistics.fmean(map(truediv, ideals, actuals)) if actuals else 0.0
     actuals.sort()
     tasks = len(records)

@@ -12,16 +12,16 @@ recorded exactly once.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice
-from operator import attrgetter, gt
 
 from .cluster import AcquireOutcome, Cluster, Container
 from .config import Scenario, StrategyConfig
 from .engine import Engine, RandomSource
 from .errors import SimulationError
-from .metrics import RecordStore, aggregate_rows, billed_gb_seconds, summarize_run
+from .metrics import RecordStore, aggregate_rows, summarize_run
 from .strategies import DispatchStrategy, make_strategy, replication_tick, steal_work
-from .workload import Catalog, Invocation, build_catalog, generate_trace, load_trace
+from .workload import Catalog, Invocation, Trace, build_catalog, generate_trace, load_trace
+
+_REJECTED, _COLD_START = AcquireOutcome.REJECTED, AcquireOutcome.COLD_START  # see cluster.py
 
 
 @dataclass
@@ -45,11 +45,7 @@ class RunResult:
 
     @property
     def makespan_ms(self) -> int:
-        if not self.records:
-            return 0
-        first = min(r.timeline.started_at for r in self.records)
-        last = max(r.timeline.finished_at for r in self.records)
-        return last - first
+        return self.records.makespan_ms()
 
     def row(self) -> dict:
         return summarize_run(
@@ -61,10 +57,11 @@ class RunResult:
 
 
 class Simulation:
-    """One engine run of a trace against a cluster under a strategy."""
+    """One engine run of a trace against a cluster under a strategy. A
+    trace given as a list of invocations is converted to a Trace once."""
 
     def __init__(self, engine: Engine, cluster: Cluster, strategy: DispatchStrategy,
-                 trace: list[Invocation], catalog: Catalog, *,
+                 trace: Trace | list[Invocation], catalog: Catalog, *,
                  horizon_ms: int,
                  keep_alive_ms: int | None = None,
                  work_stealing: bool = False,
@@ -72,6 +69,8 @@ class Simulation:
                  replication_period_ms: int = 1000,
                  replication_threshold: float = 10.0,
                  steal_rng: RandomSource | None = None):
+        if not isinstance(trace, Trace):
+            trace = Trace.from_invocations(trace)
         self.engine = engine
         self.cluster = cluster
         self.strategy = strategy
@@ -87,7 +86,7 @@ class Simulation:
         self.replication_threshold = replication_threshold
         self.steal_rng = steal_rng or RandomSource(0, "steal")
         self.records = RecordStore(
-            {name: spec.compute_ms for name, spec in catalog.functions.items()}
+            {name: spec.compute_ms for name, spec in catalog.functions.items()}, trace
         )
         self.steals = 0
         self.replications = 0
@@ -96,22 +95,17 @@ class Simulation:
         self.done = 0
         self.last_completion = 0
         self._labels = engine.record_log  # build event labels only for the log
-        # Both trace loaders sort by arrival, so a copy is made only for a
-        # trace built otherwise.
-        times = [inv.arrival for inv in trace]
-        if any(map(gt, times, islice(times, 1, None))):
-            # Stable sort: invocations arriving together keep their trace order.
-            trace = sorted(trace, key=attrgetter("arrival"))
-            times = [inv.arrival for inv in trace]
-        self._arrivals = trace
-        self._arrival_times = times
+        self._view = trace.view
+        # Billing per trace function code: the flavor in GB, and the step.
+        self._flavor_gb = [catalog.functions[name].flavor / 1024.0 for name in trace.functions]
+        self._billing_step = cluster.params.billing_granularity_ms
 
     # ---- run loop ---------------------------------------------------------
 
     def run(self) -> None:
-        # Arrivals fire straight from the sorted trace; none is held as a
-        # pending event.
-        self.engine.schedule_sorted(self._arrival_times, self._arrive, "arrival")
+        # Arrivals fire straight from the trace's arrival column; none is
+        # held as a pending event.
+        self.engine.schedule_sorted(self.trace.arrivals, self._arrive, "arrival")
         if self.work_stealing and self.trace:
             self.engine.schedule(self.steal_poll_ms, self._steal_tick, "steal-tick")
         if self.strategy.needs_replication and self.trace:
@@ -128,9 +122,12 @@ class Simulation:
         return self.arrived < len(self.trace) or self.done < self.arrived
 
     # ---- handlers ---------------------------------------------------------
+    # An invocation travels as (index, inv): its trace index, for the
+    # records, and the view built at arrival, for the strategy and the
+    # cost model. A run queue holds (index, inv, dispatch_ms) entries.
 
     def _arrive(self, index: int) -> None:
-        inv = self._arrivals[index]
+        inv = self._view(index)
         self.arrived += 1
         decision = self.strategy.decide(inv, self.cluster)
         node_id = decision.node
@@ -138,36 +135,35 @@ class Simulation:
         latency = decision.dispatch_latency_ms
         self.engine.after(
             latency,
-            lambda: self._offer(inv, node_id, latency),
+            lambda: self._offer(index, inv, node_id, latency),
             f"offer:{inv.id}" if self._labels else "",
         )
 
-    def _offer(self, inv: Invocation, node_id: int, dispatch_ms: int) -> None:
-        if not self._try_start(inv, node_id, dispatch_ms):
-            self.cluster.nodes[node_id].run_queue.append((inv, dispatch_ms))
+    def _offer(self, index: int, inv: Invocation, node_id: int, dispatch_ms: int) -> None:
+        if not self._try_start(index, inv, node_id, dispatch_ms):
+            self.cluster.nodes[node_id].run_queue.append((index, inv, dispatch_ms))
 
-    def _try_start(self, inv: Invocation, node_id: int, dispatch_ms: int) -> bool:
-        outcome, container = self.cluster.acquire_container(
-            node_id, inv.function, self.engine.now()
-        )
-        if outcome is AcquireOutcome.REJECTED:
-            return False
+    def _try_start(self, index: int, inv: Invocation, node_id: int, dispatch_ms: int) -> bool:
         now = self.engine.now()
-        queue_wait = now - (inv.arrival + dispatch_ms)
+        outcome, container = self.cluster.acquire_container(node_id, inv.function, now)
+        if outcome is _REJECTED:
+            return False
         timeline, failed = self.cluster.simulate_invocation(
-            inv, node_id, cold=outcome is AcquireOutcome.COLD_START,
-            dispatch_ms=dispatch_ms, queue_wait_ms=queue_wait,
+            inv, node_id, outcome is _COLD_START,
+            dispatch_ms, now - (inv.arrival + dispatch_ms),
         )
         self.engine.schedule(
             timeline.finished_at,
-            lambda: self._complete(inv, container, timeline, failed),
+            lambda: self._complete(index, container, timeline, failed),
             f"completion:{inv.id}" if self._labels else "",
         )
         return True
 
-    def _complete(self, inv: Invocation, container: Container, timeline, failed: bool) -> None:
-        if timeline.actual_ms() != timeline.phase_sum():
-            raise SimulationError(f"phase accounting broken for {inv.id}")
+    def _complete(self, index: int, container: Container, timeline, failed: bool) -> None:
+        t = timeline
+        active = t.boot_ms + t.code_fetch_ms + t.data_fetch_ms + t.compute_ms + t.write_back_ms
+        if t.finished_at - t.started_at != t.dispatch_ms + t.queue_wait_ms + active:
+            raise SimulationError(f"phase accounting broken for {self._view(index).id}")
         self.cluster.release_container(container, self.engine.now())
         container.expiry_handle = self.engine.after(
             self.keep_alive_ms,
@@ -175,25 +171,29 @@ class Simulation:
             (f"keep-alive-expiry:{container.node}:{container.function}"
              if self._labels else ""),
         )
-        billed = 0.0 if failed else billed_gb_seconds(
-            timeline, self.catalog.functions[inv.function].flavor,
-            self.cluster.params.billing_granularity_ms,
-        )
-        self.records.append(inv, container.node, timeline, billed, failed)
+        if failed:
+            billed = 0.0
+        else:  # billed_gb_seconds, with the flavor and step looked up once per run
+            step = self._billing_step
+            billed = (-(-active // step) * step / 1000.0) * self._flavor_gb[
+                self.trace.function_codes[index]]
+        self.records.append(index, container.node, t, billed, failed)
         self.done += 1
-        self.last_completion = max(self.last_completion, timeline.finished_at)
-        self._drain(container.node)
+        if t.finished_at > self.last_completion:
+            self.last_completion = t.finished_at
+        if self.cluster.nodes[container.node].run_queue:
+            self._drain(container.node)
 
     def _expire(self, container: Container) -> None:
         freed = self.cluster.expire_container(container)
-        if freed:
+        if freed and self.cluster.nodes[container.node].run_queue:
             self._drain(container.node)
 
     def _drain(self, node_id: int) -> None:
         queue = self.cluster.nodes[node_id].run_queue
         while queue:
-            inv, dispatch_ms = queue[0]
-            if not self._try_start(inv, node_id, dispatch_ms):
+            index, inv, dispatch_ms = queue[0]
+            if not self._try_start(index, inv, node_id, dispatch_ms):
                 break  # strict FIFO: the head blocks until resources free up
             queue.popleft()
 
@@ -248,7 +248,7 @@ class Simulation:
 # ---- scenario-level entry points --------------------------------------------
 
 
-def prepare_workload(scenario: Scenario, seed: int) -> tuple[Catalog, list[Invocation]]:
+def prepare_workload(scenario: Scenario, seed: int) -> tuple[Catalog, Trace]:
     """Build the catalogs and the invocation trace for one seed. Catalog
     draws and trace draws use distinct streams of the same seed, so every
     strategy compared under that seed sees the identical workload."""
@@ -271,7 +271,7 @@ def build_cluster(scenario: Scenario, catalog: Catalog) -> Cluster:
 
 def run_one(scenario: Scenario, strategy_cfg: StrategyConfig, seed: int,
             catalog: Catalog | None = None,
-            trace: list[Invocation] | None = None,
+            trace: Trace | list[Invocation] | None = None,
             label: str | None = None) -> RunResult:
     """Run one (strategy, seed) pair to completion and collect results."""
     if catalog is None or trace is None:

@@ -21,14 +21,18 @@ from .cluster import Cluster, PlacementOutcome
 from .engine import RandomSource
 from .errors import ConfigError, NoNodesError, UnknownObjectError
 
-STRATEGY_NAMES = (
-    "round_robin",
-    "least_loaded",
-    "hash_affinity",
-    "mcgrath_queues",
-    "data_aware",
-    "proactive_cluster",
-)
+_SCORING_PARAMS = ("w_code", "w_data", "w_load", "queue_cap")
+
+# Registered strategies and the parameters (strategy.params keys) each takes.
+STRATEGY_PARAMS: dict[str, tuple[str, ...]] = {
+    "round_robin": (),
+    "least_loaded": (),
+    "hash_affinity": (),
+    "mcgrath_queues": _SCORING_PARAMS,
+    "data_aware": _SCORING_PARAMS,
+    "proactive_cluster": _SCORING_PARAMS + ("decay",),
+}
+STRATEGY_NAMES = tuple(STRATEGY_PARAMS)
 
 DEFAULT_WEIGHTS = (0.3, 0.5, 0.2)  # warm code, data locality, queue headroom
 DEFAULT_QUEUE_CAP = 16
@@ -63,9 +67,13 @@ class ClusterKey(NamedTuple):
     origin: str
 
 
+def data_signature(data_refs) -> str:
+    """Order-independent digest of a reference set."""
+    return hashlib.md5(";".join(sorted(data_refs)).encode("utf-8")).hexdigest()[:16]
+
+
 def make_cluster_key(inv) -> ClusterKey:
-    sig = hashlib.md5(";".join(sorted(inv.data_refs)).encode("utf-8")).hexdigest()[:16]
-    return ClusterKey(inv.function, sig, inv.origin)
+    return ClusterKey(inv.function, data_signature(inv.data_refs), inv.origin)
 
 
 def locality_score(cluster: Cluster, inv, node_id: int,
@@ -85,6 +93,16 @@ def _weighted(weights: tuple[float, float, float], code_warm: float, data_local:
     w_code, w_data, w_load = weights
     headroom = 1.0 - min(1.0, qlen / queue_cap)
     return w_code * code_warm + w_data * data_local + w_load * headroom
+
+
+def unknown_param_errors(name: str, params: dict) -> list[tuple[str, str]]:
+    """(parameter, problem) for each parameter the named strategy does not
+    take; an unregistered name has no parameter list to check against."""
+    allowed = STRATEGY_PARAMS.get(name)
+    if allowed is None:
+        return []
+    problem = f"is not a parameter of {name} (it takes: {', '.join(allowed) or 'none'})"
+    return [(key, problem) for key in params if key not in allowed]
 
 
 def scoring_param_errors(params: dict) -> list[tuple[str, str]]:
@@ -131,7 +149,9 @@ class RoundRobinStrategy(DispatchStrategy):
         self.cursor = 0
 
     def decide(self, inv, cluster: Cluster) -> DispatchDecision:
-        ids = self._require_nodes(cluster)
+        ids = cluster.node_ids
+        if not ids:
+            raise NoNodesError("no live nodes to dispatch to")
         node = ids[self.cursor % len(ids)]
         self.cursor += 1
         return DispatchDecision(node, self.dispatch_latency_ms, "round_robin")
@@ -151,10 +171,16 @@ class LeastLoadedStrategy(DispatchStrategy):
 class HashAffinityStrategy(DispatchStrategy):
     name = "hash_affinity"
 
+    def __init__(self, latency_ms: int | None = None):
+        super().__init__(latency_ms)
+        self._hashes: dict[str, int] = {}  # function -> stable_hash(function)
+
     def decide(self, inv, cluster: Cluster) -> DispatchDecision:
         ids = self._require_nodes(cluster)
-        node = ids[stable_hash(inv.function) % len(ids)]
-        return DispatchDecision(node, self.dispatch_latency_ms, "hash")
+        digest = self._hashes.get(inv.function)
+        if digest is None:
+            digest = self._hashes[inv.function] = stable_hash(inv.function)
+        return DispatchDecision(ids[digest % len(ids)], self.dispatch_latency_ms, "hash")
 
 
 class DataAwareStrategy(DispatchStrategy):
@@ -271,9 +297,14 @@ class ProactiveClusterStrategy(DataAwareStrategy):
         super().__init__(w_code, w_data, w_load, queue_cap, latency_ms)
         self.assignments: dict[ClusterKey, int] = {}
         self.counters = PopularityCounter(decay)
+        self._signatures: dict[tuple[str, ...], str] = {}  # reference set -> data_signature
 
     def decide(self, inv, cluster: Cluster) -> DispatchDecision:
-        key = make_cluster_key(inv)
+        refs = inv.data_refs
+        sig = self._signatures.get(refs)
+        if sig is None:
+            sig = self._signatures[refs] = data_signature(refs)
+        key = ClusterKey(inv.function, sig, inv.origin)
         node = self.assignments.get(key)
         if node is None:
             node, score = self._best_node(inv, cluster)
@@ -349,6 +380,10 @@ def make_strategy(name: str, params: dict | None = None,
     matching: data-aware scoring with full weight on warm code and a small
     load term so ties fall to the shortest queue."""
     params = dict(params or {})
+    errors = unknown_param_errors(name, params)
+    if errors:
+        raise ConfigError(f"bad parameters for strategy {name!r}: "
+                          + "; ".join(f"{key} {problem}" for key, problem in errors))
     try:
         if name == "round_robin":
             return RoundRobinStrategy(latency_ms)

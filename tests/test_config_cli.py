@@ -1,6 +1,7 @@
 """Configuration parsing, validation diagnostics and the CLI surface."""
 
 import json
+from pathlib import Path
 
 import pytest
 import yaml
@@ -10,6 +11,8 @@ from dispatchsim.config import apply_override, load_scenario, parse_scenario, va
 from dispatchsim.errors import ConfigError
 
 from conftest import scenario_dict
+
+DEMO_SCENARIOS = Path(__file__).parent.parent / "demos" / "scenarios"
 
 
 def write_config(tmp_path, raw, name="scenario.yaml"):
@@ -242,6 +245,73 @@ def test_cli_malformed_value_exits_2_naming_the_key(tmp_path, capsys, override, 
         err = capsys.readouterr().err
         assert err.startswith(f"error: {key}")
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("override, key", [
+    ("nodes=8", "nodes"),
+    ("cluster.nodez=8", "cluster.nodez"),
+    ("cluster.network.latency=1", "cluster.network.latency"),
+    ("workload.horizon=500", "workload.horizon"),
+    ("workload.arrival.rate=5", "workload.arrival.rate"),
+    ("workload.objects.counts=2", "workload.objects.counts"),
+    ("workload.objects.popularity.alpha=1", "workload.objects.popularity.alpha"),
+    ("workload.functions.0.memory=128", "workload.functions.0.memory"),
+    ("workload.origins=[{tag: web, wieght: 2}]", "workload.origins.0.wieght"),
+    ("strategy.parms.w_code=1", "strategy.parms"),
+    ("strategy.replication.every=5", "strategy.replication.every"),
+    ("strategies=[{name: round_robin}, {name: data_aware, latency: 3}]", "strategies.1.latency"),
+    ("output.directory=x", "output.directory"),
+    # params a strategy does not take
+    ("strategy.params.w_code=1", "strategy.params.w_code"),
+    ("strategies=[{name: round_robin}, {name: data_aware, params: {w_cod: 1}}]",
+     "strategy.1.params.w_cod"),
+    ("strategies=[{name: proactive_cluster, params: {decay: 0.5}},"
+     " {name: mcgrath_queues, params: {decay: 0.5}}]", "strategy.1.params.decay"),
+])
+def test_cli_unknown_key_exits_2_naming_it(tmp_path, capsys, override, key):
+    # Declared behaviour change (malformed input only): these were ignored,
+    # and validate printed "configuration valid".
+    cfg = write_config(tmp_path, scenario_dict())
+    for command in ("validate", "run"):
+        assert main([command, cfg, override, "--out-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key}:")
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("section, extra, key", [
+    (None, {"description": "x"}, "description"),
+    ("cluster", {"node": 4}, "cluster.node"),
+    ("workload", {"arrivals": {}}, "workload.arrivals"),
+    ("strategy", {"params": {"queue_cap": 4}}, "strategy.params.queue_cap"),
+    ("output", {"format": "csv"}, "output.format"),
+])
+def test_yaml_unknown_key_exits_2_naming_it(tmp_path, capsys, section, extra, key):
+    raw = scenario_dict()
+    (raw if section is None else raw[section]).update(extra)
+    cfg = write_config(tmp_path, raw)
+    for command in ("validate", "run"):
+        assert main([command, cfg, "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {key}:")
+
+
+def test_demo_scenario_with_misspelled_keys_is_rejected(capsys):
+    demo = str(DEMO_SCENARIOS / "minimal.yaml")
+    assert main(["validate", demo]) == 0
+    capsys.readouterr()
+    assert main(["validate", demo, "cluster.nodez=8", "strategy.parms.w_code=1"]) == 2
+    assert "unknown key" in capsys.readouterr().err
+
+
+def test_unknown_key_message_lists_the_known_ones(tmp_path, capsys):
+    cfg = write_config(tmp_path, scenario_dict())
+    assert main(["validate", cfg, "cluster.network.latency=1"]) == 2
+    assert capsys.readouterr().err == (
+        "error: cluster.network.latency: unknown key "
+        "(expected one of: latency_ms, bandwidth_mb_per_s)\n")
+    assert main(["validate", cfg, "strategy.params.w_code=1"]) == 2
+    assert capsys.readouterr().err == (
+        "error: strategy.params.w_code: is not a parameter of round_robin (it takes: none)\n")
 
 
 def test_cli_integer_key_refuses_to_truncate_a_float(tmp_path, capsys):

@@ -75,7 +75,8 @@ class ReferenceSimulation(runner.Simulation):
         super().__init__(*args, **kwargs)
         self.records = []
 
-    def _complete(self, inv, container, timeline, failed):
+    def _complete(self, index, container, timeline, failed):
+        inv = self.trace[index]
         if timeline.actual_ms() != timeline.phase_sum():
             raise SimulationError(f"phase accounting broken for {inv.id}")
         self.cluster.release_container(container, self.engine.now())
@@ -99,6 +100,14 @@ class ReferenceSimulation(runner.Simulation):
         self.done += 1
         self.last_completion = max(self.last_completion, timeline.finished_at)
         self._drain(container.node)
+
+
+def reference_makespan_ms(records):
+    """The object-based makespan that RunResult.makespan_ms replaced."""
+    if not records:
+        return 0
+    return (max(r.timeline.finished_at for r in records)
+            - min(r.timeline.started_at for r in records))
 
 
 def reference_row(result):
@@ -143,7 +152,8 @@ def test_whole_run_matches_object_records(monkeypatch, scenario, strategy_cfg, s
     assert len(result.records) == len(ref.records)
     for i, (record, ref_record) in enumerate(zip(result.records, ref.records)):
         assert repr(record) == repr(ref_record), i
-    assert result.makespan_ms == ref.makespan_ms
+    assert result.makespan_ms == reference_makespan_ms(ref.records)
+    assert result.makespan_ms == reference_makespan_ms(result.records)
 
 
 def test_capped_case_records_failures():
@@ -196,6 +206,7 @@ def test_columnar_summary_matches_object_summary(records, totals):
     assert repr(summarize_run("s", 7, store, *totals)) == repr(
         reference_summarize_run("s", 7, records, *totals))
     assert [repr(r) for r in store] == [repr(r) for r in records]
+    assert store.makespan_ms() == reference_makespan_ms(records)
 
 
 def test_empty_and_all_failed_rows():

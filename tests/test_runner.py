@@ -14,6 +14,7 @@ from dispatchsim.runner import (
     run_scenario,
 )
 from dispatchsim.strategies import make_strategy
+from dispatchsim.workload import Trace
 
 from conftest import scenario_dict
 
@@ -235,7 +236,10 @@ def test_sorted_trace_is_used_as_given_and_unsorted_one_is_sorted():
         sim.run()
         return sim
 
+    assert isinstance(trace, Trace)
     in_order = simulate(trace)
-    assert in_order._arrivals is trace  # no per-run copy
-    reversed_run = simulate(trace[::-1])
+    assert in_order.trace is trace  # no per-run copy
+    reversed_run = simulate(trace[::-1])  # a list, latest arrival first
+    assert isinstance(reversed_run.trace, Trace)
+    assert list(reversed_run.trace) == list(trace)
     assert list(reversed_run.records) == list(in_order.records)

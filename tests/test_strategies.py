@@ -7,6 +7,7 @@ from dispatchsim.cluster import Cluster, ClusterParams, DataObject, FunctionSpec
 from dispatchsim.engine import RandomSource
 from dispatchsim.strategies import (
     STRATEGY_NAMES,
+    STRATEGY_PARAMS,
     DataAwareStrategy,
     PopularityCounter,
     locality_score,
@@ -238,6 +239,34 @@ def test_mcgrath_prefers_warm_then_short_queue():
 def test_unknown_strategy_errors_with_registry():
     with pytest.raises(ConfigError, match="round_robin"):
         make_strategy("definitely_not_real")
+
+
+@pytest.mark.parametrize("name, params", [
+    ("round_robin", {"w_code": 1.0}),  # was silently ignored
+    ("least_loaded", {"queue_cap": 4}),
+    ("hash_affinity", {"anything": 1}),
+    ("data_aware", {"decay": 0.5}),
+    ("mcgrath_queues", {"w_cod": 1.0}),
+])
+def test_make_strategy_rejects_params_it_does_not_take(name, params):
+    with pytest.raises(ConfigError, match=f"{next(iter(params))} is not a parameter of {name}"):
+        make_strategy(name, params)
+    assert STRATEGY_NAMES == tuple(STRATEGY_PARAMS)
+
+
+def test_memoized_hashes_and_signatures_match_the_direct_ones():
+    # hash_affinity keeps stable_hash per function and proactive_cluster the
+    # data signature per reference set; decisions must not change.
+    c = make_cluster(nodes=5, objects=[("a", 10), ("b", 10)])
+    hashing = make_strategy("hash_affinity")
+    sticky = make_strategy("proactive_cluster")
+    for function, refs, origin in [("f1", ("a",), "web"), ("f1", ("b", "a"), "web"),
+                                   ("f1", ("a", "b"), "web"), ("f1", ("a",), "web")] * 2:
+        event = inv(function, refs, origin)
+        assert hashing.decide(event, c).node == stable_hash(function) % 5
+        decision = sticky.decide(event, c)
+        assert sticky.assignments[make_cluster_key(event)] == decision.node
+    assert len(sticky.assignments) == 2  # ("a", "b") and ("b", "a") share a signature
 
 
 # ---- dispatch latency ---------------------------------------------------------------
