@@ -62,13 +62,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args) -> Scenario:
-    scenario = load_scenario(args.config, args.overrides)
+    """The scenario with its overrides; --seed and --format are two more."""
+    overrides = list(args.overrides)
     if args.seed is not None:
-        scenario.seeds = [args.seed]
+        overrides.append(f"seeds={args.seed}")
+    if args.format is not None:
+        overrides.append(f"output.formats={args.format}")
+    scenario = load_scenario(args.config, overrides)
     if args.out_dir is not None:
         scenario.output.dir = args.out_dir
-    if args.format is not None:
-        scenario.output.formats = (args.format,)
     return scenario
 
 

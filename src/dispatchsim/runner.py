@@ -277,11 +277,8 @@ def run_one(scenario: Scenario, strategy_cfg: StrategyConfig, seed: int,
     if catalog is None or trace is None:
         catalog, trace = prepare_workload(scenario, seed)
     cluster = build_cluster(scenario, catalog)
-    strategy = make_strategy(
-        strategy_cfg.name, strategy_cfg.params, strategy_cfg.dispatch_latency_ms
-    )
-    if strategy.needs_replication:
-        strategy.counters.decay = strategy_cfg.replication_decay
+    strategy = make_strategy(strategy_cfg.name, strategy_cfg.params,
+                             strategy_cfg.dispatch_latency_ms, strategy_cfg.replication_decay)
     sim = Simulation(
         Engine(), cluster, strategy, trace, catalog,
         horizon_ms=scenario.workload.horizon_ms,

@@ -21,21 +21,9 @@ from .cluster import Cluster, PlacementOutcome
 from .engine import RandomSource
 from .errors import ConfigError, NoNodesError, UnknownObjectError
 
-_SCORING_PARAMS = ("w_code", "w_data", "w_load", "queue_cap")
-
-# Registered strategies and the parameters (strategy.params keys) each takes.
-STRATEGY_PARAMS: dict[str, tuple[str, ...]] = {
-    "round_robin": (),
-    "least_loaded": (),
-    "hash_affinity": (),
-    "mcgrath_queues": _SCORING_PARAMS,
-    "data_aware": _SCORING_PARAMS,
-    "proactive_cluster": _SCORING_PARAMS + ("decay",),
-}
-STRATEGY_NAMES = tuple(STRATEGY_PARAMS)
-
 DEFAULT_WEIGHTS = (0.3, 0.5, 0.2)  # warm code, data locality, queue headroom
 DEFAULT_QUEUE_CAP = 16
+DEFAULT_DECAY = 0.5  # per replication pass, of the popularity counts
 _NO_NODES: frozenset[int] = frozenset()
 
 
@@ -95,41 +83,14 @@ def _weighted(weights: tuple[float, float, float], code_warm: float, data_local:
     return w_code * code_warm + w_data * data_local + w_load * headroom
 
 
-def unknown_param_errors(name: str, params: dict) -> list[tuple[str, str]]:
-    """(parameter, problem) for each parameter the named strategy does not
-    take; an unregistered name has no parameter list to check against."""
-    allowed = STRATEGY_PARAMS.get(name)
-    if allowed is None:
-        return []
-    problem = f"is not a parameter of {name} (it takes: {', '.join(allowed) or 'none'})"
-    return [(key, problem) for key in params if key not in allowed]
-
-
-def scoring_param_errors(params: dict) -> list[tuple[str, str]]:
-    """(parameter, problem) for each scoring weight or queue_cap in params
-    that the data-aware scorer cannot take; absent keys keep defaults."""
-    errors = []
-    for key in ("w_code", "w_data", "w_load"):
-        value = params.get(key, 0.0)
-        if not isinstance(value, (int, float)) or not math.isfinite(value) or value < 0:
-            errors.append((key, "must be a finite number >= 0"))
-    queue_cap = params.get("queue_cap", DEFAULT_QUEUE_CAP)
-    if not isinstance(queue_cap, int) or queue_cap < 1:
-        errors.append(("queue_cap", "must be an integer >= 1"))
-    return errors
-
-
 class DispatchStrategy:
-    """Base class; subclasses implement decide()."""
+    """Base class; subclasses implement decide(). Instances come from
+    make_strategy, which supplies the registered latency and parameters."""
 
-    name = "base"
-    default_latency_ms = 1
     needs_replication = False
 
-    def __init__(self, latency_ms: int | None = None):
-        self.dispatch_latency_ms = (
-            self.default_latency_ms if latency_ms is None else latency_ms
-        )
+    def __init__(self, latency_ms: int):
+        self.dispatch_latency_ms = latency_ms
 
     def decide(self, inv, cluster: Cluster) -> DispatchDecision:
         raise NotImplementedError
@@ -142,9 +103,7 @@ class DispatchStrategy:
 
 
 class RoundRobinStrategy(DispatchStrategy):
-    name = "round_robin"
-
-    def __init__(self, latency_ms: int | None = None):
+    def __init__(self, latency_ms: int):
         super().__init__(latency_ms)
         self.cursor = 0
 
@@ -158,8 +117,6 @@ class RoundRobinStrategy(DispatchStrategy):
 
 
 class LeastLoadedStrategy(DispatchStrategy):
-    name = "least_loaded"
-
     def decide(self, inv, cluster: Cluster) -> DispatchDecision:
         self._require_nodes(cluster)
         qlen = min(cluster.queue_buckets)
@@ -169,9 +126,7 @@ class LeastLoadedStrategy(DispatchStrategy):
 
 
 class HashAffinityStrategy(DispatchStrategy):
-    name = "hash_affinity"
-
-    def __init__(self, latency_ms: int | None = None):
+    def __init__(self, latency_ms: int):
         super().__init__(latency_ms)
         self._hashes: dict[str, int] = {}  # function -> stable_hash(function)
 
@@ -186,18 +141,9 @@ class HashAffinityStrategy(DispatchStrategy):
 class DataAwareStrategy(DispatchStrategy):
     """Reactive localization: send each event to the highest-scoring node."""
 
-    name = "data_aware"
-    default_latency_ms = 2  # placement lookup is not free
-
-    def __init__(self, w_code: float = DEFAULT_WEIGHTS[0], w_data: float = DEFAULT_WEIGHTS[1],
-                 w_load: float = DEFAULT_WEIGHTS[2], queue_cap: int = DEFAULT_QUEUE_CAP,
-                 latency_ms: int | None = None):
+    def __init__(self, latency_ms: int, w_code: float, w_data: float, w_load: float,
+                 queue_cap: int):
         super().__init__(latency_ms)
-        errors = scoring_param_errors(
-            {"w_code": w_code, "w_data": w_data, "w_load": w_load, "queue_cap": queue_cap}
-        )
-        if errors:
-            raise ConfigError("; ".join(f"{key} {problem}" for key, problem in errors))
         self.weights = (w_code, w_data, w_load)
         self.queue_cap = queue_cap
 
@@ -264,7 +210,7 @@ class PopularityCounter:
     """Decayed per-object access counts plus per-(object, node) demand
     accumulated since the last replication pass."""
 
-    def __init__(self, decay: float = 0.5):
+    def __init__(self, decay: float = DEFAULT_DECAY):
         if not 0.0 < decay <= 1.0:
             raise ConfigError("decay must be in (0, 1]")
         self.decay = decay
@@ -288,13 +234,10 @@ class ProactiveClusterStrategy(DataAwareStrategy):
     """Proactive localization: equal cluster keys stick to one node, and
     reference popularity is tracked for the replication pass."""
 
-    name = "proactive_cluster"
     needs_replication = True
 
-    def __init__(self, w_code: float = DEFAULT_WEIGHTS[0], w_data: float = DEFAULT_WEIGHTS[1],
-                 w_load: float = DEFAULT_WEIGHTS[2], queue_cap: int = DEFAULT_QUEUE_CAP,
-                 latency_ms: int | None = None, decay: float = 0.5):
-        super().__init__(w_code, w_data, w_load, queue_cap, latency_ms)
+    def __init__(self, latency_ms: int, decay: float, **scoring):
+        super().__init__(latency_ms, **scoring)
         self.assignments: dict[ClusterKey, int] = {}
         self.counters = PopularityCounter(decay)
         self._signatures: dict[tuple[str, ...], str] = {}  # reference set -> data_signature
@@ -374,38 +317,79 @@ def steal_work(cluster: Cluster, idle_node_id: int, rng: RandomSource) -> list:
     return batch
 
 
-def make_strategy(name: str, params: dict | None = None,
-                  latency_ms: int | None = None) -> DispatchStrategy:
-    """Instantiate a registered strategy. mcgrath_queues is warm-first
-    matching: data-aware scoring with full weight on warm code and a small
-    load term so ties fall to the shortest queue."""
-    params = dict(params or {})
-    errors = unknown_param_errors(name, params)
+def _weight(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value) and value >= 0)
+
+
+def _queue_cap(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
+# Every strategy parameter: the check its value must pass, and the problem otherwise.
+PARAM_CHECKS = {
+    "w_code": (_weight, "must be a finite number >= 0"),
+    "w_data": (_weight, "must be a finite number >= 0"),
+    "w_load": (_weight, "must be a finite number >= 0"),
+    "queue_cap": (_queue_cap, "must be an integer >= 1"),
+}
+
+
+class Preset(NamedTuple):
+    """A registered strategy: its class, default dispatch latency, and every
+    parameter it takes with its default."""
+
+    cls: type
+    latency_ms: int
+    params: dict
+
+
+_SCORING = dict(zip(("w_code", "w_data", "w_load"), DEFAULT_WEIGHTS), queue_cap=DEFAULT_QUEUE_CAP)
+
+STRATEGIES: dict[str, Preset] = {
+    "round_robin": Preset(RoundRobinStrategy, 1, {}),
+    "least_loaded": Preset(LeastLoadedStrategy, 1, {}),
+    "hash_affinity": Preset(HashAffinityStrategy, 1, {}),
+    # Warm-first matching: full weight on warm code and a small load term
+    # so ties fall to the shortest queue.
+    "mcgrath_queues": Preset(DataAwareStrategy, 1,
+                             dict(_SCORING, w_code=1.0, w_data=0.0, w_load=0.1)),
+    "data_aware": Preset(DataAwareStrategy, 2, _SCORING),  # placement lookup is not free
+    "proactive_cluster": Preset(ProactiveClusterStrategy, 2, _SCORING),
+}
+STRATEGY_NAMES = tuple(STRATEGIES)
+
+
+def param_errors(name: str, params: dict) -> list[tuple[str, str]]:
+    """(parameter, problem) for each of params that the registered strategy
+    name does not take or whose value fails its check."""
+    taken = STRATEGIES[name].params
+    errors = []
+    for key, value in params.items():
+        if key not in taken:
+            errors.append((key, f"is not a parameter of {name} "
+                                f"(it takes: {', '.join(taken) or 'none'})"))
+        elif not PARAM_CHECKS[key][0](value):
+            errors.append((key, PARAM_CHECKS[key][1]))
+    return errors
+
+
+def make_strategy(name: str, params: dict | None = None, latency_ms: int | None = None,
+                  replication_decay: float = DEFAULT_DECAY) -> DispatchStrategy:
+    """Instantiate a registered strategy: its preset, with params replacing
+    preset values and latency_ms the preset latency. replication_decay is
+    the popularity decay of a strategy that replicates."""
+    preset = STRATEGIES.get(name)
+    if preset is None:
+        raise ConfigError(
+            f"unknown strategy {name!r}; registered strategies: {', '.join(STRATEGY_NAMES)}"
+        )
+    params = params or {}
+    errors = param_errors(name, params)
     if errors:
         raise ConfigError(f"bad parameters for strategy {name!r}: "
                           + "; ".join(f"{key} {problem}" for key, problem in errors))
-    try:
-        if name == "round_robin":
-            return RoundRobinStrategy(latency_ms)
-        if name == "least_loaded":
-            return LeastLoadedStrategy(latency_ms)
-        if name == "hash_affinity":
-            return HashAffinityStrategy(latency_ms)
-        if name == "data_aware":
-            return DataAwareStrategy(latency_ms=latency_ms, **params)
-        if name == "proactive_cluster":
-            return ProactiveClusterStrategy(latency_ms=latency_ms, **params)
-        if name == "mcgrath_queues":
-            params.setdefault("w_code", 1.0)
-            params.setdefault("w_data", 0.0)
-            params.setdefault("w_load", 0.1)
-            strategy = DataAwareStrategy(
-                latency_ms=1 if latency_ms is None else latency_ms, **params
-            )
-            strategy.name = "mcgrath_queues"
-            return strategy
-    except TypeError as exc:
-        raise ConfigError(f"bad parameters for strategy {name!r}: {exc}") from exc
-    raise ConfigError(
-        f"unknown strategy {name!r}; registered strategies: {', '.join(STRATEGY_NAMES)}"
-    )
+    params = {**preset.params, **params}
+    if preset.cls.needs_replication:
+        params["decay"] = replication_decay
+    return preset.cls(preset.latency_ms if latency_ms is None else latency_ms, **params)

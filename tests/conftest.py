@@ -30,8 +30,11 @@ BASE_SCENARIO = {
 
 
 def scenario_dict(**sections) -> dict:
-    """Deep-copied base scenario with whole sections replaced or merged."""
+    """Deep-copied base scenario with whole sections replaced or merged; a
+    strategies list replaces the base strategy block."""
     raw = copy.deepcopy(BASE_SCENARIO)
+    if "strategies" in sections:
+        del raw["strategy"]
     for key, value in sections.items():
         if isinstance(value, dict) and isinstance(raw.get(key), dict):
             raw[key].update(copy.deepcopy(value))

@@ -1,14 +1,19 @@
 """Configuration parsing, validation diagnostics and the CLI surface."""
 
+import contextlib
+import io
 import json
 from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import example, given, settings, strategies as st
 
+from dispatchsim import runner
 from dispatchsim.cli import main
-from dispatchsim.config import apply_override, load_scenario, parse_scenario, validate
+from dispatchsim.config import FIELDS, apply_override, load_scenario, parse_scenario, validate
 from dispatchsim.errors import ConfigError
+from dispatchsim.strategies import make_strategy
 
 from conftest import scenario_dict
 
@@ -235,6 +240,21 @@ def test_cli_validate_rejects_bad_scoring_params(tmp_path, capsys, override, key
     ("strategy.work_stealing=1", "strategy.work_stealing"),
     ("strategies=[{name: round_robin}, {name: hash_affinity, work_stealing: maybe}]",
      "strategies.1.work_stealing"),
+    # trace_path=5 opened file descriptor 5, and trace_path=0 was ignored
+    ("workload.trace_path=5", "workload.trace_path"),
+    ("workload.trace_path=0", "workload.trace_path"),
+    # past 64 bits these raised OverflowError from the record columns
+    ("strategy.dispatch_latency_ms=100000000000000000000000", "strategy.dispatch_latency_ms"),
+    ("cluster.max_execution_ms=100000000000000000000000", "cluster.max_execution_ms"),
+    ("workload.functions.0.compute_ms=100000000000000000000000",
+     "workload.functions.0.compute_ms"),
+    # booleans counted as the integer 1
+    ("cluster.nodes=true", "cluster.nodes"),
+    ("seeds=[true]", "seeds.0"),
+    # anything but an integer node id ran as "external"
+    ("cluster.code_store=node9", "cluster.code_store"),
+    ("cluster.result_store=[1,2]", "cluster.result_store"),
+    ("cluster.code_store=3", "cluster.code_store"),
 ])
 def test_cli_malformed_value_exits_2_naming_the_key(tmp_path, capsys, override, key):
     # Regression: cluster.nodes=abc raised ValueError and workload.functions=5
@@ -264,9 +284,9 @@ def test_cli_malformed_value_exits_2_naming_the_key(tmp_path, capsys, override, 
     # params a strategy does not take
     ("strategy.params.w_code=1", "strategy.params.w_code"),
     ("strategies=[{name: round_robin}, {name: data_aware, params: {w_cod: 1}}]",
-     "strategy.1.params.w_cod"),
+     "strategies.1.params.w_cod"),
     ("strategies=[{name: proactive_cluster, params: {decay: 0.5}},"
-     " {name: mcgrath_queues, params: {decay: 0.5}}]", "strategy.1.params.decay"),
+     " {name: mcgrath_queues, params: {decay: 0.5}}]", "strategies.0.params.decay"),
 ])
 def test_cli_unknown_key_exits_2_naming_it(tmp_path, capsys, override, key):
     # Declared behaviour change (malformed input only): these were ignored,
@@ -344,7 +364,96 @@ def test_scoring_params_are_checked_in_every_strategies_entry():
         {"name": "mcgrath_queues", "params": {"queue_cap": 0}},
     ])
     keys = {d.key for d in validate(parse_scenario(raw)) if d.severity == "error"}
-    assert keys == {"strategy.0.params.w_code", "strategy.1.params.queue_cap"}
+    assert keys == {"strategies.0.params.w_code", "strategies.1.params.queue_cap"}
+
+
+def test_strategy_override_on_a_strategies_list_is_refused(capsys):
+    # Regression: the override made a strategy block that parsing ignored,
+    # and validate printed "configuration valid".
+    demo = str(DEMO_SCENARIOS / "data_intensive.yaml")
+    assert main(["validate", demo]) == 0
+    capsys.readouterr()
+    assert main(["validate", demo, "strategy.name=nope"]) == 2
+    assert "error: strategy: cannot be given with a strategies list" in capsys.readouterr().err
+    raw = scenario_dict(strategies=[{"name": "round_robin"}, {"name": "data_aware"}])
+    raw["strategy"] = {"name": "round_robin"}
+    keys = {d.key for d in validate(parse_scenario(raw)) if d.severity == "error"}
+    assert keys == {"strategy"}
+
+
+def test_proactive_cluster_decay_is_the_replication_decay(tmp_path, capsys, monkeypatch):
+    # Regression: params.decay was checked but the run used replication.decay.
+    cfg = write_config(tmp_path, scenario_dict(strategy={"name": "proactive_cluster"}))
+    assert main(["validate", cfg, "strategy.params.decay=0.9"]) == 2
+    assert capsys.readouterr().err.startswith("error: strategy.params.decay:")
+
+    made = []
+
+    def spy(*args, **kwargs):
+        made.append(make_strategy(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(runner, "make_strategy", spy)
+    scenario = load_scenario(cfg, ["strategy.replication.decay=0.9"])
+    runner.run_one(scenario, scenario.strategies[0], 1)
+    assert made[0].counters.decay == 0.9
+
+
+def test_cli_flags_are_overrides_before_the_checks(tmp_path):
+    # --seed and --format replace the file's values before they are checked.
+    cfg = write_config(tmp_path, scenario_dict(seeds=[], output={"formats": ["xml"]}))
+    assert main(["validate", cfg]) == 2
+    assert main(["validate", cfg, "--seed", "3", "--format", "json"]) == 0
+
+
+def test_null_keeps_the_default():
+    scenario = parse_scenario(scenario_dict(cluster={"nodes": None, "network": None}))
+    assert scenario.cluster == parse_scenario(scenario_dict(cluster={
+        "nodes": 1, "network": {}})).cluster
+    with pytest.raises(ConfigError, match="workload.functions.0.name: is required"):
+        parse_scenario(scenario_dict(workload={"functions": [{"name": None}]}))
+
+
+# Any YAML tree or dotted override: validate exits 0 or 2 and never raises.
+KNOWN_KEYS = sorted({part for key in FIELDS for part in key.split(".")} | {"0", "1"})
+scalars = (st.none() | st.booleans() | st.integers() | st.floats()
+           | st.text(max_size=8) | st.sampled_from(KNOWN_KEYS + ["external", "poisson"]))
+keys = st.sampled_from(KNOWN_KEYS) | st.text(max_size=6) | st.integers(-2, 3)
+trees = st.recursive(scalars, lambda inner: st.lists(inner, max_size=3)
+                     | st.dictionaries(keys, inner, max_size=4), max_leaves=12)
+
+
+def validate_exit(config: str, overrides=()) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(["validate", config, *overrides])
+
+
+@settings(max_examples=150, deadline=None)
+@given(tree=st.dictionaries(st.sampled_from(sorted(scenario_dict())) | keys, trees, max_size=5)
+       | trees,
+       base=st.booleans())
+def test_any_yaml_tree_validates_to_0_or_2(tmp_path_factory, tree, base):
+    if base and isinstance(tree, dict):
+        tree = {**scenario_dict(), **tree}
+    path = tmp_path_factory.mktemp("tree") / "scenario.yaml"
+    path.write_text(yaml.safe_dump(tree))
+    assert validate_exit(str(path)) in (0, 2)
+
+
+PATHS = sorted({key.replace(".N", ".0") for key in FIELDS}
+               | {key.replace("strategy.", "strategies.1.") for key in FIELDS})
+dotted = (st.sampled_from(PATHS).map(lambda key: key.split("."))
+          | st.lists(st.sampled_from(KNOWN_KEYS) | st.text(max_size=4), min_size=1, max_size=5))
+values = st.one_of(st.text(max_size=12), scalars.map(lambda v: yaml.safe_dump(v).strip()),
+                   trees.map(lambda v: yaml.safe_dump(v, default_flow_style=True).strip()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(overrides=st.lists(st.tuples(dotted, values), min_size=1, max_size=3))
+@example(overrides=[(["²", "x"], "1")])  # "²".isdigit(), and int("²") raised ValueError
+def test_any_dotted_override_validates_to_0_or_2(tmp_path_factory, overrides):
+    config = str(DEMO_SCENARIOS / "data_intensive.yaml")
+    assert validate_exit(config, [".".join(p) + "=" + v for p, v in overrides]) in (0, 2)
 
 
 def test_cli_validate_surfaces_warnings_but_passes(tmp_path, capsys):

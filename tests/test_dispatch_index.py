@@ -71,9 +71,9 @@ BRUTE = {
 }
 
 
-def brute_make_strategy(name, params=None, latency_ms=None):
+def brute_make_strategy(*args, **kwargs):
     """make_strategy, with the indexed decision swapped for the scan."""
-    strategy = make_strategy(name, params, latency_ms)
+    strategy = make_strategy(*args, **kwargs)
     strategy.__class__ = BRUTE[type(strategy)]
     return strategy
 
@@ -181,7 +181,7 @@ def test_zero_byte_refs_tie_through_rounding():
 
 def test_negative_weight_and_bad_queue_cap_are_refused():
     with pytest.raises(ConfigError, match="w_data"):
-        DataAwareStrategy(w_data=-1.0)
+        make_strategy("data_aware", {"w_data": -1.0})
     with pytest.raises(ConfigError, match="queue_cap"):
         make_strategy("mcgrath_queues", {"queue_cap": 0})
 

@@ -6,9 +6,8 @@ from hypothesis import given, settings, strategies as st
 from dispatchsim.cluster import Cluster, ClusterParams, DataObject, FunctionSpec
 from dispatchsim.engine import RandomSource
 from dispatchsim.strategies import (
+    STRATEGIES,
     STRATEGY_NAMES,
-    STRATEGY_PARAMS,
-    DataAwareStrategy,
     PopularityCounter,
     locality_score,
     make_cluster_key,
@@ -207,9 +206,9 @@ def test_weight_scaling_leaves_argmax_unchanged(queues, warm, scale):
             c.release_container(container)
     view = c
     event = inv(refs=("a",))
-    base = DataAwareStrategy().decide(event, view).node
-    scaled = DataAwareStrategy(
-        w_code=0.3 * scale, w_data=0.5 * scale, w_load=0.2 * scale
+    base = make_strategy("data_aware").decide(event, view).node
+    scaled = make_strategy(
+        "data_aware", {"w_code": 0.3 * scale, "w_data": 0.5 * scale, "w_load": 0.2 * scale}
     ).decide(event, view).node
     assert base == scaled
 
@@ -251,7 +250,7 @@ def test_unknown_strategy_errors_with_registry():
 def test_make_strategy_rejects_params_it_does_not_take(name, params):
     with pytest.raises(ConfigError, match=f"{next(iter(params))} is not a parameter of {name}"):
         make_strategy(name, params)
-    assert STRATEGY_NAMES == tuple(STRATEGY_PARAMS)
+    assert STRATEGY_NAMES == tuple(STRATEGIES)
 
 
 def test_memoized_hashes_and_signatures_match_the_direct_ones():
