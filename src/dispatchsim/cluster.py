@@ -22,6 +22,7 @@ from enum import Enum
 from .errors import SimulationError, UnknownNodeError, UnknownObjectError
 
 DEFAULT_FLAVORS = (64, 128, 256, 512, 1024)
+MAX_MS = 10**12  # about 31 years; keeps every time and phase sum inside 64 bits
 
 # Code and result backends default to an external store that is remote to
 # every node (a database-like service off the compute cluster).
@@ -46,7 +47,6 @@ class DataObject:
     id: str
     size: float
     placements: set[int] = field(default_factory=set)
-    origin: int | None = None
 
 
 @dataclass(slots=True, eq=False)
@@ -68,10 +68,13 @@ class NetworkModel:
     bandwidth_mb_per_s: float = 100.0
 
     def transfer_time(self, size_mb: float, remote: bool) -> int:
-        """Milliseconds to move size_mb; local access is free."""
+        """Milliseconds to move size_mb; local access is free. A transfer
+        longer than MAX_MS, even one too long for a float, takes MAX_MS + 1:
+        longer than any execution cap, which the cap then truncates."""
         if not remote:
             return 0
-        return self.latency_ms + math.ceil(size_mb * 1000.0 / self.bandwidth_mb_per_s)
+        ms = size_mb * 1000.0 / self.bandwidth_mb_per_s
+        return self.latency_ms + (math.ceil(ms) if ms <= MAX_MS else MAX_MS + 1)
 
 
 @dataclass(slots=True)
@@ -152,9 +155,10 @@ class RunQueue(deque):
     entries.
 
     Every length change moves the node between the buckets of the
-    cluster's queue-length index, so callers use it as a plain deque: every
-    deque method that changes the length is overridden to keep the index
-    current.
+    cluster's queue-length index. Only ``append``, ``extend``, ``pop`` and
+    ``popleft`` keep the index current; they are the four length-changing
+    operations the simulator uses, and ``Cluster.check_invariants`` catches
+    a length changed any other way.
     """
 
     __slots__ = ("_node_id", "_buckets")
@@ -180,33 +184,10 @@ class RunQueue(deque):
         deque.append(self, item)
         self._moved_from(len(self) - 1)
 
-    def appendleft(self, item) -> None:
-        deque.appendleft(self, item)
-        self._moved_from(len(self) - 1)
-
-    def insert(self, i: int, item) -> None:
-        deque.insert(self, i, item)
-        self._moved_from(len(self) - 1)
-
     def extend(self, items) -> None:
         old = len(self)
         deque.extend(self, items)
         self._moved_from(old)
-
-    def extendleft(self, items) -> None:
-        old = len(self)
-        deque.extendleft(self, items)
-        self._moved_from(old)
-
-    def __iadd__(self, items):
-        self.extend(items)
-        return self
-
-    def __imul__(self, n: int):
-        old = len(self)
-        deque.__imul__(self, n)
-        self._moved_from(old)
-        return self
 
     def pop(self):
         item = deque.pop(self)
@@ -217,19 +198,6 @@ class RunQueue(deque):
         item = deque.popleft(self)
         self._moved_from(len(self) + 1)
         return item
-
-    def remove(self, item) -> None:
-        deque.remove(self, item)
-        self._moved_from(len(self) + 1)
-
-    def __delitem__(self, i) -> None:
-        deque.__delitem__(self, i)
-        self._moved_from(len(self) + 1)
-
-    def clear(self) -> None:
-        old = len(self)
-        deque.clear(self)
-        self._moved_from(old)
 
 
 class Node:
@@ -245,7 +213,6 @@ class Node:
         self.warm_pool: dict[str, list[Container]] = {}
         self.busy_count = 0
         self.store_entries: dict[str, float] = {}  # entry id -> size MB
-        self.origin_objects: set[str] = set()
         self.cache_order: deque[str] = deque()  # evictable entries, FIFO
         self.run_queue = RunQueue(node_id, queue_buckets)
         self.busy_ms_accum = 0  # container-time: summed active phases
@@ -259,9 +226,6 @@ class Node:
 
     def store_free(self) -> float:
         return self.store_capacity - self.store_used
-
-    def warm_idle_count(self, function: str) -> int:
-        return len(self.warm_pool.get(function, ()))
 
 
 def _code_key(function: str) -> str:
@@ -317,9 +281,6 @@ class Cluster:
             return PlacementOutcome.NO_CAPACITY
         self._store_add(node, object_id, obj.size, evictable=not origin)
         obj.placements.add(node_id)
-        if origin:
-            obj.origin = node_id
-            node.origin_objects.add(object_id)
         return PlacementOutcome.PLACED
 
     def ingest_origin(self, object_id: str, node_id: int) -> None:
@@ -384,12 +345,6 @@ class Cluster:
         if total == 0.0:
             return 1.0
         return local / total
-
-    def transfer_time(self, size_mb: float, remote: bool) -> int:
-        return self.network.transfer_time(size_mb, remote)
-
-    def queue_len(self, node_id: int) -> int:
-        return len(self.nodes[node_id].run_queue)
 
     # ---- container lifecycle --------------------------------------------
 
@@ -470,7 +425,7 @@ class Cluster:
                 _code_key(inv.function) in node.store_entries
                 or self.params.code_store == node_id
             )
-            code_fetch = self.transfer_time(spec.code_size, remote=not code_local)
+            code_fetch = self.network.transfer_time(spec.code_size, remote=not code_local)
             if not code_local:
                 self._cache_code(inv.function, spec.code_size, node)
 
@@ -480,13 +435,13 @@ class Cluster:
             if obj is None:
                 raise UnknownObjectError(ref)
             if node_id not in obj.placements:
-                data_fetch += self.transfer_time(obj.size, remote=True)
+                data_fetch += self.network.transfer_time(obj.size, remote=True)
                 self.cache_object(ref, node_id)
 
         compute = spec.compute_ms
         write_back = 0
         if spec.write_back > 0:
-            write_back = self.transfer_time(
+            write_back = self.network.transfer_time(
                 spec.write_back, remote=self.params.result_store != node_id
             )
 

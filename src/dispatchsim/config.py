@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 
 import yaml
 
-from .cluster import EXTERNAL_STORE, ClusterParams, FunctionSpec, NetworkModel
+from .cluster import EXTERNAL_STORE, MAX_MS, ClusterParams, FunctionSpec, NetworkModel
 from .errors import ConfigError
 from .strategies import DEFAULT_DECAY, STRATEGY_NAMES, param_errors
 from .workload import ArrivalSpec, ObjectSpec, PopularitySpec, WorkloadSpec
@@ -54,23 +55,14 @@ class Scenario:
     diagnostics: list[Diagnostic] = field(default_factory=list, repr=False, compare=False)
 
     def constants(self) -> dict:
-        """Every cost-model constant, echoed into report metadata."""
-        c = self.cluster
-        out = {
-            "cluster.nodes": c.nodes,
-            "cluster.mem_capacity": c.mem_capacity,
-            "cluster.store_capacity": c.store_capacity,
-            "cluster.flavors": "|".join(str(f) for f in c.flavors),
-            "cluster.network.latency_ms": c.network.latency_ms,
-            "cluster.network.bandwidth_mb_per_s": c.network.bandwidth_mb_per_s,
-            "cluster.container_boot_ms": c.container_boot_ms,
-            "cluster.keep_alive_ms": c.keep_alive_ms,
-            "cluster.billing_granularity_ms": c.billing_granularity_ms,
-            "cluster.max_execution_ms": c.max_execution_ms,
-            "cluster.code_store": c.code_store,
-            "cluster.result_store": c.result_store,
-            "workload.horizon_ms": self.workload.horizon_ms,
-        }
+        """Every cost-model constant, echoed into report metadata: each
+        cluster key of the field table in table order, then the horizon."""
+        out = {}
+        for key in FIELDS:
+            if key.startswith("cluster.") and not key.endswith(".N"):
+                value = reduce(getattr, key.split("."), self)
+                out[key] = "|".join(map(str, value)) if key == "cluster.flavors" else value
+        out["workload.horizon_ms"] = self.workload.horizon_ms
         for i, s in enumerate(self.strategies):
             prefix = f"strategy.{i}"
             out[f"{prefix}.name"] = s.name
@@ -100,8 +92,6 @@ class Diagnostic:
 
 
 # ---- kinds: convert a value or raise a ConfigError naming its key ---------------
-
-MAX_MS = 10**12  # about 31 years; keeps every time and phase sum inside 64 bits
 
 
 def _fail(key: str, problem: str):

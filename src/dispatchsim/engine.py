@@ -33,8 +33,6 @@ from typing import Callable, Sequence
 
 from .errors import SchedulingInPastError
 
-SimTime = int  # integer milliseconds since simulation start
-
 
 class RandomSource:
     """Seeded pseudo-random source with named, non-interleaving streams.

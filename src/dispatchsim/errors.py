@@ -29,10 +29,6 @@ class UnknownNodeError(SimulatorError):
     """A node id does not exist in the cluster."""
 
 
-class NoNodesError(SimulatorError):
-    """A dispatch decision was requested against an empty cluster."""
-
-
 class TraceFormatError(SimulatorError):
     """A trace file record could not be parsed or validated."""
 

@@ -1,5 +1,7 @@
 """Per-task records and run-level evaluation metrics.
 
+ideal time   the function's compute_ms: its execution time with zero
+             dispatch latency, a warm container and all data local
 quality      ideal / actual execution time of a task (1.0 means no overhead)
 efficiency   share of node busy time spent in pure compute
 utilization  share of total node-time the cluster spends busy

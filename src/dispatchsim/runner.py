@@ -32,7 +32,6 @@ class RunResult:
     strategy: str
     seed: int
     records: RecordStore
-    horizon_ms: int
     elapsed_ms: int
     compute_ms_total: int
     busy_ms_total: int
@@ -58,17 +57,17 @@ class RunResult:
 
 class Simulation:
     """One engine run of a trace against a cluster under a strategy. A
-    trace given as a list of invocations is converted to a Trace once."""
+    trace given as a list of invocations is converted to a Trace once.
+
+    The run's settings come from two places, which hold their defaults:
+    the cluster's ClusterParams (keep-alive, billing step) and the
+    strategy's StrategyConfig (work stealing and its poll period, the
+    replication period and threshold). The seed starts the random stream
+    work stealing draws its victims from."""
 
     def __init__(self, engine: Engine, cluster: Cluster, strategy: DispatchStrategy,
                  trace: Trace | list[Invocation], catalog: Catalog, *,
-                 horizon_ms: int,
-                 keep_alive_ms: int | None = None,
-                 work_stealing: bool = False,
-                 steal_poll_ms: int = 10,
-                 replication_period_ms: int = 1000,
-                 replication_threshold: float = 10.0,
-                 steal_rng: RandomSource | None = None):
+                 horizon_ms: int, strategy_cfg: StrategyConfig, seed: int):
         if not isinstance(trace, Trace):
             trace = Trace.from_invocations(trace)
         self.engine = engine
@@ -77,14 +76,8 @@ class Simulation:
         self.trace = trace
         self.catalog = catalog
         self.horizon_ms = horizon_ms
-        self.keep_alive_ms = (
-            cluster.params.keep_alive_ms if keep_alive_ms is None else keep_alive_ms
-        )
-        self.work_stealing = work_stealing
-        self.steal_poll_ms = steal_poll_ms
-        self.replication_period_ms = replication_period_ms
-        self.replication_threshold = replication_threshold
-        self.steal_rng = steal_rng or RandomSource(0, "steal")
+        self.cfg = strategy_cfg
+        self.steal_rng = RandomSource(seed, "steal")
         self.records = RecordStore(
             {name: spec.compute_ms for name, spec in catalog.functions.items()}, trace
         )
@@ -106,11 +99,11 @@ class Simulation:
         # Arrivals fire straight from the trace's arrival column; none is
         # held as a pending event.
         self.engine.schedule_sorted(self.trace.arrivals, self._arrive, "arrival")
-        if self.work_stealing and self.trace:
-            self.engine.schedule(self.steal_poll_ms, self._steal_tick, "steal-tick")
+        if self.cfg.work_stealing and self.trace:
+            self.engine.schedule(self.cfg.steal_poll_ms, self._steal_tick, "steal-tick")
         if self.strategy.needs_replication and self.trace:
             self.engine.schedule(
-                self.replication_period_ms, self._replication_tick, "replication-tick"
+                self.cfg.replication_period_ms, self._replication_tick, "replication-tick"
             )
         self.engine.run()
         if self.done != len(self.trace):
@@ -166,7 +159,7 @@ class Simulation:
             raise SimulationError(f"phase accounting broken for {self._view(index).id}")
         self.cluster.release_container(container, self.engine.now())
         container.expiry_handle = self.engine.after(
-            self.keep_alive_ms,
+            self.cluster.params.keep_alive_ms,
             lambda: self._expire(container),
             (f"keep-alive-expiry:{container.node}:{container.function}"
              if self._labels else ""),
@@ -207,12 +200,12 @@ class Simulation:
                 self._drain(node_id)
         if self._work_remaining():
             self.engine.schedule(
-                self.engine.now() + self.steal_poll_ms, self._steal_tick, "steal-tick"
+                self.engine.now() + self.cfg.steal_poll_ms, self._steal_tick, "steal-tick"
             )
 
     def _replication_tick(self) -> None:
         actions = replication_tick(
-            self.strategy.counters, self.cluster, self.replication_threshold
+            self.strategy.counters, self.cluster, self.cfg.replication_threshold
         )
         for action in actions:
             self.replication_log.append((self.engine.now(), action))
@@ -220,7 +213,7 @@ class Simulation:
                 self.replications += 1
         if self._work_remaining():
             self.engine.schedule(
-                self.engine.now() + self.replication_period_ms,
+                self.engine.now() + self.cfg.replication_period_ms,
                 self._replication_tick, "replication-tick",
             )
 
@@ -232,7 +225,6 @@ class Simulation:
             strategy=strategy_label,
             seed=seed,
             records=self.records,
-            horizon_ms=self.horizon_ms,
             elapsed_ms=max(self.horizon_ms, self.last_completion),
             compute_ms_total=sum(n.compute_ms_accum for n in nodes),
             busy_ms_total=sum(n.busy_ms_accum for n in nodes),
@@ -279,15 +271,9 @@ def run_one(scenario: Scenario, strategy_cfg: StrategyConfig, seed: int,
     cluster = build_cluster(scenario, catalog)
     strategy = make_strategy(strategy_cfg.name, strategy_cfg.params,
                              strategy_cfg.dispatch_latency_ms, strategy_cfg.replication_decay)
-    sim = Simulation(
-        Engine(), cluster, strategy, trace, catalog,
-        horizon_ms=scenario.workload.horizon_ms,
-        work_stealing=strategy_cfg.work_stealing,
-        steal_poll_ms=strategy_cfg.steal_poll_ms,
-        replication_period_ms=strategy_cfg.replication_period_ms,
-        replication_threshold=strategy_cfg.replication_threshold,
-        steal_rng=RandomSource(seed, "steal"),
-    )
+    sim = Simulation(Engine(), cluster, strategy, trace, catalog,
+                     horizon_ms=scenario.workload.horizon_ms,
+                     strategy_cfg=strategy_cfg, seed=seed)
     sim.run()
     cluster.check_invariants()
     return sim.result(strategy_cfg.label if label is None else label, seed)

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 from .cluster import Cluster, PlacementOutcome
 from .engine import RandomSource
-from .errors import ConfigError, NoNodesError, UnknownObjectError
+from .errors import ConfigError, UnknownObjectError
 
 DEFAULT_WEIGHTS = (0.3, 0.5, 0.2)  # warm code, data locality, queue headroom
 DEFAULT_QUEUE_CAP = 16
@@ -95,12 +95,6 @@ class DispatchStrategy:
     def decide(self, inv, cluster: Cluster) -> DispatchDecision:
         raise NotImplementedError
 
-    def _require_nodes(self, cluster: Cluster) -> list[int]:
-        ids = cluster.node_ids
-        if not ids:
-            raise NoNodesError("no live nodes to dispatch to")
-        return ids
-
 
 class RoundRobinStrategy(DispatchStrategy):
     def __init__(self, latency_ms: int):
@@ -109,8 +103,6 @@ class RoundRobinStrategy(DispatchStrategy):
 
     def decide(self, inv, cluster: Cluster) -> DispatchDecision:
         ids = cluster.node_ids
-        if not ids:
-            raise NoNodesError("no live nodes to dispatch to")
         node = ids[self.cursor % len(ids)]
         self.cursor += 1
         return DispatchDecision(node, self.dispatch_latency_ms, "round_robin")
@@ -118,7 +110,6 @@ class RoundRobinStrategy(DispatchStrategy):
 
 class LeastLoadedStrategy(DispatchStrategy):
     def decide(self, inv, cluster: Cluster) -> DispatchDecision:
-        self._require_nodes(cluster)
         qlen = min(cluster.queue_buckets)
         return DispatchDecision(
             min(cluster.queue_buckets[qlen]), self.dispatch_latency_ms, "queue={}", (qlen,)
@@ -131,7 +122,7 @@ class HashAffinityStrategy(DispatchStrategy):
         self._hashes: dict[str, int] = {}  # function -> stable_hash(function)
 
     def decide(self, inv, cluster: Cluster) -> DispatchDecision:
-        ids = self._require_nodes(cluster)
+        ids = cluster.node_ids
         digest = self._hashes.get(inv.function)
         if digest is None:
             digest = self._hashes[inv.function] = stable_hash(inv.function)
@@ -151,7 +142,6 @@ class DataAwareStrategy(DispatchStrategy):
         """The argmax of locality_score over all nodes, ties to the lowest
         id, from scoring only the replica holders of the references and
         the best warm and cold representatives of everyone else."""
-        self._require_nodes(cluster)
         candidates: set[int] = set()
         total = 0.0
         for ref in inv.data_refs:
@@ -268,7 +258,7 @@ class ReplicationAction:
 
 
 def replication_tick(counters: PopularityCounter, cluster: Cluster,
-                     threshold: float = 10.0) -> list[ReplicationAction]:
+                     threshold: float) -> list[ReplicationAction]:
     """Copy each sufficiently popular object to the node demanding it most
     among those lacking a replica, then decay all counts.
 

@@ -360,12 +360,3 @@ def load_trace(path, catalog: Catalog) -> Trace:
                 raise TraceFormatError(line_no, "arrival_ms is out of range") from None
     trace._sort()
     return trace
-
-
-def ideal_time(catalog: Catalog, function: str) -> int:
-    """Execution time with zero dispatch latency, a warm container and all
-    data local: the function's pure compute time."""
-    spec = catalog.functions.get(function)
-    if spec is None:
-        raise UnknownFunctionError(function)
-    return spec.compute_ms

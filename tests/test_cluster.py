@@ -173,7 +173,7 @@ def test_expiry_removes_exactly_one_of_two_idle_containers():
     c.release_container(c1)
     c.release_container(c2)
     assert c.expire_container(c1) == 128
-    assert c.nodes[0].warm_idle_count("f1") == 1
+    assert len(c.nodes[0].warm_pool["f1"]) == 1
     assert c.nodes[0].mem_used == 128
 
 

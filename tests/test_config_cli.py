@@ -502,3 +502,46 @@ def test_cli_json_format_flag(tmp_path):
     payload = json.loads((out / "report.json").read_text())
     assert payload["rows"][0]["strategy"] == "round_robin"
     assert not (out / "report.csv").exists()
+
+
+# ---- transfers too long for a float -----------------------------------------------
+
+
+def _json_row(out):
+    return json.loads((out / "report.json").read_text())["rows"][0]
+
+
+def test_transfer_too_long_for_a_float_fails_at_the_execution_cap(tmp_path):
+    """code_size * 1000 / bandwidth overflows to inf, which math.ceil once
+    refused with OverflowError. Such a transfer outlasts any execution cap:
+    the run exits 0 and each invocation that pays it fails at the cap. On one
+    1024 MB node, eight 128 MB cold starts pay the code fetch; the last two
+    invocations queue, then start on a warm container without one."""
+    minimal = str(DEMO_SCENARIOS / "minimal.yaml")
+    rows = {}
+    for tag, code_size, bandwidth in (("overflow", "1e300", "1e-300"),
+                                      ("finite", "1e10", "1e-3")):  # 1e16 ms, no overflow
+        out = tmp_path / tag
+        assert main(["run", minimal, "--out-dir", str(out), "--format", "json",
+                     f"workload.functions.0.code_size={code_size}",
+                     f"cluster.network.bandwidth_mb_per_s={bandwidth}"]) == 0
+        rows[tag] = _json_row(out)
+    row = rows["overflow"]
+    assert (row["tasks"], row["failures"], row["invocations_billed"]) == (10, 8, 2)
+    # Each failed task ran boot (100 ms) plus code fetch for exactly the 300,000 ms cap.
+    assert row["boot_ms_total"] + row["code_fetch_ms_total"] == 8 * 300_000
+    assert row["compute_ms_total"] == 2 * 50
+    assert rows["overflow"] == rows["finite"]
+
+
+def test_object_too_large_to_transfer_fails_the_fetching_task(tmp_path):
+    out = tmp_path / "out"
+    assert main(["run", str(DEMO_SCENARIOS / "minimal.yaml"), "--out-dir", str(out),
+                 "--format", "json", "cluster.nodes=2", "cluster.store_capacity=1e307",
+                 "workload.objects.count=1", "workload.objects.size=1e306",
+                 "workload.refs_per_invocation=1"]) == 0
+    row = _json_row(out)
+    # Only node 1's first task fetches (node 0 holds the origin, node 1 then a copy).
+    assert (row["tasks"], row["failures"]) == (10, 1)
+    # The cap, less that task's boot (100 ms) and code fetch (1 + 100 ms).
+    assert row["data_fetch_ms_total"] == 300_000 - 100 - 101

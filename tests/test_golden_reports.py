@@ -1,0 +1,52 @@
+"""Golden reports: SHA-256 digests of the report files ``cli.main`` writes.
+
+The digests were recorded from the reports of commit 7508ee2. A change
+that does not declare a behaviour change must leave every report byte for
+byte as it was, so these digests must not be refreshed to make a refactor
+pass. The data_intensive demo is pinned by perfbench/expected.json.
+"""
+
+import hashlib
+from pathlib import Path
+
+import yaml
+
+from dispatchsim.cli import main
+from dispatchsim.strategies import STRATEGY_NAMES
+
+from conftest import scenario_dict
+from test_acceptance import DATA_INTENSIVE
+
+MINIMAL = Path(__file__).resolve().parent.parent / "demos" / "scenarios" / "minimal.yaml"
+
+GOLDEN = {
+    "minimal/report.csv":
+        "afd8afe032454ee68110b09d69a897563e9f4a667f1917390171a2bbf1a0de8f",
+    "data_intensive/compare.csv":
+        "085ddeeeb6d3d0b597faae40703a4e2df7dd753abd505ff969986dbc54425a97",
+    "data_intensive/compare.json":
+        "c24a35d39a009bf9ebd1ebf9c47fef3aa804ec3d0e6ff30a6872f8606fa19ba6",
+}
+
+
+def _digest(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_run_minimal_report_is_unchanged(tmp_path):
+    out = tmp_path / "minimal"
+    assert main(["run", str(MINIMAL), "--out-dir", str(out)]) == 0
+    assert _digest(out / "report.csv") == GOLDEN["minimal/report.csv"]
+
+
+def test_compare_data_intensive_reports_are_unchanged(tmp_path):
+    strategies = [{"name": name} for name in STRATEGY_NAMES]
+    strategies.append({"name": "least_loaded", "work_stealing": True})
+    raw = scenario_dict(**DATA_INTENSIVE, strategies=strategies,
+                        output={"formats": ["csv", "json"]})
+    cfg = tmp_path / "data_intensive.yaml"
+    cfg.write_text(yaml.safe_dump(raw))
+    out = tmp_path / "data_intensive"
+    assert main(["compare", str(cfg), "--out-dir", str(out)]) == 0
+    assert _digest(out / "compare.csv") == GOLDEN["data_intensive/compare.csv"]
+    assert _digest(out / "compare.json") == GOLDEN["data_intensive/compare.json"]

@@ -81,7 +81,7 @@ class ReferenceSimulation(runner.Simulation):
             raise SimulationError(f"phase accounting broken for {inv.id}")
         self.cluster.release_container(container, self.engine.now())
         container.expiry_handle = self.engine.after(
-            self.keep_alive_ms, lambda: self._expire(container), "",
+            self.cluster.params.keep_alive_ms, lambda: self._expire(container), "",
         )
         spec = self.catalog.functions[inv.function]
         self.records.append(TaskRecord(

@@ -15,7 +15,6 @@ from dispatchsim.workload import (
     WorkloadSpec,
     build_catalog,
     generate_trace,
-    ideal_time,
     load_trace,
     save_trace,
 )
@@ -200,10 +199,3 @@ def test_malformed_record_reports_line_number(tmp_path):
     path.write_text('{"id": "a"}\nnot json at all {{{\n')
     with pytest.raises(TraceFormatError, match="line 1"):
         load_trace(path, Catalog(functions={"f1": F1}))
-
-
-def test_ideal_time_is_pure_compute():
-    catalog = Catalog(functions={"f1": F1})
-    assert ideal_time(catalog, "f1") == 80
-    with pytest.raises(UnknownFunctionError):
-        ideal_time(catalog, "nope")
