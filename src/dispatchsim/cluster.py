@@ -57,7 +57,7 @@ class Container:
     function: str
     node: int
     flavor: int
-    expiry_handle: object | None = None  # cancellable engine occurrence
+    expiry_handle: object | None = None  # engine occurrence of its keep-alive expiry
 
 
 @dataclass(frozen=True, slots=True)
@@ -350,7 +350,8 @@ class Cluster:
 
     def acquire_container(self, node_id: int, function: str, now: int = 0):
         """Warm hit if an idle container exists, else cold start if memory
-        permits, else rejection (the invocation stays queued)."""
+        permits, else rejection (the invocation stays queued). On a warm hit
+        the caller cancels the container's keep-alive expiry."""
         node = self.nodes[node_id]
         pool = node.warm_pool.get(function)
         if pool:
@@ -358,9 +359,6 @@ class Cluster:
             if not pool:
                 self.warm_nodes[function].discard(node_id)
             self._mark_busy(node, now)
-            if container.expiry_handle is not None:
-                container.expiry_handle.cancel()
-                container.expiry_handle = None
             return _WARM_HIT, container
         spec = self.functions[function]
         if spec.flavor <= node.free_mem():

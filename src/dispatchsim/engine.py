@@ -2,11 +2,16 @@
 
 Virtual time is integer milliseconds. Occurrences fire in strict
 (fire_at, seq) order, where seq is assigned at scheduling time, so ties at
-the same instant resolve in scheduling order.
+the same instant resolve in scheduling order. An occurrence carries its
+handler and the handler's arguments, so scheduling a bound method needs no
+closure. It is a plain tuple (fire_at, seq, owner, action, args, label),
+which is also its handle for ``Engine.cancel``; ``owner`` is the dict that
+holds it until it fires.
 
-Pending occurrences live in three kinds of queue, merged on every pop:
+Pending occurrences come from three kinds of source:
 
-- a binary heap for occurrences whose delay varies (``schedule``);
+- occurrences whose delay varies (``schedule``), each with its own entry
+  in the main heap;
 - one FIFO lane per fixed delay (``after``). ``now + delay`` never
   decreases, so appending keeps a lane in (fire_at, seq) order, and
   cancelling deletes the entry at once instead of leaving a tombstone;
@@ -14,10 +19,13 @@ Pending occurrences live in three kinds of queue, merged on every pop:
   front and create each occurrence only when it fires, so a trace of
   arrivals costs no memory per pending item.
 
-The merge picks the smallest (fire_at, seq) among the heap top, the lane
-heads and the batch cursors, so the firing order and every seq are those a
-single heap holding all occurrences would give. A cancelled heap entry is
-skipped when popped.
+One binary heap merges them. Each non-empty lane and each unfinished batch
+keeps exactly one key in it, its head's (fire_at, seq); firing the head
+replaces that key with the source's next head. A lane whose head was
+cancelled keeps the old key, which is never later than its current head;
+when the old key comes up, the current head takes its place. So the firing
+order and every seq are those a single heap holding all occurrences would
+give. A cancelled ``schedule`` entry is skipped when popped.
 """
 
 from __future__ import annotations
@@ -26,7 +34,6 @@ import heapq
 import math
 import random
 from collections import OrderedDict
-from dataclasses import dataclass
 from itertools import islice
 from operator import gt
 from typing import Callable, Sequence
@@ -63,36 +70,15 @@ class RandomSource:
         return self._rng.expovariate(1.0 / mean)
 
 
-@dataclass(slots=True, eq=False)
-class Occurrence:
-    """A scheduled occurrence; also serves as its own cancellation handle.
-
-    ``lane`` is the FIFO lane holding it, or None for a heap entry."""
-
-    fire_at: int
-    seq: int
-    action: Callable[[], None]
-    label: str
-    cancelled: bool = False
-    lane: OrderedDict | None = None
-
-    def cancel(self) -> None:
-        if self.lane is None:
-            self.cancelled = True
-        else:
-            self.lane.pop(self.seq, None)  # a no-op once it has fired
+# An occurrence: (fire_at, seq, owner, action, args, label).
+Occurrence = tuple
 
 
-@dataclass(slots=True, eq=False)
-class _Batch:
-    """Cursor over a schedule_sorted block: item i fires at times[i] with
-    seq base + i."""
+class _Lane(OrderedDict):
+    """The occurrences of one ``after`` delay, by seq, in firing order.
+    ``queued`` says whether the lane has a key in the main heap."""
 
-    times: Sequence[int]
-    action: Callable[[int], None]
-    label: str
-    base: int
-    index: int = 0
+    __slots__ = ("queued",)
 
 
 class Engine:
@@ -103,9 +89,12 @@ class Engine:
     """
 
     def __init__(self, record_log: bool = False):
-        self._heap: list[tuple[int, int, Occurrence]] = []
-        self._lanes: dict[int, OrderedDict[int, Occurrence]] = {}
-        self._batches: list[_Batch] = []
+        # Keys (fire_at, seq, source, action, args, label): an occurrence of
+        # _timed, a lane's head occurrence (source is the lane), or a batch's
+        # next item (source is the batch's times, args the item's index).
+        self._heap: list[tuple] = []
+        self._timed: dict[int, Occurrence] = {}  # live schedule() entries by seq
+        self._lanes: dict[int, _Lane] = {}
         self._seq = 0
         self._now = 0
         self.record_log = record_log
@@ -114,31 +103,48 @@ class Engine:
     def now(self) -> int:
         return self._now
 
-    def schedule(self, at: int, action: Callable[[], None], label: str = "") -> Occurrence:
-        """Enqueue an occurrence at virtual time ``at`` (>= now)."""
+    def schedule(self, at: int, action: Callable[..., None], label: str = "",
+                 args: tuple = ()) -> Occurrence:
+        """Enqueue ``action(*args)`` at virtual time ``at`` (>= now); returns
+        the occurrence, which ``cancel`` takes."""
         if at < self._now:
             raise SchedulingInPastError(
                 f"cannot schedule at t={at}; clock is already at t={self._now}"
             )
-        occ = Occurrence(at, self._seq, action, label)
-        self._seq += 1
-        heapq.heappush(self._heap, (at, occ.seq, occ))
+        seq = self._seq
+        self._seq = seq + 1
+        timed = self._timed
+        occ = timed[seq] = (at, seq, timed, action, args, label)
+        heapq.heappush(self._heap, occ)
         return occ
 
-    def after(self, delay: int, action: Callable[[], None], label: str = "") -> Occurrence:
-        """Enqueue an occurrence ``delay`` ms from now; the same as
+    def after(self, delay: int, action: Callable[..., None], label: str = "",
+              args: tuple = ()) -> Occurrence:
+        """Enqueue ``action(*args)`` ``delay`` ms from now; the same as
         ``schedule(now() + delay, ...)``. Each distinct delay gets its own
-        lane, scanned on every pop, so use this for a handful of fixed
-        delays and ``schedule`` for delays that vary."""
+        lane, which costs one key in the heap however long it is, so use
+        this for fixed delays and ``schedule`` for delays that vary."""
         if delay < 0:
             raise SchedulingInPastError(f"cannot schedule after a negative delay {delay}")
         lane = self._lanes.get(delay)
         if lane is None:
-            lane = self._lanes[delay] = OrderedDict()
+            lane = self._lanes[delay] = _Lane()
+            lane.queued = False
         seq = self._seq
         self._seq = seq + 1
-        occ = lane[seq] = Occurrence(self._now + delay, seq, action, label, False, lane)
+        occ = lane[seq] = (self._now + delay, seq, lane, action, args, label)
+        if not lane.queued:  # a queued lane's key is no later than occ
+            lane.queued = True
+            heapq.heappush(self._heap, occ)
         return occ
+
+    @staticmethod
+    def cancel(occurrence: Occurrence) -> None:
+        """Drop an occurrence from ``schedule`` or ``after``. Cancelling it
+        again, or after it has fired, does nothing. A lane entry goes at
+        once; a heap entry stays in the heap until popped, then is
+        skipped."""
+        occurrence[2].pop(occurrence[1], None)
 
     def schedule_sorted(self, times: Sequence[int], action: Callable[[int], None],
                         label: str = "") -> None:
@@ -154,65 +160,51 @@ class Engine:
             )
         if any(map(gt, times, islice(times, 1, None))):
             raise ValueError("schedule_sorted needs non-decreasing times")
-        self._batches.append(_Batch(times, action, label, self._seq))
+        heapq.heappush(self._heap, (times[0], self._seq, times, action, 0, label))
         self._seq += len(times)
 
     def _process(self, horizon: float) -> int:
         """Fire occurrences in (fire_at, seq) order while fire_at <= horizon;
-        returns the number fired (cancelled heap entries are not counted)."""
+        returns the number fired (cancelled entries are not counted)."""
         heap = self._heap
-        lanes = self._lanes.values()
-        batches = self._batches
         log = self.log if self.record_log else None
-        heappop, inf, batch_class = heapq.heappop, math.inf, _Batch
+        heappop, heapreplace, lane_class = heapq.heappop, heapq.heapreplace, _Lane
         processed = 0
-        while True:
-            # Smallest (at, seq) with at <= horizon; seqs are unique.
-            source = None
-            at, seq = horizon, inf
-            if heap:
-                top = heap[0]
-                if top[0] <= horizon:
-                    at, seq = top[0], top[1]
-                    source = heap
-            for lane in lanes:
-                for head in lane.values():  # the head only
-                    if head.fire_at < at or (head.fire_at == at and head.seq < seq):
-                        at, seq = head.fire_at, head.seq
-                        source = lane
+        while heap:
+            at, seq, source, action, args, label = heap[0]
+            if at > horizon:
+                break
+            if source.__class__ is lane_class:
+                fired = source.pop(seq, None)  # None: the head was cancelled
+                for head in source.values():
+                    heapreplace(heap, head)
                     break
-            for batch in batches:
-                t = batch.times[batch.index]
-                if t < at or (t == at and batch.base + batch.index < seq):
-                    at, seq = t, batch.base + batch.index
-                    source = batch
-            if source is None:
-                return processed
-            if source.__class__ is batch_class:
-                occ = None
-                i = source.index
-                source.index = i + 1
-                if source.index == len(source.times):
-                    batches.remove(source)
-                label = source.label
-            else:
-                occ = heappop(heap)[2] if source is heap else source.popitem(False)[1]
-                if occ.cancelled:
+                else:
+                    heappop(heap)
+                    source.queued = False
+                if fired is None:
                     continue
-                label = occ.label
+            elif source.__class__ is dict:
+                heappop(heap)
+                if source.pop(seq, None) is None:
+                    continue  # cancelled
+            else:  # batch item: source is the times, args its index
+                if args + 1 < len(source):
+                    heapreplace(heap, (source[args + 1], seq + 1, source, action, args + 1, label))
+                else:
+                    heappop(heap)
+                args = (args,)
             self._now = at
             if log is not None:
                 log.append((at, seq, label))
-            if occ is None:
-                source.action(i)
-            else:
-                occ.action()
+            action(*args)
             processed += 1
+        return processed
 
     def run_until(self, horizon: int) -> int:
         """Process every occurrence with fire_at <= horizon, then advance
         the clock to the horizon. Returns the number processed (cancelled
-        heap entries are skipped and not counted)."""
+        entries are skipped and not counted)."""
         if horizon < self._now:
             raise SchedulingInPastError(
                 f"horizon t={horizon} is behind the clock t={self._now}"
@@ -226,6 +218,6 @@ class Engine:
         return self._process(math.inf)
 
     def pending(self) -> int:
-        """Occurrences held in the heap (cancelled ones included) and the
-        lanes; batch items not yet fired are not counted."""
-        return len(self._heap) + sum(len(lane) for lane in self._lanes.values())
+        """Live occurrences from ``schedule`` and ``after``; cancelled ones
+        and batch items not yet fired are not counted."""
+        return len(self._timed) + sum(map(len, self._lanes.values()))

@@ -74,7 +74,6 @@ class Simulation:
         self.cluster = cluster
         self.strategy = strategy
         self.trace = trace
-        self.catalog = catalog
         self.horizon_ms = horizon_ms
         self.cfg = strategy_cfg
         self.steal_rng = RandomSource(seed, "steal")
@@ -92,6 +91,7 @@ class Simulation:
         # Billing per trace function code: the flavor in GB, and the step.
         self._flavor_gb = [catalog.functions[name].flavor / 1024.0 for name in trace.functions]
         self._billing_step = cluster.params.billing_granularity_ms
+        self._keep_alive_ms = cluster.params.keep_alive_ms
 
     # ---- run loop ---------------------------------------------------------
 
@@ -126,11 +126,8 @@ class Simulation:
         node_id = decision.node
         self.cluster.nodes[node_id].dispatched += 1
         latency = decision.dispatch_latency_ms
-        self.engine.after(
-            latency,
-            lambda: self._offer(index, inv, node_id, latency),
-            f"offer:{inv.id}" if self._labels else "",
-        )
+        self.engine.after(latency, self._offer, f"offer:{inv.id}" if self._labels else "",
+                          (index, inv, node_id, latency))
 
     def _offer(self, index: int, inv: Invocation, node_id: int, dispatch_ms: int) -> None:
         if not self._try_start(index, inv, node_id, dispatch_ms):
@@ -141,15 +138,15 @@ class Simulation:
         outcome, container = self.cluster.acquire_container(node_id, inv.function, now)
         if outcome is _REJECTED:
             return False
+        cold = outcome is _COLD_START
+        if not cold:  # a warm container was idle, with its expiry pending
+            self.engine.cancel(container.expiry_handle)
         timeline, failed = self.cluster.simulate_invocation(
-            inv, node_id, outcome is _COLD_START,
-            dispatch_ms, now - (inv.arrival + dispatch_ms),
+            inv, node_id, cold, dispatch_ms, now - (inv.arrival + dispatch_ms),
         )
-        self.engine.schedule(
-            timeline.finished_at,
-            lambda: self._complete(index, container, timeline, failed),
-            f"completion:{inv.id}" if self._labels else "",
-        )
+        self.engine.schedule(timeline.finished_at, self._complete,
+                             f"completion:{inv.id}" if self._labels else "",
+                             (index, container, timeline, failed))
         return True
 
     def _complete(self, index: int, container: Container, timeline, failed: bool) -> None:
@@ -157,12 +154,12 @@ class Simulation:
         active = t.boot_ms + t.code_fetch_ms + t.data_fetch_ms + t.compute_ms + t.write_back_ms
         if t.finished_at - t.started_at != t.dispatch_ms + t.queue_wait_ms + active:
             raise SimulationError(f"phase accounting broken for {self._view(index).id}")
-        self.cluster.release_container(container, self.engine.now())
+        self.cluster.release_container(container, t.finished_at)  # the completion fires then
         container.expiry_handle = self.engine.after(
-            self.cluster.params.keep_alive_ms,
-            lambda: self._expire(container),
+            self._keep_alive_ms, self._expire,
             (f"keep-alive-expiry:{container.node}:{container.function}"
              if self._labels else ""),
+            (container,),
         )
         if failed:
             billed = 0.0

@@ -141,17 +141,23 @@ class DataAwareStrategy(DispatchStrategy):
     def _best_node(self, inv, cluster: Cluster) -> tuple[int, float]:
         """The argmax of locality_score over all nodes, ties to the lowest
         id, from scoring only the replica holders of the references and
-        the best warm and cold representatives of everyone else."""
+        the best warm and cold representatives of everyone else. With no
+        data term, a replica holder scores as any node does, so the
+        representatives alone decide."""
         candidates: set[int] = set()
-        total = 0.0
-        for ref in inv.data_refs:
-            obj = cluster.objects.get(ref)
-            if obj is None:
-                raise UnknownObjectError(ref)
-            total += obj.size
-            candidates |= obj.placements
-        # A node without a replica has byte locality 0, or 1 when no byte is referenced.
-        candidates.update(self._representatives(cluster, inv.function, 0.0 if total else 1.0))
+        data_local = 1.0
+        if self.weights[1]:
+            total = 0.0
+            for ref in inv.data_refs:
+                obj = cluster.objects.get(ref)
+                if obj is None:
+                    raise UnknownObjectError(ref)
+                total += obj.size
+                candidates |= obj.placements
+            # A node without a replica has byte locality 0, or 1 when no byte is referenced.
+            if total:
+                data_local = 0.0
+        candidates.update(self._representatives(cluster, inv.function, data_local))
         best_node = -1
         best_score = float("-inf")
         for nid in sorted(candidates):  # ascending ids: ties keep the lowest
@@ -294,10 +300,11 @@ def steal_work(cluster: Cluster, idle_node_id: int, rng: RandomSource) -> list:
     """One steal attempt for an idle node: pick a uniformly random other
     node; if its queue holds at least two items, move the back half
     (ceil(len/2)) to the idle node. Returns the moved queue items."""
-    others = [nid for nid in cluster.node_ids if nid != idle_node_id]
-    if not others:
+    n = len(cluster.node_ids)  # the ids are 0..n-1
+    if n < 2:
         return []
-    victim = cluster.nodes[others[rng.randint(0, len(others) - 1)]]
+    r = rng.randint(0, n - 2)
+    victim = cluster.nodes[r + (r >= idle_node_id)]  # the r-th id other than the idle one
     qlen = len(victim.run_queue)
     if qlen < 2:
         return []

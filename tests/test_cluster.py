@@ -161,7 +161,7 @@ def test_expire_after_reuse_frees_nothing():
     c = make_cluster()
     _, container = c.acquire_container(0, "f1")
     c.release_container(container)
-    c.acquire_container(0, "f1")  # warm reuse cancels the pending expiry
+    c.acquire_container(0, "f1")  # warm reuse: busy again, so not expirable
     assert c.expire_container(container) == 0
     assert c.nodes[0].mem_used == 128
 

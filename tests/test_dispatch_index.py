@@ -12,7 +12,7 @@ from collections import deque
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dispatchsim import runner
+from dispatchsim import runner, strategies
 from dispatchsim.cluster import Cluster, ClusterParams, DataObject, FunctionSpec
 from dispatchsim.config import parse_scenario
 from dispatchsim.errors import ConfigError, SimulationError
@@ -177,6 +177,27 @@ def test_zero_byte_refs_tie_through_rounding():
     strategy = make_strategy("data_aware", {"w_code": 0.0, "w_data": 1.0, "w_load": 1e-18})
     for refs in ((), ("a", "z")):
         assert strategy._best_node(Invocation("i", "f1", refs, "web", 0), c) == (0, 1.0)
+
+
+def test_mcgrath_decide_scores_only_the_representatives(monkeypatch):
+    # w_data = 0: the replica holders of the references are not scored, so
+    # one decide scores at most the warm and the cold representative.
+    nodes = 16
+    c = build_state(nodes, 1000.0, [i % 3 for i in range(nodes)],
+                    [("warm", 5, "f1"), ("warm", 9, "f1")],
+                    [(True, oid, nid) for oid in "bcd" for nid in range(nodes)])
+    calls = []
+
+    def counted(*args):
+        calls.append(args[2])
+        return locality_score(*args)
+
+    monkeypatch.setattr(strategies, "locality_score", counted)
+    strategy = make_strategy("mcgrath_queues")
+    event = Invocation("i", "f1", ("b", "c", "d"), "web", 0)
+    decision = strategy.decide(event, c)
+    assert len(calls) <= 2
+    assert decision.node == brute_force_best(strategy, event, c)[0]
 
 
 def test_negative_weight_and_bad_queue_cap_are_refused():

@@ -4,14 +4,16 @@ and equivalence with the heap-only engine it replaced."""
 import functools
 import heapq
 import itertools
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dispatchsim import runner
 from dispatchsim.config import load_scenario, parse_scenario
-from dispatchsim.engine import Engine, Occurrence, RandomSource
+from dispatchsim.engine import Engine, RandomSource
 from dispatchsim.errors import SchedulingInPastError
 
 from conftest import scenario_dict
@@ -108,7 +110,8 @@ def test_cancelled_occurrence_is_skipped_and_not_counted():
     log = []
     handle = eng.schedule(10, record_into(log, "cancelled"))
     eng.schedule(10, record_into(log, "kept"))
-    handle.cancel()
+    eng.cancel(handle)
+    assert eng.pending() == 1
     assert eng.run_until(20) == 1
     assert log == ["kept"]
 
@@ -176,12 +179,36 @@ def test_cancelled_lane_entry_leaves_nothing_pending():
     eng = Engine()
     log = []
     handle = eng.after(10, record_into(log, "cancelled"))
-    eng.after(10, record_into(log, "kept"))
-    handle.cancel()
+    kept = eng.after(10, record_into(log, "kept"))
+    eng.cancel(handle)
     assert eng.pending() == 1
     assert eng.run() == 1
     assert log == ["kept"]
-    handle.cancel()  # cancelling again, or after firing, is a no-op
+    eng.cancel(handle)  # cancelling again, or after firing, is a no-op
+    eng.cancel(kept)
+    assert eng.pending() == 0
+
+
+def test_handlers_receive_their_arguments():
+    eng = Engine()
+    seen = []
+    eng.schedule(2, lambda *args: seen.append(args), "", (1, "x"))
+    eng.after(1, lambda *args: seen.append(args), "", ("y",))
+    eng.run()
+    assert seen == [("y",), (1, "x")]
+
+
+def test_a_lane_keeps_one_heap_key_however_long():
+    eng = Engine()
+    handles = [eng.after(5, lambda: None) for _ in range(100)]
+    assert len(eng._heap) == 1
+    for handle in handles[:99]:
+        eng.cancel(handle)
+    eng.after(5, lambda: None)  # the lane's old key still stands for it
+    assert len(eng._heap) == 1
+    assert eng.pending() == 2
+    assert eng.run() == 2
+    assert eng._heap == []
 
 
 def test_schedule_sorted_fires_lazily_with_reserved_seqs():
@@ -209,6 +236,17 @@ def test_schedule_sorted_rejects_unsorted_or_past_times():
 # ---- differential check against the heap-only engine -----------------------------
 
 
+@dataclass(eq=False)
+class HeapOccurrence:
+    fire_at: int
+    seq: int
+    action: Callable
+    args: tuple
+    label: str
+    batch_item: bool = False
+    cancelled: bool = False
+
+
 class HeapEngine:
     """The engine before FIFO lanes and sorted batches: one binary heap with
     tombstone cancellation. ``after`` and ``schedule_sorted`` are plain
@@ -224,26 +262,34 @@ class HeapEngine:
     def now(self):
         return self._now
 
-    def schedule(self, at, action, label=""):
+    def schedule(self, at, action, label="", args=(), batch_item=False):
         if at < self._now:
             raise SchedulingInPastError(f"t={at} < {self._now}")
-        occ = Occurrence(at, self._seq, action, label)
+        occ = HeapOccurrence(at, self._seq, action, args, label, batch_item)
         self._seq += 1
         heapq.heappush(self._heap, (at, occ.seq, occ))
         return occ
 
-    def after(self, delay, action, label=""):
-        return self.schedule(self._now + delay, action, label)
+    def after(self, delay, action, label="", args=()):
+        return self.schedule(self._now + delay, action, label, args)
+
+    @staticmethod
+    def cancel(occ):
+        occ.cancelled = True
 
     def schedule_sorted(self, times, action, label=""):
         for i, at in enumerate(times):
-            self.schedule(at, functools.partial(action, i), label)
+            self.schedule(at, action, label, (i,), batch_item=True)
+
+    def pending(self):
+        """Live, non-cancelled entries, batch items not counted."""
+        return sum(1 for _, _, occ in self._heap if not (occ.cancelled or occ.batch_item))
 
     def _fire(self, occ):
         self._now = occ.fire_at
         if self.record_log:
             self.log.append((occ.fire_at, occ.seq, occ.label))
-        occ.action()
+        occ.action(*occ.args)
 
     def run_until(self, horizon):
         if horizon < self._now:
@@ -267,54 +313,78 @@ class HeapEngine:
         return processed
 
 
-# An op schedules something, cancels an earlier handle, or (top level only)
-# advances the clock. Every firing handler applies the next follow-up op.
+# An op schedules something (``schedule`` and ``after`` pass the handler its
+# arguments), cancels an earlier handle, cancels the head of an ``after``
+# lane (or every entry in it) and then appends to that lane, or (top level
+# only) advances the clock. Every firing handler applies the next follow-up op.
 _delay = st.integers(min_value=0, max_value=30)
+_lane_delay = st.sampled_from([0, 1, 5, 12])
 _op = st.one_of(
     st.tuples(st.just("schedule"), _delay),
-    st.tuples(st.just("after"), st.sampled_from([0, 1, 5, 12])),
+    st.tuples(st.just("after"), _lane_delay),
     st.tuples(st.just("sorted"), st.lists(st.integers(min_value=0, max_value=6), max_size=6)),
     st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=50)),
+    st.tuples(st.just("cancel_head"), st.tuples(_lane_delay, st.booleans())),
 )
 _top_op = st.one_of(_op, st.tuples(st.just("run_until"), _delay))
 
 
 def _drive(engine, top_ops, followups):
+    """Run a program; returns the log, the handler calls, the counts each
+    run returned, the clock, and pending() after every top-level op."""
     handles, fired = [], []
+    lanes = {}  # after delay -> [(name, handle)] in scheduling order
+    done = set()  # names fired or cancelled
     script = iter(followups)
     counter = itertools.count()
 
     def handler(name, *args):
         fired.append((name, args, engine.now()))
+        done.add(name)
         op = next(script, None)
         if op is not None:
             apply(op)
+
+    def add_after(delay, name):
+        handle = engine.after(delay, handler, name, (name, delay))
+        handles.append(handle)
+        lanes.setdefault(delay, []).append((name, handle))
 
     def apply(op):
         kind, arg = op
         name = f"{kind}{next(counter)}"
         if kind == "schedule":
-            handles.append(engine.schedule(engine.now() + arg,
-                                           functools.partial(handler, name), name))
+            handles.append(engine.schedule(engine.now() + arg, handler, name, (name, arg)))
         elif kind == "after":
-            handles.append(engine.after(arg, functools.partial(handler, name), name))
+            add_after(arg, name)
         elif kind == "sorted":
             times, t = [], engine.now()
             for step in arg:
                 t += step
                 times.append(t)
             engine.schedule_sorted(times, functools.partial(handler, name), name)
+        elif kind == "cancel_head":
+            delay, whole_lane = arg
+            for entry_name, handle in lanes.get(delay, []):
+                if entry_name not in done:
+                    engine.cancel(handle)
+                    done.add(entry_name)
+                    if not whole_lane:
+                        break
+            add_after(delay, name)
         elif handles:
-            handles[arg % len(handles)].cancel()
+            engine.cancel(handles[arg % len(handles)])
 
-    processed = []
+    processed, pending = [], []
     for op in top_ops:
         if op[0] == "run_until":
             processed.append(engine.run_until(engine.now() + op[1]))
         else:
             apply(op)
+        pending.append(engine.pending())
     processed.append(engine.run())
-    return engine.log, fired, processed, engine.now()
+    pending.append(engine.pending())
+    return engine.log, fired, processed, engine.now(), pending
 
 
 @settings(max_examples=300, deadline=None)

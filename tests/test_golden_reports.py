@@ -1,6 +1,7 @@
 """Golden reports: SHA-256 digests of the report files ``cli.main`` writes.
 
-The digests were recorded from the reports of commit 7508ee2. A change
+The digests were recorded from the reports of commit 7508ee2, and the
+tight-memory ones from e10539b. A change
 that does not declare a behaviour change must leave every report byte for
 byte as it was, so these digests must not be refreshed to make a refactor
 pass. The data_intensive demo is pinned by perfbench/expected.json.
@@ -26,6 +27,10 @@ GOLDEN = {
         "085ddeeeb6d3d0b597faae40703a4e2df7dd753abd505ff969986dbc54425a97",
     "data_intensive/compare.json":
         "c24a35d39a009bf9ebd1ebf9c47fef3aa804ec3d0e6ff30a6872f8606fa19ba6",
+    "tight/compare.csv":
+        "9c99ecea6bb33e06559d1cb2c05e65b739678345972b95f2f1427886f0f3a16b",
+    "tight/compare.json":
+        "49e00a747e176c1dfec7c3c70e1bed3a01d2f8c778391c441217629e5f011746",
 }
 
 
@@ -39,14 +44,33 @@ def test_run_minimal_report_is_unchanged(tmp_path):
     assert _digest(out / "report.csv") == GOLDEN["minimal/report.csv"]
 
 
-def test_compare_data_intensive_reports_are_unchanged(tmp_path):
+def _compare_digests(tmp_path: Path, tag: str, cluster: dict, workload: dict) -> list[str]:
+    """Digests of the compare csv and json for DATA_INTENSIVE with the
+    cluster and workload keys replaced, under every registered strategy
+    plus least_loaded+steal."""
     strategies = [{"name": name} for name in STRATEGY_NAMES]
     strategies.append({"name": "least_loaded", "work_stealing": True})
     raw = scenario_dict(**DATA_INTENSIVE, strategies=strategies,
                         output={"formats": ["csv", "json"]})
-    cfg = tmp_path / "data_intensive.yaml"
+    raw["cluster"].update(cluster)
+    raw["workload"].update(workload)
+    cfg = tmp_path / f"{tag}.yaml"
     cfg.write_text(yaml.safe_dump(raw))
-    out = tmp_path / "data_intensive"
+    out = tmp_path / tag
     assert main(["compare", str(cfg), "--out-dir", str(out)]) == 0
-    assert _digest(out / "compare.csv") == GOLDEN["data_intensive/compare.csv"]
-    assert _digest(out / "compare.json") == GOLDEN["data_intensive/compare.json"]
+    return [_digest(out / "compare.csv"), _digest(out / "compare.json")]
+
+
+def test_compare_data_intensive_reports_are_unchanged(tmp_path):
+    assert _compare_digests(tmp_path, "data_intensive", {}, {}) == [
+        GOLDEN["data_intensive/compare.csv"], GOLDEN["data_intensive/compare.json"]]
+
+
+def test_compare_tight_memory_reports_are_unchanged(tmp_path):
+    # Three functions competing for two containers' worth of memory, with a
+    # short keep-alive: expiries fire mid-run and drain queued work.
+    functions = [{"name": f"f{i}", "code_size": 10, "flavor": 128, "compute_ms": 10 * i}
+                 for i in (1, 2, 3)]
+    assert _compare_digests(tmp_path, "tight", {"mem_capacity": 256, "keep_alive_ms": 40},
+                            {"functions": functions}) == [
+        GOLDEN["tight/compare.csv"], GOLDEN["tight/compare.json"]]

@@ -83,7 +83,7 @@ class ReferenceSimulation(runner.Simulation):
         container.expiry_handle = self.engine.after(
             self.cluster.params.keep_alive_ms, lambda: self._expire(container), "",
         )
-        spec = self.catalog.functions[inv.function]
+        spec = self.cluster.functions[inv.function]
         self.records.append(TaskRecord(
             invocation_id=inv.id,
             function=inv.function,

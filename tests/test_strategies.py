@@ -460,6 +460,46 @@ def test_stealing_conserves_the_queued_multiset(lengths, seed):
     assert sorted(remaining) == sorted(expected)
 
 
+def reference_steal_victim(cluster, idle_node_id, rng):
+    """The list-based victim draw steal_work used to make."""
+    others = [nid for nid in cluster.node_ids if nid != idle_node_id]
+    return others[rng.randint(0, len(others) - 1)] if others else None
+
+
+class VictimLog(dict):
+    """A cluster's node table that logs the first node each steal reads."""
+
+    def __init__(self, nodes):
+        super().__init__(nodes)
+        self.reads = []
+
+    def __getitem__(self, node_id):
+        self.reads.append(node_id)
+        return super().__getitem__(node_id)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    nodes=st.integers(min_value=1, max_value=12),
+    idle=st.lists(st.integers(min_value=0, max_value=11), max_size=30),
+    seed=st.integers(min_value=0, max_value=10**6),
+)
+def test_steal_victims_match_the_list_based_draw(nodes, idle, seed):
+    # Empty queues: every attempt reads its victim and nothing else.
+    c = make_cluster(nodes=nodes)
+    c.nodes = VictimLog(c.nodes)
+    rng, ref_rng = RandomSource(seed, "steal"), RandomSource(seed, "steal")
+    victims, expected = [], []
+    for node_id in idle:
+        node_id %= nodes
+        c.nodes.reads.clear()
+        assert steal_work(c, node_id, rng) == []
+        victims.append(c.nodes.reads[0] if c.nodes.reads else None)
+        expected.append(reference_steal_victim(c, node_id, ref_rng))
+    assert victims == expected
+    assert rng.random() == ref_rng.random()  # the same number of draws
+
+
 def test_repeated_polls_eventually_steal_from_a_loaded_victim():
     # With one loaded node and one idle node, a handful of polls must move work.
     c = make_cluster(nodes=4)

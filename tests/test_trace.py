@@ -23,7 +23,6 @@ from dispatchsim.engine import RandomSource
 from dispatchsim.errors import ConfigError
 from dispatchsim.workload import (
     ArrivalSpec,
-    Catalog,
     Invocation,
     ObjectSpec,
     PopularitySpec,
