@@ -52,12 +52,13 @@ class DataObject:
 @dataclass(slots=True, eq=False)
 class Container:
     """One container, busy with one invocation or idle in its node's warm
-    pool. Containers compare by identity."""
+    pool. Containers compare by identity. ``expiry`` is the (fire_at, seq)
+    at which its keep-alive runs out, set by the runner on each release."""
 
     function: str
     node: int
     flavor: int
-    expiry_handle: object | None = None  # engine occurrence of its keep-alive expiry
+    expiry: tuple[int, int] | None = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -154,31 +155,33 @@ class RunQueue(deque):
     """A node's FIFO run queue of (trace index, invocation, dispatch_ms)
     entries.
 
-    Every length change moves the node between the buckets of the
+    Every length change moves the node's bit between the node masks of the
     cluster's queue-length index. Only ``append``, ``extend``, ``pop`` and
     ``popleft`` keep the index current; they are the four length-changing
     operations the simulator uses, and ``Cluster.check_invariants`` catches
     a length changed any other way.
     """
 
-    __slots__ = ("_node_id", "_buckets")
+    __slots__ = ("_bit", "_buckets")
 
-    def __init__(self, node_id: int, buckets: dict[int, set[int]]):
+    def __init__(self, node_id: int, buckets: dict[int, int]):
         super().__init__()
-        self._node_id = node_id
+        self._bit = 1 << node_id
         self._buckets = buckets
-        buckets.setdefault(0, set()).add(node_id)
+        buckets[0] = buckets.get(0, 0) | self._bit
 
     def _moved_from(self, old: int) -> None:
         new = len(self)
         if new == old:
             return
         buckets = self._buckets
-        bucket = buckets[old]
-        bucket.discard(self._node_id)
-        if not bucket:
+        bit = self._bit
+        mask = buckets[old] ^ bit  # the bit is set: clear it
+        if mask:
+            buckets[old] = mask
+        else:
             del buckets[old]
-        buckets.setdefault(new, set()).add(self._node_id)
+        buckets[new] = buckets.get(new, 0) | bit
 
     def append(self, item) -> None:
         deque.append(self, item)
@@ -204,7 +207,7 @@ class Node:
     """Mutable per-node state: containers, local store, run queue, accumulators."""
 
     def __init__(self, node_id: int, mem_capacity: int, store_capacity: float,
-                 queue_buckets: dict[int, set[int]]):
+                 queue_buckets: dict[int, int]):
         self.id = node_id
         self.mem_capacity = mem_capacity
         self.store_capacity = store_capacity
@@ -235,10 +238,11 @@ def _code_key(function: str) -> str:
 class Cluster:
     """Owns nodes, the live object replica map, and the cost model.
 
-    Two indices let strategies skip scanning every node: ``warm_nodes``
+    Two indices let strategies skip scanning every node. Both hold node
+    masks, int bitmasks with bit ``1 << i`` for node ``i``: ``warm_nodes``
     maps a function to the nodes holding an idle warm container for it,
     and ``queue_buckets`` maps each run-queue length to the nodes with
-    that length (empty buckets are dropped). The container lifecycle
+    that length. A mask that reaches 0 is deleted. The container lifecycle
     methods and the nodes' run queues keep both current.
     """
 
@@ -250,8 +254,8 @@ class Cluster:
         self.network = params.network
         self.functions = functions
         self.node_ids = list(range(params.nodes))
-        self.warm_nodes: dict[str, set[int]] = {}
-        self.queue_buckets: dict[int, set[int]] = {}
+        self.warm_nodes: dict[str, int] = {}
+        self.queue_buckets: dict[int, int] = {}
         self.nodes = {
             i: Node(i, params.mem_capacity, params.store_capacity, self.queue_buckets)
             for i in self.node_ids
@@ -350,14 +354,15 @@ class Cluster:
 
     def acquire_container(self, node_id: int, function: str, now: int = 0):
         """Warm hit if an idle container exists, else cold start if memory
-        permits, else rejection (the invocation stays queued). On a warm hit
-        the caller cancels the container's keep-alive expiry."""
+        permits, else rejection (the invocation stays queued). A warm hit
+        takes the most recently released container, so a pool's oldest
+        container stays at its head until it expires or is the last one."""
         node = self.nodes[node_id]
         pool = node.warm_pool.get(function)
         if pool:
             container = pool.pop()
             if not pool:
-                self.warm_nodes[function].discard(node_id)
+                self._clear_warm(function, node_id)
             self._mark_busy(node, now)
             return _WARM_HIT, container
         spec = self.functions[function]
@@ -370,15 +375,28 @@ class Cluster:
         return _REJECTED, None
 
     def release_container(self, container: Container, now: int = 0) -> None:
-        """Busy -> warm-idle; the caller schedules the keep-alive expiry."""
+        """Busy -> warm-idle, at the back of its pool; the caller sets the
+        container's expiry and keeps a keep-alive timer pending for the
+        node."""
         node = self.nodes[container.node]
         node.busy_count -= 1
         if node.busy_count == 0:
             node.occupied_ms_accum += now - node._occupied_since
-        pool = node.warm_pool.setdefault(container.function, [])
+        function = container.function
+        pool = node.warm_pool.get(function)
+        if pool is None:
+            pool = node.warm_pool[function] = []
         if not pool:
-            self.warm_nodes.setdefault(container.function, set()).add(node.id)
+            warm = self.warm_nodes
+            warm[function] = warm.get(function, 0) | (1 << node.id)
         pool.append(container)
+
+    def _clear_warm(self, function: str, node_id: int) -> None:
+        mask = self.warm_nodes[function] & ~(1 << node_id)
+        if mask:
+            self.warm_nodes[function] = mask
+        else:
+            del self.warm_nodes[function]
 
     @staticmethod
     def _mark_busy(node: Node, now: int) -> None:
@@ -386,18 +404,33 @@ class Cluster:
             node._occupied_since = now
         node.busy_count += 1
 
+    def oldest_idle(self, node_id: int) -> Container | None:
+        """The node's idle container with the earliest expiry: the smallest
+        expiry among the heads of its pools, or None with none idle."""
+        oldest = None
+        for pool in self.nodes[node_id].warm_pool.values():
+            if pool and (oldest is None or pool[0].expiry < oldest.expiry):
+                oldest = pool[0]
+        return oldest
+
     def expire_container(self, container: Container) -> int:
         """Reclaim an idle container's memory at keep-alive expiry; frees
-        nothing for a container that is no longer idle."""
+        nothing for a container that is no longer idle. The container a
+        keep-alive timer expires is its pool's head, found without a scan."""
         node = self.nodes[container.node]
-        pool = node.warm_pool.get(container.function, [])
-        if container in pool:
+        pool = node.warm_pool.get(container.function)
+        if not pool:
+            return 0
+        if pool[0] is container:
+            del pool[0]
+        elif container in pool:
             pool.remove(container)
-            if not pool:
-                self.warm_nodes[container.function].discard(node.id)
-            node.mem_used -= container.flavor
-            return container.flavor
-        return 0
+        else:
+            return 0
+        if not pool:
+            self._clear_warm(container.function, node.id)
+        node.mem_used -= container.flavor
+        return container.flavor
 
     # ---- invocation execution -------------------------------------------
 
@@ -467,13 +500,20 @@ class Cluster:
     def check_invariants(self) -> None:
         """Raise if per-node capacity accounting is inconsistent, or if an
         index disagrees with the node state it is derived from."""
-        warm_nodes: dict[str, set[int]] = {}
-        queue_buckets: dict[int, set[int]] = {}
+        warm_nodes: dict[str, int] = {}
+        queue_buckets: dict[int, int] = {}
         for node in self.nodes.values():
+            bit = 1 << node.id
             for function, pool in node.warm_pool.items():
                 if pool:
-                    warm_nodes.setdefault(function, set()).add(node.id)
-            queue_buckets.setdefault(len(node.run_queue), set()).add(node.id)
+                    warm_nodes[function] = warm_nodes.get(function, 0) | bit
+                # Keep-alive expires a pool from its head: expiries rise along it.
+                expiries = [c.expiry for c in pool if c.expiry is not None]
+                if expiries != sorted(expiries):
+                    raise SimulationError(
+                        f"warm pool of {function} on node {node.id} is out of expiry order")
+            qlen = len(node.run_queue)
+            queue_buckets[qlen] = queue_buckets.get(qlen, 0) | bit
             warm_sum = sum(
                 c.flavor for pool in node.warm_pool.values() for c in pool
             )
@@ -484,7 +524,7 @@ class Cluster:
                 raise SimulationError(f"store accounting broken on node {node.id}")
             if node.store_used > node.store_capacity + 1e-9:
                 raise SimulationError(f"store over capacity on node {node.id}")
-        if {f: nodes for f, nodes in self.warm_nodes.items() if nodes} != warm_nodes:
+        if self.warm_nodes != warm_nodes:
             raise SimulationError("warm-container index disagrees with the warm pools")
         if self.queue_buckets != queue_buckets:
             raise SimulationError("queue-length index disagrees with the run queues")

@@ -2,30 +2,28 @@
 
 Virtual time is integer milliseconds. Occurrences fire in strict
 (fire_at, seq) order, where seq is assigned at scheduling time, so ties at
-the same instant resolve in scheduling order. An occurrence carries its
-handler and the handler's arguments, so scheduling a bound method needs no
-closure. It is a plain tuple (fire_at, seq, owner, action, args, label),
-which is also its handle for ``Engine.cancel``; ``owner`` is the dict that
-holds it until it fires.
+the same instant resolve in scheduling order. A caller can also take a seq
+with ``reserve`` and schedule at it later: the occurrence then fires where
+it would have fired had it been scheduled when the seq was taken. An
+occurrence carries its handler and the handler's arguments, so scheduling a
+bound method needs no closure. It is a plain tuple
+(fire_at, seq, source, action, args, label). Nothing is ever cancelled:
+every scheduled occurrence fires.
 
 Pending occurrences come from three kinds of source:
 
 - occurrences whose delay varies (``schedule``), each with its own entry
   in the main heap;
 - one FIFO lane per fixed delay (``after``). ``now + delay`` never
-  decreases, so appending keeps a lane in (fire_at, seq) order, and
-  cancelling deletes the entry at once instead of leaving a tombstone;
+  decreases, so appending keeps a lane in (fire_at, seq) order;
 - sorted batches (``schedule_sorted``), which reserve a block of seqs up
   front and create each occurrence only when it fires, so a trace of
   arrivals costs no memory per pending item.
 
 One binary heap merges them. Each non-empty lane and each unfinished batch
 keeps exactly one key in it, its head's (fire_at, seq); firing the head
-replaces that key with the source's next head. A lane whose head was
-cancelled keeps the old key, which is never later than its current head;
-when the old key comes up, the current head takes its place. So the firing
-order and every seq are those a single heap holding all occurrences would
-give. A cancelled ``schedule`` entry is skipped when popped.
+replaces that key with the source's next head. So the firing order and
+every seq are those a single heap holding all occurrences would give.
 """
 
 from __future__ import annotations
@@ -33,7 +31,7 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from collections import OrderedDict
+from collections import deque
 from itertools import islice
 from operator import gt
 from typing import Callable, Sequence
@@ -70,15 +68,10 @@ class RandomSource:
         return self._rng.expovariate(1.0 / mean)
 
 
-# An occurrence: (fire_at, seq, owner, action, args, label).
-Occurrence = tuple
+class _Lane(deque):
+    """The pending occurrences of one ``after`` delay, in firing order."""
 
-
-class _Lane(OrderedDict):
-    """The occurrences of one ``after`` delay, by seq, in firing order.
-    ``queued`` says whether the lane has a key in the main heap."""
-
-    __slots__ = ("queued",)
+    __slots__ = ()
 
 
 class Engine:
@@ -89,37 +82,53 @@ class Engine:
     """
 
     def __init__(self, record_log: bool = False):
-        # Keys (fire_at, seq, source, action, args, label): an occurrence of
-        # _timed, a lane's head occurrence (source is the lane), or a batch's
-        # next item (source is the batch's times, args the item's index).
+        # Keys (fire_at, seq, source, action, args, label): a ``schedule``
+        # occurrence (source None), a lane's head occurrence (source is the
+        # lane), or a batch's next item (source is the batch's times, args
+        # the item's index).
         self._heap: list[tuple] = []
-        self._timed: dict[int, Occurrence] = {}  # live schedule() entries by seq
         self._lanes: dict[int, _Lane] = {}
+        self._batches = 0  # unfinished batches, each holding one heap key
         self._seq = 0
         self._now = 0
+        self._fired_seq = -1  # seq of the last occurrence fired at _now, else -1
         self.record_log = record_log
         self.log: list[tuple[int, int, str]] = []
 
     def now(self) -> int:
         return self._now
 
-    def schedule(self, at: int, action: Callable[..., None], label: str = "",
-                 args: tuple = ()) -> Occurrence:
-        """Enqueue ``action(*args)`` at virtual time ``at`` (>= now); returns
-        the occurrence, which ``cancel`` takes."""
-        if at < self._now:
-            raise SchedulingInPastError(
-                f"cannot schedule at t={at}; clock is already at t={self._now}"
-            )
+    def reserve(self) -> int:
+        """Take the next seq without scheduling anything, for one later
+        ``schedule(..., seq=)``."""
         seq = self._seq
         self._seq = seq + 1
-        timed = self._timed
-        occ = timed[seq] = (at, seq, timed, action, args, label)
-        heapq.heappush(self._heap, occ)
-        return occ
+        return seq
+
+    def schedule(self, at: int, action: Callable[..., None], label: str = "",
+                 args: tuple = (), seq: int | None = None) -> None:
+        """Enqueue ``action(*args)`` at virtual time ``at`` (>= now). Given
+        ``seq``, a seq from ``reserve``, the occurrence takes that place in
+        the order instead of the next seq; (at, seq) must then come after
+        the occurrence firing now."""
+        if seq is None:
+            if at < self._now:
+                raise SchedulingInPastError(
+                    f"cannot schedule at t={at}; clock is already at t={self._now}"
+                )
+            seq = self._seq
+            self._seq = seq + 1
+        elif at < self._now or (at == self._now and seq <= self._fired_seq):
+            raise SchedulingInPastError(
+                f"cannot schedule at (t={at}, seq={seq}); the engine has fired "
+                f"(t={self._now}, seq={self._fired_seq})"
+            )
+        elif seq >= self._seq:
+            raise ValueError(f"seq {seq} has not been reserved")
+        heapq.heappush(self._heap, (at, seq, None, action, args, label))
 
     def after(self, delay: int, action: Callable[..., None], label: str = "",
-              args: tuple = ()) -> Occurrence:
+              args: tuple = ()) -> None:
         """Enqueue ``action(*args)`` ``delay`` ms from now; the same as
         ``schedule(now() + delay, ...)``. Each distinct delay gets its own
         lane, which costs one key in the heap however long it is, so use
@@ -129,29 +138,19 @@ class Engine:
         lane = self._lanes.get(delay)
         if lane is None:
             lane = self._lanes[delay] = _Lane()
-            lane.queued = False
         seq = self._seq
         self._seq = seq + 1
-        occ = lane[seq] = (self._now + delay, seq, lane, action, args, label)
-        if not lane.queued:  # a queued lane's key is no later than occ
-            lane.queued = True
+        occ = (self._now + delay, seq, lane, action, args, label)
+        if not lane:  # a non-empty lane's key is its head, which fires first
             heapq.heappush(self._heap, occ)
-        return occ
-
-    @staticmethod
-    def cancel(occurrence: Occurrence) -> None:
-        """Drop an occurrence from ``schedule`` or ``after``. Cancelling it
-        again, or after it has fired, does nothing. A lane entry goes at
-        once; a heap entry stays in the heap until popped, then is
-        skipped."""
-        occurrence[2].pop(occurrence[1], None)
+        lane.append(occ)
 
     def schedule_sorted(self, times: Sequence[int], action: Callable[[int], None],
                         label: str = "") -> None:
         """Enqueue ``action(i)`` at ``times[i]`` for every i; the same as
         calling ``schedule`` once per item, in order. ``times`` must be
         non-decreasing, start no earlier than now and stay unchanged until
-        the batch has fired. The items cannot be cancelled."""
+        the batch has fired."""
         if not times:
             return
         if times[0] < self._now:
@@ -162,10 +161,11 @@ class Engine:
             raise ValueError("schedule_sorted needs non-decreasing times")
         heapq.heappush(self._heap, (times[0], self._seq, times, action, 0, label))
         self._seq += len(times)
+        self._batches += 1
 
     def _process(self, horizon: float) -> int:
         """Fire occurrences in (fire_at, seq) order while fire_at <= horizon;
-        returns the number fired (cancelled entries are not counted)."""
+        returns the number fired."""
         heap = self._heap
         log = self.log if self.record_log else None
         heappop, heapreplace, lane_class = heapq.heappop, heapq.heapreplace, _Lane
@@ -174,27 +174,23 @@ class Engine:
             at, seq, source, action, args, label = heap[0]
             if at > horizon:
                 break
-            if source.__class__ is lane_class:
-                fired = source.pop(seq, None)  # None: the head was cancelled
-                for head in source.values():
-                    heapreplace(heap, head)
-                    break
+            if source is None:
+                heappop(heap)
+            elif source.__class__ is lane_class:
+                source.popleft()
+                if source:
+                    heapreplace(heap, source[0])
                 else:
                     heappop(heap)
-                    source.queued = False
-                if fired is None:
-                    continue
-            elif source.__class__ is dict:
-                heappop(heap)
-                if source.pop(seq, None) is None:
-                    continue  # cancelled
             else:  # batch item: source is the times, args its index
                 if args + 1 < len(source):
                     heapreplace(heap, (source[args + 1], seq + 1, source, action, args + 1, label))
                 else:
                     heappop(heap)
+                    self._batches -= 1
                 args = (args,)
             self._now = at
+            self._fired_seq = seq
             if log is not None:
                 log.append((at, seq, label))
             action(*args)
@@ -203,14 +199,15 @@ class Engine:
 
     def run_until(self, horizon: int) -> int:
         """Process every occurrence with fire_at <= horizon, then advance
-        the clock to the horizon. Returns the number processed (cancelled
-        entries are skipped and not counted)."""
+        the clock to the horizon. Returns the number processed."""
         if horizon < self._now:
             raise SchedulingInPastError(
                 f"horizon t={horizon} is behind the clock t={self._now}"
             )
         processed = self._process(horizon)
-        self._now = horizon
+        if horizon > self._now:
+            self._now = horizon
+            self._fired_seq = -1
         return processed
 
     def run(self) -> int:
@@ -218,6 +215,7 @@ class Engine:
         return self._process(math.inf)
 
     def pending(self) -> int:
-        """Live occurrences from ``schedule`` and ``after``; cancelled ones
-        and batch items not yet fired are not counted."""
-        return len(self._timed) + sum(map(len, self._lanes.values()))
+        """Occurrences from ``schedule`` and ``after`` not yet fired; batch
+        items are not counted."""
+        lanes = self._lanes.values()  # a non-empty lane holds one heap key
+        return len(self._heap) - self._batches + sum(map(len, lanes)) - sum(map(bool, lanes))

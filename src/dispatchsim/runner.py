@@ -4,8 +4,9 @@ Event flow per invocation: at arrival the strategy picks a node; after the
 strategy's dispatch latency the invocation is offered to that node, where
 it either acquires a container (warm or cold) and starts, or waits in the
 node's FIFO run queue until a completion or keep-alive expiry frees
-resources. Optional periodic passes drive work stealing and popularity
-replication. A run drains completely, so every dispatched invocation is
+resources. Each node has at most one keep-alive timer pending, at the
+expiry of its oldest idle container. Optional periodic passes drive work
+stealing and popularity replication. A run drains completely, so every dispatched invocation is
 recorded exactly once.
 """
 
@@ -57,7 +58,8 @@ class RunResult:
 
 class Simulation:
     """One engine run of a trace against a cluster under a strategy. A
-    trace given as a list of invocations is converted to a Trace once.
+    trace given as a list of invocations is converted to a Trace once; its
+    functions are looked up in the cluster's function specs.
 
     The run's settings come from two places, which hold their defaults:
     the cluster's ClusterParams (keep-alive, billing step) and the
@@ -66,7 +68,7 @@ class Simulation:
     work stealing draws its victims from."""
 
     def __init__(self, engine: Engine, cluster: Cluster, strategy: DispatchStrategy,
-                 trace: Trace | list[Invocation], catalog: Catalog, *,
+                 trace: Trace | list[Invocation], *,
                  horizon_ms: int, strategy_cfg: StrategyConfig, seed: int):
         if not isinstance(trace, Trace):
             trace = Trace.from_invocations(trace)
@@ -77,8 +79,9 @@ class Simulation:
         self.horizon_ms = horizon_ms
         self.cfg = strategy_cfg
         self.steal_rng = RandomSource(seed, "steal")
+        functions = cluster.functions
         self.records = RecordStore(
-            {name: spec.compute_ms for name, spec in catalog.functions.items()}, trace
+            {name: spec.compute_ms for name, spec in functions.items()}, trace
         )
         self.steals = 0
         self.replications = 0
@@ -89,9 +92,10 @@ class Simulation:
         self._labels = engine.record_log  # build event labels only for the log
         self._view = trace.view
         # Billing per trace function code: the flavor in GB, and the step.
-        self._flavor_gb = [catalog.functions[name].flavor / 1024.0 for name in trace.functions]
+        self._flavor_gb = [functions[name].flavor / 1024.0 for name in trace.functions]
         self._billing_step = cluster.params.billing_granularity_ms
         self._keep_alive_ms = cluster.params.keep_alive_ms
+        self._timer_armed = [False] * len(cluster.node_ids)  # per node id
 
     # ---- run loop ---------------------------------------------------------
 
@@ -138,11 +142,8 @@ class Simulation:
         outcome, container = self.cluster.acquire_container(node_id, inv.function, now)
         if outcome is _REJECTED:
             return False
-        cold = outcome is _COLD_START
-        if not cold:  # a warm container was idle, with its expiry pending
-            self.engine.cancel(container.expiry_handle)
         timeline, failed = self.cluster.simulate_invocation(
-            inv, node_id, cold, dispatch_ms, now - (inv.arrival + dispatch_ms),
+            inv, node_id, outcome is _COLD_START, dispatch_ms, now - (inv.arrival + dispatch_ms),
         )
         self.engine.schedule(timeline.finished_at, self._complete,
                              f"completion:{inv.id}" if self._labels else "",
@@ -154,13 +155,7 @@ class Simulation:
         active = t.boot_ms + t.code_fetch_ms + t.data_fetch_ms + t.compute_ms + t.write_back_ms
         if t.finished_at - t.started_at != t.dispatch_ms + t.queue_wait_ms + active:
             raise SimulationError(f"phase accounting broken for {self._view(index).id}")
-        self.cluster.release_container(container, t.finished_at)  # the completion fires then
-        container.expiry_handle = self.engine.after(
-            self._keep_alive_ms, self._expire,
-            (f"keep-alive-expiry:{container.node}:{container.function}"
-             if self._labels else ""),
-            (container,),
-        )
+        self._release(container, t.finished_at)  # the completion fires then
         if failed:
             billed = 0.0
         else:  # billed_gb_seconds, with the flavor and step looked up once per run
@@ -174,10 +169,40 @@ class Simulation:
         if self.cluster.nodes[container.node].run_queue:
             self._drain(container.node)
 
-    def _expire(self, container: Container) -> None:
-        freed = self.cluster.expire_container(container)
-        if freed and self.cluster.nodes[container.node].run_queue:
-            self._drain(container.node)
+    def _release(self, container: Container, now: int) -> None:
+        """Return a container to its warm pool, idle until its expiry: the
+        (time, seq) that an expiry event scheduled now would take. Arm the
+        node's keep-alive timer at that key unless one is pending; a pending
+        timer's key is no later, since keys only grow."""
+        self.cluster.release_container(container, now)
+        key = container.expiry = (now + self._keep_alive_ms, self.engine.reserve())
+        node_id = container.node
+        if not self._timer_armed[node_id]:
+            self._timer_armed[node_id] = True
+            self._arm(node_id, key)
+
+    def _arm(self, node_id: int, key: tuple[int, int]) -> None:
+        self.engine.schedule(key[0], self._keep_alive,
+                             f"keep-alive:{node_id}" if self._labels else "",
+                             (node_id, key), seq=key[1])
+
+    def _keep_alive(self, node_id: int, key: tuple[int, int]) -> None:
+        """A node's keep-alive timer, firing at ``key``. Its oldest idle
+        container expires if ``key`` is that container's expiry; if the
+        container it was armed for has been reused, nothing expires. Either
+        way the timer re-arms at the next oldest container's expiry, or
+        disarms when no container is idle. A warm hit reuses the most
+        recently released container, so it needs no timer work."""
+        cluster = self.cluster
+        oldest = cluster.oldest_idle(node_id)
+        if oldest is not None and oldest.expiry == key:
+            if cluster.expire_container(oldest) and cluster.nodes[node_id].run_queue:
+                self._drain(node_id)
+            oldest = cluster.oldest_idle(node_id)
+        if oldest is None:
+            self._timer_armed[node_id] = False
+        else:
+            self._arm(node_id, oldest.expiry)
 
     def _drain(self, node_id: int) -> None:
         queue = self.cluster.nodes[node_id].run_queue
@@ -268,7 +293,7 @@ def run_one(scenario: Scenario, strategy_cfg: StrategyConfig, seed: int,
     cluster = build_cluster(scenario, catalog)
     strategy = make_strategy(strategy_cfg.name, strategy_cfg.params,
                              strategy_cfg.dispatch_latency_ms, strategy_cfg.replication_decay)
-    sim = Simulation(Engine(), cluster, strategy, trace, catalog,
+    sim = Simulation(Engine(), cluster, strategy, trace,
                      horizon_ms=scenario.workload.horizon_ms,
                      strategy_cfg=strategy_cfg, seed=seed)
     sim.run()

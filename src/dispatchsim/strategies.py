@@ -24,7 +24,6 @@ from .errors import ConfigError, UnknownObjectError
 DEFAULT_WEIGHTS = (0.3, 0.5, 0.2)  # warm code, data locality, queue headroom
 DEFAULT_QUEUE_CAP = 16
 DEFAULT_DECAY = 0.5  # per replication pass, of the popularity counts
-_NO_NODES: frozenset[int] = frozenset()
 
 
 def stable_hash(text: str) -> int:
@@ -110,9 +109,11 @@ class RoundRobinStrategy(DispatchStrategy):
 
 class LeastLoadedStrategy(DispatchStrategy):
     def decide(self, inv, cluster: Cluster) -> DispatchDecision:
-        qlen = min(cluster.queue_buckets)
+        buckets = cluster.queue_buckets
+        qlen = min(buckets)
+        mask = buckets[qlen]  # the lowest set bit is the lowest node id
         return DispatchDecision(
-            min(cluster.queue_buckets[qlen]), self.dispatch_latency_ms, "queue={}", (qlen,)
+            (mask & -mask).bit_length() - 1, self.dispatch_latency_ms, "queue={}", (qlen,)
         )
 
 
@@ -175,26 +176,27 @@ class DataAwareStrategy(DispatchStrategy):
         Within a class the score only falls as the queue grows (the weights
         are non-negative), so the best sit at the shortest queue length.
         A longer length can tie it (every length past queue_cap, w_load = 0,
-        or a load term lost to rounding); its nodes then compete on id too.
+        or a load term lost to rounding); its nodes then compete on id too,
+        so the class's tied nodes are ORed into one mask.
         """
-        warm = cluster.warm_nodes.get(function, _NO_NODES)
+        warm = cluster.warm_nodes.get(function, 0)
         levels = sorted(cluster.queue_buckets.items())
         reps = []
-        for code_warm in (1.0, 0.0):
-            top = rep = None
+        for code_warm, keep in ((1.0, warm), (0.0, ~warm)):
+            top = None
+            tied = 0
             for qlen, nodes in levels:
-                members = nodes & warm if code_warm else nodes - warm
+                members = nodes & keep
                 if not members:
                     continue
                 score = _weighted(self.weights, code_warm, data_local, qlen, self.queue_cap)
                 if top is None:
-                    top, rep = score, min(members)
-                elif score == top:
-                    rep = min(rep, min(members))
-                else:
+                    top = score
+                elif score != top:
                     break
-            if rep is not None:
-                reps.append(rep)
+                tied |= members
+            if tied:
+                reps.append((tied & -tied).bit_length() - 1)
         return reps
 
     def decide(self, inv, cluster: Cluster) -> DispatchDecision:

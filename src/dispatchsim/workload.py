@@ -342,8 +342,12 @@ def load_trace(path, catalog: Catalog) -> Trace:
             missing = [f for f in TRACE_FIELDS if f not in rec]
             if missing:
                 raise TraceFormatError(line_no, f"missing fields: {', '.join(missing)}")
-            if not isinstance(rec["arrival_ms"], int) or rec["arrival_ms"] < 0:
+            arrival = rec["arrival_ms"]
+            if not isinstance(arrival, int) or isinstance(arrival, bool) or arrival < 0:
                 raise TraceFormatError(line_no, "arrival_ms must be a non-negative integer")
+            for field in ("id", "origin"):
+                if not isinstance(rec[field], str):
+                    raise TraceFormatError(line_no, f"{field} must be a string")
             function = rec["function"]
             if not isinstance(function, str) or function not in catalog.functions:
                 raise UnknownFunctionError(f"line {line_no}: unknown function {function!r}")
@@ -354,8 +358,7 @@ def load_trace(path, catalog: Catalog) -> Trace:
                 if not isinstance(ref, str) or ref not in catalog.objects:
                     raise UnknownObjectError(f"line {line_no}: unknown object {ref!r}")
             try:
-                add(str(rec["id"]), function, tuple(refs), str(rec["origin"]),
-                    rec["arrival_ms"])
+                add(rec["id"], function, tuple(refs), rec["origin"], arrival)
             except OverflowError:
                 raise TraceFormatError(line_no, "arrival_ms is out of range") from None
     trace._sort()

@@ -154,6 +154,53 @@ def test_indexed_choice_equals_scan(nodes, queue_cap, queues, container_ops, pla
     assert decision.rationale == f"queue={len(c.nodes[decision.node].run_queue)}"
 
 
+def set_representatives(strategy, cluster, function, data_local):
+    """_representatives as it was over node sets: the warm nodes and each
+    queue-length bucket as sets of ids, min() for the lowest id."""
+    warm = {n for n in cluster.node_ids if cluster.warm_nodes.get(function, 0) >> n & 1}
+    levels = sorted((qlen, {n for n in cluster.node_ids if mask >> n & 1})
+                    for qlen, mask in cluster.queue_buckets.items())
+    reps = []
+    for code_warm in (1.0, 0.0):
+        top = rep = None
+        for qlen, nodes in levels:
+            members = nodes & warm if code_warm else nodes - warm
+            if not members:
+                continue
+            score = strategies._weighted(strategy.weights, code_warm, data_local, qlen,
+                                         strategy.queue_cap)
+            if top is None:
+                top, rep = score, min(members)
+            elif score == top:
+                rep = min(rep, min(members))
+            else:
+                break
+        if rep is not None:
+            reps.append(rep)
+    return reps
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    nodes=st.integers(1, 16),
+    queue_cap=st.integers(1, 4),
+    queues=st.lists(st.integers(0, 6), min_size=16, max_size=16),
+    container_ops=st.lists(node_ops, max_size=30),
+    function=st.sampled_from(FUNCTIONS),
+    data_local=st.sampled_from((0.0, 1.0)),
+    custom=st.tuples(weights, weights, weights),
+)
+def test_mask_representatives_equal_set_representatives(nodes, queue_cap, queues, container_ops,
+                                                        function, data_local, custom):
+    c = build_state(nodes, 1000.0, queues, container_ops, [])
+    w_code, w_data, w_load = custom
+    for name, params in (("data_aware", {}), ("mcgrath_queues", {}),
+                         ("data_aware", {"w_code": w_code, "w_data": w_data, "w_load": w_load})):
+        strategy = make_strategy(name, dict(params, queue_cap=queue_cap))
+        assert (strategy._representatives(c, function, data_local)
+                == set_representatives(strategy, c, function, data_local))
+
+
 def test_representative_is_lowest_id_across_all_full_buckets():
     # Nodes 1 (queue 5) and 2 (queue 3) both sit past queue_cap 2, so they
     # tie on headroom 0 and node 1 wins on id; node 0 is the warm class.
@@ -254,15 +301,15 @@ def test_run_equals_brute_force_run(monkeypatch, nodes, queue_cap, stealing, nam
 
 
 def corrupt_warm_add(c):
-    c.warm_nodes.setdefault("f2", set()).add(1)
+    c.warm_nodes["f2"] = c.warm_nodes.get("f2", 0) | 1 << 1
 
 
 def corrupt_warm_drop(c):
-    c.warm_nodes["f1"].discard(0)
+    c.warm_nodes["f1"] &= ~(1 << 0)
 
 
 def corrupt_queue_bucket(c):
-    c.queue_buckets[0].discard(2)
+    c.queue_buckets[0] &= ~(1 << 2)
 
 
 def corrupt_queue_bypass(c):
@@ -298,6 +345,6 @@ def test_run_queue_mutator_keeps_the_index(name):
     mutate(queue)
     assert len(queue) == length
     c.check_invariants()
-    assert 1 in c.queue_buckets[length] and 2 in c.queue_buckets[2]
+    assert c.queue_buckets[length] >> 1 & 1 and c.queue_buckets[2] >> 2 & 1
     queue.append(("w", 1))  # a later append starts from the right bucket
     c.check_invariants()

@@ -1,4 +1,4 @@
-"""Engine contract: ordering, clock semantics, cancellation, determinism,
+"""Engine contract: ordering, clock semantics, reserved seqs, determinism,
 and equivalence with the heap-only engine it replaced."""
 
 import functools
@@ -105,17 +105,6 @@ def test_scheduling_in_the_past_fails_loudly():
         eng.schedule(5, lambda: None)
 
 
-def test_cancelled_occurrence_is_skipped_and_not_counted():
-    eng = Engine()
-    log = []
-    handle = eng.schedule(10, record_into(log, "cancelled"))
-    eng.schedule(10, record_into(log, "kept"))
-    eng.cancel(handle)
-    assert eng.pending() == 1
-    assert eng.run_until(20) == 1
-    assert log == ["kept"]
-
-
 def test_handlers_can_schedule_followups():
     eng = Engine()
     log = []
@@ -175,20 +164,6 @@ def test_after_is_schedule_at_now_plus_delay():
     assert eng.log == [(5, 0, "first"), (8, 1, "early"), (8, 2, "late")]
 
 
-def test_cancelled_lane_entry_leaves_nothing_pending():
-    eng = Engine()
-    log = []
-    handle = eng.after(10, record_into(log, "cancelled"))
-    kept = eng.after(10, record_into(log, "kept"))
-    eng.cancel(handle)
-    assert eng.pending() == 1
-    assert eng.run() == 1
-    assert log == ["kept"]
-    eng.cancel(handle)  # cancelling again, or after firing, is a no-op
-    eng.cancel(kept)
-    assert eng.pending() == 0
-
-
 def test_handlers_receive_their_arguments():
     eng = Engine()
     seen = []
@@ -200,15 +175,51 @@ def test_handlers_receive_their_arguments():
 
 def test_a_lane_keeps_one_heap_key_however_long():
     eng = Engine()
-    handles = [eng.after(5, lambda: None) for _ in range(100)]
+    for _ in range(100):
+        eng.after(5, lambda: None)
     assert len(eng._heap) == 1
-    for handle in handles[:99]:
-        eng.cancel(handle)
-    eng.after(5, lambda: None)  # the lane's old key still stands for it
+    assert eng.pending() == 100
+    assert eng.run_until(5) == 100
+    eng.after(5, lambda: None)  # the emptied lane takes a key again
     assert len(eng._heap) == 1
-    assert eng.pending() == 2
-    assert eng.run() == 2
+    assert eng.pending() == 1
+    assert eng.run() == 1
     assert eng._heap == []
+
+
+def test_reserved_seq_fires_where_it_was_taken():
+    eng = Engine(record_log=True)
+    seq = eng.reserve()
+    eng.schedule(3, lambda: eng.schedule(5, lambda: None, "reserved", seq=seq), "arm")
+    eng.after(5, lambda: None, "lane")
+    eng.schedule(5, lambda: None, "heap")
+    assert eng.pending() == 3  # a reserved seq is pending only once scheduled
+    assert eng.run() == 4
+    assert eng.log == [(3, 1, "arm"), (5, 0, "reserved"), (5, 2, "lane"), (5, 3, "heap")]
+
+
+def test_schedule_at_a_reserved_seq_rejects_a_key_in_the_past():
+    eng = Engine(record_log=True)
+    early = eng.reserve()  # seq 0
+    outcomes = []
+
+    def at_five():  # fires at (5, 1)
+        for at, seq in ((5, early), (4, late), (5, late)):
+            try:
+                eng.schedule(at, lambda: None, f"reserved@{at}", seq=seq)
+                outcomes.append(("scheduled", at, seq))
+            except SchedulingInPastError:
+                outcomes.append(("rejected", at, seq))
+
+    eng.schedule(5, at_five, "at-five")
+    late = eng.reserve()  # seq 2
+    assert eng.run() == 2
+    assert outcomes == [("rejected", 5, 0), ("rejected", 4, 2), ("scheduled", 5, 2)]
+    assert eng.log == [(5, 1, "at-five"), (5, 2, "reserved@5")]
+    with pytest.raises(ValueError, match="not been reserved"):
+        eng.schedule(9, lambda: None, seq=3)
+    eng.run_until(7)  # past the last fire time, any reserved seq at t=7 is open
+    eng.schedule(7, lambda: None, seq=early)
 
 
 def test_schedule_sorted_fires_lazily_with_reserved_seqs():
@@ -244,49 +255,53 @@ class HeapOccurrence:
     args: tuple
     label: str
     batch_item: bool = False
-    cancelled: bool = False
 
 
 class HeapEngine:
-    """The engine before FIFO lanes and sorted batches: one binary heap with
-    tombstone cancellation. ``after`` and ``schedule_sorted`` are plain
-    ``schedule`` calls here, so it is the reference for both."""
+    """The engine before FIFO lanes and sorted batches: one binary heap.
+    ``after`` and ``schedule_sorted`` are plain ``schedule`` calls here, so
+    it is the reference for both. A reserved seq must come after the last
+    occurrence fired, found from the clock and that occurrence's key."""
 
     def __init__(self, record_log: bool = False):
         self._heap = []
         self._seq = 0
         self._now = 0
+        self._last = (-1, -1)  # (fire_at, seq) of the last occurrence fired
         self.record_log = record_log
         self.log = []
 
     def now(self):
         return self._now
 
-    def schedule(self, at, action, label="", args=(), batch_item=False):
-        if at < self._now:
-            raise SchedulingInPastError(f"t={at} < {self._now}")
-        occ = HeapOccurrence(at, self._seq, action, args, label, batch_item)
+    def reserve(self):
         self._seq += 1
-        heapq.heappush(self._heap, (at, occ.seq, occ))
-        return occ
+        return self._seq - 1
+
+    def schedule(self, at, action, label="", args=(), batch_item=False, seq=None):
+        if at < self._now or (seq is not None and (at, seq) <= self._last):
+            raise SchedulingInPastError(f"(t={at}, seq={seq}) is behind {self._last}")
+        if seq is None:
+            seq = self.reserve()
+        elif seq >= self._seq:
+            raise ValueError(f"seq {seq} has not been reserved")
+        occ = HeapOccurrence(at, seq, action, args, label, batch_item)
+        heapq.heappush(self._heap, (at, seq, occ))
 
     def after(self, delay, action, label="", args=()):
-        return self.schedule(self._now + delay, action, label, args)
-
-    @staticmethod
-    def cancel(occ):
-        occ.cancelled = True
+        self.schedule(self._now + delay, action, label, args)
 
     def schedule_sorted(self, times, action, label=""):
         for i, at in enumerate(times):
             self.schedule(at, action, label, (i,), batch_item=True)
 
     def pending(self):
-        """Live, non-cancelled entries, batch items not counted."""
-        return sum(1 for _, _, occ in self._heap if not (occ.cancelled or occ.batch_item))
+        """Entries not yet fired, batch items not counted."""
+        return sum(1 for _, _, occ in self._heap if not occ.batch_item)
 
     def _fire(self, occ):
         self._now = occ.fire_at
+        self._last = (occ.fire_at, occ.seq)
         if self.record_log:
             self.log.append((occ.fire_at, occ.seq, occ.label))
         occ.action(*occ.args)
@@ -296,35 +311,32 @@ class HeapEngine:
             raise SchedulingInPastError(f"horizon t={horizon} < {self._now}")
         processed = 0
         while self._heap and self._heap[0][0] <= horizon:
-            _, _, occ = heapq.heappop(self._heap)
-            if not occ.cancelled:
-                self._fire(occ)
-                processed += 1
+            self._fire(heapq.heappop(self._heap)[2])
+            processed += 1
         self._now = horizon
         return processed
 
     def run(self):
         processed = 0
         while self._heap:
-            _, _, occ = heapq.heappop(self._heap)
-            if not occ.cancelled:
-                self._fire(occ)
-                processed += 1
+            self._fire(heapq.heappop(self._heap)[2])
+            processed += 1
         return processed
 
 
 # An op schedules something (``schedule`` and ``after`` pass the handler its
-# arguments), cancels an earlier handle, cancels the head of an ``after``
-# lane (or every entry in it) and then appends to that lane, or (top level
-# only) advances the clock. Every firing handler applies the next follow-up op.
+# arguments), reserves a seq for a time some delay ahead, schedules at an
+# earlier reservation (which the engine may reject as in the past), or (top
+# level only) advances the clock. Every firing handler applies the next
+# follow-up op.
 _delay = st.integers(min_value=0, max_value=30)
 _lane_delay = st.sampled_from([0, 1, 5, 12])
 _op = st.one_of(
     st.tuples(st.just("schedule"), _delay),
     st.tuples(st.just("after"), _lane_delay),
     st.tuples(st.just("sorted"), st.lists(st.integers(min_value=0, max_value=6), max_size=6)),
-    st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=50)),
-    st.tuples(st.just("cancel_head"), st.tuples(_lane_delay, st.booleans())),
+    st.tuples(st.just("reserve"), _delay),
+    st.tuples(st.just("at_reserved"), st.integers(min_value=0, max_value=50)),
 )
 _top_op = st.one_of(_op, st.tuples(st.just("run_until"), _delay))
 
@@ -332,48 +344,38 @@ _top_op = st.one_of(_op, st.tuples(st.just("run_until"), _delay))
 def _drive(engine, top_ops, followups):
     """Run a program; returns the log, the handler calls, the counts each
     run returned, the clock, and pending() after every top-level op."""
-    handles, fired = [], []
-    lanes = {}  # after delay -> [(name, handle)] in scheduling order
-    done = set()  # names fired or cancelled
+    fired = []
+    reserved = []  # (fire_at, seq) reserved and not yet scheduled
     script = iter(followups)
     counter = itertools.count()
 
     def handler(name, *args):
         fired.append((name, args, engine.now()))
-        done.add(name)
         op = next(script, None)
         if op is not None:
             apply(op)
-
-    def add_after(delay, name):
-        handle = engine.after(delay, handler, name, (name, delay))
-        handles.append(handle)
-        lanes.setdefault(delay, []).append((name, handle))
 
     def apply(op):
         kind, arg = op
         name = f"{kind}{next(counter)}"
         if kind == "schedule":
-            handles.append(engine.schedule(engine.now() + arg, handler, name, (name, arg)))
+            engine.schedule(engine.now() + arg, handler, name, (name, arg))
         elif kind == "after":
-            add_after(arg, name)
+            engine.after(arg, handler, name, (name, arg))
         elif kind == "sorted":
             times, t = [], engine.now()
             for step in arg:
                 t += step
                 times.append(t)
             engine.schedule_sorted(times, functools.partial(handler, name), name)
-        elif kind == "cancel_head":
-            delay, whole_lane = arg
-            for entry_name, handle in lanes.get(delay, []):
-                if entry_name not in done:
-                    engine.cancel(handle)
-                    done.add(entry_name)
-                    if not whole_lane:
-                        break
-            add_after(delay, name)
-        elif handles:
-            engine.cancel(handles[arg % len(handles)])
+        elif kind == "reserve":
+            reserved.append((engine.now() + arg, engine.reserve()))
+        elif reserved:
+            at, seq = reserved.pop(arg % len(reserved))
+            try:
+                engine.schedule(at, handler, name, (name, at), seq=seq)
+            except SchedulingInPastError:
+                fired.append((name, "rejected", engine.now()))
 
     processed, pending = [], []
     for op in top_ops:

@@ -79,10 +79,7 @@ class ReferenceSimulation(runner.Simulation):
         inv = self.trace[index]
         if timeline.actual_ms() != timeline.phase_sum():
             raise SimulationError(f"phase accounting broken for {inv.id}")
-        self.cluster.release_container(container, self.engine.now())
-        container.expiry_handle = self.engine.after(
-            self.cluster.params.keep_alive_ms, lambda: self._expire(container), "",
-        )
+        self._release(container, self.engine.now())
         spec = self.cluster.functions[inv.function]
         self.records.append(TaskRecord(
             invocation_id=inv.id,

@@ -232,7 +232,7 @@ def test_sorted_trace_is_used_as_given_and_unsorted_one_is_sorted():
 
     def simulate(t):
         sim = Simulation(Engine(), build_cluster(scenario, catalog), make_strategy("round_robin"),
-                         t, catalog, horizon_ms=scenario.workload.horizon_ms,
+                         t, horizon_ms=scenario.workload.horizon_ms,
                          strategy_cfg=scenario.strategies[0], seed=1)
         sim.run()
         return sim

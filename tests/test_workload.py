@@ -1,5 +1,6 @@
 """Workload generation and trace ingestion."""
 
+import json
 import statistics
 
 import pytest
@@ -198,4 +199,20 @@ def test_malformed_record_reports_line_number(tmp_path):
     path = tmp_path / "mangled.jsonl"
     path.write_text('{"id": "a"}\nnot json at all {{{\n')
     with pytest.raises(TraceFormatError, match="line 1"):
+        load_trace(path, Catalog(functions={"f1": F1}))
+
+
+@pytest.mark.parametrize("field, value, problem", [
+    ("arrival_ms", True, "arrival_ms must be a non-negative integer"),
+    ("id", None, "id must be a string"),
+    ("id", 7, "id must be a string"),
+    ("origin", ["x"], "origin must be a string"),
+])
+def test_mistyped_field_is_rejected_with_its_line_and_name(tmp_path, field, value, problem):
+    # Each of these once loaded: true as arrival 1, null as the id "None",
+    # and ["x"] as the origin "['x']".
+    good = {"id": "a", "function": "f1", "arrival_ms": 0, "data_refs": [], "origin": "x"}
+    path = tmp_path / "typed.jsonl"
+    path.write_text(json.dumps(good) + "\n" + json.dumps(dict(good, **{field: value})) + "\n")
+    with pytest.raises(TraceFormatError, match=f"line 2: {problem}"):
         load_trace(path, Catalog(functions={"f1": F1}))
