@@ -415,18 +415,12 @@ class Cluster:
 
     def expire_container(self, container: Container) -> int:
         """Reclaim an idle container's memory at keep-alive expiry; frees
-        nothing for a container that is no longer idle. The container a
-        keep-alive timer expires is its pool's head, found without a scan."""
+        nothing for a container that is no longer idle."""
         node = self.nodes[container.node]
         pool = node.warm_pool.get(container.function)
-        if not pool:
+        if not pool or container not in pool:
             return 0
-        if pool[0] is container:
-            del pool[0]
-        elif container in pool:
-            pool.remove(container)
-        else:
-            return 0
+        pool.remove(container)
         if not pool:
             self._clear_warm(container.function, node.id)
         node.mem_used -= container.flavor

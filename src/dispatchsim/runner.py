@@ -4,10 +4,11 @@ Event flow per invocation: at arrival the strategy picks a node; after the
 strategy's dispatch latency the invocation is offered to that node, where
 it either acquires a container (warm or cold) and starts, or waits in the
 node's FIFO run queue until a completion or keep-alive expiry frees
-resources. Each node has at most one keep-alive timer pending, at the
-expiry of its oldest idle container. Optional periodic passes drive work
-stealing and popularity replication. A run drains completely, so every dispatched invocation is
-recorded exactly once.
+resources. Each node has at most one keep-alive timer pending, never later
+than the expiry of its oldest idle container; a timer whose container was
+reused only re-arms when it fires. Optional periodic passes drive work
+stealing and popularity replication. A run drains completely, so every
+dispatched invocation is recorded exactly once.
 """
 
 from __future__ import annotations

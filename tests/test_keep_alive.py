@@ -1,7 +1,8 @@
 """Per-node keep-alive timers against the eager expiry they replaced.
 
-The runner keeps at most one keep-alive timer pending per node, at the
-expiry of the node's oldest idle container; a warm hit does no timer work.
+The runner keeps at most one keep-alive timer pending per node, never later
+than the expiry of the node's oldest idle container; a timer whose container
+was reused only re-arms when it fires, and a warm hit does no timer work.
 The reference here is the eager scheme: one expiry event per release, on
 the keep-alive lane. Its engine has no cancel, so a generation count per
 container skips the expiry of a container reused since its release; those
