@@ -48,6 +48,14 @@ class RandomSource:
     every platform. Components that draw independently (trace generation,
     steal victim selection) get distinct stream names to keep their
     sequences from interleaving.
+
+    Integer draws are defined here rather than left to the stdlib: a draw
+    in a range of width n takes ``getrandbits(n.bit_length())`` until the
+    value is below n. That is the rejection sampling CPython's
+    ``randrange`` does on 3.10 to 3.13, and the tests check every value
+    and the stream position left behind against ``random.Random.randint``.
+    Defining it here lets ``skip_randint`` advance the stream by whole
+    draws without computing their values.
     """
 
     def __init__(self, seed: int, stream: str = "main"):
@@ -61,11 +69,33 @@ class RandomSource:
 
     def randint(self, lo: int, hi: int) -> int:
         """Uniform integer in [lo, hi], both ends inclusive."""
-        return self._rng.randint(lo, hi)
+        n, k = _width_bits(lo, hi)
+        getrandbits = self._rng.getrandbits
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return lo + r
+
+    def skip_randint(self, lo: int, hi: int, count: int) -> None:
+        """Advance the stream as ``count`` calls of ``randint(lo, hi)``
+        would, without returning their values."""
+        n, k = _width_bits(lo, hi)
+        getrandbits = self._rng.getrandbits
+        for _ in range(count):
+            while getrandbits(k) >= n:
+                pass
 
     def expovariate(self, mean: float) -> float:
         """Exponential draw with the given mean (> 0)."""
         return self._rng.expovariate(1.0 / mean)
+
+
+def _width_bits(lo: int, hi: int) -> tuple[int, int]:
+    """The width n of [lo, hi] and the bits a draw below n takes."""
+    n = hi - lo + 1
+    if n < 1:
+        raise ValueError(f"empty range for randint({lo}, {hi})")
+    return n, n.bit_length()
 
 
 class _Lane(deque):

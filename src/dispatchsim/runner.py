@@ -214,13 +214,24 @@ class Simulation:
             queue.popleft()
 
     def _steal_tick(self) -> None:
-        for node_id in self.cluster.node_ids:
-            if self.cluster.nodes[node_id].run_queue:
-                continue
-            batch = steal_work(self.cluster, node_id, self.steal_rng)
-            if batch:
-                self.steals += len(batch)
-                self._drain(node_id)
+        """One steal attempt per node with an empty queue, in id order.
+        Queues change within a tick only through a steal and the thief's
+        drain, so when no queue holds two entries at the start, no attempt
+        can take work: each would only draw its victim, and the tick just
+        advances the steal stream by those draws."""
+        cluster = self.cluster
+        buckets = cluster.queue_buckets
+        if max(buckets) >= 2:
+            for node_id in cluster.node_ids:
+                if cluster.nodes[node_id].run_queue:
+                    continue
+                batch = steal_work(cluster, node_id, self.steal_rng)
+                if batch:
+                    self.steals += len(batch)
+                    self._drain(node_id)
+        elif len(cluster.node_ids) > 1:  # one node has no victim and draws nothing
+            self.steal_rng.skip_randint(0, len(cluster.node_ids) - 2,
+                                        buckets.get(0, 0).bit_count())
         if self._work_remaining():
             self.engine.schedule(
                 self.engine.now() + self.cfg.steal_poll_ms, self._steal_tick, "steal-tick"

@@ -68,7 +68,8 @@ def locality_score(cluster: Cluster, inv, node_id: int,
                    queue_cap: int = DEFAULT_QUEUE_CAP) -> float:
     """How good a node is for an invocation, in [0, 1] for weights summing
     to 1: warm code present, byte locality of the references, and queue
-    headroom."""
+    headroom. The definition the data-aware family's one-pass scorer
+    (DataAwareStrategy._best_node) reproduces float for float."""
     node = cluster.nodes[node_id]
     code_warm = 1.0 if node.warm_pool.get(inv.function) else 0.0
     data_local = cluster.locality_fraction(inv.data_refs, node_id)
@@ -144,25 +145,38 @@ class DataAwareStrategy(DispatchStrategy):
         id, from scoring only the replica holders of the references and
         the best warm and cold representatives of everyone else. With no
         data term, a replica holder scores as any node does, so the
-        representatives alone decide."""
-        candidates: set[int] = set()
-        data_local = 1.0
-        if self.weights[1]:
-            total = 0.0
-            for ref in inv.data_refs:
-                obj = cluster.objects.get(ref)
-                if obj is None:
-                    raise UnknownObjectError(ref)
-                total += obj.size
-                candidates |= obj.placements
-            # A node without a replica has byte locality 0, or 1 when no byte is referenced.
-            if total:
-                data_local = 0.0
-        candidates.update(self._representatives(cluster, inv.function, data_local))
+        representatives alone decide.
+
+        One pass over the references gives every holder's local bytes, by
+        the same additions in the same order as Cluster.locality_fraction,
+        and each candidate is scored with the expression locality_score
+        evaluates, so every score is the same float."""
+        w_code, w_data, w_load = self.weights
+        objects = cluster.objects
+        total = 0.0
+        local: dict[int, float] = {}  # replica holder -> referenced bytes it holds
+        for ref in inv.data_refs:
+            obj = objects.get(ref)
+            if obj is None:
+                raise UnknownObjectError(ref)
+            size = obj.size
+            total += size
+            if w_data:
+                for nid in obj.placements:
+                    local[nid] = local.get(nid, 0.0) + size
+        # A node without a replica has byte locality 0, or 1 when no byte is referenced.
+        candidates = set(local)
+        candidates.update(self._representatives(cluster, inv.function, 0.0 if total else 1.0))
+        warm = cluster.warm_nodes.get(inv.function, 0)
+        nodes = cluster.nodes
+        queue_cap = self.queue_cap
         best_node = -1
         best_score = float("-inf")
         for nid in sorted(candidates):  # ascending ids: ties keep the lowest
-            score = locality_score(cluster, inv, nid, self.weights, self.queue_cap)
+            code_warm = 1.0 if warm >> nid & 1 else 0.0
+            data_local = local.get(nid, 0.0) / total if total else 1.0
+            headroom = 1.0 - min(1.0, len(nodes[nid].run_queue) / queue_cap)
+            score = w_code * code_warm + w_data * data_local + w_load * headroom
             if score > best_score:
                 best_score = score
                 best_node = nid
@@ -245,14 +259,14 @@ class ProactiveClusterStrategy(DataAwareStrategy):
         sig = self._signatures.get(refs)
         if sig is None:
             sig = self._signatures[refs] = data_signature(refs)
-        key = ClusterKey(inv.function, sig, inv.origin)
-        node = self.assignments.get(key)
+        # A ClusterKey equals and hashes as the plain tuple, so only a new key is built.
+        node = self.assignments.get((inv.function, sig, inv.origin))
         if node is None:
             node, score = self._best_node(inv, cluster)
-            self.assignments[key] = node
-            template, args = "key={} score={:.4f}", (key.data_signature, score)
+            self.assignments[ClusterKey(inv.function, sig, inv.origin)] = node
+            template, args = "key={} score={:.4f}", (sig, score)
         else:
-            template, args = "key={} sticky", (key.data_signature,)
+            template, args = "key={} sticky", (sig,)
         self.counters.record(inv.data_refs, node)
         return DispatchDecision(node, self.dispatch_latency_ms, template, args)
 

@@ -256,10 +256,11 @@ def generate_trace(spec: WorkloadSpec, catalog: Catalog, rng: RandomSource) -> T
     if kind not in ("fixed_interval", "poisson"):
         raise ConfigError(f"unknown arrival kind: {kind}")
 
-    # The RandomSource methods are inlined: the same draws from the
+    # The RandomSource float methods are inlined: the same draws from the
     # underlying generator, in the same order and with the same arithmetic.
+    # Integer draws go through RandomSource.randint, which defines them.
     gen = rng._rng
-    random, randint, expovariate = gen.random, gen.randint, gen.expovariate
+    random, randint, expovariate = gen.random, rng.randint, gen.expovariate
     poisson = kind == "poisson"
     lambd = 1.0 / (1000.0 / spec.arrival.rate_per_s) if poisson else 0.0
     interval = spec.arrival.interval_ms

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from dispatchsim import runner, strategies
 from dispatchsim.cluster import Cluster, ClusterParams, DataObject, FunctionSpec
 from dispatchsim.config import parse_scenario
-from dispatchsim.errors import ConfigError, SimulationError
+from dispatchsim.errors import ConfigError, SimulationError, UnknownObjectError
 from dispatchsim.strategies import (
     DataAwareStrategy,
     DispatchDecision,
@@ -117,7 +117,7 @@ node_ops = st.tuples(
     st.sampled_from(FUNCTIONS),
 )
 replica_ops = st.tuples(st.booleans(), st.sampled_from(sorted(OBJECT_SIZES)), st.integers(0, 15))
-weights = st.sampled_from((0.0, 1e-18, 0.1, 0.2, 0.3, 1.0))
+weights = st.sampled_from((0.0, -0.0, 1e-18, 0.1, 0.2, 0.3, 1.0, 1))
 
 
 @settings(max_examples=300, deadline=None)
@@ -226,25 +226,44 @@ def test_zero_byte_refs_tie_through_rounding():
         assert strategy._best_node(Invocation("i", "f1", refs, "web", 0), c) == (0, 1.0)
 
 
-def test_mcgrath_decide_scores_only_the_representatives(monkeypatch):
-    # w_data = 0: the replica holders of the references are not scored, so
-    # one decide scores at most the warm and the cold representative.
+class NodeReadLog(dict):
+    """A cluster's node table that logs each node read; the scorer reads a
+    node once per candidate, for its queue length."""
+
+    def __init__(self, nodes):
+        super().__init__(nodes)
+        self.reads = []
+
+    def __getitem__(self, node_id):
+        self.reads.append(node_id)
+        return super().__getitem__(node_id)
+
+
+def test_mcgrath_decide_scores_only_the_representatives():
+    # w_data = 0: the replica holders of the references (every node here)
+    # are not scored, so one decide scores at most the warm and the cold
+    # representative.
     nodes = 16
     c = build_state(nodes, 1000.0, [i % 3 for i in range(nodes)],
                     [("warm", 5, "f1"), ("warm", 9, "f1")],
                     [(True, oid, nid) for oid in "bcd" for nid in range(nodes)])
-    calls = []
-
-    def counted(*args):
-        calls.append(args[2])
-        return locality_score(*args)
-
-    monkeypatch.setattr(strategies, "locality_score", counted)
     strategy = make_strategy("mcgrath_queues")
     event = Invocation("i", "f1", ("b", "c", "d"), "web", 0)
+    want = brute_force_best(strategy, event, c)[0]
+    c.nodes = NodeReadLog(c.nodes)
     decision = strategy.decide(event, c)
-    assert len(calls) <= 2
-    assert decision.node == brute_force_best(strategy, event, c)[0]
+    assert 0 < len(c.nodes.reads) <= 2
+    assert decision.node == want
+
+
+@pytest.mark.parametrize("name", ("data_aware", "mcgrath_queues", "proactive_cluster"))
+def test_a_missing_reference_is_refused_with_or_without_a_data_term(name):
+    # The scan raises from locality_fraction whatever w_data is; so does the
+    # one-pass scorer, naming the first missing reference.
+    c = build_state(3, 1000.0, [0, 0, 0], [], [(True, "b", 1)])
+    strategy = make_strategy(name)
+    with pytest.raises(UnknownObjectError, match="nope"):
+        strategy.decide(Invocation("i", "f1", ("b", "nope", "gone"), "web", 0), c)
 
 
 def test_negative_weight_and_bad_queue_cap_are_refused():

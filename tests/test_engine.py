@@ -4,6 +4,7 @@ and equivalence with the heap-only engine it replaced."""
 import functools
 import heapq
 import itertools
+import random
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -154,6 +155,49 @@ def test_random_source_streams_are_independent_and_stable():
     b = [RandomSource(9, "b").random() for _ in range(4)]
     assert a1 == a2
     assert a1 != b
+
+
+# Range widths: 1, each power of two up to 2**70 and its two neighbours (past
+# 2**32 a draw spans several 32-bit words), and anything in between.
+draw_widths = st.one_of(
+    st.just(1),
+    st.builds(lambda e, d: max(1, 2**e + d), st.integers(0, 70), st.sampled_from((-1, 0, 1))),
+    st.integers(1, 2**80),
+)
+draw_ranges = st.tuples(st.integers(-10**9, 10**9), draw_widths).map(
+    lambda r: (r[0], r[0] + r[1] - 1))
+draw_seeds = st.integers(0, 10**9)
+draw_streams = st.sampled_from(("steal", "trace", "catalog", "main"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=draw_seeds, stream=draw_streams, ranges=st.lists(draw_ranges, max_size=20))
+def test_randint_equals_cpython_randint(seed, stream, ranges):
+    rng = RandomSource(seed, stream)
+    ref = random.Random(f"{seed}/{stream}")
+    assert [rng.randint(lo, hi) for lo, hi in ranges] == [ref.randint(lo, hi)
+                                                          for lo, hi in ranges]
+    assert rng.random() == ref.random()  # and the stream stands at the same place
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=draw_seeds, stream=draw_streams, bounds=draw_ranges, count=st.integers(0, 40),
+       after=draw_ranges)
+def test_skip_randint_advances_as_randint_calls_do(seed, stream, bounds, count, after):
+    rng, ref = RandomSource(seed, stream), RandomSource(seed, stream)
+    rng.skip_randint(*bounds, count)
+    for _ in range(count):
+        ref.randint(*bounds)
+    assert rng.randint(*after) == ref.randint(*after)
+    assert rng.random() == ref.random()
+
+
+def test_randint_refuses_an_empty_range():
+    rng = RandomSource(1)
+    with pytest.raises(ValueError):
+        rng.randint(3, 2)
+    with pytest.raises(ValueError):
+        rng.skip_randint(3, 2, 1)
 
 
 def test_after_is_schedule_at_now_plus_delay():
