@@ -26,12 +26,7 @@ from .metrics import (
     utilization,
 )
 from .runner import RunResult, Simulation, compare_scenario, run_one, run_scenario
-from .strategies import (
-    STRATEGY_NAMES,
-    DispatchDecision,
-    locality_score,
-    make_strategy,
-)
+from .strategies import STRATEGY_NAMES, locality_score, make_strategy
 from .workload import (
     Catalog,
     Invocation,
@@ -50,7 +45,6 @@ __all__ = [
     "ClusterParams",
     "Container",
     "DataObject",
-    "DispatchDecision",
     "Engine",
     "FunctionSpec",
     "Invocation",

@@ -159,14 +159,14 @@ def main(argv=None) -> int:
                 raise ConfigError(f"unrecognized argument {extra!r} "
                                   "(overrides look like key.path=value)")
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ConfigError, FileNotFoundError, IsADirectoryError) as exc:
+        print(f"error: {exc}", file=sys.stderr)  # a named path that is missing or a directory
         return EXIT_CONFIG
     except (SimulatorError, OSError) as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except MemoryError:
+        print("runtime failure: out of memory", file=sys.stderr)
         return EXIT_RUNTIME
 
 

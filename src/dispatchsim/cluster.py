@@ -152,8 +152,7 @@ class ClusterParams:
 
 
 class RunQueue(deque):
-    """A node's FIFO run queue of (trace index, invocation, dispatch_ms)
-    entries.
+    """A node's FIFO run queue of (trace index, invocation) entries.
 
     Every length change moves the node's bit between the node masks of the
     cluster's queue-length index. Only ``append``, ``extend``, ``pop`` and
@@ -222,7 +221,6 @@ class Node:
         self.compute_ms_accum = 0
         self.occupied_ms_accum = 0  # wall-clock time with >= 1 busy container
         self._occupied_since = 0
-        self.dispatched = 0
 
     def free_mem(self) -> int:
         return self.mem_capacity - self.mem_used

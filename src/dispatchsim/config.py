@@ -364,7 +364,7 @@ def parse_scenario(raw: dict) -> Scenario:
 
 def load_scenario(path, overrides: list[str] | None = None) -> Scenario:
     try:
-        with open(path) as fh:
+        with open(path, "rb") as fh:  # PyYAML decodes, and reports bytes that are not text
             raw = yaml.safe_load(fh)
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: cannot parse YAML: {exc}") from exc

@@ -21,7 +21,7 @@ from itertools import compress
 from operator import add, not_, truediv
 
 from .cluster import PhaseTimeline
-from .workload import Invocation, Trace
+from .workload import Trace
 
 COMPLETED = "completed"
 FAILED = "failed"
@@ -87,32 +87,6 @@ class RecordStore(Sequence[TaskRecord]):
         ))
         self._billed.append(billed_gb_s)
         self._failed.append(failed)
-
-    @classmethod
-    def from_records(cls, records) -> RecordStore:
-        """A store holding the given TaskRecords. Raises ValueError for a
-        record it cannot represent: a finished_at other than started_at plus
-        the phase sum, or a second ideal_ms for one function."""
-        records = list(records)
-        ideal_ms: dict[str, int] = {}
-        for r in records:
-            t = r.timeline
-            if t.actual_ms() != t.phase_sum():
-                raise ValueError(f"record {r.invocation_id}: actual time is not the phase sum")
-            if ideal_ms.setdefault(r.function, r.ideal_ms) != r.ideal_ms:
-                raise ValueError(f"record {r.invocation_id}: second ideal_ms for {r.function}")
-        # The trace is in arrival order; record k is its entry position[k].
-        order = sorted(range(len(records)), key=lambda k: records[k].timeline.started_at)
-        trace = Trace.from_invocations(
-            Invocation(records[k].invocation_id, records[k].function, (), "",
-                       records[k].timeline.started_at) for k in order)
-        position = [0] * len(records)
-        for p, k in enumerate(order):
-            position[k] = p
-        store = cls(ideal_ms, trace)
-        for r, p in zip(records, position):
-            store.append(p, r.node, r.timeline, r.billed_gb_s, r.status == FAILED)
-        return store
 
     def __len__(self) -> int:
         return len(self._index)

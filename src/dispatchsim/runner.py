@@ -13,7 +13,7 @@ dispatched invocation is recorded exactly once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .cluster import AcquireOutcome, Cluster, Container
 from .config import Scenario, StrategyConfig
@@ -41,8 +41,7 @@ class RunResult:
     node_count: int
     replications: int
     steals: int
-    replication_log: list = field(default_factory=list)
-    dispatch_counts: dict[int, int] = field(default_factory=dict)
+    replication_log: list
 
     @property
     def makespan_ms(self) -> int:
@@ -76,6 +75,7 @@ class Simulation:
         self.engine = engine
         self.cluster = cluster
         self.strategy = strategy
+        self._dispatch_ms = strategy.dispatch_latency_ms
         self.trace = trace
         self.horizon_ms = horizon_ms
         self.cfg = strategy_cfg
@@ -122,27 +122,25 @@ class Simulation:
     # ---- handlers ---------------------------------------------------------
     # An invocation travels as (index, inv): its trace index, for the
     # records, and the view built at arrival, for the strategy and the
-    # cost model. A run queue holds (index, inv, dispatch_ms) entries.
+    # cost model. A run queue holds (index, inv) entries.
 
     def _arrive(self, index: int) -> None:
         inv = self._view(index)
         self.arrived += 1
-        decision = self.strategy.decide(inv, self.cluster)
-        node_id = decision.node
-        self.cluster.nodes[node_id].dispatched += 1
-        latency = decision.dispatch_latency_ms
-        self.engine.after(latency, self._offer, f"offer:{inv.id}" if self._labels else "",
-                          (index, inv, node_id, latency))
+        node_id = self.strategy.decide(inv, self.cluster)
+        self.engine.after(self._dispatch_ms, self._offer,
+                          f"offer:{inv.id}" if self._labels else "", (index, inv, node_id))
 
-    def _offer(self, index: int, inv: Invocation, node_id: int, dispatch_ms: int) -> None:
-        if not self._try_start(index, inv, node_id, dispatch_ms):
-            self.cluster.nodes[node_id].run_queue.append((index, inv, dispatch_ms))
+    def _offer(self, index: int, inv: Invocation, node_id: int) -> None:
+        if not self._try_start(index, inv, node_id):
+            self.cluster.nodes[node_id].run_queue.append((index, inv))
 
-    def _try_start(self, index: int, inv: Invocation, node_id: int, dispatch_ms: int) -> bool:
+    def _try_start(self, index: int, inv: Invocation, node_id: int) -> bool:
         now = self.engine.now()
         outcome, container = self.cluster.acquire_container(node_id, inv.function, now)
         if outcome is _REJECTED:
             return False
+        dispatch_ms = self._dispatch_ms
         timeline, failed = self.cluster.simulate_invocation(
             inv, node_id, outcome is _COLD_START, dispatch_ms, now - (inv.arrival + dispatch_ms),
         )
@@ -208,8 +206,8 @@ class Simulation:
     def _drain(self, node_id: int) -> None:
         queue = self.cluster.nodes[node_id].run_queue
         while queue:
-            index, inv, dispatch_ms = queue[0]
-            if not self._try_start(index, inv, node_id, dispatch_ms):
+            index, inv = queue[0]
+            if not self._try_start(index, inv, node_id):
                 break  # strict FIFO: the head blocks until resources free up
             queue.popleft()
 
@@ -267,7 +265,6 @@ class Simulation:
             replications=self.replications,
             steals=self.steals,
             replication_log=self.replication_log,
-            dispatch_counts={n.id: n.dispatched for n in nodes},
         )
 
 

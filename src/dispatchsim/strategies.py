@@ -1,6 +1,6 @@
 """Event dispatching strategies.
 
-All strategies share one interface: decide(invocation, cluster) -> decision.
+All strategies share one interface: decide(invocation, cluster) -> node id.
 Baselines ignore data placement (round robin, least loaded, hash
 affinity); the data-aware family scores nodes by a weighted mix of warm
 code, byte locality and queue headroom; the proactive variant pins
@@ -31,36 +31,9 @@ def stable_hash(text: str) -> int:
     return int.from_bytes(hashlib.md5(text.encode("utf-8")).digest(), "big")
 
 
-@dataclass(slots=True)
-class DispatchDecision:
-    """Where an invocation goes and after what latency. The rationale text
-    is ``template.format(*args)``, formatted only when it is read."""
-
-    node: int
-    dispatch_latency_ms: int
-    template: str
-    args: tuple = ()
-
-    @property
-    def rationale(self) -> str:
-        return self.template.format(*self.args) if self.args else self.template
-
-
-class ClusterKey(NamedTuple):
-    """Groups events by triggered code, referenced data and origin tag."""
-
-    function: str
-    data_signature: str
-    origin: str
-
-
 def data_signature(data_refs) -> str:
     """Order-independent digest of a reference set."""
     return hashlib.md5(";".join(sorted(data_refs)).encode("utf-8")).hexdigest()[:16]
-
-
-def make_cluster_key(inv) -> ClusterKey:
-    return ClusterKey(inv.function, data_signature(inv.data_refs), inv.origin)
 
 
 def locality_score(cluster: Cluster, inv, node_id: int,
@@ -69,7 +42,7 @@ def locality_score(cluster: Cluster, inv, node_id: int,
     """How good a node is for an invocation, in [0, 1] for weights summing
     to 1: warm code present, byte locality of the references, and queue
     headroom. The definition the data-aware family's one-pass scorer
-    (DataAwareStrategy._best_node) reproduces float for float."""
+    (DataAwareStrategy.decide) reproduces float for float."""
     node = cluster.nodes[node_id]
     code_warm = 1.0 if node.warm_pool.get(inv.function) else 0.0
     data_local = cluster.locality_fraction(inv.data_refs, node_id)
@@ -84,7 +57,8 @@ def _weighted(weights: tuple[float, float, float], code_warm: float, data_local:
 
 
 class DispatchStrategy:
-    """Base class; subclasses implement decide(). Instances come from
+    """Base class; subclasses implement decide(), which returns the chosen
+    node id; every dispatch takes dispatch_latency_ms. Instances come from
     make_strategy, which supplies the registered latency and parameters."""
 
     needs_replication = False
@@ -92,7 +66,7 @@ class DispatchStrategy:
     def __init__(self, latency_ms: int):
         self.dispatch_latency_ms = latency_ms
 
-    def decide(self, inv, cluster: Cluster) -> DispatchDecision:
+    def decide(self, inv, cluster: Cluster) -> int:
         raise NotImplementedError
 
 
@@ -101,21 +75,18 @@ class RoundRobinStrategy(DispatchStrategy):
         super().__init__(latency_ms)
         self.cursor = 0
 
-    def decide(self, inv, cluster: Cluster) -> DispatchDecision:
+    def decide(self, inv, cluster: Cluster) -> int:
         ids = cluster.node_ids
         node = ids[self.cursor % len(ids)]
         self.cursor += 1
-        return DispatchDecision(node, self.dispatch_latency_ms, "round_robin")
+        return node
 
 
 class LeastLoadedStrategy(DispatchStrategy):
-    def decide(self, inv, cluster: Cluster) -> DispatchDecision:
+    def decide(self, inv, cluster: Cluster) -> int:
         buckets = cluster.queue_buckets
-        qlen = min(buckets)
-        mask = buckets[qlen]  # the lowest set bit is the lowest node id
-        return DispatchDecision(
-            (mask & -mask).bit_length() - 1, self.dispatch_latency_ms, "queue={}", (qlen,)
-        )
+        mask = buckets[min(buckets)]  # the lowest set bit is the lowest node id
+        return (mask & -mask).bit_length() - 1
 
 
 class HashAffinityStrategy(DispatchStrategy):
@@ -123,12 +94,12 @@ class HashAffinityStrategy(DispatchStrategy):
         super().__init__(latency_ms)
         self._hashes: dict[str, int] = {}  # function -> stable_hash(function)
 
-    def decide(self, inv, cluster: Cluster) -> DispatchDecision:
+    def decide(self, inv, cluster: Cluster) -> int:
         ids = cluster.node_ids
         digest = self._hashes.get(inv.function)
         if digest is None:
             digest = self._hashes[inv.function] = stable_hash(inv.function)
-        return DispatchDecision(ids[digest % len(ids)], self.dispatch_latency_ms, "hash")
+        return ids[digest % len(ids)]
 
 
 class DataAwareStrategy(DispatchStrategy):
@@ -140,7 +111,7 @@ class DataAwareStrategy(DispatchStrategy):
         self.weights = (w_code, w_data, w_load)
         self.queue_cap = queue_cap
 
-    def _best_node(self, inv, cluster: Cluster) -> tuple[int, float]:
+    def decide(self, inv, cluster: Cluster) -> int:
         """The argmax of locality_score over all nodes, ties to the lowest
         id, from scoring only the replica holders of the references and
         the best warm and cold representatives of everyone else. With no
@@ -180,7 +151,7 @@ class DataAwareStrategy(DispatchStrategy):
             if score > best_score:
                 best_score = score
                 best_node = nid
-        return best_node, best_score
+        return best_node
 
     def _representatives(self, cluster: Cluster, function: str,
                          data_local: float) -> list[int]:
@@ -212,10 +183,6 @@ class DataAwareStrategy(DispatchStrategy):
             if tied:
                 reps.append((tied & -tied).bit_length() - 1)
         return reps
-
-    def decide(self, inv, cluster: Cluster) -> DispatchDecision:
-        node, score = self._best_node(inv, cluster)
-        return DispatchDecision(node, self.dispatch_latency_ms, "score={:.4f}", (score,))
 
 
 class PopularityCounter:
@@ -250,25 +217,21 @@ class ProactiveClusterStrategy(DataAwareStrategy):
 
     def __init__(self, latency_ms: int, decay: float, **scoring):
         super().__init__(latency_ms, **scoring)
-        self.assignments: dict[ClusterKey, int] = {}
+        self.assignments: dict[tuple, int] = {}  # (function, data_signature, origin) -> node
         self.counters = PopularityCounter(decay)
         self._signatures: dict[tuple[str, ...], str] = {}  # reference set -> data_signature
 
-    def decide(self, inv, cluster: Cluster) -> DispatchDecision:
+    def decide(self, inv, cluster: Cluster) -> int:
         refs = inv.data_refs
         sig = self._signatures.get(refs)
         if sig is None:
             sig = self._signatures[refs] = data_signature(refs)
-        # A ClusterKey equals and hashes as the plain tuple, so only a new key is built.
-        node = self.assignments.get((inv.function, sig, inv.origin))
+        key = (inv.function, sig, inv.origin)
+        node = self.assignments.get(key)
         if node is None:
-            node, score = self._best_node(inv, cluster)
-            self.assignments[ClusterKey(inv.function, sig, inv.origin)] = node
-            template, args = "key={} score={:.4f}", (sig, score)
-        else:
-            template, args = "key={} sticky", (sig,)
-        self.counters.record(inv.data_refs, node)
-        return DispatchDecision(node, self.dispatch_latency_ms, template, args)
+            node = self.assignments[key] = super().decide(inv, cluster)
+        self.counters.record(refs, node)
+        return node
 
 
 @dataclass(frozen=True, slots=True)

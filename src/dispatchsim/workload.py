@@ -329,9 +329,12 @@ def load_trace(path, catalog: Catalog) -> Trace:
     keep file order)."""
     trace = Trace(ids=[])
     add = trace._adder()
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
+            try:
+                line = line.decode("utf-8").strip()
+            except UnicodeDecodeError:
+                raise TraceFormatError(line_no, "not UTF-8 text") from None
             if not line:
                 continue
             try:

@@ -9,7 +9,7 @@ import pytest
 import yaml
 from hypothesis import example, given, settings, strategies as st
 
-from dispatchsim import runner
+from dispatchsim import cli, runner
 from dispatchsim.cli import main
 from dispatchsim.config import FIELDS, apply_override, load_scenario, parse_scenario, validate
 from dispatchsim.errors import ConfigError
@@ -126,6 +126,41 @@ def test_cli_unknown_strategy_exits_2_and_lists_registry(tmp_path, capsys):
 
 def test_cli_missing_config_exits_2(tmp_path):
     assert main(["run", str(tmp_path / "nope.yaml")]) == 2
+
+
+@pytest.mark.parametrize("make", [
+    lambda path: path.write_bytes(b"\xffcluster: {}\n"),
+    lambda path: path.write_bytes(b"seeds: [1]\nb: \xe9t\xe9\n"),  # Latin-1
+    lambda path: path.mkdir(),
+], ids=["leading_0xff", "latin1", "directory"])
+def test_cli_unreadable_config_exits_2_naming_it(tmp_path, capsys, make):
+    # Regression: bytes that are not UTF-8 gave a UnicodeDecodeError
+    # traceback and exit 1, and a directory exited 3 as a runtime failure.
+    path = tmp_path / "scenario.yaml"
+    make(path)
+    for command in ("validate", "run"):
+        assert main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
+        assert "Traceback" not in err
+
+
+def test_cli_non_utf8_trace_line_is_a_trace_format_error(tmp_path, capsys):
+    trace_path = tmp_path / "trace.jsonl"
+    good = b'{"id": "a", "function": "f1", "arrival_ms": 0, "data_refs": [], "origin": "x"}\n'
+    trace_path.write_bytes(good + b"\xff" + good)
+    raw = scenario_dict(workload={"trace_path": str(trace_path)})
+    assert main(["run", write_config(tmp_path, raw), "--out-dir", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == "runtime failure: line 2: not UTF-8 text\n"
+
+
+def test_cli_memory_error_exits_3_with_one_line(tmp_path, capsys, monkeypatch):
+    def exhausted(scenario):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "run_scenario", exhausted)
+    assert main(["run", write_config(tmp_path, scenario_dict())]) == 3
+    assert capsys.readouterr().err == "runtime failure: out of memory\n"
 
 
 def test_cli_reports_are_byte_identical_across_runs(tmp_path):

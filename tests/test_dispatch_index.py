@@ -2,15 +2,15 @@
 
 The data-aware family scores only replica holders plus one warm and one
 cold representative, and least_loaded reads the lowest queue-length
-bucket. Both must pick the node, and the score, that scoring every node
-in ascending id picks.
+bucket. Both must pick the node that scoring every node in ascending id
+picks.
 """
 
 import copy
 from collections import deque
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dispatchsim import runner, strategies
 from dispatchsim.cluster import Cluster, ClusterParams, DataObject, FunctionSpec
@@ -18,7 +18,6 @@ from dispatchsim.config import parse_scenario
 from dispatchsim.errors import ConfigError, SimulationError, UnknownObjectError
 from dispatchsim.strategies import (
     DataAwareStrategy,
-    DispatchDecision,
     LeastLoadedStrategy,
     ProactiveClusterStrategy,
     locality_score,
@@ -49,19 +48,18 @@ def brute_force_least_loaded(cluster):
 
 
 class BruteDataAware(DataAwareStrategy):
-    _best_node = brute_force_best
+    def decide(self, inv, cluster):
+        return brute_force_best(self, inv, cluster)[0]
 
 
-class BruteProactive(ProactiveClusterStrategy):
-    _best_node = brute_force_best
+class BruteProactive(ProactiveClusterStrategy, BruteDataAware):
+    """proactive_cluster scoring a new key through BruteDataAware.decide,
+    the next class after ProactiveClusterStrategy in this one's MRO."""
 
 
 class BruteLeastLoaded(LeastLoadedStrategy):
     def decide(self, inv, cluster):
-        node = brute_force_least_loaded(cluster)
-        return DispatchDecision(
-            node, self.dispatch_latency_ms, f"queue={len(cluster.nodes[node].run_queue)}"
-        )
+        return brute_force_least_loaded(cluster)
 
 
 BRUTE = {
@@ -132,6 +130,12 @@ weights = st.sampled_from((0.0, -0.0, 1e-18, 0.1, 0.2, 0.3, 1.0, 1))
     refs=st.lists(st.sampled_from(sorted(OBJECT_SIZES)), max_size=3),
     custom=st.tuples(weights, weights, weights),
 )
+# Node 0 (cold, queue 0, 7/8 of the bytes) scores 1.875e-18 and node 1 (warm,
+# queue 1, 1/8) one ulp more, but w_code * warm + (w_data * local + w_load *
+# headroom) ties them and keeps node 0: the scorer must add as locality_score does.
+@example(nodes=2, queue_cap=4, queues=[0, 1] + [0] * 14, container_ops=[("warm", 1, "f1")],
+         placement_ops=[(True, "d", 0), (True, "b", 1)], store=1000.0, function="f1",
+         refs=["b", "d"], custom=(1e-18, 1e-18, 1e-18))
 def test_indexed_choice_equals_scan(nodes, queue_cap, queues, container_ops, placement_ops,
                                     store, function, refs, custom):
     c = build_state(nodes, store, queues, container_ops, placement_ops)
@@ -144,14 +148,9 @@ def test_indexed_choice_equals_scan(nodes, queue_cap, queues, container_ops, pla
         ("data_aware", {"w_code": w_code, "w_data": w_data, "w_load": w_load}),
     ):
         strategy = make_strategy(name, dict(params, queue_cap=queue_cap))
-        node, score = strategy._best_node(event, c)
-        want_node, want_score = brute_force_best(strategy, event, c)
-        assert node == want_node
-        assert score.hex() == want_score.hex()
+        assert strategy.decide(event, c) == brute_force_best(strategy, event, c)[0]
 
-    decision = make_strategy("least_loaded").decide(event, c)
-    assert decision.node == brute_force_least_loaded(c)
-    assert decision.rationale == f"queue={len(c.nodes[decision.node].run_queue)}"
+    assert make_strategy("least_loaded").decide(event, c) == brute_force_least_loaded(c)
 
 
 def set_representatives(strategy, cluster, function, data_local):
@@ -214,7 +213,7 @@ def test_zero_load_weight_ties_fall_to_the_lowest_id():
     # node 0 even though node 2 has the shorter queue.
     c = build_state(3, 1000.0, [4, 2, 0], [], [])
     strategy = make_strategy("data_aware", {"w_load": 0.0})
-    assert strategy._best_node(Invocation("i", "f1", (), "web", 0), c)[0] == 0
+    assert strategy.decide(Invocation("i", "f1", (), "web", 0), c) == 0
 
 
 def test_zero_byte_refs_tie_through_rounding():
@@ -223,7 +222,9 @@ def test_zero_byte_refs_tie_through_rounding():
     c = build_state(3, 1000.0, [2, 0, 0], [], [])
     strategy = make_strategy("data_aware", {"w_code": 0.0, "w_data": 1.0, "w_load": 1e-18})
     for refs in ((), ("a", "z")):
-        assert strategy._best_node(Invocation("i", "f1", refs, "web", 0), c) == (0, 1.0)
+        event = Invocation("i", "f1", refs, "web", 0)
+        assert brute_force_best(strategy, event, c) == (0, 1.0)
+        assert strategy.decide(event, c) == 0
 
 
 class NodeReadLog(dict):
@@ -251,9 +252,9 @@ def test_mcgrath_decide_scores_only_the_representatives():
     event = Invocation("i", "f1", ("b", "c", "d"), "web", 0)
     want = brute_force_best(strategy, event, c)[0]
     c.nodes = NodeReadLog(c.nodes)
-    decision = strategy.decide(event, c)
+    node = strategy.decide(event, c)
     assert 0 < len(c.nodes.reads) <= 2
-    assert decision.node == want
+    assert node == want
 
 
 @pytest.mark.parametrize("name", ("data_aware", "mcgrath_queues", "proactive_cluster"))

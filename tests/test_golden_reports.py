@@ -5,6 +5,10 @@ tight-memory ones from e10539b. A change
 that does not declare a behaviour change must leave every report byte for
 byte as it was, so these digests must not be refreshed to make a refactor
 pass. The data_intensive demo is pinned by perfbench/expected.json.
+
+RECORDS pins more than a report shows: per run, every record in completion
+order (node, finished_at, billed GB-s), the makespan and the replication
+log. Those digests were recorded at commit 7fcbfec.
 """
 
 import hashlib
@@ -13,6 +17,8 @@ from pathlib import Path
 import yaml
 
 from dispatchsim.cli import main
+from dispatchsim.config import parse_scenario
+from dispatchsim.runner import compare_scenario
 from dispatchsim.strategies import STRATEGY_NAMES
 
 from conftest import scenario_dict
@@ -74,3 +80,43 @@ def test_compare_tight_memory_reports_are_unchanged(tmp_path):
     assert _compare_digests(tmp_path, "tight", {"mem_capacity": 256, "keep_alive_ms": 40},
                             {"functions": functions}) == [
         GOLDEN["tight/compare.csv"], GOLDEN["tight/compare.json"]]
+
+
+RECORDS = {
+    "round_robin":
+        "29bb17f153aed9c13c6de24dd02b3a963f361ec9132df63e36b3ac1f2c0c21e2",
+    "least_loaded":
+        "6add5114fba55cdfc84c790a898641e23e1ae74cdc04f10cb839eb6003efdf15",
+    "hash_affinity":
+        "de87ffe4107a80cc664cff898986ae07483bbc4cbe624b8fa5e467b459a587fe",
+    "mcgrath_queues":
+        "88583a06ea3860d0bb8d943d6062242782711af8e9dc37b6f29aa51c4127e73e",
+    "data_aware":
+        "1be9e7973cd848ac2becc4d8d365a0a80ce763cdc7922d48649dced627b252ba",
+    "proactive_cluster":
+        "d665972b415ece2891a9316d9424482a773d4ec802b93e4ba9c7f0f19cf0b14d",
+    "least_loaded+steal":
+        "6bf826614592b3a587c5c367b492be9ec9b306cad47a8ff9a21a57c8f1d90974",
+    "hash_affinity+steal":
+        "6d05935b66af97e53deb93deb10494f7207043765f8d7fcac4ced18e03bbcc6c",
+}
+
+
+def _records_digest(result) -> str:
+    h = hashlib.sha256()
+    for r in result.records:
+        h.update(f"{r.node},{r.timeline.finished_at},{r.billed_gb_s!r}\n".encode())
+    h.update(f"makespan={result.makespan_ms}\n".encode())
+    for now, a in result.replication_log:
+        h.update(f"{now},{a.object_id},{a.node},{a.placed},{a.note}\n".encode())
+    return h.hexdigest()
+
+
+def test_data_intensive_records_are_unchanged():
+    strategies = [{"name": name} for name in STRATEGY_NAMES]
+    strategies += [{"name": name, "work_stealing": True}
+                   for name in ("least_loaded", "hash_affinity")]
+    scenario = parse_scenario(scenario_dict(**dict(DATA_INTENSIVE, seeds=[1]),
+                                            strategies=strategies))
+    results, _ = compare_scenario(scenario)
+    assert {r.strategy: _records_digest(r) for r in results} == RECORDS

@@ -11,7 +11,6 @@ from dispatchsim.metrics import (
     COMPLETED,
     CSV_COLUMNS,
     FAILED,
-    RecordStore,
     TaskRecord,
     billed_gb_seconds,
     efficiency,
@@ -22,6 +21,8 @@ from dispatchsim.metrics import (
     summarize_run,
     utilization,
 )
+
+from reference import store_from_records
 
 
 def timeline(dispatch=0, queue=0, boot=0, code=0, data=0, compute=80, wb=0, started=0):
@@ -145,7 +146,7 @@ def sample_rows():
         record(timeline(dispatch=1, compute=80), ident="a"),
         record(timeline(dispatch=1, boot=100, code=101, data=201, compute=80), ident="b"),
     ]
-    row = summarize_run("round_robin", 1, RecordStore.from_records(records),
+    row = summarize_run("round_robin", 1, store_from_records(records),
                         compute_ms_total=160, busy_ms_total=562,
                         occupied_ms_total=562, node_count=1, elapsed_ms=1000,
                         replications=0, steals=0)
@@ -177,7 +178,7 @@ def test_failed_tasks_counted_but_not_billed_or_scored():
         record(timeline(compute=80), ident="ok"),
         TaskRecord("bad", "f1", 0, timeline(compute=300_000), 80, 0.0, FAILED),
     ]
-    row = summarize_run("s", 1, RecordStore.from_records(records), 80, 380, 380, 1, 1000, 0, 0)
+    row = summarize_run("s", 1, store_from_records(records), 80, 380, 380, 1, 1000, 0, 0)
     assert row["tasks"] == 2 and row["failures"] == 1
     assert row["invocations_billed"] == 1
     assert row["mean_quality"] == 1.0

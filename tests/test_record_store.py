@@ -31,6 +31,7 @@ from dispatchsim.metrics import (
 )
 
 from conftest import scenario_dict
+from reference import store_from_records
 from test_acceptance import DATA_INTENSIVE
 
 DEMO_SCENARIOS = sorted((Path(__file__).parent.parent / "demos" / "scenarios").glob("*.yaml"))
@@ -199,7 +200,7 @@ TOTALS = st.tuples(*(st.integers(0, 10**9) for _ in range(3)), st.integers(0, 64
 @example([], (0, 0, 0, 1, 1000, 0, 0))
 @example(_all_failed(5), (10, 20, 20, 1, 1000, 0, 0))
 def test_columnar_summary_matches_object_summary(records, totals):
-    store = RecordStore.from_records(records)
+    store = store_from_records(records)
     assert repr(summarize_run("s", 7, store, *totals)) == repr(
         reference_summarize_run("s", 7, records, *totals))
     assert [repr(r) for r in store] == [repr(r) for r in records]
@@ -210,7 +211,7 @@ def test_empty_and_all_failed_rows():
     empty = summarize_run("s", 1, RecordStore({}), 0, 0, 0, 1, 1000, 0, 0)
     assert empty["tasks"] == 0 and empty["gb_seconds"] == 0
     assert empty["mean_actual_ms"] == empty["p95_actual_ms"] == 0.0
-    failed = summarize_run("s", 1, RecordStore.from_records(_all_failed(3)),
+    failed = summarize_run("s", 1, store_from_records(_all_failed(3)),
                            0, 0, 0, 1, 1000, 0, 0)
     assert failed["failures"] == 3 and failed["invocations_billed"] == 0
     assert failed["mean_quality"] == 0.0 and failed["boot_ms_total"] == 9
@@ -223,7 +224,7 @@ def test_store_indexing_matches_a_list():
         TaskRecord("b", "f2", 3, PhaseTimeline(1, 9, 100, 0, 0, 1, 0, 7, 118), 1, 0.0,
                    FAILED),
     ]
-    store = RecordStore.from_records(records)
+    store = store_from_records(records)
     assert store[0] == records[0] and store[-1] == records[1]
     assert store[::-1] == records[::-1] and store[5:] == []
     assert list(reversed(store)) == records[::-1]
@@ -237,10 +238,10 @@ def test_store_indexing_matches_a_list():
 def test_store_rejects_records_it_cannot_represent():
     odd_finish = PhaseTimeline(1, 0, 0, 0, 0, 80, 0, started_at=0, finished_at=90)
     with pytest.raises(ValueError, match="phase sum"):
-        RecordStore.from_records([TaskRecord("a", "f1", 0, odd_finish, 80, 0.0, COMPLETED)])
+        store_from_records([TaskRecord("a", "f1", 0, odd_finish, 80, 0.0, COMPLETED)])
     timeline = PhaseTimeline(0, 0, 0, 0, 0, 80, 0, started_at=0, finished_at=80)
     with pytest.raises(ValueError, match="ideal_ms"):
-        RecordStore.from_records([TaskRecord("a", "f1", 0, timeline, 80, 0.0, COMPLETED),
+        store_from_records([TaskRecord("a", "f1", 0, timeline, 80, 0.0, COMPLETED),
                                   TaskRecord("b", "f1", 0, timeline, 70, 0.0, COMPLETED)])
 
 

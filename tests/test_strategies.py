@@ -4,13 +4,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dispatchsim.cluster import Cluster, ClusterParams, DataObject, FunctionSpec
+from dispatchsim.config import parse_scenario
 from dispatchsim.engine import RandomSource
+from dispatchsim.runner import run_one
 from dispatchsim.strategies import (
     STRATEGIES,
     STRATEGY_NAMES,
     PopularityCounter,
     locality_score,
-    make_cluster_key,
     make_strategy,
     replication_tick,
     stable_hash,
@@ -18,6 +19,9 @@ from dispatchsim.strategies import (
 )
 from dispatchsim.errors import ConfigError
 from dispatchsim.workload import Invocation
+
+from conftest import scenario_dict
+from reference import cluster_key
 
 F1 = FunctionSpec("f1", code_size=10, flavor=128, compute_ms=50)
 
@@ -40,13 +44,13 @@ def inv(function="f1", refs=(), origin="web", arrival=0, ident="i0"):
 def test_round_robin_single_node():
     view = make_cluster(nodes=1)
     rr = make_strategy("round_robin")
-    assert [rr.decide(inv(), view).node for _ in range(4)] == [0, 0, 0, 0]
+    assert [rr.decide(inv(), view) for _ in range(4)] == [0, 0, 0, 0]
 
 
 def test_round_robin_cycles_in_node_order():
     view = make_cluster(nodes=3)
     rr = make_strategy("round_robin")
-    assert [rr.decide(inv(), view).node for _ in range(6)] == [0, 1, 2, 0, 1, 2]
+    assert [rr.decide(inv(), view) for _ in range(6)] == [0, 1, 2, 0, 1, 2]
 
 
 def test_round_robin_exact_balance():
@@ -55,7 +59,7 @@ def test_round_robin_exact_balance():
     rr = make_strategy("round_robin")
     counts = {n: 0 for n in range(4)}
     for _ in range(4 * 250):
-        counts[rr.decide(inv(), view).node] += 1
+        counts[rr.decide(inv(), view)] += 1
     assert counts == {0: 250, 1: 250, 2: 250, 3: 250}
 
 
@@ -63,12 +67,12 @@ def test_least_loaded_picks_shortest_queue():
     c = make_cluster(nodes=3)
     c.nodes[0].run_queue.extend([("x", 1)] * 3)
     c.nodes[2].run_queue.extend([("x", 1)] * 2)
-    assert make_strategy("least_loaded").decide(inv(), c).node == 1
+    assert make_strategy("least_loaded").decide(inv(), c) == 1
 
 
 def test_least_loaded_ties_break_to_lowest_id():
     c = make_cluster(nodes=3)
-    assert make_strategy("least_loaded").decide(inv(), c).node == 0
+    assert make_strategy("least_loaded").decide(inv(), c) == 0
 
 
 def test_least_loaded_sees_queue_growth():
@@ -77,23 +81,23 @@ def test_least_loaded_sees_queue_growth():
     c.nodes[1].run_queue.append(("x", 1))
     strategy = make_strategy("least_loaded")
     view = c
-    chosen = strategy.decide(inv(), view).node
+    chosen = strategy.decide(inv(), view)
     assert chosen == 2
     c.nodes[chosen].run_queue.append(("x", 1))  # dispatch enqueues on the target
     assert len(view.nodes[chosen].run_queue) == 1
-    assert strategy.decide(inv(), view).node == 0
+    assert strategy.decide(inv(), view) == 0
 
 
 def test_hash_affinity_is_sticky_per_function():
     view = make_cluster(nodes=4)
     strategy = make_strategy("hash_affinity")
-    first = strategy.decide(inv("f1"), view).node
-    assert all(strategy.decide(inv("f1"), view).node == first for _ in range(5))
+    first = strategy.decide(inv("f1"), view)
+    assert all(strategy.decide(inv("f1"), view) == first for _ in range(5))
 
 
 def test_hash_affinity_single_node():
     view = make_cluster(nodes=1)
-    assert make_strategy("hash_affinity").decide(inv("whatever"), view).node == 0
+    assert make_strategy("hash_affinity").decide(inv("whatever"), view) == 0
 
 
 def test_hash_affinity_spreads_distinct_names():
@@ -142,33 +146,14 @@ def test_score_hand_arithmetic():
 def test_data_aware_follows_the_bytes():
     c = make_cluster(objects=[("a", 100)])
     c.place_object("a", 2)
-    decision = make_strategy("data_aware").decide(inv(refs=("a",)), c)
-    assert decision.node == 2
-    assert "score=" in decision.rationale
-
-
-@pytest.mark.parametrize("name, template", [
-    ("round_robin", "round_robin"),
-    ("least_loaded", "queue={}"),
-    ("hash_affinity", "hash"),
-    ("mcgrath_queues", "score={:.4f}"),
-    ("data_aware", "score={:.4f}"),
-    ("proactive_cluster", "key={} score={:.4f}"),
-])
-def test_decision_keeps_values_and_formats_rationale_on_read(name, template):
-    c = make_cluster(objects=[("a", 100)])
-    c.place_object("a", 2)
-    decision = make_strategy(name).decide(inv(refs=("a",)), c)
-    assert decision.template == template
-    assert not any(isinstance(arg, str) and "=" in arg for arg in decision.args)
-    assert decision.rationale == template.format(*decision.args)
+    assert make_strategy("data_aware").decide(inv(refs=("a",)), c) == 2
 
 
 def test_data_aware_empty_refs_reduces_to_load_term():
     c = make_cluster(nodes=3)
     c.nodes[0].run_queue.append(("x", 1))
     c.nodes[1].run_queue.append(("x", 1))
-    assert make_strategy("data_aware").decide(inv(), c).node == 2
+    assert make_strategy("data_aware").decide(inv(), c) == 2
 
 
 def test_data_aware_argmax_matches_brute_force_oracle():
@@ -182,11 +167,9 @@ def test_data_aware_argmax_matches_brute_force_oracle():
     view = c
     event = inv(refs=("a", "b"))
     strategy = make_strategy("data_aware")
-    decision = strategy.decide(event, view)
     scores = {n: locality_score(view, event, n) for n in view.node_ids}
     best = max(sorted(scores), key=lambda n: (scores[n], -n))
-    assert decision.node == best
-    assert decision.rationale == f"score={scores[best]:.4f}"
+    assert strategy.decide(event, view) == best
 
 
 @settings(max_examples=50, deadline=None)
@@ -206,10 +189,10 @@ def test_weight_scaling_leaves_argmax_unchanged(queues, warm, scale):
             c.release_container(container)
     view = c
     event = inv(refs=("a",))
-    base = make_strategy("data_aware").decide(event, view).node
+    base = make_strategy("data_aware").decide(event, view)
     scaled = make_strategy(
         "data_aware", {"w_code": 0.3 * scale, "w_data": 0.5 * scale, "w_load": 0.2 * scale}
-    ).decide(event, view).node
+    ).decide(event, view)
     assert base == scaled
 
 
@@ -218,8 +201,7 @@ def test_every_strategy_returns_a_live_node():
     c.place_object("a", 3)
     view = c
     for name in STRATEGY_NAMES:
-        decision = make_strategy(name).decide(inv(refs=("a",)), view)
-        assert decision.node in view.node_ids
+        assert make_strategy(name).decide(inv(refs=("a",)), view) in view.node_ids
 
 
 def test_mcgrath_prefers_warm_then_short_queue():
@@ -228,11 +210,11 @@ def test_mcgrath_prefers_warm_then_short_queue():
     _, container = c.acquire_container(2, "f1")
     c.release_container(container)
     strategy = make_strategy("mcgrath_queues")
-    assert strategy.decide(inv(refs=("a",)), c).node == 2
+    assert strategy.decide(inv(refs=("a",)), c) == 2
     # without any warm container, ties fall to the shortest queue
     cold = make_cluster(nodes=3)
     cold.nodes[0].run_queue.append(("x", 1))
-    assert make_strategy("mcgrath_queues").decide(inv(), cold).node == 1
+    assert make_strategy("mcgrath_queues").decide(inv(), cold) == 1
 
 
 def test_unknown_strategy_errors_with_registry():
@@ -262,9 +244,9 @@ def test_memoized_hashes_and_signatures_match_the_direct_ones():
     for function, refs, origin in [("f1", ("a",), "web"), ("f1", ("b", "a"), "web"),
                                    ("f1", ("a", "b"), "web"), ("f1", ("a",), "web")] * 2:
         event = inv(function, refs, origin)
-        assert hashing.decide(event, c).node == stable_hash(function) % 5
-        decision = sticky.decide(event, c)
-        assert sticky.assignments[make_cluster_key(event)] == decision.node
+        assert hashing.decide(event, c) == stable_hash(function) % 5
+        node = sticky.decide(event, c)
+        assert sticky.assignments[cluster_key(event)] == node
     assert len(sticky.assignments) == 2  # ("a", "b") and ("b", "a") share a signature
 
 
@@ -281,20 +263,23 @@ def test_default_dispatch_latencies():
 
 
 def test_latency_override_applies_to_every_decision():
-    view = make_cluster()
-    strategy = make_strategy("data_aware", latency_ms=5)
-    assert all(strategy.decide(inv(), view).dispatch_latency_ms == 5 for _ in range(3))
+    assert make_strategy("data_aware", latency_ms=5).dispatch_latency_ms == 5
+    raw = scenario_dict(strategy={"name": "data_aware", "dispatch_latency_ms": 5})
+    scenario = parse_scenario(raw)
+    result = run_one(scenario, scenario.strategies[0], 1)
+    assert len(result.records) == 10
+    assert all(r.timeline.dispatch_ms == 5 for r in result.records)
 
 
 # ---- proactive clustering -------------------------------------------------------------
 
 
 def test_cluster_key_equality_and_stability():
-    a = make_cluster_key(inv(refs=("x", "y"), ident="a"))
-    b = make_cluster_key(inv(refs=("y", "x"), ident="b"))  # set semantics via sorting
+    a = cluster_key(inv(refs=("x", "y"), ident="a"))
+    b = cluster_key(inv(refs=("y", "x"), ident="b"))  # set semantics via sorting
     assert a == b
-    assert a != make_cluster_key(inv(refs=("x",), ident="c"))
-    assert a != make_cluster_key(inv(refs=("x", "y"), origin="iot", ident="d"))
+    assert a != cluster_key(inv(refs=("x",), ident="c"))
+    assert a != cluster_key(inv(refs=("x", "y"), origin="iot", ident="d"))
 
 
 def test_proactive_is_sticky_for_equal_keys():
@@ -302,12 +287,11 @@ def test_proactive_is_sticky_for_equal_keys():
     c.place_object("a", 1)
     strategy = make_strategy("proactive_cluster")
     view = c
-    first = strategy.decide(inv(refs=("a",), ident="i1"), view).node
+    first = strategy.decide(inv(refs=("a",), ident="i1"), view)
     # shift load and warmth elsewhere; the key still pins the node
     c.nodes[first].run_queue.extend([("x", 1)] * 10)
-    again = strategy.decide(inv(refs=("a",), ident="i2"), view)
-    assert again.node == first
-    assert "sticky" in again.rationale
+    assert strategy.decide(inv(refs=("a",), ident="i2"), view) == first
+    assert len(strategy.assignments) == 1
 
 
 def test_proactive_disjoint_refs_form_distinct_keys():
@@ -316,8 +300,8 @@ def test_proactive_disjoint_refs_form_distinct_keys():
     c.place_object("b", 2)
     strategy = make_strategy("proactive_cluster")
     view = c
-    assert strategy.decide(inv(refs=("a",), ident="i1"), view).node == 1
-    assert strategy.decide(inv(refs=("b",), ident="i2"), view).node == 2
+    assert strategy.decide(inv(refs=("a",), ident="i1"), view) == 1
+    assert strategy.decide(inv(refs=("b",), ident="i2"), view) == 2
     assert len(strategy.assignments) == 2
 
 
@@ -327,8 +311,8 @@ def test_proactive_first_assignment_matches_data_aware():
     c2 = make_cluster(objects=[("a", 100)])
     c2.place_object("a", 2)
     event = inv(refs=("a",))
-    assert (make_strategy("proactive_cluster").decide(event, c1).node
-            == make_strategy("data_aware").decide(event, c2).node)
+    assert (make_strategy("proactive_cluster").decide(event, c1)
+            == make_strategy("data_aware").decide(event, c2))
 
 
 def test_proactive_records_demand_at_chosen_node():

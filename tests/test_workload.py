@@ -195,6 +195,20 @@ def test_unknown_object_names_the_line(tmp_path):
         load_trace(path, catalog)
 
 
+@pytest.mark.parametrize("bad", [
+    b"\xff",  # not a start byte
+    b'{"id": "caf\xe9"}',  # Latin-1
+    b'{"id": "\xe2\x82"}',  # a three-byte sequence cut short
+    b'{"id": "\xed\xa0\x80"}',  # an encoded surrogate
+], ids=["leading_0xff", "latin1", "truncated", "surrogate"])
+def test_non_utf8_line_is_a_trace_format_error_naming_it(tmp_path, bad):
+    good = b'{"id": "a", "function": "f1", "arrival_ms": 0, "data_refs": [], "origin": "x"}\n'
+    path = tmp_path / "bytes.jsonl"
+    path.write_bytes(good + bad + b"\n" + good)
+    with pytest.raises(TraceFormatError, match="^line 2: not UTF-8 text$"):
+        load_trace(path, Catalog(functions={"f1": F1}))
+
+
 def test_malformed_record_reports_line_number(tmp_path):
     path = tmp_path / "mangled.jsonl"
     path.write_text('{"id": "a"}\nnot json at all {{{\n')
