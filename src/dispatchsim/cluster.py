@@ -92,17 +92,6 @@ class PhaseTimeline:
     started_at: int = 0
     finished_at: int = 0
 
-    def phase_sum(self) -> int:
-        return (
-            self.dispatch_ms
-            + self.queue_wait_ms
-            + self.boot_ms
-            + self.code_fetch_ms
-            + self.data_fetch_ms
-            + self.compute_ms
-            + self.write_back_ms
-        )
-
     def actual_ms(self) -> int:
         return self.finished_at - self.started_at
 

@@ -7,31 +7,21 @@ with ``reserve`` and schedule at it later: the occurrence then fires where
 it would have fired had it been scheduled when the seq was taken. An
 occurrence carries its handler and the handler's arguments, so scheduling a
 bound method needs no closure. It is a plain tuple
-(fire_at, seq, source, action, args, label). Nothing is ever cancelled:
+(fire_at, seq, batch, action, args, label). Nothing is ever cancelled:
 every scheduled occurrence fires.
 
-Pending occurrences come from three kinds of source:
-
-- occurrences whose delay varies (``schedule``), each with its own entry
-  in the main heap;
-- one FIFO lane per fixed delay (``after``). ``now + delay`` never
-  decreases, so appending keeps a lane in (fire_at, seq) order;
-- sorted batches (``schedule_sorted``), which reserve a block of seqs up
-  front and create each occurrence only when it fires, so a trace of
-  arrivals costs no memory per pending item.
-
-One binary heap merges them. Each non-empty lane and each unfinished batch
-keeps exactly one key in it, its head's (fire_at, seq); firing the head
-replaces that key with the source's next head. So the firing order and
-every seq are those a single heap holding all occurrences would give.
+One binary heap holds every pending occurrence from ``schedule``, plus one
+key per unfinished sorted batch (``schedule_sorted``). A batch reserves a
+block of seqs up front and creates each occurrence only when it fires, so
+a trace of arrivals costs no memory per pending item; firing a batch's
+head replaces its key with the next item's (fire_at, seq). So the firing
+order and every seq are those a heap holding every item would give.
 """
 
 from __future__ import annotations
 
 import heapq
-import math
 import random
-from collections import deque
 from itertools import islice
 from operator import gt
 from typing import Callable, Sequence
@@ -98,12 +88,6 @@ def _width_bits(lo: int, hi: int) -> tuple[int, int]:
     return n, n.bit_length()
 
 
-class _Lane(deque):
-    """The pending occurrences of one ``after`` delay, in firing order."""
-
-    __slots__ = ()
-
-
 class Engine:
     """Single-owner event loop; state is mutated only from handlers.
 
@@ -112,12 +96,10 @@ class Engine:
     """
 
     def __init__(self, record_log: bool = False):
-        # Keys (fire_at, seq, source, action, args, label): a ``schedule``
-        # occurrence (source None), a lane's head occurrence (source is the
-        # lane), or a batch's next item (source is the batch's times, args
-        # the item's index).
+        # Keys (fire_at, seq, batch, action, args, label): a ``schedule``
+        # occurrence (batch None) or a batch's next item (batch is the
+        # batch's times, args the item's index).
         self._heap: list[tuple] = []
-        self._lanes: dict[int, _Lane] = {}
         self._batches = 0  # unfinished batches, each holding one heap key
         self._seq = 0
         self._now = 0
@@ -157,24 +139,6 @@ class Engine:
             raise ValueError(f"seq {seq} has not been reserved")
         heapq.heappush(self._heap, (at, seq, None, action, args, label))
 
-    def after(self, delay: int, action: Callable[..., None], label: str = "",
-              args: tuple = ()) -> None:
-        """Enqueue ``action(*args)`` ``delay`` ms from now; the same as
-        ``schedule(now() + delay, ...)``. Each distinct delay gets its own
-        lane, which costs one key in the heap however long it is, so use
-        this for fixed delays and ``schedule`` for delays that vary."""
-        if delay < 0:
-            raise SchedulingInPastError(f"cannot schedule after a negative delay {delay}")
-        lane = self._lanes.get(delay)
-        if lane is None:
-            lane = self._lanes[delay] = _Lane()
-        seq = self._seq
-        self._seq = seq + 1
-        occ = (self._now + delay, seq, lane, action, args, label)
-        if not lane:  # a non-empty lane's key is its head, which fires first
-            heapq.heappush(self._heap, occ)
-        lane.append(occ)
-
     def schedule_sorted(self, times: Sequence[int], action: Callable[[int], None],
                         label: str = "") -> None:
         """Enqueue ``action(i)`` at ``times[i]`` for every i; the same as
@@ -193,28 +157,21 @@ class Engine:
         self._seq += len(times)
         self._batches += 1
 
-    def _process(self, horizon: float) -> int:
-        """Fire occurrences in (fire_at, seq) order while fire_at <= horizon;
-        returns the number fired."""
+    def run(self) -> int:
+        """Fire every occurrence in (fire_at, seq) order until none is
+        pending; the clock ends at the last fire time. Returns the number
+        fired."""
         heap = self._heap
         log = self.log if self.record_log else None
-        heappop, heapreplace, lane_class = heapq.heappop, heapq.heapreplace, _Lane
+        heappop, heapreplace = heapq.heappop, heapq.heapreplace
         processed = 0
         while heap:
-            at, seq, source, action, args, label = heap[0]
-            if at > horizon:
-                break
-            if source is None:
+            at, seq, batch, action, args, label = heap[0]
+            if batch is None:
                 heappop(heap)
-            elif source.__class__ is lane_class:
-                source.popleft()
-                if source:
-                    heapreplace(heap, source[0])
-                else:
-                    heappop(heap)
-            else:  # batch item: source is the times, args its index
-                if args + 1 < len(source):
-                    heapreplace(heap, (source[args + 1], seq + 1, source, action, args + 1, label))
+            else:  # batch item: args is its index
+                if args + 1 < len(batch):
+                    heapreplace(heap, (batch[args + 1], seq + 1, batch, action, args + 1, label))
                 else:
                     heappop(heap)
                     self._batches -= 1
@@ -227,25 +184,7 @@ class Engine:
             processed += 1
         return processed
 
-    def run_until(self, horizon: int) -> int:
-        """Process every occurrence with fire_at <= horizon, then advance
-        the clock to the horizon. Returns the number processed."""
-        if horizon < self._now:
-            raise SchedulingInPastError(
-                f"horizon t={horizon} is behind the clock t={self._now}"
-            )
-        processed = self._process(horizon)
-        if horizon > self._now:
-            self._now = horizon
-            self._fired_seq = -1
-        return processed
-
-    def run(self) -> int:
-        """Drain the queue completely; the clock ends at the last fire time."""
-        return self._process(math.inf)
-
     def pending(self) -> int:
-        """Occurrences from ``schedule`` and ``after`` not yet fired; batch
-        items are not counted."""
-        lanes = self._lanes.values()  # a non-empty lane holds one heap key
-        return len(self._heap) - self._batches + sum(map(len, lanes)) - sum(map(bool, lanes))
+        """Occurrences from ``schedule`` not yet fired; batch items are not
+        counted."""
+        return len(self._heap) - self._batches

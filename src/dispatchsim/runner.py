@@ -18,7 +18,9 @@ from dataclasses import dataclass
 from .cluster import AcquireOutcome, Cluster, Container
 from .config import Scenario, StrategyConfig
 from .engine import Engine, RandomSource
-from .errors import SimulationError
+from .errors import (
+    ConfigError, SimulationError, TraceFormatError, UnknownFunctionError, UnknownObjectError,
+)
 from .metrics import RecordStore, aggregate_rows, summarize_run
 from .strategies import DispatchStrategy, make_strategy, replication_tick, steal_work
 from .workload import Catalog, Invocation, Trace, build_catalog, generate_trace, load_trace
@@ -87,7 +89,6 @@ class Simulation:
         self.steals = 0
         self.replications = 0
         self.replication_log: list = []
-        self.arrived = 0
         self.done = 0
         self.last_completion = 0
         self._labels = engine.record_log  # build event labels only for the log
@@ -117,7 +118,7 @@ class Simulation:
             )
 
     def _work_remaining(self) -> bool:
-        return self.arrived < len(self.trace) or self.done < self.arrived
+        return self.done < len(self.trace)
 
     # ---- handlers ---------------------------------------------------------
     # An invocation travels as (index, inv): its trace index, for the
@@ -126,10 +127,9 @@ class Simulation:
 
     def _arrive(self, index: int) -> None:
         inv = self._view(index)
-        self.arrived += 1
         node_id = self.strategy.decide(inv, self.cluster)
-        self.engine.after(self._dispatch_ms, self._offer,
-                          f"offer:{inv.id}" if self._labels else "", (index, inv, node_id))
+        self.engine.schedule(inv.arrival + self._dispatch_ms, self._offer,
+                             f"offer:{inv.id}" if self._labels else "", (index, inv, node_id))
 
     def _offer(self, index: int, inv: Invocation, node_id: int) -> None:
         if not self._try_start(index, inv, node_id):
@@ -274,10 +274,15 @@ class Simulation:
 def prepare_workload(scenario: Scenario, seed: int) -> tuple[Catalog, Trace]:
     """Build the catalogs and the invocation trace for one seed. Catalog
     draws and trace draws use distinct streams of the same seed, so every
-    strategy compared under that seed sees the identical workload."""
+    strategy compared under that seed sees the identical workload. A
+    malformed trace file is a ConfigError naming the key and the file."""
     catalog = build_catalog(scenario.workload, RandomSource(seed, "catalog"))
-    if scenario.workload.trace_path:
-        trace = load_trace(scenario.workload.trace_path, catalog)
+    path = scenario.workload.trace_path
+    if path:
+        try:
+            trace = load_trace(path, catalog)
+        except (TraceFormatError, UnknownFunctionError, UnknownObjectError) as exc:
+            raise ConfigError(f"workload.trace_path: {path}: {exc}") from exc
     else:
         trace = generate_trace(scenario.workload, catalog, RandomSource(seed, "trace"))
     return catalog, trace

@@ -5,6 +5,14 @@ from dispatchsim.strategies import data_signature
 from dispatchsim.workload import Invocation, Trace
 
 
+def phase_sum(timeline) -> int:
+    """The sum of a PhaseTimeline's seven phases, which a consistent
+    timeline's actual time (finished_at - started_at) equals."""
+    t = timeline
+    return (t.dispatch_ms + t.queue_wait_ms + t.boot_ms + t.code_fetch_ms
+            + t.data_fetch_ms + t.compute_ms + t.write_back_ms)
+
+
 def store_from_records(records) -> RecordStore:
     """A store holding the given TaskRecords. Raises ValueError for a
     record it cannot represent: a finished_at other than started_at plus
@@ -13,7 +21,7 @@ def store_from_records(records) -> RecordStore:
     ideal_ms: dict[str, int] = {}
     for r in records:
         t = r.timeline
-        if t.actual_ms() != t.phase_sum():
+        if t.actual_ms() != phase_sum(t):
             raise ValueError(f"record {r.invocation_id}: actual time is not the phase sum")
         if ideal_ms.setdefault(r.function, r.ideal_ms) != r.ideal_ms:
             raise ValueError(f"record {r.invocation_id}: second ideal_ms for {r.function}")

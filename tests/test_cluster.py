@@ -16,6 +16,8 @@ from dispatchsim.engine import RandomSource
 from dispatchsim.errors import UnknownNodeError, UnknownObjectError
 from dispatchsim.workload import Invocation
 
+from reference import phase_sum
+
 F1 = FunctionSpec("f1", code_size=10, flavor=128, compute_ms=80)
 
 
@@ -226,7 +228,7 @@ def test_cold_remote_invocation_phase_sum():
     assert timeline.data_fetch_ms == 201
     assert timeline.compute_ms == 80
     assert timeline.actual_ms() == 482
-    assert timeline.phase_sum() == 482
+    assert phase_sum(timeline) == 482
 
 
 def test_second_run_on_same_node_reuses_container_and_cache():
@@ -305,7 +307,7 @@ def test_execution_cap_truncates_and_fails_task():
     assert failed
     assert timeline.active_ms() == 300  # node occupied for exactly the cap
     assert timeline.boot_ms == 100 and timeline.compute_ms == 200
-    assert timeline.actual_ms() == timeline.phase_sum() == 305
+    assert timeline.actual_ms() == phase_sum(timeline) == 305
 
 
 def test_phase_conservation_holds_with_dispatch_and_queue():
@@ -314,4 +316,4 @@ def test_phase_conservation_holds_with_dispatch_and_queue():
     timeline, _ = c.simulate_invocation(inv(arrival=40), 0, cold=True,
                                         dispatch_ms=2, queue_wait_ms=17)
     assert timeline.started_at == 40
-    assert timeline.finished_at == 40 + timeline.phase_sum()
+    assert timeline.finished_at == 40 + phase_sum(timeline)

@@ -145,13 +145,33 @@ def test_cli_unreadable_config_exits_2_naming_it(tmp_path, capsys, make):
         assert "Traceback" not in err
 
 
+MALFORMED_TRACE_LINES = [
+    (b"\xff", "not UTF-8 text"),
+    (b"{not json", "invalid JSON (Expecting property name enclosed in double quotes)"),
+    (b'{"id": "b", "function": "f1", "arrival_ms": 0, "data_refs": []}',
+     "missing fields: origin"),
+    (b'{"id": "b", "function": "f9", "arrival_ms": 0, "data_refs": [], "origin": "x"}',
+     "unknown function 'f9'"),
+    (b'{"id": "b", "function": "f1", "arrival_ms": 0, "data_refs": ["o9"], "origin": "x"}',
+     "unknown object 'o9'"),
+    (b'{"id": "b", "function": "f1", "arrival_ms": 99999999999999999999, '
+     b'"data_refs": [], "origin": "x"}', "arrival_ms is out of range"),
+]
+
+
 def test_cli_non_utf8_trace_line_is_a_trace_format_error(tmp_path, capsys):
+    # A malformed trace file exits 2 with one line naming the key, the file
+    # and the line, as a missing one does; it used to exit 3 without the file.
     trace_path = tmp_path / "trace.jsonl"
     good = b'{"id": "a", "function": "f1", "arrival_ms": 0, "data_refs": [], "origin": "x"}\n'
-    trace_path.write_bytes(good + b"\xff" + good)
-    raw = scenario_dict(workload={"trace_path": str(trace_path)})
-    assert main(["run", write_config(tmp_path, raw), "--out-dir", str(tmp_path / "out")]) == 3
-    assert capsys.readouterr().err == "runtime failure: line 2: not UTF-8 text\n"
+    cfg = write_config(tmp_path, scenario_dict(workload={"trace_path": str(trace_path)}))
+    for bad_line, problem in MALFORMED_TRACE_LINES:
+        trace_path.write_bytes(good + bad_line + b"\n" + good)
+        for args in (["run", cfg, "--out-dir", str(tmp_path / "out")],
+                     ["generate-trace", cfg, "--out", str(tmp_path / "copy.jsonl")]):
+            assert main(args) == 2
+            assert capsys.readouterr().err == (
+                f"error: workload.trace_path: {trace_path}: line 2: {problem}\n")
 
 
 def test_cli_memory_error_exits_3_with_one_line(tmp_path, capsys, monkeypatch):

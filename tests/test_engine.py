@@ -31,7 +31,7 @@ def test_zero_delay_fires_at_current_time():
     eng = Engine()
     log = []
     eng.schedule(eng.now(), record_into(log, "x"))
-    eng.run_until(0)
+    eng.run()
     assert log == ["x"]
     assert eng.now() == 0
 
@@ -41,7 +41,7 @@ def test_equal_time_ties_fire_in_scheduling_order():
     log = []
     eng.schedule(5, record_into(log, "a"))
     eng.schedule(5, record_into(log, "b"))
-    eng.run_until(10)
+    eng.run()
     assert log == ["a", "b"]
 
 
@@ -51,7 +51,7 @@ def test_firing_order_is_time_sorted():
     eng.schedule(3, record_into(log, "a"))
     eng.schedule(1, record_into(log, "b"))
     eng.schedule(2, record_into(log, "c"))
-    eng.run_until(10)
+    eng.run()
     assert log == ["b", "c", "a"]
 
 
@@ -62,46 +62,38 @@ def test_firing_order_matches_sort_oracle(times):
     log = []
     for i, t in enumerate(times):
         eng.schedule(t, record_into(log, i))
-    eng.run_until(100)
+    eng.run()
     expected = [i for _, i in sorted((t, i) for i, t in enumerate(times))]
     assert log == expected
 
 
-def test_run_until_empty_queue_processes_nothing():
+def test_run_on_empty_queue_processes_nothing():
     eng = Engine()
-    assert eng.run_until(1000) == 0
-    assert eng.now() == 1000
+    assert eng.run() == 0
+    assert eng.now() == 0
 
 
-def test_run_until_horizon_is_inclusive():
-    eng = Engine()
-    log = []
-    for t in (1, 2, 3):
-        eng.schedule(t, record_into(log, t))
-    assert eng.run_until(2) == 2
-    assert log == [1, 2]
-
-
-def test_now_starts_at_zero_and_advances_to_horizon():
+def test_now_starts_at_zero_and_ends_at_last_fire_time():
     eng = Engine()
     assert eng.now() == 0
     eng.schedule(400, lambda: None)
-    eng.run_until(500)
-    assert eng.now() == 500
+    eng.schedule(300, lambda: None)
+    assert eng.run() == 2
+    assert eng.now() == 400
 
 
 def test_now_inside_handler_is_fire_time():
     eng = Engine()
     seen = []
     eng.schedule(123, lambda: seen.append(eng.now()))
-    eng.run_until(1000)
+    eng.run()
     assert seen == [123]
 
 
 def test_scheduling_in_the_past_fails_loudly():
     eng = Engine()
     eng.schedule(10, lambda: None)
-    eng.run_until(10)
+    eng.run()
     with pytest.raises(SchedulingInPastError):
         eng.schedule(5, lambda: None)
 
@@ -115,7 +107,7 @@ def test_handlers_can_schedule_followups():
         eng.schedule(eng.now() + 5, lambda: log.append(("second", eng.now())))
 
     eng.schedule(10, first)
-    eng.run_until(100)
+    eng.run()
     assert log == [("first", 10), ("second", 15)]
 
 
@@ -200,46 +192,35 @@ def test_randint_refuses_an_empty_range():
         rng.skip_randint(3, 2, 1)
 
 
-def test_after_is_schedule_at_now_plus_delay():
-    eng = Engine(record_log=True)
-    eng.schedule(5, lambda: eng.after(3, lambda: None, "late"), "first")
-    eng.after(8, lambda: None, "early")
-    eng.run()
-    assert eng.log == [(5, 0, "first"), (8, 1, "early"), (8, 2, "late")]
-
-
 def test_handlers_receive_their_arguments():
     eng = Engine()
     seen = []
     eng.schedule(2, lambda *args: seen.append(args), "", (1, "x"))
-    eng.after(1, lambda *args: seen.append(args), "", ("y",))
+    eng.schedule(1, lambda *args: seen.append(args), "", ("y",))
     eng.run()
     assert seen == [("y",), (1, "x")]
 
 
-def test_a_lane_keeps_one_heap_key_however_long():
+def test_a_batch_keeps_one_heap_key_however_long():
     eng = Engine()
-    for _ in range(100):
-        eng.after(5, lambda: None)
-    assert len(eng._heap) == 1
-    assert eng.pending() == 100
-    assert eng.run_until(5) == 100
-    eng.after(5, lambda: None)  # the emptied lane takes a key again
-    assert len(eng._heap) == 1
+    eng.schedule_sorted(range(100), lambda i: None)
+    eng.schedule(5, lambda: None)
+    assert len(eng._heap) == 2
     assert eng.pending() == 1
-    assert eng.run() == 1
+    assert eng.run() == 101
     assert eng._heap == []
+    assert eng.pending() == 0
 
 
 def test_reserved_seq_fires_where_it_was_taken():
     eng = Engine(record_log=True)
     seq = eng.reserve()
     eng.schedule(3, lambda: eng.schedule(5, lambda: None, "reserved", seq=seq), "arm")
-    eng.after(5, lambda: None, "lane")
-    eng.schedule(5, lambda: None, "heap")
+    eng.schedule(5, lambda: None, "second")
+    eng.schedule(5, lambda: None, "third")
     assert eng.pending() == 3  # a reserved seq is pending only once scheduled
     assert eng.run() == 4
-    assert eng.log == [(3, 1, "arm"), (5, 0, "reserved"), (5, 2, "lane"), (5, 3, "heap")]
+    assert eng.log == [(3, 1, "arm"), (5, 0, "reserved"), (5, 2, "second"), (5, 3, "third")]
 
 
 def test_schedule_at_a_reserved_seq_rejects_a_key_in_the_past():
@@ -262,8 +243,9 @@ def test_schedule_at_a_reserved_seq_rejects_a_key_in_the_past():
     assert eng.log == [(5, 1, "at-five"), (5, 2, "reserved@5")]
     with pytest.raises(ValueError, match="not been reserved"):
         eng.schedule(9, lambda: None, seq=3)
-    eng.run_until(7)  # past the last fire time, any reserved seq at t=7 is open
-    eng.schedule(7, lambda: None, seq=early)
+    eng.schedule(7, lambda: None, "reserved@7", seq=early)  # past the clock, any seq is open
+    assert eng.run() == 1
+    assert eng.log[-1] == (7, 0, "reserved@7")
 
 
 def test_schedule_sorted_fires_lazily_with_reserved_seqs():
@@ -281,11 +263,10 @@ def test_schedule_sorted_rejects_unsorted_or_past_times():
     eng = Engine()
     with pytest.raises(ValueError):
         eng.schedule_sorted([3, 1], lambda i: None)
-    eng.run_until(10)
+    eng.schedule(10, lambda: None)
+    eng.run()
     with pytest.raises(SchedulingInPastError):
         eng.schedule_sorted([5, 12], lambda i: None)
-    with pytest.raises(SchedulingInPastError):
-        eng.after(-1, lambda: None)
 
 
 # ---- differential check against the heap-only engine -----------------------------
@@ -302,9 +283,9 @@ class HeapOccurrence:
 
 
 class HeapEngine:
-    """The engine before FIFO lanes and sorted batches: one binary heap.
-    ``after`` and ``schedule_sorted`` are plain ``schedule`` calls here, so
-    it is the reference for both. A reserved seq must come after the last
+    """The engine before sorted batches: one binary heap holding every
+    occurrence. ``schedule_sorted`` is plain ``schedule`` calls here, so it
+    is the reference for batches. A reserved seq must come after the last
     occurrence fired, found from the clock and that occurrence's key."""
 
     def __init__(self, record_log: bool = False):
@@ -332,9 +313,6 @@ class HeapEngine:
         occ = HeapOccurrence(at, seq, action, args, label, batch_item)
         heapq.heappush(self._heap, (at, seq, occ))
 
-    def after(self, delay, action, label="", args=()):
-        self.schedule(self._now + delay, action, label, args)
-
     def schedule_sorted(self, times, action, label=""):
         for i, at in enumerate(times):
             self.schedule(at, action, label, (i,), batch_item=True)
@@ -350,16 +328,6 @@ class HeapEngine:
             self.log.append((occ.fire_at, occ.seq, occ.label))
         occ.action(*occ.args)
 
-    def run_until(self, horizon):
-        if horizon < self._now:
-            raise SchedulingInPastError(f"horizon t={horizon} < {self._now}")
-        processed = 0
-        while self._heap and self._heap[0][0] <= horizon:
-            self._fire(heapq.heappop(self._heap)[2])
-            processed += 1
-        self._now = horizon
-        return processed
-
     def run(self):
         processed = 0
         while self._heap:
@@ -368,26 +336,23 @@ class HeapEngine:
         return processed
 
 
-# An op schedules something (``schedule`` and ``after`` pass the handler its
-# arguments), reserves a seq for a time some delay ahead, schedules at an
-# earlier reservation (which the engine may reject as in the past), or (top
-# level only) advances the clock. Every firing handler applies the next
-# follow-up op.
+# An op schedules something (``schedule`` passes the handler its arguments),
+# schedules a sorted batch, reserves a seq for a time some delay ahead, or
+# schedules at an earlier reservation (which the engine may reject as in the
+# past). The top-level ops run at t=0, before ``run``; every firing handler
+# applies the next follow-up op.
 _delay = st.integers(min_value=0, max_value=30)
-_lane_delay = st.sampled_from([0, 1, 5, 12])
 _op = st.one_of(
     st.tuples(st.just("schedule"), _delay),
-    st.tuples(st.just("after"), _lane_delay),
     st.tuples(st.just("sorted"), st.lists(st.integers(min_value=0, max_value=6), max_size=6)),
     st.tuples(st.just("reserve"), _delay),
     st.tuples(st.just("at_reserved"), st.integers(min_value=0, max_value=50)),
 )
-_top_op = st.one_of(_op, st.tuples(st.just("run_until"), _delay))
 
 
 def _drive(engine, top_ops, followups):
-    """Run a program; returns the log, the handler calls, the counts each
-    run returned, the clock, and pending() after every top-level op."""
+    """Run a program; returns the log, the handler calls, the count run
+    returned, the clock, and pending() after every top-level op."""
     fired = []
     reserved = []  # (fire_at, seq) reserved and not yet scheduled
     script = iter(followups)
@@ -404,8 +369,6 @@ def _drive(engine, top_ops, followups):
         name = f"{kind}{next(counter)}"
         if kind == "schedule":
             engine.schedule(engine.now() + arg, handler, name, (name, arg))
-        elif kind == "after":
-            engine.after(arg, handler, name, (name, arg))
         elif kind == "sorted":
             times, t = [], engine.now()
             for step in arg:
@@ -421,20 +384,17 @@ def _drive(engine, top_ops, followups):
             except SchedulingInPastError:
                 fired.append((name, "rejected", engine.now()))
 
-    processed, pending = [], []
+    pending = []
     for op in top_ops:
-        if op[0] == "run_until":
-            processed.append(engine.run_until(engine.now() + op[1]))
-        else:
-            apply(op)
+        apply(op)
         pending.append(engine.pending())
-    processed.append(engine.run())
+    processed = engine.run()
     pending.append(engine.pending())
     return engine.log, fired, processed, engine.now(), pending
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(_top_op, max_size=25), st.lists(_op, max_size=40))
+@given(st.lists(_op, max_size=25), st.lists(_op, max_size=40))
 def test_engine_matches_heap_engine_on_random_programs(top_ops, followups):
     assert (_drive(Engine(record_log=True), top_ops, followups)
             == _drive(HeapEngine(record_log=True), top_ops, followups))

@@ -3,8 +3,8 @@
 The runner keeps at most one keep-alive timer pending per node, never later
 than the expiry of the node's oldest idle container; a timer whose container
 was reused only re-arms when it fires, and a warm hit does no timer work.
-The reference here is the eager scheme: one expiry event per release, on
-the keep-alive lane. Its engine has no cancel, so a generation count per
+The reference here is the eager scheme: one expiry event per release,
+``keep_alive_ms`` after it. Its engine has no cancel, so a generation count per
 container skips the expiry of a container reused since its release; those
 skipped expiries are the ones the eager scheme used to cancel. Records must
 be identical, and the reference's (time, seq) log without them must be the
@@ -43,7 +43,8 @@ class EagerKeepAlive(runner.Simulation):
     def _release(self, container, now):
         self.cluster.release_container(container, now)
         generation = self.generation[container] = self.generation.get(container, 0) + 1
-        self.engine.after(self._keep_alive_ms, self._expire, "expiry", (container, generation))
+        self.engine.schedule(now + self._keep_alive_ms, self._expire, "expiry",
+                             (container, generation))
 
     def _expire(self, container, generation):
         freed = (generation == self.generation[container]
@@ -56,19 +57,17 @@ class EagerKeepAlive(runner.Simulation):
 
 
 class CheckedEngine(Engine):
-    """Logs, counts ``after`` calls, and fails if a node ever has two
+    """Logs, counts dispatch offers, and fails if a node ever has two
     keep-alive timers pending."""
 
     def __init__(self):
         super().__init__(record_log=True)
-        self.after_calls = 0
+        self.offers = 0
         self.timers = Counter()  # pending keep-alive timers by label
 
-    def after(self, *args, **kwargs):
-        self.after_calls += 1
-        super().after(*args, **kwargs)
-
     def schedule(self, at, action, label="", args=(), seq=None):
+        if label.startswith("offer:"):
+            self.offers += 1
         if label.startswith("keep-alive:"):
             self.timers[label] += 1
             assert self.timers[label] == 1, f"two timers pending for {label}"
@@ -104,7 +103,7 @@ def assert_matches_eager(scenario, strategy_cfg, seed):
     assert result.row() == eager_result.row()
     assert list(result.records) == list(eager_result.records)
 
-    assert engine.after_calls == len(sim.trace)  # one dispatch offer each, nothing on completion
+    assert engine.offers == len(sim.trace)  # one dispatch offer per invocation
     assert not +engine.timers  # every timer fired
     kept = [(t, seq) for t, seq, _ in eager.engine.log if (t, seq) not in eager.skipped]
     kept_set = set(kept)

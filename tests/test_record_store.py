@@ -31,7 +31,7 @@ from dispatchsim.metrics import (
 )
 
 from conftest import scenario_dict
-from reference import store_from_records
+from reference import phase_sum, store_from_records
 from test_acceptance import DATA_INTENSIVE
 
 DEMO_SCENARIOS = sorted((Path(__file__).parent.parent / "demos" / "scenarios").glob("*.yaml"))
@@ -78,7 +78,7 @@ class ReferenceSimulation(runner.Simulation):
 
     def _complete(self, index, container, timeline, failed):
         inv = self.trace[index]
-        if timeline.actual_ms() != timeline.phase_sum():
+        if timeline.actual_ms() != phase_sum(timeline):
             raise SimulationError(f"phase accounting broken for {inv.id}")
         self._release(container, self.engine.now())
         spec = self.cluster.functions[inv.function]
