@@ -206,8 +206,6 @@ class Node:
         self.store_entries: dict[str, float] = {}  # entry id -> size MB
         self.cache_order: deque[str] = deque()  # evictable entries, FIFO
         self.run_queue = RunQueue(node_id, queue_buckets)
-        self.busy_ms_accum = 0  # container-time: summed active phases
-        self.compute_ms_accum = 0
         self.occupied_ms_accum = 0  # wall-clock time with >= 1 busy container
         self._occupied_since = 0
 
@@ -472,8 +470,6 @@ class Cluster:
             dispatch_ms, queue_wait_ms, boot, code_fetch, data_fetch, compute, write_back,
             started_at, exec_start + active,
         )
-        node.busy_ms_accum += active
-        node.compute_ms_accum += compute
         return timeline, failed
 
     # ---- diagnostics -----------------------------------------------------

@@ -10,6 +10,7 @@ the place of the single ``strategy`` block.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from functools import reduce
 
@@ -445,4 +446,6 @@ def validate(scenario: Scenario) -> list[Diagnostic]:
                                 "placement will fail at runtime", "warning"))
     if w.refs_per_invocation[1] > 0 and o.count == 0 and not w.trace_path:
         err("workload.refs_per_invocation", "references requested but no objects defined")
+    if w.trace_path and not os.path.isfile(w.trace_path):
+        err("workload.trace_path", f"{w.trace_path}: not a file")
     return diags

@@ -3,8 +3,8 @@
 ideal time   the function's compute_ms: its execution time with zero
              dispatch latency, a warm container and all data local
 quality      ideal / actual execution time of a task (1.0 means no overhead)
-efficiency   share of node busy time spent in pure compute
-utilization  share of total node-time the cluster spends busy
+efficiency   compute phase total over the total of the five active phases
+utilization  occupied node-time over node count times the run's elapsed time
 billing      GB-seconds: allocated memory times active time rounded up to
              the accounting granularity, plus one charge per invocation
 """
@@ -66,9 +66,9 @@ class RecordStore(Sequence[TaskRecord]):
 
     __slots__ = ("_ideal_ms", "_trace", "_index", "_nodes", "_phases", "_billed", "_failed")
 
-    def __init__(self, ideal_ms: Mapping[str, int], trace: Trace | None = None):
+    def __init__(self, ideal_ms: Mapping[str, int], trace: Trace):
         self._ideal_ms = ideal_ms
-        self._trace = Trace() if trace is None else trace
+        self._trace = trace
         self._index = array("i")
         self._nodes = array("i")
         self._phases = array("q")
@@ -175,17 +175,20 @@ def percentile_nearest_rank(sorted_values: list, fraction: float) -> float:
 
 
 def summarize_run(strategy: str, seed, records: RecordStore,
-                  compute_ms_total: int, busy_ms_total: int,
-                  occupied_ms_total: int, node_count: int, elapsed_ms: int,
+                  occupied_ms_total: int, node_count: int, horizon_ms: int,
                   replications: int, steals: int) -> dict:
     """One report row (see CSV_COLUMNS). Latency statistics and quality are
-    over completed tasks; phase totals cover every recorded task."""
+    over completed tasks; phase totals, efficiency and the elapsed time (the
+    horizon, or the last finish if later) cover every recorded task."""
     columns = records._phase_columns()
-    dispatch, queue_wait, boot, code_fetch, data_fetch, compute, write_back = columns
+    dispatch, queue_wait, boot, code_fetch, data_fetch, compute, write_back = map(sum, columns)
     failed = records._failed
-    # A task's actual time is its phase sum; see RecordStore.
-    actuals = list(compress(map(sum, zip(*columns)), map(not_, failed)))
+    # A task's actual time is its phase sum, and it finishes at arrival + sum.
+    sums = list(map(sum, zip(*columns)))
+    actuals = list(compress(sums, map(not_, failed)))
     trace = records._trace
+    arrivals = map(trace.arrivals.__getitem__, records._index)
+    last_finish = max(map(add, arrivals, sums), default=0)
     ideal_by_code = [records._ideal_ms[name] for name in trace.functions]
     ideals = map(ideal_by_code.__getitem__, map(
         trace.function_codes.__getitem__, compress(records._index, map(not_, failed))))
@@ -201,18 +204,18 @@ def summarize_run(strategy: str, seed, records: RecordStore,
         "median_actual_ms": float(statistics.median(actuals)) if actuals else 0.0,
         "p95_actual_ms": float(percentile_nearest_rank(actuals, 0.95)),
         "mean_quality": mean_quality,
-        "efficiency": efficiency(compute_ms_total, busy_ms_total),
-        "utilization": utilization(occupied_ms_total, node_count, elapsed_ms),
+        "efficiency": efficiency(compute, boot + code_fetch + data_fetch + compute + write_back),
+        "utilization": utilization(occupied_ms_total, node_count, max(horizon_ms, last_finish)),
         # Builtin sum in completion order: another order or fsum changes last bits.
         "gb_seconds": sum(compress(records._billed, map(not_, failed))),
         "invocations_billed": len(actuals),
-        "dispatch_ms_total": sum(dispatch),
-        "queue_ms_total": sum(queue_wait),
-        "boot_ms_total": sum(boot),
-        "code_fetch_ms_total": sum(code_fetch),
-        "data_fetch_ms_total": sum(data_fetch),
-        "compute_ms_total": sum(compute),
-        "write_back_ms_total": sum(write_back),
+        "dispatch_ms_total": dispatch,
+        "queue_ms_total": queue_wait,
+        "boot_ms_total": boot,
+        "code_fetch_ms_total": code_fetch,
+        "data_fetch_ms_total": data_fetch,
+        "compute_ms_total": compute,
+        "write_back_ms_total": write_back,
         "replications": replications,
         "steals": steals,
     }

@@ -36,12 +36,9 @@ class RunResult:
     strategy: str
     seed: int
     records: RecordStore
-    elapsed_ms: int
-    compute_ms_total: int
-    busy_ms_total: int
+    horizon_ms: int
     occupied_ms_total: int
     node_count: int
-    replications: int
     steals: int
     replication_log: list
 
@@ -49,13 +46,14 @@ class RunResult:
     def makespan_ms(self) -> int:
         return self.records.makespan_ms()
 
+    @property
+    def replications(self) -> int:
+        """Replicas placed: the placed actions in ``replication_log``."""
+        return sum(action.placed for _, action in self.replication_log)
+
     def row(self) -> dict:
-        return summarize_run(
-            self.strategy, self.seed, self.records,
-            self.compute_ms_total, self.busy_ms_total,
-            self.occupied_ms_total, self.node_count, self.elapsed_ms,
-            self.replications, self.steals,
-        )
+        return summarize_run(self.strategy, self.seed, self.records, self.occupied_ms_total,
+                             self.node_count, self.horizon_ms, self.replications, self.steals)
 
 
 class Simulation:
@@ -87,10 +85,7 @@ class Simulation:
             {name: spec.compute_ms for name, spec in functions.items()}, trace
         )
         self.steals = 0
-        self.replications = 0
         self.replication_log: list = []
-        self.done = 0
-        self.last_completion = 0
         self._labels = engine.record_log  # build event labels only for the log
         self._view = trace.view
         # Billing per trace function code: the flavor in GB, and the step.
@@ -112,13 +107,13 @@ class Simulation:
                 self.cfg.replication_period_ms, self._replication_tick, "replication-tick"
             )
         self.engine.run()
-        if self.done != len(self.trace):
+        if len(self.records) != len(self.trace):
             raise SimulationError(
-                f"run ended with {len(self.trace) - self.done} invocations unaccounted"
+                f"run ended with {len(self.trace) - len(self.records)} invocations unaccounted"
             )
 
     def _work_remaining(self) -> bool:
-        return self.done < len(self.trace)
+        return len(self.records) < len(self.trace)
 
     # ---- handlers ---------------------------------------------------------
     # An invocation travels as (index, inv): its trace index, for the
@@ -162,9 +157,6 @@ class Simulation:
             billed = (-(-active // step) * step / 1000.0) * self._flavor_gb[
                 self.trace.function_codes[index]]
         self.records.append(index, container.node, t, billed, failed)
-        self.done += 1
-        if t.finished_at > self.last_completion:
-            self.last_completion = t.finished_at
         if self.cluster.nodes[container.node].run_queue:
             self._drain(container.node)
 
@@ -239,10 +231,7 @@ class Simulation:
         actions = replication_tick(
             self.strategy.counters, self.cluster, self.cfg.replication_threshold
         )
-        for action in actions:
-            self.replication_log.append((self.engine.now(), action))
-            if action.placed:
-                self.replications += 1
+        self.replication_log.extend((self.engine.now(), action) for action in actions)
         if self._work_remaining():
             self.engine.schedule(
                 self.engine.now() + self.cfg.replication_period_ms,
@@ -257,12 +246,9 @@ class Simulation:
             strategy=strategy_label,
             seed=seed,
             records=self.records,
-            elapsed_ms=max(self.horizon_ms, self.last_completion),
-            compute_ms_total=sum(n.compute_ms_accum for n in nodes),
-            busy_ms_total=sum(n.busy_ms_accum for n in nodes),
+            horizon_ms=self.horizon_ms,
             occupied_ms_total=sum(n.occupied_ms_accum for n in nodes),
             node_count=len(nodes),
-            replications=self.replications,
             steals=self.steals,
             replication_log=self.replication_log,
         )
@@ -274,13 +260,16 @@ class Simulation:
 def prepare_workload(scenario: Scenario, seed: int) -> tuple[Catalog, Trace]:
     """Build the catalogs and the invocation trace for one seed. Catalog
     draws and trace draws use distinct streams of the same seed, so every
-    strategy compared under that seed sees the identical workload. A
-    malformed trace file is a ConfigError naming the key and the file."""
+    strategy compared under that seed sees the identical workload. A trace
+    file that cannot be read, or is malformed, is a ConfigError naming the
+    key and the file."""
     catalog = build_catalog(scenario.workload, RandomSource(seed, "catalog"))
     path = scenario.workload.trace_path
     if path:
         try:
             trace = load_trace(path, catalog)
+        except OSError as exc:  # missing, a directory, unreadable
+            raise ConfigError(f"workload.trace_path: {path}: {exc.strerror or exc}") from exc
         except (TraceFormatError, UnknownFunctionError, UnknownObjectError) as exc:
             raise ConfigError(f"workload.trace_path: {path}: {exc}") from exc
     else:

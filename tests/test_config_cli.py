@@ -174,6 +174,42 @@ def test_cli_non_utf8_trace_line_is_a_trace_format_error(tmp_path, capsys):
                 f"error: workload.trace_path: {trace_path}: line 2: {problem}\n")
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_cli_trace_path_that_is_not_a_file_names_the_key(tmp_path, capsys, command, kind):
+    # validate used to accept both, and run printed only the OSError.
+    trace_path = tmp_path / "trace.jsonl"
+    if kind == "directory":
+        trace_path.mkdir()
+    cfg = write_config(tmp_path, scenario_dict())
+    args = [command, cfg, "--out-dir", str(tmp_path / "out"),
+            f"workload.trace_path={trace_path}"]
+    assert main(args) == 2
+    assert capsys.readouterr().err == f"error: workload.trace_path: {trace_path}: not a file\n"
+
+
+def test_trace_file_that_cannot_be_read_is_a_config_error(tmp_path, capsys, monkeypatch):
+    # Past validation (a file gone since, or a caller that skips validate),
+    # prepare_workload names the key; an unreadable file used to exit 3.
+    missing, directory, unreadable = (tmp_path / name for name in ("missing", "dir", "denied"))
+    directory.mkdir()
+    unreadable.write_text("")
+    for path, reason in ((missing, "No such file or directory"), (directory, "Is a directory")):
+        scenario = parse_scenario(scenario_dict(workload={"trace_path": str(path)}))
+        with pytest.raises(ConfigError) as excinfo:
+            runner.prepare_workload(scenario, 1)
+        assert str(excinfo.value) == f"workload.trace_path: {path}: {reason}"
+
+    def denied(path, catalog):
+        raise PermissionError(13, "Permission denied", path)
+
+    monkeypatch.setattr(runner, "load_trace", denied)
+    cfg = write_config(tmp_path, scenario_dict(workload={"trace_path": str(unreadable)}))
+    assert main(["run", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: workload.trace_path: {unreadable}: Permission denied\n")
+
+
 def test_cli_memory_error_exits_3_with_one_line(tmp_path, capsys, monkeypatch):
     def exhausted(scenario):
         raise MemoryError

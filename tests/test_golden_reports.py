@@ -16,14 +16,22 @@ and from ``run`` otherwise. ENGINE_LOGS pins, per seed-1 run of each demo
 scenario, the engine's log of every fired occurrence (fire_at, seq, label):
 the order and the seq of each event, which a change to the event engine
 must keep. Both were recorded at commit 6ee7d06.
+
+DEMO_STDOUT pins what each ``demos/*.py`` script prints: the phase
+timelines, the strategy table, the steal makespans and the replication
+actions. Those digests were recorded at commit c6d8bc4.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 import yaml
 
+import dispatchsim
 from dispatchsim.cli import main
 from dispatchsim.config import load_scenario, parse_scenario
 from dispatchsim.engine import Engine
@@ -239,3 +247,26 @@ def _engine_log_digest(path: Path, strategy_cfg) -> str:
                          ids=lambda v: v.stem if isinstance(v, Path) else v.label)
 def test_demo_engine_logs_are_unchanged(path, strategy_cfg):
     assert _engine_log_digest(path, strategy_cfg) == ENGINE_LOGS[f"{path.stem}/{strategy_cfg.label}"]
+
+
+DEMO_STDOUT = {
+    "01_phase_anatomy.py":
+        "15eb45703069eb829259e1adfe96a4337022e9e72cd522fd5af1e912bf8fdd52",
+    "02_strategy_comparison.py":
+        "a13d76d79ec7fef75c2bb5bbf4ab6a89e1ff56403e57bff3cc5119b778873d08",
+    "03_work_stealing.py":
+        "3584904dc90748e75f297e53e24316598ddb7317885ee63424b63a9d73b20edd",
+    "04_proactive_replication.py":
+        "cda8fac2af785d29f0798ecfb60d82bf4f9f1edd243495a15a2e9981d195a5bd",
+}
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in DEMOS.parent.glob("*.py")))
+def test_demo_stdout_is_unchanged(name):
+    # The script imports the dispatchsim package these tests import.
+    src = str(Path(dispatchsim.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, str(DEMOS.parent / name)], env=env,
+                         capture_output=True, check=True).stdout
+    assert hashlib.sha256(out).hexdigest() == DEMO_STDOUT[name]
