@@ -1,10 +1,12 @@
 """Cluster state and cost model.
 
 Nodes host memory-flavored containers with a warm/cold lifecycle and a
-local data store. Every invocation produces a phase timeline:
+local data store. Every invocation has a phase timeline:
 
     dispatch -> queue wait -> boot -> code fetch -> data fetch -> compute -> write-back
 
+The runner accounts dispatch and queue wait; the cost model
+(Cluster.simulate_invocation) returns the five active phases from boot on.
 Overhead phases are zero for a warm container with locally cached data;
 remote bytes pay a latency plus serialized bandwidth cost. Fetched data is
 written through into the executing node's store (FIFO eviction of
@@ -141,7 +143,7 @@ class ClusterParams:
 
 
 class RunQueue(deque):
-    """A node's FIFO run queue of (trace index, invocation) entries.
+    """A node's FIFO run queue of trace indices.
 
     Every length change moves the node's bit between the node masks of the
     cluster's queue-length index. Only ``append``, ``extend``, ``pop`` and
@@ -348,16 +350,18 @@ class Cluster:
             container = pool.pop()
             if not pool:
                 self._clear_warm(function, node_id)
-            self._mark_busy(node, now)
-            return _WARM_HIT, container
-        spec = self.functions[function]
-        if spec.flavor <= node.free_mem():
-            node.mem_used += spec.flavor
-            self._mark_busy(node, now)
-            if node.mem_used > node.mem_capacity:
-                raise SimulationError(f"memory over-commit on node {node_id}")
-            return _COLD_START, Container(function, node_id, spec.flavor)
-        return _REJECTED, None
+            outcome = _WARM_HIT
+        else:
+            flavor = self.functions[function].flavor
+            if flavor > node.free_mem():
+                return _REJECTED, None
+            node.mem_used += flavor
+            container = Container(function, node_id, flavor)
+            outcome = _COLD_START
+        if node.busy_count == 0:
+            node._occupied_since = now
+        node.busy_count += 1
+        return outcome, container
 
     def release_container(self, container: Container, now: int = 0) -> None:
         """Busy -> warm-idle, at the back of its pool; the caller sets the
@@ -383,12 +387,6 @@ class Cluster:
         else:
             del self.warm_nodes[function]
 
-    @staticmethod
-    def _mark_busy(node: Node, now: int) -> None:
-        if node.busy_count == 0:
-            node._occupied_since = now
-        node.busy_count += 1
-
     def oldest_idle(self, node_id: int) -> Container | None:
         """The node's idle container with the earliest expiry: the smallest
         expiry among the heads of its pools, or None with none idle."""
@@ -413,34 +411,36 @@ class Cluster:
 
     # ---- invocation execution -------------------------------------------
 
-    def simulate_invocation(self, inv, node_id: int, cold: bool, dispatch_ms: int,
-                            queue_wait_ms: int) -> tuple[PhaseTimeline, bool]:
-        """Compute the phase timeline for an invocation that has just
-        acquired a container on ``node_id``.
+    def simulate_invocation(self, function: str, data_refs, node_id: int,
+                            cold: bool) -> tuple[tuple[int, int, int, int, int], bool]:
+        """The active phases of an invocation of ``function`` that has just
+        acquired a container on ``node_id``: (boot, code fetch, data fetch,
+        compute, write-back) ms, in PhaseTimeline field order, and whether
+        it failed. Dispatch and queue wait are the runner's to add.
 
         Overheads: boot and code fetch apply only to cold starts (code is
         pulled from the code store unless already cached on the node); each
         referenced object without a local replica is fetched sequentially
-        and written through into the node store. Returns (timeline, failed)
-        where failed means the active time hit the execution cap; capped
-        executions occupy the node for exactly the cap.
+        and written through into the node store. Failed means the active
+        time passed the execution cap; the phases of a capped execution are
+        cut off there, so it occupies the node for exactly the cap.
         """
         node = self.nodes[node_id]
-        spec = self.functions[inv.function]
+        spec = self.functions[function]
+        params = self.params
 
-        boot = 0 if not cold else self.params.container_boot_ms
-        code_fetch = 0
-        if cold and spec.code_size > 0:
-            code_local = (
-                _code_key(inv.function) in node.store_entries
-                or self.params.code_store == node_id
-            )
-            code_fetch = self.network.transfer_time(spec.code_size, remote=not code_local)
-            if not code_local:
-                self._cache_code(inv.function, spec.code_size, node)
+        boot = code_fetch = 0
+        if cold:
+            boot = params.container_boot_ms
+            if spec.code_size > 0:
+                code_local = (_code_key(function) in node.store_entries
+                              or params.code_store == node_id)
+                code_fetch = self.network.transfer_time(spec.code_size, remote=not code_local)
+                if not code_local:
+                    self._cache_code(function, spec.code_size, node)
 
         data_fetch = 0
-        for ref in inv.data_refs:
+        for ref in data_refs:
             obj = self.objects.get(ref)
             if obj is None:
                 raise UnknownObjectError(ref)
@@ -448,29 +448,17 @@ class Cluster:
                 data_fetch += self.network.transfer_time(obj.size, remote=True)
                 self.cache_object(ref, node_id)
 
-        compute = spec.compute_ms
         write_back = 0
         if spec.write_back > 0:
             write_back = self.network.transfer_time(
-                spec.write_back, remote=self.params.result_store != node_id
+                spec.write_back, remote=params.result_store != node_id
             )
 
-        cap = self.params.max_execution_ms
-        active = boot + code_fetch + data_fetch + compute + write_back
-        failed = active > cap
-        if failed:
-            boot, code_fetch, data_fetch, compute, write_back = _truncate_at(
-                (boot, code_fetch, data_fetch, compute, write_back), cap
-            )
-            active = cap
-
-        started_at = inv.arrival
-        exec_start = started_at + dispatch_ms + queue_wait_ms
-        timeline = PhaseTimeline(  # positional, in field order
-            dispatch_ms, queue_wait_ms, boot, code_fetch, data_fetch, compute, write_back,
-            started_at, exec_start + active,
-        )
-        return timeline, failed
+        phases = (boot, code_fetch, data_fetch, spec.compute_ms, write_back)
+        cap = params.max_execution_ms
+        if boot + code_fetch + data_fetch + spec.compute_ms + write_back > cap:
+            return _truncate_at(phases, cap), True
+        return phases, False
 
     # ---- diagnostics -----------------------------------------------------
 

@@ -61,7 +61,7 @@ class RecordStore(Sequence[TaskRecord]):
     TaskRecords, each built when it is accessed: the trace gives the id, the
     function (whose ideal time is looked up in ``ideal_ms``) and
     ``started_at`` (the arrival), and ``finished_at`` is ``started_at`` plus
-    the phase sum, which the cost model guarantees for every timeline.
+    the phase sum, which the runner checks at every completion.
     """
 
     __slots__ = ("_ideal_ms", "_trace", "_index", "_nodes", "_phases", "_billed", "_failed")
@@ -75,16 +75,13 @@ class RecordStore(Sequence[TaskRecord]):
         self._billed = array("d")
         self._failed = array("b")
 
-    def append(self, index: int, node: int, timeline: PhaseTimeline,
+    def append(self, index: int, node: int, phases: tuple[int, ...],
                billed_gb_s: float, failed: bool) -> None:
-        """Record the completion of trace[index]."""
+        """Record the completion of trace[index]; ``phases`` holds its seven
+        phase durations in PhaseTimeline field order."""
         self._index.append(index)
         self._nodes.append(node)
-        self._phases.extend((
-            timeline.dispatch_ms, timeline.queue_wait_ms, timeline.boot_ms,
-            timeline.code_fetch_ms, timeline.data_fetch_ms, timeline.compute_ms,
-            timeline.write_back_ms,
-        ))
+        self._phases.extend(phases)
         self._billed.append(billed_gb_s)
         self._failed.append(failed)
 

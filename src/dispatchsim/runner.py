@@ -9,6 +9,10 @@ than the expiry of its oldest idle container; a timer whose container was
 reused only re-arms when it fires. Optional periodic passes drive work
 stealing and popularity replication. A run drains completely, so every
 dispatched invocation is recorded exactly once.
+
+From arrival to completion an invocation travels as its trace index alone:
+the strategy and the cost model read the trace's columns, and no Invocation
+view or PhaseTimeline is built per invocation.
 """
 
 from __future__ import annotations
@@ -87,7 +91,6 @@ class Simulation:
         self.steals = 0
         self.replication_log: list = []
         self._labels = engine.record_log  # build event labels only for the log
-        self._view = trace.view
         # Billing per trace function code: the flavor in GB, and the step.
         self._flavor_gb = [functions[name].flavor / 1024.0 for name in trace.functions]
         self._billing_step = cluster.params.billing_granularity_ms
@@ -116,47 +119,54 @@ class Simulation:
         return len(self.records) < len(self.trace)
 
     # ---- handlers ---------------------------------------------------------
-    # An invocation travels as (index, inv): its trace index, for the
-    # records, and the view built at arrival, for the strategy and the
-    # cost model. A run queue holds (index, inv) entries.
+    # An invocation travels as its trace index: an offer carries (index,
+    # node id), a run queue holds indices, and a completion carries the
+    # seven phase durations in PhaseTimeline field order, with the billed
+    # GB-s and the failure flag.
 
     def _arrive(self, index: int) -> None:
-        inv = self._view(index)
-        node_id = self.strategy.decide(inv, self.cluster)
-        self.engine.schedule(inv.arrival + self._dispatch_ms, self._offer,
-                             f"offer:{inv.id}" if self._labels else "", (index, inv, node_id))
+        trace = self.trace
+        node_id = self.strategy.decide(trace, index, self.cluster)
+        self.engine.schedule(trace.arrivals[index] + self._dispatch_ms, self._offer,
+                             f"offer:{trace.invocation_id(index)}" if self._labels else "",
+                             (index, node_id))
 
-    def _offer(self, index: int, inv: Invocation, node_id: int) -> None:
-        if not self._try_start(index, inv, node_id):
-            self.cluster.nodes[node_id].run_queue.append((index, inv))
+    def _offer(self, index: int, node_id: int) -> None:
+        if not self._try_start(index, node_id):
+            self.cluster.nodes[node_id].run_queue.append(index)
 
-    def _try_start(self, index: int, inv: Invocation, node_id: int) -> bool:
+    def _try_start(self, index: int, node_id: int) -> bool:
         now = self.engine.now()
-        outcome, container = self.cluster.acquire_container(node_id, inv.function, now)
+        trace = self.trace
+        code = trace.function_codes[index]
+        function = trace.functions[code]
+        outcome, container = self.cluster.acquire_container(node_id, function, now)
         if outcome is _REJECTED:
             return False
-        dispatch_ms = self._dispatch_ms
-        timeline, failed = self.cluster.simulate_invocation(
-            inv, node_id, outcome is _COLD_START, dispatch_ms, now - (inv.arrival + dispatch_ms),
-        )
-        self.engine.schedule(timeline.finished_at, self._complete,
-                             f"completion:{inv.id}" if self._labels else "",
-                             (index, container, timeline, failed))
-        return True
-
-    def _complete(self, index: int, container: Container, timeline, failed: bool) -> None:
-        t = timeline
-        active = t.boot_ms + t.code_fetch_ms + t.data_fetch_ms + t.compute_ms + t.write_back_ms
-        if t.finished_at - t.started_at != t.dispatch_ms + t.queue_wait_ms + active:
-            raise SimulationError(f"phase accounting broken for {self._view(index).id}")
-        self._release(container, t.finished_at)  # the completion fires then
+        active, failed = self.cluster.simulate_invocation(
+            function, trace.ref_sets[trace.ref_codes[index]], node_id, outcome is _COLD_START)
+        busy = sum(active)
         if failed:
             billed = 0.0
         else:  # billed_gb_seconds, with the flavor and step looked up once per run
             step = self._billing_step
-            billed = (-(-active // step) * step / 1000.0) * self._flavor_gb[
-                self.trace.function_codes[index]]
-        self.records.append(index, container.node, t, billed, failed)
+            billed = (-(-busy // step) * step / 1000.0) * self._flavor_gb[code]
+        dispatch_ms = self._dispatch_ms
+        self.engine.schedule(now + busy, self._complete,
+                             f"completion:{trace.invocation_id(index)}" if self._labels else "",
+                             (index, container,
+                              (dispatch_ms, now - trace.arrivals[index] - dispatch_ms) + active,
+                              billed, failed))
+        return True
+
+    def _complete(self, index: int, container: Container, phases: tuple, billed: float,
+                  failed: bool) -> None:
+        now = self.engine.now()
+        if now - self.trace.arrivals[index] != sum(phases):
+            raise SimulationError(
+                f"phase accounting broken for {self.trace.invocation_id(index)}")
+        self._release(container, now)
+        self.records.append(index, container.node, phases, billed, failed)
         if self.cluster.nodes[container.node].run_queue:
             self._drain(container.node)
 
@@ -198,8 +208,7 @@ class Simulation:
     def _drain(self, node_id: int) -> None:
         queue = self.cluster.nodes[node_id].run_queue
         while queue:
-            index, inv = queue[0]
-            if not self._try_start(index, inv, node_id):
+            if not self._try_start(queue[0], node_id):
                 break  # strict FIFO: the head blocks until resources free up
             queue.popleft()
 

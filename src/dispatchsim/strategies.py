@@ -1,6 +1,8 @@
 """Event dispatching strategies.
 
-All strategies share one interface: decide(invocation, cluster) -> node id.
+All strategies share one interface: decide(trace, index, cluster) -> node
+id, for the invocation at ``index`` of the run's trace; each reads only the
+trace columns it needs.
 Baselines ignore data placement (round robin, least loaded, hash
 affinity); the data-aware family scores nodes by a weighted mix of warm
 code, byte locality and queue headroom; the proactive variant pins
@@ -20,6 +22,7 @@ from typing import NamedTuple
 from .cluster import Cluster, PlacementOutcome
 from .engine import RandomSource
 from .errors import ConfigError, UnknownObjectError
+from .workload import Trace
 
 DEFAULT_WEIGHTS = (0.3, 0.5, 0.2)  # warm code, data locality, queue headroom
 DEFAULT_QUEUE_CAP = 16
@@ -57,16 +60,17 @@ def _weighted(weights: tuple[float, float, float], code_warm: float, data_local:
 
 
 class DispatchStrategy:
-    """Base class; subclasses implement decide(), which returns the chosen
-    node id; every dispatch takes dispatch_latency_ms. Instances come from
-    make_strategy, which supplies the registered latency and parameters."""
+    """Base class; subclasses implement decide(), which returns the node id
+    chosen for trace[index]; every dispatch takes dispatch_latency_ms.
+    Instances come from make_strategy, which supplies the registered latency
+    and parameters."""
 
     needs_replication = False
 
     def __init__(self, latency_ms: int):
         self.dispatch_latency_ms = latency_ms
 
-    def decide(self, inv, cluster: Cluster) -> int:
+    def decide(self, trace: Trace, index: int, cluster: Cluster) -> int:
         raise NotImplementedError
 
 
@@ -75,7 +79,7 @@ class RoundRobinStrategy(DispatchStrategy):
         super().__init__(latency_ms)
         self.cursor = 0
 
-    def decide(self, inv, cluster: Cluster) -> int:
+    def decide(self, trace: Trace, index: int, cluster: Cluster) -> int:
         ids = cluster.node_ids
         node = ids[self.cursor % len(ids)]
         self.cursor += 1
@@ -83,7 +87,7 @@ class RoundRobinStrategy(DispatchStrategy):
 
 
 class LeastLoadedStrategy(DispatchStrategy):
-    def decide(self, inv, cluster: Cluster) -> int:
+    def decide(self, trace: Trace, index: int, cluster: Cluster) -> int:
         buckets = cluster.queue_buckets
         mask = buckets[min(buckets)]  # the lowest set bit is the lowest node id
         return (mask & -mask).bit_length() - 1
@@ -94,11 +98,12 @@ class HashAffinityStrategy(DispatchStrategy):
         super().__init__(latency_ms)
         self._hashes: dict[str, int] = {}  # function -> stable_hash(function)
 
-    def decide(self, inv, cluster: Cluster) -> int:
+    def decide(self, trace: Trace, index: int, cluster: Cluster) -> int:
         ids = cluster.node_ids
-        digest = self._hashes.get(inv.function)
+        function = trace.functions[trace.function_codes[index]]
+        digest = self._hashes.get(function)
         if digest is None:
-            digest = self._hashes[inv.function] = stable_hash(inv.function)
+            digest = self._hashes[function] = stable_hash(function)
         return ids[digest % len(ids)]
 
 
@@ -111,7 +116,7 @@ class DataAwareStrategy(DispatchStrategy):
         self.weights = (w_code, w_data, w_load)
         self.queue_cap = queue_cap
 
-    def decide(self, inv, cluster: Cluster) -> int:
+    def decide(self, trace: Trace, index: int, cluster: Cluster) -> int:
         """The argmax of locality_score over all nodes, ties to the lowest
         id, from scoring only the replica holders of the references and
         the best warm and cold representatives of everyone else. With no
@@ -123,10 +128,11 @@ class DataAwareStrategy(DispatchStrategy):
         and each candidate is scored with the expression locality_score
         evaluates, so every score is the same float."""
         w_code, w_data, w_load = self.weights
+        function = trace.functions[trace.function_codes[index]]
         objects = cluster.objects
         total = 0.0
         local: dict[int, float] = {}  # replica holder -> referenced bytes it holds
-        for ref in inv.data_refs:
+        for ref in trace.ref_sets[trace.ref_codes[index]]:
             obj = objects.get(ref)
             if obj is None:
                 raise UnknownObjectError(ref)
@@ -137,8 +143,8 @@ class DataAwareStrategy(DispatchStrategy):
                     local[nid] = local.get(nid, 0.0) + size
         # A node without a replica has byte locality 0, or 1 when no byte is referenced.
         candidates = set(local)
-        candidates.update(self._representatives(cluster, inv.function, 0.0 if total else 1.0))
-        warm = cluster.warm_nodes.get(inv.function, 0)
+        candidates.update(self._representatives(cluster, function, 0.0 if total else 1.0))
+        warm = cluster.warm_nodes.get(function, 0)
         nodes = cluster.nodes
         queue_cap = self.queue_cap
         best_node = -1
@@ -158,30 +164,39 @@ class DataAwareStrategy(DispatchStrategy):
         """For the warm and the cold class, the node a scan of all nodes
         would pick if no node held a referenced byte.
 
-        Within a class the score only falls as the queue grows (the weights
-        are non-negative), so the best sit at the shortest queue length.
-        A longer length can tie it (every length past queue_cap, w_load = 0,
-        or a load term lost to rounding); its nodes then compete on id too,
-        so the class's tied nodes are ORed into one mask.
+        Within a class the score never rises as the queue grows (the weights
+        are non-negative, and each rounded step is monotonic), so the best
+        sit at the shortest populated length, which needs no score. A longer
+        length can tie it (every length past queue_cap, w_load = 0, or a
+        load term lost to rounding); its nodes then compete on id too. Such
+        a length is scored only when it holds a node below the current pick:
+        its tie is the only way it changes the pick, and since scores never
+        rise, when it does not tie no longer length does either.
         """
         warm = cluster.warm_nodes.get(function, 0)
         levels = sorted(cluster.queue_buckets.items())
         reps = []
         for code_warm, keep in ((1.0, warm), (0.0, ~warm)):
             top = None
-            tied = 0
+            pick = 0  # the lowest tied node's bit
             for qlen, nodes in levels:
                 members = nodes & keep
                 if not members:
                     continue
-                score = _weighted(self.weights, code_warm, data_local, qlen, self.queue_cap)
+                if not pick:
+                    pick = members & -members
+                    shortest = qlen
+                    continue
+                lower = members & (pick - 1)
+                if not lower:
+                    continue
                 if top is None:
-                    top = score
-                elif score != top:
+                    top = _weighted(self.weights, code_warm, data_local, shortest, self.queue_cap)
+                if _weighted(self.weights, code_warm, data_local, qlen, self.queue_cap) != top:
                     break
-                tied |= members
-            if tied:
-                reps.append((tied & -tied).bit_length() - 1)
+                pick = lower & -lower
+            if pick:
+                reps.append(pick.bit_length() - 1)
         return reps
 
 
@@ -221,15 +236,16 @@ class ProactiveClusterStrategy(DataAwareStrategy):
         self.counters = PopularityCounter(decay)
         self._signatures: dict[tuple[str, ...], str] = {}  # reference set -> data_signature
 
-    def decide(self, inv, cluster: Cluster) -> int:
-        refs = inv.data_refs
+    def decide(self, trace: Trace, index: int, cluster: Cluster) -> int:
+        refs = trace.ref_sets[trace.ref_codes[index]]
         sig = self._signatures.get(refs)
         if sig is None:
             sig = self._signatures[refs] = data_signature(refs)
-        key = (inv.function, sig, inv.origin)
+        key = (trace.functions[trace.function_codes[index]], sig,
+               trace.origins[trace.origin_codes[index]])
         node = self.assignments.get(key)
         if node is None:
-            node = self.assignments[key] = super().decide(inv, cluster)
+            node = self.assignments[key] = super().decide(trace, index, cluster)
         self.counters.record(refs, node)
         return node
 

@@ -68,7 +68,8 @@ class Trace(Sequence[Invocation]):
     generated invocation.
 
     It reads as a sequence of Invocations, each built when it is read
-    (``view``); slices are lists. generate_trace, load_trace and
+    (``view``); slices are lists. A run reads the columns and tables by
+    index and builds no view. generate_trace, load_trace and
     from_invocations fill one, and each leaves it in arrival order with
     ties in input order.
     """
@@ -128,11 +129,15 @@ class Trace(Sequence[Invocation]):
         if self.ids is not None:
             self.ids = list(map(self.ids.__getitem__, order))
 
+    def invocation_id(self, i: int) -> str:
+        """The id of the invocation at index i, for 0 <= i < len(self)."""
+        ids = self.ids
+        return "inv-%06d" % i if ids is None else ids[i]
+
     def view(self, i: int) -> Invocation:
         """The invocation at index i, for 0 <= i < len(self)."""
-        ids = self.ids
         return _new_tuple(Invocation, (
-            "inv-%06d" % i if ids is None else ids[i],
+            self.invocation_id(i),
             self.functions[self.function_codes[i]],
             self.ref_sets[self.ref_codes[i]],
             self.origins[self.origin_codes[i]],

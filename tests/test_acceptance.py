@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines as they execute.
 """
 
+import hashlib
 import resource
 import time
 from collections import Counter
@@ -248,8 +249,25 @@ def test_criterion_9_stealing_conserves_work_and_cuts_makespan():
            and stolen.makespan_ms < plain.makespan_ms)
 
 
-@pytest.mark.parametrize("strategy", ["round_robin", "least_loaded", "hash_affinity",
-                                      "mcgrath_queues", "data_aware", "proactive_cluster"])
+# SHA-256 of repr(row) of each criterion-10 run, recorded at commit b894ea8:
+# a change that declares no behaviour change keeps these rows bit for bit.
+CRITERION_10_ROWS = {
+    "round_robin":
+        "636e7b62a7905f13c6cd4a7c1c7fda388f0642203b79a00cfe5de54eec2ec83a",
+    "least_loaded":
+        "64025b1aee58a717ca9dddb0c37e9d5112494376f378c1923c4407ef6dcfb326",
+    "hash_affinity":
+        "e31cf4196217168beb21bf94c0814c312b063bd8ede84c9732efbb6d50e8e059",
+    "mcgrath_queues":
+        "98859273890ed4064de52eb2fee53e661dec885e2032892eaa92a9fcfea5f7da",
+    "data_aware":
+        "ab0b2a1e051737a990be5c44cf1900ca4cfb5f6df472c6cd6f91679d57a4b8a1",
+    "proactive_cluster":
+        "79538b58388e9ae2f400290cc77010953cea8d634fde6661e67c4ac5b7d89a28",
+}
+
+
+@pytest.mark.parametrize("strategy", list(CRITERION_10_ROWS))
 def test_criterion_10_scale_100k_invocations_64_nodes(strategy):
     raw = scenario_dict(
         cluster={"nodes": 64, "mem_capacity": 4096, "store_capacity": 4000},
@@ -270,3 +288,5 @@ def test_criterion_10_scale_100k_invocations_64_nodes(strategy):
     print(f"  {len(result.records)} tasks in {elapsed:.2f}s, peak rss {peak_gb:.2f}GB")
     report(10, f"scale (100k invocations, 64 nodes, <10s, <1GB), {strategy}",
            len(result.records) == 100_000 and elapsed < 10.0 and peak_gb < 1.0)
+    row_digest = hashlib.sha256(repr(result.row()).encode()).hexdigest()
+    assert row_digest == CRITERION_10_ROWS[strategy], row_digest

@@ -25,6 +25,8 @@ from dispatchsim.strategies import (
 )
 from dispatchsim.workload import Invocation
 
+from reference import decide
+
 FUNCTIONS = ("f1", "f2", "f3")
 OBJECT_SIZES = {"a": 0.0, "b": 10.0, "c": 40.0, "d": 70.0, "z": 0.0}
 
@@ -48,8 +50,8 @@ def brute_force_least_loaded(cluster):
 
 
 class BruteDataAware(DataAwareStrategy):
-    def decide(self, inv, cluster):
-        return brute_force_best(self, inv, cluster)[0]
+    def decide(self, trace, index, cluster):
+        return brute_force_best(self, trace[index], cluster)[0]
 
 
 class BruteProactive(ProactiveClusterStrategy, BruteDataAware):
@@ -58,7 +60,7 @@ class BruteProactive(ProactiveClusterStrategy, BruteDataAware):
 
 
 class BruteLeastLoaded(LeastLoadedStrategy):
-    def decide(self, inv, cluster):
+    def decide(self, trace, index, cluster):
         return brute_force_least_loaded(cluster)
 
 
@@ -90,7 +92,7 @@ def build_state(nodes, store, queues, container_ops, placement_ops):
         [DataObject(oid, size) for oid, size in OBJECT_SIZES.items()],
     )
     for nid, qlen in enumerate(queues[:nodes]):
-        c.nodes[nid].run_queue.extend([("x", 1)] * qlen)
+        c.nodes[nid].run_queue.extend([0] * qlen)
     for kind, nid, function in container_ops:
         node = c.nodes[nid % nodes]
         if kind == "expire":
@@ -148,9 +150,9 @@ def test_indexed_choice_equals_scan(nodes, queue_cap, queues, container_ops, pla
         ("data_aware", {"w_code": w_code, "w_data": w_data, "w_load": w_load}),
     ):
         strategy = make_strategy(name, dict(params, queue_cap=queue_cap))
-        assert strategy.decide(event, c) == brute_force_best(strategy, event, c)[0]
+        assert decide(strategy, event, c) == brute_force_best(strategy, event, c)[0]
 
-    assert make_strategy("least_loaded").decide(event, c) == brute_force_least_loaded(c)
+    assert decide(make_strategy("least_loaded"), event, c) == brute_force_least_loaded(c)
 
 
 def set_representatives(strategy, cluster, function, data_local):
@@ -200,6 +202,92 @@ def test_mask_representatives_equal_set_representatives(nodes, queue_cap, queues
                 == set_representatives(strategy, c, function, data_local))
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    nodes=st.integers(2, 16),
+    queue_cap=st.integers(1, 4),
+    past_cap=st.booleans(),
+    extra=st.lists(st.integers(0, 4), min_size=16, max_size=16),
+    container_ops=st.lists(node_ops, max_size=30),
+    placement_ops=st.lists(replica_ops, max_size=12),
+    function=st.sampled_from(FUNCTIONS),
+    refs=st.lists(st.sampled_from(sorted(OBJECT_SIZES)), max_size=3),
+    w_code=weights,
+    w_data=weights,
+    w_load=weights,
+)
+def test_ties_across_queue_lengths_keep_the_scan_choice(nodes, queue_cap, past_cap, extra,
+                                                        container_ops, placement_ops,
+                                                        function, refs, w_code, w_data,
+                                                        w_load):
+    # Every length ties: either all queues sit at or past queue_cap, where
+    # headroom is 0, or the load term has no weight. The representative is
+    # then the lowest id of a class over every length, not the lowest id at
+    # the shortest length.
+    if past_cap:
+        queues = [queue_cap + e for e in extra]
+    else:
+        queues, w_load = extra, 0.0
+    c = build_state(nodes, 1000.0, queues, container_ops, placement_ops)
+    event = Invocation("i", function, tuple(refs), "web", 0)
+    for params in ({}, {"w_code": w_code, "w_data": w_data, "w_load": w_load}):
+        if not past_cap:
+            params = dict(params, w_load=0.0)
+        strategy = make_strategy("data_aware", dict(params, queue_cap=queue_cap))
+        assert decide(strategy, event, c) == brute_force_best(strategy, event, c)[0]
+        for data_local in (0.0, 1.0):
+            assert (strategy._representatives(c, function, data_local)
+                    == set_representatives(strategy, c, function, data_local))
+
+
+def count_weighted(monkeypatch) -> list:
+    """Patch strategies._weighted to log (code_warm, qlen) of each call."""
+    scored = []
+    original = strategies._weighted
+
+    def counted(weights, code_warm, data_local, qlen, queue_cap):
+        scored.append((code_warm, qlen))
+        return original(weights, code_warm, data_local, qlen, queue_cap)
+
+    monkeypatch.setattr(strategies, "_weighted", counted)
+    return scored
+
+
+def test_one_queue_length_scores_no_representative(monkeypatch):
+    # With nothing queued every node sits at length 0, the shortest length
+    # of both classes, so no longer length can tie it and a decide calls
+    # _weighted zero times.
+    c = build_state(8, 1000.0, [0] * 16, [("warm", 3, "f1"), ("warm", 6, "f2")],
+                    [(True, "b", 5), (True, "c", 2)])
+    events = [Invocation("i", "f1", refs, "web", 0) for refs in ((), ("b",), ("b", "c"))]
+    cases = [(make_strategy(name), event) for name in
+             ("data_aware", "mcgrath_queues", "proactive_cluster") for event in events]
+    want = [brute_force_best(strategy, event, c)[0] for strategy, event in cases]
+    scored = count_weighted(monkeypatch)
+    assert [decide(strategy, event, c) for strategy, event in cases] == want
+    assert scored == []
+
+
+def test_a_longer_length_is_scored_only_when_it_holds_a_lower_id(monkeypatch):
+    # Cold nodes 2 (queue 0), 3 (queue 1) and 0 (queue 2), queue_cap 1: the
+    # lengths 1 and 2 tie on headroom 0 but not length 0. Node 3 cannot
+    # lower the pick, so only length 2 is scored, against length 0.
+    c = build_state(4, 1000.0, [2, 0, 0, 1], [("warm", 1, "f1")], [])
+    strategy = make_strategy("data_aware", {"queue_cap": 1})
+    want = set_representatives(strategy, c, "f1", 1.0)
+    scored = count_weighted(monkeypatch)
+    assert strategy._representatives(c, "f1", 1.0) == [1, 2] == want
+    assert scored == [(0.0, 0), (0.0, 2)]
+    # With queue_cap 4, length 1 (node 1) scores below length 0 (node 3),
+    # so length 2 (node 0) cannot tie either and is never scored.
+    c = build_state(4, 1000.0, [2, 1, 0, 0], [("warm", 2, "f1")], [])
+    strategy = make_strategy("data_aware", {"queue_cap": 4})
+    want = set_representatives(strategy, c, "f1", 1.0)
+    scored.clear()
+    assert strategy._representatives(c, "f1", 1.0) == [2, 3] == want
+    assert scored == [(0.0, 0), (0.0, 1)]
+
+
 def test_representative_is_lowest_id_across_all_full_buckets():
     # Nodes 1 (queue 5) and 2 (queue 3) both sit past queue_cap 2, so they
     # tie on headroom 0 and node 1 wins on id; node 0 is the warm class.
@@ -213,7 +301,7 @@ def test_zero_load_weight_ties_fall_to_the_lowest_id():
     # node 0 even though node 2 has the shorter queue.
     c = build_state(3, 1000.0, [4, 2, 0], [], [])
     strategy = make_strategy("data_aware", {"w_load": 0.0})
-    assert strategy.decide(Invocation("i", "f1", (), "web", 0), c) == 0
+    assert decide(strategy, Invocation("i", "f1", (), "web", 0), c) == 0
 
 
 def test_zero_byte_refs_tie_through_rounding():
@@ -224,7 +312,7 @@ def test_zero_byte_refs_tie_through_rounding():
     for refs in ((), ("a", "z")):
         event = Invocation("i", "f1", refs, "web", 0)
         assert brute_force_best(strategy, event, c) == (0, 1.0)
-        assert strategy.decide(event, c) == 0
+        assert decide(strategy, event, c) == 0
 
 
 class NodeReadLog(dict):
@@ -252,7 +340,7 @@ def test_mcgrath_decide_scores_only_the_representatives():
     event = Invocation("i", "f1", ("b", "c", "d"), "web", 0)
     want = brute_force_best(strategy, event, c)[0]
     c.nodes = NodeReadLog(c.nodes)
-    node = strategy.decide(event, c)
+    node = decide(strategy, event, c)
     assert 0 < len(c.nodes.reads) <= 2
     assert node == want
 
@@ -264,7 +352,7 @@ def test_a_missing_reference_is_refused_with_or_without_a_data_term(name):
     c = build_state(3, 1000.0, [0, 0, 0], [], [(True, "b", 1)])
     strategy = make_strategy(name)
     with pytest.raises(UnknownObjectError, match="nope"):
-        strategy.decide(Invocation("i", "f1", ("b", "nope", "gone"), "web", 0), c)
+        decide(strategy, Invocation("i", "f1", ("b", "nope", "gone"), "web", 0), c)
 
 
 def test_negative_weight_and_bad_queue_cap_are_refused():
@@ -333,7 +421,7 @@ def corrupt_queue_bucket(c):
 
 
 def corrupt_queue_bypass(c):
-    deque.append(c.nodes[2].run_queue, ("x", 1))  # length changes, index does not
+    deque.append(c.nodes[2].run_queue, 0)  # length changes, index does not
 
 
 @pytest.mark.parametrize("corrupt", [corrupt_warm_add, corrupt_warm_drop,
@@ -350,8 +438,8 @@ def test_check_invariants_detects_a_stale_index(corrupt):
 
 
 RUN_QUEUE_MUTATORS = {
-    "append": (lambda q: q.append(("y", 1)), 3),
-    "extend": (lambda q: q.extend([("y", 1)] * 2), 4),
+    "append": (lambda q: q.append(7), 3),
+    "extend": (lambda q: q.extend([7] * 2), 4),
     "pop": (lambda q: q.pop(), 1),
     "popleft": (lambda q: q.popleft(), 1),
 }
@@ -366,5 +454,5 @@ def test_run_queue_mutator_keeps_the_index(name):
     assert len(queue) == length
     c.check_invariants()
     assert c.queue_buckets[length] >> 1 & 1 and c.queue_buckets[2] >> 2 & 1
-    queue.append(("w", 1))  # a later append starts from the right bucket
+    queue.append(8)  # a later append starts from the right bucket
     c.check_invariants()

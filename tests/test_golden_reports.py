@@ -20,6 +20,12 @@ must keep. Both were recorded at commit 6ee7d06.
 DEMO_STDOUT pins what each ``demos/*.py`` script prints: the phase
 timelines, the strategy table, the steal makespans and the replication
 actions. Those digests were recorded at commit c6d8bc4.
+
+MIXED pins ``tests/fixtures/mixed.yaml``: its compare csv and json, the
+RECORDS digest of each of its runs, and the engine log of each seed-1 run.
+Its two strategies score without a data term, cap the queue at 2 and
+steal, so its runs queue, steal, replicate, expire containers mid-run and
+fail at the execution cap. Those digests were recorded at commit b894ea8.
 """
 
 import hashlib
@@ -43,6 +49,7 @@ from test_acceptance import DATA_INTENSIVE
 from test_keep_alive import simulate
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
+MIXED_FIXTURE = Path(__file__).resolve().parent / "fixtures" / "mixed.yaml"
 MINIMAL = DEMOS / "minimal.yaml"
 DEMO_SCENARIOS = sorted(DEMOS.glob("*.yaml"))
 SEEDS = (1, 2, 3)
@@ -270,3 +277,43 @@ def test_demo_stdout_is_unchanged(name):
     out = subprocess.run([sys.executable, str(DEMOS.parent / name)], env=env,
                          capture_output=True, check=True).stdout
     assert hashlib.sha256(out).hexdigest() == DEMO_STDOUT[name]
+
+
+MIXED = {
+    "compare.csv":
+        "c280d6a9803f7b739d139700dd91ae24fecb7e92ff221246fde659899d493883",
+    "compare.json":
+        "99199d832a6bb6c8401182c758f768bd376e34aba0c7668f99c058a0ddcb7423",
+    "proactive_cluster+steal/1":
+        "6b532e0a16ffab3cc21c6c6e7ac4a28e8e0198191b8c783a178620afeb921ac3",
+    "mcgrath_queues+steal/1":
+        "7309b764a734f81d604ebc7fc33410b8a5fe592552f230dcf8bb9e85d3df01bc",
+    "proactive_cluster+steal/2":
+        "4e85b4940ef5e31d6da561a0668ec4c4def8e5da817929b448bcc39c749d9141",
+    "mcgrath_queues+steal/2":
+        "6e5cc663b2d2379e336629dc28d01f1047d02acf54aeaac95d592e419e1aba34",
+    "engine-log/proactive_cluster+steal":
+        "b67d269f11629d9856e0f248347656acb86dfcc99b73053dee4f62d9192472b9",
+    "engine-log/mcgrath_queues+steal":
+        "01a7ed688bc3f83df3c37668c09d24576c04c8e076b4829890432f26422c914e",
+}
+
+
+def test_mixed_fixture_reports_are_unchanged(tmp_path):
+    assert main(["compare", str(MIXED_FIXTURE), "--out-dir", str(tmp_path)]) == 0
+    digests = {name: _digest(tmp_path / name) for name in ("compare.csv", "compare.json")}
+    assert digests == {name: MIXED[name] for name in digests}
+
+
+def test_mixed_fixture_records_are_unchanged():
+    results, _ = compare_scenario(load_scenario(MIXED_FIXTURE))
+    digests = {f"{r.strategy}/{r.seed}": _records_digest(r) for r in results}
+    assert digests == {key: digest for key, digest in MIXED.items()
+                       if not key.startswith(("compare.", "engine-log/"))}
+
+
+@pytest.mark.parametrize("strategy_cfg", load_scenario(MIXED_FIXTURE).strategies,
+                         ids=lambda cfg: cfg.label)
+def test_mixed_fixture_engine_logs_are_unchanged(strategy_cfg):
+    assert (_engine_log_digest(MIXED_FIXTURE, strategy_cfg)
+            == MIXED[f"engine-log/{strategy_cfg.label}"])

@@ -95,21 +95,24 @@ class ReferenceSimulation(runner.Simulation):
         self.replications = 0
         simulate = self.cluster.simulate_invocation
 
-        def start(inv, node_id, *args):
-            t, failed = simulate(inv, node_id, *args)
+        def start(function, data_refs, node_id, cold):
+            phases, failed = simulate(function, data_refs, node_id, cold)
+            boot, code_fetch, data_fetch, compute, write_back = phases
             # busy from the start of execution to the finish
-            self.busy_ms[node_id] += t.finished_at - (t.started_at + t.dispatch_ms
-                                                      + t.queue_wait_ms)
-            self.compute_ms[node_id] += t.compute_ms
-            return t, failed
+            self.busy_ms[node_id] += boot + code_fetch + data_fetch + compute + write_back
+            self.compute_ms[node_id] += compute
+            return phases, failed
 
         self.cluster.simulate_invocation = start
 
-    def _complete(self, index, container, timeline, failed):
+    def _complete(self, index, container, phases, billed, failed):
+        # The runner's billed GB-s is ignored: billed_gb_seconds recomputes it.
         inv = self.trace[index]
+        now = self.engine.now()
+        timeline = PhaseTimeline(*phases, started_at=inv.arrival, finished_at=now)
         if timeline.actual_ms() != phase_sum(timeline):
             raise SimulationError(f"phase accounting broken for {inv.id}")
-        self._release(container, self.engine.now())
+        self._release(container, now)
         spec = self.cluster.functions[inv.function]
         self.records.append(TaskRecord(
             invocation_id=inv.id,

@@ -1,9 +1,13 @@
 """End-to-end run mechanics on small scenarios."""
 
+from pathlib import Path
+
 import pytest
 
-from dispatchsim.config import parse_scenario
+from dispatchsim.cluster import PhaseTimeline
+from dispatchsim.config import load_scenario, parse_scenario
 from dispatchsim.engine import Engine
+from dispatchsim.errors import SimulationError
 from dispatchsim.metrics import COMPLETED
 from dispatchsim.runner import (
     Simulation,
@@ -245,3 +249,45 @@ def test_sorted_trace_is_used_as_given_and_unsorted_one_is_sorted():
     assert isinstance(reversed_run.trace, Trace)
     assert list(reversed_run.trace) == list(trace)
     assert list(reversed_run.records) == list(in_order.records)
+
+
+MIXED_FIXTURE = Path(__file__).parent / "fixtures" / "mixed.yaml"
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a run built a per-invocation view")
+
+
+def test_a_run_builds_no_invocation_view_or_phase_timeline(monkeypatch):
+    # An invocation travels as its trace index: with the engine log off, no
+    # strategy, handler or cost model reads a view, and no PhaseTimeline is
+    # built until the records are read. The mixed fixture queues, steals,
+    # replicates and fails at the cap; the demo scenario runs every strategy.
+    scenarios = [load_scenario(MIXED_FIXTURE), load_scenario(
+        Path(__file__).parent.parent / "demos" / "scenarios" / "tight_memory.yaml")]
+    expected = [run_one(s, cfg, 1).row() for s in scenarios for cfg in s.strategies]
+    monkeypatch.setattr(Trace, "view", _refuse)
+    monkeypatch.setattr(PhaseTimeline, "__init__", _refuse)
+    rows = [run_one(s, cfg, 1).row() for s in scenarios for cfg in s.strategies]
+    assert rows == expected
+
+
+class LateCompletions(Engine):
+    """Fires every completion one millisecond after its phases end."""
+
+    def schedule(self, at, action, label="", args=(), seq=None):
+        if getattr(action, "__func__", None) is Simulation._complete:
+            at += 1
+        super().schedule(at, action, label, args, seq=seq)
+
+
+def test_completion_check_refuses_a_finish_other_than_the_phase_sum():
+    scenario = parse_scenario(scenario_dict())
+    catalog, trace = prepare_workload(scenario, 1)
+    sim = Simulation(LateCompletions(), build_cluster(scenario, catalog),
+                     make_strategy("round_robin"), trace, horizon_ms=1000,
+                     strategy_cfg=scenario.strategies[0], seed=1)
+    # The first completion is inv-000001's: it starts while inv-000000 is
+    # still fetching f1's code, finds that code cached, and finishes first.
+    with pytest.raises(SimulationError, match="phase accounting broken for inv-000001"):
+        sim.run()

@@ -21,7 +21,7 @@ from dispatchsim.errors import ConfigError
 from dispatchsim.workload import Invocation
 
 from conftest import scenario_dict
-from reference import cluster_key
+from reference import cluster_key, decide
 
 F1 = FunctionSpec("f1", code_size=10, flavor=128, compute_ms=50)
 
@@ -44,13 +44,13 @@ def inv(function="f1", refs=(), origin="web", arrival=0, ident="i0"):
 def test_round_robin_single_node():
     view = make_cluster(nodes=1)
     rr = make_strategy("round_robin")
-    assert [rr.decide(inv(), view) for _ in range(4)] == [0, 0, 0, 0]
+    assert [decide(rr, inv(), view) for _ in range(4)] == [0, 0, 0, 0]
 
 
 def test_round_robin_cycles_in_node_order():
     view = make_cluster(nodes=3)
     rr = make_strategy("round_robin")
-    assert [rr.decide(inv(), view) for _ in range(6)] == [0, 1, 2, 0, 1, 2]
+    assert [decide(rr, inv(), view) for _ in range(6)] == [0, 1, 2, 0, 1, 2]
 
 
 def test_round_robin_exact_balance():
@@ -59,45 +59,45 @@ def test_round_robin_exact_balance():
     rr = make_strategy("round_robin")
     counts = {n: 0 for n in range(4)}
     for _ in range(4 * 250):
-        counts[rr.decide(inv(), view)] += 1
+        counts[decide(rr, inv(), view)] += 1
     assert counts == {0: 250, 1: 250, 2: 250, 3: 250}
 
 
 def test_least_loaded_picks_shortest_queue():
     c = make_cluster(nodes=3)
-    c.nodes[0].run_queue.extend([("x", 1)] * 3)
-    c.nodes[2].run_queue.extend([("x", 1)] * 2)
-    assert make_strategy("least_loaded").decide(inv(), c) == 1
+    c.nodes[0].run_queue.extend([0] * 3)
+    c.nodes[2].run_queue.extend([0] * 2)
+    assert decide(make_strategy("least_loaded"), inv(), c) == 1
 
 
 def test_least_loaded_ties_break_to_lowest_id():
     c = make_cluster(nodes=3)
-    assert make_strategy("least_loaded").decide(inv(), c) == 0
+    assert decide(make_strategy("least_loaded"), inv(), c) == 0
 
 
 def test_least_loaded_sees_queue_growth():
     c = make_cluster(nodes=3)
-    c.nodes[0].run_queue.append(("x", 1))
-    c.nodes[1].run_queue.append(("x", 1))
+    c.nodes[0].run_queue.append(0)
+    c.nodes[1].run_queue.append(0)
     strategy = make_strategy("least_loaded")
     view = c
-    chosen = strategy.decide(inv(), view)
+    chosen = decide(strategy, inv(), view)
     assert chosen == 2
-    c.nodes[chosen].run_queue.append(("x", 1))  # dispatch enqueues on the target
+    c.nodes[chosen].run_queue.append(0)  # dispatch enqueues on the target
     assert len(view.nodes[chosen].run_queue) == 1
-    assert strategy.decide(inv(), view) == 0
+    assert decide(strategy, inv(), view) == 0
 
 
 def test_hash_affinity_is_sticky_per_function():
     view = make_cluster(nodes=4)
     strategy = make_strategy("hash_affinity")
-    first = strategy.decide(inv("f1"), view)
-    assert all(strategy.decide(inv("f1"), view) == first for _ in range(5))
+    first = decide(strategy, inv("f1"), view)
+    assert all(decide(strategy, inv("f1"), view) == first for _ in range(5))
 
 
 def test_hash_affinity_single_node():
     view = make_cluster(nodes=1)
-    assert make_strategy("hash_affinity").decide(inv("whatever"), view) == 0
+    assert decide(make_strategy("hash_affinity"), inv("whatever"), view) == 0
 
 
 def test_hash_affinity_spreads_distinct_names():
@@ -123,7 +123,7 @@ def test_score_is_one_for_warm_local_idle():
 def test_score_is_zero_for_cold_remote_full_queue():
     c = make_cluster(objects=[("a", 100)])
     c.place_object("a", 1)
-    c.nodes[0].run_queue.extend([("x", 1)] * 16)  # at queue_cap
+    c.nodes[0].run_queue.extend([0] * 16)  # at queue_cap
     score = locality_score(c, inv(refs=("a",)), 0)
     assert score == pytest.approx(0.0)
 
@@ -135,7 +135,7 @@ def test_score_hand_arithmetic():
     c.place_object("b", 1)
     _, container = c.acquire_container(0, "f1")
     c.release_container(container)
-    c.nodes[0].run_queue.extend([("x", 1)] * 5)
+    c.nodes[0].run_queue.extend([0] * 5)
     score = locality_score(c, inv(refs=("a", "b")), 0, queue_cap=10)
     assert score == pytest.approx(0.525)
 
@@ -146,14 +146,14 @@ def test_score_hand_arithmetic():
 def test_data_aware_follows_the_bytes():
     c = make_cluster(objects=[("a", 100)])
     c.place_object("a", 2)
-    assert make_strategy("data_aware").decide(inv(refs=("a",)), c) == 2
+    assert decide(make_strategy("data_aware"), inv(refs=("a",)), c) == 2
 
 
 def test_data_aware_empty_refs_reduces_to_load_term():
     c = make_cluster(nodes=3)
-    c.nodes[0].run_queue.append(("x", 1))
-    c.nodes[1].run_queue.append(("x", 1))
-    assert make_strategy("data_aware").decide(inv(), c) == 2
+    c.nodes[0].run_queue.append(0)
+    c.nodes[1].run_queue.append(0)
+    assert decide(make_strategy("data_aware"), inv(), c) == 2
 
 
 def test_data_aware_argmax_matches_brute_force_oracle():
@@ -161,7 +161,7 @@ def test_data_aware_argmax_matches_brute_force_oracle():
     c.place_object("a", 1)
     c.place_object("b", 2)
     c.place_object("c", 0)
-    c.nodes[1].run_queue.extend([("x", 1)] * 4)
+    c.nodes[1].run_queue.extend([0] * 4)
     _, container = c.acquire_container(2, "f1")
     c.release_container(container)
     view = c
@@ -169,7 +169,7 @@ def test_data_aware_argmax_matches_brute_force_oracle():
     strategy = make_strategy("data_aware")
     scores = {n: locality_score(view, event, n) for n in view.node_ids}
     best = max(sorted(scores), key=lambda n: (scores[n], -n))
-    assert strategy.decide(event, view) == best
+    assert decide(strategy, event, view) == best
 
 
 @settings(max_examples=50, deadline=None)
@@ -183,16 +183,16 @@ def test_weight_scaling_leaves_argmax_unchanged(queues, warm, scale):
     c = make_cluster(nodes=n, objects=[("a", 100)])
     c.place_object("a", n - 1)
     for nid in range(n):
-        c.nodes[nid].run_queue.extend([("x", 1)] * queues[nid])
+        c.nodes[nid].run_queue.extend([0] * queues[nid])
         if warm[nid]:
             _, container = c.acquire_container(nid, "f1")
             c.release_container(container)
     view = c
     event = inv(refs=("a",))
-    base = make_strategy("data_aware").decide(event, view)
-    scaled = make_strategy(
+    base = decide(make_strategy("data_aware"), event, view)
+    scaled = decide(make_strategy(
         "data_aware", {"w_code": 0.3 * scale, "w_data": 0.5 * scale, "w_load": 0.2 * scale}
-    ).decide(event, view)
+    ), event, view)
     assert base == scaled
 
 
@@ -201,7 +201,7 @@ def test_every_strategy_returns_a_live_node():
     c.place_object("a", 3)
     view = c
     for name in STRATEGY_NAMES:
-        assert make_strategy(name).decide(inv(refs=("a",)), view) in view.node_ids
+        assert decide(make_strategy(name), inv(refs=("a",)), view) in view.node_ids
 
 
 def test_mcgrath_prefers_warm_then_short_queue():
@@ -210,11 +210,11 @@ def test_mcgrath_prefers_warm_then_short_queue():
     _, container = c.acquire_container(2, "f1")
     c.release_container(container)
     strategy = make_strategy("mcgrath_queues")
-    assert strategy.decide(inv(refs=("a",)), c) == 2
+    assert decide(strategy, inv(refs=("a",)), c) == 2
     # without any warm container, ties fall to the shortest queue
     cold = make_cluster(nodes=3)
-    cold.nodes[0].run_queue.append(("x", 1))
-    assert make_strategy("mcgrath_queues").decide(inv(), cold) == 1
+    cold.nodes[0].run_queue.append(0)
+    assert decide(make_strategy("mcgrath_queues"), inv(), cold) == 1
 
 
 def test_unknown_strategy_errors_with_registry():
@@ -244,8 +244,8 @@ def test_memoized_hashes_and_signatures_match_the_direct_ones():
     for function, refs, origin in [("f1", ("a",), "web"), ("f1", ("b", "a"), "web"),
                                    ("f1", ("a", "b"), "web"), ("f1", ("a",), "web")] * 2:
         event = inv(function, refs, origin)
-        assert hashing.decide(event, c) == stable_hash(function) % 5
-        node = sticky.decide(event, c)
+        assert decide(hashing, event, c) == stable_hash(function) % 5
+        node = decide(sticky, event, c)
         assert sticky.assignments[cluster_key(event)] == node
     assert len(sticky.assignments) == 2  # ("a", "b") and ("b", "a") share a signature
 
@@ -287,10 +287,10 @@ def test_proactive_is_sticky_for_equal_keys():
     c.place_object("a", 1)
     strategy = make_strategy("proactive_cluster")
     view = c
-    first = strategy.decide(inv(refs=("a",), ident="i1"), view)
+    first = decide(strategy, inv(refs=("a",), ident="i1"), view)
     # shift load and warmth elsewhere; the key still pins the node
-    c.nodes[first].run_queue.extend([("x", 1)] * 10)
-    assert strategy.decide(inv(refs=("a",), ident="i2"), view) == first
+    c.nodes[first].run_queue.extend([0] * 10)
+    assert decide(strategy, inv(refs=("a",), ident="i2"), view) == first
     assert len(strategy.assignments) == 1
 
 
@@ -300,8 +300,8 @@ def test_proactive_disjoint_refs_form_distinct_keys():
     c.place_object("b", 2)
     strategy = make_strategy("proactive_cluster")
     view = c
-    assert strategy.decide(inv(refs=("a",), ident="i1"), view) == 1
-    assert strategy.decide(inv(refs=("b",), ident="i2"), view) == 2
+    assert decide(strategy, inv(refs=("a",), ident="i1"), view) == 1
+    assert decide(strategy, inv(refs=("b",), ident="i2"), view) == 2
     assert len(strategy.assignments) == 2
 
 
@@ -311,8 +311,8 @@ def test_proactive_first_assignment_matches_data_aware():
     c2 = make_cluster(objects=[("a", 100)])
     c2.place_object("a", 2)
     event = inv(refs=("a",))
-    assert (make_strategy("proactive_cluster").decide(event, c1)
-            == make_strategy("data_aware").decide(event, c2))
+    assert (decide(make_strategy("proactive_cluster"), event, c1)
+            == decide(make_strategy("data_aware"), event, c2))
 
 
 def test_proactive_records_demand_at_chosen_node():
@@ -321,7 +321,7 @@ def test_proactive_records_demand_at_chosen_node():
     strategy = make_strategy("proactive_cluster")
     view = c
     for i in range(3):
-        strategy.decide(inv(refs=("a",), ident=f"i{i}"), view)
+        decide(strategy, inv(refs=("a",), ident=f"i{i}"), view)
     assert strategy.counters.counts["a"] == 3.0
     assert strategy.counters.demand[("a", 1)] == 3
 
@@ -408,16 +408,16 @@ def test_steal_single_node_has_no_neighbor():
 def test_forced_victim_transfers_back_half():
     # ceil(5/2) = 3 stolen from the tail; victim keeps the first two.
     c = make_cluster(nodes=2)
-    c.nodes[1].run_queue.extend((f"t{i}", 1) for i in range(5))
+    c.nodes[1].run_queue.extend(range(5))  # a run queue holds trace indices
     batch = steal_work(c, 0, ForcedVictim())
-    assert [item[0] for item in batch] == ["t2", "t3", "t4"]
-    assert [item[0] for item in c.nodes[1].run_queue] == ["t0", "t1"]
-    assert [item[0] for item in c.nodes[0].run_queue] == ["t2", "t3", "t4"]
+    assert batch == [2, 3, 4]
+    assert list(c.nodes[1].run_queue) == [0, 1]
+    assert list(c.nodes[0].run_queue) == [2, 3, 4]
 
 
 def test_steal_leaves_single_item_queues_alone():
     c = make_cluster(nodes=2)
-    c.nodes[1].run_queue.append(("only", 1))
+    c.nodes[1].run_queue.append(0)
     assert steal_work(c, 0, ForcedVictim()) == []
     assert len(c.nodes[1].run_queue) == 1
 
@@ -431,16 +431,16 @@ def test_stealing_conserves_the_queued_multiset(lengths, seed):
     c = make_cluster(nodes=len(lengths))
     expected = []
     for nid, qlen in enumerate(lengths):
-        for i in range(qlen):
-            item = (f"n{nid}-t{i}", 1)
-            c.nodes[nid].run_queue.append(item)
-            expected.append(item[0])
+        for _ in range(qlen):
+            index = len(expected)  # distinct trace indices
+            c.nodes[nid].run_queue.append(index)
+            expected.append(index)
     rng = RandomSource(seed, "steal")
     for _ in range(10):
         for nid in c.node_ids:
             if not c.nodes[nid].run_queue:
                 steal_work(c, nid, rng)
-    remaining = [item[0] for node in c.nodes.values() for item in node.run_queue]
+    remaining = [index for node in c.nodes.values() for index in node.run_queue]
     assert sorted(remaining) == sorted(expected)
 
 
@@ -487,7 +487,7 @@ def test_steal_victims_match_the_list_based_draw(nodes, idle, seed):
 def test_repeated_polls_eventually_steal_from_a_loaded_victim():
     # With one loaded node and one idle node, a handful of polls must move work.
     c = make_cluster(nodes=4)
-    c.nodes[3].run_queue.extend((f"t{i}", 1) for i in range(6))
+    c.nodes[3].run_queue.extend(range(6))
     rng = RandomSource(123, "steal")
     moved = 0
     for _ in range(len(c.node_ids)):
