@@ -25,7 +25,7 @@ for stealing in (False, True):
     scenario = parse_scenario({
         **HOT, "strategy": {"name": "hash_affinity", "work_stealing": stealing},
     })
-    result = run_one(scenario, scenario.strategies[0], 1)
+    result = run_one(scenario, scenario.strategies[0], 1, keep_records=True)
     row = result.row()
     executed_on = sorted({r.node for r in result.records})
     print(f"work_stealing={str(stealing):<5}  makespan {result.makespan_ms:>6} ms, "

@@ -34,7 +34,7 @@ scenario = parse_scenario({
 })
 
 catalog, trace = prepare_workload(scenario, 1)
-result = run_one(scenario, scenario.strategies[0], 1)
+result = run_one(scenario, scenario.strategies[0], 1, keep_records=True)
 
 print(f"{len(trace)} invocations, {result.replications} replicas created\n")
 print("replication actions (first ten):")

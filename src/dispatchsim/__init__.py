@@ -19,6 +19,7 @@ from .config import Scenario, StrategyConfig, load_scenario, parse_scenario, val
 from .engine import Engine, RandomSource
 from .metrics import (
     RecordStore,
+    RunAccount,
     TaskRecord,
     billed_gb_seconds,
     efficiency,
@@ -52,6 +53,7 @@ __all__ = [
     "PhaseTimeline",
     "RandomSource",
     "RecordStore",
+    "RunAccount",
     "RunResult",
     "Scenario",
     "Simulation",

@@ -13,12 +13,10 @@ from __future__ import annotations
 
 import json
 import math
-import statistics
 from array import array
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from itertools import compress
-from operator import add, not_, truediv
+from itertools import chain
 
 from .cluster import PhaseTimeline
 from .workload import Trace
@@ -52,7 +50,8 @@ _STRIDE = 7  # phase durations per record, in PhaseTimeline field order
 
 
 class RecordStore(Sequence[TaskRecord]):
-    """A run's task records as columns, in completion order.
+    """A run's task records as columns, in completion order, kept only for a
+    run asked to keep them (``keep_records``).
 
     Per record it keeps the invocation's index into the run's trace, the
     node, the seven phase durations (strided in one ``array('q')``), the
@@ -116,19 +115,6 @@ class RecordStore(Sequence[TaskRecord]):
             status=FAILED if failed else COMPLETED,
         )
 
-    def _phase_columns(self) -> list[memoryview]:
-        """The seven phase columns as strided views (no copies)."""
-        phases = memoryview(self._phases)
-        return [phases[k::_STRIDE] for k in range(_STRIDE)]
-
-    def makespan_ms(self) -> int:
-        """Last finish minus first start over the records; 0 when empty."""
-        if not self._index:
-            return 0
-        starts = list(map(self._trace.arrivals.__getitem__, self._index))
-        finishes = map(add, starts, map(sum, zip(*self._phase_columns())))
-        return max(finishes) - min(starts)
-
 
 def quality(record: TaskRecord) -> float:
     """ideal / actual for a completed task; undefined for failed tasks."""
@@ -171,58 +157,118 @@ def percentile_nearest_rank(sorted_values: list, fraction: float) -> float:
     return sorted_values[rank - 1]
 
 
-def summarize_run(strategy: str, seed, records: RecordStore,
-                  occupied_ms_total: int, node_count: int, horizon_ms: int,
-                  replications: int, steals: int) -> dict:
-    """One report row (see CSV_COLUMNS). Latency statistics and quality are
-    over completed tasks; phase totals, efficiency and the elapsed time (the
-    horizon, or the last finish if later) cover every recorded task."""
-    columns = records._phase_columns()
-    dispatch, queue_wait, boot, code_fetch, data_fetch, compute, write_back = map(sum, columns)
-    failed = records._failed
-    # A task's actual time is its phase sum, and it finishes at arrival + sum.
-    sums = list(map(sum, zip(*columns)))
-    actuals = list(compress(sums, map(not_, failed)))
-    trace = records._trace
-    arrivals = map(trace.arrivals.__getitem__, records._index)
-    last_finish = max(map(add, arrivals, sums), default=0)
-    ideal_by_code = [records._ideal_ms[name] for name in trace.functions]
-    ideals = map(ideal_by_code.__getitem__, map(
-        trace.function_codes.__getitem__, compress(records._index, map(not_, failed))))
-    mean_quality = statistics.fmean(map(truediv, ideals, actuals)) if actuals else 0.0
-    actuals.sort()
-    tasks = len(records)
-    return {
-        "strategy": strategy,
-        "seed": seed,
-        "tasks": tasks,
-        "failures": tasks - len(actuals),
-        "mean_actual_ms": statistics.fmean(actuals) if actuals else 0.0,
-        "median_actual_ms": float(statistics.median(actuals)) if actuals else 0.0,
-        "p95_actual_ms": float(percentile_nearest_rank(actuals, 0.95)),
-        "mean_quality": mean_quality,
-        "efficiency": efficiency(compute, boot + code_fetch + data_fetch + compute + write_back),
-        "utilization": utilization(occupied_ms_total, node_count, max(horizon_ms, last_finish)),
-        # Builtin sum in completion order: another order or fsum changes last bits.
-        "gb_seconds": sum(compress(records._billed, map(not_, failed))),
-        "invocations_billed": len(actuals),
-        "dispatch_ms_total": dispatch,
-        "queue_ms_total": queue_wait,
-        "boot_ms_total": boot,
-        "code_fetch_ms_total": code_fetch,
-        "data_fetch_ms_total": data_fetch,
-        "compute_ms_total": compute,
-        "write_back_ms_total": write_back,
-        "replications": replications,
-        "steals": steals,
-    }
+PHASE_BUFFER_LIMIT = _STRIDE * 4096  # phase buffer length at which it folds into the totals
+
+
+class RunAccount:
+    """What a run's report row reads, kept as the run completes its tasks.
+
+    ``Simulation._complete`` updates the fields in place, with no method
+    call but a fold every 4,096 tasks:
+    - ``phase_buffer`` takes the seven phase durations of every task;
+      ``fold`` adds it into the seven phase totals and empties it, once it
+      holds ``PHASE_BUFFER_LIMIT`` values, at the end of the run and before
+      a row is read;
+    - a completed task appends its actual ms to ``actual_ms[code]``, one
+      ``array('q')`` per trace function code, and adds its billed GB-s to
+      ``gb_seconds``;
+    - ``last_finish`` takes the time of each completion, so it ends at the
+      last one.
+
+    ``gb_seconds`` is left-to-right float addition over the completed tasks
+    in completion order, from the int 0: what builtin ``sum`` gives on 3.10
+    and 3.11 (3.12 compensates its float sums), and 0 when no task
+    completed. A completed task is retained as its 8-byte actual time;
+    ``first_arrival`` is the trace's earliest arrival, which the makespan
+    starts from because a run completes every invocation of its trace.
+    """
+
+    __slots__ = ("phase_buffer", "_phase_totals", "_folded", "actual_ms", "_ideal_ms",
+                 "gb_seconds", "first_arrival", "last_finish")
+
+    def __init__(self, ideal_ms: Sequence[int], first_arrival: int):
+        """``ideal_ms`` holds the ideal time of each trace function code."""
+        self.phase_buffer = array("q")
+        self._phase_totals = [0] * _STRIDE
+        self._folded = 0  # tasks whose phases are in the totals
+        self.actual_ms = [array("q") for _ in ideal_ms]
+        self._ideal_ms = list(ideal_ms)
+        self.gb_seconds = 0
+        self.first_arrival = first_arrival
+        self.last_finish = 0
+
+    def fold(self) -> None:
+        """Add the phase buffer into the totals and free it."""
+        buffer = self.phase_buffer
+        with memoryview(buffer) as view:
+            for k in range(_STRIDE):
+                self._phase_totals[k] += sum(view[k::_STRIDE])
+        self._folded += len(buffer) // _STRIDE
+        del buffer[:]
+
+    @property
+    def tasks(self) -> int:
+        """Tasks completed or failed so far."""
+        return self._folded + len(self.phase_buffer) // _STRIDE
+
+    def makespan_ms(self) -> int:
+        """Last finish minus first arrival; 0 when no task ran."""
+        return self.last_finish - self.first_arrival if self.tasks else 0
+
+    def row(self, strategy: str, seed, occupied_ms_total: int, node_count: int,
+            horizon_ms: int, replications: int, steals: int) -> dict:
+        """One report row (see CSV_COLUMNS). Latency statistics and quality
+        are over completed tasks; phase totals, efficiency and the elapsed
+        time (the horizon, or the last finish if later) cover every task."""
+        self.fold()
+        dispatch, queue_wait, boot, code_fetch, data_fetch, compute, write_back = \
+            self._phase_totals
+        actuals = sorted(chain.from_iterable(self.actual_ms))
+        completed = len(actuals)
+        tasks = self.tasks
+        # Each mean is an exactly rounded fsum over the count, as
+        # statistics.fmean computes it, so the order of the terms is free.
+        if completed:
+            mean_actual = math.fsum(actuals) / completed
+            middle = completed // 2
+            median_actual = float(actuals[middle] if completed % 2
+                                  else (actuals[middle - 1] + actuals[middle]) / 2)
+            mean_quality = math.fsum(chain.from_iterable(
+                map(ideal.__truediv__, column)
+                for ideal, column in zip(self._ideal_ms, self.actual_ms))) / completed
+        else:
+            mean_actual = median_actual = mean_quality = 0.0
+        return {
+            "strategy": strategy,
+            "seed": seed,
+            "tasks": tasks,
+            "failures": tasks - completed,
+            "mean_actual_ms": mean_actual,
+            "median_actual_ms": median_actual,
+            "p95_actual_ms": float(percentile_nearest_rank(actuals, 0.95)),
+            "mean_quality": mean_quality,
+            "efficiency": efficiency(compute, boot + code_fetch + data_fetch + compute + write_back),
+            "utilization": utilization(occupied_ms_total, node_count,
+                                       max(horizon_ms, self.last_finish)),
+            "gb_seconds": self.gb_seconds,
+            "invocations_billed": completed,
+            "dispatch_ms_total": dispatch,
+            "queue_ms_total": queue_wait,
+            "boot_ms_total": boot,
+            "code_fetch_ms_total": code_fetch,
+            "data_fetch_ms_total": data_fetch,
+            "compute_ms_total": compute,
+            "write_back_ms_total": write_back,
+            "replications": replications,
+            "steals": steals,
+        }
 
 
 def aggregate_rows(strategy: str, rows: list[dict]) -> dict:
     """Mean over per-seed rows for one strategy; the seed column reads 'mean'."""
     out: dict = {"strategy": strategy, "seed": "mean"}
     for col in CSV_COLUMNS[2:]:
-        out[col] = statistics.fmean(row[col] for row in rows)
+        out[col] = math.fsum(row[col] for row in rows) / len(rows)  # statistics.fmean
     return out
 
 

@@ -8,7 +8,9 @@ resources. Each node has at most one keep-alive timer pending, never later
 than the expiry of its oldest idle container; a timer whose container was
 reused only re-arms when it fires. Optional periodic passes drive work
 stealing and popularity replication. A run drains completely, so every
-dispatched invocation is recorded exactly once.
+dispatched invocation completes exactly once: into the run's account, which
+keeps what the report row reads, and, when asked for, into a RecordStore of
+per-task records.
 
 From arrival to completion an invocation travels as its trace index alone:
 the strategy and the cost model read the trace's columns, and no Invocation
@@ -25,7 +27,7 @@ from .engine import Engine, RandomSource
 from .errors import (
     ConfigError, SimulationError, TraceFormatError, UnknownFunctionError, UnknownObjectError,
 )
-from .metrics import RecordStore, aggregate_rows, summarize_run
+from .metrics import PHASE_BUFFER_LIMIT, RecordStore, RunAccount, aggregate_rows
 from .strategies import DispatchStrategy, make_strategy, replication_tick, steal_work
 from .workload import Catalog, Invocation, Trace, build_catalog, generate_trace, load_trace
 
@@ -34,12 +36,15 @@ _REJECTED, _COLD_START = AcquireOutcome.REJECTED, AcquireOutcome.COLD_START  # s
 
 @dataclass
 class RunResult:
-    """Everything one (strategy, seed) run produced. ``records`` is a
-    columnar view that builds each TaskRecord when it is read."""
+    """Everything one (strategy, seed) run produced. ``account`` holds what
+    the report row reads. ``records``, a columnar view that builds each
+    TaskRecord when it is read, is kept only when the run was asked to keep
+    it, and is None otherwise."""
 
     strategy: str
     seed: int
-    records: RecordStore
+    records: RecordStore | None
+    account: RunAccount
     horizon_ms: int
     occupied_ms_total: int
     node_count: int
@@ -48,7 +53,7 @@ class RunResult:
 
     @property
     def makespan_ms(self) -> int:
-        return self.records.makespan_ms()
+        return self.account.makespan_ms()
 
     @property
     def replications(self) -> int:
@@ -56,8 +61,8 @@ class RunResult:
         return sum(action.placed for _, action in self.replication_log)
 
     def row(self) -> dict:
-        return summarize_run(self.strategy, self.seed, self.records, self.occupied_ms_total,
-                             self.node_count, self.horizon_ms, self.replications, self.steals)
+        return self.account.row(self.strategy, self.seed, self.occupied_ms_total,
+                                self.node_count, self.horizon_ms, self.replications, self.steals)
 
 
 class Simulation:
@@ -69,11 +74,13 @@ class Simulation:
     the cluster's ClusterParams (keep-alive, billing step) and the
     strategy's StrategyConfig (work stealing and its poll period, the
     replication period and threshold). The seed starts the random stream
-    work stealing draws its victims from."""
+    work stealing draws its victims from. With ``keep_records`` the run
+    also keeps every task's record in ``records``."""
 
     def __init__(self, engine: Engine, cluster: Cluster, strategy: DispatchStrategy,
                  trace: Trace | list[Invocation], *,
-                 horizon_ms: int, strategy_cfg: StrategyConfig, seed: int):
+                 horizon_ms: int, strategy_cfg: StrategyConfig, seed: int,
+                 keep_records: bool = False):
         if not isinstance(trace, Trace):
             trace = Trace.from_invocations(trace)
         self.engine = engine
@@ -85,9 +92,11 @@ class Simulation:
         self.cfg = strategy_cfg
         self.steal_rng = RandomSource(seed, "steal")
         functions = cluster.functions
+        self.account = RunAccount([functions[name].compute_ms for name in trace.functions],
+                                  trace.arrivals[0] if trace else 0)
         self.records = RecordStore(
             {name: spec.compute_ms for name, spec in functions.items()}, trace
-        )
+        ) if keep_records else None
         self.steals = 0
         self.replication_log: list = []
         self._labels = engine.record_log  # build event labels only for the log
@@ -96,6 +105,9 @@ class Simulation:
         self._billing_step = cluster.params.billing_granularity_ms
         self._keep_alive_ms = cluster.params.keep_alive_ms
         self._timer_armed = [False] * len(cluster.node_ids)  # per node id
+        # Bound once, not at every offer and start that schedules them.
+        self._offer = self._offer
+        self._complete = self._complete
 
     # ---- run loop ---------------------------------------------------------
 
@@ -110,13 +122,14 @@ class Simulation:
                 self.cfg.replication_period_ms, self._replication_tick, "replication-tick"
             )
         self.engine.run()
-        if len(self.records) != len(self.trace):
+        self.account.fold()
+        if self.account.tasks != len(self.trace):
             raise SimulationError(
-                f"run ended with {len(self.trace) - len(self.records)} invocations unaccounted"
+                f"run ended with {len(self.trace) - self.account.tasks} invocations unaccounted"
             )
 
     def _work_remaining(self) -> bool:
-        return len(self.records) < len(self.trace)
+        return self.account.tasks < len(self.trace)
 
     # ---- handlers ---------------------------------------------------------
     # An invocation travels as its trace index: an offer carries (index,
@@ -162,11 +175,22 @@ class Simulation:
     def _complete(self, index: int, container: Container, phases: tuple, billed: float,
                   failed: bool) -> None:
         now = self.engine.now()
-        if now - self.trace.arrivals[index] != sum(phases):
-            raise SimulationError(
-                f"phase accounting broken for {self.trace.invocation_id(index)}")
+        trace = self.trace
+        actual = now - trace.arrivals[index]
+        if actual != sum(phases):
+            raise SimulationError(f"phase accounting broken for {trace.invocation_id(index)}")
         self._release(container, now)
-        self.records.append(index, container.node, phases, billed, failed)
+        account = self.account  # see RunAccount for what each field holds
+        if not failed:
+            account.actual_ms[trace.function_codes[index]].append(actual)
+            account.gb_seconds += billed
+        buffer = account.phase_buffer
+        buffer.extend(phases)
+        if len(buffer) >= PHASE_BUFFER_LIMIT:
+            account.fold()
+        account.last_finish = now
+        if self.records is not None:
+            self.records.append(index, container.node, phases, billed, failed)
         if self.cluster.nodes[container.node].run_queue:
             self._drain(container.node)
 
@@ -255,6 +279,7 @@ class Simulation:
             strategy=strategy_label,
             seed=seed,
             records=self.records,
+            account=self.account,
             horizon_ms=self.horizon_ms,
             occupied_ms_total=sum(n.occupied_ms_accum for n in nodes),
             node_count=len(nodes),
@@ -298,8 +323,9 @@ def build_cluster(scenario: Scenario, catalog: Catalog) -> Cluster:
 def run_one(scenario: Scenario, strategy_cfg: StrategyConfig, seed: int,
             catalog: Catalog | None = None,
             trace: Trace | list[Invocation] | None = None,
-            label: str | None = None) -> RunResult:
-    """Run one (strategy, seed) pair to completion and collect results."""
+            label: str | None = None, *, keep_records: bool = False) -> RunResult:
+    """Run one (strategy, seed) pair to completion and collect results;
+    with ``keep_records``, every task's record too."""
     if catalog is None or trace is None:
         catalog, trace = prepare_workload(scenario, seed)
     cluster = build_cluster(scenario, catalog)
@@ -307,7 +333,7 @@ def run_one(scenario: Scenario, strategy_cfg: StrategyConfig, seed: int,
                              strategy_cfg.dispatch_latency_ms, strategy_cfg.replication_decay)
     sim = Simulation(Engine(), cluster, strategy, trace,
                      horizon_ms=scenario.workload.horizon_ms,
-                     strategy_cfg=strategy_cfg, seed=seed)
+                     strategy_cfg=strategy_cfg, seed=seed, keep_records=keep_records)
     sim.run()
     cluster.check_invariants()
     return sim.result(strategy_cfg.label if label is None else label, seed)

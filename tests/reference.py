@@ -2,9 +2,16 @@
 and the reference definitions the package's faster paths are checked
 against."""
 
+import statistics
+from functools import reduce
+from itertools import compress
+from operator import add, not_, truediv
+
 from dispatchsim.cluster import Cluster, PhaseTimeline, _code_key, _truncate_at
 from dispatchsim.errors import UnknownObjectError
-from dispatchsim.metrics import FAILED, RecordStore
+from dispatchsim.metrics import (
+    FAILED, RecordStore, efficiency, percentile_nearest_rank, utilization,
+)
 from dispatchsim.strategies import data_signature
 from dispatchsim.workload import Invocation, Trace
 
@@ -50,6 +57,70 @@ def store_from_records(records) -> RecordStore:
         store.append(p, r.node, (t.dispatch_ms, t.queue_wait_ms, *active_phases(t)),
                      r.billed_gb_s, r.status == FAILED)
     return store
+
+
+def billed_total(values):
+    """GB-s billed over ``values`` by left-to-right float addition from the
+    int 0, in the order given: builtin ``sum`` on 3.10 and 3.11, which 3.12
+    replaced by a compensated sum."""
+    return reduce(add, values, 0)
+
+
+def summarize_run(strategy: str, seed, records: RecordStore, occupied_ms_total: int,
+                  node_count: int, horizon_ms: int, replications: int, steals: int) -> dict:
+    """The report row over a kept store's columns: the summary RunResult.row
+    computed before a run kept a RunAccount, and the reference the account
+    is checked against. Latency statistics and quality are over completed
+    tasks; phase totals, efficiency and the elapsed time (the horizon, or
+    the last finish if later) cover every recorded task."""
+    phases = memoryview(records._phases)
+    columns = [phases[k::7] for k in range(7)]
+    dispatch, queue_wait, boot, code_fetch, data_fetch, compute, write_back = map(sum, columns)
+    failed = records._failed
+    # A task's actual time is its phase sum, and it finishes at arrival + sum.
+    sums = list(map(sum, zip(*columns)))
+    actuals = list(compress(sums, map(not_, failed)))
+    trace = records._trace
+    arrivals = map(trace.arrivals.__getitem__, records._index)
+    last_finish = max(map(add, arrivals, sums), default=0)
+    ideal_by_code = [records._ideal_ms[name] for name in trace.functions]
+    ideals = map(ideal_by_code.__getitem__, map(
+        trace.function_codes.__getitem__, compress(records._index, map(not_, failed))))
+    mean_quality = statistics.fmean(map(truediv, ideals, actuals)) if actuals else 0.0
+    actuals.sort()
+    tasks = len(records)
+    return {
+        "strategy": strategy,
+        "seed": seed,
+        "tasks": tasks,
+        "failures": tasks - len(actuals),
+        "mean_actual_ms": statistics.fmean(actuals) if actuals else 0.0,
+        "median_actual_ms": float(statistics.median(actuals)) if actuals else 0.0,
+        "p95_actual_ms": float(percentile_nearest_rank(actuals, 0.95)),
+        "mean_quality": mean_quality,
+        "efficiency": efficiency(compute, boot + code_fetch + data_fetch + compute + write_back),
+        "utilization": utilization(occupied_ms_total, node_count, max(horizon_ms, last_finish)),
+        "gb_seconds": billed_total(compress(records._billed, map(not_, failed))),
+        "invocations_billed": len(actuals),
+        "dispatch_ms_total": dispatch,
+        "queue_ms_total": queue_wait,
+        "boot_ms_total": boot,
+        "code_fetch_ms_total": code_fetch,
+        "data_fetch_ms_total": data_fetch,
+        "compute_ms_total": compute,
+        "write_back_ms_total": write_back,
+        "replications": replications,
+        "steals": steals,
+    }
+
+
+def reference_makespan_ms(records) -> int:
+    """Last finish minus first start over TaskRecords; 0 when there are
+    none: the makespan RunResult.makespan_ms is checked against."""
+    if not records:
+        return 0
+    return (max(r.timeline.finished_at for r in records)
+            - min(r.timeline.started_at for r in records))
 
 
 def cluster_key(inv) -> tuple[str, str, str]:

@@ -78,7 +78,7 @@ def test_criterion_2_phase_conservation_at_10k():
         strategy={"name": "data_aware"},
     )
     scenario = parse_scenario(raw)
-    result = run_one(scenario, scenario.strategies[0], 1)
+    result = run_one(scenario, scenario.strategies[0], 1, keep_records=True)
     ok = (len(result.records) == 10_000
           and all(r.timeline.actual_ms() == phase_sum(r.timeline)
                   for r in result.records))
@@ -95,7 +95,7 @@ def test_criterion_3_round_robin_exact_balance():
         },
     )
     scenario = parse_scenario(raw)
-    result = run_one(scenario, scenario.strategies[0], 1)
+    result = run_one(scenario, scenario.strategies[0], 1, keep_records=True)
     assert result.steals == 0  # so each record's node is where it was dispatched
     report(3, "round-robin balance (exactly 1000 per node)",
            Counter(r.node for r in result.records) == {0: 1000, 1: 1000, 2: 1000, 3: 1000})
@@ -128,12 +128,12 @@ def test_criterion_4_quality_and_efficiency_bounds():
                       strategy={"name": "proactive_cluster", "work_stealing": True}),
     ):
         scenario = parse_scenario(raw)
-        result = run_one(scenario, scenario.strategies[0], 1)
+        result = run_one(scenario, scenario.strategies[0], 1, keep_records=True)
         rows.append(result.row())
         per_task_ok &= all(0.0 < quality(r) <= 1.0
                            for r in result.records if r.status == COMPLETED)
     warm_local = run_one(overhead_free_scenario(),
-                         overhead_free_scenario().strategies[0], 1)
+                         overhead_free_scenario().strategies[0], 1, keep_records=True)
     warm_row = warm_local.row()
     exact_one = (warm_row["mean_quality"] == 1.0
                  and all(quality(r) == 1.0 for r in warm_local.records))
@@ -160,7 +160,7 @@ def test_criterion_5_warm_reuse_and_visible_cold_start():
         strategy={"name": "hash_affinity"},
     )
     scenario = parse_scenario(raw)
-    result = run_one(scenario, scenario.strategies[0], 1)
+    result = run_one(scenario, scenario.strategies[0], 1, keep_records=True)
     first, second = (r.timeline for r in sorted(result.records,
                                                 key=lambda r: r.timeline.started_at)[:2])
     ok = (first.boot_ms == 100                      # cold-start constant, visible
@@ -211,7 +211,7 @@ def test_criterion_8_proactive_stickiness_and_replication():
     )
     scenario = parse_scenario(raw)
     _, trace = prepare_workload(scenario, 1)
-    result = run_one(scenario, scenario.strategies[0], 1)
+    result = run_one(scenario, scenario.strategies[0], 1, keep_records=True)
     refs_by_id = {inv.id: inv for inv in trace}
     key_nodes = {}
     sticky = True
@@ -238,8 +238,8 @@ def test_criterion_9_stealing_conserves_work_and_cuts_makespan():
     base = parse_scenario(scenario_dict(strategy={"name": "hash_affinity"}, **hot))
     steal = parse_scenario(scenario_dict(
         strategy={"name": "hash_affinity", "work_stealing": True}, **hot))
-    plain = run_one(base, base.strategies[0], 1)
-    stolen = run_one(steal, steal.strategies[0], 1)
+    plain = run_one(base, base.strategies[0], 1, keep_records=True)
+    stolen = run_one(steal, steal.strategies[0], 1, keep_records=True)
     conserved = (sorted(r.invocation_id for r in stolen.records)
                  == sorted(r.invocation_id for r in plain.records))
     print(f"  makespan with stealing {stolen.makespan_ms}ms vs without "
@@ -285,8 +285,9 @@ def test_criterion_10_scale_100k_invocations_64_nodes(strategy):
     result = run_one(scenario, scenario.strategies[0], 1)
     elapsed = time.perf_counter() - started
     peak_gb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / (1024 * 1024)
-    print(f"  {len(result.records)} tasks in {elapsed:.2f}s, peak rss {peak_gb:.2f}GB")
+    row = result.row()
+    print(f"  {row['tasks']} tasks in {elapsed:.2f}s, peak rss {peak_gb:.2f}GB")
     report(10, f"scale (100k invocations, 64 nodes, <10s, <1GB), {strategy}",
-           len(result.records) == 100_000 and elapsed < 10.0 and peak_gb < 1.0)
-    row_digest = hashlib.sha256(repr(result.row()).encode()).hexdigest()
+           row["tasks"] == 100_000 and elapsed < 10.0 and peak_gb < 1.0)
+    row_digest = hashlib.sha256(repr(row).encode()).hexdigest()
     assert row_digest == CRITERION_10_ROWS[strategy], row_digest

@@ -389,7 +389,7 @@ def run_records(nodes, queue_cap, stealing, name):
     if name != "least_loaded":
         raw["strategy"]["params"] = {"queue_cap": queue_cap}
     scenario = parse_scenario(raw)
-    result = runner.run_one(scenario, scenario.strategies[0], 1)
+    result = runner.run_one(scenario, scenario.strategies[0], 1, keep_records=True)
     return result.row(), [(r.invocation_id, r.node, r.timeline.finished_at)
                           for r in result.records]
 

@@ -8,7 +8,10 @@ pass. The data_intensive demo is pinned by perfbench/expected.json.
 
 RECORDS pins more than a report shows: per run, every record in completion
 order (node, finished_at, billed GB-s), the makespan and the replication
-log. Those digests were recorded at commit 7fcbfec.
+log. Those digests were recorded at commit 7fcbfec, and the two of
+round_robin and data_aware with stealing at 3f63633. No queue in those two
+runs reaches two entries, so every steal tick only draws and their records
+equal those of the same strategies without stealing.
 
 MATRIX pins the reports of every shipped demo scenario at seeds 1-3, csv
 and json, from ``compare`` when the scenario lists two or more strategies
@@ -41,7 +44,7 @@ import dispatchsim
 from dispatchsim.cli import main
 from dispatchsim.config import load_scenario, parse_scenario
 from dispatchsim.engine import Engine
-from dispatchsim.runner import Simulation, compare_scenario
+from dispatchsim.runner import Simulation, run_one
 from dispatchsim.strategies import STRATEGY_NAMES
 
 from conftest import scenario_dict
@@ -127,6 +130,10 @@ RECORDS = {
         "6bf826614592b3a587c5c367b492be9ec9b306cad47a8ff9a21a57c8f1d90974",
     "hash_affinity+steal":
         "6d05935b66af97e53deb93deb10494f7207043765f8d7fcac4ced18e03bbcc6c",
+    "round_robin+steal":
+        "29bb17f153aed9c13c6de24dd02b3a963f361ec9132df63e36b3ac1f2c0c21e2",
+    "data_aware+steal":
+        "1be9e7973cd848ac2becc4d8d365a0a80ce763cdc7922d48649dced627b252ba",
 }
 
 
@@ -143,10 +150,10 @@ def _records_digest(result) -> str:
 def test_data_intensive_records_are_unchanged():
     strategies = [{"name": name} for name in STRATEGY_NAMES]
     strategies += [{"name": name, "work_stealing": True}
-                   for name in ("least_loaded", "hash_affinity")]
+                   for name in ("least_loaded", "hash_affinity", "round_robin", "data_aware")]
     scenario = parse_scenario(scenario_dict(**dict(DATA_INTENSIVE, seeds=[1]),
                                             strategies=strategies))
-    results, _ = compare_scenario(scenario)
+    results = [run_one(scenario, cfg, 1, keep_records=True) for cfg in scenario.strategies]
     assert {r.strategy: _records_digest(r) for r in results} == RECORDS
 
 
@@ -306,7 +313,9 @@ def test_mixed_fixture_reports_are_unchanged(tmp_path):
 
 
 def test_mixed_fixture_records_are_unchanged():
-    results, _ = compare_scenario(load_scenario(MIXED_FIXTURE))
+    scenario = load_scenario(MIXED_FIXTURE)
+    results = [run_one(scenario, cfg, seed, keep_records=True)
+               for seed in scenario.seeds for cfg in scenario.strategies]
     digests = {f"{r.strategy}/{r.seed}": _records_digest(r) for r in results}
     assert digests == {key: digest for key, digest in MIXED.items()
                        if not key.startswith(("compare.", "engine-log/"))}

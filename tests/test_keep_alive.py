@@ -88,7 +88,7 @@ def simulate(simulation_cls, engine, scenario, strategy_cfg, seed):
                              strategy_cfg.dispatch_latency_ms, strategy_cfg.replication_decay)
     sim = simulation_cls(engine, cluster, strategy, trace,
                          horizon_ms=scenario.workload.horizon_ms,
-                         strategy_cfg=strategy_cfg, seed=seed)
+                         strategy_cfg=strategy_cfg, seed=seed, keep_records=True)
     sim.run()
     cluster.check_invariants()
     return sim, sim.result(strategy_cfg.label, seed)

@@ -18,11 +18,10 @@ from dispatchsim.metrics import (
     emit_json,
     percentile_nearest_rank,
     quality,
-    summarize_run,
     utilization,
 )
 
-from reference import store_from_records
+from reference import store_from_records, summarize_run
 
 
 def timeline(dispatch=0, queue=0, boot=0, code=0, data=0, compute=80, wb=0, started=0):

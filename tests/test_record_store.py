@@ -1,10 +1,11 @@
 """Columnar run records against the per-invocation objects they replace.
 
-A run keeps its task records as columns (RecordStore) and summarize_run
-reads the columns, run totals included. The reference here is the
-object-based path: a Simulation that appends one TaskRecord per completion
-and keeps the run totals as separate bookkeeping, and the summary that
-walks those objects. Rows and every record must be identical, bit for bit.
+A run asked to keep its task records keeps them as columns (RecordStore),
+and the reference summarize_run reads the columns, run totals included.
+The reference here is the object-based path: a Simulation that appends one
+TaskRecord per completion and keeps the run totals as separate bookkeeping,
+and the summary that walks those objects. Rows and every record must be
+identical, bit for bit, and so must the row the run's account gives.
 """
 
 import statistics
@@ -28,13 +29,14 @@ from dispatchsim.metrics import (
     efficiency,
     percentile_nearest_rank,
     quality,
-    summarize_run,
     utilization,
 )
 from dispatchsim.workload import Trace
 
 from conftest import scenario_dict
-from reference import phase_sum, store_from_records
+from reference import (
+    billed_total, phase_sum, reference_makespan_ms, store_from_records, summarize_run,
+)
 from test_acceptance import DATA_INTENSIVE
 
 DEMO_SCENARIOS = sorted((Path(__file__).parent.parent / "demos" / "scenarios").glob("*.yaml"))
@@ -58,7 +60,7 @@ def reference_summarize_run(strategy, seed, records, compute_ms_total, busy_ms_t
         "mean_quality": statistics.fmean(quality(r) for r in completed) if completed else 0.0,
         "efficiency": efficiency(compute_ms_total, busy_ms_total),
         "utilization": utilization(occupied_ms_total, node_count, elapsed_ms),
-        "gb_seconds": sum(r.billed_gb_s for r in completed),
+        "gb_seconds": billed_total(r.billed_gb_s for r in completed),
         "invocations_billed": len(completed),
         "dispatch_ms_total": sum(r.timeline.dispatch_ms for r in records),
         "queue_ms_total": sum(r.timeline.queue_wait_ms for r in records),
@@ -88,7 +90,7 @@ class ReferenceSimulation(runner.Simulation):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.records = []
+        self.task_records = []
         self.compute_ms = [0] * len(self.cluster.node_ids)
         self.busy_ms = [0] * len(self.cluster.node_ids)
         self.last_completion = 0
@@ -107,14 +109,14 @@ class ReferenceSimulation(runner.Simulation):
 
     def _complete(self, index, container, phases, billed, failed):
         # The runner's billed GB-s is ignored: billed_gb_seconds recomputes it.
+        # The runner's own completion then releases, drains and counts.
         inv = self.trace[index]
         now = self.engine.now()
         timeline = PhaseTimeline(*phases, started_at=inv.arrival, finished_at=now)
         if timeline.actual_ms() != phase_sum(timeline):
             raise SimulationError(f"phase accounting broken for {inv.id}")
-        self._release(container, now)
         spec = self.cluster.functions[inv.function]
-        self.records.append(TaskRecord(
+        self.task_records.append(TaskRecord(
             invocation_id=inv.id,
             function=inv.function,
             node=container.node,
@@ -128,7 +130,7 @@ class ReferenceSimulation(runner.Simulation):
             status=FAILED if failed else COMPLETED,
         ))
         self.last_completion = max(self.last_completion, timeline.finished_at)
-        self._drain(container.node)
+        super()._complete(index, container, phases, billed, failed)
 
     def _replication_tick(self):
         actions = runner.replication_tick(
@@ -144,19 +146,11 @@ class ReferenceSimulation(runner.Simulation):
 
     def result(self, strategy_label, seed):
         nodes = self.cluster.nodes.values()
-        return ReferenceResult(strategy_label, seed, self.records, (
+        return ReferenceResult(strategy_label, seed, self.task_records, (
             sum(self.compute_ms), sum(self.busy_ms), sum(n.occupied_ms_accum for n in nodes),
             len(nodes), max(self.horizon_ms, self.last_completion), self.replications,
             self.steals,
         ))
-
-
-def reference_makespan_ms(records):
-    """The object-based makespan that RunResult.makespan_ms replaced."""
-    if not records:
-        return 0
-    return (max(r.timeline.finished_at for r in records)
-            - min(r.timeline.started_at for r in records))
 
 
 def reference_row(result):
@@ -192,12 +186,15 @@ def _whole_run_cases():
 
 @pytest.mark.parametrize("scenario, strategy_cfg, seed", _whole_run_cases())
 def test_whole_run_matches_object_records(monkeypatch, scenario, strategy_cfg, seed):
-    result = runner.run_one(scenario, strategy_cfg, seed)
+    result = runner.run_one(scenario, strategy_cfg, seed, keep_records=True)
     monkeypatch.setattr(runner, "Simulation", ReferenceSimulation)
     ref = runner.run_one(scenario, strategy_cfg, seed)
     assert isinstance(result.records, RecordStore) and isinstance(ref, ReferenceResult)
     assert isinstance(ref.records, list)
     assert repr(result.row()) == repr(reference_row(ref))
+    assert repr(result.row()) == repr(summarize_run(
+        result.strategy, result.seed, result.records, result.occupied_ms_total,
+        result.node_count, result.horizon_ms, result.replications, result.steals))
     assert len(result.records) == len(ref.records)
     for i, (record, ref_record) in enumerate(zip(result.records, ref.records)):
         assert repr(record) == repr(ref_record), i
@@ -259,7 +256,6 @@ def test_columnar_summary_matches_object_summary(records, totals):
     assert repr(summarize_run("s", 7, store, *totals)) == repr(reference_summarize_run(
         "s", 7, records, compute, busy, occupied, node_count, elapsed, replications, steals))
     assert [repr(r) for r in store] == [repr(r) for r in records]
-    assert store.makespan_ms() == reference_makespan_ms(records)
 
 
 def test_empty_and_all_failed_rows():
@@ -311,7 +307,8 @@ def test_record_store_retains_at_most_100_bytes_per_record():
     assert len(trace) == 20_000
     tracemalloc.start()
     try:
-        result = runner.run_one(scenario, scenario.strategies[0], 1, catalog, trace)
+        result = runner.run_one(scenario, scenario.strategies[0], 1, catalog, trace,
+                                keep_records=True)
         snapshot = tracemalloc.take_snapshot()
     finally:
         tracemalloc.stop()

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from dispatchsim import runner
 from dispatchsim.cluster import PhaseTimeline
 from dispatchsim.config import load_scenario, parse_scenario
 from dispatchsim.engine import Engine
@@ -26,7 +27,7 @@ from reference import phase_sum
 
 def run_first(raw):
     scenario = parse_scenario(raw)
-    return run_one(scenario, scenario.strategies[0], scenario.seeds[0])
+    return run_one(scenario, scenario.strategies[0], scenario.seeds[0], keep_records=True)
 
 
 def test_minimal_run_completes_all_tasks():
@@ -50,7 +51,7 @@ def test_every_invocation_recorded_exactly_once():
     )
     scenario = parse_scenario(raw)
     _, trace = prepare_workload(scenario, 1)
-    result = run_one(scenario, scenario.strategies[0], 1)
+    result = run_one(scenario, scenario.strategies[0], 1, keep_records=True)
     assert sorted(r.invocation_id for r in result.records) == sorted(i.id for i in trace)
 
 
@@ -91,7 +92,7 @@ def test_queue_wait_appears_when_memory_is_tight():
         strategy={"name": "round_robin", "dispatch_latency_ms": 0},
     )
     scenario = parse_scenario(raw)
-    result = run_one(scenario, scenario.strategies[0], 1)
+    result = run_one(scenario, scenario.strategies[0], 1, keep_records=True)
     waits = [r.timeline.queue_wait_ms for r in result.records]
     assert waits[0] == 0
     assert any(w > 0 for w in waits[1:])
@@ -144,8 +145,8 @@ def test_stealing_moves_work_off_a_hotspot():
     base = parse_scenario(scenario_dict(strategy={"name": "hash_affinity"}, **hot))
     stealing = parse_scenario(scenario_dict(
         strategy={"name": "hash_affinity", "work_stealing": True}, **hot))
-    plain = run_one(base, base.strategies[0], 1)
-    stolen = run_one(stealing, stealing.strategies[0], 1)
+    plain = run_one(base, base.strategies[0], 1, keep_records=True)
+    stolen = run_one(stealing, stealing.strategies[0], 1, keep_records=True)
     assert plain.steals == 0
     assert stolen.steals > 0
     assert stolen.makespan_ms < plain.makespan_ms
@@ -196,7 +197,7 @@ def test_run_scenario_covers_all_seeds():
     assert [r.seed for r in results] == [1, 2, 3]
 
 
-def test_compare_pairs_strategies_on_identical_traces():
+def test_compare_pairs_strategies_on_identical_traces(monkeypatch):
     raw = scenario_dict(
         workload={
             "horizon_ms": 2000,
@@ -207,13 +208,19 @@ def test_compare_pairs_strategies_on_identical_traces():
     raw["strategies"] = [{"name": "round_robin"}, {"name": "data_aware"}]
     del raw["strategy"]
     scenario = parse_scenario(raw)
+    traces = {}  # seed -> the traces run_one was given
+    real_run_one = runner.run_one
+
+    def spy(scenario, strategy_cfg, seed, catalog, trace, label):
+        traces.setdefault(seed, set()).add(id(trace))
+        return real_run_one(scenario, strategy_cfg, seed, catalog, trace, label)
+
+    monkeypatch.setattr(runner, "run_one", spy)
     results, rows = compare_scenario(scenario)
     assert len(results) == 6
     assert len(rows) == 8  # 6 detail rows + 2 aggregates
-    by_strategy = {}
-    for r in results:
-        by_strategy.setdefault(r.strategy, []).append(sorted(x.invocation_id for x in r.records))
-    assert by_strategy["round_robin"] == by_strategy["data_aware"]
+    assert sorted(traces) == [1, 2, 3]
+    assert all(len(ids) == 1 for ids in traces.values())  # one trace per seed
     mean_rows = [row for row in rows if row["seed"] == "mean"]
     assert {row["strategy"] for row in mean_rows} == {"round_robin", "data_aware"}
 
@@ -238,7 +245,7 @@ def test_sorted_trace_is_used_as_given_and_unsorted_one_is_sorted():
     def simulate(t):
         sim = Simulation(Engine(), build_cluster(scenario, catalog), make_strategy("round_robin"),
                          t, horizon_ms=scenario.workload.horizon_ms,
-                         strategy_cfg=scenario.strategies[0], seed=1)
+                         strategy_cfg=scenario.strategies[0], seed=1, keep_records=True)
         sim.run()
         return sim
 

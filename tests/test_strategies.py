@@ -266,7 +266,7 @@ def test_latency_override_applies_to_every_decision():
     assert make_strategy("data_aware", latency_ms=5).dispatch_latency_ms == 5
     raw = scenario_dict(strategy={"name": "data_aware", "dispatch_latency_ms": 5})
     scenario = parse_scenario(raw)
-    result = run_one(scenario, scenario.strategies[0], 1)
+    result = run_one(scenario, scenario.strategies[0], 1, keep_records=True)
     assert len(result.records) == 10
     assert all(r.timeline.dispatch_ms == 5 for r in result.records)
 

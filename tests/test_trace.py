@@ -221,8 +221,8 @@ def test_simulation_accepts_a_list_of_invocations():
     scenario = parse_scenario(scenario_dict(cluster={"nodes": 2}))
     catalog, trace = runner.prepare_workload(scenario, 1)
     cfg = scenario.strategies[0]
-    from_list = runner.run_one(scenario, cfg, 1, catalog, list(trace))
-    from_trace = runner.run_one(scenario, cfg, 1, catalog, trace)
+    from_list = runner.run_one(scenario, cfg, 1, catalog, list(trace), keep_records=True)
+    from_trace = runner.run_one(scenario, cfg, 1, catalog, trace, keep_records=True)
     assert from_list.row() == from_trace.row()
     assert list(from_list.records) == list(from_trace.records)
 
@@ -261,7 +261,8 @@ def test_trace_and_run_result_retain_at_most_110_bytes_per_invocation():
 
     def build():
         catalog, trace = runner.prepare_workload(scenario, 1)
-        return trace, runner.run_one(scenario, scenario.strategies[0], 1, catalog, trace)
+        return trace, runner.run_one(scenario, scenario.strategies[0], 1, catalog, trace,
+                                     keep_records=True)
 
     (trace, result), held = traced_growth(build)
     assert len(trace) == len(result.records) == 20_000
