@@ -55,8 +55,31 @@ def locality_score(cluster: Cluster, inv, node_id: int,
 def _weighted(weights: tuple[float, float, float], code_warm: float, data_local: float,
               qlen: int, queue_cap: int) -> float:
     w_code, w_data, w_load = weights
-    headroom = 1.0 - min(1.0, qlen / queue_cap)
-    return w_code * code_warm + w_data * data_local + w_load * headroom
+    return w_code * code_warm + w_data * data_local + _load_term(w_load, qlen, queue_cap)
+
+
+def _load_term(w_load: float, qlen: int, queue_cap: int) -> float:
+    """w_load * queue headroom, the last term of _weighted."""
+    return w_load * (1.0 - min(1.0, qlen / queue_cap))
+
+
+# A DataAwareStrategy lists its load term for every queue length up to a
+# queue_cap this large. A scenario may set any queue_cap >= 1, so past this
+# one the terms are computed on first use, and a huge cap allocates nothing.
+LISTED_QUEUE_CAP = 4096
+
+
+class _LoadTerms(dict):
+    """Load terms by queue length, each computed on first use."""
+
+    def __init__(self, w_load: float, queue_cap: int):
+        super().__init__()
+        self.w_load = w_load
+        self.queue_cap = queue_cap
+
+    def __missing__(self, qlen: int) -> float:
+        term = self[qlen] = _load_term(self.w_load, qlen, self.queue_cap)
+        return term
 
 
 class DispatchStrategy:
@@ -115,6 +138,12 @@ class DataAwareStrategy(DispatchStrategy):
         super().__init__(latency_ms)
         self.weights = (w_code, w_data, w_load)
         self.queue_cap = queue_cap
+        # w_load * headroom for each queue length up to queue_cap; every
+        # longer queue has headroom 0 and reads the entry of queue_cap.
+        if queue_cap <= LISTED_QUEUE_CAP:
+            self._load_terms = [_load_term(w_load, q, queue_cap) for q in range(queue_cap + 1)]
+        else:
+            self._load_terms = _LoadTerms(w_load, queue_cap)
 
     def decide(self, trace: Trace, index: int, cluster: Cluster) -> int:
         """The argmax of locality_score over all nodes, ties to the lowest
@@ -124,10 +153,16 @@ class DataAwareStrategy(DispatchStrategy):
         representatives alone decide.
 
         One pass over the references gives every holder's local bytes, by
-        the same additions in the same order as Cluster.locality_fraction,
-        and each candidate is scored with the expression locality_score
-        evaluates, so every score is the same float."""
-        w_code, w_data, w_load = self.weights
+        the same additions in the same order as Cluster.locality_fraction.
+        The holders are then scored in the order the walk met them, and
+        each representative that is not a holder after them; a score
+        above the best, or equal to it at a lower id, takes the lead, which
+        is the choice of an ascending-id scan with ties kept. Each score is
+        the float locality_score gives: its code term is w_code or 0.0,
+        equal to w_code * 1.0 or w_code * 0.0 for a finite weight >= 0, its
+        load term is w_load * headroom of the queue length, read from
+        _load_terms, and the three terms are added left to right as there."""
+        w_code, w_data, _ = self.weights
         function = trace.functions[trace.function_codes[index]]
         objects = cluster.objects
         total = 0.0
@@ -141,20 +176,30 @@ class DataAwareStrategy(DispatchStrategy):
             if w_data:
                 for nid in obj.placements:
                     local[nid] = local.get(nid, 0.0) + size
-        # A node without a replica has byte locality 0, or 1 when no byte is referenced.
-        candidates = set(local)
-        candidates.update(self._representatives(cluster, function, 0.0 if total else 1.0))
         warm = cluster.warm_nodes.get(function, 0)
         nodes = cluster.nodes
+        load_terms = self._load_terms
         queue_cap = self.queue_cap
         best_node = -1
-        best_score = float("-inf")
-        for nid in sorted(candidates):  # ascending ids: ties keep the lowest
-            code_warm = 1.0 if warm >> nid & 1 else 0.0
-            data_local = local.get(nid, 0.0) / total if total else 1.0
-            headroom = 1.0 - min(1.0, len(nodes[nid].run_queue) / queue_cap)
-            score = w_code * code_warm + w_data * data_local + w_load * headroom
-            if score > best_score:
+        best_score = -math.inf
+        for nid, held in local.items():
+            qlen = len(nodes[nid].run_queue)
+            score = ((w_code if warm >> nid & 1 else 0.0)
+                     + w_data * (held / total if total else 1.0)
+                     + load_terms[qlen if qlen < queue_cap else queue_cap])
+            if score > best_score or (score == best_score and nid < best_node):
+                best_score = score
+                best_node = nid
+        # A node without a replica has byte locality 0, or 1 when no byte is referenced.
+        rest = 0.0 if total else 1.0
+        data_term = w_data * rest
+        for nid in self._representatives(cluster, function, rest):
+            if nid in local:
+                continue
+            qlen = len(nodes[nid].run_queue)
+            score = ((w_code if warm >> nid & 1 else 0.0) + data_term
+                     + load_terms[qlen if qlen < queue_cap else queue_cap])
+            if score > best_score or (score == best_score and nid < best_node):
                 best_score = score
                 best_node = nid
         return best_node
@@ -174,7 +219,15 @@ class DataAwareStrategy(DispatchStrategy):
         rise, when it does not tie no longer length does either.
         """
         warm = cluster.warm_nodes.get(function, 0)
-        levels = sorted(cluster.queue_buckets.items())
+        buckets = cluster.queue_buckets
+        if len(buckets) == 1:  # every node has one queue length: the lowest id of each class
+            (cold,) = buckets.values()
+            cold &= ~warm
+            reps = [(warm & -warm).bit_length() - 1] if warm else []
+            if cold:
+                reps.append((cold & -cold).bit_length() - 1)
+            return reps
+        levels = sorted(buckets.items())
         reps = []
         for code_warm, keep in ((1.0, warm), (0.0, ~warm)):
             top = None

@@ -315,6 +315,81 @@ def test_zero_byte_refs_tie_through_rounding():
         assert decide(strategy, event, c) == 0
 
 
+def equal_holders_cluster(holders, size=10.0):
+    """Eight idle nodes and one object of the given size per holder, held
+    only there."""
+    c = Cluster(ClusterParams(nodes=8, mem_capacity=1 << 20, store_capacity=1000.0),
+                {"f1": FunctionSpec("f1", flavor=128)},
+                [DataObject(f"o{nid}", size) for nid in holders])
+    for nid in holders:
+        c.place_object(f"o{nid}", nid, origin=True)
+    return c
+
+
+def test_tied_holders_met_in_descending_id_go_to_the_lower_id():
+    # The reference walk meets node 5's bytes before node 2's, so the
+    # holders are scored 5 first; both hold half the bytes at an empty
+    # queue, and the tie must still go to node 2, as in the ascending scan.
+    c = equal_holders_cluster([5, 2])
+    event = Invocation("i", "f1", ("o5", "o2"), "web", 0)
+    for name in ("data_aware", "proactive_cluster"):
+        strategy = make_strategy(name)
+        assert brute_force_best(strategy, event, c)[0] == 2
+        assert decide(strategy, event, c) == 2
+
+
+def test_a_holder_and_a_representative_tie_at_one_queue_length():
+    # Every queue at length 1 and w_load > 0, so the representatives come
+    # from the masks alone. With w_data = 1e-18 a holder's data term is
+    # lost in the sum: the cold holder 5 ties the cold representative 0,
+    # which is scored after it and takes the node on its lower id.
+    c = equal_holders_cluster([5])
+    for nid in range(8):
+        c.nodes[nid].run_queue.append(0)
+    assert list(c.queue_buckets) == [1]
+    strategy = make_strategy("data_aware", {"w_data": 1e-18})
+    event = Invocation("i", "f1", ("o5",), "web", 0)
+    assert strategy._representatives(c, "f1", 0.0) == [0]
+    assert brute_force_best(strategy, event, c)[0] == 0 == decide(strategy, event, c)
+    # A holder below the representative keeps the node: with no code
+    # weight, the warm holder 0 of zero bytes ties the cold representative 1.
+    c = equal_holders_cluster([0], size=0.0)
+    for nid in range(8):
+        c.nodes[nid].run_queue.append(0)
+    _, container = c.acquire_container(0, "f1")
+    c.release_container(container)
+    strategy = make_strategy("data_aware", {"w_code": 0.0})
+    event = Invocation("i", "f1", ("o0",), "web", 0)
+    assert strategy._representatives(c, "f1", 1.0) == [0, 1]
+    assert brute_force_best(strategy, event, c)[0] == 0 == decide(strategy, event, c)
+
+
+@pytest.mark.parametrize("queue_cap", [1, 2, 3, 4, 16, strategies.LISTED_QUEUE_CAP + 1, 10**12])
+@pytest.mark.parametrize("w_load", [0.0, -0.0, 1e-18, 0.1, 0.2, 0.3, 1.0, 1])
+def test_load_terms_equal_the_load_term_of_locality_score(queue_cap, w_load):
+    strategy = make_strategy("data_aware", {"w_load": w_load, "queue_cap": queue_cap})
+    if queue_cap > strategies.LISTED_QUEUE_CAP:
+        assert len(strategy._load_terms) == 0  # nothing is computed up front
+        lengths = [*range(50), queue_cap - 1, queue_cap, queue_cap + 1, 3 * queue_cap]
+    else:
+        lengths = range(3 * queue_cap + 1)
+    for q in lengths:
+        want = w_load * (1.0 - min(1.0, q / queue_cap))
+        assert strategy._load_terms[min(q, queue_cap)].hex() == want.hex(), q
+
+
+def test_decide_past_the_listed_queue_cap_equals_the_scan():
+    # Queue lengths 0-3 under a cap too large to list: the terms are computed
+    # on first use and score as the scan's.
+    c = build_state(8, 1000.0, [3, 0, 2, 1, 0, 3, 1, 2], [("warm", 4, "f1")],
+                    [(True, "b", 5), (True, "c", 2)])
+    event = Invocation("i", "f1", ("b", "c"), "web", 0)
+    for queue_cap in (strategies.LISTED_QUEUE_CAP + 1, 10**12):
+        strategy = make_strategy("data_aware", {"queue_cap": queue_cap, "w_load": 1.0})
+        assert decide(strategy, event, c) == brute_force_best(strategy, event, c)[0]
+        assert set(strategy._load_terms) <= {0, 1, 2, 3}
+
+
 class NodeReadLog(dict):
     """A cluster's node table that logs each node read; the scorer reads a
     node once per candidate, for its queue length."""

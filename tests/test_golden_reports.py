@@ -11,7 +11,9 @@ order (node, finished_at, billed GB-s), the makespan and the replication
 log. Those digests were recorded at commit 7fcbfec, and the two of
 round_robin and data_aware with stealing at 3f63633. No queue in those two
 runs reaches two entries, so every steal tick only draws and their records
-equal those of the same strategies without stealing.
+equal those of the same strategies without stealing. The ``tight/`` pins run
+the same two with memory for two containers per node (mem_capacity 256), so
+queues grow and both steal; they were recorded at 67569d3.
 
 MATRIX pins the reports of every shipped demo scenario at seeds 1-3, csv
 and json, from ``compare`` when the scenario lists two or more strategies
@@ -134,6 +136,10 @@ RECORDS = {
         "29bb17f153aed9c13c6de24dd02b3a963f361ec9132df63e36b3ac1f2c0c21e2",
     "data_aware+steal":
         "1be9e7973cd848ac2becc4d8d365a0a80ce763cdc7922d48649dced627b252ba",
+    "tight/round_robin+steal":
+        "c42503f70dbe9bbefaf33e8952d3aeb5c9adda1913d6358598de603739fa54f2",
+    "tight/data_aware+steal":
+        "072da5561ffe379641346ec93e5adb05610134fed2d51f4e01480f3870a514b7",
 }
 
 
@@ -154,7 +160,21 @@ def test_data_intensive_records_are_unchanged():
     scenario = parse_scenario(scenario_dict(**dict(DATA_INTENSIVE, seeds=[1]),
                                             strategies=strategies))
     results = [run_one(scenario, cfg, 1, keep_records=True) for cfg in scenario.strategies]
-    assert {r.strategy: _records_digest(r) for r in results} == RECORDS
+    assert ({r.strategy: _records_digest(r) for r in results}
+            == {k: v for k, v in RECORDS.items() if not k.startswith("tight/")})
+
+
+def test_tight_data_intensive_steal_records_are_unchanged():
+    # Two 128 MB containers per node: queues reach two entries, so the
+    # steal ticks take work, and data_aware scores over several queue lengths.
+    tight = dict(DATA_INTENSIVE, seeds=[1],
+                 cluster=dict(DATA_INTENSIVE["cluster"], mem_capacity=256))
+    strategies = [{"name": name, "work_stealing": True} for name in ("round_robin", "data_aware")]
+    scenario = parse_scenario(scenario_dict(**tight, strategies=strategies))
+    results = [run_one(scenario, cfg, 1, keep_records=True) for cfg in scenario.strategies]
+    assert all(r.steals > 0 for r in results)
+    assert ({f"tight/{r.strategy}": _records_digest(r) for r in results}
+            == {k: v for k, v in RECORDS.items() if k.startswith("tight/")})
 
 
 MATRIX = {
