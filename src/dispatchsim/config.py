@@ -441,6 +441,11 @@ def validate(scenario: Scenario) -> list[Diagnostic]:
     o = w.objects
     if o.popularity.kind == "zipf" and o.popularity.s <= 0:
         err("workload.objects.popularity", "zipf exponent s must be > 0")
+    elif o.popularity.kind == "zipf":
+        try:
+            float(o.count) ** o.popularity.s  # the weight of the last rank divides by this
+        except OverflowError:
+            err("workload.objects.popularity.s", f"{o.count} ** {o.popularity.s} overflows a float")
     if o.count and c.store_capacity < _span(o.size)[1]:
         diags.append(Diagnostic("cluster.store_capacity", "smaller than the largest object; "
                                 "placement will fail at runtime", "warning"))

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -46,20 +47,16 @@ def locality_score(cluster: Cluster, inv, node_id: int,
     to 1: warm code present, byte locality of the references, and queue
     headroom. The definition the data-aware family's one-pass scorer
     (DataAwareStrategy.decide) reproduces float for float."""
+    w_code, w_data, w_load = weights
     node = cluster.nodes[node_id]
     code_warm = 1.0 if node.warm_pool.get(inv.function) else 0.0
     data_local = cluster.locality_fraction(inv.data_refs, node_id)
-    return _weighted(weights, code_warm, data_local, len(node.run_queue), queue_cap)
-
-
-def _weighted(weights: tuple[float, float, float], code_warm: float, data_local: float,
-              qlen: int, queue_cap: int) -> float:
-    w_code, w_data, w_load = weights
-    return w_code * code_warm + w_data * data_local + _load_term(w_load, qlen, queue_cap)
+    return (w_code * code_warm + w_data * data_local
+            + _load_term(w_load, len(node.run_queue), queue_cap))
 
 
 def _load_term(w_load: float, qlen: int, queue_cap: int) -> float:
-    """w_load * queue headroom, the last term of _weighted."""
+    """w_load * queue headroom, the last term of locality_score."""
     return w_load * (1.0 - min(1.0, qlen / queue_cap))
 
 
@@ -147,21 +144,20 @@ class DataAwareStrategy(DispatchStrategy):
 
     def decide(self, trace: Trace, index: int, cluster: Cluster) -> int:
         """The argmax of locality_score over all nodes, ties to the lowest
-        id, from scoring only the replica holders of the references and
-        the best warm and cold representatives of everyone else. With no
-        data term, a replica holder scores as any node does, so the
-        representatives alone decide.
-
-        One pass over the references gives every holder's local bytes, by
-        the same additions in the same order as Cluster.locality_fraction.
-        The holders are then scored in the order the walk met them, and
-        each representative that is not a holder after them; a score
-        above the best, or equal to it at a lower id, takes the lead, which
-        is the choice of an ascending-id scan with ties kept. Each score is
-        the float locality_score gives: its code term is w_code or 0.0,
-        equal to w_code * 1.0 or w_code * 0.0 for a finite weight >= 0, its
-        load term is w_load * headroom of the queue length, read from
-        _load_terms, and the three terms are added left to right as there."""
+        id, in two loops. The first scores the replica holders of the
+        references, whose local bytes one walk over the references sums by
+        the additions of Cluster.locality_fraction, in the order it met
+        them. The second scores every other node, with the holders masked
+        out of the queue-length index, shortest length first, and reads no
+        node: at one length every warm non-holder scores alike, as does
+        every cold one, so only each class's lowest id is scored. A class's score never rises with the
+        length and a cold score never exceeds the warm one, so the loop
+        stops at the first length whose warm score is below the best. A
+        score above the best, or equal to it at a lower id, takes the lead,
+        as in an ascending-id scan. Each score is locality_score's float:
+        the code term w_code or 0.0 (w_code * 1.0 or w_code * 0.0 for a
+        finite weight >= 0), the data term, and the load term read from
+        _load_terms, added left to right as there."""
         w_code, w_data, _ = self.weights
         function = trace.functions[trace.function_codes[index]]
         objects = cluster.objects
@@ -182,75 +178,32 @@ class DataAwareStrategy(DispatchStrategy):
         queue_cap = self.queue_cap
         best_node = -1
         best_score = -math.inf
-        for nid, held in local.items():
+        held = 0  # the holders' bits
+        for nid, nbytes in local.items():
+            held |= 1 << nid
             qlen = len(nodes[nid].run_queue)
             score = ((w_code if warm >> nid & 1 else 0.0)
-                     + w_data * (held / total if total else 1.0)
+                     + w_data * (nbytes / total if total else 1.0)
                      + load_terms[qlen if qlen < queue_cap else queue_cap])
             if score > best_score or (score == best_score and nid < best_node):
                 best_score = score
                 best_node = nid
-        # A node without a replica has byte locality 0, or 1 when no byte is referenced.
-        rest = 0.0 if total else 1.0
-        data_term = w_data * rest
-        for nid in self._representatives(cluster, function, rest):
-            if nid in local:
-                continue
-            qlen = len(nodes[nid].run_queue)
-            score = ((w_code if warm >> nid & 1 else 0.0) + data_term
-                     + load_terms[qlen if qlen < queue_cap else queue_cap])
-            if score > best_score or (score == best_score and nid < best_node):
-                best_score = score
-                best_node = nid
-        return best_node
-
-    def _representatives(self, cluster: Cluster, function: str,
-                         data_local: float) -> list[int]:
-        """For the warm and the cold class, the node a scan of all nodes
-        would pick if no node held a referenced byte.
-
-        Within a class the score never rises as the queue grows (the weights
-        are non-negative, and each rounded step is monotonic), so the best
-        sit at the shortest populated length, which needs no score. A longer
-        length can tie it (every length past queue_cap, w_load = 0, or a
-        load term lost to rounding); its nodes then compete on id too. Such
-        a length is scored only when it holds a node below the current pick:
-        its tie is the only way it changes the pick, and since scores never
-        rise, when it does not tie no longer length does either.
-        """
-        warm = cluster.warm_nodes.get(function, 0)
+        data_term = w_data * (0.0 if total else 1.0)  # a non-holder's
+        cold = ~(warm | held)  # the cold non-holders
+        warm &= ~held
         buckets = cluster.queue_buckets
-        if len(buckets) == 1:  # every node has one queue length: the lowest id of each class
-            (cold,) = buckets.values()
-            cold &= ~warm
-            reps = [(warm & -warm).bit_length() - 1] if warm else []
-            if cold:
-                reps.append((cold & -cold).bit_length() - 1)
-            return reps
-        levels = sorted(buckets.items())
-        reps = []
-        for code_warm, keep in ((1.0, warm), (0.0, ~warm)):
-            top = None
-            pick = 0  # the lowest tied node's bit
-            for qlen, nodes in levels:
-                members = nodes & keep
-                if not members:
-                    continue
-                if not pick:
-                    pick = members & -members
-                    shortest = qlen
-                    continue
-                lower = members & (pick - 1)
-                if not lower:
-                    continue
-                if top is None:
-                    top = _weighted(self.weights, code_warm, data_local, shortest, self.queue_cap)
-                if _weighted(self.weights, code_warm, data_local, qlen, self.queue_cap) != top:
-                    break
-                pick = lower & -lower
-            if pick:
-                reps.append(pick.bit_length() - 1)
-        return reps
+        for qlen, mask in buckets.items() if len(buckets) == 1 else sorted(buckets.items()):
+            load = load_terms[qlen if qlen < queue_cap else queue_cap]
+            if w_code + data_term + load < best_score:
+                break
+            for code_term, members in ((w_code, mask & warm), (0.0, mask & cold)):
+                if members:
+                    score = code_term + data_term + load
+                    nid = (members & -members).bit_length() - 1
+                    if score > best_score or (score == best_score and nid < best_node):
+                        best_score = score
+                        best_node = nid
+        return best_node
 
 
 class PopularityCounter:
@@ -363,8 +316,9 @@ def steal_work(cluster: Cluster, idle_node_id: int, rng: RandomSource) -> list:
 
 
 def _weight(value) -> bool:
+    # Compared, not converted: an int too large for a float fails, and NaN fails both bounds.
     return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value) and value >= 0)
+            and 0 <= value <= sys.float_info.max)
 
 
 def _queue_cap(value) -> bool:

@@ -245,7 +245,11 @@ def _popularity_weights(spec: ObjectSpec) -> list[float]:
         s = spec.popularity.s
         if s <= 0:
             raise ConfigError("zipf exponent must be > 0")
-        return [1.0 / (rank ** s) for rank in range(1, spec.count + 1)]
+        try:
+            return [1.0 / (rank ** s) for rank in range(1, spec.count + 1)]
+        except OverflowError:
+            raise ConfigError(f"workload.objects.popularity.s: {spec.count} ** {s} "
+                              "overflows a float") from None
     return [1.0] * spec.count
 
 

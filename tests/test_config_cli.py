@@ -12,8 +12,10 @@ from hypothesis import example, given, settings, strategies as st
 from dispatchsim import cli, runner
 from dispatchsim.cli import main
 from dispatchsim.config import FIELDS, apply_override, load_scenario, parse_scenario, validate
+from dispatchsim.engine import RandomSource
 from dispatchsim.errors import ConfigError
 from dispatchsim.strategies import make_strategy
+from dispatchsim.workload import build_catalog, generate_trace
 
 from conftest import scenario_dict
 
@@ -40,6 +42,29 @@ def test_zipf_exponent_zero_names_the_key():
     diags = validate(parse_scenario(raw))
     assert any(d.key == "workload.objects.popularity" and d.severity == "error"
                for d in diags)
+
+
+@pytest.mark.parametrize("count, s, valid", [
+    (50, 182.0, False), (50, 1000.0, False), (1, 1000.0, True),
+])
+def test_zipf_exponent_that_overflows_names_the_key(tmp_path, capsys, count, s, valid):
+    # Regression: 50 ** 182 overflows a float, so this validated and then
+    # generating the trace raised OverflowError. One object never overflows.
+    raw = scenario_dict(workload={
+        "objects": {"count": count, "size": 10, "popularity": {"kind": "zipf", "s": s}},
+        "refs_per_invocation": [1, 1],
+    })
+    assert main(["validate", write_config(tmp_path, raw)]) == (0 if valid else 2)
+    err = capsys.readouterr().err
+    assert ("error: workload.objects.popularity.s:" in err) != valid
+    assert "Traceback" not in err
+    workload = parse_scenario(raw).workload
+    catalog = build_catalog(workload, RandomSource(1, "catalog"))
+    if valid:
+        assert len(generate_trace(workload, catalog, RandomSource(1, "trace"))) > 0
+    else:
+        with pytest.raises(ConfigError, match=r"^workload\.objects\.popularity\.s: "):
+            generate_trace(workload, catalog, RandomSource(1, "trace"))
 
 
 def test_small_store_is_a_warning_not_an_error():
@@ -290,6 +315,8 @@ def test_cli_validate_valid_and_invalid(tmp_path, capsys):
     ("strategy.params.w_data=-1", "strategy.params.w_data"),
     ("strategy.params.w_code=.nan", "strategy.params.w_code"),
     ("strategy.params.w_load=.inf", "strategy.params.w_load"),
+    pytest.param("strategy.params.w_code=1" + "0" * 400, "strategy.params.w_code",
+                 id="w_code-above-the-largest-float"),
 ])
 def test_cli_validate_rejects_bad_scoring_params(tmp_path, capsys, override, key):
     # Regression: these passed validation, and queue_cap=0 then crashed

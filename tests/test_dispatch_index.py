@@ -1,9 +1,10 @@
 """Indexed dispatch against the all-node scan it replaces.
 
-The data-aware family scores only replica holders plus one warm and one
-cold representative, and least_loaded reads the lowest queue-length
-bucket. Both must pick the node that scoring every node in ascending id
-picks.
+The data-aware family scores the replica holders of the references, then,
+at each queue length from the shortest, the representative of each class
+of non-holders: the lowest warm id and the lowest cold id there. It reads a
+node only for a holder. least_loaded reads the lowest queue-length bucket.
+Both must pick the node that scoring every node in ascending id picks.
 """
 
 import copy
@@ -155,32 +156,6 @@ def test_indexed_choice_equals_scan(nodes, queue_cap, queues, container_ops, pla
     assert decide(make_strategy("least_loaded"), event, c) == brute_force_least_loaded(c)
 
 
-def set_representatives(strategy, cluster, function, data_local):
-    """_representatives as it was over node sets: the warm nodes and each
-    queue-length bucket as sets of ids, min() for the lowest id."""
-    warm = {n for n in cluster.node_ids if cluster.warm_nodes.get(function, 0) >> n & 1}
-    levels = sorted((qlen, {n for n in cluster.node_ids if mask >> n & 1})
-                    for qlen, mask in cluster.queue_buckets.items())
-    reps = []
-    for code_warm in (1.0, 0.0):
-        top = rep = None
-        for qlen, nodes in levels:
-            members = nodes & warm if code_warm else nodes - warm
-            if not members:
-                continue
-            score = strategies._weighted(strategy.weights, code_warm, data_local, qlen,
-                                         strategy.queue_cap)
-            if top is None:
-                top, rep = score, min(members)
-            elif score == top:
-                rep = min(rep, min(members))
-            else:
-                break
-        if rep is not None:
-            reps.append(rep)
-    return reps
-
-
 @settings(max_examples=300, deadline=None)
 @given(
     nodes=st.integers(1, 16),
@@ -188,18 +163,20 @@ def set_representatives(strategy, cluster, function, data_local):
     queues=st.lists(st.integers(0, 6), min_size=16, max_size=16),
     container_ops=st.lists(node_ops, max_size=30),
     function=st.sampled_from(FUNCTIONS),
-    data_local=st.sampled_from((0.0, 1.0)),
+    refs=st.sampled_from(((), ("b",))),
     custom=st.tuples(weights, weights, weights),
 )
-def test_mask_representatives_equal_set_representatives(nodes, queue_cap, queues, container_ops,
-                                                        function, data_local, custom):
+def test_choice_without_replica_holders_equals_scan(nodes, queue_cap, queues, container_ops,
+                                                    function, refs, custom):
+    # No object has a replica, so every node has byte locality 0 (or 1 with
+    # no referenced byte) and only the representatives are scored.
     c = build_state(nodes, 1000.0, queues, container_ops, [])
+    event = Invocation("i", function, refs, "web", 0)
     w_code, w_data, w_load = custom
     for name, params in (("data_aware", {}), ("mcgrath_queues", {}),
                          ("data_aware", {"w_code": w_code, "w_data": w_data, "w_load": w_load})):
         strategy = make_strategy(name, dict(params, queue_cap=queue_cap))
-        assert (strategy._representatives(c, function, data_local)
-                == set_representatives(strategy, c, function, data_local))
+        assert decide(strategy, event, c) == brute_force_best(strategy, event, c)[0]
 
 
 @settings(max_examples=200, deadline=None)
@@ -235,65 +212,43 @@ def test_ties_across_queue_lengths_keep_the_scan_choice(nodes, queue_cap, past_c
             params = dict(params, w_load=0.0)
         strategy = make_strategy("data_aware", dict(params, queue_cap=queue_cap))
         assert decide(strategy, event, c) == brute_force_best(strategy, event, c)[0]
-        for data_local in (0.0, 1.0):
-            assert (strategy._representatives(c, function, data_local)
-                    == set_representatives(strategy, c, function, data_local))
 
 
-def count_weighted(monkeypatch) -> list:
-    """Patch strategies._weighted to log (code_warm, qlen) of each call."""
-    scored = []
-    original = strategies._weighted
-
-    def counted(weights, code_warm, data_local, qlen, queue_cap):
-        scored.append((code_warm, qlen))
-        return original(weights, code_warm, data_local, qlen, queue_cap)
-
-    monkeypatch.setattr(strategies, "_weighted", counted)
-    return scored
-
-
-def test_one_queue_length_scores_no_representative(monkeypatch):
-    # With nothing queued every node sits at length 0, the shortest length
-    # of both classes, so no longer length can tie it and a decide calls
-    # _weighted zero times.
-    c = build_state(8, 1000.0, [0] * 16, [("warm", 3, "f1"), ("warm", 6, "f2")],
-                    [(True, "b", 5), (True, "c", 2)])
-    events = [Invocation("i", "f1", refs, "web", 0) for refs in ((), ("b",), ("b", "c"))]
-    cases = [(make_strategy(name), event) for name in
-             ("data_aware", "mcgrath_queues", "proactive_cluster") for event in events]
-    want = [brute_force_best(strategy, event, c)[0] for strategy, event in cases]
-    scored = count_weighted(monkeypatch)
-    assert [decide(strategy, event, c) for strategy, event in cases] == want
-    assert scored == []
-
-
-def test_a_longer_length_is_scored_only_when_it_holds_a_lower_id(monkeypatch):
+def test_longer_queue_lengths_keep_the_scan_choice():
     # Cold nodes 2 (queue 0), 3 (queue 1) and 0 (queue 2), queue_cap 1: the
-    # lengths 1 and 2 tie on headroom 0 but not length 0. Node 3 cannot
-    # lower the pick, so only length 2 is scored, against length 0.
+    # lengths 1 and 2 tie on headroom 0 but not length 0. For f1 the warm
+    # node 1 wins; for f2 every node is cold and the tie at length 0 keeps
+    # node 1.
     c = build_state(4, 1000.0, [2, 0, 0, 1], [("warm", 1, "f1")], [])
     strategy = make_strategy("data_aware", {"queue_cap": 1})
-    want = set_representatives(strategy, c, "f1", 1.0)
-    scored = count_weighted(monkeypatch)
-    assert strategy._representatives(c, "f1", 1.0) == [1, 2] == want
-    assert scored == [(0.0, 0), (0.0, 2)]
+    for function in ("f1", "f2"):
+        event = Invocation("i", function, (), "web", 0)
+        assert decide(strategy, event, c) == brute_force_best(strategy, event, c)[0] == 1
     # With queue_cap 4, length 1 (node 1) scores below length 0 (node 3),
-    # so length 2 (node 0) cannot tie either and is never scored.
+    # and length 2 (node 0) below length 1.
     c = build_state(4, 1000.0, [2, 1, 0, 0], [("warm", 2, "f1")], [])
     strategy = make_strategy("data_aware", {"queue_cap": 4})
-    want = set_representatives(strategy, c, "f1", 1.0)
-    scored.clear()
-    assert strategy._representatives(c, "f1", 1.0) == [2, 3] == want
-    assert scored == [(0.0, 0), (0.0, 1)]
+    for function in ("f1", "f2"):
+        event = Invocation("i", function, (), "web", 0)
+        assert decide(strategy, event, c) == brute_force_best(strategy, event, c)[0] == 2
 
 
 def test_representative_is_lowest_id_across_all_full_buckets():
     # Nodes 1 (queue 5) and 2 (queue 3) both sit past queue_cap 2, so they
-    # tie on headroom 0 and node 1 wins on id; node 0 is the warm class.
+    # tie on headroom 0 and node 1 is the cold representative; node 0 is
+    # the warm one. Without a code weight node 0 scores as a cold node at
+    # queue 0 and still wins.
     c = build_state(3, 1000.0, [0, 5, 3], [("warm", 0, "f1")], [])
-    strategy = make_strategy("data_aware", {"queue_cap": 2})
-    assert strategy._representatives(c, "f1", 0.0) == [0, 1]
+    event = Invocation("i", "f1", ("b",), "web", 0)
+    for params in ({}, {"w_code": 0.0}, {"w_load": 0.0}):
+        strategy = make_strategy("data_aware", dict(params, queue_cap=2))
+        assert decide(strategy, event, c) == brute_force_best(strategy, event, c)[0] == 0
+    # With node 0 busy as well, all three tie past the cap: node 0 keeps
+    # the pick on its code weight, and on its id without one.
+    c.nodes[0].run_queue.extend([0] * 2)
+    for params in ({}, {"w_code": 0.0}):
+        strategy = make_strategy("data_aware", dict(params, queue_cap=2))
+        assert decide(strategy, event, c) == brute_force_best(strategy, event, c)[0] == 0
 
 
 def test_zero_load_weight_ties_fall_to_the_lowest_id():
@@ -339,20 +294,20 @@ def test_tied_holders_met_in_descending_id_go_to_the_lower_id():
 
 
 def test_a_holder_and_a_representative_tie_at_one_queue_length():
-    # Every queue at length 1 and w_load > 0, so the representatives come
-    # from the masks alone. With w_data = 1e-18 a holder's data term is
-    # lost in the sum: the cold holder 5 ties the cold representative 0,
-    # which is scored after it and takes the node on its lower id.
+    # Every queue at length 1 and w_load > 0. With w_data = 1e-18 a
+    # holder's data term is lost in the sum: the cold holder 5 ties the cold
+    # representative 0, which is scored after it and takes the node on its
+    # lower id.
     c = equal_holders_cluster([5])
     for nid in range(8):
         c.nodes[nid].run_queue.append(0)
     assert list(c.queue_buckets) == [1]
     strategy = make_strategy("data_aware", {"w_data": 1e-18})
     event = Invocation("i", "f1", ("o5",), "web", 0)
-    assert strategy._representatives(c, "f1", 0.0) == [0]
     assert brute_force_best(strategy, event, c)[0] == 0 == decide(strategy, event, c)
     # A holder below the representative keeps the node: with no code
-    # weight, the warm holder 0 of zero bytes ties the cold representative 1.
+    # weight, the warm holder 0 of zero bytes ties the cold representative
+    # 1, the lowest cold id once holder 0 is masked out.
     c = equal_holders_cluster([0], size=0.0)
     for nid in range(8):
         c.nodes[nid].run_queue.append(0)
@@ -360,7 +315,6 @@ def test_a_holder_and_a_representative_tie_at_one_queue_length():
     c.release_container(container)
     strategy = make_strategy("data_aware", {"w_code": 0.0})
     event = Invocation("i", "f1", ("o0",), "web", 0)
-    assert strategy._representatives(c, "f1", 1.0) == [0, 1]
     assert brute_force_best(strategy, event, c)[0] == 0 == decide(strategy, event, c)
 
 
@@ -392,7 +346,7 @@ def test_decide_past_the_listed_queue_cap_equals_the_scan():
 
 class NodeReadLog(dict):
     """A cluster's node table that logs each node read; the scorer reads a
-    node once per candidate, for its queue length."""
+    node once per replica holder, for its queue length."""
 
     def __init__(self, nodes):
         super().__init__(nodes)
@@ -405,8 +359,8 @@ class NodeReadLog(dict):
 
 def test_mcgrath_decide_scores_only_the_representatives():
     # w_data = 0: the replica holders of the references (every node here)
-    # are not scored, so one decide scores at most the warm and the cold
-    # representative.
+    # are not scored, so one decide scores only representatives, from the
+    # masks, and reads no node.
     nodes = 16
     c = build_state(nodes, 1000.0, [i % 3 for i in range(nodes)],
                     [("warm", 5, "f1"), ("warm", 9, "f1")],
@@ -416,8 +370,44 @@ def test_mcgrath_decide_scores_only_the_representatives():
     want = brute_force_best(strategy, event, c)[0]
     c.nodes = NodeReadLog(c.nodes)
     node = decide(strategy, event, c)
-    assert 0 < len(c.nodes.reads) <= 2
+    assert len(c.nodes.reads) == 0
     assert node == want
+
+
+@pytest.mark.parametrize("queues", ([0] * 8, [1, 0, 2, 0, 1, 0, 2, 3]),
+                         ids=("one_length", "several_lengths"))
+def test_data_aware_decide_reads_each_holder_once(queues):
+    # Holders none, node 5, and nodes 5 and 2: a decide reads exactly those
+    # nodes, at one queue length or several, and picks as the scan does.
+    c = build_state(8, 1000.0, queues, [("warm", 3, "f1"), ("warm", 6, "f2")],
+                    [(True, "b", 5), (True, "c", 2)])
+    for refs, holders in (((), []), (("b",), [5]), (("b", "c"), [5, 2])):
+        event = Invocation("i", "f1", refs, "web", 0)
+        for name in ("data_aware", "proactive_cluster", "mcgrath_queues"):
+            strategy = make_strategy(name)
+            want = brute_force_best(strategy, event, c)[0]
+            c.nodes, table = NodeReadLog(c.nodes), c.nodes
+            assert decide(strategy, event, c) == want
+            assert c.nodes.reads == ([] if name == "mcgrath_queues" else holders)
+            c.nodes = table
+
+
+def test_a_holder_at_the_lowest_id_of_its_class_is_masked_out():
+    # Node 0 is the lowest cold id at the shortest length, and it holds the
+    # zero-byte "a" of 10 referenced bytes: locality 0, as a non-holder's.
+    # It is scored as a holder, and the cold class's next id, node 1, as
+    # its representative; they tie, and node 0 keeps the pick on its id.
+    # Node 4 holds "b" behind a long queue; its bytes win without a load
+    # weight, or at the default weights.
+    c = build_state(5, 1000.0, [0, 0, 0, 1, 9], [("warm", 3, "f1")],
+                    [(True, "a", 0), (True, "b", 4)])
+    event = Invocation("i", "f1", ("a", "b"), "web", 0)
+    for params, want in (({"w_code": 0.0, "w_data": 0.1}, 0),
+                         ({"w_code": 0.0, "w_data": 0.1, "w_load": 0.0}, 4),
+                         ({}, 4)):
+        strategy = make_strategy("data_aware", params)
+        assert brute_force_best(strategy, event, c)[0] == want
+        assert decide(strategy, event, c) == want
 
 
 @pytest.mark.parametrize("name", ("data_aware", "mcgrath_queues", "proactive_cluster"))
@@ -433,6 +423,8 @@ def test_a_missing_reference_is_refused_with_or_without_a_data_term(name):
 def test_negative_weight_and_bad_queue_cap_are_refused():
     with pytest.raises(ConfigError, match="w_data"):
         make_strategy("data_aware", {"w_data": -1.0})
+    with pytest.raises(ConfigError, match="w_code must be a finite number"):
+        make_strategy("data_aware", {"w_code": 10**400})  # an int too large for a float
     with pytest.raises(ConfigError, match="queue_cap"):
         make_strategy("mcgrath_queues", {"queue_cap": 0})
 
