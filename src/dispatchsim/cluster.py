@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import SimulationError, UnknownNodeError, UnknownObjectError
+from .slotted import Slotted
 
 DEFAULT_FLAVORS = (64, 128, 256, 512, 1024)
 MAX_MS = 10**12  # about 31 years; keeps every time and phase sum inside 64 bits
@@ -31,44 +31,54 @@ MAX_MS = 10**12  # about 31 years; keeps every time and phase sum inside 64 bits
 EXTERNAL_STORE = "external"
 
 
-@dataclass(frozen=True, slots=True)
 class FunctionSpec:
     """A deployed function: sizes in MB, pure compute time in ms."""
 
-    name: str
-    code_size: float = 0.0
-    flavor: int = 128
-    compute_ms: int = 1
-    write_back: float = 0.0
+    __slots__ = ("name", "code_size", "flavor", "compute_ms", "write_back")
+
+    def __init__(self, name: str, code_size: float = 0.0, flavor: int = 128,
+                 compute_ms: int = 1, write_back: float = 0.0):
+        self.name = name
+        self.code_size = code_size
+        self.flavor = flavor
+        self.compute_ms = compute_ms
+        self.write_back = write_back
 
 
-@dataclass(slots=True)
 class DataObject:
     """A shared data object and the node ids currently holding a replica."""
 
-    id: str
-    size: float
-    placements: set[int] = field(default_factory=set)
+    __slots__ = ("id", "size", "placements")
+
+    def __init__(self, id: str, size: float, placements: set[int] | None = None):
+        self.id = id
+        self.size = size
+        self.placements = set() if placements is None else placements
 
 
-@dataclass(slots=True, eq=False)
 class Container:
     """One container, busy with one invocation or idle in its node's warm
     pool. Containers compare by identity. ``expiry`` is the (fire_at, seq)
     at which its keep-alive runs out, set by the runner on each release."""
 
-    function: str
-    node: int
-    flavor: int
-    expiry: tuple[int, int] | None = None
+    __slots__ = ("function", "node", "flavor", "expiry")
+
+    def __init__(self, function: str, node: int, flavor: int,
+                 expiry: tuple[int, int] | None = None):
+        self.function = function
+        self.node = node
+        self.flavor = flavor
+        self.expiry = expiry
 
 
-@dataclass(frozen=True, slots=True)
-class NetworkModel:
+class NetworkModel(Slotted):
     """Uniform node-to-node transfer cost: fixed latency plus bandwidth."""
 
-    latency_ms: int = 1
-    bandwidth_mb_per_s: float = 100.0
+    __slots__ = ("latency_ms", "bandwidth_mb_per_s")
+
+    def __init__(self, latency_ms: int = 1, bandwidth_mb_per_s: float = 100.0):
+        self.latency_ms = latency_ms
+        self.bandwidth_mb_per_s = bandwidth_mb_per_s
 
     def transfer_time(self, size_mb: float, remote: bool) -> int:
         """Milliseconds to move size_mb; local access is free. A transfer
@@ -80,19 +90,24 @@ class NetworkModel:
         return self.latency_ms + (math.ceil(ms) if ms <= MAX_MS else MAX_MS + 1)
 
 
-@dataclass(slots=True)
-class PhaseTimeline:
+class PhaseTimeline(Slotted):
     """Per-invocation time breakdown; all phases are integer ms."""
 
-    dispatch_ms: int = 0
-    queue_wait_ms: int = 0
-    boot_ms: int = 0
-    code_fetch_ms: int = 0
-    data_fetch_ms: int = 0
-    compute_ms: int = 0
-    write_back_ms: int = 0
-    started_at: int = 0
-    finished_at: int = 0
+    __slots__ = ("dispatch_ms", "queue_wait_ms", "boot_ms", "code_fetch_ms",
+                 "data_fetch_ms", "compute_ms", "write_back_ms", "started_at", "finished_at")
+
+    def __init__(self, dispatch_ms: int = 0, queue_wait_ms: int = 0, boot_ms: int = 0,
+                 code_fetch_ms: int = 0, data_fetch_ms: int = 0, compute_ms: int = 0,
+                 write_back_ms: int = 0, started_at: int = 0, finished_at: int = 0):
+        self.dispatch_ms = dispatch_ms
+        self.queue_wait_ms = queue_wait_ms
+        self.boot_ms = boot_ms
+        self.code_fetch_ms = code_fetch_ms
+        self.data_fetch_ms = data_fetch_ms
+        self.compute_ms = compute_ms
+        self.write_back_ms = write_back_ms
+        self.started_at = started_at
+        self.finished_at = finished_at
 
     def actual_ms(self) -> int:
         return self.finished_at - self.started_at
@@ -125,21 +140,30 @@ _WARM_HIT, _COLD_START, _REJECTED = (
     AcquireOutcome.WARM_HIT, AcquireOutcome.COLD_START, AcquireOutcome.REJECTED)
 
 
-@dataclass(frozen=True)
-class ClusterParams:
+class ClusterParams(Slotted):
     """Static cluster configuration; capacities in MB, times in ms."""
 
-    nodes: int = 1
-    mem_capacity: int = 4096
-    store_capacity: float = 4000.0
-    flavors: tuple[int, ...] = DEFAULT_FLAVORS
-    network: NetworkModel = NetworkModel()
-    container_boot_ms: int = 100
-    keep_alive_ms: int = 600_000
-    billing_granularity_ms: int = 100
-    max_execution_ms: int = 300_000
-    code_store: int | str = EXTERNAL_STORE
-    result_store: int | str = EXTERNAL_STORE
+    __slots__ = ("nodes", "mem_capacity", "store_capacity", "flavors", "network",
+                 "container_boot_ms", "keep_alive_ms", "billing_granularity_ms",
+                 "max_execution_ms", "code_store", "result_store")
+
+    def __init__(self, nodes: int = 1, mem_capacity: int = 4096, store_capacity: float = 4000.0,
+                 flavors: tuple[int, ...] = DEFAULT_FLAVORS,
+                 network: NetworkModel = NetworkModel(), container_boot_ms: int = 100,
+                 keep_alive_ms: int = 600_000, billing_granularity_ms: int = 100,
+                 max_execution_ms: int = 300_000, code_store: int | str = EXTERNAL_STORE,
+                 result_store: int | str = EXTERNAL_STORE):
+        self.nodes = nodes
+        self.mem_capacity = mem_capacity
+        self.store_capacity = store_capacity
+        self.flavors = flavors
+        self.network = network
+        self.container_boot_ms = container_boot_ms
+        self.keep_alive_ms = keep_alive_ms
+        self.billing_granularity_ms = billing_granularity_ms
+        self.max_execution_ms = max_execution_ms
+        self.code_store = code_store
+        self.result_store = result_store
 
 
 class RunQueue(deque):

@@ -1,59 +1,73 @@
 """Scenario configuration: YAML parsing, dotted overrides and validation.
 
-A scenario file is a key-value tree whose keys mirror the simulator's
-dataclass fields. ``FIELDS`` below is the table of every accepted key with
-its kind and check; a key left out takes the default of the dataclass field
-it fills. A ``strategies`` list of strategy blocks, for comparisons, takes
-the place of the single ``strategy`` block.
+A scenario file is a key-value tree whose keys mirror the parameters of
+the simulator's record types (ClusterParams, WorkloadSpec, StrategyConfig
+and the types they hold). ``FIELDS`` below is the table of every accepted
+key with its kind and check; each mapping in the tree is passed as keyword
+arguments to the type it builds (``_BUILD``), so a key left out takes that
+type's default for the parameter. A ``strategies`` list of strategy blocks,
+for comparisons, takes the place of the single ``strategy`` block.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
 from functools import reduce
 
 import yaml
 
 from .cluster import EXTERNAL_STORE, MAX_MS, ClusterParams, FunctionSpec, NetworkModel
 from .errors import ConfigError
+from .slotted import Slotted
 from .strategies import DEFAULT_DECAY, STRATEGY_NAMES, param_errors
-from .workload import ArrivalSpec, ObjectSpec, PopularitySpec, WorkloadSpec
+from .workload import ArrivalSpec, ObjectSpec, PopularitySpec, WorkloadSpec, popularity_problem
 
 
-@dataclass
 class StrategyConfig:
-    name: str = "round_robin"
-    params: dict = field(default_factory=dict)
-    work_stealing: bool = False
-    steal_poll_ms: int = 10
-    dispatch_latency_ms: int | None = None
-    replication_period_ms: int = 1000
-    replication_threshold: float = 10.0
-    replication_decay: float = DEFAULT_DECAY
+    __slots__ = ("name", "params", "work_stealing", "steal_poll_ms", "dispatch_latency_ms",
+                 "replication_period_ms", "replication_threshold", "replication_decay")
+
+    def __init__(self, name: str = "round_robin", params: dict | None = None,
+                 work_stealing: bool = False, steal_poll_ms: int = 10,
+                 dispatch_latency_ms: int | None = None, replication_period_ms: int = 1000,
+                 replication_threshold: float = 10.0, replication_decay: float = DEFAULT_DECAY):
+        self.name = name
+        self.params = {} if params is None else params
+        self.work_stealing = work_stealing
+        self.steal_poll_ms = steal_poll_ms
+        self.dispatch_latency_ms = dispatch_latency_ms
+        self.replication_period_ms = replication_period_ms
+        self.replication_threshold = replication_threshold
+        self.replication_decay = replication_decay
 
     @property
     def label(self) -> str:
         return self.name + ("+steal" if self.work_stealing else "")
 
 
-@dataclass
 class OutputConfig:
-    dir: str = "out"
-    formats: tuple[str, ...] = ("csv",)
+    __slots__ = ("dir", "formats")
+
+    def __init__(self, dir: str = "out", formats: tuple[str, ...] = ("csv",)):
+        self.dir = dir
+        self.formats = formats
 
 
-@dataclass
 class Scenario:
-    cluster: ClusterParams = field(default_factory=ClusterParams)
-    workload: WorkloadSpec = field(default_factory=WorkloadSpec)
-    strategies: list[StrategyConfig] = field(default_factory=lambda: [StrategyConfig()])
-    seeds: list[int] = field(default_factory=lambda: [1])
-    output: OutputConfig = field(default_factory=OutputConfig)
-    # What the field table found when the scenario was parsed; validate
-    # adds the cross-field rules.
-    diagnostics: list[Diagnostic] = field(default_factory=list, repr=False, compare=False)
+    __slots__ = ("cluster", "workload", "strategies", "seeds", "output", "diagnostics")
+
+    def __init__(self, cluster: ClusterParams | None = None, workload: WorkloadSpec | None = None,
+                 strategies: list[StrategyConfig] | None = None, seeds: list[int] | None = None,
+                 output: OutputConfig | None = None, diagnostics: list[Diagnostic] | None = None):
+        self.cluster = ClusterParams() if cluster is None else cluster
+        self.workload = WorkloadSpec() if workload is None else workload
+        self.strategies = [StrategyConfig()] if strategies is None else strategies
+        self.seeds = [1] if seeds is None else seeds
+        self.output = OutputConfig() if output is None else output
+        # What the field table found when the scenario was parsed; validate
+        # adds the cross-field rules.
+        self.diagnostics = [] if diagnostics is None else diagnostics
 
     def constants(self) -> dict:
         """Every cost-model constant, echoed into report metadata: each
@@ -82,11 +96,13 @@ class Scenario:
         return out
 
 
-@dataclass(frozen=True)
-class Diagnostic:
-    key: str
-    message: str
-    severity: str = "error"  # or "warning"
+class Diagnostic(Slotted):
+    __slots__ = ("key", "message", "severity")
+
+    def __init__(self, key: str, message: str, severity: str = "error"):
+        self.key = key
+        self.message = message
+        self.severity = severity  # or "warning"
 
     def __str__(self) -> str:
         return f"{self.severity}: {self.key}: {self.message}"
@@ -441,11 +457,8 @@ def validate(scenario: Scenario) -> list[Diagnostic]:
     o = w.objects
     if o.popularity.kind == "zipf" and o.popularity.s <= 0:
         err("workload.objects.popularity", "zipf exponent s must be > 0")
-    elif o.popularity.kind == "zipf":
-        try:
-            float(o.count) ** o.popularity.s  # the weight of the last rank divides by this
-        except OverflowError:
-            err("workload.objects.popularity.s", f"{o.count} ** {o.popularity.s} overflows a float")
+    elif problem := popularity_problem(w):
+        err("workload.objects.popularity.s", problem)
     if o.count and c.store_capacity < _span(o.size)[1]:
         diags.append(Diagnostic("cluster.store_capacity", "smaller than the largest object; "
                                 "placement will fail at runtime", "warning"))

@@ -15,10 +15,10 @@ import json
 import math
 from array import array
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
 from itertools import chain
 
 from .cluster import PhaseTimeline
+from .slotted import Slotted
 from .workload import Trace
 
 COMPLETED = "completed"
@@ -35,15 +35,19 @@ CSV_COLUMNS = (
 )
 
 
-@dataclass(slots=True)
-class TaskRecord:
-    invocation_id: str
-    function: str
-    node: int
-    timeline: PhaseTimeline
-    ideal_ms: int
-    billed_gb_s: float
-    status: str  # COMPLETED or FAILED
+class TaskRecord(Slotted):
+    __slots__ = ("invocation_id", "function", "node", "timeline", "ideal_ms", "billed_gb_s",
+                 "status")
+
+    def __init__(self, invocation_id: str, function: str, node: int, timeline: PhaseTimeline,
+                 ideal_ms: int, billed_gb_s: float, status: str):
+        self.invocation_id = invocation_id
+        self.function = function
+        self.node = node
+        self.timeline = timeline
+        self.ideal_ms = ideal_ms
+        self.billed_gb_s = billed_gb_s
+        self.status = status  # COMPLETED or FAILED
 
 
 _STRIDE = 7  # phase durations per record, in PhaseTimeline field order

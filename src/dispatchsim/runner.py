@@ -19,8 +19,6 @@ view or PhaseTimeline is built per invocation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .cluster import AcquireOutcome, Cluster, Container
 from .config import Scenario, StrategyConfig
 from .engine import Engine, RandomSource
@@ -34,22 +32,27 @@ from .workload import Catalog, Invocation, Trace, build_catalog, generate_trace,
 _REJECTED, _COLD_START = AcquireOutcome.REJECTED, AcquireOutcome.COLD_START  # see cluster.py
 
 
-@dataclass
 class RunResult:
     """Everything one (strategy, seed) run produced. ``account`` holds what
     the report row reads. ``records``, a columnar view that builds each
     TaskRecord when it is read, is kept only when the run was asked to keep
     it, and is None otherwise."""
 
-    strategy: str
-    seed: int
-    records: RecordStore | None
-    account: RunAccount
-    horizon_ms: int
-    occupied_ms_total: int
-    node_count: int
-    steals: int
-    replication_log: list
+    __slots__ = ("strategy", "seed", "records", "account", "horizon_ms", "occupied_ms_total",
+                 "node_count", "steals", "replication_log")
+
+    def __init__(self, strategy: str, seed: int, records: RecordStore | None,
+                 account: RunAccount, horizon_ms: int, occupied_ms_total: int, node_count: int,
+                 steals: int, replication_log: list):
+        self.strategy = strategy
+        self.seed = seed
+        self.records = records
+        self.account = account
+        self.horizon_ms = horizon_ms
+        self.occupied_ms_total = occupied_ms_total
+        self.node_count = node_count
+        self.steals = steals
+        self.replication_log = replication_log
 
     @property
     def makespan_ms(self) -> int:

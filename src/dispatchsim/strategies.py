@@ -17,7 +17,6 @@ from __future__ import annotations
 import hashlib
 import math
 import sys
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .cluster import Cluster, PlacementOutcome
@@ -256,12 +255,14 @@ class ProactiveClusterStrategy(DataAwareStrategy):
         return node
 
 
-@dataclass(frozen=True, slots=True)
 class ReplicationAction:
-    object_id: str
-    node: int
-    placed: bool
-    note: str
+    __slots__ = ("object_id", "node", "placed", "note")
+
+    def __init__(self, object_id: str, node: int, placed: bool, note: str):
+        self.object_id = object_id
+        self.node = node
+        self.placed = placed
+        self.note = note
 
 
 def replication_tick(counters: PopularityCounter, cluster: Cluster,

@@ -11,10 +11,10 @@ origin.
 from __future__ import annotations
 
 import json
+import math
 from array import array
 from bisect import bisect_right
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from itertools import accumulate, islice
 from operator import eq, gt
 from typing import NamedTuple
@@ -171,49 +171,71 @@ class Trace(Sequence[Invocation]):
         return f"<Trace of {len(self)} invocations>"
 
 
-@dataclass(frozen=True)
 class ArrivalSpec:
     """Arrival process: poisson(rate_per_s) or fixed_interval(interval_ms)."""
 
-    kind: str = "fixed_interval"
-    rate_per_s: float = 10.0
-    interval_ms: int = 100
+    __slots__ = ("kind", "rate_per_s", "interval_ms")
+
+    def __init__(self, kind: str = "fixed_interval", rate_per_s: float = 10.0,
+                 interval_ms: int = 100):
+        self.kind = kind
+        self.rate_per_s = rate_per_s
+        self.interval_ms = interval_ms
 
 
-@dataclass(frozen=True)
 class PopularitySpec:
     """Object reference skew: zipf(s) over object rank, or uniform."""
 
-    kind: str = "zipf"
-    s: float = 1.1
+    __slots__ = ("kind", "s")
+
+    def __init__(self, kind: str = "zipf", s: float = 1.1):
+        self.kind = kind
+        self.s = s
 
 
-@dataclass(frozen=True)
 class ObjectSpec:
     """Object population: fixed size or [lo, hi] uniform MB per object."""
 
-    count: int = 0
-    size: float | tuple[float, float] = 100.0
-    popularity: PopularitySpec = PopularitySpec()
+    __slots__ = ("count", "size", "popularity")
+
+    def __init__(self, count: int = 0, size: float | tuple[float, float] = 100.0,
+                 popularity: PopularitySpec = PopularitySpec()):
+        self.count = count
+        self.size = size
+        self.popularity = popularity
 
 
-@dataclass(frozen=True)
 class WorkloadSpec:
-    horizon_ms: int = 10_000
-    arrival: ArrivalSpec = ArrivalSpec()
-    functions: tuple[tuple[FunctionSpec, float], ...] = ()  # (spec, weight)
-    objects: ObjectSpec = ObjectSpec()
-    refs_per_invocation: tuple[int, int] = (0, 0)  # inclusive range
-    origins: tuple[tuple[str, float], ...] = (("default", 1.0),)
-    trace_path: str | None = None
+    """``functions`` holds (spec, weight) pairs, ``origins`` (tag, weight)
+    pairs, and ``refs_per_invocation`` an inclusive range."""
+
+    __slots__ = ("horizon_ms", "arrival", "functions", "objects", "refs_per_invocation",
+                 "origins", "trace_path")
+
+    def __init__(self, horizon_ms: int = 10_000, arrival: ArrivalSpec = ArrivalSpec(),
+                 functions: tuple[tuple[FunctionSpec, float], ...] = (),
+                 objects: ObjectSpec = ObjectSpec(),
+                 refs_per_invocation: tuple[int, int] = (0, 0),
+                 origins: tuple[tuple[str, float], ...] = (("default", 1.0),),
+                 trace_path: str | None = None):
+        self.horizon_ms = horizon_ms
+        self.arrival = arrival
+        self.functions = functions
+        self.objects = objects
+        self.refs_per_invocation = refs_per_invocation
+        self.origins = origins
+        self.trace_path = trace_path
 
 
-@dataclass
 class Catalog:
     """Function and data-object definitions a run resolves names against."""
 
-    functions: dict[str, FunctionSpec] = field(default_factory=dict)
-    objects: dict[str, DataObject] = field(default_factory=dict)
+    __slots__ = ("functions", "objects")
+
+    def __init__(self, functions: dict[str, FunctionSpec] | None = None,
+                 objects: dict[str, DataObject] | None = None):
+        self.functions = {} if functions is None else functions
+        self.objects = {} if objects is None else objects
 
 
 def build_catalog(spec: WorkloadSpec, rng: RandomSource) -> Catalog:
@@ -240,16 +262,58 @@ def _cumulative(weights: list[float]) -> tuple[list[float], float]:
     return cum, cum[-1]
 
 
+# A zipf popularity must leave an invocation's last distinct pick at least
+# this chance per draw of meeting an object not yet picked (README,
+# "Scenario files").
+MIN_NEW_PICK_CHANCE = 1e-3
+
+
+def _zipf_mass(lo: int, hi: int, s: float) -> float:
+    """The sum of rank ** -s over the ranks lo..hi: up to 1,000 ranks term
+    by term, and any further ones by the integral of x ** -s over
+    [rank - 1/2, hi + 1/2], so that the cost does not grow with hi."""
+    stop = min(hi, lo + 999)
+    mass = math.fsum(rank ** -s for rank in range(lo, stop + 1))
+    if hi > stop:
+        a, b = stop + 0.5, hi + 0.5
+        mass += math.log(b / a) if s == 1 else (a ** (1 - s) - b ** (1 - s)) / (s - 1)
+    return mass
+
+
+def popularity_problem(spec: WorkloadSpec) -> str | None:
+    """Why a zipf exponent s > 0 cannot generate the workload's trace, or
+    None; the key at fault is workload.objects.popularity.s. Either the
+    weight of the last rank, 1 / count ** s, overflows a float, or
+    generating would not end in practice: an invocation draws objects until
+    it has k = min(refs upper bound, count) distinct ones, and when the k-1
+    most popular are drawn, a draw meets a new one with chance (weight of
+    ranks k..count) / (weight of all ranks), which must be at least
+    MIN_NEW_PICK_CHANCE."""
+    objects = spec.objects
+    s, count = objects.popularity.s, objects.count
+    if objects.popularity.kind != "zipf" or s <= 0:
+        return None
+    try:
+        float(count) ** s
+    except OverflowError:
+        return f"{count} ** {s} overflows a float"
+    k = min(spec.refs_per_invocation[1], count)
+    if k < 2:
+        return None
+    tail = _zipf_mass(k, count, s)
+    chance = tail / (_zipf_mass(1, k - 1, s) + tail)
+    if chance >= MIN_NEW_PICK_CHANCE:
+        return None
+    return (f"at {k} distinct objects per invocation, a draw after the {k - 1} most popular "
+            f"meets a new one with chance {chance:.3g}, below {MIN_NEW_PICK_CHANCE}")
+
+
 def _popularity_weights(spec: ObjectSpec) -> list[float]:
     if spec.popularity.kind == "zipf":
         s = spec.popularity.s
         if s <= 0:
             raise ConfigError("zipf exponent must be > 0")
-        try:
-            return [1.0 / (rank ** s) for rank in range(1, spec.count + 1)]
-        except OverflowError:
-            raise ConfigError(f"workload.objects.popularity.s: {spec.count} ** {s} "
-                              "overflows a float") from None
+        return [1.0 / (rank ** s) for rank in range(1, spec.count + 1)]
     return [1.0] * spec.count
 
 
@@ -260,6 +324,9 @@ def generate_trace(spec: WorkloadSpec, catalog: Catalog, rng: RandomSource) -> T
     fn_cum, fn_total = _cumulative([w for _, w in spec.functions])
     origin_cum, origin_total = _cumulative([w for _, w in spec.origins])
     object_ids = list(catalog.objects)
+    problem = popularity_problem(spec) if object_ids else None
+    if problem:
+        raise ConfigError(f"workload.objects.popularity.s: {problem}")
     obj_cum, obj_total = _cumulative(_popularity_weights(spec.objects)) if object_ids else ((), 0.0)
     kind = spec.arrival.kind
     if kind not in ("fixed_interval", "poisson"):

@@ -67,6 +67,38 @@ def test_zipf_exponent_that_overflows_names_the_key(tmp_path, capsys, count, s, 
             generate_trace(workload, catalog, RandomSource(1, "trace"))
 
 
+@pytest.mark.parametrize("s, valid", [(20, False), (60, False), (5, True)])
+def test_zipf_exponent_that_starves_distinct_picks_names_the_key(capsys, s, valid):
+    # Regression: at s=20 or s=60 an invocation of the data-intensive workload
+    # that draws 3 distinct objects of 50 almost never meets a third one, so
+    # this validated and then generating the trace never ended. At s=5 a
+    # draw after the two most popular meets a new object with chance 0.0055.
+    demo = str(DEMO_SCENARIOS / "data_intensive.yaml")
+    override = f"workload.objects.popularity.s={s}"
+    assert main(["validate", demo, override]) == (0 if valid else 2)
+    err = capsys.readouterr().err
+    assert ("error: workload.objects.popularity.s:" in err) != valid
+    assert "Traceback" not in err
+    workload = load_scenario(demo, [override]).workload
+    catalog = build_catalog(workload, RandomSource(1, "catalog"))
+    if valid:
+        assert len(generate_trace(workload, catalog, RandomSource(1, "trace"))) > 0
+    else:
+        with pytest.raises(ConfigError, match=r"^workload\.objects\.popularity\.s: "):
+            generate_trace(workload, catalog, RandomSource(1, "trace"))
+
+
+def test_distinct_pick_rule_costs_no_more_for_a_huge_population():
+    # The rule sums at most 1,000 ranks per range, so it stays quick at 10**12
+    # objects, where every invocation would reference all of them.
+    raw = scenario_dict(workload={
+        "objects": {"count": 10**12, "size": 10, "popularity": {"kind": "zipf", "s": 1.1}},
+        "refs_per_invocation": [1, 10**12],
+    })
+    diags = validate(parse_scenario(raw))
+    assert [d.key for d in diags if d.severity == "error"] == ["workload.objects.popularity.s"]
+
+
 def test_small_store_is_a_warning_not_an_error():
     raw = scenario_dict(
         cluster={"store_capacity": 50},
