@@ -15,8 +15,6 @@ import math
 import os
 from functools import reduce
 
-import yaml
-
 from .cluster import EXTERNAL_STORE, MAX_MS, ClusterParams, FunctionSpec, NetworkModel
 from .errors import ConfigError
 from .slotted import Slotted
@@ -380,6 +378,8 @@ def parse_scenario(raw: dict) -> Scenario:
 
 
 def load_scenario(path, overrides: list[str] | None = None) -> Scenario:
+    import yaml  # here, not at module level: importing the package needs no PyYAML
+
     try:
         with open(path, "rb") as fh:  # PyYAML decodes, and reports bytes that are not text
             raw = yaml.safe_load(fh)
@@ -394,6 +394,8 @@ def load_scenario(path, overrides: list[str] | None = None) -> Scenario:
 def apply_override(raw: dict, override: str) -> None:
     """Apply a dotted-path override like cluster.nodes=8; list elements are
     addressed by integer segments and values parse as YAML scalars."""
+    import yaml
+
     if "=" not in override:
         raise ConfigError(f"override {override!r} is not of the form key.path=value")
     path, _, value = override.partition("=")

@@ -317,8 +317,34 @@ def _popularity_weights(spec: ObjectSpec) -> list[float]:
     return [1.0] * spec.count
 
 
+def _poisson_arrivals(expovariate, lambd: float, horizon: int, record):
+    """Yield once per arrival of a Poisson process with lambd arrivals per
+    ms up to the horizon, after passing the arrival ms to record. Each
+    interarrival is drawn when the next arrival is asked for, so it comes
+    before that invocation's other draws. An arrival past the horizon ends the stream,
+    an infinite one too, and at lambd 0 (a rate too small for any arrival)
+    nothing is drawn."""
+    if not lambd:
+        return
+    end = horizon + 1
+    t_float = 0.0
+    while True:
+        t_float += expovariate(lambd)
+        if t_float >= end:  # int(t_float) > horizon, for a finite t_float >= 0
+            return
+        record(int(t_float))
+        yield
+
+
 def generate_trace(spec: WorkloadSpec, catalog: Catalog, rng: RandomSource) -> Trace:
-    """Generate the arrival-ordered trace for a workload spec."""
+    """Generate the arrival-ordered trace for a workload spec.
+
+    Only the columns that draw are filled per invocation: fixed-interval
+    arrivals are one range, and a single function or origin is a column of
+    zeros. Fixed arrivals of one function and one origin that each reference
+    exactly one of two or more objects (the criterion-10 shape) take a loop
+    whose only draw is the object pick; every other plan takes the general
+    loop. Both draw as the module docstring says."""
     if not spec.functions:
         raise ConfigError("workload defines no functions")
     fn_cum, fn_total = _cumulative([w for _, w in spec.functions])
@@ -328,62 +354,83 @@ def generate_trace(spec: WorkloadSpec, catalog: Catalog, rng: RandomSource) -> T
     if problem:
         raise ConfigError(f"workload.objects.popularity.s: {problem}")
     obj_cum, obj_total = _cumulative(_popularity_weights(spec.objects)) if object_ids else ((), 0.0)
-    kind = spec.arrival.kind
-    if kind not in ("fixed_interval", "poisson"):
-        raise ConfigError(f"unknown arrival kind: {kind}")
+    arrival = spec.arrival
+    poisson = arrival.kind == "poisson"
+    if poisson:
+        if not 0 < arrival.rate_per_s < math.inf:
+            raise ConfigError("workload.arrival.rate_per_s: must be a positive number")
+    elif arrival.kind != "fixed_interval":
+        raise ConfigError(f"unknown arrival kind: {arrival.kind}")
+    elif arrival.interval_ms < 1:
+        raise ConfigError("workload.arrival.interval_ms: must be at least 1 ms")
 
     # The RandomSource float methods are inlined: the same draws from the
     # underlying generator, in the same order and with the same arithmetic.
     # Integer draws go through RandomSource.randint, which defines them.
     gen = rng._rng
-    random, randint, expovariate = gen.random, rng.randint, gen.expovariate
-    poisson = kind == "poisson"
-    lambd = 1.0 / (1000.0 / spec.arrival.rate_per_s) if poisson else 0.0
-    interval = spec.arrival.interval_ms
-    horizon = spec.horizon_ms
+    random, randint = gen.random, rng.randint
     fn_many, origin_many, obj_many = len(fn_cum) > 1, len(origin_cum) > 1, len(obj_cum) > 1
     lo, hi = spec.refs_per_invocation
-    k_varies = hi > lo
     n_objects = len(object_ids)
+    k_fixed = min(lo, n_objects)
 
     trace = Trace(functions=[fs.name for fs, _ in spec.functions],
                   origins=[tag for tag, _ in spec.origins])
-    ref_sets = trace.ref_sets
-    ref_code_of: dict[tuple[int, ...], int] = {}  # object indices -> ref_sets code
-    add_arrival, add_function = trace.arrivals.append, trace.function_codes.append
-    add_origin, add_refs = trace.origin_codes.append, trace.ref_codes.append
-    arrival = 0
-    t_float = 0.0
-    while True:
-        if poisson:
-            t_float += expovariate(lambd)
-            arrival = int(t_float)
-        else:
-            arrival += interval
-        if arrival > horizon:
-            break
-        add_function(bisect_right(fn_cum, random() * fn_total) if fn_many else 0)
-        k = randint(lo, hi) if k_varies else lo
-        if k > n_objects:
-            k = n_objects
-        if k <= 0:
-            picks = ()
-        elif obj_many:
-            chosen: list[int] = []
-            while len(chosen) < k:
-                j = bisect_right(obj_cum, random() * obj_total)
-                if j not in chosen:
-                    chosen.append(j)
-            picks = tuple(chosen)
-        else:
-            picks = (0,)
-        code = ref_code_of.get(picks)
-        if code is None:
-            code = ref_code_of[picks] = len(ref_sets)
-            ref_sets.append(tuple([object_ids[j] for j in picks]))
-        add_refs(code)
-        add_origin(bisect_right(origin_cum, random() * origin_total) if origin_many else 0)
-        add_arrival(arrival)
+    ref_sets, add_refs = trace.ref_sets, trace.ref_codes.append
+    if poisson:
+        ticks = _poisson_arrivals(gen.expovariate, 1.0 / (1000.0 / arrival.rate_per_s),
+                                  spec.horizon_ms, trace.arrivals.append)
+    else:
+        interval = arrival.interval_ms
+        trace.arrivals.extend(range(interval, spec.horizon_ms + 1, interval))
+        ticks = range(len(trace.arrivals))
+
+    if not (poisson or fn_many or origin_many) and lo == hi and k_fixed == 1 and obj_many:
+        # The single-pick plan: the object pick is the only draw, and its
+        # reference set is interned by object index.
+        code_of: list[int | None] = [None] * n_objects
+        for _ in ticks:
+            j = bisect_right(obj_cum, random() * obj_total)
+            code = code_of[j]
+            if code is None:
+                code = code_of[j] = len(ref_sets)
+                ref_sets.append((object_ids[j],))
+            add_refs(code)
+    else:
+        ref_code_of: dict[tuple[int, ...], int] = {}  # object indices -> ref_sets code
+        add_function, add_origin = trace.function_codes.append, trace.origin_codes.append
+        k_varies = hi > lo
+        k = k_fixed
+        for _ in ticks:
+            if fn_many:
+                add_function(bisect_right(fn_cum, random() * fn_total))
+            if k_varies:
+                k = randint(lo, hi)
+                if k > n_objects:
+                    k = n_objects
+            if k <= 0:
+                picks = ()
+            elif obj_many:
+                chosen: list[int] = []
+                while len(chosen) < k:
+                    j = bisect_right(obj_cum, random() * obj_total)
+                    if j not in chosen:
+                        chosen.append(j)
+                picks = tuple(chosen)
+            else:
+                picks = (0,)
+            code = ref_code_of.get(picks)
+            if code is None:
+                code = ref_code_of[picks] = len(ref_sets)
+                ref_sets.append(tuple([object_ids[j] for j in picks]))
+            add_refs(code)
+            if origin_many:
+                add_origin(bisect_right(origin_cum, random() * origin_total))
+
+    n = len(trace.arrivals)
+    for many, codes in ((fn_many, trace.function_codes), (origin_many, trace.origin_codes)):
+        if not many:
+            codes.frombytes(bytes(codes.itemsize * n))
     return trace
 
 

@@ -3,12 +3,16 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 import yaml
 from hypothesis import example, given, settings, strategies as st
 
+import dispatchsim
 from dispatchsim import cli, runner
 from dispatchsim.cli import main
 from dispatchsim.config import FIELDS, apply_override, load_scenario, parse_scenario, validate
@@ -695,3 +699,74 @@ def test_object_too_large_to_transfer_fails_the_fetching_task(tmp_path):
     assert (row["tasks"], row["failures"]) == (10, 1)
     # The cap, less that task's boot (100 ms) and code fetch (1 + 100 ms).
     assert row["data_fetch_ms_total"] == 300_000 - 100 - 101
+
+
+# ---- arrival specs and start-up -----------------------------------------------------
+
+SRC = str(Path(dispatchsim.__file__).resolve().parent.parent)
+
+
+def run_child(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter that imports this package, limited to
+    1 GiB of address space and 10 s, so that a runaway loop fails fast."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (SRC, os.environ.get("PYTHONPATH")))))
+    limit = "import resource\nresource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+    return subprocess.run([sys.executable, "-c", limit + code, *args], env=env,
+                          capture_output=True, text=True, timeout=10)
+
+
+@pytest.mark.parametrize("arrival, key", [
+    ({"interval_ms": 0}, "workload.arrival.interval_ms"),
+    ({"interval_ms": -5}, "workload.arrival.interval_ms"),
+    ({"kind": "poisson", "rate_per_s": -1.0}, "workload.arrival.rate_per_s"),
+    ({"kind": "poisson", "rate_per_s": 0.0}, "workload.arrival.rate_per_s"),
+    ({"kind": "poisson", "rate_per_s": float("inf")}, "workload.arrival.rate_per_s"),
+])
+def test_generate_trace_refuses_an_arrival_spec_that_validate_refuses(tmp_path, capsys, arrival,
+                                                                     key):
+    # Regression: the first three never ended, growing the trace all the
+    # while, and a zero or infinite rate raised ZeroDivisionError.
+    code = (
+        "import json, sys\n"
+        "from dispatchsim.cluster import FunctionSpec\n"
+        "from dispatchsim.engine import RandomSource\n"
+        "from dispatchsim.errors import ConfigError\n"
+        "from dispatchsim.workload import ArrivalSpec, WorkloadSpec, build_catalog, generate_trace\n"
+        "spec = WorkloadSpec(arrival=ArrivalSpec(**json.loads(sys.argv[1])),\n"
+        "                    functions=((FunctionSpec('f1', flavor=128, compute_ms=10), 1.0),))\n"
+        "try:\n"
+        "    generate_trace(spec, build_catalog(spec, RandomSource(1, 'catalog')),\n"
+        "                   RandomSource(1, 'trace'))\n"
+        "except ConfigError as exc:\n"
+        "    print(exc)\n")
+    child = run_child(code, json.dumps(arrival))
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.startswith(f"{key}: must be ")
+    raw = scenario_dict(workload={"arrival": {"kind": "fixed_interval", **arrival}})
+    assert main(["validate", write_config(tmp_path, raw)]) == 2
+    assert f"error: {key}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rate, seeds", [("1e-320", None), ("2e-306", None), ("1e-305", "[11]")])
+def test_poisson_rate_too_small_for_any_arrival_runs_an_empty_trace(tmp_path, capsys, rate,
+                                                                     seeds):
+    # Regression: a rate whose mean interarrival is inf raised
+    # ZeroDivisionError, and an interarrival draw that overflowed to inf
+    # raised OverflowError; both validated and then exited 1 with a traceback.
+    args = ["run", str(DEMO_SCENARIOS / "minimal.yaml"), "--out-dir", str(tmp_path),
+            "workload.arrival.kind=poisson", f"workload.arrival.rate_per_s={rate}"]
+    assert main(args + ([f"seeds={seeds}"] if seeds else [])) == 0
+    out = capsys.readouterr().out
+    assert " 0 tasks," in out and "Traceback" not in out
+
+
+def test_importing_the_package_does_not_load_yaml():
+    # PyYAML is imported by the two functions that parse YAML text.
+    code = ("import sys\n"
+            "import dispatchsim, dispatchsim.cli\n"
+            "assert dispatchsim.__file__.startswith(sys.argv[1]), dispatchsim.__file__\n"
+            "print('yaml' in sys.modules)\n")
+    child = run_child(code, SRC)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == "False"

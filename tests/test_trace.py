@@ -143,6 +143,45 @@ def test_trace_matches_the_object_generator(tmp_path_factory, spec, seed):
     assert loaded == trace and list(loaded) == reference
 
 
+@st.composite
+def single_pick_specs(draw, counts=st.integers(2, 64), refs=st.just((1, 1))):
+    """Fixed arrivals of one function and one origin, each referencing
+    `refs` of `counts` objects: by default the plan whose only draw is the
+    object pick, which workload_specs rarely meets."""
+    popularity = (PopularitySpec("zipf", draw(st.floats(0.5, 3.0))) if draw(st.booleans())
+                  else PopularitySpec("uniform"))
+    return WorkloadSpec(
+        horizon_ms=draw(st.integers(0, 5000)),
+        arrival=ArrivalSpec(kind="fixed_interval", interval_ms=draw(st.integers(1, 50))),
+        functions=((FUNCTIONS[0], draw(st.floats(0.1, 5.0))),),
+        objects=ObjectSpec(count=draw(counts), size=10.0, popularity=popularity),
+        refs_per_invocation=draw(refs),
+        origins=(("web", draw(st.floats(0.1, 5.0))),),
+    )
+
+
+def assert_matches_the_object_generator(spec, seed):
+    catalog = build_catalog(spec, RandomSource(seed, "catalog"))
+    trace = generate_trace(spec, catalog, RandomSource(seed, "trace"))
+    assert trace == reference_generate_trace(spec, catalog, RandomSource(seed, "trace"))
+    assert list(trace.function_codes) == list(trace.origin_codes) == [0] * len(trace)
+
+
+@settings(max_examples=100, deadline=None)
+@given(single_pick_specs(), st.integers(0, 10**6))
+def test_single_pick_trace_matches_the_object_generator(spec, seed):
+    assert_matches_the_object_generator(spec, seed)
+
+
+@settings(max_examples=30, deadline=None)
+@given(single_pick_specs(counts=st.just(1), refs=st.sampled_from([(1, 1), (2, 2)])),
+       st.integers(0, 10**6))
+def test_one_object_trace_matches_the_object_generator(spec, seed):
+    # Next to the single-pick plan: each invocation takes the one object
+    # without a draw, so these take the general loop.
+    assert_matches_the_object_generator(spec, seed)
+
+
 # Report digests of the trace files at the commit before the columnar trace.
 GOLDEN_TRACE_SHA256 = {
     "minimal.yaml": "639861dcb627a258057d38670b353df53c0de4e18e1fb589dfa93d9d2aae61c4",
