@@ -25,9 +25,11 @@ for stealing in (False, True):
     scenario = parse_scenario({
         **HOT, "strategy": {"name": "hash_affinity", "work_stealing": stealing},
     })
-    result = run_one(scenario, scenario.strategies[0], 1, keep_records=True)
+    nodes_used = set()  # the node of every completed invocation
+    result = run_one(scenario, scenario.strategies[0], 1,
+                     on_complete=lambda index, node, *_: nodes_used.add(node))
     row = result.row()
-    executed_on = sorted({r.node for r in result.records})
+    executed_on = sorted(nodes_used)
     print(f"work_stealing={str(stealing):<5}  makespan {result.makespan_ms:>6} ms, "
           f"mean actual {row['mean_actual_ms']:>8.1f} ms, "
           f"p95 {row['p95_actual_ms']:>8.1f} ms, "

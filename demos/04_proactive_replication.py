@@ -34,7 +34,15 @@ scenario = parse_scenario({
 })
 
 catalog, trace = prepare_workload(scenario, 1)
-result = run_one(scenario, scenario.strategies[0], 1, keep_records=True)
+with_refs = []  # (arrival, data fetch ms) of each task that references data
+
+
+def note_fetch(index, node, phases, billed, failed):
+    if trace.ref_sets[trace.ref_codes[index]]:
+        with_refs.append((trace.arrivals[index], phases[4]))  # phases[4]: data fetch
+
+
+result = run_one(scenario, scenario.strategies[0], 1, catalog, trace, on_complete=note_fetch)
 
 print(f"{len(trace)} invocations, {result.replications} replicas created\n")
 print("replication actions (first ten):")
@@ -43,15 +51,11 @@ for at, action in result.replication_log[:10]:
     print(f"  t={at:>5} ms  {action.object_id} -> node {action.node}  {status}")
 
 # Locality trend: the share of tasks that found every referenced byte
-# already local, by quarter of the run (tasks ordered by start time).
-refs_by_id = {inv.id: inv for inv in trace}
-with_refs = sorted(
-    (r for r in result.records if refs_by_id[r.invocation_id].data_refs),
-    key=lambda r: r.timeline.started_at,
-)
+# already local, by quarter of the run (tasks ordered by arrival).
+with_refs.sort(key=lambda task: task[0])
 quarter = max(1, len(with_refs) // 4)
 print("\nshare of tasks finding all referenced bytes local:")
 for i in range(0, len(with_refs), quarter):
     chunk = with_refs[i:i + quarter]
-    all_local = sum(1 for r in chunk if r.timeline.data_fetch_ms == 0) / len(chunk)
+    all_local = sum(1 for _, data_fetch_ms in chunk if data_fetch_ms == 0) / len(chunk)
     print(f"  tasks {i + 1:>4}-{i + len(chunk):<4} {all_local:>6.1%} all-local")

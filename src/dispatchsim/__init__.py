@@ -17,15 +17,7 @@ from .cluster import (
 )
 from .config import Scenario, StrategyConfig, load_scenario, parse_scenario, validate
 from .engine import Engine, RandomSource
-from .metrics import (
-    RecordStore,
-    RunAccount,
-    TaskRecord,
-    billed_gb_seconds,
-    efficiency,
-    quality,
-    utilization,
-)
+from .metrics import RunAccount, billed_gb_seconds, efficiency, utilization
 from .runner import RunResult, Simulation, compare_scenario, run_one, run_scenario
 from .strategies import STRATEGY_NAMES, locality_score, make_strategy
 from .workload import (
@@ -52,14 +44,12 @@ __all__ = [
     "NetworkModel",
     "PhaseTimeline",
     "RandomSource",
-    "RecordStore",
     "RunAccount",
     "RunResult",
     "Scenario",
     "Simulation",
     "StrategyConfig",
     "STRATEGY_NAMES",
-    "TaskRecord",
     "Trace",
     "WorkloadSpec",
     "billed_gb_seconds",
@@ -71,7 +61,6 @@ __all__ = [
     "locality_score",
     "make_strategy",
     "parse_scenario",
-    "quality",
     "run_one",
     "run_scenario",
     "save_trace",

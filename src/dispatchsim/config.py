@@ -268,7 +268,8 @@ FIELDS = {
     "seeds": (_items("seeds.N", promote=True), _is(bool, "at least one seed is required")),
     "seeds.N": (_integer, None),
     "output.dir": (_string, None),
-    "output.formats": (_items("output.formats.N", promote=True), None),
+    "output.formats": (_items("output.formats.N", promote=True),
+                       _is(bool, "at least one report format is required")),
     "output.formats.N": (_string, lambda v: None if v in ("csv", "json")
                          else f"unknown format {v!r} (csv or json)"),
 }

@@ -1,4 +1,4 @@
-"""Per-task records and run-level evaluation metrics.
+"""Run-level evaluation metrics and report emission.
 
 ideal time   the function's compute_ms: its execution time with zero
              dispatch latency, a warm container and all data local
@@ -14,15 +14,10 @@ from __future__ import annotations
 import json
 import math
 from array import array
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from itertools import chain
 
 from .cluster import PhaseTimeline
-from .slotted import Slotted
-from .workload import Trace
-
-COMPLETED = "completed"
-FAILED = "failed"
 
 CSV_COLUMNS = (
     "strategy", "seed", "tasks", "failures",
@@ -33,98 +28,6 @@ CSV_COLUMNS = (
     "code_fetch_ms_total", "data_fetch_ms_total", "compute_ms_total",
     "write_back_ms_total", "replications", "steals",
 )
-
-
-class TaskRecord(Slotted):
-    __slots__ = ("invocation_id", "function", "node", "timeline", "ideal_ms", "billed_gb_s",
-                 "status")
-
-    def __init__(self, invocation_id: str, function: str, node: int, timeline: PhaseTimeline,
-                 ideal_ms: int, billed_gb_s: float, status: str):
-        self.invocation_id = invocation_id
-        self.function = function
-        self.node = node
-        self.timeline = timeline
-        self.ideal_ms = ideal_ms
-        self.billed_gb_s = billed_gb_s
-        self.status = status  # COMPLETED or FAILED
-
-
-_STRIDE = 7  # phase durations per record, in PhaseTimeline field order
-
-
-class RecordStore(Sequence[TaskRecord]):
-    """A run's task records as columns, in completion order, kept only for a
-    run asked to keep them (``keep_records``).
-
-    Per record it keeps the invocation's index into the run's trace, the
-    node, the seven phase durations (strided in one ``array('q')``), the
-    billed GB-s and a failure flag: about 77 bytes, where a TaskRecord with
-    its PhaseTimeline takes about 250. It reads as a sequence of
-    TaskRecords, each built when it is accessed: the trace gives the id, the
-    function (whose ideal time is looked up in ``ideal_ms``) and
-    ``started_at`` (the arrival), and ``finished_at`` is ``started_at`` plus
-    the phase sum, which the runner checks at every completion.
-    """
-
-    __slots__ = ("_ideal_ms", "_trace", "_index", "_nodes", "_phases", "_billed", "_failed")
-
-    def __init__(self, ideal_ms: Mapping[str, int], trace: Trace):
-        self._ideal_ms = ideal_ms
-        self._trace = trace
-        self._index = array("i")
-        self._nodes = array("i")
-        self._phases = array("q")
-        self._billed = array("d")
-        self._failed = array("b")
-
-    def append(self, index: int, node: int, phases: tuple[int, ...],
-               billed_gb_s: float, failed: bool) -> None:
-        """Record the completion of trace[index]; ``phases`` holds its seven
-        phase durations in PhaseTimeline field order."""
-        self._index.append(index)
-        self._nodes.append(node)
-        self._phases.extend(phases)
-        self._billed.append(billed_gb_s)
-        self._failed.append(failed)
-
-    def __len__(self) -> int:
-        return len(self._index)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self._record(i) for i in range(*index.indices(len(self)))]
-        count = len(self)
-        i = index + count if index < 0 else index
-        if not 0 <= i < count:
-            raise IndexError("record index out of range")
-        return self._record(i)
-
-    def __iter__(self):
-        return map(self._record, range(len(self)))
-
-    def _record(self, i: int) -> TaskRecord:
-        inv = self._trace.view(self._index[i])
-        phases = self._phases[i * _STRIDE:(i + 1) * _STRIDE]
-        started_at = inv.arrival
-        failed = self._failed[i]
-        return TaskRecord(
-            invocation_id=inv.id,
-            function=inv.function,
-            node=self._nodes[i],
-            timeline=PhaseTimeline(*phases, started_at=started_at,
-                                   finished_at=started_at + sum(phases)),
-            ideal_ms=self._ideal_ms[inv.function],
-            billed_gb_s=self._billed[i],
-            status=FAILED if failed else COMPLETED,
-        )
-
-
-def quality(record: TaskRecord) -> float:
-    """ideal / actual for a completed task; undefined for failed tasks."""
-    if record.status != COMPLETED:
-        raise ValueError(f"quality undefined for {record.status} task {record.invocation_id}")
-    return record.ideal_ms / record.timeline.actual_ms()
 
 
 def billed_gb_seconds(timeline: PhaseTimeline, flavor_mb: int,
@@ -161,6 +64,7 @@ def percentile_nearest_rank(sorted_values: list, fraction: float) -> float:
     return sorted_values[rank - 1]
 
 
+_STRIDE = 7  # phase durations per task, in PhaseTimeline field order
 PHASE_BUFFER_LIMIT = _STRIDE * 4096  # phase buffer length at which it folds into the totals
 
 

@@ -9,8 +9,8 @@ than the expiry of its oldest idle container; a timer whose container was
 reused only re-arms when it fires. Optional periodic passes drive work
 stealing and popularity replication. A run drains completely, so every
 dispatched invocation completes exactly once: into the run's account, which
-keeps what the report row reads, and, when asked for, into a RecordStore of
-per-task records.
+keeps what the report row reads, and, when one is given, into an
+``on_complete`` callback, which sees each completion as it happens.
 
 From arrival to completion an invocation travels as its trace index alone:
 the strategy and the cost model read the trace's columns, and no Invocation
@@ -19,13 +19,15 @@ view or PhaseTimeline is built per invocation.
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 from .cluster import AcquireOutcome, Cluster, Container
 from .config import Scenario, StrategyConfig
 from .engine import Engine, RandomSource
 from .errors import (
     ConfigError, SimulationError, TraceFormatError, UnknownFunctionError, UnknownObjectError,
 )
-from .metrics import PHASE_BUFFER_LIMIT, RecordStore, RunAccount, aggregate_rows
+from .metrics import PHASE_BUFFER_LIMIT, RunAccount, aggregate_rows
 from .strategies import DispatchStrategy, make_strategy, replication_tick, steal_work
 from .workload import Catalog, Invocation, Trace, build_catalog, generate_trace, load_trace
 
@@ -34,19 +36,16 @@ _REJECTED, _COLD_START = AcquireOutcome.REJECTED, AcquireOutcome.COLD_START  # s
 
 class RunResult:
     """Everything one (strategy, seed) run produced. ``account`` holds what
-    the report row reads. ``records``, a columnar view that builds each
-    TaskRecord when it is read, is kept only when the run was asked to keep
-    it, and is None otherwise."""
+    the report row reads; no per-task record is kept (see
+    ``Simulation``'s ``on_complete`` for a run that wants one)."""
 
-    __slots__ = ("strategy", "seed", "records", "account", "horizon_ms", "occupied_ms_total",
+    __slots__ = ("strategy", "seed", "account", "horizon_ms", "occupied_ms_total",
                  "node_count", "steals", "replication_log")
 
-    def __init__(self, strategy: str, seed: int, records: RecordStore | None,
-                 account: RunAccount, horizon_ms: int, occupied_ms_total: int, node_count: int,
-                 steals: int, replication_log: list):
+    def __init__(self, strategy: str, seed: int, account: RunAccount, horizon_ms: int,
+                 occupied_ms_total: int, node_count: int, steals: int, replication_log: list):
         self.strategy = strategy
         self.seed = seed
-        self.records = records
         self.account = account
         self.horizon_ms = horizon_ms
         self.occupied_ms_total = occupied_ms_total
@@ -77,13 +76,19 @@ class Simulation:
     the cluster's ClusterParams (keep-alive, billing step) and the
     strategy's StrategyConfig (work stealing and its poll period, the
     replication period and threshold). The seed starts the random stream
-    work stealing draws its victims from. With ``keep_records`` the run
-    also keeps every task's record in ``records``."""
+    work stealing draws its victims from.
+
+    ``on_complete``, when given, is called once per invocation as it
+    completes, in completion order: ``on_complete(index, node, phases,
+    billed, failed)`` with its index into the run's trace, the node it ran
+    on, its seven phase durations in PhaseTimeline field order (they sum to
+    its finish minus its arrival), the GB-s billed for it (0.0 when it
+    failed) and whether it hit the execution cap."""
 
     def __init__(self, engine: Engine, cluster: Cluster, strategy: DispatchStrategy,
                  trace: Trace | list[Invocation], *,
                  horizon_ms: int, strategy_cfg: StrategyConfig, seed: int,
-                 keep_records: bool = False):
+                 on_complete: Callable[[int, int, tuple, float, bool], None] | None = None):
         if not isinstance(trace, Trace):
             trace = Trace.from_invocations(trace)
         self.engine = engine
@@ -97,9 +102,7 @@ class Simulation:
         functions = cluster.functions
         self.account = RunAccount([functions[name].compute_ms for name in trace.functions],
                                   trace.arrivals[0] if trace else 0)
-        self.records = RecordStore(
-            {name: spec.compute_ms for name, spec in functions.items()}, trace
-        ) if keep_records else None
+        self.on_complete = on_complete
         self.steals = 0
         self.replication_log: list = []
         self._labels = engine.record_log  # build event labels only for the log
@@ -192,8 +195,8 @@ class Simulation:
         if len(buffer) >= PHASE_BUFFER_LIMIT:
             account.fold()
         account.last_finish = now
-        if self.records is not None:
-            self.records.append(index, container.node, phases, billed, failed)
+        if self.on_complete is not None:
+            self.on_complete(index, container.node, phases, billed, failed)
         if self.cluster.nodes[container.node].run_queue:
             self._drain(container.node)
 
@@ -281,7 +284,6 @@ class Simulation:
         return RunResult(
             strategy=strategy_label,
             seed=seed,
-            records=self.records,
             account=self.account,
             horizon_ms=self.horizon_ms,
             occupied_ms_total=sum(n.occupied_ms_accum for n in nodes),
@@ -326,9 +328,11 @@ def build_cluster(scenario: Scenario, catalog: Catalog) -> Cluster:
 def run_one(scenario: Scenario, strategy_cfg: StrategyConfig, seed: int,
             catalog: Catalog | None = None,
             trace: Trace | list[Invocation] | None = None,
-            label: str | None = None, *, keep_records: bool = False) -> RunResult:
-    """Run one (strategy, seed) pair to completion and collect results;
-    with ``keep_records``, every task's record too."""
+            label: str | None = None, *,
+            on_complete: Callable[[int, int, tuple, float, bool], None] | None = None,
+            ) -> RunResult:
+    """Run one (strategy, seed) pair to completion and collect results,
+    calling ``on_complete`` at every completion (see Simulation)."""
     if catalog is None or trace is None:
         catalog, trace = prepare_workload(scenario, seed)
     cluster = build_cluster(scenario, catalog)
@@ -336,7 +340,7 @@ def run_one(scenario: Scenario, strategy_cfg: StrategyConfig, seed: int,
                              strategy_cfg.dispatch_latency_ms, strategy_cfg.replication_decay)
     sim = Simulation(Engine(), cluster, strategy, trace,
                      horizon_ms=scenario.workload.horizon_ms,
-                     strategy_cfg=strategy_cfg, seed=seed, keep_records=keep_records)
+                     strategy_cfg=strategy_cfg, seed=seed, on_complete=on_complete)
     sim.run()
     cluster.check_invariants()
     return sim.result(strategy_cfg.label if label is None else label, seed)

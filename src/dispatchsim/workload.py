@@ -19,7 +19,7 @@ from itertools import accumulate, islice
 from operator import eq, gt
 from typing import NamedTuple
 
-from .cluster import DataObject, FunctionSpec
+from .cluster import MAX_MS, DataObject, FunctionSpec
 from .engine import RandomSource
 from .errors import (
     ConfigError,
@@ -336,6 +336,17 @@ def _poisson_arrivals(expovariate, lambd: float, horizon: int, record):
         yield
 
 
+def _whole_ms(key: str, value) -> int:
+    """value as validate takes an ms key: an int, or a float with an
+    integer value, of at most MAX_MS either way. Anything else, a bool
+    included, is a ConfigError naming key."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or isinstance(value, float) and not value.is_integer() or abs(value) > MAX_MS):
+        raise ConfigError(f"{key}: expected an integer number of ms up to {MAX_MS}, "
+                          f"got {value!r}")
+    return int(value)
+
+
 def generate_trace(spec: WorkloadSpec, catalog: Catalog, rng: RandomSource) -> Trace:
     """Generate the arrival-ordered trace for a workload spec.
 
@@ -355,13 +366,15 @@ def generate_trace(spec: WorkloadSpec, catalog: Catalog, rng: RandomSource) -> T
         raise ConfigError(f"workload.objects.popularity.s: {problem}")
     obj_cum, obj_total = _cumulative(_popularity_weights(spec.objects)) if object_ids else ((), 0.0)
     arrival = spec.arrival
+    horizon_ms = _whole_ms("workload.horizon_ms", spec.horizon_ms)
+    interval = _whole_ms("workload.arrival.interval_ms", arrival.interval_ms)
     poisson = arrival.kind == "poisson"
     if poisson:
         if not 0 < arrival.rate_per_s < math.inf:
             raise ConfigError("workload.arrival.rate_per_s: must be a positive number")
     elif arrival.kind != "fixed_interval":
         raise ConfigError(f"unknown arrival kind: {arrival.kind}")
-    elif arrival.interval_ms < 1:
+    elif interval < 1:
         raise ConfigError("workload.arrival.interval_ms: must be at least 1 ms")
 
     # The RandomSource float methods are inlined: the same draws from the
@@ -379,10 +392,9 @@ def generate_trace(spec: WorkloadSpec, catalog: Catalog, rng: RandomSource) -> T
     ref_sets, add_refs = trace.ref_sets, trace.ref_codes.append
     if poisson:
         ticks = _poisson_arrivals(gen.expovariate, 1.0 / (1000.0 / arrival.rate_per_s),
-                                  spec.horizon_ms, trace.arrivals.append)
+                                  horizon_ms, trace.arrivals.append)
     else:
-        interval = arrival.interval_ms
-        trace.arrivals.extend(range(interval, spec.horizon_ms + 1, interval))
+        trace.arrivals.extend(range(interval, horizon_ms + 1, interval))
         ticks = range(len(trace.arrivals))
 
     if not (poisson or fn_many or origin_many) and lo == hi and k_fixed == 1 and obj_many:
@@ -434,16 +446,19 @@ def generate_trace(spec: WorkloadSpec, catalog: Catalog, rng: RandomSource) -> T
     return trace
 
 
-def save_trace(trace, path) -> None:
-    """Write invocations as JSON lines (see TRACE_FIELDS)."""
+def save_trace(trace: Trace, path) -> None:
+    """Write a trace as JSON lines (see TRACE_FIELDS), from its columns and
+    tables."""
+    functions, ref_sets, origins = trace.functions, trace.ref_sets, trace.origins
     with open(path, "w", newline="\n") as fh:
-        for inv in trace:
+        for i, (arrival, function, refs, origin) in enumerate(zip(
+                trace.arrivals, trace.function_codes, trace.ref_codes, trace.origin_codes)):
             fh.write(json.dumps({
-                "id": inv.id,
-                "function": inv.function,
-                "arrival_ms": inv.arrival,
-                "data_refs": list(inv.data_refs),
-                "origin": inv.origin,
+                "id": trace.invocation_id(i),
+                "function": functions[function],
+                "arrival_ms": arrival,
+                "data_refs": list(ref_sets[refs]),
+                "origin": origins[origin],
             }) + "\n")
 
 

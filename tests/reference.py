@@ -4,16 +4,47 @@ against."""
 
 import statistics
 from functools import reduce
-from itertools import compress
-from operator import add, not_, truediv
+from operator import add
 
+import pytest
+
+from dispatchsim import runner
 from dispatchsim.cluster import Cluster, PhaseTimeline, _code_key, _truncate_at
+from dispatchsim.config import parse_scenario
 from dispatchsim.errors import UnknownObjectError
-from dispatchsim.metrics import (
-    FAILED, RecordStore, efficiency, percentile_nearest_rank, utilization,
-)
-from dispatchsim.strategies import data_signature
+from dispatchsim.metrics import efficiency, percentile_nearest_rank, utilization
+from dispatchsim.slotted import Slotted
+from dispatchsim.strategies import data_signature, make_strategy
 from dispatchsim.workload import Invocation, Trace
+
+from conftest import scenario_dict
+
+COMPLETED = "completed"
+FAILED = "failed"
+
+
+class TaskRecord(Slotted):
+    """One task's record: the per-invocation object a run used to keep."""
+
+    __slots__ = ("invocation_id", "function", "node", "timeline", "ideal_ms", "billed_gb_s",
+                 "status")
+
+    def __init__(self, invocation_id: str, function: str, node: int, timeline: PhaseTimeline,
+                 ideal_ms: int, billed_gb_s: float, status: str):
+        self.invocation_id = invocation_id
+        self.function = function
+        self.node = node
+        self.timeline = timeline
+        self.ideal_ms = ideal_ms
+        self.billed_gb_s = billed_gb_s
+        self.status = status  # COMPLETED or FAILED
+
+
+def quality(record: TaskRecord) -> float:
+    """ideal / actual for a completed task; undefined for failed tasks."""
+    if record.status != COMPLETED:
+        raise ValueError(f"quality undefined for {record.status} task {record.invocation_id}")
+    return record.ideal_ms / record.timeline.actual_ms()
 
 
 def phase_sum(timeline) -> int:
@@ -31,32 +62,100 @@ def active_phases(timeline) -> tuple[int, int, int, int, int]:
     return (t.boot_ms, t.code_fetch_ms, t.data_fetch_ms, t.compute_ms, t.write_back_ms)
 
 
-def store_from_records(records) -> RecordStore:
-    """A store holding the given TaskRecords. Raises ValueError for a
-    record it cannot represent: a finished_at other than started_at plus
-    the phase sum, or a second ideal_ms for one function."""
-    records = list(records)
-    ideal_ms: dict[str, int] = {}
-    for r in records:
-        t = r.timeline
-        if t.actual_ms() != phase_sum(t):
-            raise ValueError(f"record {r.invocation_id}: actual time is not the phase sum")
-        if ideal_ms.setdefault(r.function, r.ideal_ms) != r.ideal_ms:
-            raise ValueError(f"record {r.invocation_id}: second ideal_ms for {r.function}")
-    # The trace is in arrival order; record k is its entry position[k].
-    order = sorted(range(len(records)), key=lambda k: records[k].timeline.started_at)
+def record_collector(trace: Trace, functions, records: list):
+    """An on_complete hook that appends each completion of a run of
+    ``trace`` to ``records`` as a TaskRecord, built at once. ``functions``
+    maps a function name to its FunctionSpec (the run's cluster.functions);
+    the task starts at its arrival and finishes after its phase sum."""
+    append = records.append
+
+    def on_complete(index, node, phases, billed, failed):
+        function = trace.functions[trace.function_codes[index]]
+        started_at = trace.arrivals[index]
+        append(TaskRecord(
+            trace.invocation_id(index), function, node,
+            PhaseTimeline(*phases, started_at=started_at, finished_at=started_at + sum(phases)),
+            functions[function].compute_ms, billed, FAILED if failed else COMPLETED))
+
+    return on_complete
+
+
+def run_with_records(scenario, strategy_cfg, seed, catalog=None, trace=None, label=None):
+    """runner.run_one with a record_collector hook: (RunResult, its
+    TaskRecords in completion order). A trace given as a list is run as
+    given; its records index the Trace the run builds from it."""
+    if catalog is None or trace is None:
+        catalog, trace = runner.prepare_workload(scenario, seed)
+    run_trace = trace if isinstance(trace, Trace) else Trace.from_invocations(trace)
+    records: list = []
+    result = runner.run_one(scenario, strategy_cfg, seed, catalog, trace, label,
+                            on_complete=record_collector(run_trace, catalog.functions, records))
+    return result, records
+
+
+# ---- a run's completions, one at a time ---------------------------------------------
+
+IDEAL_MS = {"f1": 80, "f2": 1, "f3": 1500}
+IDEAL_SCENARIO = parse_scenario(scenario_dict(workload={"functions": [
+    {"name": name, "code_size": 1, "flavor": 128, "compute_ms": ideal}
+    for name, ideal in IDEAL_MS.items()]}))
+
+
+class _Clock:
+    """The one thing _complete asks of its engine: the time."""
+
+    record_log = False
+
+    def __init__(self):
+        self.time = 0
+
+    def now(self):
+        return self.time
+
+
+class _Container:
+    node = 0
+
+
+def as_task(record: TaskRecord) -> tuple:
+    """A TaskRecord as complete_all takes it."""
+    t = record.timeline
+    return (t.started_at, record.function, (t.dispatch_ms, t.queue_wait_ms, *active_phases(t)),
+            record.billed_gb_s, record.status == FAILED)
+
+
+def complete_all(tasks, fold_every=None):
+    """A Simulation of the given tasks on one node, each passed to
+    _complete at its finish (arrival plus phase sum) in finish order, ties
+    in the order given, and the TaskRecords its record_collector hook
+    built, as (simulation, records). A task is (arrival, function, phases,
+    billed, failed), its function one of IDEAL_MS; it is inv-<position>.
+    ``fold_every`` folds the phase buffer after that many tasks."""
+    tasks = list(tasks)
     trace = Trace.from_invocations(
-        Invocation(records[k].invocation_id, records[k].function, (), "",
-                   records[k].timeline.started_at) for k in order)
-    position = [0] * len(records)
-    for p, k in enumerate(order):
-        position[k] = p
-    store = RecordStore(ideal_ms, trace)
-    for r, p in zip(records, position):
-        t = r.timeline
-        store.append(p, r.node, (t.dispatch_ms, t.queue_wait_ms, *active_phases(t)),
-                     r.billed_gb_s, r.status == FAILED)
-    return store
+        Invocation(f"inv-{i}", function, (), "", arrival)
+        for i, (arrival, function, *_) in enumerate(tasks))
+    catalog, _ = runner.prepare_workload(IDEAL_SCENARIO, 1)
+    clock = _Clock()
+    records: list = []
+    sim = runner.Simulation(clock, runner.build_cluster(IDEAL_SCENARIO, catalog),
+                            make_strategy("round_robin"), trace, horizon_ms=1000,
+                            strategy_cfg=IDEAL_SCENARIO.strategies[0], seed=1,
+                            on_complete=record_collector(trace, catalog.functions, records))
+    sim._release = lambda container, now: None
+    index = {inv_id: i for i, inv_id in enumerate(trace.ids)}  # trace order is sorted
+    finish_order = sorted(range(len(tasks)), key=lambda k: tasks[k][0] + sum(tasks[k][2]))
+    with pytest.MonkeyPatch.context() as patch:
+        if fold_every is not None:
+            patch.setattr(runner, "PHASE_BUFFER_LIMIT", 7 * fold_every)
+        for k in finish_order:
+            arrival, _, phases, billed, failed = tasks[k]
+            clock.time = arrival + sum(phases)
+            sim._complete(index[f"inv-{k}"], _Container(), phases, billed, failed)
+    return sim, records
+
+
+# ---- the summary over TaskRecords -----------------------------------------------------
 
 
 def billed_total(values):
@@ -66,52 +165,50 @@ def billed_total(values):
     return reduce(add, values, 0)
 
 
-def summarize_run(strategy: str, seed, records: RecordStore, occupied_ms_total: int,
-                  node_count: int, horizon_ms: int, replications: int, steals: int) -> dict:
-    """The report row over a kept store's columns: the summary RunResult.row
-    computed before a run kept a RunAccount, and the reference the account
-    is checked against. Latency statistics and quality are over completed
-    tasks; phase totals, efficiency and the elapsed time (the horizon, or
-    the last finish if later) cover every recorded task."""
-    phases = memoryview(records._phases)
-    columns = [phases[k::7] for k in range(7)]
-    dispatch, queue_wait, boot, code_fetch, data_fetch, compute, write_back = map(sum, columns)
-    failed = records._failed
-    # A task's actual time is its phase sum, and it finishes at arrival + sum.
-    sums = list(map(sum, zip(*columns)))
-    actuals = list(compress(sums, map(not_, failed)))
-    trace = records._trace
-    arrivals = map(trace.arrivals.__getitem__, records._index)
-    last_finish = max(map(add, arrivals, sums), default=0)
-    ideal_by_code = [records._ideal_ms[name] for name in trace.functions]
-    ideals = map(ideal_by_code.__getitem__, map(
-        trace.function_codes.__getitem__, compress(records._index, map(not_, failed))))
-    mean_quality = statistics.fmean(map(truediv, ideals, actuals)) if actuals else 0.0
-    actuals.sort()
-    tasks = len(records)
+def reference_summarize_run(strategy, seed, records, compute_ms_total, busy_ms_total,
+                            occupied_ms_total, node_count, elapsed_ms, replications, steals):
+    """The report row over a list of TaskRecords, the run totals given:
+    what a run's account is checked against. Latency statistics and
+    quality are over completed tasks; phase totals cover every task."""
+    completed = [r for r in records if r.status == COMPLETED]
+    actuals = sorted(r.timeline.actual_ms() for r in completed)
     return {
         "strategy": strategy,
         "seed": seed,
-        "tasks": tasks,
-        "failures": tasks - len(actuals),
+        "tasks": len(records),
+        "failures": len(records) - len(completed),
         "mean_actual_ms": statistics.fmean(actuals) if actuals else 0.0,
         "median_actual_ms": float(statistics.median(actuals)) if actuals else 0.0,
         "p95_actual_ms": float(percentile_nearest_rank(actuals, 0.95)),
-        "mean_quality": mean_quality,
-        "efficiency": efficiency(compute, boot + code_fetch + data_fetch + compute + write_back),
-        "utilization": utilization(occupied_ms_total, node_count, max(horizon_ms, last_finish)),
-        "gb_seconds": billed_total(compress(records._billed, map(not_, failed))),
-        "invocations_billed": len(actuals),
-        "dispatch_ms_total": dispatch,
-        "queue_ms_total": queue_wait,
-        "boot_ms_total": boot,
-        "code_fetch_ms_total": code_fetch,
-        "data_fetch_ms_total": data_fetch,
-        "compute_ms_total": compute,
-        "write_back_ms_total": write_back,
+        "mean_quality": statistics.fmean(quality(r) for r in completed) if completed else 0.0,
+        "efficiency": efficiency(compute_ms_total, busy_ms_total),
+        "utilization": utilization(occupied_ms_total, node_count, elapsed_ms),
+        "gb_seconds": billed_total(r.billed_gb_s for r in completed),
+        "invocations_billed": len(completed),
+        "dispatch_ms_total": sum(r.timeline.dispatch_ms for r in records),
+        "queue_ms_total": sum(r.timeline.queue_wait_ms for r in records),
+        "boot_ms_total": sum(r.timeline.boot_ms for r in records),
+        "code_fetch_ms_total": sum(r.timeline.code_fetch_ms for r in records),
+        "data_fetch_ms_total": sum(r.timeline.data_fetch_ms for r in records),
+        "compute_ms_total": sum(r.timeline.compute_ms for r in records),
+        "write_back_ms_total": sum(r.timeline.write_back_ms for r in records),
         "replications": replications,
         "steals": steals,
     }
+
+
+def summarize_records(strategy, seed, records, occupied_ms_total, node_count, horizon_ms,
+                      replications, steals):
+    """reference_summarize_run with the compute and busy totals summed over
+    the records, and the elapsed time the horizon or the last finish if
+    that is later: the arguments RunAccount.row takes."""
+    return reference_summarize_run(
+        strategy, seed, records,
+        sum(r.timeline.compute_ms for r in records),
+        sum(r.timeline.active_ms() for r in records),
+        occupied_ms_total, node_count,
+        max([horizon_ms] + [r.timeline.finished_at for r in records]),
+        replications, steals)
 
 
 def reference_makespan_ms(records) -> int:

@@ -15,11 +15,11 @@ import yaml
 from dispatchsim.cli import main
 from dispatchsim.cluster import PhaseTimeline
 from dispatchsim.config import parse_scenario
-from dispatchsim.metrics import COMPLETED, billed_gb_seconds, quality
+from dispatchsim.metrics import billed_gb_seconds
 from dispatchsim.runner import compare_scenario, prepare_workload, run_one
 
 from conftest import scenario_dict
-from reference import cluster_key, phase_sum
+from reference import COMPLETED, cluster_key, phase_sum, quality, run_with_records
 
 
 def report(num, name, ok):
@@ -78,10 +78,10 @@ def test_criterion_2_phase_conservation_at_10k():
         strategy={"name": "data_aware"},
     )
     scenario = parse_scenario(raw)
-    result = run_one(scenario, scenario.strategies[0], 1, keep_records=True)
-    ok = (len(result.records) == 10_000
+    _, records = run_with_records(scenario, scenario.strategies[0], 1)
+    ok = (len(records) == 10_000
           and all(r.timeline.actual_ms() == phase_sum(r.timeline)
-                  for r in result.records))
+                  for r in records))
     report(2, "phase conservation (10k tasks, zero tolerance)", ok)
 
 
@@ -95,10 +95,10 @@ def test_criterion_3_round_robin_exact_balance():
         },
     )
     scenario = parse_scenario(raw)
-    result = run_one(scenario, scenario.strategies[0], 1, keep_records=True)
+    result, records = run_with_records(scenario, scenario.strategies[0], 1)
     assert result.steals == 0  # so each record's node is where it was dispatched
     report(3, "round-robin balance (exactly 1000 per node)",
-           Counter(r.node for r in result.records) == {0: 1000, 1: 1000, 2: 1000, 3: 1000})
+           Counter(r.node for r in records) == {0: 1000, 1: 1000, 2: 1000, 3: 1000})
 
 
 def overhead_free_scenario():
@@ -128,15 +128,15 @@ def test_criterion_4_quality_and_efficiency_bounds():
                       strategy={"name": "proactive_cluster", "work_stealing": True}),
     ):
         scenario = parse_scenario(raw)
-        result = run_one(scenario, scenario.strategies[0], 1, keep_records=True)
+        result, records = run_with_records(scenario, scenario.strategies[0], 1)
         rows.append(result.row())
         per_task_ok &= all(0.0 < quality(r) <= 1.0
-                           for r in result.records if r.status == COMPLETED)
-    warm_local = run_one(overhead_free_scenario(),
-                         overhead_free_scenario().strategies[0], 1, keep_records=True)
+                           for r in records if r.status == COMPLETED)
+    warm_local, warm_local_records = run_with_records(
+        overhead_free_scenario(), overhead_free_scenario().strategies[0], 1)
     warm_row = warm_local.row()
     exact_one = (warm_row["mean_quality"] == 1.0
-                 and all(quality(r) == 1.0 for r in warm_local.records))
+                 and all(quality(r) == 1.0 for r in warm_local_records))
     bounds_ok = all(0.0 <= row["efficiency"] <= 1.0
                     and 0.0 <= row["utilization"] <= 1.0
                     for row in rows + [warm_row])
@@ -160,8 +160,8 @@ def test_criterion_5_warm_reuse_and_visible_cold_start():
         strategy={"name": "hash_affinity"},
     )
     scenario = parse_scenario(raw)
-    result = run_one(scenario, scenario.strategies[0], 1, keep_records=True)
-    first, second = (r.timeline for r in sorted(result.records,
+    _, records = run_with_records(scenario, scenario.strategies[0], 1)
+    first, second = (r.timeline for r in sorted(records,
                                                 key=lambda r: r.timeline.started_at)[:2])
     ok = (first.boot_ms == 100                      # cold-start constant, visible
           and first.code_fetch_ms == 101
@@ -211,11 +211,11 @@ def test_criterion_8_proactive_stickiness_and_replication():
     )
     scenario = parse_scenario(raw)
     _, trace = prepare_workload(scenario, 1)
-    result = run_one(scenario, scenario.strategies[0], 1, keep_records=True)
+    result, records = run_with_records(scenario, scenario.strategies[0], 1)
     refs_by_id = {inv.id: inv for inv in trace}
     key_nodes = {}
     sticky = True
-    for record in result.records:
+    for record in records:
         key = cluster_key(refs_by_id[record.invocation_id])
         sticky &= key_nodes.setdefault(key, record.node) == record.node
     early_replication = any(at <= 5000 and action.placed
@@ -238,10 +238,10 @@ def test_criterion_9_stealing_conserves_work_and_cuts_makespan():
     base = parse_scenario(scenario_dict(strategy={"name": "hash_affinity"}, **hot))
     steal = parse_scenario(scenario_dict(
         strategy={"name": "hash_affinity", "work_stealing": True}, **hot))
-    plain = run_one(base, base.strategies[0], 1, keep_records=True)
-    stolen = run_one(steal, steal.strategies[0], 1, keep_records=True)
-    conserved = (sorted(r.invocation_id for r in stolen.records)
-                 == sorted(r.invocation_id for r in plain.records))
+    plain, plain_records = run_with_records(base, base.strategies[0], 1)
+    stolen, stolen_records = run_with_records(steal, steal.strategies[0], 1)
+    conserved = (sorted(r.invocation_id for r in stolen_records)
+                 == sorted(r.invocation_id for r in plain_records))
     print(f"  makespan with stealing {stolen.makespan_ms}ms vs without "
           f"{plain.makespan_ms}ms, {stolen.steals} tasks stolen")
     report(9, "stealing conservation + makespan win",

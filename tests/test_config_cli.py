@@ -19,7 +19,8 @@ from dispatchsim.config import FIELDS, apply_override, load_scenario, parse_scen
 from dispatchsim.engine import RandomSource
 from dispatchsim.errors import ConfigError
 from dispatchsim.strategies import make_strategy
-from dispatchsim.workload import build_catalog, generate_trace
+from dispatchsim.cluster import FunctionSpec
+from dispatchsim.workload import ArrivalSpec, WorkloadSpec, build_catalog, generate_trace
 
 from conftest import scenario_dict
 
@@ -387,6 +388,8 @@ def test_cli_validate_rejects_bad_scoring_params(tmp_path, capsys, override, key
      "strategies.0.dispatch_latency_ms"),
     ("seeds=[1, two]", "seeds.1"),
     ("output.formats=3", "output.formats"),
+    # ran, wrote no report and exited 0
+    ("output.formats=[]", "output.formats"),
     ("cluster.nodes=2.7", "cluster.nodes"),
     ("workload.functions.0.compute_ms=12.5", "workload.functions.0.compute_ms"),
     ("seeds=[1.5]", "seeds.0"),
@@ -746,6 +749,30 @@ def test_generate_trace_refuses_an_arrival_spec_that_validate_refuses(tmp_path, 
     raw = scenario_dict(workload={"arrival": {"kind": "fixed_interval", **arrival}})
     assert main(["validate", write_config(tmp_path, raw)]) == 2
     assert f"error: {key}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("arrival, horizon_ms, key, value", [
+    ({"interval_ms": 2.5}, 10_000, "workload.arrival.interval_ms", 2.5),
+    ({"interval_ms": True}, 10_000, "workload.arrival.interval_ms", True),
+    ({}, 1000.5, "workload.horizon_ms", 1000.5),
+    ({}, True, "workload.horizon_ms", True),
+    ({"kind": "poisson"}, 1000.5, "workload.horizon_ms", 1000.5),
+])
+def test_generate_trace_refuses_an_ms_value_that_validate_refuses(tmp_path, capsys, arrival,
+                                                                  horizon_ms, key, value):
+    # Regression: a fractional fixed interval or horizon raised an unnamed
+    # TypeError from the arrival column, and an interval of True ran as 1 ms.
+    spec = WorkloadSpec(horizon_ms=horizon_ms, arrival=ArrivalSpec(**arrival),
+                        functions=((FunctionSpec("f1", flavor=128, compute_ms=10), 1.0),))
+    problem = f"{key}: expected an integer number of ms up to 1000000000000, got {value!r}"
+    with pytest.raises(ConfigError) as refused:
+        generate_trace(spec, build_catalog(spec, RandomSource(1, "catalog")),
+                       RandomSource(1, "trace"))
+    assert str(refused.value) == problem
+    raw = scenario_dict(workload={"horizon_ms": horizon_ms,
+                                  "arrival": {"kind": "fixed_interval", **arrival}})
+    assert main(["validate", write_config(tmp_path, raw)]) == 2
+    assert f"error: {problem}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("rate, seeds", [("1e-320", None), ("2e-306", None), ("1e-305", "[11]")])

@@ -26,7 +26,7 @@ from dispatchsim.strategies import (
 )
 from dispatchsim.workload import Invocation
 
-from reference import decide
+from reference import decide, run_with_records
 
 FUNCTIONS = ("f1", "f2", "f3")
 OBJECT_SIZES = {"a": 0.0, "b": 10.0, "c": 40.0, "d": 70.0, "z": 0.0}
@@ -456,9 +456,9 @@ def run_records(nodes, queue_cap, stealing, name):
     if name != "least_loaded":
         raw["strategy"]["params"] = {"queue_cap": queue_cap}
     scenario = parse_scenario(raw)
-    result = runner.run_one(scenario, scenario.strategies[0], 1, keep_records=True)
+    result, records = run_with_records(scenario, scenario.strategies[0], 1)
     return result.row(), [(r.invocation_id, r.node, r.timeline.finished_at)
-                          for r in result.records]
+                          for r in records]
 
 
 @pytest.mark.parametrize("name", ["least_loaded", "data_aware", "proactive_cluster",

@@ -7,8 +7,8 @@ byte as it was, so these digests must not be refreshed to make a refactor
 pass. The data_intensive demo is pinned by perfbench/expected.json.
 
 RECORDS pins more than a report shows: per run, every record in completion
-order (node, finished_at, billed GB-s), the makespan and the replication
-log. Those digests were recorded at commit 7fcbfec, and the two of
+order (node, finished_at, billed GB-s), read through the completion hook,
+the makespan and the replication log. Those digests were recorded at commit 7fcbfec, and the two of
 round_robin and data_aware with stealing at 3f63633. No queue in those two
 runs reaches two entries, so every steal tick only draws and their records
 equal those of the same strategies without stealing. The ``tight/`` pins run
@@ -46,7 +46,7 @@ import dispatchsim
 from dispatchsim.cli import main
 from dispatchsim.config import load_scenario, parse_scenario
 from dispatchsim.engine import Engine
-from dispatchsim.runner import Simulation, run_one
+from dispatchsim.runner import Simulation, prepare_workload, run_one
 from dispatchsim.strategies import STRATEGY_NAMES
 
 from conftest import scenario_dict
@@ -143,14 +143,22 @@ RECORDS = {
 }
 
 
-def _records_digest(result) -> str:
+def run_records_digest(scenario, strategy_cfg, seed):
+    """(RunResult, RECORDS digest) of one run. The completion hook gives
+    each record in completion order: its node, its finish (arrival plus
+    phase sum) and its billed GB-s."""
+    catalog, trace = prepare_workload(scenario, seed)
+    arrivals = trace.arrivals
     h = hashlib.sha256()
-    for r in result.records:
-        h.update(f"{r.node},{r.timeline.finished_at},{r.billed_gb_s!r}\n".encode())
+
+    def on_complete(index, node, phases, billed, failed):
+        h.update(f"{node},{arrivals[index] + sum(phases)},{billed!r}\n".encode())
+
+    result = run_one(scenario, strategy_cfg, seed, catalog, trace, on_complete=on_complete)
     h.update(f"makespan={result.makespan_ms}\n".encode())
     for now, a in result.replication_log:
         h.update(f"{now},{a.object_id},{a.node},{a.placed},{a.note}\n".encode())
-    return h.hexdigest()
+    return result, h.hexdigest()
 
 
 def test_data_intensive_records_are_unchanged():
@@ -159,8 +167,8 @@ def test_data_intensive_records_are_unchanged():
                    for name in ("least_loaded", "hash_affinity", "round_robin", "data_aware")]
     scenario = parse_scenario(scenario_dict(**dict(DATA_INTENSIVE, seeds=[1]),
                                             strategies=strategies))
-    results = [run_one(scenario, cfg, 1, keep_records=True) for cfg in scenario.strategies]
-    assert ({r.strategy: _records_digest(r) for r in results}
+    runs = [run_records_digest(scenario, cfg, 1) for cfg in scenario.strategies]
+    assert ({r.strategy: digest for r, digest in runs}
             == {k: v for k, v in RECORDS.items() if not k.startswith("tight/")})
 
 
@@ -171,9 +179,9 @@ def test_tight_data_intensive_steal_records_are_unchanged():
                  cluster=dict(DATA_INTENSIVE["cluster"], mem_capacity=256))
     strategies = [{"name": name, "work_stealing": True} for name in ("round_robin", "data_aware")]
     scenario = parse_scenario(scenario_dict(**tight, strategies=strategies))
-    results = [run_one(scenario, cfg, 1, keep_records=True) for cfg in scenario.strategies]
-    assert all(r.steals > 0 for r in results)
-    assert ({f"tight/{r.strategy}": _records_digest(r) for r in results}
+    runs = [run_records_digest(scenario, cfg, 1) for cfg in scenario.strategies]
+    assert all(r.steals > 0 for r, _ in runs)
+    assert ({f"tight/{r.strategy}": digest for r, digest in runs}
             == {k: v for k, v in RECORDS.items() if k.startswith("tight/")})
 
 
@@ -334,9 +342,9 @@ def test_mixed_fixture_reports_are_unchanged(tmp_path):
 
 def test_mixed_fixture_records_are_unchanged():
     scenario = load_scenario(MIXED_FIXTURE)
-    results = [run_one(scenario, cfg, seed, keep_records=True)
-               for seed in scenario.seeds for cfg in scenario.strategies]
-    digests = {f"{r.strategy}/{r.seed}": _records_digest(r) for r in results}
+    runs = [run_records_digest(scenario, cfg, seed)
+            for seed in scenario.seeds for cfg in scenario.strategies]
+    digests = {f"{r.strategy}/{r.seed}": digest for r, digest in runs}
     assert digests == {key: digest for key, digest in MIXED.items()
                        if not key.startswith(("compare.", "engine-log/"))}
 

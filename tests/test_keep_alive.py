@@ -82,26 +82,29 @@ class CheckedEngine(Engine):
 
 
 def simulate(simulation_cls, engine, scenario, strategy_cfg, seed):
+    """(simulation, result, the hook's completions in completion order)."""
     catalog, trace = runner.prepare_workload(scenario, seed)
+    completions = []
     cluster = runner.build_cluster(scenario, catalog)
     strategy = make_strategy(strategy_cfg.name, strategy_cfg.params,
                              strategy_cfg.dispatch_latency_ms, strategy_cfg.replication_decay)
     sim = simulation_cls(engine, cluster, strategy, trace,
                          horizon_ms=scenario.workload.horizon_ms,
-                         strategy_cfg=strategy_cfg, seed=seed, keep_records=True)
+                         strategy_cfg=strategy_cfg, seed=seed,
+                         on_complete=lambda *completion: completions.append(completion))
     sim.run()
     cluster.check_invariants()
-    return sim, sim.result(strategy_cfg.label, seed)
+    return sim, sim.result(strategy_cfg.label, seed), completions
 
 
 def assert_matches_eager(scenario, strategy_cfg, seed):
     """Run both schemes; return the eager reference's simulation."""
     engine = CheckedEngine()
-    sim, result = simulate(runner.Simulation, engine, scenario, strategy_cfg, seed)
-    eager, eager_result = simulate(EagerKeepAlive, Engine(record_log=True),
-                                   scenario, strategy_cfg, seed)
+    sim, result, completions = simulate(runner.Simulation, engine, scenario, strategy_cfg, seed)
+    eager, eager_result, eager_completions = simulate(EagerKeepAlive, Engine(record_log=True),
+                                                      scenario, strategy_cfg, seed)
     assert result.row() == eager_result.row()
-    assert list(result.records) == list(eager_result.records)
+    assert completions == eager_completions
 
     assert engine.offers == len(sim.trace)  # one dispatch offer per invocation
     assert not +engine.timers  # every timer fired

@@ -8,20 +8,16 @@ from hypothesis import given, strategies as st
 
 from dispatchsim.cluster import PhaseTimeline
 from dispatchsim.metrics import (
-    COMPLETED,
     CSV_COLUMNS,
-    FAILED,
-    TaskRecord,
     billed_gb_seconds,
     efficiency,
     emit_csv,
     emit_json,
     percentile_nearest_rank,
-    quality,
     utilization,
 )
 
-from reference import store_from_records, summarize_run
+from reference import COMPLETED, FAILED, TaskRecord, as_task, complete_all, quality
 
 
 def timeline(dispatch=0, queue=0, boot=0, code=0, data=0, compute=80, wb=0, started=0):
@@ -145,9 +141,9 @@ def sample_rows():
         record(timeline(dispatch=1, compute=80), ident="a"),
         record(timeline(dispatch=1, boot=100, code=101, data=201, compute=80), ident="b"),
     ]
-    row = summarize_run("round_robin", 1, store_from_records(records),
-                        occupied_ms_total=562, node_count=1, horizon_ms=1000,
-                        replications=0, steals=0)
+    row = complete_all(map(as_task, records))[0].account.row(
+        "round_robin", 1, occupied_ms_total=562, node_count=1, horizon_ms=1000,
+        replications=0, steals=0)
     return records, row
 
 
@@ -176,7 +172,7 @@ def test_failed_tasks_counted_but_not_billed_or_scored():
         record(timeline(compute=80), ident="ok"),
         TaskRecord("bad", "f1", 0, timeline(compute=300_000), 80, 0.0, FAILED),
     ]
-    row = summarize_run("s", 1, store_from_records(records), 380, 1, 1000, 0, 0)
+    row = complete_all(map(as_task, records))[0].account.row("s", 1, 380, 1, 1000, 0, 0)
     assert row["tasks"] == 2 and row["failures"] == 1
     assert row["invocations_billed"] == 1
     assert row["mean_quality"] == 1.0

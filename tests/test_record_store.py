@@ -1,77 +1,40 @@
-"""Columnar run records against the per-invocation objects they replace.
+"""Per-task records, collected through the completion hook, against the
+per-invocation objects a run used to keep.
 
-A run asked to keep its task records keeps them as columns (RecordStore),
-and the reference summarize_run reads the columns, run totals included.
-The reference here is the object-based path: a Simulation that appends one
-TaskRecord per completion and keeps the run totals as separate bookkeeping,
-and the summary that walks those objects. Rows and every record must be
-identical, bit for bit, and so must the row the run's account gives.
+A run keeps no task records; a test that wants them passes
+Simulation's ``on_complete`` a collector (``record_collector`` in
+tests/reference.py) that builds one TaskRecord per completion from the
+hook's (index, node, phases, billed, failed) and the trace. The reference
+here is the object-based path: a Simulation that builds one TaskRecord per
+completion from the engine's clock and the cost model, and keeps the run
+totals as separate bookkeeping. Every record must be identical, bit for bit
+and in completion order, and so must the row the run's account gives and
+the object summary over the records.
 """
 
-import statistics
-import tracemalloc
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dispatchsim import metrics, runner
+from dispatchsim import runner
 from dispatchsim.cluster import PhaseTimeline
 from dispatchsim.config import load_scenario, parse_scenario
 from dispatchsim.errors import SimulationError
-from dispatchsim.metrics import (
-    COMPLETED,
-    FAILED,
-    RecordStore,
-    TaskRecord,
-    billed_gb_seconds,
-    efficiency,
-    percentile_nearest_rank,
-    quality,
-    utilization,
-)
-from dispatchsim.workload import Trace
+from dispatchsim.metrics import billed_gb_seconds
 
 from conftest import scenario_dict
 from reference import (
-    billed_total, phase_sum, reference_makespan_ms, store_from_records, summarize_run,
+    COMPLETED, FAILED, IDEAL_MS, TaskRecord, as_task, complete_all, phase_sum,
+    reference_makespan_ms, reference_summarize_run, run_with_records, summarize_records,
 )
 from test_acceptance import DATA_INTENSIVE
 
 DEMO_SCENARIOS = sorted((Path(__file__).parent.parent / "demos" / "scenarios").glob("*.yaml"))
 
-# ---- object-based references ----------------------------------------------------
-
-
-def reference_summarize_run(strategy, seed, records, compute_ms_total, busy_ms_total,
-                            occupied_ms_total, node_count, elapsed_ms, replications, steals):
-    """The summary over a list of TaskRecord objects that summarize_run replaced."""
-    completed = [r for r in records if r.status == COMPLETED]
-    actuals = sorted(r.timeline.actual_ms() for r in completed)
-    return {
-        "strategy": strategy,
-        "seed": seed,
-        "tasks": len(records),
-        "failures": len(records) - len(completed),
-        "mean_actual_ms": statistics.fmean(actuals) if actuals else 0.0,
-        "median_actual_ms": float(statistics.median(actuals)) if actuals else 0.0,
-        "p95_actual_ms": float(percentile_nearest_rank(actuals, 0.95)),
-        "mean_quality": statistics.fmean(quality(r) for r in completed) if completed else 0.0,
-        "efficiency": efficiency(compute_ms_total, busy_ms_total),
-        "utilization": utilization(occupied_ms_total, node_count, elapsed_ms),
-        "gb_seconds": billed_total(r.billed_gb_s for r in completed),
-        "invocations_billed": len(completed),
-        "dispatch_ms_total": sum(r.timeline.dispatch_ms for r in records),
-        "queue_ms_total": sum(r.timeline.queue_wait_ms for r in records),
-        "boot_ms_total": sum(r.timeline.boot_ms for r in records),
-        "code_fetch_ms_total": sum(r.timeline.code_fetch_ms for r in records),
-        "data_fetch_ms_total": sum(r.timeline.data_fetch_ms for r in records),
-        "compute_ms_total": sum(r.timeline.compute_ms for r in records),
-        "write_back_ms_total": sum(r.timeline.write_back_ms for r in records),
-        "replications": replications,
-        "steals": steals,
-    }
+# ---- the object-based reference run --------------------------------------------------
 
 
 @dataclass
@@ -186,20 +149,18 @@ def _whole_run_cases():
 
 @pytest.mark.parametrize("scenario, strategy_cfg, seed", _whole_run_cases())
 def test_whole_run_matches_object_records(monkeypatch, scenario, strategy_cfg, seed):
-    result = runner.run_one(scenario, strategy_cfg, seed, keep_records=True)
+    result, records = run_with_records(scenario, strategy_cfg, seed)
     monkeypatch.setattr(runner, "Simulation", ReferenceSimulation)
     ref = runner.run_one(scenario, strategy_cfg, seed)
-    assert isinstance(result.records, RecordStore) and isinstance(ref, ReferenceResult)
-    assert isinstance(ref.records, list)
+    assert isinstance(ref, ReferenceResult)
     assert repr(result.row()) == repr(reference_row(ref))
-    assert repr(result.row()) == repr(summarize_run(
-        result.strategy, result.seed, result.records, result.occupied_ms_total,
+    assert repr(result.row()) == repr(summarize_records(
+        result.strategy, result.seed, records, result.occupied_ms_total,
         result.node_count, result.horizon_ms, result.replications, result.steals))
-    assert len(result.records) == len(ref.records)
-    for i, (record, ref_record) in enumerate(zip(result.records, ref.records)):
+    assert len(records) == len(ref.records)
+    for i, (record, ref_record) in enumerate(zip(records, ref.records)):
         assert repr(record) == repr(ref_record), i
     assert result.makespan_ms == reference_makespan_ms(ref.records)
-    assert result.makespan_ms == reference_makespan_ms(result.records)
 
 
 def test_capped_case_records_failures():
@@ -210,9 +171,55 @@ def test_capped_case_records_failures():
     assert 0 < row["failures"] < row["tasks"]
 
 
-# ---- random record sets -----------------------------------------------------------------
+# ---- the hook ----------------------------------------------------------------------------
 
-IDEAL_MS = {"f1": 80, "f2": 1, "f3": 1500}
+
+@pytest.mark.parametrize("scenario, strategy_cfg, seed",
+                         [case for case in _whole_run_cases() if case.id.startswith("capped-")])
+def test_hook_is_called_once_per_trace_index(scenario, strategy_cfg, seed):
+    catalog, trace = runner.prepare_workload(scenario, seed)
+    calls = []
+    result = runner.run_one(scenario, strategy_cfg, seed, catalog, trace,
+                            on_complete=lambda *args: calls.append(args))
+    assert len(calls) == len(trace) == result.row()["tasks"]
+    assert sorted(index for index, *_ in calls) == list(range(len(trace)))
+
+
+def _called_from_complete(on_complete) -> set[str]:
+    """The names of the functions Simulation._complete calls, Python and
+    builtin, over one run with the given hook."""
+    complete = runner.Simulation._complete.__code__
+    seen = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_back is not None and frame.f_back.f_code is complete:
+            seen.add(frame.f_code.co_name)
+        elif event == "c_call" and frame.f_code is complete:
+            seen.add(arg.__name__)
+
+    # One 128 MB container per node, so invocations queue and completions drain.
+    scenario = parse_scenario(scenario_dict(
+        cluster={"nodes": 2, "mem_capacity": 128},
+        workload={"arrival": {"kind": "fixed_interval", "interval_ms": 10}}))
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        runner.run_one(scenario, scenario.strategies[0], 1, on_complete=on_complete)
+    finally:
+        sys.setprofile(previous)
+    return seen
+
+
+def test_a_run_without_a_hook_calls_no_callback():
+    def spy(index, node, phases, billed, failed):
+        pass
+
+    without, with_spy = _called_from_complete(None), _called_from_complete(spy)
+    assert {"_release", "_drain"} <= without
+    assert with_spy == without | {"spy"} and "spy" not in without
+
+
+# ---- random record sets -----------------------------------------------------------------
 
 
 @st.composite
@@ -223,9 +230,9 @@ def task_records(draw):
     function = draw(st.sampled_from(sorted(IDEAL_MS)))
     timeline = PhaseTimeline(*phases, started_at=started, finished_at=started + sum(phases))
     return TaskRecord(
-        invocation_id=f"inv-{draw(st.integers(0, 999))}",
+        invocation_id="",  # complete_all names each task by its position
         function=function,
-        node=draw(st.integers(0, 1000)),
+        node=0,  # and runs every task on node 0
         timeline=timeline,
         ideal_ms=IDEAL_MS[function],
         billed_gb_s=draw(st.floats(0.0, 1e6, allow_nan=False)),
@@ -235,7 +242,7 @@ def task_records(draw):
 
 def _all_failed(count):
     timeline = PhaseTimeline(1, 2, 3, 4, 5, 6, 7, started_at=10, finished_at=38)
-    return [TaskRecord(f"i{i}", "f1", i, timeline, 80, 0.1, FAILED) for i in range(count)]
+    return [TaskRecord("", "f1", 0, timeline, 80, 0.1, FAILED) for _ in range(count)]
 
 
 # occupied ms, node count, horizon ms, replications, steals
@@ -248,75 +255,25 @@ TOTALS = st.tuples(st.integers(0, 10**9), st.integers(0, 64), st.integers(0, 10*
 @example([], (0, 1, 1000, 0, 0))
 @example(_all_failed(5), (20, 1, 30, 0, 0))  # the last finish, 38, is past the horizon
 def test_columnar_summary_matches_object_summary(records, totals):
-    store = store_from_records(records)
-    occupied, node_count, horizon, replications, steals = totals
-    compute = sum(r.timeline.compute_ms for r in records)
-    busy = sum(r.timeline.active_ms() for r in records)
-    elapsed = max([horizon] + [r.timeline.finished_at for r in records])
-    assert repr(summarize_run("s", 7, store, *totals)) == repr(reference_summarize_run(
-        "s", 7, records, compute, busy, occupied, node_count, elapsed, replications, steals))
-    assert [repr(r) for r in store] == [repr(r) for r in records]
+    # The hook builds the given records in finish order, each named by its
+    # position; the account's row equals the object summary over them.
+    sim, collected = complete_all(map(as_task, records))
+    order = sorted(range(len(records)), key=lambda k: records[k].timeline.finished_at)
+    assert [r.invocation_id for r in collected] == [f"inv-{k}" for k in order]
+    for r in collected:
+        r.invocation_id = ""
+    assert collected == [records[k] for k in order]
+    assert repr(sim.account.row("s", 7, *totals)) == repr(
+        summarize_records("s", 7, collected, *totals))
 
 
 def test_empty_and_all_failed_rows():
-    empty = summarize_run("s", 1, RecordStore({}, Trace()), 0, 1, 1000, 0, 0)
+    empty = complete_all([])[0].account.row("s", 1, 0, 1, 1000, 0, 0)
     assert empty["tasks"] == 0 and empty["gb_seconds"] == 0
     assert empty["mean_actual_ms"] == empty["p95_actual_ms"] == 0.0
-    failed = summarize_run("s", 1, store_from_records(_all_failed(3)), 0, 1, 1000, 0, 0)
+    assert repr(empty) == repr(summarize_records("s", 1, [], 0, 1, 1000, 0, 0))
+    sim, records = complete_all(map(as_task, _all_failed(3)))
+    failed = sim.account.row("s", 1, 0, 1, 1000, 0, 0)
     assert failed["failures"] == 3 and failed["invocations_billed"] == 0
     assert failed["mean_quality"] == 0.0 and failed["boot_ms_total"] == 9
-
-
-def test_store_indexing_matches_a_list():
-    records = [
-        TaskRecord("a", "f1", 0, PhaseTimeline(1, 0, 0, 0, 0, 80, 0, 5, 86), 80, 0.0125,
-                   COMPLETED),
-        TaskRecord("b", "f2", 3, PhaseTimeline(1, 9, 100, 0, 0, 1, 0, 7, 118), 1, 0.0,
-                   FAILED),
-    ]
-    store = store_from_records(records)
-    assert store[0] == records[0] and store[-1] == records[1]
-    assert store[::-1] == records[::-1] and store[5:] == []
-    assert list(reversed(store)) == records[::-1]
-    assert records[1] in store
-    with pytest.raises(IndexError):
-        store[2]
-    with pytest.raises(IndexError):
-        store[-3]
-
-
-def test_store_rejects_records_it_cannot_represent():
-    odd_finish = PhaseTimeline(1, 0, 0, 0, 0, 80, 0, started_at=0, finished_at=90)
-    with pytest.raises(ValueError, match="phase sum"):
-        store_from_records([TaskRecord("a", "f1", 0, odd_finish, 80, 0.0, COMPLETED)])
-    timeline = PhaseTimeline(0, 0, 0, 0, 0, 80, 0, started_at=0, finished_at=80)
-    with pytest.raises(ValueError, match="ideal_ms"):
-        store_from_records([TaskRecord("a", "f1", 0, timeline, 80, 0.0, COMPLETED),
-                                  TaskRecord("b", "f1", 0, timeline, 70, 0.0, COMPLETED)])
-
-
-# ---- memory -----------------------------------------------------------------------------
-
-
-def test_record_store_retains_at_most_100_bytes_per_record():
-    scenario = parse_scenario(scenario_dict(
-        cluster={"nodes": 8},
-        workload={"horizon_ms": 20_000, "arrival": {"kind": "fixed_interval", "interval_ms": 1}},
-    ))
-    catalog, trace = runner.prepare_workload(scenario, 1)
-    assert len(trace) == 20_000
-    tracemalloc.start()
-    try:
-        result = runner.run_one(scenario, scenario.strategies[0], 1, catalog, trace,
-                                keep_records=True)
-        snapshot = tracemalloc.take_snapshot()
-    finally:
-        tracemalloc.stop()
-    # Every column grows inside RecordStore's own methods, so its memory is
-    # what the traced run still holds from allocations made in metrics.py.
-    store_file = metrics.RecordStore.append.__code__.co_filename
-    held = snapshot.filter_traces([tracemalloc.Filter(True, store_file)])
-    retained = sum(stat.size for stat in held.statistics("filename"))
-    assert len(result.records) == 20_000
-    per_record = retained / len(result.records)
-    assert 56 < per_record <= 100, per_record
+    assert repr(failed) == repr(summarize_records("s", 1, records, 0, 1, 1000, 0, 0))

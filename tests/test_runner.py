@@ -9,7 +9,6 @@ from dispatchsim.cluster import PhaseTimeline
 from dispatchsim.config import load_scenario, parse_scenario
 from dispatchsim.engine import Engine
 from dispatchsim.errors import SimulationError
-from dispatchsim.metrics import COMPLETED
 from dispatchsim.runner import (
     Simulation,
     build_cluster,
@@ -22,18 +21,19 @@ from dispatchsim.strategies import make_strategy
 from dispatchsim.workload import Trace
 
 from conftest import scenario_dict
-from reference import phase_sum
+from reference import COMPLETED, phase_sum, run_with_records
 
 
 def run_first(raw):
+    """(RunResult, its TaskRecords) of the scenario's first strategy and seed."""
     scenario = parse_scenario(raw)
-    return run_one(scenario, scenario.strategies[0], scenario.seeds[0], keep_records=True)
+    return run_with_records(scenario, scenario.strategies[0], scenario.seeds[0])
 
 
 def test_minimal_run_completes_all_tasks():
-    result = run_first(scenario_dict())
-    assert len(result.records) == 10
-    assert all(r.status == COMPLETED for r in result.records)
+    result, records = run_first(scenario_dict())
+    assert len(records) == 10
+    assert all(r.status == COMPLETED for r in records)
     row = result.row()
     assert row["tasks"] == 10 and row["failures"] == 0
 
@@ -51,8 +51,8 @@ def test_every_invocation_recorded_exactly_once():
     )
     scenario = parse_scenario(raw)
     _, trace = prepare_workload(scenario, 1)
-    result = run_one(scenario, scenario.strategies[0], 1, keep_records=True)
-    assert sorted(r.invocation_id for r in result.records) == sorted(i.id for i in trace)
+    _, records = run_with_records(scenario, scenario.strategies[0], 1)
+    assert sorted(r.invocation_id for r in records) == sorted(i.id for i in trace)
 
 
 def test_phase_conservation_across_a_run():
@@ -65,8 +65,8 @@ def test_phase_conservation_across_a_run():
             "refs_per_invocation": [1, 2],
         },
     )
-    result = run_first(raw)
-    for r in result.records:
+    _, records = run_first(raw)
+    for r in records:
         assert r.timeline.actual_ms() == phase_sum(r.timeline)
 
 
@@ -74,8 +74,8 @@ def test_first_task_cold_second_task_warm_on_one_node():
     raw = scenario_dict(
         workload={"horizon_ms": 2000, "arrival": {"kind": "fixed_interval", "interval_ms": 1000}},
     )
-    result = run_first(raw)
-    first, second = result.records[0].timeline, result.records[1].timeline
+    _, records = run_first(raw)
+    first, second = records[0].timeline, records[1].timeline
     assert first.boot_ms == 100 and first.code_fetch_ms == 101
     assert second.boot_ms == 0 and second.code_fetch_ms == 0
 
@@ -92,13 +92,13 @@ def test_queue_wait_appears_when_memory_is_tight():
         strategy={"name": "round_robin", "dispatch_latency_ms": 0},
     )
     scenario = parse_scenario(raw)
-    result = run_one(scenario, scenario.strategies[0], 1, keep_records=True)
-    waits = [r.timeline.queue_wait_ms for r in result.records]
+    _, records = run_with_records(scenario, scenario.strategies[0], 1)
+    waits = [r.timeline.queue_wait_ms for r in records]
     assert waits[0] == 0
     assert any(w > 0 for w in waits[1:])
     # strict FIFO: waiting tasks start in arrival order
     starts = [(r.timeline.started_at + r.timeline.dispatch_ms + r.timeline.queue_wait_ms)
-              for r in result.records]
+              for r in records]
     assert starts == sorted(starts)
 
 
@@ -114,9 +114,9 @@ def test_keep_alive_expiry_frees_memory_for_other_functions():
             ],
         },
     )
-    result = run_first(raw)
-    assert len(result.records) == 2
-    assert all(r.status == COMPLETED for r in result.records)
+    _, records = run_first(raw)
+    assert len(records) == 2
+    assert all(r.status == COMPLETED for r in records)
 
 
 def test_run_is_deterministic_per_seed():
@@ -130,7 +130,7 @@ def test_run_is_deterministic_per_seed():
         },
         strategy={"name": "proactive_cluster"},
     )
-    assert run_first(raw).row() == run_first(raw).row()
+    assert run_first(raw)[0].row() == run_first(raw)[0].row()
 
 
 def test_stealing_moves_work_off_a_hotspot():
@@ -145,13 +145,13 @@ def test_stealing_moves_work_off_a_hotspot():
     base = parse_scenario(scenario_dict(strategy={"name": "hash_affinity"}, **hot))
     stealing = parse_scenario(scenario_dict(
         strategy={"name": "hash_affinity", "work_stealing": True}, **hot))
-    plain = run_one(base, base.strategies[0], 1, keep_records=True)
-    stolen = run_one(stealing, stealing.strategies[0], 1, keep_records=True)
+    plain, plain_records = run_with_records(base, base.strategies[0], 1)
+    stolen, stolen_records = run_with_records(stealing, stealing.strategies[0], 1)
     assert plain.steals == 0
     assert stolen.steals > 0
     assert stolen.makespan_ms < plain.makespan_ms
-    assert (sorted(r.invocation_id for r in stolen.records)
-            == sorted(r.invocation_id for r in plain.records))
+    assert (sorted(r.invocation_id for r in stolen_records)
+            == sorted(r.invocation_id for r in plain_records))
 
 
 def test_replication_fires_for_hot_objects_under_proactive():
@@ -168,7 +168,7 @@ def test_replication_fires_for_hot_objects_under_proactive():
         },
         strategy={"name": "proactive_cluster"},
     )
-    result = run_first(raw)
+    result, _ = run_first(raw)
     assert result.replications > 0
     assert result.row()["replications"] == result.replications
     # a placed replica precedes the demanding task's data fetch
@@ -185,7 +185,7 @@ def test_utilization_and_efficiency_stay_in_bounds():
             "refs_per_invocation": [0, 1],
         },
     )
-    row = run_first(raw).row()
+    row = run_first(raw)[0].row()
     assert 0.0 <= row["efficiency"] <= 1.0
     assert 0.0 <= row["utilization"] <= 1.0
     assert 0.0 < row["mean_quality"] <= 1.0
@@ -243,19 +243,21 @@ def test_sorted_trace_is_used_as_given_and_unsorted_one_is_sorted():
     catalog, trace = prepare_workload(scenario, 1)
 
     def simulate(t):
+        completions = []
         sim = Simulation(Engine(), build_cluster(scenario, catalog), make_strategy("round_robin"),
                          t, horizon_ms=scenario.workload.horizon_ms,
-                         strategy_cfg=scenario.strategies[0], seed=1, keep_records=True)
+                         strategy_cfg=scenario.strategies[0], seed=1,
+                         on_complete=lambda *completion: completions.append(completion))
         sim.run()
-        return sim
+        return sim, completions
 
     assert isinstance(trace, Trace)
-    in_order = simulate(trace)
+    in_order, in_order_completions = simulate(trace)
     assert in_order.trace is trace  # no per-run copy
-    reversed_run = simulate(trace[::-1])  # a list, latest arrival first
+    reversed_run, reversed_completions = simulate(trace[::-1])  # a list, latest arrival first
     assert isinstance(reversed_run.trace, Trace)
     assert list(reversed_run.trace) == list(trace)
-    assert list(reversed_run.records) == list(in_order.records)
+    assert reversed_completions == in_order_completions
 
 
 MIXED_FIXTURE = Path(__file__).parent / "fixtures" / "mixed.yaml"

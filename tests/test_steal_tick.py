@@ -53,24 +53,27 @@ class CountedTicks(runner.Simulation):
 
 
 def simulate(simulation_cls, scenario, strategy_cfg, seed):
+    """(simulation, result, the hook's completions in completion order)."""
     catalog, trace = runner.prepare_workload(scenario, seed)
+    completions = []
     cluster = runner.build_cluster(scenario, catalog)
     strategy = make_strategy(strategy_cfg.name, strategy_cfg.params,
                              strategy_cfg.dispatch_latency_ms, strategy_cfg.replication_decay)
     sim = simulation_cls(Engine(record_log=True), cluster, strategy, trace,
                          horizon_ms=scenario.workload.horizon_ms,
-                         strategy_cfg=strategy_cfg, seed=seed, keep_records=True)
+                         strategy_cfg=strategy_cfg, seed=seed,
+                         on_complete=lambda *completion: completions.append(completion))
     sim.run()
     cluster.check_invariants()
-    return sim, sim.result(strategy_cfg.label, seed)
+    return sim, sim.result(strategy_cfg.label, seed), completions
 
 
 def assert_matches_per_node_loop(scenario, strategy_cfg, seed):
     """Run both ticks; return the runner's simulation and result."""
-    sim, result = simulate(CountedTicks, scenario, strategy_cfg, seed)
-    ref, ref_result = simulate(PerNodeStealTick, scenario, strategy_cfg, seed)
+    sim, result, completions = simulate(CountedTicks, scenario, strategy_cfg, seed)
+    ref, ref_result, ref_completions = simulate(PerNodeStealTick, scenario, strategy_cfg, seed)
     assert result.row() == ref_result.row()
-    assert list(result.records) == list(ref_result.records)
+    assert completions == ref_completions
     assert result.steals == ref_result.steals
     assert result.replication_log == ref_result.replication_log
     assert sim.engine.log == ref.engine.log

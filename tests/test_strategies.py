@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from dispatchsim.cluster import Cluster, ClusterParams, DataObject, FunctionSpec
 from dispatchsim.config import parse_scenario
 from dispatchsim.engine import RandomSource
-from dispatchsim.runner import run_one
 from dispatchsim.strategies import (
     STRATEGIES,
     STRATEGY_NAMES,
@@ -21,7 +20,7 @@ from dispatchsim.errors import ConfigError
 from dispatchsim.workload import Invocation
 
 from conftest import scenario_dict
-from reference import cluster_key, decide
+from reference import cluster_key, decide, run_with_records
 
 F1 = FunctionSpec("f1", code_size=10, flavor=128, compute_ms=50)
 
@@ -266,9 +265,9 @@ def test_latency_override_applies_to_every_decision():
     assert make_strategy("data_aware", latency_ms=5).dispatch_latency_ms == 5
     raw = scenario_dict(strategy={"name": "data_aware", "dispatch_latency_ms": 5})
     scenario = parse_scenario(raw)
-    result = run_one(scenario, scenario.strategies[0], 1, keep_records=True)
-    assert len(result.records) == 10
-    assert all(r.timeline.dispatch_ms == 5 for r in result.records)
+    _, records = run_with_records(scenario, scenario.strategies[0], 1)
+    assert len(records) == 10
+    assert all(r.timeline.dispatch_ms == 5 for r in records)
 
 
 # ---- proactive clustering -------------------------------------------------------------

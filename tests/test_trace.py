@@ -8,6 +8,7 @@ byte.
 """
 
 import hashlib
+import json
 import tracemalloc
 from bisect import bisect_right
 from itertools import accumulate
@@ -35,6 +36,7 @@ from dispatchsim.workload import (
 )
 
 from conftest import scenario_dict
+from reference import run_with_records
 
 DEMO_SCENARIOS = Path(__file__).parent.parent / "demos" / "scenarios"
 
@@ -93,6 +95,20 @@ def reference_generate_trace(spec, catalog, rng):
     return out
 
 
+def reference_save_trace(invocations, path):
+    """The trace file of a list of invocations, one JSON line each: the
+    writer save_trace replaced, which built an Invocation per line."""
+    with open(path, "w", newline="\n") as fh:
+        for inv in invocations:
+            fh.write(json.dumps({
+                "id": inv.id,
+                "function": inv.function,
+                "arrival_ms": inv.arrival,
+                "data_refs": list(inv.data_refs),
+                "origin": inv.origin,
+            }) + "\n")
+
+
 # ---- differential ---------------------------------------------------------------------
 
 FUNCTIONS = [FunctionSpec(f"f{i}", flavor=128, compute_ms=10) for i in range(3)]
@@ -137,7 +153,7 @@ def test_trace_matches_the_object_generator(tmp_path_factory, spec, seed):
 
     tmp = tmp_path_factory.mktemp("trace")
     save_trace(trace, tmp / "columns.jsonl")
-    save_trace(reference, tmp / "objects.jsonl")
+    reference_save_trace(reference, tmp / "objects.jsonl")
     assert (tmp / "columns.jsonl").read_bytes() == (tmp / "objects.jsonl").read_bytes()
     loaded = load_trace(tmp / "columns.jsonl", catalog)
     assert loaded == trace and list(loaded) == reference
@@ -260,10 +276,10 @@ def test_simulation_accepts_a_list_of_invocations():
     scenario = parse_scenario(scenario_dict(cluster={"nodes": 2}))
     catalog, trace = runner.prepare_workload(scenario, 1)
     cfg = scenario.strategies[0]
-    from_list = runner.run_one(scenario, cfg, 1, catalog, list(trace), keep_records=True)
-    from_trace = runner.run_one(scenario, cfg, 1, catalog, trace, keep_records=True)
+    from_list, list_records = run_with_records(scenario, cfg, 1, catalog, list(trace))
+    from_trace, trace_records = run_with_records(scenario, cfg, 1, catalog, trace)
     assert from_list.row() == from_trace.row()
-    assert list(from_list.records) == list(from_trace.records)
+    assert list_records == trace_records
 
 
 # ---- memory ---------------------------------------------------------------------------
@@ -300,9 +316,8 @@ def test_trace_and_run_result_retain_at_most_110_bytes_per_invocation():
 
     def build():
         catalog, trace = runner.prepare_workload(scenario, 1)
-        return trace, runner.run_one(scenario, scenario.strategies[0], 1, catalog, trace,
-                                     keep_records=True)
+        return trace, runner.run_one(scenario, scenario.strategies[0], 1, catalog, trace)
 
     (trace, result), held = traced_growth(build)
-    assert len(trace) == len(result.records) == 20_000
+    assert len(trace) == result.row()["tasks"] == 20_000
     assert held / len(trace) <= 110, held / len(trace)
