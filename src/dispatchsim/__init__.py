@@ -13,7 +13,6 @@ from .cluster import (
     DataObject,
     FunctionSpec,
     NetworkModel,
-    PhaseTimeline,
 )
 from .config import Scenario, StrategyConfig, load_scenario, parse_scenario, validate
 from .engine import Engine, RandomSource
@@ -22,7 +21,6 @@ from .runner import RunResult, Simulation, compare_scenario, run_one, run_scenar
 from .strategies import STRATEGY_NAMES, locality_score, make_strategy
 from .workload import (
     Catalog,
-    Invocation,
     Trace,
     WorkloadSpec,
     generate_trace,
@@ -40,9 +38,7 @@ __all__ = [
     "DataObject",
     "Engine",
     "FunctionSpec",
-    "Invocation",
     "NetworkModel",
-    "PhaseTimeline",
     "RandomSource",
     "RunAccount",
     "RunResult",

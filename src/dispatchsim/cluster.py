@@ -90,39 +90,6 @@ class NetworkModel(Slotted):
         return self.latency_ms + (math.ceil(ms) if ms <= MAX_MS else MAX_MS + 1)
 
 
-class PhaseTimeline(Slotted):
-    """Per-invocation time breakdown; all phases are integer ms."""
-
-    __slots__ = ("dispatch_ms", "queue_wait_ms", "boot_ms", "code_fetch_ms",
-                 "data_fetch_ms", "compute_ms", "write_back_ms", "started_at", "finished_at")
-
-    def __init__(self, dispatch_ms: int = 0, queue_wait_ms: int = 0, boot_ms: int = 0,
-                 code_fetch_ms: int = 0, data_fetch_ms: int = 0, compute_ms: int = 0,
-                 write_back_ms: int = 0, started_at: int = 0, finished_at: int = 0):
-        self.dispatch_ms = dispatch_ms
-        self.queue_wait_ms = queue_wait_ms
-        self.boot_ms = boot_ms
-        self.code_fetch_ms = code_fetch_ms
-        self.data_fetch_ms = data_fetch_ms
-        self.compute_ms = compute_ms
-        self.write_back_ms = write_back_ms
-        self.started_at = started_at
-        self.finished_at = finished_at
-
-    def actual_ms(self) -> int:
-        return self.finished_at - self.started_at
-
-    def active_ms(self) -> int:
-        """Time the container is occupied (everything but dispatch and queue)."""
-        return (
-            self.boot_ms
-            + self.code_fetch_ms
-            + self.data_fetch_ms
-            + self.compute_ms
-            + self.write_back_ms
-        )
-
-
 class AcquireOutcome(Enum):
     WARM_HIT = "warm_hit"
     COLD_START = "cold_start"
@@ -439,7 +406,7 @@ class Cluster:
                             cold: bool) -> tuple[tuple[int, int, int, int, int], bool]:
         """The active phases of an invocation of ``function`` that has just
         acquired a container on ``node_id``: (boot, code fetch, data fetch,
-        compute, write-back) ms, in PhaseTimeline field order, and whether
+        compute, write-back) ms, the last five of metrics.PHASES, and whether
         it failed. Dispatch and queue wait are the runner's to add.
 
         Overheads: boot and code fetch apply only to cold starts (code is

@@ -17,26 +17,26 @@ from array import array
 from collections.abc import Sequence
 from itertools import chain
 
-from .cluster import PhaseTimeline
+# The seven phases of a task, in the order a run passes and totals them. The
+# last five are active (the container is held); dispatch and queue wait are not.
+PHASES = ("dispatch", "queue", "boot", "code_fetch", "data_fetch", "compute", "write_back")
 
 CSV_COLUMNS = (
     "strategy", "seed", "tasks", "failures",
     "mean_actual_ms", "median_actual_ms", "p95_actual_ms",
     "mean_quality", "efficiency", "utilization",
     "gb_seconds", "invocations_billed",
-    "dispatch_ms_total", "queue_ms_total", "boot_ms_total",
-    "code_fetch_ms_total", "data_fetch_ms_total", "compute_ms_total",
-    "write_back_ms_total", "replications", "steals",
+    *(f"{phase}_ms_total" for phase in PHASES),
+    "replications", "steals",
 )
 
 
-def billed_gb_seconds(timeline: PhaseTimeline, flavor_mb: int,
-                      granularity_ms: int = 100) -> float:
-    """Charge for one execution: active time (dispatch and queue wait are
+def billed_gb_seconds(active_ms: int, flavor_mb: int, granularity_ms: int) -> float:
+    """Charge for one execution: its active ms (dispatch and queue wait are
     not billed; no container is held then) rounded up to the granularity,
-    times the memory flavor in GB."""
-    active = timeline.active_ms()
-    rounded_ms = math.ceil(active / granularity_ms) * granularity_ms
+    times the memory flavor in GB. The ceiling is integer division, so it
+    is exact for every int."""
+    rounded_ms = -(-active_ms // granularity_ms) * granularity_ms
     return (rounded_ms / 1000.0) * (flavor_mb / 1024.0)
 
 
@@ -64,7 +64,7 @@ def percentile_nearest_rank(sorted_values: list, fraction: float) -> float:
     return sorted_values[rank - 1]
 
 
-_STRIDE = 7  # phase durations per task, in PhaseTimeline field order
+_STRIDE = len(PHASES)  # phase durations per task
 PHASE_BUFFER_LIMIT = _STRIDE * 4096  # phase buffer length at which it folds into the totals
 
 
@@ -129,8 +129,7 @@ class RunAccount:
         are over completed tasks; phase totals, efficiency and the elapsed
         time (the horizon, or the last finish if later) cover every task."""
         self.fold()
-        dispatch, queue_wait, boot, code_fetch, data_fetch, compute, write_back = \
-            self._phase_totals
+        _, _, boot, code_fetch, data_fetch, compute, write_back = self._phase_totals
         actuals = sorted(chain.from_iterable(self.actual_ms))
         completed = len(actuals)
         tasks = self.tasks
@@ -160,13 +159,7 @@ class RunAccount:
                                        max(horizon_ms, self.last_finish)),
             "gb_seconds": self.gb_seconds,
             "invocations_billed": completed,
-            "dispatch_ms_total": dispatch,
-            "queue_ms_total": queue_wait,
-            "boot_ms_total": boot,
-            "code_fetch_ms_total": code_fetch,
-            "data_fetch_ms_total": data_fetch,
-            "compute_ms_total": compute,
-            "write_back_ms_total": write_back,
+            **{f"{phase}_ms_total": total for phase, total in zip(PHASES, self._phase_totals)},
             "replications": replications,
             "steals": steals,
         }

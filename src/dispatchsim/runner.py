@@ -13,8 +13,8 @@ keeps what the report row reads, and, when one is given, into an
 ``on_complete`` callback, which sees each completion as it happens.
 
 From arrival to completion an invocation travels as its trace index alone:
-the strategy and the cost model read the trace's columns, and no Invocation
-view or PhaseTimeline is built per invocation.
+the strategy and the cost model read the trace's columns, and its phases
+are one tuple of ints, in the order of metrics.PHASES.
 """
 
 from __future__ import annotations
@@ -27,9 +27,9 @@ from .engine import Engine, RandomSource
 from .errors import (
     ConfigError, SimulationError, TraceFormatError, UnknownFunctionError, UnknownObjectError,
 )
-from .metrics import PHASE_BUFFER_LIMIT, RunAccount, aggregate_rows
+from .metrics import PHASE_BUFFER_LIMIT, RunAccount, aggregate_rows, billed_gb_seconds
 from .strategies import DispatchStrategy, make_strategy, replication_tick, steal_work
-from .workload import Catalog, Invocation, Trace, build_catalog, generate_trace, load_trace
+from .workload import Catalog, Trace, build_catalog, generate_trace, load_trace
 
 _REJECTED, _COLD_START = AcquireOutcome.REJECTED, AcquireOutcome.COLD_START  # see cluster.py
 
@@ -68,9 +68,8 @@ class RunResult:
 
 
 class Simulation:
-    """One engine run of a trace against a cluster under a strategy. A
-    trace given as a list of invocations is converted to a Trace once; its
-    functions are looked up in the cluster's function specs.
+    """One engine run of a trace against a cluster under a strategy. The
+    trace's functions are looked up in the cluster's function specs.
 
     The run's settings come from two places, which hold their defaults:
     the cluster's ClusterParams (keep-alive, billing step) and the
@@ -81,16 +80,14 @@ class Simulation:
     ``on_complete``, when given, is called once per invocation as it
     completes, in completion order: ``on_complete(index, node, phases,
     billed, failed)`` with its index into the run's trace, the node it ran
-    on, its seven phase durations in PhaseTimeline field order (they sum to
+    on, its seven phase durations in metrics.PHASES order (they sum to
     its finish minus its arrival), the GB-s billed for it (0.0 when it
     failed) and whether it hit the execution cap."""
 
     def __init__(self, engine: Engine, cluster: Cluster, strategy: DispatchStrategy,
-                 trace: Trace | list[Invocation], *,
+                 trace: Trace, *,
                  horizon_ms: int, strategy_cfg: StrategyConfig, seed: int,
                  on_complete: Callable[[int, int, tuple, float, bool], None] | None = None):
-        if not isinstance(trace, Trace):
-            trace = Trace.from_invocations(trace)
         self.engine = engine
         self.cluster = cluster
         self.strategy = strategy
@@ -106,8 +103,8 @@ class Simulation:
         self.steals = 0
         self.replication_log: list = []
         self._labels = engine.record_log  # build event labels only for the log
-        # Billing per trace function code: the flavor in GB, and the step.
-        self._flavor_gb = [functions[name].flavor / 1024.0 for name in trace.functions]
+        # Billing per trace function code: the flavor in MB, and the step.
+        self._flavor_mb = [functions[name].flavor for name in trace.functions]
         self._billing_step = cluster.params.billing_granularity_ms
         self._keep_alive_ms = cluster.params.keep_alive_ms
         self._timer_armed = [False] * len(cluster.node_ids)  # per node id
@@ -140,7 +137,7 @@ class Simulation:
     # ---- handlers ---------------------------------------------------------
     # An invocation travels as its trace index: an offer carries (index,
     # node id), a run queue holds indices, and a completion carries the
-    # seven phase durations in PhaseTimeline field order, with the billed
+    # seven phase durations in metrics.PHASES order, with the billed
     # GB-s and the failure flag.
 
     def _arrive(self, index: int) -> None:
@@ -165,11 +162,8 @@ class Simulation:
         active, failed = self.cluster.simulate_invocation(
             function, trace.ref_sets[trace.ref_codes[index]], node_id, outcome is _COLD_START)
         busy = sum(active)
-        if failed:
-            billed = 0.0
-        else:  # billed_gb_seconds, with the flavor and step looked up once per run
-            step = self._billing_step
-            billed = (-(-busy // step) * step / 1000.0) * self._flavor_gb[code]
+        billed = 0.0 if failed else billed_gb_seconds(busy, self._flavor_mb[code],
+                                                      self._billing_step)
         dispatch_ms = self._dispatch_ms
         self.engine.schedule(now + busy, self._complete,
                              f"completion:{trace.invocation_id(index)}" if self._labels else "",
@@ -327,7 +321,7 @@ def build_cluster(scenario: Scenario, catalog: Catalog) -> Cluster:
 
 def run_one(scenario: Scenario, strategy_cfg: StrategyConfig, seed: int,
             catalog: Catalog | None = None,
-            trace: Trace | list[Invocation] | None = None,
+            trace: Trace | None = None,
             label: str | None = None, *,
             on_complete: Callable[[int, int, tuple, float, bool], None] | None = None,
             ) -> RunResult:

@@ -39,17 +39,17 @@ def data_signature(data_refs) -> str:
     return hashlib.md5(";".join(sorted(data_refs)).encode("utf-8")).hexdigest()[:16]
 
 
-def locality_score(cluster: Cluster, inv, node_id: int,
+def locality_score(cluster: Cluster, function: str, data_refs, node_id: int,
                    weights: tuple[float, float, float] = DEFAULT_WEIGHTS,
                    queue_cap: int = DEFAULT_QUEUE_CAP) -> float:
-    """How good a node is for an invocation, in [0, 1] for weights summing
-    to 1: warm code present, byte locality of the references, and queue
-    headroom. The definition the data-aware family's one-pass scorer
+    """How good a node is for an invocation of ``function`` referencing
+    ``data_refs``, in [0, 1] for weights summing to 1: warm code present,
+    byte locality of the references, and queue headroom. The definition the data-aware family's one-pass scorer
     (DataAwareStrategy.decide) reproduces float for float."""
     w_code, w_data, w_load = weights
     node = cluster.nodes[node_id]
-    code_warm = 1.0 if node.warm_pool.get(inv.function) else 0.0
-    data_local = cluster.locality_fraction(inv.data_refs, node_id)
+    code_warm = 1.0 if node.warm_pool.get(function) else 0.0
+    data_local = cluster.locality_fraction(data_refs, node_id)
     return (w_code * code_warm + w_data * data_local
             + _load_term(w_load, len(node.run_queue), queue_cap))
 
@@ -80,7 +80,8 @@ class _LoadTerms(dict):
 
 class DispatchStrategy:
     """Base class; subclasses implement decide(), which returns the node id
-    chosen for trace[index]; every dispatch takes dispatch_latency_ms.
+    chosen for the invocation at trace index ``index``; every dispatch
+    takes dispatch_latency_ms.
     Instances come from make_strategy, which supplies the registered latency
     and parameters."""
 

@@ -1,6 +1,6 @@
-"""Invocation streams: synthetic generation and trace file ingestion.
+"""Traces of invocations: synthetic generation and trace file ingestion.
 
-A trace is an arrival-ordered sequence of invocations held as columns (see
+A trace is an arrival-ordered stream of invocations held as columns (see
 Trace). Synthetic traces draw from a seeded random source with a fixed
 per-invocation draw order (interarrival, function, reference count,
 references, origin), so the same (spec, seed) always yields the same trace.
@@ -14,10 +14,8 @@ import json
 import math
 from array import array
 from bisect import bisect_right
-from collections.abc import Sequence
 from itertools import accumulate, islice
-from operator import eq, gt
-from typing import NamedTuple
+from operator import gt
 
 from .cluster import MAX_MS, DataObject, FunctionSpec
 from .engine import RandomSource
@@ -29,19 +27,6 @@ from .errors import (
 )
 
 TRACE_FIELDS = ("id", "function", "arrival_ms", "data_refs", "origin")
-
-_new_tuple = tuple.__new__  # builds a NamedTuple without its Python-level __new__
-
-
-class Invocation(NamedTuple):
-    """One dispatchable event."""
-
-    id: str
-    function: str
-    data_refs: tuple[str, ...]
-    origin: str
-    arrival: int
-
 
 def _interner(table: list):
     """code(value): the index of value in table, appending it when new."""
@@ -57,7 +42,7 @@ def _interner(table: list):
     return code
 
 
-class Trace(Sequence[Invocation]):
+class Trace:
     """An arrival-ordered invocation stream held as columns.
 
     Per invocation it keeps the arrival in an ``array('q')`` and three int
@@ -67,11 +52,9 @@ class Trace(Sequence[Invocation]):
     generated trace; a loaded trace lists them. That is about 21 bytes per
     generated invocation.
 
-    It reads as a sequence of Invocations, each built when it is read
-    (``view``); slices are lists. A run reads the columns and tables by
-    index and builds no view. generate_trace, load_trace and
-    from_invocations fill one, and each leaves it in arrival order with
-    ties in input order.
+    A run reads the columns and tables by index. generate_trace and
+    load_trace fill one, and each leaves it in arrival order with ties in
+    input order.
     """
 
     __slots__ = ("arrivals", "function_codes", "origin_codes", "ref_codes",
@@ -86,16 +69,6 @@ class Trace(Sequence[Invocation]):
         self.origins: list[str] = list(origins)
         self.ref_sets: list[tuple[str, ...]] = []
         self.ids = ids
-
-    @classmethod
-    def from_invocations(cls, invocations) -> Trace:
-        """A trace of the given invocations, stably sorted by arrival."""
-        trace = cls(ids=[])
-        add = trace._adder()
-        for inv in invocations:
-            add(inv.id, inv.function, tuple(inv.data_refs), inv.origin, inv.arrival)
-        trace._sort()
-        return trace
 
     def _adder(self):
         """add(id, function, data_refs, origin, arrival) appends one
@@ -134,38 +107,8 @@ class Trace(Sequence[Invocation]):
         ids = self.ids
         return "inv-%06d" % i if ids is None else ids[i]
 
-    def view(self, i: int) -> Invocation:
-        """The invocation at index i, for 0 <= i < len(self)."""
-        return _new_tuple(Invocation, (
-            self.invocation_id(i),
-            self.functions[self.function_codes[i]],
-            self.ref_sets[self.ref_codes[i]],
-            self.origins[self.origin_codes[i]],
-            self.arrivals[i],
-        ))
-
     def __len__(self) -> int:
         return len(self.arrivals)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self.view(i) for i in range(*index.indices(len(self)))]
-        count = len(self.arrivals)
-        i = index + count if index < 0 else index
-        if not 0 <= i < count:
-            raise IndexError("trace index out of range")
-        return self.view(i)
-
-    def __iter__(self):
-        return map(self.view, range(len(self)))
-
-    def __eq__(self, other) -> bool:
-        """Element-wise, against another trace or a list of invocations."""
-        if not isinstance(other, (Trace, list)):
-            return NotImplemented
-        return len(self) == len(other) and all(map(eq, self, other))
-
-    __hash__ = None
 
     def __repr__(self) -> str:
         return f"<Trace of {len(self)} invocations>"

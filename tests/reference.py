@@ -2,25 +2,104 @@
 and the reference definitions the package's faster paths are checked
 against."""
 
+import math
 import statistics
 from functools import reduce
 from operator import add
+from typing import NamedTuple
 
 import pytest
 
 from dispatchsim import runner
-from dispatchsim.cluster import Cluster, PhaseTimeline, _code_key, _truncate_at
+from dispatchsim.cluster import Cluster, _code_key, _truncate_at
 from dispatchsim.config import parse_scenario
 from dispatchsim.errors import UnknownObjectError
 from dispatchsim.metrics import efficiency, percentile_nearest_rank, utilization
 from dispatchsim.slotted import Slotted
 from dispatchsim.strategies import data_signature, make_strategy
-from dispatchsim.workload import Invocation, Trace
+from dispatchsim.workload import Trace
 
 from conftest import scenario_dict
 
 COMPLETED = "completed"
 FAILED = "failed"
+
+
+# ---- invocations as objects ------------------------------------------------------------
+
+
+class Invocation(NamedTuple):
+    """One dispatchable event, as a test builds, reads and compares it."""
+
+    id: str
+    function: str
+    data_refs: tuple[str, ...]
+    origin: str
+    arrival: int
+
+
+def trace_of(invs) -> Trace:
+    """A Trace of the given invocations, stably sorted by arrival, built as
+    load_trace builds one: through Trace._adder and Trace._sort."""
+    trace = Trace(ids=[])
+    add_one = trace._adder()
+    for inv in invs:
+        add_one(inv.id, inv.function, tuple(inv.data_refs), inv.origin, inv.arrival)
+    trace._sort()
+    return trace
+
+
+def invocation_at(trace: Trace, i: int) -> Invocation:
+    """The invocation at index i of a trace, read from its columns."""
+    return Invocation(trace.invocation_id(i), trace.functions[trace.function_codes[i]],
+                      trace.ref_sets[trace.ref_codes[i]], trace.origins[trace.origin_codes[i]],
+                      trace.arrivals[i])
+
+
+def invocations(trace: Trace) -> list[Invocation]:
+    """A trace's invocations in trace order."""
+    return [invocation_at(trace, i) for i in range(len(trace))]
+
+
+def reference_billed_gb_seconds(active_ms: int, flavor_mb: int, granularity_ms: int) -> float:
+    """The billing rule by float division: active ms rounded up to the
+    granularity with math.ceil(active / granularity), times the flavor in
+    GB. metrics.billed_gb_seconds is checked against it."""
+    rounded_ms = math.ceil(active_ms / granularity_ms) * granularity_ms
+    return (rounded_ms / 1000.0) * (flavor_mb / 1024.0)
+
+
+class PhaseTimeline(Slotted):
+    """Per-invocation time breakdown; all phases are integer ms."""
+
+    __slots__ = ("dispatch_ms", "queue_wait_ms", "boot_ms", "code_fetch_ms",
+                 "data_fetch_ms", "compute_ms", "write_back_ms", "started_at", "finished_at")
+
+    def __init__(self, dispatch_ms: int = 0, queue_wait_ms: int = 0, boot_ms: int = 0,
+                 code_fetch_ms: int = 0, data_fetch_ms: int = 0, compute_ms: int = 0,
+                 write_back_ms: int = 0, started_at: int = 0, finished_at: int = 0):
+        self.dispatch_ms = dispatch_ms
+        self.queue_wait_ms = queue_wait_ms
+        self.boot_ms = boot_ms
+        self.code_fetch_ms = code_fetch_ms
+        self.data_fetch_ms = data_fetch_ms
+        self.compute_ms = compute_ms
+        self.write_back_ms = write_back_ms
+        self.started_at = started_at
+        self.finished_at = finished_at
+
+    def actual_ms(self) -> int:
+        return self.finished_at - self.started_at
+
+    def active_ms(self) -> int:
+        """Time the container is occupied (everything but dispatch and queue)."""
+        return (
+            self.boot_ms
+            + self.code_fetch_ms
+            + self.data_fetch_ms
+            + self.compute_ms
+            + self.write_back_ms
+        )
 
 
 class TaskRecord(Slotted):
@@ -82,14 +161,12 @@ def record_collector(trace: Trace, functions, records: list):
 
 def run_with_records(scenario, strategy_cfg, seed, catalog=None, trace=None, label=None):
     """runner.run_one with a record_collector hook: (RunResult, its
-    TaskRecords in completion order). A trace given as a list is run as
-    given; its records index the Trace the run builds from it."""
+    TaskRecords in completion order)."""
     if catalog is None or trace is None:
         catalog, trace = runner.prepare_workload(scenario, seed)
-    run_trace = trace if isinstance(trace, Trace) else Trace.from_invocations(trace)
     records: list = []
     result = runner.run_one(scenario, strategy_cfg, seed, catalog, trace, label,
-                            on_complete=record_collector(run_trace, catalog.functions, records))
+                            on_complete=record_collector(trace, catalog.functions, records))
     return result, records
 
 
@@ -132,7 +209,7 @@ def complete_all(tasks, fold_every=None):
     billed, failed), its function one of IDEAL_MS; it is inv-<position>.
     ``fold_every`` folds the phase buffer after that many tasks."""
     tasks = list(tasks)
-    trace = Trace.from_invocations(
+    trace = trace_of(
         Invocation(f"inv-{i}", function, (), "", arrival)
         for i, (arrival, function, *_) in enumerate(tasks))
     catalog, _ = runner.prepare_workload(IDEAL_SCENARIO, 1)
@@ -229,7 +306,7 @@ def cluster_key(inv) -> tuple[str, str, str]:
 def decide(strategy, inv, cluster) -> int:
     """strategy's node for one invocation, decided as the invocation at
     index 0 of a trace holding only it."""
-    return strategy.decide(Trace.from_invocations([inv]), 0, cluster)
+    return strategy.decide(trace_of([inv]), 0, cluster)
 
 
 class ReferenceCluster(Cluster):

@@ -13,13 +13,14 @@ import pytest
 import yaml
 
 from dispatchsim.cli import main
-from dispatchsim.cluster import PhaseTimeline
 from dispatchsim.config import parse_scenario
 from dispatchsim.metrics import billed_gb_seconds
 from dispatchsim.runner import compare_scenario, prepare_workload, run_one
 
 from conftest import scenario_dict
-from reference import COMPLETED, cluster_key, phase_sum, quality, run_with_records
+from reference import (
+    COMPLETED, cluster_key, invocations, phase_sum, quality, run_with_records,
+)
 
 
 def report(num, name, ok):
@@ -173,12 +174,9 @@ def test_criterion_5_warm_reuse_and_visible_cold_start():
 
 
 def test_criterion_6_billing_oracle():
-    def active(ms):
-        return PhaseTimeline(compute_ms=ms, started_at=0, finished_at=ms)
-
-    ok = (billed_gb_seconds(active(130), 128) == 0.025
-          and billed_gb_seconds(active(482), 128) == 0.0625
-          and billed_gb_seconds(active(100), 128) == 0.0125)
+    ok = (billed_gb_seconds(130, 128, 100) == 0.025
+          and billed_gb_seconds(482, 128, 100) == 0.0625
+          and billed_gb_seconds(100, 128, 100) == 0.0125)
     report(6, "billing oracle (exact GB-seconds)", ok)
 
 
@@ -212,7 +210,7 @@ def test_criterion_8_proactive_stickiness_and_replication():
     scenario = parse_scenario(raw)
     _, trace = prepare_workload(scenario, 1)
     result, records = run_with_records(scenario, scenario.strategies[0], 1)
-    refs_by_id = {inv.id: inv for inv in trace}
+    refs_by_id = {inv.id: inv for inv in invocations(trace)}
     key_nodes = {}
     sticky = True
     for record in records:

@@ -16,9 +16,8 @@ from dispatchsim.cluster import (
 )
 from dispatchsim.engine import RandomSource
 from dispatchsim.errors import UnknownNodeError, UnknownObjectError
-from dispatchsim.workload import Invocation
 
-from reference import ReferenceCluster, active_phases, phase_sum
+from reference import Invocation, ReferenceCluster, active_phases, phase_sum
 
 F1 = FunctionSpec("f1", code_size=10, flavor=128, compute_ms=80)
 

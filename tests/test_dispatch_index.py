@@ -24,9 +24,8 @@ from dispatchsim.strategies import (
     locality_score,
     make_strategy,
 )
-from dispatchsim.workload import Invocation
 
-from reference import decide, run_with_records
+from reference import Invocation, decide, invocation_at, run_with_records
 
 FUNCTIONS = ("f1", "f2", "f3")
 OBJECT_SIZES = {"a": 0.0, "b": 10.0, "c": 40.0, "d": 70.0, "z": 0.0}
@@ -39,7 +38,8 @@ def brute_force_best(strategy, inv, cluster):
     best_node = -1
     best_score = float("-inf")
     for nid in cluster.node_ids:
-        score = locality_score(cluster, inv, nid, strategy.weights, strategy.queue_cap)
+        score = locality_score(cluster, inv.function, inv.data_refs, nid, strategy.weights,
+                               strategy.queue_cap)
         if score > best_score:
             best_score = score
             best_node = nid
@@ -52,7 +52,7 @@ def brute_force_least_loaded(cluster):
 
 class BruteDataAware(DataAwareStrategy):
     def decide(self, trace, index, cluster):
-        return brute_force_best(self, trace[index], cluster)[0]
+        return brute_force_best(self, invocation_at(trace, index), cluster)[0]
 
 
 class BruteProactive(ProactiveClusterStrategy, BruteDataAware):

@@ -4,9 +4,9 @@ import csv
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from dispatchsim.cluster import PhaseTimeline
+from dispatchsim.cluster import DEFAULT_FLAVORS, MAX_MS
 from dispatchsim.metrics import (
     CSV_COLUMNS,
     billed_gb_seconds,
@@ -17,7 +17,10 @@ from dispatchsim.metrics import (
     utilization,
 )
 
-from reference import COMPLETED, FAILED, TaskRecord, as_task, complete_all, quality
+from reference import (
+    COMPLETED, FAILED, PhaseTimeline, TaskRecord, as_task, complete_all, quality,
+    reference_billed_gb_seconds,
+)
 
 
 def timeline(dispatch=0, queue=0, boot=0, code=0, data=0, compute=80, wb=0, started=0):
@@ -26,9 +29,13 @@ def timeline(dispatch=0, queue=0, boot=0, code=0, data=0, compute=80, wb=0, star
                          started_at=started, finished_at=started + total)
 
 
+def billed(tl, flavor=128):
+    """The GB-s billed for a timeline's active time at the default 100 ms step."""
+    return billed_gb_seconds(tl.active_ms(), flavor, 100)
+
+
 def record(tl, ideal=80, status=COMPLETED, ident="i0", flavor=128):
-    return TaskRecord(ident, "f1", 0, tl, ideal,
-                      billed_gb_seconds(tl, flavor), status)
+    return TaskRecord(ident, "f1", 0, tl, ideal, billed(tl, flavor), status)
 
 
 # ---- quality -------------------------------------------------------------------
@@ -88,24 +95,24 @@ def test_utilization_hand_arithmetic():
 
 def test_billing_rounds_active_time_up_to_granularity():
     # 130ms active at 128MB: 0.2s * 0.125GB
-    assert billed_gb_seconds(timeline(compute=130), 128) == 0.025
+    assert billed(timeline(compute=130), 128) == 0.025
 
 
 def test_billing_case_482ms():
-    assert billed_gb_seconds(timeline(boot=100, code=101, data=201, compute=80), 128) == 0.0625
+    assert billed(timeline(boot=100, code=101, data=201, compute=80), 128) == 0.0625
 
 
 def test_billing_exact_boundary_does_not_round_up():
-    assert billed_gb_seconds(timeline(compute=100), 128) == 0.0125
+    assert billed(timeline(compute=100), 128) == 0.0125
 
 
 def test_billing_excludes_dispatch_and_queue_wait():
     with_wait = timeline(dispatch=40, queue=500, compute=130)
-    assert billed_gb_seconds(with_wait, 128) == 0.025
+    assert billed(with_wait, 128) == 0.025
 
 
 def test_billing_scales_with_flavor():
-    assert billed_gb_seconds(timeline(compute=100), 256) == 0.025
+    assert billed(timeline(compute=100), 256) == 0.025
 
 
 @given(
@@ -117,10 +124,24 @@ def test_billing_scales_with_flavor():
 def test_billing_is_monotone_in_every_phase(base, compute, phase, bump):
     d, q, b, c, f = base
     args = [d, q, b, c, 0, compute, f]
-    before = billed_gb_seconds(timeline(*args), 128)
+    before = billed(timeline(*args), 128)
     args[phase] += bump
-    after = billed_gb_seconds(timeline(*args), 128)
+    after = billed(timeline(*args), 128)
     assert after >= before
+
+
+@given(active=st.integers(0, MAX_MS), granularity=st.integers(1, MAX_MS),
+       flavor=st.sampled_from(DEFAULT_FLAVORS))
+@example(MAX_MS, 1, 1024)
+@example(MAX_MS, 3, 64)
+@example(MAX_MS - 1, MAX_MS, 128)
+@example(1, MAX_MS, 256)
+@example(0, 1, 512)
+def test_billing_equals_the_float_division_reference(active, granularity, flavor):
+    # The integer ceiling the run bills with against math.ceil(active / g):
+    # equal for every int up to MAX_MS (< 2 ** 53).
+    assert (billed_gb_seconds(active, flavor, granularity)
+            == reference_billed_gb_seconds(active, flavor, granularity))
 
 
 # ---- percentiles -----------------------------------------------------------------------

@@ -20,15 +20,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dispatchsim import runner
-from dispatchsim.cluster import PhaseTimeline
 from dispatchsim.config import load_scenario, parse_scenario
 from dispatchsim.errors import SimulationError
-from dispatchsim.metrics import billed_gb_seconds
 
 from conftest import scenario_dict
 from reference import (
-    COMPLETED, FAILED, IDEAL_MS, TaskRecord, as_task, complete_all, phase_sum,
-    reference_makespan_ms, reference_summarize_run, run_with_records, summarize_records,
+    COMPLETED, FAILED, IDEAL_MS, PhaseTimeline, TaskRecord, as_task, complete_all,
+    invocation_at, phase_sum, reference_billed_gb_seconds, reference_makespan_ms,
+    reference_summarize_run, run_with_records, summarize_records,
 )
 from test_acceptance import DATA_INTENSIVE
 
@@ -71,9 +70,10 @@ class ReferenceSimulation(runner.Simulation):
         self.cluster.simulate_invocation = start
 
     def _complete(self, index, container, phases, billed, failed):
-        # The runner's billed GB-s is ignored: billed_gb_seconds recomputes it.
-        # The runner's own completion then releases, drains and counts.
-        inv = self.trace[index]
+        # The runner's billed GB-s is ignored: the float-division reference
+        # recomputes it. The runner's own completion then releases, drains
+        # and counts.
+        inv = invocation_at(self.trace, index)
         now = self.engine.now()
         timeline = PhaseTimeline(*phases, started_at=inv.arrival, finished_at=now)
         if timeline.actual_ms() != phase_sum(timeline):
@@ -86,8 +86,8 @@ class ReferenceSimulation(runner.Simulation):
             timeline=timeline,
             ideal_ms=spec.compute_ms,
             billed_gb_s=(
-                billed_gb_seconds(timeline, spec.flavor,
-                                  self.cluster.params.billing_granularity_ms)
+                reference_billed_gb_seconds(timeline.active_ms(), spec.flavor,
+                                            self.cluster.params.billing_granularity_ms)
                 if not failed else 0.0
             ),
             status=FAILED if failed else COMPLETED,

@@ -16,10 +16,10 @@ from pathlib import Path
 import pytest
 
 import dispatchsim
-from dispatchsim.cluster import NetworkModel, PhaseTimeline
+from dispatchsim.cluster import NetworkModel
 from dispatchsim.config import Diagnostic
 
-from reference import TaskRecord
+from reference import PhaseTimeline, TaskRecord
 
 REQUIRED = object()
 DEFAULT_NETWORK = ("NetworkModel", (("latency_ms", 1), ("bandwidth_mb_per_s", 100.0)))
@@ -58,9 +58,6 @@ API = {
         "Container": (("function", REQUIRED), ("node", REQUIRED), ("flavor", REQUIRED),
                       ("expiry", None)),
         "NetworkModel": DEFAULT_NETWORK[1],
-        "PhaseTimeline": tuple((name, 0) for name in (
-            "dispatch_ms", "queue_wait_ms", "boot_ms", "code_fetch_ms", "data_fetch_ms",
-            "compute_ms", "write_back_ms", "started_at", "finished_at")),
         "ClusterParams": DEFAULT_CLUSTER[1],
     },
     "config": {

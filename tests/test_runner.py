@@ -1,12 +1,9 @@
 """End-to-end run mechanics on small scenarios."""
 
-from pathlib import Path
-
 import pytest
 
 from dispatchsim import runner
-from dispatchsim.cluster import PhaseTimeline
-from dispatchsim.config import load_scenario, parse_scenario
+from dispatchsim.config import parse_scenario
 from dispatchsim.engine import Engine
 from dispatchsim.errors import SimulationError
 from dispatchsim.runner import (
@@ -14,14 +11,13 @@ from dispatchsim.runner import (
     build_cluster,
     compare_scenario,
     prepare_workload,
-    run_one,
     run_scenario,
 )
 from dispatchsim.strategies import make_strategy
 from dispatchsim.workload import Trace
 
 from conftest import scenario_dict
-from reference import COMPLETED, phase_sum, run_with_records
+from reference import COMPLETED, invocations, phase_sum, run_with_records, trace_of
 
 
 def run_first(raw):
@@ -52,7 +48,7 @@ def test_every_invocation_recorded_exactly_once():
     scenario = parse_scenario(raw)
     _, trace = prepare_workload(scenario, 1)
     _, records = run_with_records(scenario, scenario.strategies[0], 1)
-    assert sorted(r.invocation_id for r in records) == sorted(i.id for i in trace)
+    assert sorted(r.invocation_id for r in records) == sorted(i.id for i in invocations(trace))
 
 
 def test_phase_conservation_across_a_run():
@@ -254,31 +250,11 @@ def test_sorted_trace_is_used_as_given_and_unsorted_one_is_sorted():
     assert isinstance(trace, Trace)
     in_order, in_order_completions = simulate(trace)
     assert in_order.trace is trace  # no per-run copy
-    reversed_run, reversed_completions = simulate(trace[::-1])  # a list, latest arrival first
-    assert isinstance(reversed_run.trace, Trace)
-    assert list(reversed_run.trace) == list(trace)
+    # Built from its invocations latest arrival first, as load_trace builds a
+    # trace from its file: the builder sorts it.
+    reversed_run, reversed_completions = simulate(trace_of(invocations(trace)[::-1]))
+    assert invocations(reversed_run.trace) == invocations(trace)
     assert reversed_completions == in_order_completions
-
-
-MIXED_FIXTURE = Path(__file__).parent / "fixtures" / "mixed.yaml"
-
-
-def _refuse(*args, **kwargs):
-    raise AssertionError("a run built a per-invocation view")
-
-
-def test_a_run_builds_no_invocation_view_or_phase_timeline(monkeypatch):
-    # An invocation travels as its trace index: with the engine log off, no
-    # strategy, handler or cost model reads a view, and no PhaseTimeline is
-    # built until the records are read. The mixed fixture queues, steals,
-    # replicates and fails at the cap; the demo scenario runs every strategy.
-    scenarios = [load_scenario(MIXED_FIXTURE), load_scenario(
-        Path(__file__).parent.parent / "demos" / "scenarios" / "tight_memory.yaml")]
-    expected = [run_one(s, cfg, 1).row() for s in scenarios for cfg in s.strategies]
-    monkeypatch.setattr(Trace, "view", _refuse)
-    monkeypatch.setattr(PhaseTimeline, "__init__", _refuse)
-    rows = [run_one(s, cfg, 1).row() for s in scenarios for cfg in s.strategies]
-    assert rows == expected
 
 
 class LateCompletions(Engine):

@@ -17,10 +17,9 @@ from dispatchsim.strategies import (
     steal_work,
 )
 from dispatchsim.errors import ConfigError
-from dispatchsim.workload import Invocation
 
 from conftest import scenario_dict
-from reference import cluster_key, decide, run_with_records
+from reference import Invocation, cluster_key, decide, run_with_records
 
 F1 = FunctionSpec("f1", code_size=10, flavor=128, compute_ms=50)
 
@@ -115,7 +114,7 @@ def test_score_is_one_for_warm_local_idle():
     c.place_object("a", 0)
     _, container = c.acquire_container(0, "f1")
     c.release_container(container)
-    score = locality_score(c, inv(refs=("a",)), 0)
+    score = locality_score(c, "f1", ("a",), 0)
     assert score == pytest.approx(1.0)
 
 
@@ -123,7 +122,7 @@ def test_score_is_zero_for_cold_remote_full_queue():
     c = make_cluster(objects=[("a", 100)])
     c.place_object("a", 1)
     c.nodes[0].run_queue.extend([0] * 16)  # at queue_cap
-    score = locality_score(c, inv(refs=("a",)), 0)
+    score = locality_score(c, "f1", ("a",), 0)
     assert score == pytest.approx(0.0)
 
 
@@ -135,7 +134,7 @@ def test_score_hand_arithmetic():
     _, container = c.acquire_container(0, "f1")
     c.release_container(container)
     c.nodes[0].run_queue.extend([0] * 5)
-    score = locality_score(c, inv(refs=("a", "b")), 0, queue_cap=10)
+    score = locality_score(c, "f1", ("a", "b"), 0, queue_cap=10)
     assert score == pytest.approx(0.525)
 
 
@@ -166,7 +165,7 @@ def test_data_aware_argmax_matches_brute_force_oracle():
     view = c
     event = inv(refs=("a", "b"))
     strategy = make_strategy("data_aware")
-    scores = {n: locality_score(view, event, n) for n in view.node_ids}
+    scores = {n: locality_score(view, event.function, event.data_refs, n) for n in view.node_ids}
     best = max(sorted(scores), key=lambda n: (scores[n], -n))
     assert decide(strategy, event, view) == best
 

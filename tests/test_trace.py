@@ -3,8 +3,8 @@
 generate_trace fills columns (arrival array, function/origin/reference-set
 codes, ids derived from the index). The reference here is the object
 generator it replaced: one Invocation per draw, drawn through RandomSource.
-Traces must match it element by element, and their trace files byte for
-byte.
+Traces, read back as invocations, must match it element by element, and
+their trace files byte for byte.
 """
 
 import hashlib
@@ -24,7 +24,6 @@ from dispatchsim.engine import RandomSource
 from dispatchsim.errors import ConfigError
 from dispatchsim.workload import (
     ArrivalSpec,
-    Invocation,
     ObjectSpec,
     PopularitySpec,
     Trace,
@@ -36,7 +35,7 @@ from dispatchsim.workload import (
 )
 
 from conftest import scenario_dict
-from reference import run_with_records
+from reference import Invocation, invocations
 
 DEMO_SCENARIOS = Path(__file__).parent.parent / "demos" / "scenarios"
 
@@ -146,17 +145,17 @@ def test_trace_matches_the_object_generator(tmp_path_factory, spec, seed):
     trace = generate_trace(spec, catalog, RandomSource(seed, "trace"))
     reference = reference_generate_trace(spec, catalog, RandomSource(seed, "trace"))
     assert isinstance(trace, Trace) and trace.ids is None
-    assert len(trace) == len(reference)
-    for i, (inv, ref) in enumerate(zip(trace, reference)):
-        assert type(inv) is Invocation and inv == ref, i
-    assert trace == reference
+    items = invocations(trace)
+    assert len(trace) == len(items) == len(reference)
+    for i, (inv, ref) in enumerate(zip(items, reference)):
+        assert inv == ref, i
 
     tmp = tmp_path_factory.mktemp("trace")
     save_trace(trace, tmp / "columns.jsonl")
     reference_save_trace(reference, tmp / "objects.jsonl")
     assert (tmp / "columns.jsonl").read_bytes() == (tmp / "objects.jsonl").read_bytes()
     loaded = load_trace(tmp / "columns.jsonl", catalog)
-    assert loaded == trace and list(loaded) == reference
+    assert invocations(loaded) == reference
 
 
 @st.composite
@@ -179,7 +178,8 @@ def single_pick_specs(draw, counts=st.integers(2, 64), refs=st.just((1, 1))):
 def assert_matches_the_object_generator(spec, seed):
     catalog = build_catalog(spec, RandomSource(seed, "catalog"))
     trace = generate_trace(spec, catalog, RandomSource(seed, "trace"))
-    assert trace == reference_generate_trace(spec, catalog, RandomSource(seed, "trace"))
+    assert invocations(trace) == reference_generate_trace(spec, catalog,
+                                                          RandomSource(seed, "trace"))
     assert list(trace.function_codes) == list(trace.origin_codes) == [0] * len(trace)
 
 
@@ -214,7 +214,7 @@ def test_demo_trace_files_are_byte_stable(tmp_path, name):
     assert digest == GOLDEN_TRACE_SHA256[name]
 
 
-# ---- sequence behaviour ---------------------------------------------------------------
+# ---- loaded traces ------------------------------------------------------------------
 
 
 def small_trace():
@@ -230,56 +230,16 @@ def small_trace():
     return catalog, generate_trace(spec, catalog, RandomSource(4, "trace"))
 
 
-def test_trace_reads_like_a_list():
-    _, trace = small_trace()
-    items = list(trace)
-    assert len(trace) == len(items) == 5
-    assert [inv.id for inv in trace] == [f"inv-{i:06d}" for i in range(5)]
-    assert trace[0] == items[0] and trace[-1] == items[-1] and trace[-5] == items[0]
-    assert trace[1:3] == items[1:3] and trace[::-1] == items[::-1] and trace[9:] == []
-    assert isinstance(trace[1:3], list)
-    assert items[2] in trace and trace.index(items[3]) == 3
-    assert trace == items and items == trace and trace != items[:-1]
-    assert trace != tuple(items)  # like a list, a trace equals no tuple
-    with pytest.raises(IndexError):
-        trace[5]
-    with pytest.raises(IndexError):
-        trace[-6]
-    with pytest.raises(TypeError):
-        hash(trace)
-    assert Trace() == [] and len(Trace()) == 0
-
-
-def test_from_invocations_sorts_stably_and_keeps_ids():
-    invs = [Invocation("c", "f1", ("a",), "x", 30), Invocation("a", "f2", (), "y", 10),
-            Invocation("b", "f1", ("a",), "x", 30), Invocation("d", "f1", (), "x", 10)]
-    trace = Trace.from_invocations(invs)
-    assert [inv.id for inv in trace] == ["a", "d", "c", "b"]
-    assert list(trace) == sorted(invs, key=lambda inv: inv.arrival)
-    assert trace.functions == ["f1", "f2"] and trace.origins == ["x", "y"]
-    assert trace.ref_sets == [("a",), ()]
-    assert trace[2].data_refs is trace[3].data_refs
-
-
 def test_loaded_trace_keeps_one_string_per_function_and_origin(tmp_path):
     # Regression: json.loads made a new function and origin string per line.
     catalog, trace = small_trace()
     save_trace(trace, tmp_path / "t.jsonl")
     loaded = load_trace(tmp_path / "t.jsonl", catalog)
-    assert loaded == trace
-    assert len({id(inv.function) for inv in loaded}) == len({inv.function for inv in loaded})
-    assert len({id(inv.origin) for inv in loaded}) == len({inv.origin for inv in loaded})
-    assert sorted(loaded.functions) == sorted({inv.function for inv in trace})
-
-
-def test_simulation_accepts_a_list_of_invocations():
-    scenario = parse_scenario(scenario_dict(cluster={"nodes": 2}))
-    catalog, trace = runner.prepare_workload(scenario, 1)
-    cfg = scenario.strategies[0]
-    from_list, list_records = run_with_records(scenario, cfg, 1, catalog, list(trace))
-    from_trace, trace_records = run_with_records(scenario, cfg, 1, catalog, trace)
-    assert from_list.row() == from_trace.row()
-    assert list_records == trace_records
+    items = invocations(loaded)
+    assert items == invocations(trace)
+    assert len({id(inv.function) for inv in items}) == len({inv.function for inv in items})
+    assert len({id(inv.origin) for inv in items}) == len({inv.origin for inv in items})
+    assert sorted(loaded.functions) == sorted({inv.function for inv in items})
 
 
 # ---- memory ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import statistics
 
 import pytest
 
-from dispatchsim.cluster import FunctionSpec
+from dispatchsim.cluster import DataObject, FunctionSpec
 from dispatchsim.engine import RandomSource
 from dispatchsim.errors import TraceFormatError, UnknownFunctionError, UnknownObjectError
 from dispatchsim.workload import (
@@ -19,6 +19,8 @@ from dispatchsim.workload import (
     load_trace,
     save_trace,
 )
+
+from reference import Invocation, invocations
 
 F1 = FunctionSpec("f1", code_size=10, flavor=128, compute_ms=80)
 F2 = FunctionSpec("f2", code_size=5, flavor=64, compute_ms=20)
@@ -44,9 +46,10 @@ def build(spec, seed=1):
 
 def test_fixed_interval_arrivals_are_deterministic():
     _, trace = build(make_spec())
-    assert [inv.arrival for inv in trace] == list(range(100, 1001, 100))
+    items = invocations(trace)
+    assert [inv.arrival for inv in items] == list(range(100, 1001, 100))
     assert len(trace) == 10
-    assert [inv.id for inv in trace] == [f"inv-{i:06d}" for i in range(10)]
+    assert [inv.id for inv in items] == [f"inv-{i:06d}" for i in range(10)]
 
 
 def test_poisson_rate_and_interarrival_statistics():
@@ -57,7 +60,8 @@ def test_poisson_rate_and_interarrival_statistics():
         _, trace = build(spec, seed=seed)
         n = len(trace)
         assert 800 <= n <= 1200, f"seed {seed}: count {n}"
-        gaps = [b.arrival - a.arrival for a, b in zip(trace, trace[1:])]
+        items = invocations(trace)
+        gaps = [b.arrival - a.arrival for a, b in zip(items, items[1:])]
         mean_gap = statistics.fmean(gaps)
         assert 8.0 <= mean_gap <= 12.0, f"seed {seed}: mean gap {mean_gap}"
 
@@ -74,7 +78,7 @@ def test_zipf_popularity_skews_toward_low_ranks():
     _, trace = build(spec)
     assert len(trace) == 10_000
     counts = {}
-    for inv in trace:
+    for inv in invocations(trace):
         for ref in inv.data_refs:
             counts[ref] = counts.get(ref, 0) + 1
     assert counts.get("obj-0000", 0) > counts.get("obj-0009", 0)
@@ -88,7 +92,7 @@ def test_function_mix_shares_track_weights():
         functions=((F1, 3.0), (F2, 1.0)),
     )
     _, trace = build(spec)
-    share_f1 = sum(1 for inv in trace if inv.function == "f1") / len(trace)
+    share_f1 = sum(1 for inv in invocations(trace) if inv.function == "f1") / len(trace)
     assert abs(share_f1 - 0.75) <= 0.03
 
 
@@ -103,8 +107,8 @@ def test_same_spec_and_seed_give_identical_traces():
     _, t1 = build(spec, seed=11)
     _, t2 = build(spec, seed=11)
     _, t3 = build(spec, seed=12)
-    assert t1 == t2
-    assert t1 != t3
+    assert invocations(t1) == invocations(t2)
+    assert invocations(t1) != invocations(t3)
 
 
 def test_arrivals_are_non_decreasing_and_refs_distinct():
@@ -115,9 +119,10 @@ def test_arrivals_are_non_decreasing_and_refs_distinct():
         refs_per_invocation=(2, 3),
     )
     _, trace = build(spec)
-    arrivals = [inv.arrival for inv in trace]
+    items = invocations(trace)
+    arrivals = [inv.arrival for inv in items]
     assert arrivals == sorted(arrivals)
-    for inv in trace:
+    for inv in items:
         assert len(set(inv.data_refs)) == len(inv.data_refs)
 
 
@@ -139,7 +144,7 @@ def test_trace_round_trip(tmp_path):
     catalog, trace = build(spec, seed=3)
     path = tmp_path / "trace.jsonl"
     save_trace(trace, path)
-    assert load_trace(path, catalog) == trace
+    assert invocations(load_trace(path, catalog)) == invocations(trace)
 
 
 def test_equal_references_share_one_tuple(tmp_path):
@@ -153,25 +158,36 @@ def test_equal_references_share_one_tuple(tmp_path):
     path = tmp_path / "trace.jsonl"
     save_trace(trace, path)
     for loaded in (trace, load_trace(path, catalog)):
-        distinct = {inv.data_refs for inv in loaded}
-        assert len(loaded) > len(distinct)
-        assert len({id(inv.data_refs) for inv in loaded}) == len(distinct)
+        items = invocations(loaded)
+        distinct = {inv.data_refs for inv in items}
+        assert len(items) > len(distinct)
+        assert len({id(inv.data_refs) for inv in items}) == len(distinct)
 
 
 def test_empty_trace_file_loads_empty(tmp_path):
     path = tmp_path / "empty.jsonl"
     path.write_text("")
-    assert load_trace(path, Catalog()) == []
+    assert invocations(load_trace(path, Catalog())) == []
 
 
 def test_loaded_trace_is_sorted_by_arrival(tmp_path):
-    catalog = Catalog(functions={"f1": F1})
+    # A stable sort: equal arrivals keep file order. The tables intern in
+    # file order, and equal reference sets are one tuple.
+    catalog = Catalog(functions={"f1": F1, "f2": F2}, objects={"a": DataObject("a", 10.0)})
+    invs = [Invocation("c", "f1", ("a",), "x", 30), Invocation("a", "f2", (), "y", 10),
+            Invocation("b", "f1", ("a",), "x", 30), Invocation("d", "f1", (), "x", 10)]
     path = tmp_path / "unsorted.jsonl"
-    path.write_text(
-        '{"id": "b", "function": "f1", "arrival_ms": 200, "data_refs": [], "origin": "x"}\n'
-        '{"id": "a", "function": "f1", "arrival_ms": 100, "data_refs": [], "origin": "x"}\n'
-    )
-    assert [inv.id for inv in load_trace(path, catalog)] == ["a", "b"]
+    path.write_text("".join(
+        json.dumps({"id": inv.id, "function": inv.function, "arrival_ms": inv.arrival,
+                    "data_refs": list(inv.data_refs), "origin": inv.origin}) + "\n"
+        for inv in invs))
+    trace = load_trace(path, catalog)
+    items = invocations(trace)
+    assert [inv.id for inv in items] == ["a", "d", "c", "b"]
+    assert items == sorted(invs, key=lambda inv: inv.arrival)
+    assert trace.functions == ["f1", "f2"] and trace.origins == ["x", "y"]
+    assert trace.ref_sets == [("a",), ()]
+    assert items[2].data_refs is items[3].data_refs
 
 
 def test_unknown_function_names_the_line(tmp_path):
