@@ -16,7 +16,7 @@ from .cluster import (
 )
 from .config import Scenario, StrategyConfig, load_scenario, parse_scenario, validate
 from .engine import Engine, RandomSource
-from .metrics import RunAccount, billed_gb_seconds, efficiency, utilization
+from .metrics import billed_gb_seconds, efficiency, utilization
 from .runner import RunResult, Simulation, compare_scenario, run_one, run_scenario
 from .strategies import STRATEGY_NAMES, locality_score, make_strategy
 from .workload import (
@@ -40,7 +40,6 @@ __all__ = [
     "FunctionSpec",
     "NetworkModel",
     "RandomSource",
-    "RunAccount",
     "RunResult",
     "Scenario",
     "Simulation",

@@ -29,15 +29,16 @@ from typing import Callable, Sequence
 from .errors import SchedulingInPastError
 
 
-class RandomSource:
+class RandomSource(random.Random):
     """Seeded pseudo-random source with named, non-interleaving streams.
 
-    Backed by CPython's Mersenne Twister (mt19937), seeded from the string
-    "<seed>/<stream>" (hashed with SHA-512 by the stdlib seeder), so an
-    identical (seed, stream) pair yields an identical draw sequence on
-    every platform. Components that draw independently (trace generation,
-    steal victim selection) get distinct stream names to keep their
-    sequences from interleaving.
+    A ``random.Random`` (CPython's Mersenne Twister, mt19937) seeded from
+    the string "<seed>/<stream>" (hashed with SHA-512 by the stdlib
+    seeder), so an identical (seed, stream) pair yields an identical draw
+    sequence on every platform. Components that draw independently (trace
+    generation, steal victim selection) get distinct stream names to keep
+    their sequences from interleaving. Float draws are the stdlib's own:
+    ``random()``, and ``expovariate``, which takes a rate.
 
     Integer draws are defined here rather than left to the stdlib: a draw
     in a range of width n takes ``getrandbits(n.bit_length())`` until the
@@ -48,19 +49,16 @@ class RandomSource:
     draws without computing their values.
     """
 
-    def __init__(self, seed: int, stream: str = "main"):
-        self.seed = seed
-        self.stream = stream
-        self._rng = random.Random(f"{seed}/{stream}")
+    def __new__(cls, seed: int, stream: str = "main"):
+        return super().__new__(cls)  # Random.__new__ on 3.10 takes at most one argument
 
-    def random(self) -> float:
-        """Uniform float in [0, 1)."""
-        return self._rng.random()
+    def __init__(self, seed: int, stream: str = "main"):
+        super().__init__(f"{seed}/{stream}")
 
     def randint(self, lo: int, hi: int) -> int:
         """Uniform integer in [lo, hi], both ends inclusive."""
         n, k = _width_bits(lo, hi)
-        getrandbits = self._rng.getrandbits
+        getrandbits = self.getrandbits
         r = getrandbits(k)
         while r >= n:
             r = getrandbits(k)
@@ -70,14 +68,10 @@ class RandomSource:
         """Advance the stream as ``count`` calls of ``randint(lo, hi)``
         would, without returning their values."""
         n, k = _width_bits(lo, hi)
-        getrandbits = self._rng.getrandbits
+        getrandbits = self.getrandbits
         for _ in range(count):
             while getrandbits(k) >= n:
                 pass
-
-    def expovariate(self, mean: float) -> float:
-        """Exponential draw with the given mean (> 0)."""
-        return self._rng.expovariate(1.0 / mean)
 
 
 def _width_bits(lo: int, hi: int) -> tuple[int, int]:

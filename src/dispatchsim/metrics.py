@@ -1,4 +1,5 @@
-"""Run-level evaluation metrics and report emission.
+"""A run's result (RunResult, the account its report row reads), the
+run-level evaluation metrics and report emission.
 
 ideal time   the function's compute_ms: its execution time with zero
              dispatch latency, a warm container and all data local
@@ -68,10 +69,13 @@ _STRIDE = len(PHASES)  # phase durations per task
 PHASE_BUFFER_LIMIT = _STRIDE * 4096  # phase buffer length at which it folds into the totals
 
 
-class RunAccount:
-    """What a run's report row reads, kept as the run completes its tasks.
-
-    ``Simulation._complete`` updates the fields in place, with no method
+class RunResult:
+    """One (strategy, seed) run: its settings and the account its report
+    row reads, which ``Simulation`` writes as the run goes (no per-task
+    record is kept; see its ``on_complete``). A steal adds to ``steals``,
+    a replication pass extends ``replication_log`` with (time, action)
+    pairs, the end of the run sets ``occupied_ms_total``, and
+    ``Simulation._complete`` updates the account in place, with no method
     call but a fold every 4,096 tasks:
     - ``phase_buffer`` takes the seven phase durations of every task;
       ``fold`` adds it into the seven phase totals and empties it, once it
@@ -91,11 +95,19 @@ class RunAccount:
     starts from because a run completes every invocation of its trace.
     """
 
-    __slots__ = ("phase_buffer", "_phase_totals", "_folded", "actual_ms", "_ideal_ms",
-                 "gb_seconds", "first_arrival", "last_finish")
+    __slots__ = ("strategy", "seed", "horizon_ms", "node_count", "occupied_ms_total",
+                 "steals", "replication_log", "phase_buffer", "_phase_totals", "_folded",
+                 "actual_ms", "_ideal_ms", "gb_seconds", "first_arrival", "last_finish")
 
-    def __init__(self, ideal_ms: Sequence[int], first_arrival: int):
+    def __init__(self, strategy: str, seed: int, ideal_ms: Sequence[int], first_arrival: int,
+                 horizon_ms: int, node_count: int):
         """``ideal_ms`` holds the ideal time of each trace function code."""
+        self.strategy = strategy
+        self.seed = seed
+        self.horizon_ms = horizon_ms
+        self.node_count = node_count
+        self.occupied_ms_total = self.steals = 0
+        self.replication_log: list = []
         self.phase_buffer = array("q")
         self._phase_totals = [0] * _STRIDE
         self._folded = 0  # tasks whose phases are in the totals
@@ -119,12 +131,17 @@ class RunAccount:
         """Tasks completed or failed so far."""
         return self._folded + len(self.phase_buffer) // _STRIDE
 
+    @property
     def makespan_ms(self) -> int:
         """Last finish minus first arrival; 0 when no task ran."""
         return self.last_finish - self.first_arrival if self.tasks else 0
 
-    def row(self, strategy: str, seed, occupied_ms_total: int, node_count: int,
-            horizon_ms: int, replications: int, steals: int) -> dict:
+    @property
+    def replications(self) -> int:
+        """Replicas placed: the placed actions in ``replication_log``."""
+        return sum(action.placed for _, action in self.replication_log)
+
+    def row(self) -> dict:
         """One report row (see CSV_COLUMNS). Latency statistics and quality
         are over completed tasks; phase totals, efficiency and the elapsed
         time (the horizon, or the last finish if later) cover every task."""
@@ -146,8 +163,8 @@ class RunAccount:
         else:
             mean_actual = median_actual = mean_quality = 0.0
         return {
-            "strategy": strategy,
-            "seed": seed,
+            "strategy": self.strategy,
+            "seed": self.seed,
             "tasks": tasks,
             "failures": tasks - completed,
             "mean_actual_ms": mean_actual,
@@ -155,13 +172,13 @@ class RunAccount:
             "p95_actual_ms": float(percentile_nearest_rank(actuals, 0.95)),
             "mean_quality": mean_quality,
             "efficiency": efficiency(compute, boot + code_fetch + data_fetch + compute + write_back),
-            "utilization": utilization(occupied_ms_total, node_count,
-                                       max(horizon_ms, self.last_finish)),
+            "utilization": utilization(self.occupied_ms_total, self.node_count,
+                                       max(self.horizon_ms, self.last_finish)),
             "gb_seconds": self.gb_seconds,
             "invocations_billed": completed,
             **{f"{phase}_ms_total": total for phase, total in zip(PHASES, self._phase_totals)},
-            "replications": replications,
-            "steals": steals,
+            "replications": self.replications,
+            "steals": self.steals,
         }
 
 

@@ -8,8 +8,8 @@ resources. Each node has at most one keep-alive timer pending, never later
 than the expiry of its oldest idle container; a timer whose container was
 reused only re-arms when it fires. Optional periodic passes drive work
 stealing and popularity replication. A run drains completely, so every
-dispatched invocation completes exactly once: into the run's account, which
-keeps what the report row reads, and, when one is given, into an
+dispatched invocation completes exactly once: into the run's RunResult,
+which keeps what the report row reads, and, when one is given, into an
 ``on_complete`` callback, which sees each completion as it happens.
 
 From arrival to completion an invocation travels as its trace index alone:
@@ -22,49 +22,16 @@ from __future__ import annotations
 from collections.abc import Callable
 
 from .cluster import AcquireOutcome, Cluster, Container
-from .config import Scenario, StrategyConfig
+from .config import Scenario, StrategyConfig, validate
 from .engine import Engine, RandomSource
 from .errors import (
     ConfigError, SimulationError, TraceFormatError, UnknownFunctionError, UnknownObjectError,
 )
-from .metrics import PHASE_BUFFER_LIMIT, RunAccount, aggregate_rows, billed_gb_seconds
+from .metrics import PHASE_BUFFER_LIMIT, RunResult, aggregate_rows, billed_gb_seconds
 from .strategies import DispatchStrategy, make_strategy, replication_tick, steal_work
 from .workload import Catalog, Trace, build_catalog, generate_trace, load_trace
 
 _REJECTED, _COLD_START = AcquireOutcome.REJECTED, AcquireOutcome.COLD_START  # see cluster.py
-
-
-class RunResult:
-    """Everything one (strategy, seed) run produced. ``account`` holds what
-    the report row reads; no per-task record is kept (see
-    ``Simulation``'s ``on_complete`` for a run that wants one)."""
-
-    __slots__ = ("strategy", "seed", "account", "horizon_ms", "occupied_ms_total",
-                 "node_count", "steals", "replication_log")
-
-    def __init__(self, strategy: str, seed: int, account: RunAccount, horizon_ms: int,
-                 occupied_ms_total: int, node_count: int, steals: int, replication_log: list):
-        self.strategy = strategy
-        self.seed = seed
-        self.account = account
-        self.horizon_ms = horizon_ms
-        self.occupied_ms_total = occupied_ms_total
-        self.node_count = node_count
-        self.steals = steals
-        self.replication_log = replication_log
-
-    @property
-    def makespan_ms(self) -> int:
-        return self.account.makespan_ms()
-
-    @property
-    def replications(self) -> int:
-        """Replicas placed: the placed actions in ``replication_log``."""
-        return sum(action.placed for _, action in self.replication_log)
-
-    def row(self) -> dict:
-        return self.account.row(self.strategy, self.seed, self.occupied_ms_total,
-                                self.node_count, self.horizon_ms, self.replications, self.steals)
 
 
 class Simulation:
@@ -75,7 +42,8 @@ class Simulation:
     the cluster's ClusterParams (keep-alive, billing step) and the
     strategy's StrategyConfig (work stealing and its poll period, the
     replication period and threshold). The seed starts the random stream
-    work stealing draws its victims from.
+    work stealing draws its victims from. The run writes into ``result``,
+    its RunResult, which is built here.
 
     ``on_complete``, when given, is called once per invocation as it
     completes, in completion order: ``on_complete(index, node, phases,
@@ -93,15 +61,14 @@ class Simulation:
         self.strategy = strategy
         self._dispatch_ms = strategy.dispatch_latency_ms
         self.trace = trace
-        self.horizon_ms = horizon_ms
         self.cfg = strategy_cfg
         self.steal_rng = RandomSource(seed, "steal")
         functions = cluster.functions
-        self.account = RunAccount([functions[name].compute_ms for name in trace.functions],
-                                  trace.arrivals[0] if trace else 0)
+        self.result = RunResult(strategy_cfg.label, seed,
+                                [functions[name].compute_ms for name in trace.functions],
+                                trace.arrivals[0] if trace else 0, horizon_ms,
+                                len(cluster.nodes))
         self.on_complete = on_complete
-        self.steals = 0
-        self.replication_log: list = []
         self._labels = engine.record_log  # build event labels only for the log
         # Billing per trace function code: the flavor in MB, and the step.
         self._flavor_mb = [functions[name].flavor for name in trace.functions]
@@ -125,14 +92,16 @@ class Simulation:
                 self.cfg.replication_period_ms, self._replication_tick, "replication-tick"
             )
         self.engine.run()
-        self.account.fold()
-        if self.account.tasks != len(self.trace):
+        result = self.result
+        result.occupied_ms_total = sum(n.occupied_ms_accum for n in self.cluster.nodes.values())
+        result.fold()
+        if result.tasks != len(self.trace):
             raise SimulationError(
-                f"run ended with {len(self.trace) - self.account.tasks} invocations unaccounted"
+                f"run ended with {len(self.trace) - result.tasks} invocations unaccounted"
             )
 
     def _work_remaining(self) -> bool:
-        return self.account.tasks < len(self.trace)
+        return self.result.tasks < len(self.trace)
 
     # ---- handlers ---------------------------------------------------------
     # An invocation travels as its trace index: an offer carries (index,
@@ -180,15 +149,15 @@ class Simulation:
         if actual != sum(phases):
             raise SimulationError(f"phase accounting broken for {trace.invocation_id(index)}")
         self._release(container, now)
-        account = self.account  # see RunAccount for what each field holds
+        result = self.result  # see RunResult for what each field holds
         if not failed:
-            account.actual_ms[trace.function_codes[index]].append(actual)
-            account.gb_seconds += billed
-        buffer = account.phase_buffer
+            result.actual_ms[trace.function_codes[index]].append(actual)
+            result.gb_seconds += billed
+        buffer = result.phase_buffer
         buffer.extend(phases)
         if len(buffer) >= PHASE_BUFFER_LIMIT:
-            account.fold()
-        account.last_finish = now
+            result.fold()
+        result.last_finish = now
         if self.on_complete is not None:
             self.on_complete(index, container.node, phases, billed, failed)
         if self.cluster.nodes[container.node].run_queue:
@@ -250,7 +219,7 @@ class Simulation:
                     continue
                 batch = steal_work(cluster, node_id, self.steal_rng)
                 if batch:
-                    self.steals += len(batch)
+                    self.result.steals += len(batch)
                     self._drain(node_id)
         elif len(cluster.node_ids) > 1:  # one node has no victim and draws nothing
             self.steal_rng.skip_randint(0, len(cluster.node_ids) - 2,
@@ -264,27 +233,12 @@ class Simulation:
         actions = replication_tick(
             self.strategy.counters, self.cluster, self.cfg.replication_threshold
         )
-        self.replication_log.extend((self.engine.now(), action) for action in actions)
+        self.result.replication_log.extend((self.engine.now(), action) for action in actions)
         if self._work_remaining():
             self.engine.schedule(
                 self.engine.now() + self.cfg.replication_period_ms,
                 self._replication_tick, "replication-tick",
             )
-
-    # ---- results ----------------------------------------------------------
-
-    def result(self, strategy_label: str, seed: int) -> RunResult:
-        nodes = self.cluster.nodes.values()
-        return RunResult(
-            strategy=strategy_label,
-            seed=seed,
-            account=self.account,
-            horizon_ms=self.horizon_ms,
-            occupied_ms_total=sum(n.occupied_ms_accum for n in nodes),
-            node_count=len(nodes),
-            steals=self.steals,
-            replication_log=self.replication_log,
-        )
 
 
 # ---- scenario-level entry points --------------------------------------------
@@ -293,9 +247,13 @@ class Simulation:
 def prepare_workload(scenario: Scenario, seed: int) -> tuple[Catalog, Trace]:
     """Build the catalogs and the invocation trace for one seed. Catalog
     draws and trace draws use distinct streams of the same seed, so every
-    strategy compared under that seed sees the identical workload. A trace
-    file that cannot be read, or is malformed, is a ConfigError naming the
-    key and the file."""
+    strategy compared under that seed sees the identical workload. A
+    scenario that validate refuses is a ConfigError naming the key of its
+    first error, and so is a trace file that cannot be read, or is
+    malformed, naming the file too."""
+    for diag in validate(scenario):
+        if diag.severity == "error":
+            raise ConfigError(f"{diag.key}: {diag.message}")
     catalog = build_catalog(scenario.workload, RandomSource(seed, "catalog"))
     path = scenario.workload.trace_path
     if path:
@@ -337,7 +295,9 @@ def run_one(scenario: Scenario, strategy_cfg: StrategyConfig, seed: int,
                      strategy_cfg=strategy_cfg, seed=seed, on_complete=on_complete)
     sim.run()
     cluster.check_invariants()
-    return sim.result(strategy_cfg.label if label is None else label, seed)
+    if label is not None:
+        sim.result.strategy = label
+    return sim.result
 
 
 def _unique_labels(strategies: list[StrategyConfig]) -> list[str]:

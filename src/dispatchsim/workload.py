@@ -320,11 +320,7 @@ def generate_trace(spec: WorkloadSpec, catalog: Catalog, rng: RandomSource) -> T
     elif interval < 1:
         raise ConfigError("workload.arrival.interval_ms: must be at least 1 ms")
 
-    # The RandomSource float methods are inlined: the same draws from the
-    # underlying generator, in the same order and with the same arithmetic.
-    # Integer draws go through RandomSource.randint, which defines them.
-    gen = rng._rng
-    random, randint = gen.random, rng.randint
+    random, randint = rng.random, rng.randint
     fn_many, origin_many, obj_many = len(fn_cum) > 1, len(origin_cum) > 1, len(obj_cum) > 1
     lo, hi = spec.refs_per_invocation
     n_objects = len(object_ids)
@@ -334,7 +330,7 @@ def generate_trace(spec: WorkloadSpec, catalog: Catalog, rng: RandomSource) -> T
                   origins=[tag for tag, _ in spec.origins])
     ref_sets, add_refs = trace.ref_sets, trace.ref_codes.append
     if poisson:
-        ticks = _poisson_arrivals(gen.expovariate, 1.0 / (1000.0 / arrival.rate_per_s),
+        ticks = _poisson_arrivals(rng.expovariate, 1.0 / (1000.0 / arrival.rate_per_s),
                                   horizon_ms, trace.arrivals.append)
     else:
         trace.arrivals.extend(range(interval, horizon_ms + 1, interval))

@@ -16,7 +16,7 @@ from dispatchsim.config import parse_scenario
 from dispatchsim.errors import UnknownObjectError
 from dispatchsim.metrics import efficiency, percentile_nearest_rank, utilization
 from dispatchsim.slotted import Slotted
-from dispatchsim.strategies import data_signature, make_strategy
+from dispatchsim.strategies import ReplicationAction, data_signature, make_strategy
 from dispatchsim.workload import Trace
 
 from conftest import scenario_dict
@@ -278,7 +278,7 @@ def summarize_records(strategy, seed, records, occupied_ms_total, node_count, ho
                       replications, steals):
     """reference_summarize_run with the compute and busy totals summed over
     the records, and the elapsed time the horizon or the last finish if
-    that is later: the arguments RunAccount.row takes."""
+    that is later: the totals a RunResult's row reads."""
     return reference_summarize_run(
         strategy, seed, records,
         sum(r.timeline.compute_ms for r in records),
@@ -286,6 +286,18 @@ def summarize_records(strategy, seed, records, occupied_ms_total, node_count, ho
         occupied_ms_total, node_count,
         max([horizon_ms] + [r.timeline.finished_at for r in records]),
         replications, steals)
+
+
+def row_with_totals(result, strategy, seed, occupied_ms_total, node_count, horizon_ms,
+                    replications, steals) -> dict:
+    """result.row() with the run totals set on the RunResult first, the
+    arguments summarize_records takes after the records: ``replications``
+    becomes that many placed ReplicationActions in its replication log."""
+    result.strategy, result.seed = strategy, seed
+    result.occupied_ms_total, result.node_count = occupied_ms_total, node_count
+    result.horizon_ms, result.steals = horizon_ms, steals
+    result.replication_log = [(0, ReplicationAction("o", 0, True, "placed"))] * replications
+    return result.row()
 
 
 def reference_makespan_ms(records) -> int:

@@ -435,6 +435,7 @@ def _whole_run_cases():
         raw["cluster"].update(cluster)
         raw["workload"].update(workload)
         raw["strategies"] = strategies
+        del raw["strategy"]
         scenario = parse_scenario(raw)
         for cfg in scenario.strategies:
             yield pytest.param(scenario, cfg, 1, id=f"{tag}-{cfg.label}")

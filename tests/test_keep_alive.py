@@ -94,7 +94,7 @@ def simulate(simulation_cls, engine, scenario, strategy_cfg, seed):
                          on_complete=lambda *completion: completions.append(completion))
     sim.run()
     cluster.check_invariants()
-    return sim, sim.result(strategy_cfg.label, seed), completions
+    return sim, sim.result, completions
 
 
 def assert_matches_eager(scenario, strategy_cfg, seed):

@@ -19,7 +19,7 @@ from dispatchsim.metrics import (
 
 from reference import (
     COMPLETED, FAILED, PhaseTimeline, TaskRecord, as_task, complete_all, quality,
-    reference_billed_gb_seconds,
+    reference_billed_gb_seconds, row_with_totals,
 )
 
 
@@ -162,9 +162,9 @@ def sample_rows():
         record(timeline(dispatch=1, compute=80), ident="a"),
         record(timeline(dispatch=1, boot=100, code=101, data=201, compute=80), ident="b"),
     ]
-    row = complete_all(map(as_task, records))[0].account.row(
-        "round_robin", 1, occupied_ms_total=562, node_count=1, horizon_ms=1000,
-        replications=0, steals=0)
+    row = row_with_totals(
+        complete_all(map(as_task, records))[0].result, "round_robin", 1,
+        occupied_ms_total=562, node_count=1, horizon_ms=1000, replications=0, steals=0)
     return records, row
 
 
@@ -193,7 +193,8 @@ def test_failed_tasks_counted_but_not_billed_or_scored():
         record(timeline(compute=80), ident="ok"),
         TaskRecord("bad", "f1", 0, timeline(compute=300_000), 80, 0.0, FAILED),
     ]
-    row = complete_all(map(as_task, records))[0].account.row("s", 1, 380, 1, 1000, 0, 0)
+    row = row_with_totals(complete_all(map(as_task, records))[0].result,
+                          "s", 1, 380, 1, 1000, 0, 0)
     assert row["tasks"] == 2 and row["failures"] == 1
     assert row["invocations_billed"] == 1
     assert row["mean_quality"] == 1.0

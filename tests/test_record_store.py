@@ -8,7 +8,7 @@ hook's (index, node, phases, billed, failed) and the trace. The reference
 here is the object-based path: a Simulation that builds one TaskRecord per
 completion from the engine's clock and the cost model, and keeps the run
 totals as separate bookkeeping. Every record must be identical, bit for bit
-and in completion order, and so must the row the run's account gives and
+and in completion order, and so must the row the run's RunResult gives and
 the object summary over the records.
 """
 
@@ -27,7 +27,7 @@ from conftest import scenario_dict
 from reference import (
     COMPLETED, FAILED, IDEAL_MS, PhaseTimeline, TaskRecord, as_task, complete_all,
     invocation_at, phase_sum, reference_billed_gb_seconds, reference_makespan_ms,
-    reference_summarize_run, run_with_records, summarize_records,
+    reference_summarize_run, row_with_totals, run_with_records, summarize_records,
 )
 from test_acceptance import DATA_INTENSIVE
 
@@ -100,19 +100,21 @@ class ReferenceSimulation(runner.Simulation):
             self.strategy.counters, self.cluster, self.cfg.replication_threshold
         )
         for action in actions:
-            self.replication_log.append((self.engine.now(), action))
+            self.result.replication_log.append((self.engine.now(), action))
             if action.placed:
                 self.replications += 1
         if self._work_remaining():
             self.engine.schedule(self.engine.now() + self.cfg.replication_period_ms,
                                  self._replication_tick, "replication-tick")
 
-    def result(self, strategy_label, seed):
-        nodes = self.cluster.nodes.values()
-        return ReferenceResult(strategy_label, seed, self.task_records, (
+    def run(self):
+        # run_one returns this simulation's result: the reference's, here.
+        super().run()
+        result, nodes = self.result, self.cluster.nodes.values()
+        self.result = ReferenceResult(result.strategy, result.seed, self.task_records, (
             sum(self.compute_ms), sum(self.busy_ms), sum(n.occupied_ms_accum for n in nodes),
-            len(nodes), max(self.horizon_ms, self.last_completion), self.replications,
-            self.steals,
+            len(nodes), max(result.horizon_ms, self.last_completion), self.replications,
+            result.steals,
         ))
 
 
@@ -142,6 +144,7 @@ def _whole_run_cases():
         raw["cluster"].update(cluster)
         raw["workload"]["functions"][0]["write_back"] = write_back
         raw["strategies"] = strategies
+        del raw["strategy"]
         scenario = parse_scenario(raw)
         for cfg in scenario.strategies:
             yield pytest.param(scenario, cfg, 1, id=f"{tag}-{cfg.label}")
@@ -263,17 +266,17 @@ def test_columnar_summary_matches_object_summary(records, totals):
     for r in collected:
         r.invocation_id = ""
     assert collected == [records[k] for k in order]
-    assert repr(sim.account.row("s", 7, *totals)) == repr(
+    assert repr(row_with_totals(sim.result, "s", 7, *totals)) == repr(
         summarize_records("s", 7, collected, *totals))
 
 
 def test_empty_and_all_failed_rows():
-    empty = complete_all([])[0].account.row("s", 1, 0, 1, 1000, 0, 0)
+    empty = row_with_totals(complete_all([])[0].result, "s", 1, 0, 1, 1000, 0, 0)
     assert empty["tasks"] == 0 and empty["gb_seconds"] == 0
     assert empty["mean_actual_ms"] == empty["p95_actual_ms"] == 0.0
     assert repr(empty) == repr(summarize_records("s", 1, [], 0, 1, 1000, 0, 0))
     sim, records = complete_all(map(as_task, _all_failed(3)))
-    failed = sim.account.row("s", 1, 0, 1, 1000, 0, 0)
+    failed = row_with_totals(sim.result, "s", 1, 0, 1, 1000, 0, 0)
     assert failed["failures"] == 3 and failed["invocations_billed"] == 0
     assert failed["mean_quality"] == 0.0 and failed["boot_ms_total"] == 9
     assert repr(failed) == repr(summarize_records("s", 1, records, 0, 1, 1000, 0, 0))

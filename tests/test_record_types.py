@@ -75,11 +75,6 @@ API = {
         "WorkloadSpec": DEFAULT_WORKLOAD[1],
         "Catalog": (("functions", {}), ("objects", {})),
     },
-    "runner": {
-        "RunResult": tuple((name, REQUIRED) for name in (
-            "strategy", "seed", "account", "horizon_ms", "occupied_ms_total",
-            "node_count", "steals", "replication_log")),
-    },
     "strategies": {
         "ReplicationAction": (("object_id", REQUIRED), ("node", REQUIRED),
                               ("placed", REQUIRED), ("note", REQUIRED)),
@@ -128,6 +123,35 @@ def test_record_type_takes_the_same_calls(module, name):
     if required:
         with pytest.raises(TypeError):
             cls(*required[:-1])
+
+
+def test_run_result_takes_the_run_settings_and_starts_an_empty_account():
+    # RunResult is the one type whose constructor is not its fields: it
+    # takes the run's settings, and the account it holds starts empty.
+    cls = record_type("runner", "RunResult")
+    assert cls is record_type("metrics", "RunResult")
+    assert cls.__slots__ == (
+        "strategy", "seed", "horizon_ms", "node_count", "occupied_ms_total", "steals",
+        "replication_log", "phase_buffer", "_phase_totals", "_folded", "actual_ms", "_ideal_ms",
+        "gb_seconds", "first_arrival", "last_finish")
+    names = ("strategy", "seed", "ideal_ms", "first_arrival", "horizon_ms", "node_count")
+    strategy, seed, first_arrival, horizon_ms, node_count = (object() for _ in range(5))
+    values = (strategy, seed, (80, 1), first_arrival, horizon_ms, node_count)
+    made = [cls(*values), cls(**dict(zip(names, values)))]
+    for result in made:
+        assert not hasattr(result, "__dict__")
+        assert (result.strategy, result.seed, result.first_arrival, result.horizon_ms,
+                result.node_count) == (strategy, seed, first_arrival, horizon_ms, node_count)
+        assert result.occupied_ms_total == result.steals == result.last_finish == 0
+        assert result.replication_log == [] and result.tasks == result.replications == 0
+        assert repr(result.gb_seconds) == "0"  # the int 0, as builtin sum starts
+        assert [list(column) for column in result.actual_ms] == [[], []]
+    assert made[0].replication_log is not made[1].replication_log
+    assert made[0].actual_ms[0] is not made[1].actual_ms[0]
+    with pytest.raises(TypeError):
+        cls(*values, object())
+    with pytest.raises(TypeError):
+        cls(*values[:-1])
 
 
 def test_importing_the_package_loads_neither_dataclasses_nor_inspect():

@@ -1,9 +1,9 @@
 """The run's account against the per-task records it replaces.
 
-A run keeps what its report row reads in a RunAccount, which
+A run keeps what its report row reads in its RunResult, which
 Simulation._complete updates in place; it keeps no per-task record. The
 reference is the summary over the TaskRecords that a completion hook builds
-(summarize_records in tests/reference.py): the account's row must equal it
+(summarize_records in tests/reference.py): the result's row must equal it
 bit for bit, in every completion order, with tasks failing at the execution
 cap and with no tasks at all.
 """
@@ -17,7 +17,8 @@ from dispatchsim.config import parse_scenario
 
 from conftest import scenario_dict
 from reference import (
-    IDEAL_MS, complete_all, reference_makespan_ms, run_with_records, summarize_records,
+    IDEAL_MS, complete_all, reference_makespan_ms, row_with_totals, run_with_records,
+    summarize_records,
 )
 
 
@@ -45,15 +46,15 @@ ALL_FAILED = [(10, "f2", (1, 2, 3, 4, 5, 6, 7), 0.0, True)] * 3
 @example(TENTHS, 3, (0, 1, 1000, 0, 0))
 def test_account_row_matches_the_reference_summary(tasks, fold_every, totals):
     sim, records = complete_all(tasks, fold_every)
-    assert len(records) == sim.account.tasks == len(tasks)
-    assert repr(sim.account.row("s", 7, *totals)) == repr(
+    assert len(records) == sim.result.tasks == len(tasks)
+    assert repr(row_with_totals(sim.result, "s", 7, *totals)) == repr(
         summarize_records("s", 7, records, *totals))
-    assert sim.account.makespan_ms() == reference_makespan_ms(records)
+    assert sim.result.makespan_ms == reference_makespan_ms(records)
 
 
 def test_gb_seconds_adds_left_to_right_in_completion_order():
     # Builtin sum gives 1.0 here on 3.12 and later, which compensate.
-    assert complete_all(TENTHS)[0].account.row("s", 1, 0, 1, 1000, 0, 0)[
+    assert row_with_totals(complete_all(TENTHS)[0].result, "s", 1, 0, 1, 1000, 0, 0)[
         "gb_seconds"] == 0.9999999999999999
     raw = scenario_dict(
         cluster={"container_boot_ms": 0},
@@ -66,7 +67,7 @@ def test_gb_seconds_adds_left_to_right_in_completion_order():
 
 
 def test_all_failed_run_bills_the_int_zero():
-    row = complete_all(ALL_FAILED)[0].account.row("s", 1, 0, 1, 1000, 0, 0)
+    row = row_with_totals(complete_all(ALL_FAILED)[0].result, "s", 1, 0, 1, 1000, 0, 0)
     assert row["failures"] == 3 and repr(row["gb_seconds"]) == "0"
 
 

@@ -3,9 +3,9 @@
 import pytest
 
 from dispatchsim import runner
-from dispatchsim.config import parse_scenario
+from dispatchsim.config import apply_override, parse_scenario
 from dispatchsim.engine import Engine
-from dispatchsim.errors import SimulationError
+from dispatchsim.errors import ConfigError, SimulationError
 from dispatchsim.runner import (
     Simulation,
     build_cluster,
@@ -276,3 +276,28 @@ def test_completion_check_refuses_a_finish_other_than_the_phase_sum():
     # still fetching f1's code, finds that code cached, and finishes first.
     with pytest.raises(SimulationError, match="phase accounting broken for inv-000001"):
         sim.run()
+
+
+REFUSED = [  # (override, validate's message for its key)
+    ("workload.objects.popularity.kind=bogus", "must be zipf or uniform"),
+    ("workload.refs_per_invocation=[3, 1]", "needs 0 <= lo <= hi"),
+    ("cluster.network.latency_ms=-3", "must be non-negative"),
+    ("workload.functions.0.compute_ms=0", "must be at least 1 ms"),
+    ("strategy.replication.decay=5", "must be in (0, 1]"),
+    ("cluster.keep_alive_ms=-5", "must be non-negative"),
+    ("cluster.store_capacity=-1", "must be non-negative"),
+    ("workload.functions.0.weight=0", "must be positive"),
+]
+
+
+@pytest.mark.parametrize("override, message", REFUSED, ids=[o for o, _ in REFUSED])
+def test_library_path_refuses_what_validate_refuses(override, message):
+    # parse_scenario then run_one, with no validate: the first five used to
+    # run, the next two failed mid-run and the last named no key.
+    raw = scenario_dict(cluster={"nodes": 2}, strategy={"name": "data_aware"})
+    apply_override(raw, override)
+    scenario = parse_scenario(raw)
+    key = override.partition("=")[0]
+    with pytest.raises(ConfigError) as excinfo:
+        runner.run_one(scenario, scenario.strategies[0], 1)
+    assert str(excinfo.value) == f"{key}: {message}"

@@ -31,7 +31,7 @@ class PerNodeStealTick(runner.Simulation):
                 continue
             batch = steal_work(self.cluster, node_id, self.steal_rng)
             if batch:
-                self.steals += len(batch)
+                self.result.steals += len(batch)
                 self._drain(node_id)
         if self._work_remaining():
             self.engine.schedule(
@@ -65,7 +65,7 @@ def simulate(simulation_cls, scenario, strategy_cfg, seed):
                          on_complete=lambda *completion: completions.append(completion))
     sim.run()
     cluster.check_invariants()
-    return sim, sim.result(strategy_cfg.label, seed), completions
+    return sim, sim.result, completions
 
 
 def assert_matches_per_node_loop(scenario, strategy_cfg, seed):

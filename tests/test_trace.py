@@ -75,7 +75,7 @@ def reference_generate_trace(spec, catalog, rng):
         if spec.arrival.kind == "fixed_interval":
             arrival += spec.arrival.interval_ms
         else:
-            t_float += rng.expovariate(1000.0 / spec.arrival.rate_per_s)
+            t_float += rng.expovariate(1.0 / (1000.0 / spec.arrival.rate_per_s))
             arrival = int(t_float)
         if arrival > spec.horizon_ms:
             break
