@@ -378,14 +378,25 @@ def parse_scenario(raw: dict) -> Scenario:
     return Scenario(strategies=strategies, diagnostics=diags, **fields)
 
 
-def load_scenario(path, overrides: list[str] | None = None) -> Scenario:
+def _parse_yaml(source, context: str):
+    """The one YAML document in source, a str or a binary file. PyYAML
+    parses it with libyaml (``CSafeLoader``) when it was built with libyaml,
+    and with its pure-Python ``SafeLoader`` otherwise. Both build the same
+    trees from the shipped scenarios and from ``yaml.safe_dump`` output.
+    Their error messages differ, and libyaml takes some tabs that the
+    pure-Python scanner refuses, as after a colon or a plain scalar. A
+    parse error is a ConfigError that starts with context."""
     import yaml  # here, not at module level: importing the package needs no PyYAML
 
     try:
-        with open(path, "rb") as fh:  # PyYAML decodes, and reports bytes that are not text
-            raw = yaml.safe_load(fh)
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"{path}: cannot parse YAML: {exc}") from exc
+        return yaml.load(source, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+    except (yaml.YAMLError, UnicodeEncodeError) as exc:  # libyaml encodes a str as UTF-8
+        raise ConfigError(f"{context}: {exc}") from exc
+
+
+def load_scenario(path, overrides: list[str] | None = None) -> Scenario:
+    with open(path, "rb") as fh:  # PyYAML decodes, and reports bytes that are not text
+        raw = _parse_yaml(fh, f"{path}: cannot parse YAML")
     raw = {} if raw is None else _mapping(raw, "scenario")
     for override in overrides or []:
         apply_override(raw, override)
@@ -395,8 +406,6 @@ def load_scenario(path, overrides: list[str] | None = None) -> Scenario:
 def apply_override(raw: dict, override: str) -> None:
     """Apply a dotted-path override like cluster.nodes=8; list elements are
     addressed by integer segments and values parse as YAML scalars."""
-    import yaml
-
     if "=" not in override:
         raise ConfigError(f"override {override!r} is not of the form key.path=value")
     path, _, value = override.partition("=")
@@ -416,10 +425,11 @@ def apply_override(raw: dict, override: str) -> None:
         target = nxt
     last = segments[-1]
     key = int(last) if last.isdecimal() and isinstance(target, list) else last
+    failure = f"override {override!r} cannot be applied"
     try:
-        target[key] = yaml.safe_load(value)
-    except (yaml.YAMLError, IndexError, TypeError) as exc:
-        raise ConfigError(f"override {override!r} cannot be applied: {exc}") from exc
+        target[key] = _parse_yaml(value, failure)
+    except (IndexError, TypeError) as exc:
+        raise ConfigError(f"{failure}: {exc}") from exc
 
 
 # ---- validation -------------------------------------------------------------

@@ -37,8 +37,9 @@ class RandomSource(random.Random):
     seeder), so an identical (seed, stream) pair yields an identical draw
     sequence on every platform. Components that draw independently (trace
     generation, steal victim selection) get distinct stream names to keep
-    their sequences from interleaving. Float draws are the stdlib's own:
-    ``random()``, and ``expovariate``, which takes a rate.
+    their sequences from interleaving. Float draws are the stdlib's own
+    ``random()``. Trace generation takes no ``expovariate`` call: it
+    computes the stdlib formula, ``-log(1 - random()) / rate``, inline.
 
     Integer draws are defined here rather than left to the stdlib: a draw
     in a range of width n takes ``getrandbits(n.bit_length())`` until the
@@ -46,7 +47,8 @@ class RandomSource(random.Random):
     ``randrange`` does on 3.10 to 3.13, and the tests check every value
     and the stream position left behind against ``random.Random.randint``.
     Defining it here lets ``skip_randint`` advance the stream by whole
-    draws without computing their values.
+    draws without computing their values, and lets trace generation make
+    the same draws inline.
     """
 
     def __new__(cls, seed: int, stream: str = "main"):

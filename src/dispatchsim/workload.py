@@ -4,6 +4,9 @@ A trace is an arrival-ordered stream of invocations held as columns (see
 Trace). Synthetic traces draw from a seeded random source with a fixed
 per-invocation draw order (interarrival, function, reference count,
 references, origin), so the same (spec, seed) always yields the same trace.
+generate_trace makes these draws inline, with no Python call per
+invocation, and they take the same values in the same order as calls of
+Random.expovariate and RandomSource.randint would.
 Trace files are JSON lines with fields id, function, arrival_ms, data_refs,
 origin.
 """
@@ -14,7 +17,7 @@ import json
 import math
 from array import array
 from bisect import bisect_right
-from itertools import accumulate, islice
+from itertools import accumulate, islice, repeat
 from operator import gt
 
 from .cluster import MAX_MS, DataObject, FunctionSpec
@@ -260,25 +263,6 @@ def _popularity_weights(spec: ObjectSpec) -> list[float]:
     return [1.0] * spec.count
 
 
-def _poisson_arrivals(expovariate, lambd: float, horizon: int, record):
-    """Yield once per arrival of a Poisson process with lambd arrivals per
-    ms up to the horizon, after passing the arrival ms to record. Each
-    interarrival is drawn when the next arrival is asked for, so it comes
-    before that invocation's other draws. An arrival past the horizon ends the stream,
-    an infinite one too, and at lambd 0 (a rate too small for any arrival)
-    nothing is drawn."""
-    if not lambd:
-        return
-    end = horizon + 1
-    t_float = 0.0
-    while True:
-        t_float += expovariate(lambd)
-        if t_float >= end:  # int(t_float) > horizon, for a finite t_float >= 0
-            return
-        record(int(t_float))
-        yield
-
-
 def _whole_ms(key: str, value) -> int:
     """value as validate takes an ms key: an int, or a float with an
     integer value, of at most MAX_MS either way. Anything else, a bool
@@ -320,7 +304,7 @@ def generate_trace(spec: WorkloadSpec, catalog: Catalog, rng: RandomSource) -> T
     elif interval < 1:
         raise ConfigError("workload.arrival.interval_ms: must be at least 1 ms")
 
-    random, randint = rng.random, rng.randint
+    random, getrandbits = rng.random, rng.getrandbits
     fn_many, origin_many, obj_many = len(fn_cum) > 1, len(origin_cum) > 1, len(obj_cum) > 1
     lo, hi = spec.refs_per_invocation
     n_objects = len(object_ids)
@@ -330,8 +314,11 @@ def generate_trace(spec: WorkloadSpec, catalog: Catalog, rng: RandomSource) -> T
                   origins=[tag for tag, _ in spec.origins])
     ref_sets, add_refs = trace.ref_sets, trace.ref_codes.append
     if poisson:
-        ticks = _poisson_arrivals(rng.expovariate, 1.0 / (1000.0 / arrival.rate_per_s),
-                                  horizon_ms, trace.arrivals.append)
+        lambd = 1.0 / (1000.0 / arrival.rate_per_s)  # arrivals per ms
+        # Each pass draws one arrival until one passes the horizon, an
+        # infinite one too; at lambd 0 (a rate too small for any arrival)
+        # nothing is drawn.
+        ticks = repeat(None) if lambd else ()
     else:
         trace.arrivals.extend(range(interval, horizon_ms + 1, interval))
         ticks = range(len(trace.arrivals))
@@ -348,15 +335,30 @@ def generate_trace(spec: WorkloadSpec, catalog: Catalog, rng: RandomSource) -> T
                 ref_sets.append((object_ids[j],))
             add_refs(code)
     else:
+        # The interarrival is Random.expovariate's -log(1 - random()) / lambd
+        # (negating the quotient, not the log, gives the same float), and
+        # the reference count is RandomSource.randint's rejection rule.
         ref_code_of: dict[tuple[int, ...], int] = {}  # object indices -> ref_sets code
+        add_arrival = trace.arrivals.append
         add_function, add_origin = trace.function_codes.append, trace.origin_codes.append
+        log, end, t_float = math.log, horizon_ms + 1, 0.0
         k_varies = hi > lo
+        k_width = hi - lo + 1
+        k_bits = k_width.bit_length()
         k = k_fixed
         for _ in ticks:
+            if poisson:
+                t_float -= log(1.0 - random()) / lambd
+                if t_float >= end:  # int(t_float) > horizon_ms, for a finite t_float >= 0
+                    break
+                add_arrival(int(t_float))
             if fn_many:
                 add_function(bisect_right(fn_cum, random() * fn_total))
             if k_varies:
-                k = randint(lo, hi)
+                k = getrandbits(k_bits)
+                while k >= k_width:
+                    k = getrandbits(k_bits)
+                k += lo
                 if k > n_objects:
                     k = n_objects
             if k <= 0:
@@ -373,7 +375,7 @@ def generate_trace(spec: WorkloadSpec, catalog: Catalog, rng: RandomSource) -> T
             code = ref_code_of.get(picks)
             if code is None:
                 code = ref_code_of[picks] = len(ref_sets)
-                ref_sets.append(tuple([object_ids[j] for j in picks]))
+                ref_sets.append(tuple(map(object_ids.__getitem__, picks)))
             add_refs(code)
             if origin_many:
                 add_origin(bisect_right(origin_cum, random() * origin_total))

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -612,6 +613,60 @@ values = st.one_of(st.text(max_size=12), scalars.map(lambda v: yaml.safe_dump(v)
 def test_any_dotted_override_validates_to_0_or_2(tmp_path_factory, overrides):
     config = str(DEMO_SCENARIOS / "data_intensive.yaml")
     assert validate_exit(config, [".".join(p) + "=" + v for p, v in overrides]) in (0, 2)
+
+
+# ---- the YAML loader: libyaml when PyYAML has it, else pure Python ------------------
+
+ROOT = Path(__file__).parent.parent
+SHIPPED_YAML = sorted([*ROOT.glob("demos/scenarios/*.yaml"), *ROOT.glob("perfbench/scenarios/*.yaml"),
+                       *ROOT.glob("tests/fixtures/*.yaml")])
+
+
+def c_safe_loader():
+    if not getattr(yaml, "__with_libyaml__", False):
+        pytest.skip("PyYAML is built without libyaml")
+    return yaml.CSafeLoader
+
+
+def assert_same_tree(text):
+    # repr, not ==: a NaN leaf is unequal to itself, and 1 == 1.0 == True.
+    c_tree = yaml.load(text, Loader=c_safe_loader())
+    assert repr(c_tree) == repr(yaml.load(text, Loader=yaml.SafeLoader))
+
+
+def test_shipped_scenarios_parse_alike_under_both_loaders():
+    assert len(SHIPPED_YAML) >= 7
+    for path in SHIPPED_YAML:
+        assert_same_tree(path.read_bytes())
+
+
+@settings(max_examples=200, deadline=None)
+@given(tree=trees, flow=st.booleans())
+def test_dumped_trees_parse_alike_under_both_loaders(tree, flow):
+    assert_same_tree(yaml.safe_dump(tree, default_flow_style=flow))
+
+
+def test_load_scenario_without_libyaml(tmp_path, monkeypatch):
+    demo = DEMO_SCENARIOS / "data_intensive.yaml"
+    loaded = load_scenario(demo).constants()
+    monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    assert load_scenario(demo).constants() == loaded
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("cluster: [1,\n")
+    with pytest.raises(ConfigError, match="^" + re.escape(f"{bad}: cannot parse YAML: ")):
+        load_scenario(bad)
+
+
+@pytest.mark.parametrize("libyaml", [True, False])
+def test_override_that_is_not_utf8_text_is_a_config_error(monkeypatch, libyaml):
+    # A command-line byte that is not UTF-8 reaches an override as a lone
+    # surrogate. libyaml fails to encode it rather than reporting a YAML error.
+    if libyaml:
+        c_safe_loader()
+    else:
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    with pytest.raises(ConfigError, match="cannot be applied"):
+        apply_override({}, "cluster.nodes=\udcff")
 
 
 def test_cli_validate_surfaces_warnings_but_passes(tmp_path, capsys):

@@ -7,8 +7,10 @@ Traces, read back as invocations, must match it element by element, and
 their trace files byte for byte.
 """
 
+import gc
 import hashlib
 import json
+import sys
 import tracemalloc
 from bisect import bisect_right
 from itertools import accumulate
@@ -196,6 +198,52 @@ def test_one_object_trace_matches_the_object_generator(spec, seed):
     # Next to the single-pick plan: each invocation takes the one object
     # without a draw, so these take the general loop.
     assert_matches_the_object_generator(spec, seed)
+
+
+def python_calls(build):
+    """(result of build(), the Python frames it ran) under sys.setprofile;
+    a generator counts once per resumption. The cyclic collector is off
+    meanwhile, so no finalizer of other code's garbage runs in the count."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    sys.setprofile(profile)
+    try:
+        result = build()
+    finally:
+        sys.setprofile(None)
+        if gc_was_enabled:
+            gc.enable()
+    return result, calls
+
+
+def test_general_trace_plan_runs_no_python_frame_per_invocation():
+    # Poisson arrivals, a varying reference count and weighted functions and
+    # origins: every draw of the general loop. Ten times the horizon must
+    # run the same frames, so none runs per invocation.
+    lengths, calls = [], []
+    for horizon_ms in (2_000, 20_000):
+        spec = WorkloadSpec(
+            horizon_ms=horizon_ms,
+            arrival=ArrivalSpec(kind="poisson", rate_per_s=200.0),
+            functions=tuple((fs, 1.0 + i) for i, fs in enumerate(FUNCTIONS)),
+            objects=ObjectSpec(count=8, size=10.0, popularity=PopularitySpec("zipf", 1.1)),
+            refs_per_invocation=(1, 3),
+            origins=(("web", 1.0), ("iot", 2.0)),
+        )
+        catalog = build_catalog(spec, RandomSource(1, "catalog"))
+        rng = RandomSource(1, "trace")
+        trace, n = python_calls(lambda: generate_trace(spec, catalog, rng))
+        lengths.append(len(trace))
+        calls.append(n)
+    assert lengths[1] > 5 * lengths[0] > 0
+    assert calls[0] == calls[1], calls
 
 
 # Report digests of the trace files at the commit before the columnar trace.
