@@ -116,7 +116,7 @@ class ClusterParams(Slotted):
 
     def __init__(self, nodes: int = 1, mem_capacity: int = 4096, store_capacity: float = 4000.0,
                  flavors: tuple[int, ...] = DEFAULT_FLAVORS,
-                 network: NetworkModel = NetworkModel(), container_boot_ms: int = 100,
+                 network: NetworkModel | None = None, container_boot_ms: int = 100,
                  keep_alive_ms: int = 600_000, billing_granularity_ms: int = 100,
                  max_execution_ms: int = 300_000, code_store: int | str = EXTERNAL_STORE,
                  result_store: int | str = EXTERNAL_STORE):
@@ -124,7 +124,7 @@ class ClusterParams(Slotted):
         self.mem_capacity = mem_capacity
         self.store_capacity = store_capacity
         self.flavors = flavors
-        self.network = network
+        self.network = NetworkModel() if network is None else network
         self.container_boot_ms = container_boot_ms
         self.keep_alive_ms = keep_alive_ms
         self.billing_granularity_ms = billing_granularity_ms
@@ -214,7 +214,8 @@ def _code_key(function: str) -> str:
 
 
 class Cluster:
-    """Owns nodes, the live object replica map, and the cost model.
+    """Owns the nodes, a list indexed by node id (the ids are 0..n-1), the
+    live object replica map, and the cost model.
 
     Two indices let strategies skip scanning every node. Both hold node
     masks, int bitmasks with bit ``1 << i`` for node ``i``: ``warm_nodes``
@@ -231,13 +232,10 @@ class Cluster:
         self.params = params
         self.network = params.network
         self.functions = functions
-        self.node_ids = list(range(params.nodes))
         self.warm_nodes: dict[str, int] = {}
         self.queue_buckets: dict[int, int] = {}
-        self.nodes = {
-            i: Node(i, params.mem_capacity, params.store_capacity, self.queue_buckets)
-            for i in self.node_ids
-        }
+        self.nodes = [Node(i, params.mem_capacity, params.store_capacity, self.queue_buckets)
+                      for i in range(params.nodes)]
         # Fresh replica state per run: catalog objects are cloned without placements.
         self.objects: dict[str, DataObject] = {
             o.id: DataObject(o.id, o.size) for o in (objects or [])
@@ -254,9 +252,9 @@ class Cluster:
         obj = self.objects.get(object_id)
         if obj is None:
             raise UnknownObjectError(object_id)
-        node = self.nodes.get(node_id)
-        if node is None:
+        if node_id not in range(len(self.nodes)):  # a list index would wrap -1
             raise UnknownNodeError(str(node_id))
+        node = self.nodes[node_id]
         if object_id in node.store_entries:
             return PlacementOutcome.ALREADY_PRESENT
         if node.store_used + obj.size > node.store_capacity:
@@ -313,7 +311,7 @@ class Cluster:
     def locality_fraction(self, data_refs, node_id: int) -> float:
         """Fraction of referenced bytes with a replica on the node; 1.0 for
         an empty reference set."""
-        if node_id not in self.nodes:
+        if node_id not in range(len(self.nodes)):
             raise UnknownNodeError(str(node_id))
         total = 0.0
         local = 0.0
@@ -458,7 +456,7 @@ class Cluster:
         index disagrees with the node state it is derived from."""
         warm_nodes: dict[str, int] = {}
         queue_buckets: dict[int, int] = {}
-        for node in self.nodes.values():
+        for node in self.nodes:
             bit = 1 << node.id
             for function, pool in node.warm_pool.items():
                 if pool:

@@ -406,10 +406,10 @@ def load_scenario(path, overrides: list[str] | None = None) -> Scenario:
 def apply_override(raw: dict, override: str) -> None:
     """Apply a dotted-path override like cluster.nodes=8; list elements are
     addressed by integer segments and values parse as YAML scalars."""
-    if "=" not in override:
-        raise ConfigError(f"override {override!r} is not of the form key.path=value")
-    path, _, value = override.partition("=")
+    path, equals, value = override.partition("=")
     segments = path.split(".")
+    if not equals or "" in segments:  # every key segment must name something
+        raise ConfigError(f"override {override!r} is not of the form key.path=value")
     target = raw
     for i, segment in enumerate(segments[:-1]):
         key = int(segment) if segment.isdecimal() else segment

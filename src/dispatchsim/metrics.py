@@ -65,10 +65,6 @@ def percentile_nearest_rank(sorted_values: list, fraction: float) -> float:
     return sorted_values[rank - 1]
 
 
-_STRIDE = len(PHASES)  # phase durations per task
-PHASE_BUFFER_LIMIT = _STRIDE * 4096  # phase buffer length at which it folds into the totals
-
-
 class RunResult:
     """One (strategy, seed) run: its settings and the account its report
     row reads, which ``Simulation`` writes as the run goes (no per-task
@@ -76,11 +72,10 @@ class RunResult:
     a replication pass extends ``replication_log`` with (time, action)
     pairs, the end of the run sets ``occupied_ms_total``, and
     ``Simulation._complete`` updates the account in place, with no method
-    call but a fold every 4,096 tasks:
-    - ``phase_buffer`` takes the seven phase durations of every task;
-      ``fold`` adds it into the seven phase totals and empties it, once it
-      holds ``PHASE_BUFFER_LIMIT`` values, at the end of the run and before
-      a row is read;
+    call:
+    - every task adds its seven phase durations into ``phase_totals``, a
+      list of seven ints in PHASES order;
+    - a failed task adds one to ``failures``;
     - a completed task appends its actual ms to ``actual_ms[code]``, one
       ``array('q')`` per trace function code, and adds its billed GB-s to
       ``gb_seconds``;
@@ -96,8 +91,8 @@ class RunResult:
     """
 
     __slots__ = ("strategy", "seed", "horizon_ms", "node_count", "occupied_ms_total",
-                 "steals", "replication_log", "phase_buffer", "_phase_totals", "_folded",
-                 "actual_ms", "_ideal_ms", "gb_seconds", "first_arrival", "last_finish")
+                 "steals", "replication_log", "phase_totals", "failures", "actual_ms",
+                 "_ideal_ms", "gb_seconds", "first_arrival", "last_finish")
 
     def __init__(self, strategy: str, seed: int, ideal_ms: Sequence[int], first_arrival: int,
                  horizon_ms: int, node_count: int):
@@ -106,30 +101,19 @@ class RunResult:
         self.seed = seed
         self.horizon_ms = horizon_ms
         self.node_count = node_count
-        self.occupied_ms_total = self.steals = 0
+        self.occupied_ms_total = self.steals = self.failures = 0
         self.replication_log: list = []
-        self.phase_buffer = array("q")
-        self._phase_totals = [0] * _STRIDE
-        self._folded = 0  # tasks whose phases are in the totals
+        self.phase_totals = [0] * len(PHASES)
         self.actual_ms = [array("q") for _ in ideal_ms]
         self._ideal_ms = list(ideal_ms)
         self.gb_seconds = 0
         self.first_arrival = first_arrival
         self.last_finish = 0
 
-    def fold(self) -> None:
-        """Add the phase buffer into the totals and free it."""
-        buffer = self.phase_buffer
-        with memoryview(buffer) as view:
-            for k in range(_STRIDE):
-                self._phase_totals[k] += sum(view[k::_STRIDE])
-        self._folded += len(buffer) // _STRIDE
-        del buffer[:]
-
     @property
     def tasks(self) -> int:
         """Tasks completed or failed so far."""
-        return self._folded + len(self.phase_buffer) // _STRIDE
+        return self.failures + sum(map(len, self.actual_ms))
 
     @property
     def makespan_ms(self) -> int:
@@ -145,11 +129,9 @@ class RunResult:
         """One report row (see CSV_COLUMNS). Latency statistics and quality
         are over completed tasks; phase totals, efficiency and the elapsed
         time (the horizon, or the last finish if later) cover every task."""
-        self.fold()
-        _, _, boot, code_fetch, data_fetch, compute, write_back = self._phase_totals
+        _, _, boot, code_fetch, data_fetch, compute, write_back = self.phase_totals
         actuals = sorted(chain.from_iterable(self.actual_ms))
         completed = len(actuals)
-        tasks = self.tasks
         # Each mean is an exactly rounded fsum over the count, as
         # statistics.fmean computes it, so the order of the terms is free.
         if completed:
@@ -165,8 +147,8 @@ class RunResult:
         return {
             "strategy": self.strategy,
             "seed": self.seed,
-            "tasks": tasks,
-            "failures": tasks - completed,
+            "tasks": self.failures + completed,
+            "failures": self.failures,
             "mean_actual_ms": mean_actual,
             "median_actual_ms": median_actual,
             "p95_actual_ms": float(percentile_nearest_rank(actuals, 0.95)),
@@ -176,7 +158,7 @@ class RunResult:
                                        max(self.horizon_ms, self.last_finish)),
             "gb_seconds": self.gb_seconds,
             "invocations_billed": completed,
-            **{f"{phase}_ms_total": total for phase, total in zip(PHASES, self._phase_totals)},
+            **{f"{phase}_ms_total": total for phase, total in zip(PHASES, self.phase_totals)},
             "replications": self.replications,
             "steals": self.steals,
         }

@@ -20,6 +20,7 @@ are one tuple of ints, in the order of metrics.PHASES.
 from __future__ import annotations
 
 from collections.abc import Callable
+from operator import add
 
 from .cluster import AcquireOutcome, Cluster, Container
 from .config import Scenario, StrategyConfig, validate
@@ -27,7 +28,7 @@ from .engine import Engine, RandomSource
 from .errors import (
     ConfigError, SimulationError, TraceFormatError, UnknownFunctionError, UnknownObjectError,
 )
-from .metrics import PHASE_BUFFER_LIMIT, RunResult, aggregate_rows, billed_gb_seconds
+from .metrics import RunResult, aggregate_rows, billed_gb_seconds
 from .strategies import DispatchStrategy, make_strategy, replication_tick, steal_work
 from .workload import Catalog, Trace, build_catalog, generate_trace, load_trace
 
@@ -63,18 +64,15 @@ class Simulation:
         self.trace = trace
         self.cfg = strategy_cfg
         self.steal_rng = RandomSource(seed, "steal")
-        functions = cluster.functions
         self.result = RunResult(strategy_cfg.label, seed,
-                                [functions[name].compute_ms for name in trace.functions],
+                                [cluster.functions[name].compute_ms for name in trace.functions],
                                 trace.arrivals[0] if trace else 0, horizon_ms,
                                 len(cluster.nodes))
         self.on_complete = on_complete
         self._labels = engine.record_log  # build event labels only for the log
-        # Billing per trace function code: the flavor in MB, and the step.
-        self._flavor_mb = [functions[name].flavor for name in trace.functions]
         self._billing_step = cluster.params.billing_granularity_ms
         self._keep_alive_ms = cluster.params.keep_alive_ms
-        self._timer_armed = [False] * len(cluster.node_ids)  # per node id
+        self._timer_armed = [False] * len(cluster.nodes)  # per node id
         # Bound once, not at every offer and start that schedules them.
         self._offer = self._offer
         self._complete = self._complete
@@ -93,8 +91,7 @@ class Simulation:
             )
         self.engine.run()
         result = self.result
-        result.occupied_ms_total = sum(n.occupied_ms_accum for n in self.cluster.nodes.values())
-        result.fold()
+        result.occupied_ms_total = sum(n.occupied_ms_accum for n in self.cluster.nodes)
         if result.tasks != len(self.trace):
             raise SimulationError(
                 f"run ended with {len(self.trace) - result.tasks} invocations unaccounted"
@@ -123,15 +120,14 @@ class Simulation:
     def _try_start(self, index: int, node_id: int) -> bool:
         now = self.engine.now()
         trace = self.trace
-        code = trace.function_codes[index]
-        function = trace.functions[code]
+        function = trace.functions[trace.function_codes[index]]
         outcome, container = self.cluster.acquire_container(node_id, function, now)
         if outcome is _REJECTED:
             return False
         active, failed = self.cluster.simulate_invocation(
             function, trace.ref_sets[trace.ref_codes[index]], node_id, outcome is _COLD_START)
         busy = sum(active)
-        billed = 0.0 if failed else billed_gb_seconds(busy, self._flavor_mb[code],
+        billed = 0.0 if failed else billed_gb_seconds(busy, container.flavor,
                                                       self._billing_step)
         dispatch_ms = self._dispatch_ms
         self.engine.schedule(now + busy, self._complete,
@@ -150,13 +146,13 @@ class Simulation:
             raise SimulationError(f"phase accounting broken for {trace.invocation_id(index)}")
         self._release(container, now)
         result = self.result  # see RunResult for what each field holds
-        if not failed:
+        if failed:
+            result.failures += 1
+        else:
             result.actual_ms[trace.function_codes[index]].append(actual)
             result.gb_seconds += billed
-        buffer = result.phase_buffer
-        buffer.extend(phases)
-        if len(buffer) >= PHASE_BUFFER_LIMIT:
-            result.fold()
+        totals = result.phase_totals
+        totals[:] = map(add, totals, phases)
         result.last_finish = now
         if self.on_complete is not None:
             self.on_complete(index, container.node, phases, billed, failed)
@@ -214,15 +210,15 @@ class Simulation:
         cluster = self.cluster
         buckets = cluster.queue_buckets
         if max(buckets) >= 2:
-            for node_id in cluster.node_ids:
-                if cluster.nodes[node_id].run_queue:
+            for node_id, node in enumerate(cluster.nodes):
+                if node.run_queue:
                     continue
                 batch = steal_work(cluster, node_id, self.steal_rng)
                 if batch:
                     self.result.steals += len(batch)
                     self._drain(node_id)
-        elif len(cluster.node_ids) > 1:  # one node has no victim and draws nothing
-            self.steal_rng.skip_randint(0, len(cluster.node_ids) - 2,
+        elif len(cluster.nodes) > 1:  # one node has no victim and draws nothing
+            self.steal_rng.skip_randint(0, len(cluster.nodes) - 2,
                                         buckets.get(0, 0).bit_count())
         if self._work_remaining():
             self.engine.schedule(
@@ -273,7 +269,7 @@ def build_cluster(scenario: Scenario, catalog: Catalog) -> Cluster:
     robin over the nodes in object id order."""
     cluster = Cluster(scenario.cluster, catalog.functions, list(catalog.objects.values()))
     for i, object_id in enumerate(catalog.objects):
-        cluster.ingest_origin(object_id, cluster.node_ids[i % len(cluster.node_ids)])
+        cluster.ingest_origin(object_id, i % len(cluster.nodes))
     return cluster
 
 

@@ -100,8 +100,7 @@ class RoundRobinStrategy(DispatchStrategy):
         self.cursor = 0
 
     def decide(self, trace: Trace, index: int, cluster: Cluster) -> int:
-        ids = cluster.node_ids
-        node = ids[self.cursor % len(ids)]
+        node = self.cursor % len(cluster.nodes)
         self.cursor += 1
         return node
 
@@ -119,12 +118,11 @@ class HashAffinityStrategy(DispatchStrategy):
         self._hashes: dict[str, int] = {}  # function -> stable_hash(function)
 
     def decide(self, trace: Trace, index: int, cluster: Cluster) -> int:
-        ids = cluster.node_ids
         function = trace.functions[trace.function_codes[index]]
         digest = self._hashes.get(function)
         if digest is None:
             digest = self._hashes[function] = stable_hash(function)
-        return ids[digest % len(ids)]
+        return digest % len(cluster.nodes)
 
 
 class DataAwareStrategy(DispatchStrategy):
@@ -280,7 +278,7 @@ def replication_tick(counters: PopularityCounter, cluster: Cluster,
         obj = cluster.objects[object_id]
         best_node = -1
         best_demand = 0
-        for nid in cluster.node_ids:
+        for nid in range(len(cluster.nodes)):
             if nid in obj.placements:
                 continue
             demand = counters.demand.get((object_id, nid), 0)
@@ -303,7 +301,7 @@ def steal_work(cluster: Cluster, idle_node_id: int, rng: RandomSource) -> list:
     """One steal attempt for an idle node: pick a uniformly random other
     node; if its queue holds at least two items, move the back half
     (ceil(len/2)) to the idle node. Returns the moved queue items."""
-    n = len(cluster.node_ids)  # the ids are 0..n-1
+    n = len(cluster.nodes)  # the ids are 0..n-1
     if n < 2:
         return []
     r = rng.randint(0, n - 2)

@@ -145,10 +145,10 @@ class ObjectSpec:
     __slots__ = ("count", "size", "popularity")
 
     def __init__(self, count: int = 0, size: float | tuple[float, float] = 100.0,
-                 popularity: PopularitySpec = PopularitySpec()):
+                 popularity: PopularitySpec | None = None):
         self.count = count
         self.size = size
-        self.popularity = popularity
+        self.popularity = PopularitySpec() if popularity is None else popularity
 
 
 class WorkloadSpec:
@@ -158,16 +158,16 @@ class WorkloadSpec:
     __slots__ = ("horizon_ms", "arrival", "functions", "objects", "refs_per_invocation",
                  "origins", "trace_path")
 
-    def __init__(self, horizon_ms: int = 10_000, arrival: ArrivalSpec = ArrivalSpec(),
+    def __init__(self, horizon_ms: int = 10_000, arrival: ArrivalSpec | None = None,
                  functions: tuple[tuple[FunctionSpec, float], ...] = (),
-                 objects: ObjectSpec = ObjectSpec(),
+                 objects: ObjectSpec | None = None,
                  refs_per_invocation: tuple[int, int] = (0, 0),
                  origins: tuple[tuple[str, float], ...] = (("default", 1.0),),
                  trace_path: str | None = None):
         self.horizon_ms = horizon_ms
-        self.arrival = arrival
+        self.arrival = ArrivalSpec() if arrival is None else arrival
         self.functions = functions
-        self.objects = objects
+        self.objects = ObjectSpec() if objects is None else objects
         self.refs_per_invocation = refs_per_invocation
         self.origins = origins
         self.trace_path = trace_path

@@ -8,8 +8,6 @@ from functools import reduce
 from operator import add
 from typing import NamedTuple
 
-import pytest
-
 from dispatchsim import runner
 from dispatchsim.cluster import Cluster, _code_key, _truncate_at
 from dispatchsim.config import parse_scenario
@@ -201,13 +199,12 @@ def as_task(record: TaskRecord) -> tuple:
             record.billed_gb_s, record.status == FAILED)
 
 
-def complete_all(tasks, fold_every=None):
+def complete_all(tasks):
     """A Simulation of the given tasks on one node, each passed to
     _complete at its finish (arrival plus phase sum) in finish order, ties
     in the order given, and the TaskRecords its record_collector hook
     built, as (simulation, records). A task is (arrival, function, phases,
-    billed, failed), its function one of IDEAL_MS; it is inv-<position>.
-    ``fold_every`` folds the phase buffer after that many tasks."""
+    billed, failed), its function one of IDEAL_MS; it is inv-<position>."""
     tasks = list(tasks)
     trace = trace_of(
         Invocation(f"inv-{i}", function, (), "", arrival)
@@ -222,13 +219,10 @@ def complete_all(tasks, fold_every=None):
     sim._release = lambda container, now: None
     index = {inv_id: i for i, inv_id in enumerate(trace.ids)}  # trace order is sorted
     finish_order = sorted(range(len(tasks)), key=lambda k: tasks[k][0] + sum(tasks[k][2]))
-    with pytest.MonkeyPatch.context() as patch:
-        if fold_every is not None:
-            patch.setattr(runner, "PHASE_BUFFER_LIMIT", 7 * fold_every)
-        for k in finish_order:
-            arrival, _, phases, billed, failed = tasks[k]
-            clock.time = arrival + sum(phases)
-            sim._complete(index[f"inv-{k}"], _Container(), phases, billed, failed)
+    for k in finish_order:
+        arrival, _, phases, billed, failed = tasks[k]
+        clock.time = arrival + sum(phases)
+        sim._complete(index[f"inv-{k}"], _Container(), phases, billed, failed)
     return sim, records
 
 

@@ -61,8 +61,10 @@ def test_place_object_unknown_ids_raise():
     c = make_cluster(objects=[("a", 100)])
     with pytest.raises(UnknownObjectError):
         c.place_object("nope", 0)
-    with pytest.raises(UnknownNodeError):
-        c.place_object("a", 99)
+    for node_id in (99, -1, len(c.nodes)):  # a list index would take -1 as the last node
+        with pytest.raises(UnknownNodeError):
+            c.place_object("a", node_id)
+    assert c.objects["a"].placements == set()
 
 
 def test_cache_evicts_fifo_but_never_origin_replicas():
@@ -108,6 +110,13 @@ def test_locality_unknown_ref_raises():
     c = make_cluster()
     with pytest.raises(UnknownObjectError):
         c.locality_fraction(("ghost",), 0)
+
+
+def test_locality_unknown_node_raises():
+    c = make_cluster(objects=[("a", 100)])
+    for node_id in (99, -1, len(c.nodes)):
+        with pytest.raises(UnknownNodeError):
+            c.locality_fraction(("a",), node_id)
 
 
 # ---- transfer costs ----------------------------------------------------------
@@ -341,7 +350,7 @@ def store_state(cluster):
     """Everything the cost model may change: each node's store entries in
     insertion order, its eviction order and use, and every replica set."""
     nodes = [(list(n.store_entries.items()), list(n.cache_order), n.store_used)
-             for n in cluster.nodes.values()]
+             for n in cluster.nodes]
     return nodes, {oid: sorted(o.placements) for oid, o in cluster.objects.items()}
 
 
@@ -365,7 +374,7 @@ def run_both(c, ref, steps):
     Returns the reference timelines and failures."""
     out = []
     for function, refs, node, cold, dispatch_ms, queue_wait_ms, arrival in steps:
-        node %= len(c.node_ids)
+        node %= len(c.nodes)
         phases, failed = c.simulate_invocation(function, tuple(refs), node, cold)
         timeline, ref_failed = ref.simulate_invocation(
             Invocation("i", function, tuple(refs), "web", arrival), node, cold,

@@ -162,8 +162,10 @@ def test_override_sets_nested_and_typed_values():
 
 
 def test_override_requires_key_value_shape():
-    with pytest.raises(ConfigError):
-        apply_override(scenario_dict(), "cluster.nodes")
+    for override in ("cluster.nodes", "=5", ".=5", "cluster..nodes=3"):
+        with pytest.raises(ConfigError) as caught:
+            apply_override(scenario_dict(), override)
+        assert str(caught.value) == f"override {override!r} is not of the form key.path=value"
 
 
 # ---- CLI ------------------------------------------------------------------------

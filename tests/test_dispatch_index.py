@@ -37,7 +37,7 @@ def brute_force_best(strategy, inv, cluster):
     """The original scorer: every node, ascending id, ties keep the lowest."""
     best_node = -1
     best_score = float("-inf")
-    for nid in cluster.node_ids:
+    for nid in range(len(cluster.nodes)):
         score = locality_score(cluster, inv.function, inv.data_refs, nid, strategy.weights,
                                strategy.queue_cap)
         if score > best_score:
@@ -47,7 +47,7 @@ def brute_force_best(strategy, inv, cluster):
 
 
 def brute_force_least_loaded(cluster):
-    return min(cluster.node_ids, key=lambda n: (len(cluster.nodes[n].run_queue), n))
+    return min(range(len(cluster.nodes)), key=lambda n: (len(cluster.nodes[n].run_queue), n))
 
 
 class BruteDataAware(DataAwareStrategy):
@@ -344,7 +344,7 @@ def test_decide_past_the_listed_queue_cap_equals_the_scan():
         assert set(strategy._load_terms) <= {0, 1, 2, 3}
 
 
-class NodeReadLog(dict):
+class NodeReadLog(list):
     """A cluster's node table that logs each node read; the scorer reads a
     node once per replica holder, for its queue length."""
 

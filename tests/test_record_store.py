@@ -53,8 +53,8 @@ class ReferenceSimulation(runner.Simulation):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.task_records = []
-        self.compute_ms = [0] * len(self.cluster.node_ids)
-        self.busy_ms = [0] * len(self.cluster.node_ids)
+        self.compute_ms = [0] * len(self.cluster.nodes)
+        self.busy_ms = [0] * len(self.cluster.nodes)
         self.last_completion = 0
         self.replications = 0
         simulate = self.cluster.simulate_invocation
@@ -110,7 +110,7 @@ class ReferenceSimulation(runner.Simulation):
     def run(self):
         # run_one returns this simulation's result: the reference's, here.
         super().run()
-        result, nodes = self.result, self.cluster.nodes.values()
+        result, nodes = self.result, self.cluster.nodes
         self.result = ReferenceResult(result.strategy, result.seed, self.task_records, (
             sum(self.compute_ms), sum(self.busy_ms), sum(n.occupied_ms_accum for n in nodes),
             len(nodes), max(result.horizon_ms, self.last_completion), self.replications,

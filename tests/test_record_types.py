@@ -48,8 +48,8 @@ DEFAULT_OUTPUT = ("OutputConfig", (("dir", "out"), ("formats", ("csv",))))
 
 # module -> type -> ((field, default or REQUIRED), ...), in positional order.
 # A default given as (type name, fields) is an instance built with no
-# arguments; {}, [] and set() were default factories, so each instance gets
-# its own.
+# arguments; it, {}, [] and set() are built per instance, so each instance
+# gets its own.
 API = {
     "cluster": {
         "FunctionSpec": (("name", REQUIRED), ("code_size", 0.0), ("flavor", 128),
@@ -84,10 +84,14 @@ TYPES = [(module, name) for module, types in API.items() for name in types]
 MUTABLE_DEFAULTS = (dict, list, set)
 
 
+def is_record(value) -> bool:
+    return hasattr(type(value), "__slots__") and type(value).__module__.startswith("dispatchsim.")
+
+
 def as_pinned(value):
     """value in the form API writes a default in: a record type as (type
     name, ((field, value), ...)), containers element by element."""
-    if hasattr(type(value), "__slots__") and type(value).__module__.startswith("dispatchsim."):
+    if is_record(value):
         return (type(value).__name__,
                 tuple((name, as_pinned(getattr(value, name))) for name in value.__slots__))
     if isinstance(value, (list, tuple)):
@@ -117,9 +121,10 @@ def test_record_type_takes_the_same_calls(module, name):
     for field, default in fields:
         if default is REQUIRED:
             continue
-        assert as_pinned(getattr(defaults, field)) == default, field
-        if isinstance(getattr(defaults, field), MUTABLE_DEFAULTS):
-            assert getattr(defaults, field) is not getattr(again, field), field
+        value = getattr(defaults, field)
+        assert as_pinned(value) == default, field
+        if isinstance(value, MUTABLE_DEFAULTS) or is_record(value):
+            assert value is not getattr(again, field), field
     if required:
         with pytest.raises(TypeError):
             cls(*required[:-1])
@@ -132,7 +137,7 @@ def test_run_result_takes_the_run_settings_and_starts_an_empty_account():
     assert cls is record_type("metrics", "RunResult")
     assert cls.__slots__ == (
         "strategy", "seed", "horizon_ms", "node_count", "occupied_ms_total", "steals",
-        "replication_log", "phase_buffer", "_phase_totals", "_folded", "actual_ms", "_ideal_ms",
+        "replication_log", "phase_totals", "failures", "actual_ms", "_ideal_ms",
         "gb_seconds", "first_arrival", "last_finish")
     names = ("strategy", "seed", "ideal_ms", "first_arrival", "horizon_ms", "node_count")
     strategy, seed, first_arrival, horizon_ms, node_count = (object() for _ in range(5))
@@ -144,9 +149,11 @@ def test_run_result_takes_the_run_settings_and_starts_an_empty_account():
                 result.node_count) == (strategy, seed, first_arrival, horizon_ms, node_count)
         assert result.occupied_ms_total == result.steals == result.last_finish == 0
         assert result.replication_log == [] and result.tasks == result.replications == 0
+        assert result.phase_totals == [0] * 7 and result.failures == 0
         assert repr(result.gb_seconds) == "0"  # the int 0, as builtin sum starts
         assert [list(column) for column in result.actual_ms] == [[], []]
     assert made[0].replication_log is not made[1].replication_log
+    assert made[0].phase_totals is not made[1].phase_totals
     assert made[0].actual_ms[0] is not made[1].actual_ms[0]
     with pytest.raises(TypeError):
         cls(*values, object())

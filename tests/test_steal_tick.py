@@ -26,7 +26,7 @@ class PerNodeStealTick(runner.Simulation):
     """The steal tick as one steal_work call per node with an empty queue."""
 
     def _steal_tick(self):
-        for node_id in self.cluster.node_ids:
+        for node_id in range(len(self.cluster.nodes)):
             if self.cluster.nodes[node_id].run_queue:
                 continue
             batch = steal_work(self.cluster, node_id, self.steal_rng)

@@ -165,7 +165,8 @@ def test_data_aware_argmax_matches_brute_force_oracle():
     view = c
     event = inv(refs=("a", "b"))
     strategy = make_strategy("data_aware")
-    scores = {n: locality_score(view, event.function, event.data_refs, n) for n in view.node_ids}
+    scores = {n: locality_score(view, event.function, event.data_refs, n)
+              for n in range(len(view.nodes))}
     best = max(sorted(scores), key=lambda n: (scores[n], -n))
     assert decide(strategy, event, view) == best
 
@@ -199,7 +200,7 @@ def test_every_strategy_returns_a_live_node():
     c.place_object("a", 3)
     view = c
     for name in STRATEGY_NAMES:
-        assert decide(make_strategy(name), inv(refs=("a",)), view) in view.node_ids
+        assert decide(make_strategy(name), inv(refs=("a",)), view) in range(len(view.nodes))
 
 
 def test_mcgrath_prefers_warm_then_short_queue():
@@ -435,20 +436,20 @@ def test_stealing_conserves_the_queued_multiset(lengths, seed):
             expected.append(index)
     rng = RandomSource(seed, "steal")
     for _ in range(10):
-        for nid in c.node_ids:
+        for nid in range(len(c.nodes)):
             if not c.nodes[nid].run_queue:
                 steal_work(c, nid, rng)
-    remaining = [index for node in c.nodes.values() for index in node.run_queue]
+    remaining = [index for node in c.nodes for index in node.run_queue]
     assert sorted(remaining) == sorted(expected)
 
 
 def reference_steal_victim(cluster, idle_node_id, rng):
     """The list-based victim draw steal_work used to make."""
-    others = [nid for nid in cluster.node_ids if nid != idle_node_id]
+    others = [nid for nid in range(len(cluster.nodes)) if nid != idle_node_id]
     return others[rng.randint(0, len(others) - 1)] if others else None
 
 
-class VictimLog(dict):
+class VictimLog(list):
     """A cluster's node table that logs the first node each steal reads."""
 
     def __init__(self, nodes):
@@ -488,7 +489,7 @@ def test_repeated_polls_eventually_steal_from_a_loaded_victim():
     c.nodes[3].run_queue.extend(range(6))
     rng = RandomSource(123, "steal")
     moved = 0
-    for _ in range(len(c.node_ids)):
+    for _ in range(len(c.nodes)):
         moved += len(steal_work(c, 0, rng))
         if moved:
             break
