@@ -16,7 +16,7 @@ cluster = Cluster(
                                          compute_ms=80)},
     objects=[DataObject("photos", 50.0)],
 )
-cluster.ingest_origin("photos", 1)  # the data starts on node 1
+cluster.place_object("photos", 1, origin=True)  # the data starts on node 1
 
 DISPATCH_MS = 1
 

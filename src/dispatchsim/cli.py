@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .config import Scenario, load_scenario, validate
 from .errors import ConfigError, SimulatorError
-from .metrics import emit_report
+from .metrics import REPORT_WRITERS, emit_report
 from .runner import compare_scenario, prepare_workload, run_scenario
 from .workload import save_trace
 
@@ -39,7 +39,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="replace the configured seed list with this single seed")
         p.add_argument("--out-dir", default=None, help="report output directory")
-        p.add_argument("--format", choices=("csv", "json"), default=None,
+        p.add_argument("--format", choices=REPORT_WRITERS, default=None,
                        help="report format (overrides output.formats)")
 
     run_p = sub.add_parser("run", help="run the configured strategy across seeds")

@@ -263,14 +263,6 @@ class Cluster:
         obj.placements.add(node_id)
         return PlacementOutcome.PLACED
 
-    def ingest_origin(self, object_id: str, node_id: int) -> None:
-        """Place the origin replica; failure to fit is a setup error."""
-        outcome = self.place_object(object_id, node_id, origin=True)
-        if outcome is PlacementOutcome.NO_CAPACITY:
-            raise SimulationError(
-                f"origin replica of {object_id} does not fit on node {node_id}"
-            )
-
     def cache_object(self, object_id: str, node_id: int) -> bool:
         """Write-through cache of a fetched object, FIFO-evicting non-origin
         replicas to make room. Returns False when it cannot fit."""

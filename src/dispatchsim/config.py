@@ -17,9 +17,10 @@ from functools import reduce
 
 from .cluster import EXTERNAL_STORE, MAX_MS, ClusterParams, FunctionSpec, NetworkModel
 from .errors import ConfigError
+from .metrics import REPORT_WRITERS
 from .slotted import Slotted
-from .strategies import DEFAULT_DECAY, STRATEGY_NAMES, param_errors
-from .workload import ArrivalSpec, ObjectSpec, PopularitySpec, WorkloadSpec, popularity_problem
+from .strategies import DEFAULT_DECAY, strategy_problems
+from .workload import ArrivalSpec, ObjectSpec, PopularitySpec, WorkloadSpec, trace_problems
 
 
 class StrategyConfig:
@@ -63,8 +64,8 @@ class Scenario:
         self.strategies = [StrategyConfig()] if strategies is None else strategies
         self.seeds = [1] if seeds is None else seeds
         self.output = OutputConfig() if output is None else output
-        # What the field table found when the scenario was parsed; validate
-        # adds the cross-field rules.
+        # What parsing found: the field table's checks and each strategy
+        # block's strategy_problems. validate adds the other rules.
         self.diagnostics = [] if diagnostics is None else diagnostics
 
     def constants(self) -> dict:
@@ -204,21 +205,12 @@ _non_negative = _is(lambda v: v >= 0, "must be non-negative")
 _at_least_1ms = _is(lambda v: v >= 1, "must be at least 1 ms")
 
 
-def _one_of(*choices):
-    return _is(lambda v: v in choices, f"must be {' or '.join(choices)}")
-
-
-def _registered(name: str) -> str | None:
-    if name in STRATEGY_NAMES:
-        return None
-    return f"unknown strategy {name!r}; registered strategies: {', '.join(STRATEGY_NAMES)}"
-
-
 # ---- the field table ------------------------------------------------------------
 
 # Every accepted key: its kind and the check of its converted value. N stands
 # for a list position, and a strategies entry takes the strategy rows. Keys
-# compared with other keys are checked in validate.
+# compared with other keys are checked in validate, and so are the rules
+# of workload.trace_problems and strategies.strategy_problems.
 FIELDS = {
     "cluster.nodes": (_integer, _is(lambda v: v >= 1, "needs at least one node")),
     "cluster.mem_capacity": (_integer, _positive),
@@ -235,7 +227,7 @@ FIELDS = {
     "cluster.code_store": (_store, None),
     "cluster.result_store": (_store, None),
     "workload.horizon_ms": (_ms, _positive),
-    "workload.arrival.kind": (_string, _one_of("poisson", "fixed_interval")),
+    "workload.arrival.kind": (_string, None),
     "workload.arrival.rate_per_s": (_number, None),
     "workload.arrival.interval_ms": (_ms, None),
     "workload.functions": (_items("workload.functions.N"), None),
@@ -244,34 +236,35 @@ FIELDS = {
     "workload.functions.N.flavor": (_integer, None),
     "workload.functions.N.compute_ms": (_ms, _at_least_1ms),
     "workload.functions.N.write_back": (_number, _non_negative),
-    "workload.functions.N.weight": (_number, _positive),
+    "workload.functions.N.weight": (_number, None),
     "workload.objects.count": (_integer, _non_negative),
     "workload.objects.size": (_pair(_number), _is(
         lambda v: 0 < _span(v)[0] <= _span(v)[1], "must be positive (lo <= hi for a range)")),
-    "workload.objects.popularity.kind": (_string, _one_of("zipf", "uniform")),
+    "workload.objects.popularity.kind": (_string, _is(lambda v: v in ("zipf", "uniform"),
+                                                      "must be zipf or uniform")),
     "workload.objects.popularity.s": (_number, None),
     "workload.refs_per_invocation": (_pair(_integer, spread=True), _is(
         lambda v: 0 <= v[0] <= v[1], "needs 0 <= lo <= hi")),
     "workload.origins": (_items("workload.origins.N"), None),
     "workload.origins.N.tag": (_string, None),
-    "workload.origins.N.weight": (_number, _positive),
+    "workload.origins.N.weight": (_number, None),
     "workload.trace_path": (_string, None),
-    "strategy.name": (_string, _registered),
+    "strategy.name": (_string, None),
     "strategy.params": (_mapping, None),
     "strategy.work_stealing": (_boolean, None),
     "strategy.steal_poll_ms": (_ms, _at_least_1ms),
     "strategy.dispatch_latency_ms": (_ms, _non_negative),
     "strategy.replication.period_ms": (_ms, _at_least_1ms),
     "strategy.replication.threshold": (_number, _positive),
-    "strategy.replication.decay": (_number, _is(lambda v: 0.0 < v <= 1.0, "must be in (0, 1]")),
+    "strategy.replication.decay": (_number, None),
     "strategies": (_items("strategy"), _is(bool, "needs at least one strategy")),
     "seeds": (_items("seeds.N", promote=True), _is(bool, "at least one seed is required")),
     "seeds.N": (_integer, None),
     "output.dir": (_string, None),
     "output.formats": (_items("output.formats.N", promote=True),
                        _is(bool, "at least one report format is required")),
-    "output.formats.N": (_string, lambda v: None if v in ("csv", "json")
-                         else f"unknown format {v!r} (csv or json)"),
+    "output.formats.N": (_string, lambda v: None if v in REPORT_WRITERS
+                         else f"unknown format {v!r} ({' or '.join(REPORT_WRITERS)})"),
 }
 
 
@@ -368,9 +361,8 @@ def parse_scenario(raw: dict) -> Scenario:
     else:
         strategies, keys, single = [single or StrategyConfig()], ["strategy"], None
     for key, s in zip(keys, strategies):
-        if s.name in STRATEGY_NAMES:
-            diags += [Diagnostic(f"{key}.params.{param}", problem)
-                      for param, problem in param_errors(s.name, s.params)]
+        diags += [Diagnostic(f"{key}.{sub}", problem) for sub, problem
+                  in strategy_problems(s.name, s.params, s.replication_decay)]
     if single:
         diags.append(Diagnostic("strategy", "cannot be given with a strategies list"))
     if "seeds" in fields:
@@ -449,12 +441,7 @@ def validate(scenario: Scenario) -> list[Diagnostic]:
             err(f"cluster.{key}", f"must be {EXTERNAL_STORE} or a node id below cluster.nodes")
 
     w = scenario.workload
-    if w.arrival.kind == "poisson" and w.arrival.rate_per_s <= 0:
-        err("workload.arrival.rate_per_s", "must be positive")
-    elif w.arrival.kind == "fixed_interval" and w.arrival.interval_ms < 1:
-        err("workload.arrival.interval_ms", "must be at least 1 ms")
-    if not w.functions:
-        err("workload.functions", "at least one function is required")
+    diags += [Diagnostic(key, problem) for key, problem in trace_problems(w)]
     names = set()
     for i, (fs, _) in enumerate(w.functions):
         key = f"workload.functions.{i}"
@@ -468,13 +455,12 @@ def validate(scenario: Scenario) -> list[Diagnostic]:
         if fs.flavor > c.mem_capacity:
             err(f"{key}.flavor", "exceeds node memory capacity")
     o = w.objects
-    if o.popularity.kind == "zipf" and o.popularity.s <= 0:
-        err("workload.objects.popularity", "zipf exponent s must be > 0")
-    elif problem := popularity_problem(w):
-        err("workload.objects.popularity.s", problem)
-    if o.count and c.store_capacity < _span(o.size)[1]:
-        diags.append(Diagnostic("cluster.store_capacity", "smaller than the largest object; "
-                                "placement will fail at runtime", "warning"))
+    # Node 0 takes the origin replicas of objects 0, nodes, 2 * nodes, ...
+    on_node_0, largest = -(-o.count // max(c.nodes, 1)), _span(o.size)[1]
+    if on_node_0 > 0 and largest > 0 and c.store_capacity / largest < on_node_0:
+        diags.append(Diagnostic("cluster.store_capacity", f"cannot hold the {on_node_0} origin "
+                                "replicas placed on node 0 at the largest object size; "
+                                "placement may fail at runtime", "warning"))
     if w.refs_per_invocation[1] > 0 and o.count == 0 and not w.trace_path:
         err("workload.refs_per_invocation", "references requested but no objects defined")
     if w.trace_path and not os.path.isfile(w.trace_path):

@@ -172,12 +172,6 @@ def aggregate_rows(strategy: str, rows: list[dict]) -> dict:
     return out
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return str(round(value, 6))
-    return str(value)
-
-
 def _rounded(row: dict) -> dict:
     return {k: (round(v, 6) if isinstance(v, float) else v) for k, v in row.items()}
 
@@ -187,8 +181,8 @@ def emit_csv(rows: list[dict], meta: dict, path) -> None:
     echoing every cost-model constant (reports are self-describing)."""
     lines = [f"# {key}={meta[key]}" for key in meta]
     lines.append(",".join(CSV_COLUMNS))
-    for row in rows:
-        lines.append(",".join(_fmt(row[col]) for col in CSV_COLUMNS))
+    for row in map(_rounded, rows):
+        lines.append(",".join(str(row[col]) for col in CSV_COLUMNS))
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -200,10 +194,12 @@ def emit_json(rows: list[dict], meta: dict, path) -> None:
         fh.write("\n")
 
 
+# Every report format, with its writer: the one list that output.formats,
+# the CLI's --format and emit_report read.
+REPORT_WRITERS = {"csv": emit_csv, "json": emit_json}
+
+
 def emit_report(rows: list[dict], meta: dict, fmt: str, path) -> None:
-    if fmt == "csv":
-        emit_csv(rows, meta, path)
-    elif fmt == "json":
-        emit_json(rows, meta, path)
-    else:
+    if fmt not in REPORT_WRITERS:
         raise ValueError(f"unknown report format: {fmt}")
+    REPORT_WRITERS[fmt](rows, meta, path)

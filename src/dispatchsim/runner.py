@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from operator import add
 
-from .cluster import AcquireOutcome, Cluster, Container
+from .cluster import AcquireOutcome, Cluster, Container, PlacementOutcome
 from .config import Scenario, StrategyConfig, validate
 from .engine import Engine, RandomSource
 from .errors import (
@@ -265,11 +265,14 @@ def prepare_workload(scenario: Scenario, seed: int) -> tuple[Catalog, Trace]:
 
 
 def build_cluster(scenario: Scenario, catalog: Catalog) -> Cluster:
-    """Fresh cluster with one origin replica per object, assigned round
-    robin over the nodes in object id order."""
+    """Fresh cluster with one origin replica per object, assigned round robin
+    over the nodes in object id order; one that does not fit is a ConfigError."""
     cluster = Cluster(scenario.cluster, catalog.functions, list(catalog.objects.values()))
     for i, object_id in enumerate(catalog.objects):
-        cluster.ingest_origin(object_id, i % len(cluster.nodes))
+        node_id = i % len(cluster.nodes)
+        if cluster.place_object(object_id, node_id, origin=True) is PlacementOutcome.NO_CAPACITY:
+            raise ConfigError(f"cluster.store_capacity: origin replica of {object_id} "
+                              f"does not fit on node {node_id}")
     return cluster
 
 

@@ -209,8 +209,6 @@ class PopularityCounter:
     accumulated since the last replication pass."""
 
     def __init__(self, decay: float = DEFAULT_DECAY):
-        if not 0.0 < decay <= 1.0:
-            raise ConfigError("decay must be in (0, 1]")
         self.decay = decay
         self.counts: dict[str, float] = {}
         self.demand: dict[tuple[str, int], int] = {}
@@ -359,35 +357,40 @@ STRATEGIES: dict[str, Preset] = {
 STRATEGY_NAMES = tuple(STRATEGIES)
 
 
-def param_errors(name: str, params: dict) -> list[tuple[str, str]]:
-    """(parameter, problem) for each of params that the registered strategy
-    name does not take or whose value fails its check."""
-    taken = STRATEGIES[name].params
-    errors = []
-    for key, value in params.items():
-        if key not in taken:
-            errors.append((key, f"is not a parameter of {name} "
-                                f"(it takes: {', '.join(taken) or 'none'})"))
+def strategy_problems(name: str, params: dict, decay: float) -> list[tuple[str, str]]:
+    """(key, problem) for each rule that a strategy block breaks, with key
+    relative to the block: a name that is not registered, each of params
+    that the strategy does not take or whose value fails its check, and a
+    popularity decay outside (0, 1]. make_strategy refuses the first, and
+    validate reports them all."""
+    problems = []
+    preset = STRATEGIES.get(name)
+    if preset is None:
+        problems.append(("name", f"unknown strategy {name!r}; "
+                                 f"registered strategies: {', '.join(STRATEGY_NAMES)}"))
+    for key, value in params.items() if preset else ():
+        if key not in preset.params:
+            taken = ", ".join(preset.params) or "none"
+            problems.append((f"params.{key}", f"is not a parameter of {name} (it takes: {taken})"))
         elif not PARAM_CHECKS[key][0](value):
-            errors.append((key, PARAM_CHECKS[key][1]))
-    return errors
+            problems.append((f"params.{key}", PARAM_CHECKS[key][1]))
+    if not 0.0 < decay <= 1.0:
+        problems.append(("replication.decay", "must be in (0, 1]"))
+    return problems
 
 
 def make_strategy(name: str, params: dict | None = None, latency_ms: int | None = None,
                   replication_decay: float = DEFAULT_DECAY) -> DispatchStrategy:
     """Instantiate a registered strategy: its preset, with params replacing
     preset values and latency_ms the preset latency. replication_decay is
-    the popularity decay of a strategy that replicates."""
-    preset = STRATEGIES.get(name)
-    if preset is None:
-        raise ConfigError(
-            f"unknown strategy {name!r}; registered strategies: {', '.join(STRATEGY_NAMES)}"
-        )
+    the popularity decay of a strategy that replicates. A block that breaks
+    a rule of strategy_problems is a ConfigError naming the first one, as
+    ``strategy.<key>: <problem>``."""
     params = params or {}
-    errors = param_errors(name, params)
-    if errors:
-        raise ConfigError(f"bad parameters for strategy {name!r}: "
-                          + "; ".join(f"{key} {problem}" for key, problem in errors))
+    problems = strategy_problems(name, params, replication_decay)
+    if problems:
+        raise ConfigError("strategy.%s: %s" % problems[0])
+    preset = STRATEGIES[name]
     params = {**preset.params, **params}
     if preset.cls.needs_replication:
         params["decay"] = replication_decay

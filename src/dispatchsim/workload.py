@@ -202,8 +202,6 @@ def _cumulative(weights: list[float]) -> tuple[list[float], float]:
     """(running sums, total) for a weighted choice: a uniform draw u picks
     alternative bisect_right(sums, u * total). A single alternative is
     picked without a draw, so singleton mixes do not consume randomness."""
-    if any(w <= 0 for w in weights):
-        raise ConfigError("weights must be positive")
     cum = list(accumulate(weights))
     return cum, cum[-1]
 
@@ -237,7 +235,7 @@ def popularity_problem(spec: WorkloadSpec) -> str | None:
     MIN_NEW_PICK_CHANCE."""
     objects = spec.objects
     s, count = objects.popularity.s, objects.count
-    if objects.popularity.kind != "zipf" or s <= 0:
+    if objects.popularity.kind != "zipf":
         return None
     try:
         float(count) ** s
@@ -257,21 +255,50 @@ def popularity_problem(spec: WorkloadSpec) -> str | None:
 def _popularity_weights(spec: ObjectSpec) -> list[float]:
     if spec.popularity.kind == "zipf":
         s = spec.popularity.s
-        if s <= 0:
-            raise ConfigError("zipf exponent must be > 0")
         return [1.0 / (rank ** s) for rank in range(1, spec.count + 1)]
     return [1.0] * spec.count
 
 
-def _whole_ms(key: str, value) -> int:
-    """value as validate takes an ms key: an int, or a float with an
-    integer value, of at most MAX_MS either way. Anything else, a bool
-    included, is a ConfigError naming key."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or isinstance(value, float) and not value.is_integer() or abs(value) > MAX_MS):
-        raise ConfigError(f"{key}: expected an integer number of ms up to {MAX_MS}, "
-                          f"got {value!r}")
-    return int(value)
+def _whole_ms(value) -> bool:
+    """Whether value is an int, or a float with an integer value, of at
+    most MAX_MS either way; a bool is not."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and (isinstance(value, int) or value.is_integer()) and abs(value) <= MAX_MS)
+
+
+def trace_problems(spec: WorkloadSpec) -> list[tuple[str, str]]:
+    """(key, problem) for each rule that generating spec's trace needs and
+    spec breaks, in a fixed order: generate_trace refuses the first, and
+    validate reports them all."""
+    problems = []
+    arrival = spec.arrival
+    for key, value in (("workload.horizon_ms", spec.horizon_ms),
+                       ("workload.arrival.interval_ms", arrival.interval_ms)):
+        if not _whole_ms(value):
+            problems.append((key, f"expected an integer number of ms up to {MAX_MS}, "
+                                  f"got {value!r}"))
+    if arrival.kind == "poisson":
+        if not 0 < arrival.rate_per_s < math.inf:
+            problems.append(("workload.arrival.rate_per_s", "must be positive and finite"))
+    elif arrival.kind != "fixed_interval":
+        problems.append(("workload.arrival.kind", "must be poisson or fixed_interval"))
+    elif _whole_ms(arrival.interval_ms) and arrival.interval_ms < 1:
+        problems.append(("workload.arrival.interval_ms", "must be at least 1 ms"))
+    for key, pairs, item in (("workload.functions", spec.functions, "function"),
+                             ("workload.origins", spec.origins, "origin")):
+        weights = [weight for _, weight in pairs]
+        if not weights:
+            problems.append((key, f"at least one {item} is required"))
+        elif all(weight > 0 for weight in weights) and _cumulative(weights)[1] == math.inf:
+            problems.append((key, "weights must add up to a finite number"))
+        problems += [(f"{key}.{i}.weight", "must be positive")
+                     for i, weight in enumerate(weights) if not weight > 0]
+    popularity = spec.objects.popularity
+    if popularity.kind == "zipf" and not popularity.s > 0:
+        problems.append(("workload.objects.popularity", "zipf exponent s must be > 0"))
+    elif problem := popularity_problem(spec):
+        problems.append(("workload.objects.popularity.s", problem))
+    return problems
 
 
 def generate_trace(spec: WorkloadSpec, catalog: Catalog, rng: RandomSource) -> Trace:
@@ -282,27 +309,18 @@ def generate_trace(spec: WorkloadSpec, catalog: Catalog, rng: RandomSource) -> T
     zeros. Fixed arrivals of one function and one origin that each reference
     exactly one of two or more objects (the criterion-10 shape) take a loop
     whose only draw is the object pick; every other plan takes the general
-    loop. Both draw as the module docstring says."""
-    if not spec.functions:
-        raise ConfigError("workload defines no functions")
+    loop. Both draw as the module docstring says. A spec that breaks a
+    rule of trace_problems is a ConfigError naming the first one."""
+    problems = trace_problems(spec)
+    if problems:
+        raise ConfigError("%s: %s" % problems[0])
     fn_cum, fn_total = _cumulative([w for _, w in spec.functions])
     origin_cum, origin_total = _cumulative([w for _, w in spec.origins])
     object_ids = list(catalog.objects)
-    problem = popularity_problem(spec) if object_ids else None
-    if problem:
-        raise ConfigError(f"workload.objects.popularity.s: {problem}")
     obj_cum, obj_total = _cumulative(_popularity_weights(spec.objects)) if object_ids else ((), 0.0)
     arrival = spec.arrival
-    horizon_ms = _whole_ms("workload.horizon_ms", spec.horizon_ms)
-    interval = _whole_ms("workload.arrival.interval_ms", arrival.interval_ms)
+    horizon_ms, interval = int(spec.horizon_ms), int(arrival.interval_ms)
     poisson = arrival.kind == "poisson"
-    if poisson:
-        if not 0 < arrival.rate_per_s < math.inf:
-            raise ConfigError("workload.arrival.rate_per_s: must be a positive number")
-    elif arrival.kind != "fixed_interval":
-        raise ConfigError(f"unknown arrival kind: {arrival.kind}")
-    elif interval < 1:
-        raise ConfigError("workload.arrival.interval_ms: must be at least 1 ms")
 
     random, getrandbits = rng.random, rng.getrandbits
     fn_many, origin_many, obj_many = len(fn_cum) > 1, len(origin_cum) > 1, len(obj_cum) > 1

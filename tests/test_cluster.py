@@ -69,7 +69,7 @@ def test_place_object_unknown_ids_raise():
 
 def test_cache_evicts_fifo_but_never_origin_replicas():
     c = make_cluster(nodes=1, store=250, objects=[("keep", 100), ("x", 100), ("y", 100)])
-    c.ingest_origin("keep", 0)
+    c.place_object("keep", 0, origin=True)
     assert c.cache_object("x", 0)
     assert c.cache_object("y", 0)  # evicts x (oldest non-origin), keeps origin
     assert 0 in c.objects["y"].placements
@@ -79,7 +79,7 @@ def test_cache_evicts_fifo_but_never_origin_replicas():
 
 def test_cache_fails_when_only_origins_occupy_store():
     c = make_cluster(nodes=1, store=150, objects=[("keep", 100), ("x", 100)])
-    c.ingest_origin("keep", 0)
+    c.place_object("keep", 0, origin=True)
     assert not c.cache_object("x", 0)
 
 

@@ -16,12 +16,17 @@ from hypothesis import example, given, settings, strategies as st
 import dispatchsim
 from dispatchsim import cli, runner
 from dispatchsim.cli import main
-from dispatchsim.config import FIELDS, apply_override, load_scenario, parse_scenario, validate
+from dispatchsim.config import (
+    FIELDS, Scenario, apply_override, load_scenario, parse_scenario, validate,
+)
 from dispatchsim.engine import RandomSource
 from dispatchsim.errors import ConfigError
 from dispatchsim.strategies import make_strategy
 from dispatchsim.cluster import FunctionSpec
-from dispatchsim.workload import ArrivalSpec, WorkloadSpec, build_catalog, generate_trace
+from dispatchsim.workload import (
+    ArrivalSpec, ObjectSpec, PopularitySpec, WorkloadSpec, build_catalog, generate_trace,
+    trace_problems,
+)
 
 from conftest import scenario_dict
 
@@ -416,6 +421,9 @@ def test_cli_validate_rejects_bad_scoring_params(tmp_path, capsys, override, key
     ("cluster.code_store=node9", "cluster.code_store"),
     ("cluster.result_store=[1,2]", "cluster.result_store"),
     ("cluster.code_store=3", "cluster.code_store"),
+    # validated, then drew function codes past the function table: IndexError
+    ("workload.functions=[{name: a, weight: 1e308}, {name: b, weight: 1e308}]",
+     "workload.functions: weights must add up to a finite number"),
 ])
 def test_cli_malformed_value_exits_2_naming_the_key(tmp_path, capsys, override, key):
     # Regression: cluster.nodes=abc raised ValueError and workload.functions=5
@@ -783,6 +791,7 @@ def run_child(code: str, *args: str) -> subprocess.CompletedProcess:
     ({"kind": "poisson", "rate_per_s": -1.0}, "workload.arrival.rate_per_s"),
     ({"kind": "poisson", "rate_per_s": 0.0}, "workload.arrival.rate_per_s"),
     ({"kind": "poisson", "rate_per_s": float("inf")}, "workload.arrival.rate_per_s"),
+    ({"kind": "burst"}, "workload.arrival.kind"),
 ])
 def test_generate_trace_refuses_an_arrival_spec_that_validate_refuses(tmp_path, capsys, arrival,
                                                                      key):
@@ -831,6 +840,116 @@ def test_generate_trace_refuses_an_ms_value_that_validate_refuses(tmp_path, caps
                                   "arrival": {"kind": "fixed_interval", **arrival}})
     assert main(["validate", write_config(tmp_path, raw)]) == 2
     assert f"error: {problem}" in capsys.readouterr().err
+
+
+F1 = FunctionSpec("f1", flavor=128, compute_ms=10)
+F2 = FunctionSpec("f2", flavor=128, compute_ms=10)
+
+
+def _generate(spec: WorkloadSpec):
+    return generate_trace(spec, build_catalog(spec, RandomSource(1, "catalog")),
+                          RandomSource(1, "trace"))
+
+
+@pytest.mark.parametrize("fields", [
+    {"functions": ()},
+    {"origins": ()},
+    {"functions": ((F1, 0.0),)},
+    {"origins": (("web", 1.0), ("iot", 0.0))},
+    {"functions": ((F1, 1e308), (F2, 1e308))},
+    {"arrival": ArrivalSpec(kind="burst")},
+    {"objects": ObjectSpec(count=3, popularity=PopularitySpec(s=0.0)),
+     "refs_per_invocation": (1, 1)},
+], ids=["no functions", "no origins", "function weight 0", "origin weight 0",
+        "weights add up to inf", "burst", "zipf s=0"])
+def test_generate_trace_refuses_a_spec_with_validates_first_workload_error(fields):
+    # Regression: no origins raised a bare IndexError, weights adding up to
+    # inf drew function codes past the end of the trace's function table,
+    # and the others raised messages that named no key.
+    spec = WorkloadSpec(**{"functions": ((F1, 1.0),), **fields})
+    first = next(f"{d.key}: {d.message}" for d in validate(Scenario(workload=spec))
+                 if d.severity == "error" and d.key.startswith("workload."))
+    with pytest.raises(ConfigError) as refused:
+        _generate(spec)
+    assert str(refused.value) == first
+
+
+@pytest.mark.parametrize("owner, name, value, line", [
+    ("workload", "horizon_ms", 1000.5, "error: workload.horizon_ms: expected an integer "
+                                       "number of ms up to 1000000000000, got 1000.5"),
+    ("workload.arrival", "kind", "burst",
+     "error: workload.arrival.kind: must be poisson or fixed_interval"),
+], ids=["horizon 1000.5", "kind burst"])
+def test_validate_refuses_a_workload_changed_after_parsing(owner, name, value, line):
+    # Regression: validate passed these, and the run then refused them.
+    scenario = parse_scenario(scenario_dict())
+    target = scenario
+    for attribute in owner.split("."):
+        target = getattr(target, attribute)
+    setattr(target, name, value)
+    assert [str(d) for d in validate(scenario)] == [line]
+
+
+def _mostly(valid, broken):
+    """valid, or about one draw in ten broken."""
+    return st.integers(0, 9).flatmap(lambda i: broken if i == 0 else valid)
+
+
+_BROKEN_MS = st.one_of(st.floats(-5, 2000).filter(lambda v: not v.is_integer()), st.booleans(),
+                       st.sampled_from([float("inf"), float("nan"), 10**12 + 1]))
+_HORIZONS = _mostly(st.one_of(st.integers(-5, 2000), st.integers(0, 2000).map(float)),
+                    _BROKEN_MS)
+_INTERVALS = _mostly(st.integers(1, 2000), st.one_of(st.integers(-5, 0), _BROKEN_MS))
+_RATES = _mostly(st.floats(0.1, 2000), st.one_of(st.floats(-1, 0), st.just(float("inf"))))
+_WEIGHT = _mostly(st.one_of(st.floats(0.01, 5), st.just(1e308)),
+                  st.one_of(st.floats(-1, 0), st.just(float("nan"))))
+_WEIGHTS = _mostly(st.lists(_WEIGHT, min_size=1, max_size=3), st.just([]))
+
+
+@st.composite
+def _workload_specs(draw) -> WorkloadSpec:
+    """Small workload specs, some of which break each rule of trace_problems."""
+    functions = tuple((FunctionSpec(f"f{i}", flavor=128, compute_ms=10), weight)
+                      for i, weight in enumerate(draw(_WEIGHTS)))
+    origins = tuple((f"o{i}", weight) for i, weight in enumerate(draw(_WEIGHTS)))
+    arrival = ArrivalSpec(kind=draw(_mostly(st.sampled_from(["fixed_interval", "poisson"]),
+                                            st.just("burst"))),
+                          rate_per_s=draw(_RATES), interval_ms=draw(_INTERVALS))
+    popularity = PopularitySpec(kind=draw(st.sampled_from(["zipf", "uniform"])),
+                                s=draw(_mostly(st.floats(0.01, 30), st.floats(-1, 0))))
+    lo = draw(st.integers(0, 3))
+    return WorkloadSpec(horizon_ms=draw(_HORIZONS), arrival=arrival, functions=functions,
+                        objects=ObjectSpec(count=draw(st.integers(0, 5)), popularity=popularity),
+                        origins=origins, refs_per_invocation=(lo, draw(st.integers(lo, 3))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=_workload_specs())
+def test_generate_trace_runs_exactly_when_validate_finds_no_trace_problem(spec):
+    problems = trace_problems(spec)
+    try:
+        _generate(spec)
+    except ConfigError as exc:
+        assert problems and str(exc) == "%s: %s" % problems[0]
+    else:
+        assert not problems
+    errors = {(d.key, d.message) for d in validate(Scenario(workload=spec))
+              if d.severity == "error"}
+    assert set(problems) <= errors
+
+
+def test_origin_replicas_that_do_not_fit_exit_2_naming_the_key(tmp_path, capsys):
+    # Regression: validate passed this, and run exited 3 with a runtime failure.
+    args = [str(DEMO_SCENARIOS / "minimal.yaml"), "workload.objects.count=100",
+            "workload.objects.size=100"]
+    assert main(["validate", *args]) == 0
+    assert "warning: cluster.store_capacity: cannot hold the 100 origin replicas" in (
+        capsys.readouterr().err)
+    assert main(["run", *args, "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert ("error: cluster.store_capacity: origin replica of obj-0010 does not fit on node 0"
+            in err)
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("rate, seeds", [("1e-320", None), ("2e-306", None), ("1e-305", "[11]")])

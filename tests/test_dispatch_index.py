@@ -423,7 +423,7 @@ def test_a_missing_reference_is_refused_with_or_without_a_data_term(name):
 def test_negative_weight_and_bad_queue_cap_are_refused():
     with pytest.raises(ConfigError, match="w_data"):
         make_strategy("data_aware", {"w_data": -1.0})
-    with pytest.raises(ConfigError, match="w_code must be a finite number"):
+    with pytest.raises(ConfigError, match="w_code: must be a finite number"):
         make_strategy("data_aware", {"w_code": 10**400})  # an int too large for a float
     with pytest.raises(ConfigError, match="queue_cap"):
         make_strategy("mcgrath_queues", {"queue_cap": 0})

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dispatchsim.cluster import Cluster, ClusterParams, DataObject, FunctionSpec
-from dispatchsim.config import parse_scenario
+from dispatchsim.config import parse_scenario, validate
 from dispatchsim.engine import RandomSource
 from dispatchsim.strategies import (
     STRATEGIES,
@@ -229,9 +229,21 @@ def test_unknown_strategy_errors_with_registry():
     ("mcgrath_queues", {"w_cod": 1.0}),
 ])
 def test_make_strategy_rejects_params_it_does_not_take(name, params):
-    with pytest.raises(ConfigError, match=f"{next(iter(params))} is not a parameter of {name}"):
+    with pytest.raises(ConfigError,
+                       match=f"params.{next(iter(params))}: is not a parameter of {name}"):
         make_strategy(name, params)
     assert STRATEGY_NAMES == tuple(STRATEGIES)
+
+
+def test_make_strategy_refuses_a_decay_that_validate_refuses():
+    # Regression: a strategy that does not replicate took any decay, which
+    # validate refused for its block.
+    raw = scenario_dict(strategy={"name": "round_robin", "replication": {"decay": 5}})
+    lines = [str(d) for d in validate(parse_scenario(raw))]
+    assert lines == ["error: strategy.replication.decay: must be in (0, 1]"]
+    with pytest.raises(ConfigError) as refused:
+        make_strategy("round_robin", replication_decay=5)
+    assert f"error: {refused.value}" == lines[0]
 
 
 def test_memoized_hashes_and_signatures_match_the_direct_ones():
