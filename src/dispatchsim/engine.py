@@ -6,16 +6,19 @@ the same instant resolve in scheduling order. A caller can also take a seq
 with ``reserve`` and schedule at it later: the occurrence then fires where
 it would have fired had it been scheduled when the seq was taken. An
 occurrence carries its handler and the handler's arguments, so scheduling a
-bound method needs no closure. It is a plain tuple
-(fire_at, seq, batch, action, args, label). Nothing is ever cancelled:
-every scheduled occurrence fires.
+bound method needs no closure. Nothing is ever cancelled: every scheduled
+occurrence fires.
 
-One binary heap holds every pending occurrence from ``schedule``, plus one
-key per unfinished sorted batch (``schedule_sorted``). A batch reserves a
-block of seqs up front and creates each occurrence only when it fires, so
-a trace of arrivals costs no memory per pending item; firing a batch's
-head replaces its key with the next item's (fire_at, seq). So the firing
-order and every seq are those a heap holding every item would give.
+Two binary heaps hold what is pending: the event heap, each occurrence
+from ``schedule`` as (fire_at, seq, action, args, label), and the batch
+heap, one key per unfinished sorted batch (``schedule_sorted``) as
+(fire_at, seq, times, action, index, label). A batch reserves a block of
+seqs up front and creates each item only when it fires, so a trace of
+arrivals costs no memory per pending item. Firing an item replaces its
+batch's key with the next item's, a sift through one key per batch, not
+through every pending occurrence. ``run`` fires the earlier top; seqs are
+unique across both heaps, so the firing order and every seq are those one
+heap holding every item would give.
 """
 
 from __future__ import annotations
@@ -92,11 +95,8 @@ class Engine:
     """
 
     def __init__(self, record_log: bool = False):
-        # Keys (fire_at, seq, batch, action, args, label): a ``schedule``
-        # occurrence (batch None) or a batch's next item (batch is the
-        # batch's times, args the item's index).
-        self._heap: list[tuple] = []
-        self._batches = 0  # unfinished batches, each holding one heap key
+        self._heap: list[tuple] = []  # (fire_at, seq, action, args, label)
+        self._batch_heap: list[tuple] = []  # (fire_at, seq, times, action, index, label)
         self._seq = 0
         self._now = 0
         self._fired_seq = -1  # seq of the last occurrence fired at _now, else -1
@@ -133,7 +133,7 @@ class Engine:
             )
         elif seq >= self._seq:
             raise ValueError(f"seq {seq} has not been reserved")
-        heapq.heappush(self._heap, (at, seq, None, action, args, label))
+        heapq.heappush(self._heap, (at, seq, action, args, label))
 
     def schedule_sorted(self, times: Sequence[int], action: Callable[[int], None],
                         label: str = "") -> None:
@@ -149,38 +149,38 @@ class Engine:
             )
         if any(map(gt, times, islice(times, 1, None))):
             raise ValueError("schedule_sorted needs non-decreasing times")
-        heapq.heappush(self._heap, (times[0], self._seq, times, action, 0, label))
+        heapq.heappush(self._batch_heap, (times[0], self._seq, times, action, 0, label))
         self._seq += len(times)
-        self._batches += 1
 
     def run(self) -> int:
-        """Fire every occurrence in (fire_at, seq) order until none is
-        pending; the clock ends at the last fire time. Returns the number
-        fired."""
-        heap = self._heap
+        """Fire every occurrence and batch item in (fire_at, seq) order,
+        each time the earlier of the two heaps' tops, until none is pending;
+        the clock ends at the last fire time. Returns the number fired."""
+        heap, batches = self._heap, self._batch_heap
         log = self.log if self.record_log else None
         heappop, heapreplace = heapq.heappop, heapq.heapreplace
         processed = 0
-        while heap:
-            at, seq, batch, action, args, label = heap[0]
-            if batch is None:
-                heappop(heap)
-            else:  # batch item: args is its index
-                if args + 1 < len(batch):
-                    heapreplace(heap, (batch[args + 1], seq + 1, batch, action, args + 1, label))
+        while True:
+            if batches and (not heap or batches[0] < heap[0]):  # decided by (fire_at, seq)
+                at, seq, times, action, index, label = batches[0]
+                if index + 1 < len(times):
+                    heapreplace(batches, (times[index + 1], seq + 1, times, action, index + 1,
+                                          label))
                 else:
-                    heappop(heap)
-                    self._batches -= 1
-                args = (args,)
+                    heappop(batches)
+                args = (index,)
+            elif heap:
+                at, seq, action, args, label = heappop(heap)
+            else:
+                return processed
             self._now = at
             self._fired_seq = seq
             if log is not None:
                 log.append((at, seq, label))
             action(*args)
             processed += 1
-        return processed
 
     def pending(self) -> int:
-        """Occurrences from ``schedule`` not yet fired; batch items are not
-        counted."""
-        return len(self._heap) - self._batches
+        """Occurrences from ``schedule`` not yet fired: the event heap's
+        size. Batch items are not counted."""
+        return len(self._heap)

@@ -201,11 +201,11 @@ def test_handlers_receive_their_arguments():
     assert seen == [("y",), (1, "x")]
 
 
-def test_a_batch_keeps_one_heap_key_however_long():
+def test_a_batch_never_enters_the_event_heap():
     eng = Engine()
     eng.schedule_sorted(range(100), lambda i: None)
     eng.schedule(5, lambda: None)
-    assert len(eng._heap) == 2
+    assert len(eng._heap) == 1
     assert eng.pending() == 1
     assert eng.run() == 101
     assert eng._heap == []
@@ -257,6 +257,48 @@ def test_schedule_sorted_fires_lazily_with_reserved_seqs():
     assert eng.run() == 5
     assert seen == [(0, 0), (1, 4), (2, 4), ("heap", 4), (3, 9)]
     assert [seq for _, seq, _ in eng.log] == [0, 1, 2, 4, 3]
+
+
+# A batch item and a ``schedule`` occurrence at the same ms sit in different
+# heaps; their seqs alone must order them.
+
+
+def test_a_tie_fires_an_occurrence_scheduled_before_the_batch_first():
+    eng = Engine(record_log=True)
+    eng.schedule(4, lambda: None, "before")
+    early = eng.reserve()
+    eng.schedule_sorted([4, 4, 6], lambda i: None, "batch")
+    eng.schedule(4, lambda: None, "reserved", seq=early)
+    assert eng.run() == 5
+    assert eng.log == [(4, 0, "before"), (4, 1, "reserved"), (4, 2, "batch"),
+                       (4, 3, "batch"), (6, 4, "batch")]
+
+
+def test_a_tie_fires_an_occurrence_scheduled_after_the_batch_last():
+    eng = Engine(record_log=True)
+    eng.schedule_sorted([2, 4, 4], lambda i: None, "batch")
+    eng.schedule(4, lambda: None, "after")
+    eng.schedule(2, lambda: None, "after")
+    assert eng.run() == 5
+    assert eng.log == [(2, 0, "batch"), (2, 4, "after"), (4, 1, "batch"),
+                       (4, 2, "batch"), (4, 3, "after")]
+
+
+def test_a_batch_scheduled_by_a_handler_at_its_own_time_fires_in_seq_order():
+    eng = Engine(record_log=True)
+    seen = []
+
+    def at_five():
+        eng.schedule(5, lambda: seen.append("x"), "x")
+        eng.schedule_sorted([5, 5, 7], lambda i: seen.append(i), "batch")
+        eng.schedule(5, lambda: seen.append("y"), "y")
+
+    eng.schedule(5, at_five, "at-five")
+    eng.schedule(6, lambda: seen.append("z"), "z")
+    assert eng.run() == 7
+    assert seen == ["x", 0, 1, "y", "z", 2]
+    assert eng.log == [(5, 0, "at-five"), (5, 2, "x"), (5, 3, "batch"), (5, 4, "batch"),
+                       (5, 6, "y"), (6, 1, "z"), (7, 5, "batch")]
 
 
 def test_schedule_sorted_rejects_unsorted_or_past_times():

@@ -3,7 +3,7 @@
 import pytest
 
 from dispatchsim import runner
-from dispatchsim.config import apply_override, parse_scenario
+from dispatchsim.config import StrategyConfig, apply_override, parse_scenario
 from dispatchsim.engine import Engine
 from dispatchsim.errors import ConfigError, SimulationError
 from dispatchsim.runner import (
@@ -301,3 +301,20 @@ def test_library_path_refuses_what_validate_refuses(override, message):
     with pytest.raises(ConfigError) as excinfo:
         runner.run_one(scenario, scenario.strategies[0], 1)
     assert str(excinfo.value) == f"{key}: {message}"
+
+
+TICKS_AT_0_MS = [
+    ("strategy.steal_poll_ms", StrategyConfig(work_stealing=True, steal_poll_ms=0)),
+    ("strategy.replication.period_ms",
+     StrategyConfig("proactive_cluster", replication_period_ms=0)),
+]
+
+
+@pytest.mark.parametrize("key, strategy_cfg", TICKS_AT_0_MS, ids=[k for k, _ in TICKS_AT_0_MS])
+def test_a_tick_period_under_1ms_is_refused_before_the_run(monkeypatch, key, strategy_cfg):
+    # Built in code, these pass validate; their runs used to re-arm the tick
+    # at t = 0 forever. The engine failing on entry keeps a regression finite.
+    monkeypatch.setattr(Engine, "run", lambda self: pytest.fail("the run started"))
+    with pytest.raises(ConfigError) as excinfo:
+        runner.run_one(parse_scenario(scenario_dict()), strategy_cfg, 1)
+    assert str(excinfo.value) == f"{key}: must be at least 1 ms"
