@@ -3,10 +3,11 @@
 A scenario file is a key-value tree whose keys mirror the parameters of
 the simulator's record types (ClusterParams, WorkloadSpec, StrategyConfig
 and the types they hold). ``FIELDS`` below is the table of every accepted
-key with its kind and check; each mapping in the tree is passed as keyword
-arguments to the type it builds (``_BUILD``), so a key left out takes that
-type's default for the parameter. A ``strategies`` list of strategy blocks,
-for comparisons, takes the place of the single ``strategy`` block.
+key with its kind, which parsing converts to, and its check, which validate
+applies to the records however they were built. Each mapping in the tree is
+passed as keyword arguments to the type it builds (``_BUILD``), so a key
+left out takes its default. A ``strategies`` list takes the place of the
+single ``strategy`` block.
 """
 
 from __future__ import annotations
@@ -54,19 +55,16 @@ class OutputConfig:
 
 
 class Scenario:
-    __slots__ = ("cluster", "workload", "strategies", "seeds", "output", "diagnostics")
+    __slots__ = ("cluster", "workload", "strategies", "seeds", "output")
 
     def __init__(self, cluster: ClusterParams | None = None, workload: WorkloadSpec | None = None,
                  strategies: list[StrategyConfig] | None = None, seeds: list[int] | None = None,
-                 output: OutputConfig | None = None, diagnostics: list[Diagnostic] | None = None):
+                 output: OutputConfig | None = None):
         self.cluster = ClusterParams() if cluster is None else cluster
         self.workload = WorkloadSpec() if workload is None else workload
         self.strategies = [StrategyConfig()] if strategies is None else strategies
         self.seeds = [1] if seeds is None else seeds
         self.output = OutputConfig() if output is None else output
-        # What parsing found: the field table's checks and each strategy
-        # block's strategy_problems. validate adds the other rules.
-        self.diagnostics = [] if diagnostics is None else diagnostics
 
     def constants(self) -> dict:
         """Every cost-model constant, echoed into report metadata: each
@@ -118,7 +116,7 @@ def _kind(expected: str, convert):
     """A scalar kind: convert(value), where None or an exception means the
     value is not of the kind."""
 
-    def kind(value, key: str, _diags=None):
+    def kind(value, key: str):
         try:
             result = convert(value)
         except (TypeError, ValueError, OverflowError):
@@ -159,7 +157,7 @@ def _pair(kind, spread: bool = False):
     """One value of kind, or a [lo, hi] pair of them; spread turns one
     value into the pair (value, value)."""
 
-    def convert(value, key: str, diags):
+    def convert(value, key: str):
         if not isinstance(value, (list, tuple)):
             value = kind(value, key)
             return (value, value) if spread else value
@@ -174,12 +172,12 @@ def _items(element: str, promote: bool = False):
     """A list whose elements are the table entry element; promote also
     takes one bare element."""
 
-    def convert(value, key: str, diags):
+    def convert(value, key: str):
         if not isinstance(value, (list, tuple)):
             if not promote:
                 _fail(key, f"expected a list, got {value!r}")
-            return (_value(value, element, key, diags),)
-        return tuple(_value(v, element, f"{key}.{i}", diags) for i, v in enumerate(value))
+            return (_value(value, element, key),)
+        return tuple(_value(v, element, f"{key}.{i}") for i, v in enumerate(value))
 
     return convert
 
@@ -205,12 +203,20 @@ _non_negative = _is(lambda v: v >= 0, "must be non-negative")
 _at_least_1ms = _is(lambda v: v >= 1, "must be at least 1 ms")
 
 
+def _object_size(value) -> str | None:
+    lo, hi = _span(value)  # build_catalog draws a size from a [lo, hi] range in whole MB
+    if not 0 < lo <= hi:
+        return "must be positive (lo <= hi for a range)"
+    if isinstance(value, tuple) and not (float(lo).is_integer() and float(hi).is_integer()):
+        return "a range needs whole-MB bounds"
+
+
 # ---- the field table ------------------------------------------------------------
 
-# Every accepted key: its kind and the check of its converted value. N stands
-# for a list position, and a strategies entry takes the strategy rows. Keys
-# compared with other keys are checked in validate, and so are the rules
-# of workload.trace_problems and strategies.strategy_problems.
+# Every accepted key: the kind parsing converts it to, and the check validate
+# applies to its value in the records. N stands for a list position, and a
+# strategies entry takes the strategy rows. validate also applies the rules
+# that compare keys, workload.trace_problems and strategies.strategy_problems.
 FIELDS = {
     "cluster.nodes": (_integer, _is(lambda v: v >= 1, "needs at least one node")),
     "cluster.mem_capacity": (_integer, _positive),
@@ -238,8 +244,7 @@ FIELDS = {
     "workload.functions.N.write_back": (_number, _non_negative),
     "workload.functions.N.weight": (_number, None),
     "workload.objects.count": (_integer, _non_negative),
-    "workload.objects.size": (_pair(_number), _is(
-        lambda v: 0 < _span(v)[0] <= _span(v)[1], "must be positive (lo <= hi for a range)")),
+    "workload.objects.size": (_pair(_number), _object_size),
     "workload.objects.popularity.kind": (_string, _is(lambda v: v in ("zipf", "uniform"),
                                                       "must be zipf or uniform")),
     "workload.objects.popularity.s": (_number, None),
@@ -317,22 +322,11 @@ _KEYS = _keys_by_mapping()
 # ---- the walker -----------------------------------------------------------------
 
 
-def _value(value, entry: str, key: str, diags: list[Diagnostic]):
-    """value as the table entry (a row, or a mapping of rows) says,
-    with key its dotted path in the scenario."""
-    row = FIELDS.get(entry)
-    if row is None:
-        return _section(value, entry, key, diags)
-    kind, check = row
-    value = kind(value, key, diags)
-    problem = check(value) if check else None
-    if problem:
-        diags.append(Diagnostic(key, problem))
-    return value
-
-
-def _section(raw, entry: str, key: str, diags: list[Diagnostic]):
-    """The mapping raw, its keys converted and checked, then built."""
+def _value(raw, entry: str, key: str):
+    """raw converted as the table entry says, with key its dotted path: a
+    row's kind, or a mapping whose keys are converted, then built."""
+    if entry in FIELDS:
+        return FIELDS[entry][0](raw, key)
     raw = _mapping(raw, key)
     keys = _KEYS[entry]
     for name in raw:
@@ -343,31 +337,24 @@ def _section(raw, entry: str, key: str, diags: list[Diagnostic]):
     for name, sub in keys.items():
         path = f"{key}.{name}" if key else name
         if raw.get(name) is not None:  # null keeps the default
-            fields[name] = _value(raw[name], sub, path, diags)
+            fields[name] = _value(raw[name], sub, path)
         elif FIELDS.get(sub, (None, None))[1] is _required:
             _fail(path, "is required")
     return _BUILD.get(entry, dict)(**fields)
 
 
 def parse_scenario(raw: dict) -> Scenario:
-    """The scenario a raw tree describes. A value of the wrong kind or an
-    unknown key raises ConfigError; failed checks are kept for validate."""
-    diags: list[Diagnostic] = []
-    fields = _section(raw, "", "", diags)
+    """The scenario a raw tree describes, its values converted but unchecked.
+    A value of the wrong kind, an unknown key or a strategy block beside a
+    strategies list raises ConfigError."""
+    fields = _value(raw, "", "")
     single = fields.pop("strategy", None)
-    if "strategies" in fields:
-        strategies = list(fields.pop("strategies"))
-        keys = [f"strategies.{i}" for i in range(len(strategies))]
-    else:
-        strategies, keys, single = [single or StrategyConfig()], ["strategy"], None
-    for key, s in zip(keys, strategies):
-        diags += [Diagnostic(f"{key}.{sub}", problem) for sub, problem
-                  in strategy_problems(s.name, s.params, s.replication_decay)]
-    if single:
-        diags.append(Diagnostic("strategy", "cannot be given with a strategies list"))
+    if single and "strategies" in fields:
+        _fail("strategy", "cannot be given with a strategies list")
+    fields["strategies"] = list(fields.get("strategies", [single or StrategyConfig()]))
     if "seeds" in fields:
         fields["seeds"] = list(fields["seeds"])
-    return Scenario(strategies=strategies, diagnostics=diags, **fields)
+    return Scenario(**fields)
 
 
 def _parse_yaml(source, context: str):
@@ -427,11 +414,47 @@ def apply_override(raw: dict, override: str) -> None:
 # ---- validation -------------------------------------------------------------
 
 
+# How validate reads a key of a mapping, where not as the attribute of its name.
+_READ = {
+    "": lambda scenario, name: getattr(scenario, name, None),  # validate checks the blocks
+    "workload.functions.N": lambda p, name: p[1] if name == "weight" else getattr(p[0], name),
+    "workload.origins.N": lambda p, name: p[name == "weight"],
+    "strategy": lambda block, name: block if name == "replication" else getattr(block, name),
+    "strategy.replication": lambda block, name: getattr(block, f"replication_{name}"),
+}
+
+
+def _check(value, entry: str, key: str, diags: list[Diagnostic]) -> None:
+    """Append a Diagnostic for each check that value (the table entry at
+    dotted path key) or any key or element in it fails; None is a default."""
+    check = FIELDS.get(entry, (None, None))[1]
+    problem = check(value) if check else None
+    if problem:
+        diags.append(Diagnostic(key, problem))
+    read = _READ.get(entry, getattr)
+    for name, sub in _KEYS.get(entry, {}).items():
+        for i, item in enumerate(value) if name == "N" else [(name, read(value, name))]:
+            if item is not None:
+                _check(item, sub, f"{key}.{i}" if key else name, diags)
+
+
+def strategy_diagnostics(block: StrategyConfig, key: str = "strategy") -> list[Diagnostic]:
+    """Every problem of the strategy block at key: its table checks, then strategy_problems."""
+    diags: list[Diagnostic] = []
+    _check(block, "strategy", key, diags)
+    return diags + [Diagnostic(f"{key}.{sub}", problem) for sub, problem
+                    in strategy_problems(block.name, block.params, block.replication_decay)]
+
+
 def validate(scenario: Scenario) -> list[Diagnostic]:
-    """All violations, without running anything; empty means valid. These
-    are the field checks made at parse time plus the rules that compare
-    fields with each other."""
-    diags = list(scenario.diagnostics)
+    """All violations, without running anything; empty means valid: the
+    table's checks of the records, whoever built them, each strategy block's
+    strategy_diagnostics, and the rules that compare fields with each other."""
+    diags: list[Diagnostic] = []
+    _check(scenario, "", "", diags)
+    single = len(scenario.strategies) == 1
+    for i, block in enumerate(scenario.strategies):
+        diags += strategy_diagnostics(block, "strategy" if single else f"strategies.{i}")
     err = lambda key, msg: diags.append(Diagnostic(key, msg, "error"))
 
     c = scenario.cluster

@@ -23,7 +23,7 @@ from collections.abc import Callable
 from operator import add
 
 from .cluster import AcquireOutcome, Cluster, Container, PlacementOutcome
-from .config import FIELDS, Scenario, StrategyConfig, validate
+from .config import Scenario, StrategyConfig, strategy_diagnostics, validate
 from .engine import Engine, RandomSource
 from .errors import (
     ConfigError, SimulationError, TraceFormatError, UnknownFunctionError, UnknownObjectError,
@@ -42,10 +42,10 @@ class Simulation:
     The run's settings come from two places, which hold their defaults:
     the cluster's ClusterParams (keep-alive, billing step) and the
     strategy's StrategyConfig (work stealing and its poll period, the
-    replication period and threshold); a poll or period that the scenario
-    rules refuse is a ConfigError naming its key. The seed starts the
-    random stream work stealing draws its victims from. The run writes into
-    ``result``, its RunResult, which is built here.
+    replication period and threshold); one with a strategy_diagnostics
+    problem, whoever built it, is a ConfigError naming its key. The seed
+    starts the random stream work stealing draws its victims from. The run
+    writes into ``result``, its RunResult, which is built here.
 
     ``on_complete``, when given, is called once per invocation as it
     completes, in completion order: ``on_complete(index, node, phases,
@@ -58,11 +58,8 @@ class Simulation:
                  trace: Trace, *,
                  horizon_ms: int, strategy_cfg: StrategyConfig, seed: int,
                  on_complete: Callable[[int, int, tuple, float, bool], None] | None = None):
-        for key, period in zip(("strategy.steal_poll_ms", "strategy.replication.period_ms"),
-                               (strategy_cfg.steal_poll_ms, strategy_cfg.replication_period_ms)):
-            problem = FIELDS[key][1](period)  # under 1 ms, a tick re-arms at t = 0 forever
-            if problem:
-                raise ConfigError(f"{key}: {problem}")
+        for diag in strategy_diagnostics(strategy_cfg):  # a tick under 1 ms never ends
+            raise ConfigError(f"{diag.key}: {diag.message}")
         self.engine = engine
         self.cluster = cluster
         self.strategy = strategy

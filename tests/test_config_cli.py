@@ -386,6 +386,9 @@ def test_cli_validate_rejects_bad_scoring_params(tmp_path, capsys, override, key
     ("workload.functions.0.compute_ms=[1]", "workload.functions.0.compute_ms"),
     ("workload.arrival.interval_ms=soon", "workload.arrival.interval_ms"),
     ("workload.objects.size=[1]", "workload.objects.size"),
+    # drew sizes truncated to whole MB: 0.0 and 1.0 or 2.0
+    ("workload.objects.size=[0.2, 0.7]", "workload.objects.size"),
+    ("workload.objects.size=[1.5, 2.5]", "workload.objects.size"),
     ("workload.objects.popularity.s=x", "workload.objects.popularity.s"),
     ("workload.refs_per_invocation=[0, x]", "workload.refs_per_invocation.1"),
     ("workload.origins=7", "workload.origins"),
@@ -459,8 +462,10 @@ def test_cli_malformed_value_exits_2_naming_the_key(tmp_path, capsys, override, 
 ])
 def test_cli_unknown_key_exits_2_naming_it(tmp_path, capsys, override, key):
     # Declared behaviour change (malformed input only): these were ignored,
-    # and validate printed "configuration valid".
-    cfg = write_config(tmp_path, scenario_dict())
+    # and validate printed "configuration valid". A strategies override
+    # takes the place of the base's strategy block, as one fault only.
+    listed = override.startswith("strategies=")
+    cfg = write_config(tmp_path, scenario_dict(strategies=[]) if listed else scenario_dict())
     for command in ("validate", "run"):
         assert main([command, cfg, override, "--out-dir", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
@@ -512,6 +517,7 @@ def test_cli_integer_key_refuses_to_truncate_a_float(tmp_path, capsys):
         assert capsys.readouterr().err == "error: cluster.nodes: expected an integer, got 2.7\n"
     assert main(["run", cfg, "cluster.nodes=2.0", "--out-dir", str(out)]) == 0
     assert "# cluster.nodes=2\n" in (out / "report.csv").read_text()
+    assert main(["validate", cfg, "workload.objects.size=[10.0, 50.0]"]) == 0
 
 
 def test_work_stealing_takes_only_a_yaml_boolean(tmp_path, capsys):
@@ -546,8 +552,9 @@ def test_strategy_override_on_a_strategies_list_is_refused(capsys):
     assert "error: strategy: cannot be given with a strategies list" in capsys.readouterr().err
     raw = scenario_dict(strategies=[{"name": "round_robin"}, {"name": "data_aware"}])
     raw["strategy"] = {"name": "round_robin"}
-    keys = {d.key for d in validate(parse_scenario(raw)) if d.severity == "error"}
-    assert keys == {"strategy"}
+    with pytest.raises(ConfigError) as refused:
+        parse_scenario(raw)
+    assert str(refused.value) == "strategy: cannot be given with a strategies list"
 
 
 def test_proactive_cluster_decay_is_the_replication_decay(tmp_path, capsys, monkeypatch):
@@ -879,15 +886,33 @@ def test_generate_trace_refuses_a_spec_with_validates_first_workload_error(field
                                        "number of ms up to 1000000000000, got 1000.5"),
     ("workload.arrival", "kind", "burst",
      "error: workload.arrival.kind: must be poisson or fixed_interval"),
-], ids=["horizon 1000.5", "kind burst"])
+    ("cluster", "keep_alive_ms", -5, "error: cluster.keep_alive_ms: must be non-negative"),
+    ("cluster", "nodes", 0, "error: cluster.nodes: needs at least one node"),
+    ("", "seeds", [], "error: seeds: at least one seed is required"),
+    ("output", "formats", ("xml",), "error: output.formats.0: unknown format 'xml' (csv or json)"),
+    ("workload.objects", "size", (0.2, 0.7),
+     "error: workload.objects.size: a range needs whole-MB bounds"),
+], ids=["horizon 1000.5", "kind burst", "keep-alive -5", "no nodes", "no seeds", "format xml",
+        "size range 0.2-0.7"])
 def test_validate_refuses_a_workload_changed_after_parsing(owner, name, value, line):
-    # Regression: validate passed these, and the run then refused them.
+    # Regression: validate passed these, and the run then refused them (or,
+    # from cluster.keep_alive_ms on, ran them).
     scenario = parse_scenario(scenario_dict())
     target = scenario
-    for attribute in owner.split("."):
+    for attribute in filter(None, owner.split(".")):
         target = getattr(target, attribute)
     setattr(target, name, value)
     assert [str(d) for d in validate(scenario)] == [line]
+
+
+def test_validate_refuses_a_workload_built_in_code():
+    # Regression: validate passed this, and generate_trace then drew uniform
+    # popularity and 3 references for every invocation.
+    spec = WorkloadSpec(functions=((F1, 1.0),), refs_per_invocation=(3, 1),
+                        objects=ObjectSpec(count=5, popularity=PopularitySpec(kind="bogus")))
+    assert [str(d) for d in validate(Scenario(workload=spec))] == [
+        "error: workload.objects.popularity.kind: must be zipf or uniform",
+        "error: workload.refs_per_invocation: needs 0 <= lo <= hi"]
 
 
 def _mostly(valid, broken):

@@ -65,7 +65,7 @@ API = {
         "OutputConfig": DEFAULT_OUTPUT[1],
         "Scenario": (("cluster", DEFAULT_CLUSTER), ("workload", DEFAULT_WORKLOAD),
                      ("strategies", [DEFAULT_STRATEGY]), ("seeds", [1]),
-                     ("output", DEFAULT_OUTPUT), ("diagnostics", [])),
+                     ("output", DEFAULT_OUTPUT)),
         "Diagnostic": (("key", REQUIRED), ("message", REQUIRED), ("severity", "error")),
     },
     "workload": {

@@ -1,9 +1,13 @@
 """End-to-end run mechanics on small scenarios."""
 
+from functools import reduce
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dispatchsim import runner
-from dispatchsim.config import StrategyConfig, apply_override, parse_scenario
+from dispatchsim.cluster import EXTERNAL_STORE, ClusterParams, FunctionSpec, NetworkModel
+from dispatchsim.config import Scenario, StrategyConfig, apply_override, parse_scenario, validate
 from dispatchsim.engine import Engine
 from dispatchsim.errors import ConfigError, SimulationError
 from dispatchsim.runner import (
@@ -13,8 +17,8 @@ from dispatchsim.runner import (
     prepare_workload,
     run_scenario,
 )
-from dispatchsim.strategies import make_strategy
-from dispatchsim.workload import Trace
+from dispatchsim.strategies import STRATEGY_NAMES, make_strategy
+from dispatchsim.workload import ArrivalSpec, ObjectSpec, PopularitySpec, Trace, WorkloadSpec
 
 from conftest import scenario_dict
 from reference import COMPLETED, invocations, phase_sum, run_with_records, trace_of
@@ -318,3 +322,134 @@ def test_a_tick_period_under_1ms_is_refused_before_the_run(monkeypatch, key, str
     with pytest.raises(ConfigError) as excinfo:
         runner.run_one(parse_scenario(scenario_dict()), strategy_cfg, 1)
     assert str(excinfo.value) == f"{key}: must be at least 1 ms"
+
+
+BUILT_IN_CODE = [  # (strategy_cfg, the ConfigError's text)
+    (StrategyConfig(dispatch_latency_ms=-5), "strategy.dispatch_latency_ms: must be non-negative"),
+    (StrategyConfig("proactive_cluster", replication_threshold=-1.0),
+     "strategy.replication.threshold: must be positive"),
+]
+
+
+@pytest.mark.parametrize("strategy_cfg, line", BUILT_IN_CODE, ids=[l for _, l in BUILT_IN_CODE])
+def test_a_strategy_cfg_built_in_code_is_refused_naming_its_key(monkeypatch, strategy_cfg, line):
+    # Regression: a negative latency raised SchedulingInPastError mid-run,
+    # and a negative threshold ran with no diagnostic.
+    monkeypatch.setattr(Engine, "run", lambda self: pytest.fail("the run started"))
+    with pytest.raises(ConfigError) as excinfo:
+        runner.run_one(parse_scenario(scenario_dict()), strategy_cfg, 1)
+    assert str(excinfo.value) == line
+
+
+EVENT_CAP = 200_000
+
+
+class CappedEngine(Engine):
+    """An engine that fails past EVENT_CAP fired events, so that a run that
+    would never end fails the test instead of stalling it."""
+
+    fired = 0
+
+    def _counted(self, action):
+        def fire(*args):
+            self.fired += 1
+            if self.fired > EVENT_CAP:
+                pytest.fail(f"the run fired more than {EVENT_CAP} events")
+            action(*args)
+        return fire
+
+    def schedule(self, at, action, label="", args=(), seq=None):
+        super().schedule(at, self._counted(action), label, args, seq)
+
+    def schedule_sorted(self, times, action, label=""):
+        super().schedule_sorted(times, self._counted(action), label)
+
+
+# (record, attribute, a value that breaks a rule): record is "cluster",
+# "workload" or a dotted path below them, "function" (the first function's
+# spec) or "strategy" (the strategy block that runs).
+BREAKS = [
+    ("cluster", "nodes", 0), ("cluster", "mem_capacity", 0), ("cluster", "store_capacity", -1.0),
+    ("cluster", "flavors", ()), ("cluster", "flavors", (0, 128)),
+    ("cluster.network", "latency_ms", -1), ("cluster.network", "bandwidth_mb_per_s", 0.0),
+    ("cluster", "container_boot_ms", -1), ("cluster", "keep_alive_ms", -5),
+    ("cluster", "billing_granularity_ms", 0), ("cluster", "max_execution_ms", 0),
+    ("cluster", "code_store", 5), ("cluster", "result_store", -1),
+    ("workload", "horizon_ms", 0), ("workload.arrival", "kind", "burst"),
+    ("workload.arrival", "interval_ms", 0), ("workload", "functions", ()),
+    ("workload.objects", "count", -1), ("workload.objects", "size", 0.0),
+    ("workload.objects", "size", (0.2, 0.7)), ("workload.objects", "size", (1.5, 2.5)),
+    ("workload.objects", "size", (9, 3)), ("workload.objects.popularity", "kind", "bogus"),
+    ("workload", "refs_per_invocation", (3, 1)), ("workload", "refs_per_invocation", (-1, 0)),
+    ("function", "compute_ms", 0), ("function", "code_size", -1.0),
+    ("function", "write_back", -1.0), ("strategy", "name", "bogus"),
+    ("strategy", "steal_poll_ms", 0), ("strategy", "dispatch_latency_ms", -5),
+    ("strategy", "replication_period_ms", 0), ("strategy", "replication_threshold", -1.0),
+    ("strategy", "replication_decay", 1.5),
+]
+
+
+@st.composite
+def _scenarios(draw) -> tuple[Scenario, StrategyConfig]:
+    """A small scenario built in code, of at most 100 invocations, and a
+    strategy block to run it under, with up to two values of BREAKS."""
+    cluster = ClusterParams(
+        nodes=draw(st.integers(1, 3)), mem_capacity=draw(st.sampled_from([256, 1024])),
+        store_capacity=draw(st.floats(50, 2000)),
+        network=NetworkModel(draw(st.integers(0, 5)), draw(st.floats(50, 500))),
+        container_boot_ms=draw(st.integers(0, 50)), keep_alive_ms=draw(st.integers(0, 500)),
+        billing_granularity_ms=draw(st.integers(1, 100)),
+        max_execution_ms=draw(st.integers(50, 2000)),
+        code_store=draw(st.sampled_from([EXTERNAL_STORE, 0])),
+        result_store=draw(st.sampled_from([EXTERNAL_STORE, 0])))
+    functions = tuple((FunctionSpec(f"f{i}", draw(st.floats(0, 20)),
+                                    draw(st.sampled_from([128, 256])), draw(st.integers(1, 50)),
+                                    draw(st.floats(0, 5))), draw(st.floats(0.1, 5)))
+                      for i in range(draw(st.integers(1, 2))))
+    lo = draw(st.integers(0, 2))
+    workload = WorkloadSpec(
+        horizon_ms=draw(st.integers(1, 500)),
+        arrival=ArrivalSpec(draw(st.sampled_from(["fixed_interval", "poisson"])),
+                            draw(st.floats(1, 200)), draw(st.integers(5, 50))),
+        functions=functions,
+        objects=ObjectSpec(draw(st.integers(0, 6)),
+                           draw(st.floats(1, 20) | st.tuples(st.integers(1, 5),
+                                                             st.integers(5, 20).map(float))),
+                           PopularitySpec(draw(st.sampled_from(["zipf", "uniform"])),
+                                          draw(st.floats(0.5, 2)))),
+        refs_per_invocation=(lo, draw(st.integers(lo, 3))))
+    strategy_cfg = StrategyConfig(
+        draw(st.sampled_from(STRATEGY_NAMES)), work_stealing=draw(st.booleans()),
+        steal_poll_ms=draw(st.integers(5, 20)),
+        dispatch_latency_ms=draw(st.none() | st.integers(0, 5)),
+        replication_period_ms=draw(st.integers(5, 200)),
+        replication_threshold=draw(st.floats(0.5, 20)),
+        replication_decay=draw(st.floats(0.1, 1)))
+    records = {"cluster": cluster, "workload": workload, "function": functions[0][0],
+               "strategy": strategy_cfg}
+    for path, attribute, value in draw(st.lists(st.sampled_from(BREAKS), max_size=2)):
+        owner, *rest = path.split(".")
+        setattr(reduce(getattr, rest, records[owner]), attribute, value)
+    return Scenario(cluster, workload, [strategy_cfg]), strategy_cfg
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn=_scenarios())
+def test_a_scenario_built_in_code_is_refused_naming_a_key_or_runs_to_the_end(drawn):
+    # validate checks the records, whoever built them; the run checks its
+    # strategy block itself, so it takes one validate has not seen here.
+    scenario, strategy_cfg = drawn
+    diags = validate(scenario)
+    errors = {d.key for d in diags if d.severity == "error"}
+    scenario.strategies = [StrategyConfig()]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(runner, "Engine", CappedEngine)
+        try:
+            catalog, trace = prepare_workload(scenario, 1)
+            result = runner.run_one(scenario, strategy_cfg, 1, catalog, trace)
+        except ConfigError as exc:
+            # an origin replica that does not fit is only a warning in validate
+            assert str(exc).partition(": ")[0] in (errors or {d.key for d in diags})
+        else:
+            assert not errors
+            assert result.tasks == len(trace)
