@@ -438,23 +438,27 @@ def _check(value, entry: str, key: str, diags: list[Diagnostic]) -> None:
                 _check(item, sub, f"{key}.{i}" if key else name, diags)
 
 
-def strategy_diagnostics(block: StrategyConfig, key: str = "strategy") -> list[Diagnostic]:
-    """Every problem of the strategy block at key: its table checks, then strategy_problems."""
+def record_diagnostics(record, entry: str, key: str | None = None) -> list[Diagnostic]:
+    """Every problem of a record at table entry ``entry``, "cluster" or "strategy", keyed
+    from ``key`` or else the entry: its table checks, then a strategy's strategy_problems."""
+    key = key or entry
     diags: list[Diagnostic] = []
-    _check(block, "strategy", key, diags)
-    return diags + [Diagnostic(f"{key}.{sub}", problem) for sub, problem
-                    in strategy_problems(block.name, block.params, block.replication_decay)]
+    _check(record, entry, key, diags)
+    if entry == "strategy":
+        diags += [Diagnostic(f"{key}.{sub}", problem) for sub, problem
+                  in strategy_problems(record.name, record.params, record.replication_decay)]
+    return diags
 
 
 def validate(scenario: Scenario) -> list[Diagnostic]:
     """All violations, without running anything; empty means valid: the
     table's checks of the records, whoever built them, each strategy block's
-    strategy_diagnostics, and the rules that compare fields with each other."""
+    record_diagnostics, and the rules that compare fields with each other."""
     diags: list[Diagnostic] = []
     _check(scenario, "", "", diags)
     single = len(scenario.strategies) == 1
     for i, block in enumerate(scenario.strategies):
-        diags += strategy_diagnostics(block, "strategy" if single else f"strategies.{i}")
+        diags += record_diagnostics(block, "strategy", "strategy" if single else f"strategies.{i}")
     err = lambda key, msg: diags.append(Diagnostic(key, msg, "error"))
 
     c = scenario.cluster

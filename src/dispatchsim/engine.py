@@ -10,15 +10,15 @@ bound method needs no closure. Nothing is ever cancelled: every scheduled
 occurrence fires.
 
 Two binary heaps hold what is pending: the event heap, each occurrence
-from ``schedule`` as (fire_at, seq, action, args, label), and the batch
-heap, one key per unfinished sorted batch (``schedule_sorted``) as
-(fire_at, seq, times, action, index, label). A batch reserves a block of
-seqs up front and creates each item only when it fires, so a trace of
-arrivals costs no memory per pending item. Firing an item replaces its
-batch's key with the next item's, a sift through one key per batch, not
-through every pending occurrence. ``run`` fires the earlier top; seqs are
-unique across both heaps, so the firing order and every seq are those one
-heap holding every item would give.
+from ``schedule`` as (fire_at, seq, action, args), and the batch heap, one
+key per unfinished sorted batch (``schedule_sorted``) as (fire_at, seq,
+times, action, index). A batch reserves a block of seqs up front and
+creates each item only when it fires, so a trace of arrivals costs no
+memory per pending item. Firing an item replaces its batch's key with the
+next item's, a sift through one key per batch, not through every pending
+occurrence. ``run`` fires the earlier top; seqs are unique across both
+heaps, so the firing order and every seq are those one heap holding every
+item would give.
 """
 
 from __future__ import annotations
@@ -90,18 +90,20 @@ def _width_bits(lo: int, hi: int) -> tuple[int, int]:
 class Engine:
     """Single-owner event loop; state is mutated only from handlers.
 
-    When ``record_log`` is set, every processed occurrence is appended to
-    ``log`` as (fire_at, seq, label), which makes replay comparisons exact.
+    With ``record_log`` set, ``log`` gets (fire_at, seq, action, args) for
+    each fired occurrence, args (index,) for a batch item. Handlers and
+    arguments compare by identity, so two logs compare by names derived
+    from their entries; tests/reference.py names the runner's events.
     """
 
     def __init__(self, record_log: bool = False):
-        self._heap: list[tuple] = []  # (fire_at, seq, action, args, label)
-        self._batch_heap: list[tuple] = []  # (fire_at, seq, times, action, index, label)
+        self._heap: list[tuple] = []  # (fire_at, seq, action, args)
+        self._batch_heap: list[tuple] = []  # (fire_at, seq, times, action, index)
         self._seq = 0
         self._now = 0
         self._fired_seq = -1  # seq of the last occurrence fired at _now, else -1
         self.record_log = record_log
-        self.log: list[tuple[int, int, str]] = []
+        self.log: list[tuple[int, int, Callable[..., None], tuple]] = []
 
     def now(self) -> int:
         return self._now
@@ -113,8 +115,8 @@ class Engine:
         self._seq = seq + 1
         return seq
 
-    def schedule(self, at: int, action: Callable[..., None], label: str = "",
-                 args: tuple = (), seq: int | None = None) -> None:
+    def schedule(self, at: int, action: Callable[..., None], args: tuple = (),
+                 seq: int | None = None) -> None:
         """Enqueue ``action(*args)`` at virtual time ``at`` (>= now). Given
         ``seq``, a seq from ``reserve``, the occurrence takes that place in
         the order instead of the next seq; (at, seq) must then come after
@@ -133,10 +135,9 @@ class Engine:
             )
         elif seq >= self._seq:
             raise ValueError(f"seq {seq} has not been reserved")
-        heapq.heappush(self._heap, (at, seq, action, args, label))
+        heapq.heappush(self._heap, (at, seq, action, args))
 
-    def schedule_sorted(self, times: Sequence[int], action: Callable[[int], None],
-                        label: str = "") -> None:
+    def schedule_sorted(self, times: Sequence[int], action: Callable[[int], None]) -> None:
         """Enqueue ``action(i)`` at ``times[i]`` for every i; the same as
         calling ``schedule`` once per item, in order. ``times`` must be
         non-decreasing, start no earlier than now and stay unchanged until
@@ -149,7 +150,7 @@ class Engine:
             )
         if any(map(gt, times, islice(times, 1, None))):
             raise ValueError("schedule_sorted needs non-decreasing times")
-        heapq.heappush(self._batch_heap, (times[0], self._seq, times, action, 0, label))
+        heapq.heappush(self._batch_heap, (times[0], self._seq, times, action, 0))
         self._seq += len(times)
 
     def run(self) -> int:
@@ -162,21 +163,20 @@ class Engine:
         processed = 0
         while True:
             if batches and (not heap or batches[0] < heap[0]):  # decided by (fire_at, seq)
-                at, seq, times, action, index, label = batches[0]
+                at, seq, times, action, index = batches[0]
                 if index + 1 < len(times):
-                    heapreplace(batches, (times[index + 1], seq + 1, times, action, index + 1,
-                                          label))
+                    heapreplace(batches, (times[index + 1], seq + 1, times, action, index + 1))
                 else:
                     heappop(batches)
                 args = (index,)
             elif heap:
-                at, seq, action, args, label = heappop(heap)
+                at, seq, action, args = heappop(heap)
             else:
                 return processed
             self._now = at
             self._fired_seq = seq
             if log is not None:
-                log.append((at, seq, label))
+                log.append((at, seq, action, args))
             action(*args)
             processed += 1
 

@@ -129,7 +129,7 @@ class RunResult:
         """One report row (see CSV_COLUMNS). Latency statistics and quality
         are over completed tasks; phase totals, efficiency and the elapsed
         time (the horizon, or the last finish if later) cover every task."""
-        _, _, boot, code_fetch, data_fetch, compute, write_back = self.phase_totals
+        compute, active = self.phase_totals[5], sum(self.phase_totals[2:])  # see PHASES
         actuals = sorted(chain.from_iterable(self.actual_ms))
         completed = len(actuals)
         # Each mean is an exactly rounded fsum over the count, as
@@ -153,7 +153,7 @@ class RunResult:
             "median_actual_ms": median_actual,
             "p95_actual_ms": float(percentile_nearest_rank(actuals, 0.95)),
             "mean_quality": mean_quality,
-            "efficiency": efficiency(compute, boot + code_fetch + data_fetch + compute + write_back),
+            "efficiency": efficiency(compute, active),
             "utilization": utilization(self.occupied_ms_total, self.node_count,
                                        max(self.horizon_ms, self.last_finish)),
             "gb_seconds": self.gb_seconds,

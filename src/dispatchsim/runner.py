@@ -15,6 +15,15 @@ which keeps what the report row reads, and, when one is given, into an
 From arrival to completion an invocation travels as its trace index alone:
 the strategy and the cost model read the trace's columns, and its phases
 are one tuple of ints, in the order of metrics.PHASES.
+
+Events at one millisecond fire in seq order (engine.py). The arrival batch,
+which fires straight from the trace's arrival column and holds no pending
+event, reserves one seq per invocation first; the first steal tick, then
+the first replication tick, take the next, and a later tick takes its seq
+when the one before it fires. An offer takes its seq when its arrival
+fires, a completion when its start runs, and a keep-alive timer fires at
+the key reserved when its container was released. The ENGINE_LOGS digests
+in tests/test_golden_reports.py pin this order.
 """
 
 from __future__ import annotations
@@ -23,7 +32,7 @@ from collections.abc import Callable
 from operator import add
 
 from .cluster import AcquireOutcome, Cluster, Container, PlacementOutcome
-from .config import Scenario, StrategyConfig, strategy_diagnostics, validate
+from .config import Scenario, StrategyConfig, record_diagnostics, validate
 from .engine import Engine, RandomSource
 from .errors import (
     ConfigError, SimulationError, TraceFormatError, UnknownFunctionError, UnknownObjectError,
@@ -39,13 +48,13 @@ class Simulation:
     """One engine run of a trace against a cluster under a strategy. The
     trace's functions are looked up in the cluster's function specs.
 
-    The run's settings come from two places, which hold their defaults:
-    the cluster's ClusterParams (keep-alive, billing step) and the
-    strategy's StrategyConfig (work stealing and its poll period, the
-    replication period and threshold); one with a strategy_diagnostics
-    problem, whoever built it, is a ConfigError naming its key. The seed
-    starts the random stream work stealing draws its victims from. The run
-    writes into ``result``, its RunResult, which is built here.
+    The run's settings come from two places, which hold their defaults: the
+    cluster's ClusterParams (keep-alive, billing step) and the strategy's
+    StrategyConfig (work stealing and its poll period, the replication period
+    and threshold); a StrategyConfig with a record_diagnostics problem,
+    whoever built it, is a ConfigError naming its key. The seed starts the
+    random stream work stealing draws its victims from. The run writes into
+    ``result``, its RunResult, which is built here.
 
     ``on_complete``, when given, is called once per invocation as it
     completes, in completion order: ``on_complete(index, node, phases,
@@ -58,7 +67,7 @@ class Simulation:
                  trace: Trace, *,
                  horizon_ms: int, strategy_cfg: StrategyConfig, seed: int,
                  on_complete: Callable[[int, int, tuple, float, bool], None] | None = None):
-        for diag in strategy_diagnostics(strategy_cfg):  # a tick under 1 ms never ends
+        for diag in record_diagnostics(strategy_cfg, "strategy"):  # a tick under 1 ms never ends
             raise ConfigError(f"{diag.key}: {diag.message}")
         self.engine = engine
         self.cluster = cluster
@@ -72,7 +81,6 @@ class Simulation:
                                 trace.arrivals[0] if trace else 0, horizon_ms,
                                 len(cluster.nodes))
         self.on_complete = on_complete
-        self._labels = engine.record_log  # build event labels only for the log
         self._billing_step = cluster.params.billing_granularity_ms
         self._keep_alive_ms = cluster.params.keep_alive_ms
         self._timer_armed = [False] * len(cluster.nodes)  # per node id
@@ -83,15 +91,11 @@ class Simulation:
     # ---- run loop ---------------------------------------------------------
 
     def run(self) -> None:
-        # Arrivals fire straight from the trace's arrival column; none is
-        # held as a pending event.
-        self.engine.schedule_sorted(self.trace.arrivals, self._arrive, "arrival")
+        self.engine.schedule_sorted(self.trace.arrivals, self._arrive)
         if self.cfg.work_stealing and self.trace:
-            self.engine.schedule(self.cfg.steal_poll_ms, self._steal_tick, "steal-tick")
+            self.engine.schedule(self.cfg.steal_poll_ms, self._steal_tick)
         if self.strategy.needs_replication and self.trace:
-            self.engine.schedule(
-                self.cfg.replication_period_ms, self._replication_tick, "replication-tick"
-            )
+            self.engine.schedule(self.cfg.replication_period_ms, self._replication_tick)
         self.engine.run()
         result = self.result
         result.occupied_ms_total = sum(n.occupied_ms_accum for n in self.cluster.nodes)
@@ -113,7 +117,6 @@ class Simulation:
         trace = self.trace
         node_id = self.strategy.decide(trace, index, self.cluster)
         self.engine.schedule(trace.arrivals[index] + self._dispatch_ms, self._offer,
-                             f"offer:{trace.invocation_id(index)}" if self._labels else "",
                              (index, node_id))
 
     def _offer(self, index: int, node_id: int) -> None:
@@ -130,14 +133,11 @@ class Simulation:
         active, failed = self.cluster.simulate_invocation(
             function, trace.ref_sets[trace.ref_codes[index]], node_id, outcome is _COLD_START)
         busy = sum(active)
-        billed = 0.0 if failed else billed_gb_seconds(busy, container.flavor,
-                                                      self._billing_step)
+        billed = 0.0 if failed else billed_gb_seconds(busy, container.flavor, self._billing_step)
         dispatch_ms = self._dispatch_ms
-        self.engine.schedule(now + busy, self._complete,
-                             f"completion:{trace.invocation_id(index)}" if self._labels else "",
-                             (index, container,
-                              (dispatch_ms, now - trace.arrivals[index] - dispatch_ms) + active,
-                              billed, failed))
+        self.engine.schedule(now + busy, self._complete, (
+            index, container, (dispatch_ms, now - trace.arrivals[index] - dispatch_ms) + active,
+            billed, failed))
         return True
 
     def _complete(self, index: int, container: Container, phases: tuple, billed: float,
@@ -172,12 +172,7 @@ class Simulation:
         node_id = container.node
         if not self._timer_armed[node_id]:
             self._timer_armed[node_id] = True
-            self._arm(node_id, key)
-
-    def _arm(self, node_id: int, key: tuple[int, int]) -> None:
-        self.engine.schedule(key[0], self._keep_alive,
-                             f"keep-alive:{node_id}" if self._labels else "",
-                             (node_id, key), seq=key[1])
+            self.engine.schedule(key[0], self._keep_alive, (node_id, key), seq=key[1])
 
     def _keep_alive(self, node_id: int, key: tuple[int, int]) -> None:
         """A node's keep-alive timer, firing at ``key``. Its oldest idle
@@ -195,7 +190,8 @@ class Simulation:
         if oldest is None:
             self._timer_armed[node_id] = False
         else:
-            self._arm(node_id, oldest.expiry)
+            key = oldest.expiry
+            self.engine.schedule(key[0], self._keep_alive, (node_id, key), seq=key[1])
 
     def _drain(self, node_id: int) -> None:
         queue = self.cluster.nodes[node_id].run_queue
@@ -224,20 +220,15 @@ class Simulation:
             self.steal_rng.skip_randint(0, len(cluster.nodes) - 2,
                                         buckets.get(0, 0).bit_count())
         if self._work_remaining():
-            self.engine.schedule(
-                self.engine.now() + self.cfg.steal_poll_ms, self._steal_tick, "steal-tick"
-            )
+            self.engine.schedule(self.engine.now() + self.cfg.steal_poll_ms, self._steal_tick)
 
     def _replication_tick(self) -> None:
-        actions = replication_tick(
-            self.strategy.counters, self.cluster, self.cfg.replication_threshold
-        )
-        self.result.replication_log.extend((self.engine.now(), action) for action in actions)
+        now = self.engine.now()
+        actions = replication_tick(self.strategy.counters, self.cluster,
+                                   self.cfg.replication_threshold)
+        self.result.replication_log.extend((now, action) for action in actions)
         if self._work_remaining():
-            self.engine.schedule(
-                self.engine.now() + self.cfg.replication_period_ms,
-                self._replication_tick, "replication-tick",
-            )
+            self.engine.schedule(now + self.cfg.replication_period_ms, self._replication_tick)
 
 
 # ---- scenario-level entry points --------------------------------------------
@@ -269,7 +260,10 @@ def prepare_workload(scenario: Scenario, seed: int) -> tuple[Catalog, Trace]:
 
 def build_cluster(scenario: Scenario, catalog: Catalog) -> Cluster:
     """Fresh cluster with one origin replica per object, assigned round robin
-    over the nodes in object id order; one that does not fit is a ConfigError."""
+    over the nodes in object id order; a record_diagnostics problem of the
+    cluster, or an origin replica that does not fit, is a ConfigError."""
+    for diag in record_diagnostics(scenario.cluster, "cluster"):
+        raise ConfigError(f"{diag.key}: {diag.message}")
     cluster = Cluster(scenario.cluster, catalog.functions, list(catalog.objects.values()))
     for i, object_id in enumerate(catalog.objects):
         node_id = i % len(cluster.nodes)

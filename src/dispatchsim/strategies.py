@@ -43,9 +43,10 @@ def locality_score(cluster: Cluster, function: str, data_refs, node_id: int,
                    weights: tuple[float, float, float] = DEFAULT_WEIGHTS,
                    queue_cap: int = DEFAULT_QUEUE_CAP) -> float:
     """How good a node is for an invocation of ``function`` referencing
-    ``data_refs``, in [0, 1] for weights summing to 1: warm code present,
-    byte locality of the references, and queue headroom. The definition the data-aware family's one-pass scorer
-    (DataAwareStrategy.decide) reproduces float for float."""
+    ``data_refs``, in [0, 1] for weights summing to 1: warm code present, byte
+    locality of the references, and queue headroom. The definition the
+    data-aware family's one-pass scorer (DataAwareStrategy.decide) reproduces
+    float for float."""
     w_code, w_data, w_load = weights
     node = cluster.nodes[node_id]
     code_warm = 1.0 if node.warm_pool.get(function) else 0.0
@@ -141,21 +142,21 @@ class DataAwareStrategy(DispatchStrategy):
             self._load_terms = _LoadTerms(w_load, queue_cap)
 
     def decide(self, trace: Trace, index: int, cluster: Cluster) -> int:
-        """The argmax of locality_score over all nodes, ties to the lowest
-        id, in two loops. The first scores the replica holders of the
-        references, whose local bytes one walk over the references sums by
-        the additions of Cluster.locality_fraction, in the order it met
-        them. The second scores every other node, with the holders masked
-        out of the queue-length index, shortest length first, and reads no
-        node: at one length every warm non-holder scores alike, as does
-        every cold one, so only each class's lowest id is scored. A class's score never rises with the
-        length and a cold score never exceeds the warm one, so the loop
-        stops at the first length whose warm score is below the best. A
-        score above the best, or equal to it at a lower id, takes the lead,
-        as in an ascending-id scan. Each score is locality_score's float:
-        the code term w_code or 0.0 (w_code * 1.0 or w_code * 0.0 for a
-        finite weight >= 0), the data term, and the load term read from
-        _load_terms, added left to right as there."""
+        """The argmax of locality_score over all nodes, ties to the lowest id,
+        in two loops. The first scores the replica holders of the references,
+        whose local bytes one walk over the references sums by the additions of
+        Cluster.locality_fraction, in the order it met them. The second scores
+        every other node, with the holders masked out of the queue-length
+        index, shortest length first, and reads no node: at one length every
+        warm non-holder scores alike, as does every cold one, so only each
+        class's lowest id is scored. A class's score never rises with the
+        length and a cold score never exceeds the warm one, so the loop stops
+        at the first length whose warm score is below the best. A score above
+        the best, or equal to it at a lower id, takes the lead, as in an
+        ascending-id scan. Each score is locality_score's float: the code term
+        w_code or 0.0 (w_code * 1.0 or w_code * 0.0 for a finite weight >= 0),
+        the data term, and the load term read from _load_terms, added left to
+        right as there."""
         w_code, w_data, _ = self.weights
         function = trace.functions[trace.function_codes[index]]
         objects = cluster.objects

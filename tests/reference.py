@@ -168,6 +168,27 @@ def run_with_records(scenario, strategy_cfg, seed, catalog=None, trace=None, lab
     return result, records
 
 
+# ---- the engine log of a run -------------------------------------------------------
+
+_EVENT_NAMES = {"_arrive": "arrival", "_offer": "offer", "_complete": "completion",
+                "_keep_alive": "keep-alive", "_steal_tick": "steal-tick",
+                "_replication_tick": "replication-tick"}
+
+
+def event_label(sim, action, args) -> str:
+    """The name of one fired occurrence of a Simulation's run, from its
+    engine log entry's handler and arguments: arrival, offer:<id>,
+    completion:<id>, keep-alive:<node>, steal-tick or replication-tick,
+    where <id> is the invocation's id in the run's trace. Logs of two runs
+    compare through these names: handlers and containers compare by identity."""
+    name = _EVENT_NAMES[action.__name__]
+    if name in ("offer", "completion"):
+        return f"{name}:{sim.trace.invocation_id(args[0])}"
+    if name == "keep-alive":
+        return f"{name}:{args[0]}"
+    return name
+
+
 # ---- a run's completions, one at a time ---------------------------------------------
 
 IDEAL_MS = {"f1": 80, "f2": 1, "f3": 1500}
@@ -178,8 +199,6 @@ IDEAL_SCENARIO = parse_scenario(scenario_dict(workload={"functions": [
 
 class _Clock:
     """The one thing _complete asks of its engine: the time."""
-
-    record_log = False
 
     def __init__(self):
         self.time = 0

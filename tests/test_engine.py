@@ -27,6 +27,16 @@ def record_into(log, tag):
     return lambda: log.append(tag)
 
 
+def _noop(*args):
+    pass
+
+
+def _named(eng):
+    """The engine's log, each entry named by its handler's arguments: a
+    batch item by its index."""
+    return [(at, seq, *args) for at, seq, _, args in eng.log]
+
+
 def test_zero_delay_fires_at_current_time():
     eng = Engine()
     log = []
@@ -112,22 +122,20 @@ def test_handlers_can_schedule_followups():
 
 
 def _seeded_scenario(seed):
-    """A small self-scheduling workload driven entirely by the random source."""
+    """A small self-scheduling workload driven entirely by the random
+    source; its log, each entry named by its (root, depth)."""
     eng = Engine(record_log=True)
     rng = RandomSource(seed, "engine-test")
 
-    def spawn(depth):
-        def handler():
-            if depth < 3:
-                for _ in range(rng.randint(1, 2)):
-                    eng.schedule(eng.now() + rng.randint(1, 9),
-                                 spawn(depth + 1), f"d{depth + 1}")
-        return handler
+    def spawn(root, depth):
+        if depth < 3:
+            for _ in range(rng.randint(1, 2)):
+                eng.schedule(eng.now() + rng.randint(1, 9), spawn, (root, depth + 1))
 
     for i in range(5):
-        eng.schedule(rng.randint(0, 20), spawn(0), f"root{i}")
+        eng.schedule(rng.randint(0, 20), spawn, (i, 0))
     eng.run()
-    return eng.log
+    return _named(eng)
 
 
 def test_seeded_scenarios_replay_identically():
@@ -137,7 +145,7 @@ def test_seeded_scenarios_replay_identically():
 
 def test_processed_fire_times_never_decrease():
     log = _seeded_scenario(7)
-    times = [t for t, _, _ in log]
+    times = [t for t, *_ in log]
     assert times == sorted(times)
 
 
@@ -195,8 +203,8 @@ def test_randint_refuses_an_empty_range():
 def test_handlers_receive_their_arguments():
     eng = Engine()
     seen = []
-    eng.schedule(2, lambda *args: seen.append(args), "", (1, "x"))
-    eng.schedule(1, lambda *args: seen.append(args), "", ("y",))
+    eng.schedule(2, lambda *args: seen.append(args), (1, "x"))
+    eng.schedule(1, lambda *args: seen.append(args), ("y",))
     eng.run()
     assert seen == [("y",), (1, "x")]
 
@@ -212,15 +220,34 @@ def test_a_batch_never_enters_the_event_heap():
     assert eng.pending() == 0
 
 
+def test_the_log_holds_each_fired_occurrence_as_scheduled():
+    eng = Engine(record_log=True)
+
+    def handler(*args):
+        pass
+
+    def item(index):
+        pass
+
+    reserved = eng.reserve()  # seq 0
+    eng.schedule(2, handler, ("x", 1))  # seq 1
+    eng.schedule_sorted([1, 3], item)  # seqs 2 and 3
+    eng.schedule(3, handler, seq=reserved)
+    assert eng.run() == 4
+    assert eng.log == [(1, 2, item, (0,)), (2, 1, handler, ("x", 1)), (3, 0, handler, ()),
+                       (3, 3, item, (1,))]
+
+
 def test_reserved_seq_fires_where_it_was_taken():
     eng = Engine(record_log=True)
     seq = eng.reserve()
-    eng.schedule(3, lambda: eng.schedule(5, lambda: None, "reserved", seq=seq), "arm")
-    eng.schedule(5, lambda: None, "second")
-    eng.schedule(5, lambda: None, "third")
+    eng.schedule(3, lambda _: eng.schedule(5, _noop, ("reserved",), seq=seq), ("arm",))
+    eng.schedule(5, _noop, ("second",))
+    eng.schedule(5, _noop, ("third",))
     assert eng.pending() == 3  # a reserved seq is pending only once scheduled
     assert eng.run() == 4
-    assert eng.log == [(3, 1, "arm"), (5, 0, "reserved"), (5, 2, "second"), (5, 3, "third")]
+    assert _named(eng) == [(3, 1, "arm"), (5, 0, "reserved"), (5, 2, "second"),
+                           (5, 3, "third")]
 
 
 def test_schedule_at_a_reserved_seq_rejects_a_key_in_the_past():
@@ -228,35 +255,35 @@ def test_schedule_at_a_reserved_seq_rejects_a_key_in_the_past():
     early = eng.reserve()  # seq 0
     outcomes = []
 
-    def at_five():  # fires at (5, 1)
+    def at_five(_name):  # fires at (5, 1)
         for at, seq in ((5, early), (4, late), (5, late)):
             try:
-                eng.schedule(at, lambda: None, f"reserved@{at}", seq=seq)
+                eng.schedule(at, _noop, (f"reserved@{at}",), seq=seq)
                 outcomes.append(("scheduled", at, seq))
             except SchedulingInPastError:
                 outcomes.append(("rejected", at, seq))
 
-    eng.schedule(5, at_five, "at-five")
+    eng.schedule(5, at_five, ("at-five",))
     late = eng.reserve()  # seq 2
     assert eng.run() == 2
     assert outcomes == [("rejected", 5, 0), ("rejected", 4, 2), ("scheduled", 5, 2)]
-    assert eng.log == [(5, 1, "at-five"), (5, 2, "reserved@5")]
+    assert _named(eng) == [(5, 1, "at-five"), (5, 2, "reserved@5")]
     with pytest.raises(ValueError, match="not been reserved"):
         eng.schedule(9, lambda: None, seq=3)
-    eng.schedule(7, lambda: None, "reserved@7", seq=early)  # past the clock, any seq is open
+    eng.schedule(7, _noop, ("reserved@7",), seq=early)  # past the clock, any seq is open
     assert eng.run() == 1
-    assert eng.log[-1] == (7, 0, "reserved@7")
+    assert _named(eng)[-1] == (7, 0, "reserved@7")
 
 
 def test_schedule_sorted_fires_lazily_with_reserved_seqs():
     eng = Engine(record_log=True)
     seen = []
-    eng.schedule_sorted([0, 4, 4, 9], lambda i: seen.append((i, eng.now())), "batch")
-    eng.schedule(4, lambda: seen.append(("heap", eng.now())), "heap")
+    eng.schedule_sorted([0, 4, 4, 9], lambda i: seen.append((i, eng.now())))
+    eng.schedule(4, lambda: seen.append(("heap", eng.now())))
     assert eng.pending() == 1  # batch items are not materialised
     assert eng.run() == 5
     assert seen == [(0, 0), (1, 4), (2, 4), ("heap", 4), (3, 9)]
-    assert [seq for _, seq, _ in eng.log] == [0, 1, 2, 4, 3]
+    assert [seq for _, seq, *_ in eng.log] == [0, 1, 2, 4, 3]
 
 
 # A batch item and a ``schedule`` occurrence at the same ms sit in different
@@ -265,40 +292,39 @@ def test_schedule_sorted_fires_lazily_with_reserved_seqs():
 
 def test_a_tie_fires_an_occurrence_scheduled_before_the_batch_first():
     eng = Engine(record_log=True)
-    eng.schedule(4, lambda: None, "before")
+    eng.schedule(4, _noop, ("before",))
     early = eng.reserve()
-    eng.schedule_sorted([4, 4, 6], lambda i: None, "batch")
-    eng.schedule(4, lambda: None, "reserved", seq=early)
+    eng.schedule_sorted([4, 4, 6], _noop)
+    eng.schedule(4, _noop, ("reserved",), seq=early)
     assert eng.run() == 5
-    assert eng.log == [(4, 0, "before"), (4, 1, "reserved"), (4, 2, "batch"),
-                       (4, 3, "batch"), (6, 4, "batch")]
+    assert _named(eng) == [(4, 0, "before"), (4, 1, "reserved"), (4, 2, 0), (4, 3, 1),
+                           (6, 4, 2)]
 
 
 def test_a_tie_fires_an_occurrence_scheduled_after_the_batch_last():
     eng = Engine(record_log=True)
-    eng.schedule_sorted([2, 4, 4], lambda i: None, "batch")
-    eng.schedule(4, lambda: None, "after")
-    eng.schedule(2, lambda: None, "after")
+    eng.schedule_sorted([2, 4, 4], _noop)
+    eng.schedule(4, _noop, ("after",))
+    eng.schedule(2, _noop, ("after",))
     assert eng.run() == 5
-    assert eng.log == [(2, 0, "batch"), (2, 4, "after"), (4, 1, "batch"),
-                       (4, 2, "batch"), (4, 3, "after")]
+    assert _named(eng) == [(2, 0, 0), (2, 4, "after"), (4, 1, 1), (4, 2, 2), (4, 3, "after")]
 
 
 def test_a_batch_scheduled_by_a_handler_at_its_own_time_fires_in_seq_order():
     eng = Engine(record_log=True)
     seen = []
 
-    def at_five():
-        eng.schedule(5, lambda: seen.append("x"), "x")
-        eng.schedule_sorted([5, 5, 7], lambda i: seen.append(i), "batch")
-        eng.schedule(5, lambda: seen.append("y"), "y")
+    def at_five(_name):
+        eng.schedule(5, seen.append, ("x",))
+        eng.schedule_sorted([5, 5, 7], seen.append)
+        eng.schedule(5, seen.append, ("y",))
 
-    eng.schedule(5, at_five, "at-five")
-    eng.schedule(6, lambda: seen.append("z"), "z")
+    eng.schedule(5, at_five, ("at-five",))
+    eng.schedule(6, seen.append, ("z",))
     assert eng.run() == 7
     assert seen == ["x", 0, 1, "y", "z", 2]
-    assert eng.log == [(5, 0, "at-five"), (5, 2, "x"), (5, 3, "batch"), (5, 4, "batch"),
-                       (5, 6, "y"), (6, 1, "z"), (7, 5, "batch")]
+    assert _named(eng) == [(5, 0, "at-five"), (5, 2, "x"), (5, 3, 0), (5, 4, 1), (5, 6, "y"),
+                           (6, 1, "z"), (7, 5, 2)]
 
 
 def test_schedule_sorted_rejects_unsorted_or_past_times():
@@ -320,7 +346,6 @@ class HeapOccurrence:
     seq: int
     action: Callable
     args: tuple
-    label: str
     batch_item: bool = False
 
 
@@ -345,19 +370,19 @@ class HeapEngine:
         self._seq += 1
         return self._seq - 1
 
-    def schedule(self, at, action, label="", args=(), batch_item=False, seq=None):
+    def schedule(self, at, action, args=(), seq=None, batch_item=False):
         if at < self._now or (seq is not None and (at, seq) <= self._last):
             raise SchedulingInPastError(f"(t={at}, seq={seq}) is behind {self._last}")
         if seq is None:
             seq = self.reserve()
         elif seq >= self._seq:
             raise ValueError(f"seq {seq} has not been reserved")
-        occ = HeapOccurrence(at, seq, action, args, label, batch_item)
+        occ = HeapOccurrence(at, seq, action, args, batch_item)
         heapq.heappush(self._heap, (at, seq, occ))
 
-    def schedule_sorted(self, times, action, label=""):
+    def schedule_sorted(self, times, action):
         for i, at in enumerate(times):
-            self.schedule(at, action, label, (i,), batch_item=True)
+            self.schedule(at, action, (i,), batch_item=True)
 
     def pending(self):
         """Entries not yet fired, batch items not counted."""
@@ -367,7 +392,7 @@ class HeapEngine:
         self._now = occ.fire_at
         self._last = (occ.fire_at, occ.seq)
         if self.record_log:
-            self.log.append((occ.fire_at, occ.seq, occ.label))
+            self.log.append((occ.fire_at, occ.seq, occ.action, occ.args))
         occ.action(*occ.args)
 
     def run(self):
@@ -393,8 +418,9 @@ _op = st.one_of(
 
 
 def _drive(engine, top_ops, followups):
-    """Run a program; returns the log, the handler calls, the count run
-    returned, the clock, and pending() after every top-level op."""
+    """Run a program; returns the log, each entry named by its op, the
+    handler calls, the count run returned, the clock, and pending() after
+    every top-level op."""
     fired = []
     reserved = []  # (fire_at, seq) reserved and not yet scheduled
     script = iter(followups)
@@ -410,19 +436,19 @@ def _drive(engine, top_ops, followups):
         kind, arg = op
         name = f"{kind}{next(counter)}"
         if kind == "schedule":
-            engine.schedule(engine.now() + arg, handler, name, (name, arg))
+            engine.schedule(engine.now() + arg, handler, (name, arg))
         elif kind == "sorted":
             times, t = [], engine.now()
             for step in arg:
                 t += step
                 times.append(t)
-            engine.schedule_sorted(times, functools.partial(handler, name), name)
+            engine.schedule_sorted(times, functools.partial(handler, name))
         elif kind == "reserve":
             reserved.append((engine.now() + arg, engine.reserve()))
         elif reserved:
             at, seq = reserved.pop(arg % len(reserved))
             try:
-                engine.schedule(at, handler, name, (name, at), seq=seq)
+                engine.schedule(at, handler, (name, at), seq=seq)
             except SchedulingInPastError:
                 fired.append((name, "rejected", engine.now()))
 
@@ -432,7 +458,9 @@ def _drive(engine, top_ops, followups):
         pending.append(engine.pending())
     processed = engine.run()
     pending.append(engine.pending())
-    return engine.log, fired, processed, engine.now(), pending
+    # A batch's handler is a partial holding its op's name; any other takes it as args[0].
+    log = [(at, seq, *getattr(action, "args", ()), *args) for at, seq, action, args in engine.log]
+    return log, fired, processed, engine.now(), pending
 
 
 @settings(max_examples=300, deadline=None)
@@ -487,5 +515,6 @@ def _whole_run_cases():
 def test_whole_run_matches_heap_engine(monkeypatch, scenario, strategy_cfg, seed):
     log, row = _run_logged(monkeypatch, Engine, scenario, strategy_cfg, seed)
     ref_log, ref_row = _run_logged(monkeypatch, HeapEngine, scenario, strategy_cfg, seed)
-    assert [(t, seq) for t, seq, _ in log] == [(t, seq) for t, seq, _ in ref_log]
+    assert ([(t, seq, action.__name__) for t, seq, action, _ in log]
+            == [(t, seq, action.__name__) for t, seq, action, _ in ref_log])
     assert row == ref_row

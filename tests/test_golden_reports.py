@@ -18,9 +18,9 @@ queues grow and both steal; they were recorded at 67569d3.
 MATRIX pins the reports of every shipped demo scenario at seeds 1-3, csv
 and json, from ``compare`` when the scenario lists two or more strategies
 and from ``run`` otherwise. ENGINE_LOGS pins, per seed-1 run of each demo
-scenario, the engine's log of every fired occurrence (fire_at, seq, label):
-the order and the seq of each event, which a change to the event engine
-must keep. Both were recorded at commit 6ee7d06.
+scenario, the engine's log of every fired occurrence as (fire_at, seq,
+reference.event_label): the order and the seq of each event, which a change
+to the event engine must keep. Both were recorded at commit 6ee7d06.
 
 DEMO_STDOUT pins what each ``demos/*.py`` script prints: the phase
 timelines, the strategy table, the steal makespans and the replication
@@ -50,6 +50,7 @@ from dispatchsim.runner import Simulation, prepare_workload, run_one
 from dispatchsim.strategies import STRATEGY_NAMES
 
 from conftest import scenario_dict
+from reference import event_label
 from test_acceptance import DATA_INTENSIVE
 from test_keep_alive import simulate
 
@@ -278,10 +279,10 @@ def _seed_one_runs():
 def _engine_log_digest(path: Path, strategy_cfg) -> str:
     """Digest of the engine log of one demo scenario's seed-1 run."""
     engine = Engine(record_log=True)
-    simulate(Simulation, engine, load_scenario(path), strategy_cfg, 1)
+    sim = simulate(Simulation, engine, load_scenario(path), strategy_cfg, 1)[0]
     h = hashlib.sha256()
-    for at, seq, label in engine.log:
-        h.update(f"{at},{seq},{label}\n".encode())
+    for at, seq, action, args in engine.log:
+        h.update(f"{at},{seq},{event_label(sim, action, args)}\n".encode())
     return h.hexdigest()
 
 

@@ -11,6 +11,7 @@ be identical, and the reference's (time, seq) log without them must be the
 runner's log without its extra entries, each of which is a keep-alive timer.
 """
 
+import functools
 from collections import Counter
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from dispatchsim.engine import Engine
 from dispatchsim.strategies import make_strategy
 
 from conftest import scenario_dict
+from reference import event_label
 
 TIGHT_MEMORY = Path(__file__).parent.parent / "demos" / "scenarios" / "tight_memory.yaml"
 STRATEGIES = [{"name": name} for name in (
@@ -43,8 +45,7 @@ class EagerKeepAlive(runner.Simulation):
     def _release(self, container, now):
         self.cluster.release_container(container, now)
         generation = self.generation[container] = self.generation.get(container, 0) + 1
-        self.engine.schedule(now + self._keep_alive_ms, self._expire, "expiry",
-                             (container, generation))
+        self.engine.schedule(now + self._keep_alive_ms, self._expire, (container, generation))
 
     def _expire(self, container, generation):
         freed = (generation == self.generation[container]
@@ -63,22 +64,25 @@ class CheckedEngine(Engine):
     def __init__(self):
         super().__init__(record_log=True)
         self.offers = 0
-        self.timers = Counter()  # pending keep-alive timers by label
+        self.timers = Counter()  # pending keep-alive timers by node id
 
-    def schedule(self, at, action, label="", args=(), seq=None):
-        if label.startswith("offer:"):
+    def schedule(self, at, action, args=(), seq=None):
+        handler = getattr(action, "__func__", None)
+        if handler is runner.Simulation._offer:
             self.offers += 1
-        if label.startswith("keep-alive:"):
-            self.timers[label] += 1
-            assert self.timers[label] == 1, f"two timers pending for {label}"
+        if handler is runner.Simulation._keep_alive:
+            node_id = args[0]
+            self.timers[node_id] += 1
+            assert self.timers[node_id] == 1, f"two timers pending for node {node_id}"
 
+            @functools.wraps(action)  # logged under the handler's name
             def fire(*fired_args):
-                self.timers[label] -= 1
+                self.timers[node_id] -= 1
                 action(*fired_args)
 
-            super().schedule(at, fire, label, args, seq=seq)
+            super().schedule(at, fire, args, seq=seq)
         else:
-            super().schedule(at, action, label, args, seq=seq)
+            super().schedule(at, action, args, seq=seq)
 
 
 def simulate(simulation_cls, engine, scenario, strategy_cfg, seed):
@@ -108,10 +112,11 @@ def assert_matches_eager(scenario, strategy_cfg, seed):
 
     assert engine.offers == len(sim.trace)  # one dispatch offer per invocation
     assert not +engine.timers  # every timer fired
-    kept = [(t, seq) for t, seq, _ in eager.engine.log if (t, seq) not in eager.skipped]
+    kept = [(t, seq) for t, seq, *_ in eager.engine.log if (t, seq) not in eager.skipped]
     kept_set = set(kept)
-    assert [(t, seq) for t, seq, _ in engine.log if (t, seq) in kept_set] == kept
-    extra = [label for t, seq, label in engine.log if (t, seq) not in kept_set]
+    assert [(t, seq) for t, seq, *_ in engine.log if (t, seq) in kept_set] == kept
+    extra = [event_label(sim, action, args) for t, seq, action, args in engine.log
+             if (t, seq) not in kept_set]
     assert all(label.startswith("keep-alive:") for label in extra)
     return eager
 

@@ -105,7 +105,7 @@ class ReferenceSimulation(runner.Simulation):
                 self.replications += 1
         if self._work_remaining():
             self.engine.schedule(self.engine.now() + self.cfg.replication_period_ms,
-                                 self._replication_tick, "replication-tick")
+                                 self._replication_tick)
 
     def run(self):
         # run_one returns this simulation's result: the reference's, here.

@@ -1,13 +1,16 @@
 """End-to-end run mechanics on small scenarios."""
 
 from functools import reduce
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dispatchsim import runner
 from dispatchsim.cluster import EXTERNAL_STORE, ClusterParams, FunctionSpec, NetworkModel
-from dispatchsim.config import Scenario, StrategyConfig, apply_override, parse_scenario, validate
+from dispatchsim.config import (
+    Scenario, StrategyConfig, apply_override, load_scenario, parse_scenario, validate,
+)
 from dispatchsim.engine import Engine
 from dispatchsim.errors import ConfigError, SimulationError
 from dispatchsim.runner import (
@@ -22,6 +25,8 @@ from dispatchsim.workload import ArrivalSpec, ObjectSpec, PopularitySpec, Trace,
 
 from conftest import scenario_dict
 from reference import COMPLETED, invocations, phase_sum, run_with_records, trace_of
+
+MINIMAL = Path(__file__).parent.parent / "demos" / "scenarios" / "minimal.yaml"
 
 
 def run_first(raw):
@@ -264,10 +269,10 @@ def test_sorted_trace_is_used_as_given_and_unsorted_one_is_sorted():
 class LateCompletions(Engine):
     """Fires every completion one millisecond after its phases end."""
 
-    def schedule(self, at, action, label="", args=(), seq=None):
+    def schedule(self, at, action, args=(), seq=None):
         if getattr(action, "__func__", None) is Simulation._complete:
             at += 1
-        super().schedule(at, action, label, args, seq=seq)
+        super().schedule(at, action, args, seq=seq)
 
 
 def test_completion_check_refuses_a_finish_other_than_the_phase_sum():
@@ -341,6 +346,28 @@ def test_a_strategy_cfg_built_in_code_is_refused_naming_its_key(monkeypatch, str
     assert str(excinfo.value) == line
 
 
+CLUSTER_CHANGES = [  # (ClusterParams attribute, value, the ConfigError's text)
+    ("keep_alive_ms", -5, "cluster.keep_alive_ms: must be non-negative"),
+    ("nodes", 0, "cluster.nodes: needs at least one node"),
+]
+
+
+@pytest.mark.parametrize("attribute, value, line", CLUSTER_CHANGES,
+                         ids=[f"{a}={v}" for a, v, _ in CLUSTER_CHANGES])
+def test_a_cluster_changed_after_preparing_the_workload_is_refused_naming_its_key(
+        monkeypatch, attribute, value, line):
+    # Regression: run_one given a prepared catalog and trace checked nothing
+    # of the cluster; a keep-alive of -5 raised SchedulingInPastError mid-run
+    # and no nodes raised SimulationError.
+    scenario = load_scenario(MINIMAL)
+    catalog, trace = prepare_workload(scenario, 1)
+    setattr(scenario.cluster, attribute, value)
+    monkeypatch.setattr(Engine, "run", lambda self: pytest.fail("the run started"))
+    with pytest.raises(ConfigError) as excinfo:
+        runner.run_one(scenario, scenario.strategies[0], 1, catalog, trace)
+    assert str(excinfo.value) == line
+
+
 EVENT_CAP = 200_000
 
 
@@ -358,11 +385,11 @@ class CappedEngine(Engine):
             action(*args)
         return fire
 
-    def schedule(self, at, action, label="", args=(), seq=None):
-        super().schedule(at, self._counted(action), label, args, seq)
+    def schedule(self, at, action, args=(), seq=None):
+        super().schedule(at, self._counted(action), args, seq)
 
-    def schedule_sorted(self, times, action, label=""):
-        super().schedule_sorted(times, self._counted(action), label)
+    def schedule_sorted(self, times, action):
+        super().schedule_sorted(times, self._counted(action))
 
 
 # (record, attribute, a value that breaks a rule): record is "cluster",

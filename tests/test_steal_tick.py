@@ -18,6 +18,7 @@ from dispatchsim.engine import Engine, RandomSource
 from dispatchsim.strategies import make_strategy, steal_work
 
 from conftest import scenario_dict
+from reference import event_label
 
 DATA_INTENSIVE = Path(__file__).parent.parent / "demos" / "scenarios" / "data_intensive.yaml"
 
@@ -34,9 +35,7 @@ class PerNodeStealTick(runner.Simulation):
                 self.result.steals += len(batch)
                 self._drain(node_id)
         if self._work_remaining():
-            self.engine.schedule(
-                self.engine.now() + self.cfg.steal_poll_ms, self._steal_tick, "steal-tick"
-            )
+            self.engine.schedule(self.engine.now() + self.cfg.steal_poll_ms, self._steal_tick)
 
 
 class CountedTicks(runner.Simulation):
@@ -76,7 +75,8 @@ def assert_matches_per_node_loop(scenario, strategy_cfg, seed):
     assert completions == ref_completions
     assert result.steals == ref_result.steals
     assert result.replication_log == ref_result.replication_log
-    assert sim.engine.log == ref.engine.log
+    assert ([(t, seq, event_label(sim, *entry)) for t, seq, *entry in sim.engine.log]
+            == [(t, seq, event_label(ref, *entry)) for t, seq, *entry in ref.engine.log])
     next_draw = sim.steal_rng.random()
     assert next_draw == ref.steal_rng.random()  # the same draws so far
     if scenario.cluster.nodes == 1:  # no victim: nothing is ever drawn
