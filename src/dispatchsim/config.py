@@ -414,9 +414,10 @@ def apply_override(raw: dict, override: str) -> None:
 # ---- validation -------------------------------------------------------------
 
 
-# How validate reads a key of a mapping, where not as the attribute of its name.
+# How validate reads a key of a mapping, where not as the attribute of its name. The
+# scenario's cluster and strategy blocks go through record_diagnostics instead.
 _READ = {
-    "": lambda scenario, name: getattr(scenario, name, None),  # validate checks the blocks
+    "": lambda scenario, name: None if name == "cluster" else getattr(scenario, name, None),
     "workload.functions.N": lambda p, name: p[1] if name == "weight" else getattr(p[0], name),
     "workload.origins.N": lambda p, name: p[name == "weight"],
     "strategy": lambda block, name: block if name == "replication" else getattr(block, name),
@@ -440,34 +441,33 @@ def _check(value, entry: str, key: str, diags: list[Diagnostic]) -> None:
 
 def record_diagnostics(record, entry: str, key: str | None = None) -> list[Diagnostic]:
     """Every problem of a record at table entry ``entry``, "cluster" or "strategy", keyed
-    from ``key`` or else the entry: its table checks, then a strategy's strategy_problems."""
+    from ``key`` or else the entry: its table checks, then a cluster's stores that name no
+    node, or a strategy's strategy_problems."""
     key = key or entry
     diags: list[Diagnostic] = []
     _check(record, entry, key, diags)
-    if entry == "strategy":
-        diags += [Diagnostic(f"{key}.{sub}", problem) for sub, problem
-                  in strategy_problems(record.name, record.params, record.replication_decay)]
-    return diags
+    if entry == "cluster":
+        stores = {sub: getattr(record, sub) for sub in ("code_store", "result_store")}
+        problems = [(sub, f"must be {EXTERNAL_STORE} or a node id below cluster.nodes")
+                    for sub, store in stores.items()
+                    if store != EXTERNAL_STORE and not 0 <= store < record.nodes]
+    else:
+        problems = strategy_problems(record.name, record.params, record.replication_decay)
+    return diags + [Diagnostic(f"{key}.{sub}", problem) for sub, problem in problems]
 
 
 def validate(scenario: Scenario) -> list[Diagnostic]:
     """All violations, without running anything; empty means valid: the
-    table's checks of the records, whoever built them, each strategy block's
-    record_diagnostics, and the rules that compare fields with each other."""
-    diags: list[Diagnostic] = []
+    table's checks of the records, whoever built them, the record_diagnostics
+    of the cluster and each strategy block, and the rules that compare fields."""
+    diags = record_diagnostics(scenario.cluster, "cluster")
     _check(scenario, "", "", diags)
     single = len(scenario.strategies) == 1
     for i, block in enumerate(scenario.strategies):
         diags += record_diagnostics(block, "strategy", "strategy" if single else f"strategies.{i}")
     err = lambda key, msg: diags.append(Diagnostic(key, msg, "error"))
 
-    c = scenario.cluster
-    for key in ("code_store", "result_store"):
-        store = getattr(c, key)
-        if store != EXTERNAL_STORE and not 0 <= store < c.nodes:
-            err(f"cluster.{key}", f"must be {EXTERNAL_STORE} or a node id below cluster.nodes")
-
-    w = scenario.workload
+    c, w = scenario.cluster, scenario.workload
     diags += [Diagnostic(key, problem) for key, problem in trace_problems(w)]
     names = set()
     for i, (fs, _) in enumerate(w.functions):

@@ -2,19 +2,20 @@
 
 Virtual time is integer milliseconds. Occurrences fire in strict
 (fire_at, seq) order, where seq is assigned at scheduling time, so ties at
-the same instant resolve in scheduling order. A caller can also take a seq
-with ``reserve`` and schedule at it later: the occurrence then fires where
+the same instant resolve in scheduling order. The owner can also reserve a
+seq (see Engine) and schedule at it later: the occurrence then fires where
 it would have fired had it been scheduled when the seq was taken. An
 occurrence carries its handler and the handler's arguments, so scheduling a
 bound method needs no closure. Nothing is ever cancelled: every scheduled
 occurrence fires.
 
 Two binary heaps hold what is pending: the event heap, each occurrence
-from ``schedule`` as (fire_at, seq, action, args), and the batch heap, one
-key per unfinished sorted batch (``schedule_sorted``) as (fire_at, seq,
-times, action, index). A batch reserves a block of seqs up front and
-creates each item only when it fires, so a trace of arrivals costs no
-memory per pending item. Firing an item replaces its batch's key with the
+from ``schedule`` or the owner's push (see Engine) as (fire_at, seq,
+action, args), and the batch heap, one key per unfinished sorted batch
+(``schedule_sorted``) as (fire_at, seq, times, action, index). A batch
+reserves a block of seqs up front and creates each item only when it
+fires, as ``action(index)``, so a trace of arrivals costs no memory per
+pending item. Firing an item replaces its batch's key with the
 next item's, a sift through one key per batch, not through every pending
 occurrence. ``run`` fires the earlier top; seqs are unique across both
 heaps, so the firing order and every seq are those one heap holding every
@@ -90,6 +91,14 @@ def _width_bits(lo: int, hi: int) -> tuple[int, int]:
 class Engine:
     """Single-owner event loop; state is mutated only from handlers.
 
+    ``now`` is the clock: the fire time of the occurrence firing, or of the
+    last one fired. The owner takes the next seq by reading ``_seq`` and
+    advancing it by one, to reserve it for a later ``schedule(..., seq=)``
+    or to push an occurrence with no call: ``heappush(engine._heap,
+    (fire_at, seq, action, args))``. A push skips ``schedule``'s checks, so
+    its fire_at must be ``now`` plus a duration known to be non-negative.
+    The runner pushes its offers and completions so.
+
     With ``record_log`` set, ``log`` gets (fire_at, seq, action, args) for
     each fired occurrence, args (index,) for a batch item. Handlers and
     arguments compare by identity, so two logs compare by names derived
@@ -100,38 +109,28 @@ class Engine:
         self._heap: list[tuple] = []  # (fire_at, seq, action, args)
         self._batch_heap: list[tuple] = []  # (fire_at, seq, times, action, index)
         self._seq = 0
-        self._now = 0
-        self._fired_seq = -1  # seq of the last occurrence fired at _now, else -1
+        self.now = 0
+        self._fired_seq = -1  # seq of the last occurrence fired at now, else -1
         self.record_log = record_log
         self.log: list[tuple[int, int, Callable[..., None], tuple]] = []
-
-    def now(self) -> int:
-        return self._now
-
-    def reserve(self) -> int:
-        """Take the next seq without scheduling anything, for one later
-        ``schedule(..., seq=)``."""
-        seq = self._seq
-        self._seq = seq + 1
-        return seq
 
     def schedule(self, at: int, action: Callable[..., None], args: tuple = (),
                  seq: int | None = None) -> None:
         """Enqueue ``action(*args)`` at virtual time ``at`` (>= now). Given
-        ``seq``, a seq from ``reserve``, the occurrence takes that place in
+        ``seq``, a reserved seq, the occurrence takes that place in
         the order instead of the next seq; (at, seq) must then come after
         the occurrence firing now."""
         if seq is None:
-            if at < self._now:
+            if at < self.now:
                 raise SchedulingInPastError(
-                    f"cannot schedule at t={at}; clock is already at t={self._now}"
+                    f"cannot schedule at t={at}; clock is already at t={self.now}"
                 )
             seq = self._seq
             self._seq = seq + 1
-        elif at < self._now or (at == self._now and seq <= self._fired_seq):
+        elif at < self.now or (at == self.now and seq <= self._fired_seq):
             raise SchedulingInPastError(
                 f"cannot schedule at (t={at}, seq={seq}); the engine has fired "
-                f"(t={self._now}, seq={self._fired_seq})"
+                f"(t={self.now}, seq={self._fired_seq})"
             )
         elif seq >= self._seq:
             raise ValueError(f"seq {seq} has not been reserved")
@@ -144,9 +143,9 @@ class Engine:
         the batch has fired."""
         if not times:
             return
-        if times[0] < self._now:
+        if times[0] < self.now:
             raise SchedulingInPastError(
-                f"cannot schedule at t={times[0]}; clock is already at t={self._now}"
+                f"cannot schedule at t={times[0]}; clock is already at t={self.now}"
             )
         if any(map(gt, times, islice(times, 1, None))):
             raise ValueError("schedule_sorted needs non-decreasing times")
@@ -168,19 +167,21 @@ class Engine:
                     heapreplace(batches, (times[index + 1], seq + 1, times, action, index + 1))
                 else:
                     heappop(batches)
-                args = (index,)
+                self.now, self._fired_seq = at, seq
+                if log is not None:
+                    log.append((at, seq, action, (index,)))
+                action(index)
             elif heap:
                 at, seq, action, args = heappop(heap)
+                self.now, self._fired_seq = at, seq
+                if log is not None:
+                    log.append((at, seq, action, args))
+                action(*args)
             else:
                 return processed
-            self._now = at
-            self._fired_seq = seq
-            if log is not None:
-                log.append((at, seq, action, args))
-            action(*args)
             processed += 1
 
     def pending(self) -> int:
-        """Occurrences from ``schedule`` not yet fired: the event heap's
-        size. Batch items are not counted."""
+        """Occurrences in the event heap not yet fired: those from
+        ``schedule`` and the owner's push. Batch items are not counted."""
         return len(self._heap)

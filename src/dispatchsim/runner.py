@@ -23,16 +23,20 @@ the first replication tick, take the next, and a later tick takes its seq
 when the one before it fires. An offer takes its seq when its arrival
 fires, a completion when its start runs, and a keep-alive timer fires at
 the key reserved when its container was released. The ENGINE_LOGS digests
-in tests/test_golden_reports.py pin this order.
+in tests/test_golden_reports.py pin this order. Offers and completions skip
+``Engine.schedule``: ``_arrive`` and ``_try_start`` push them (the owner's
+push, engine.py), each at the clock plus a non-negative duration, the
+dispatch latency or the sum of the phases, so none lands in the past.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
+from heapq import heappush
 from operator import add
 
 from .cluster import AcquireOutcome, Cluster, Container, PlacementOutcome
-from .config import Scenario, StrategyConfig, record_diagnostics, validate
+from .config import FIELDS, Scenario, StrategyConfig, record_diagnostics, validate
 from .engine import Engine, RandomSource
 from .errors import (
     ConfigError, SimulationError, TraceFormatError, UnknownFunctionError, UnknownObjectError,
@@ -51,10 +55,10 @@ class Simulation:
     The run's settings come from two places, which hold their defaults: the
     cluster's ClusterParams (keep-alive, billing step) and the strategy's
     StrategyConfig (work stealing and its poll period, the replication period
-    and threshold); a StrategyConfig with a record_diagnostics problem,
-    whoever built it, is a ConfigError naming its key. The seed starts the
-    random stream work stealing draws its victims from. The run writes into
-    ``result``, its RunResult, which is built here.
+    and threshold); a StrategyConfig with a record_diagnostics problem, or a
+    strategy with a negative latency, is a ConfigError naming its key. The
+    seed starts the random stream work stealing draws its victims from. The
+    run writes into ``result``, its RunResult, which is built here.
 
     ``on_complete``, when given, is called once per invocation as it
     completes, in completion order: ``on_complete(index, node, phases,
@@ -69,6 +73,9 @@ class Simulation:
                  on_complete: Callable[[int, int, tuple, float, bool], None] | None = None):
         for diag in record_diagnostics(strategy_cfg, "strategy"):  # a tick under 1 ms never ends
             raise ConfigError(f"{diag.key}: {diag.message}")
+        problem = FIELDS["strategy.dispatch_latency_ms"][1](strategy.dispatch_latency_ms)
+        if problem:  # offers are pushed unchecked (see _arrive), so none may land in the past
+            raise ConfigError(f"strategy.dispatch_latency_ms: {problem}")
         self.engine = engine
         self.cluster = cluster
         self.strategy = strategy
@@ -84,9 +91,10 @@ class Simulation:
         self._billing_step = cluster.params.billing_granularity_ms
         self._keep_alive_ms = cluster.params.keep_alive_ms
         self._timer_armed = [False] * len(cluster.nodes)  # per node id
-        # Bound once, not at every offer and start that schedules them.
-        self._offer = self._offer
+        # Bound once, not at every arrival and start that pushes them.
+        self._try_start = self._try_start
         self._complete = self._complete
+        self._events = engine._heap
 
     # ---- run loop ---------------------------------------------------------
 
@@ -109,45 +117,62 @@ class Simulation:
 
     # ---- handlers ---------------------------------------------------------
     # An invocation travels as its trace index: an offer carries (index,
-    # node id), a run queue holds indices, and a completion carries the
-    # seven phase durations in metrics.PHASES order, with the billed
+    # node id, True), a run queue holds indices, and a completion carries
+    # the seven phase durations in metrics.PHASES order, with the billed
     # GB-s and the failure flag.
 
     def _arrive(self, index: int) -> None:
         trace = self.trace
         node_id = self.strategy.decide(trace, index, self.cluster)
-        self.engine.schedule(trace.arrivals[index] + self._dispatch_ms, self._offer,
-                             (index, node_id))
+        engine = self.engine
+        seq = engine._seq  # pushed, not scheduled: see the module docstring
+        engine._seq = seq + 1
+        heappush(self._events, (trace.arrivals[index] + self._dispatch_ms, seq,
+                                self._try_start, (index, node_id, True)))
 
-    def _offer(self, index: int, node_id: int) -> None:
-        if not self._try_start(index, node_id):
-            self.cluster.nodes[node_id].run_queue.append(index)
-
-    def _try_start(self, index: int, node_id: int) -> bool:
-        now = self.engine.now()
+    def _try_start(self, index: int, node_id: int, offered: bool = False) -> bool:
+        """Start the invocation if the node can give it a container; an offer queues if not."""
+        engine = self.engine
+        now = engine.now
         trace = self.trace
         function = trace.functions[trace.function_codes[index]]
         outcome, container = self.cluster.acquire_container(node_id, function, now)
         if outcome is _REJECTED:
+            if offered:
+                self.cluster.nodes[node_id].run_queue.append(index)
             return False
         active, failed = self.cluster.simulate_invocation(
             function, trace.ref_sets[trace.ref_codes[index]], node_id, outcome is _COLD_START)
         busy = sum(active)
         billed = 0.0 if failed else billed_gb_seconds(busy, container.flavor, self._billing_step)
         dispatch_ms = self._dispatch_ms
-        self.engine.schedule(now + busy, self._complete, (
+        seq = engine._seq  # pushed, not scheduled: see the module docstring
+        engine._seq = seq + 1
+        heappush(self._events, (now + busy, seq, self._complete, (
             index, container, (dispatch_ms, now - trace.arrivals[index] - dispatch_ms) + active,
-            billed, failed))
+            billed, failed)))
         return True
 
     def _complete(self, index: int, container: Container, phases: tuple, billed: float,
                   failed: bool) -> None:
-        now = self.engine.now()
+        """Account for a finished invocation and return its container to its
+        warm pool until its expiry: the (time, seq) an expiry event scheduled
+        now would take. Arm the node's keep-alive timer at that key unless one
+        is pending; a pending timer's key is no later, since keys only grow."""
+        engine = self.engine
+        now = engine.now
         trace = self.trace
         actual = now - trace.arrivals[index]
         if actual != sum(phases):
             raise SimulationError(f"phase accounting broken for {trace.invocation_id(index)}")
-        self._release(container, now)
+        self.cluster.release_container(container, now)
+        seq = engine._seq  # reserved for the expiry
+        engine._seq = seq + 1
+        key = container.expiry = (now + self._keep_alive_ms, seq)
+        node_id = container.node
+        if not self._timer_armed[node_id]:
+            self._timer_armed[node_id] = True
+            engine.schedule(key[0], self._keep_alive, (node_id, key), seq=seq)
         result = self.result  # see RunResult for what each field holds
         if failed:
             result.failures += 1
@@ -158,21 +183,9 @@ class Simulation:
         totals[:] = map(add, totals, phases)
         result.last_finish = now
         if self.on_complete is not None:
-            self.on_complete(index, container.node, phases, billed, failed)
-        if self.cluster.nodes[container.node].run_queue:
-            self._drain(container.node)
-
-    def _release(self, container: Container, now: int) -> None:
-        """Return a container to its warm pool, idle until its expiry: the
-        (time, seq) that an expiry event scheduled now would take. Arm the
-        node's keep-alive timer at that key unless one is pending; a pending
-        timer's key is no later, since keys only grow."""
-        self.cluster.release_container(container, now)
-        key = container.expiry = (now + self._keep_alive_ms, self.engine.reserve())
-        node_id = container.node
-        if not self._timer_armed[node_id]:
-            self._timer_armed[node_id] = True
-            self.engine.schedule(key[0], self._keep_alive, (node_id, key), seq=key[1])
+            self.on_complete(index, node_id, phases, billed, failed)
+        if self.cluster.nodes[node_id].run_queue:
+            self._drain(node_id)
 
     def _keep_alive(self, node_id: int, key: tuple[int, int]) -> None:
         """A node's keep-alive timer, firing at ``key``. Its oldest idle
@@ -220,10 +233,10 @@ class Simulation:
             self.steal_rng.skip_randint(0, len(cluster.nodes) - 2,
                                         buckets.get(0, 0).bit_count())
         if self._work_remaining():
-            self.engine.schedule(self.engine.now() + self.cfg.steal_poll_ms, self._steal_tick)
+            self.engine.schedule(self.engine.now + self.cfg.steal_poll_ms, self._steal_tick)
 
     def _replication_tick(self) -> None:
-        now = self.engine.now()
+        now = self.engine.now
         actions = replication_tick(self.strategy.counters, self.cluster,
                                    self.cfg.replication_threshold)
         self.result.replication_log.extend((now, action) for action in actions)

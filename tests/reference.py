@@ -11,6 +11,7 @@ from typing import NamedTuple
 from dispatchsim import runner
 from dispatchsim.cluster import Cluster, _code_key, _truncate_at
 from dispatchsim.config import parse_scenario
+from dispatchsim.engine import Engine
 from dispatchsim.errors import UnknownObjectError
 from dispatchsim.metrics import efficiency, percentile_nearest_rank, utilization
 from dispatchsim.slotted import Slotted
@@ -170,7 +171,7 @@ def run_with_records(scenario, strategy_cfg, seed, catalog=None, trace=None, lab
 
 # ---- the engine log of a run -------------------------------------------------------
 
-_EVENT_NAMES = {"_arrive": "arrival", "_offer": "offer", "_complete": "completion",
+_EVENT_NAMES = {"_arrive": "arrival", "_try_start": "offer", "_complete": "completion",
                 "_keep_alive": "keep-alive", "_steal_tick": "steal-tick",
                 "_replication_tick": "replication-tick"}
 
@@ -197,16 +198,6 @@ IDEAL_SCENARIO = parse_scenario(scenario_dict(workload={"functions": [
     for name, ideal in IDEAL_MS.items()]}))
 
 
-class _Clock:
-    """The one thing _complete asks of its engine: the time."""
-
-    def __init__(self):
-        self.time = 0
-
-    def now(self):
-        return self.time
-
-
 class _Container:
     node = 0
 
@@ -229,18 +220,18 @@ def complete_all(tasks):
         Invocation(f"inv-{i}", function, (), "", arrival)
         for i, (arrival, function, *_) in enumerate(tasks))
     catalog, _ = runner.prepare_workload(IDEAL_SCENARIO, 1)
-    clock = _Clock()
+    engine = Engine()  # never run: the loop below sets its clock
     records: list = []
-    sim = runner.Simulation(clock, runner.build_cluster(IDEAL_SCENARIO, catalog),
+    sim = runner.Simulation(engine, runner.build_cluster(IDEAL_SCENARIO, catalog),
                             make_strategy("round_robin"), trace, horizon_ms=1000,
                             strategy_cfg=IDEAL_SCENARIO.strategies[0], seed=1,
                             on_complete=record_collector(trace, catalog.functions, records))
-    sim._release = lambda container, now: None
+    sim.cluster.release_container = lambda container, now: None
     index = {inv_id: i for i, inv_id in enumerate(trace.ids)}  # trace order is sorted
     finish_order = sorted(range(len(tasks)), key=lambda k: tasks[k][0] + sum(tasks[k][2]))
     for k in finish_order:
         arrival, _, phases, billed, failed = tasks[k]
-        clock.time = arrival + sum(phases)
+        engine.now = arrival + sum(phases)
         sim._complete(index[f"inv-{k}"], _Container(), phases, billed, failed)
     return sim, records
 

@@ -1,13 +1,12 @@
 """Engine contract: ordering, clock semantics, reserved seqs, determinism,
 and equivalence with the heap-only engine it replaced."""
 
+import bisect
 import functools
 import heapq
 import itertools
 import random
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -37,13 +36,20 @@ def _named(eng):
     return [(at, seq, *args) for at, seq, _, args in eng.log]
 
 
+def reserve(eng):
+    """Take the next seq as the engine's owner does (see Engine)."""
+    seq = eng._seq
+    eng._seq = seq + 1
+    return seq
+
+
 def test_zero_delay_fires_at_current_time():
     eng = Engine()
     log = []
-    eng.schedule(eng.now(), record_into(log, "x"))
+    eng.schedule(eng.now, record_into(log, "x"))
     eng.run()
     assert log == ["x"]
-    assert eng.now() == 0
+    assert eng.now == 0
 
 
 def test_equal_time_ties_fire_in_scheduling_order():
@@ -80,22 +86,22 @@ def test_firing_order_matches_sort_oracle(times):
 def test_run_on_empty_queue_processes_nothing():
     eng = Engine()
     assert eng.run() == 0
-    assert eng.now() == 0
+    assert eng.now == 0
 
 
 def test_now_starts_at_zero_and_ends_at_last_fire_time():
     eng = Engine()
-    assert eng.now() == 0
+    assert eng.now == 0
     eng.schedule(400, lambda: None)
     eng.schedule(300, lambda: None)
     assert eng.run() == 2
-    assert eng.now() == 400
+    assert eng.now == 400
 
 
 def test_now_inside_handler_is_fire_time():
     eng = Engine()
     seen = []
-    eng.schedule(123, lambda: seen.append(eng.now()))
+    eng.schedule(123, lambda: seen.append(eng.now))
     eng.run()
     assert seen == [123]
 
@@ -113,8 +119,8 @@ def test_handlers_can_schedule_followups():
     log = []
 
     def first():
-        log.append(("first", eng.now()))
-        eng.schedule(eng.now() + 5, lambda: log.append(("second", eng.now())))
+        log.append(("first", eng.now))
+        eng.schedule(eng.now + 5, lambda: log.append(("second", eng.now)))
 
     eng.schedule(10, first)
     eng.run()
@@ -130,7 +136,7 @@ def _seeded_scenario(seed):
     def spawn(root, depth):
         if depth < 3:
             for _ in range(rng.randint(1, 2)):
-                eng.schedule(eng.now() + rng.randint(1, 9), spawn, (root, depth + 1))
+                eng.schedule(eng.now + rng.randint(1, 9), spawn, (root, depth + 1))
 
     for i in range(5):
         eng.schedule(rng.randint(0, 20), spawn, (i, 0))
@@ -229,7 +235,7 @@ def test_the_log_holds_each_fired_occurrence_as_scheduled():
     def item(index):
         pass
 
-    reserved = eng.reserve()  # seq 0
+    reserved = reserve(eng)  # seq 0
     eng.schedule(2, handler, ("x", 1))  # seq 1
     eng.schedule_sorted([1, 3], item)  # seqs 2 and 3
     eng.schedule(3, handler, seq=reserved)
@@ -238,9 +244,25 @@ def test_the_log_holds_each_fired_occurrence_as_scheduled():
                        (3, 3, item, (1,))]
 
 
+def test_a_batch_item_fires_as_action_of_its_index():
+    eng = Engine(record_log=True)
+    seen = []
+
+    def item(*args):  # every argument the item is called with
+        seen.append((args, eng.pending()))
+
+    eng.schedule_sorted([1, 2, 2], item)  # seqs 0 to 2
+    eng.schedule(1, _noop, ("heap",))  # seq 3
+    assert eng.pending() == 1  # the schedule occurrence alone
+    assert eng.run() == 4
+    assert seen == [((0,), 1), ((1,), 0), ((2,), 0)]
+    assert eng.log == [(1, 0, item, (0,)), (1, 3, _noop, ("heap",)), (2, 1, item, (1,)),
+                       (2, 2, item, (2,))]
+
+
 def test_reserved_seq_fires_where_it_was_taken():
     eng = Engine(record_log=True)
-    seq = eng.reserve()
+    seq = reserve(eng)
     eng.schedule(3, lambda _: eng.schedule(5, _noop, ("reserved",), seq=seq), ("arm",))
     eng.schedule(5, _noop, ("second",))
     eng.schedule(5, _noop, ("third",))
@@ -252,7 +274,7 @@ def test_reserved_seq_fires_where_it_was_taken():
 
 def test_schedule_at_a_reserved_seq_rejects_a_key_in_the_past():
     eng = Engine(record_log=True)
-    early = eng.reserve()  # seq 0
+    early = reserve(eng)  # seq 0
     outcomes = []
 
     def at_five(_name):  # fires at (5, 1)
@@ -264,7 +286,7 @@ def test_schedule_at_a_reserved_seq_rejects_a_key_in_the_past():
                 outcomes.append(("rejected", at, seq))
 
     eng.schedule(5, at_five, ("at-five",))
-    late = eng.reserve()  # seq 2
+    late = reserve(eng)  # seq 2
     assert eng.run() == 2
     assert outcomes == [("rejected", 5, 0), ("rejected", 4, 2), ("scheduled", 5, 2)]
     assert _named(eng) == [(5, 1, "at-five"), (5, 2, "reserved@5")]
@@ -278,8 +300,8 @@ def test_schedule_at_a_reserved_seq_rejects_a_key_in_the_past():
 def test_schedule_sorted_fires_lazily_with_reserved_seqs():
     eng = Engine(record_log=True)
     seen = []
-    eng.schedule_sorted([0, 4, 4, 9], lambda i: seen.append((i, eng.now())))
-    eng.schedule(4, lambda: seen.append(("heap", eng.now())))
+    eng.schedule_sorted([0, 4, 4, 9], lambda i: seen.append((i, eng.now)))
+    eng.schedule(4, lambda: seen.append(("heap", eng.now)))
     assert eng.pending() == 1  # batch items are not materialised
     assert eng.run() == 5
     assert seen == [(0, 0), (1, 4), (2, 4), ("heap", 4), (3, 9)]
@@ -293,7 +315,7 @@ def test_schedule_sorted_fires_lazily_with_reserved_seqs():
 def test_a_tie_fires_an_occurrence_scheduled_before_the_batch_first():
     eng = Engine(record_log=True)
     eng.schedule(4, _noop, ("before",))
-    early = eng.reserve()
+    early = reserve(eng)
     eng.schedule_sorted([4, 4, 6], _noop)
     eng.schedule(4, _noop, ("reserved",), seq=early)
     assert eng.run() == 5
@@ -340,65 +362,54 @@ def test_schedule_sorted_rejects_unsorted_or_past_times():
 # ---- differential check against the heap-only engine -----------------------------
 
 
-@dataclass(eq=False)
-class HeapOccurrence:
-    fire_at: int
-    seq: int
-    action: Callable
-    args: tuple
-    batch_item: bool = False
-
-
 class HeapEngine:
     """The engine before sorted batches: one binary heap holding every
     occurrence. ``schedule_sorted`` is plain ``schedule`` calls here, so it
     is the reference for batches. A reserved seq must come after the last
-    occurrence fired, found from the clock and that occurrence's key."""
+    occurrence fired, found from the clock and that occurrence's key. The
+    heap holds (fire_at, seq, action, args), so it takes the runner's own
+    pushes (see Engine) as they are."""
 
     def __init__(self, record_log: bool = False):
         self._heap = []
+        self._batch_seqs = set()  # seqs of batch items, which pending() leaves out
         self._seq = 0
-        self._now = 0
+        self.now = 0
         self._last = (-1, -1)  # (fire_at, seq) of the last occurrence fired
         self.record_log = record_log
         self.log = []
-
-    def now(self):
-        return self._now
 
     def reserve(self):
         self._seq += 1
         return self._seq - 1
 
-    def schedule(self, at, action, args=(), seq=None, batch_item=False):
-        if at < self._now or (seq is not None and (at, seq) <= self._last):
+    def schedule(self, at, action, args=(), seq=None):
+        if at < self.now or (seq is not None and (at, seq) <= self._last):
             raise SchedulingInPastError(f"(t={at}, seq={seq}) is behind {self._last}")
         if seq is None:
             seq = self.reserve()
         elif seq >= self._seq:
             raise ValueError(f"seq {seq} has not been reserved")
-        occ = HeapOccurrence(at, seq, action, args, batch_item)
-        heapq.heappush(self._heap, (at, seq, occ))
+        heapq.heappush(self._heap, (at, seq, action, args))
 
     def schedule_sorted(self, times, action):
         for i, at in enumerate(times):
-            self.schedule(at, action, (i,), batch_item=True)
+            self._batch_seqs.add(self._seq)
+            self.schedule(at, action, (i,))
 
     def pending(self):
         """Entries not yet fired, batch items not counted."""
-        return sum(1 for _, _, occ in self._heap if not occ.batch_item)
-
-    def _fire(self, occ):
-        self._now = occ.fire_at
-        self._last = (occ.fire_at, occ.seq)
-        if self.record_log:
-            self.log.append((occ.fire_at, occ.seq, occ.action, occ.args))
-        occ.action(*occ.args)
+        return sum(1 for _, seq, _, _ in self._heap if seq not in self._batch_seqs)
 
     def run(self):
         processed = 0
         while self._heap:
-            self._fire(heapq.heappop(self._heap)[2])
+            at, seq, action, args = heapq.heappop(self._heap)
+            self.now = at
+            self._last = (at, seq)
+            if self.record_log:
+                self.log.append((at, seq, action, args))
+            action(*args)
             processed += 1
         return processed
 
@@ -427,7 +438,7 @@ def _drive(engine, top_ops, followups):
     counter = itertools.count()
 
     def handler(name, *args):
-        fired.append((name, args, engine.now()))
+        fired.append((name, args, engine.now))
         op = next(script, None)
         if op is not None:
             apply(op)
@@ -436,21 +447,21 @@ def _drive(engine, top_ops, followups):
         kind, arg = op
         name = f"{kind}{next(counter)}"
         if kind == "schedule":
-            engine.schedule(engine.now() + arg, handler, (name, arg))
+            engine.schedule(engine.now + arg, handler, (name, arg))
         elif kind == "sorted":
-            times, t = [], engine.now()
+            times, t = [], engine.now
             for step in arg:
                 t += step
                 times.append(t)
             engine.schedule_sorted(times, functools.partial(handler, name))
         elif kind == "reserve":
-            reserved.append((engine.now() + arg, engine.reserve()))
+            reserved.append((engine.now + arg, reserve(engine)))
         elif reserved:
             at, seq = reserved.pop(arg % len(reserved))
             try:
                 engine.schedule(at, handler, (name, at), seq=seq)
             except SchedulingInPastError:
-                fired.append((name, "rejected", engine.now()))
+                fired.append((name, "rejected", engine.now))
 
     pending = []
     for op in top_ops:
@@ -460,7 +471,7 @@ def _drive(engine, top_ops, followups):
     pending.append(engine.pending())
     # A batch's handler is a partial holding its op's name; any other takes it as args[0].
     log = [(at, seq, *getattr(action, "args", ()), *args) for at, seq, action, args in engine.log]
-    return log, fired, processed, engine.now(), pending
+    return log, fired, processed, engine.now, pending
 
 
 @settings(max_examples=300, deadline=None)
@@ -518,3 +529,58 @@ def test_whole_run_matches_heap_engine(monkeypatch, scenario, strategy_cfg, seed
     assert ([(t, seq, action.__name__) for t, seq, action, _ in log]
             == [(t, seq, action.__name__) for t, seq, action, _ in ref_log])
     assert row == ref_row
+
+
+# ---- the runner's own pushes ---------------------------------------------------------
+
+
+class SeqsAtFire(list):
+    """An engine log that also keeps, for each entry, how many seqs the
+    engine had handed out when the entry was appended, just before its
+    occurrence fired: entry k took the seqs from taken[k] to taken[k + 1]."""
+
+    def __init__(self, engine):
+        super().__init__()
+        self.engine = engine
+        self.taken = []
+
+    def append(self, entry):
+        self.taken.append(self.engine._seq)
+        super().append(entry)
+
+
+MIXED = Path(__file__).parent / "fixtures" / "mixed.yaml"
+
+
+@pytest.mark.parametrize("latency_ms", [None, 0], ids=["preset-latency", "latency-0"])
+@pytest.mark.parametrize("path", DEMO_SCENARIOS + [MIXED], ids=lambda path: path.stem)
+def test_pushed_offers_and_completions_fire_in_order_after_their_pusher(monkeypatch, path,
+                                                                        latency_ms):
+    # Offers and completions skip schedule's check that an occurrence is not
+    # in the past (the owner's push, see Engine); this stands in for it.
+    scenario = load_scenario(path)
+    engines = []
+
+    def make_engine():
+        engines.append(Engine(record_log=True))
+        engines[-1].log = SeqsAtFire(engines[-1])
+        return engines[-1]
+
+    monkeypatch.setattr(runner, "Engine", make_engine)
+    for strategy_cfg in scenario.strategies:
+        if latency_ms is not None:
+            strategy_cfg.dispatch_latency_ms = latency_ms
+        result = runner.run_one(scenario, strategy_cfg, scenario.seeds[0])
+        log = engines[-1].log
+        keys = [(at, seq) for at, seq, _, _ in log]
+        assert all(a < b for a, b in zip(keys, keys[1:]))  # fired in strict (fire_at, seq) order
+        pushed = 0
+        for j, (_, seq, action, args) in enumerate(log):
+            if action.__name__ not in ("_try_start", "_complete"):
+                continue
+            pushed += 1
+            k = bisect.bisect_right(log.taken, seq) - 1  # the entry firing when seq was taken
+            assert 0 <= k < j
+            if action.__name__ == "_try_start":  # an offer, pushed by its arrival
+                assert (log[k][2].__name__, log[k][3]) == ("_arrive", args[:1])
+        assert pushed == 2 * result.tasks

@@ -3,12 +3,13 @@
 The runner keeps at most one keep-alive timer pending per node, never later
 than the expiry of the node's oldest idle container; a timer whose container
 was reused only re-arms when it fires, and a warm hit does no timer work.
-The reference here is the eager scheme: one expiry event per release,
-``keep_alive_ms`` after it. Its engine has no cancel, so a generation count per
-container skips the expiry of a container reused since its release; those
-skipped expiries are the ones the eager scheme used to cancel. Records must
-be identical, and the reference's (time, seq) log without them must be the
-runner's log without its extra entries, each of which is a keep-alive timer.
+The reference here is the eager scheme: one expiry event per release, at the
+expiry key that release set. Its engine has no cancel, so an expiry is
+skipped when no idle container holds its key any more, its container having
+been reused since; those skipped expiries are the ones the eager scheme used
+to cancel. Records must be identical, and the reference's (time, seq) log
+without them must be the runner's log without its extra entries, each of
+which is a keep-alive timer.
 """
 
 import functools
@@ -32,45 +33,46 @@ STRATEGIES = [{"name": name} for name in (
 )] + [{"name": "least_loaded", "work_stealing": True}]
 
 
+class _NeverArmed:
+    """Per-node timer flags that always read unarmed, so the runner
+    schedules its keep-alive handler at every release's expiry key."""
+
+    def __getitem__(self, node_id):
+        return False
+
+    def __setitem__(self, node_id, armed):
+        pass
+
+
 class EagerKeepAlive(runner.Simulation):
     """One expiry event per release; an expiry whose container was reused
     since is skipped, and its (time, seq) kept in ``skipped``."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.generation: dict = {}  # container -> releases so far
+        self._timer_armed = _NeverArmed()
         self.skipped: set = set()
         self.drained_by_expiry = 0
 
-    def _release(self, container, now):
-        self.cluster.release_container(container, now)
-        generation = self.generation[container] = self.generation.get(container, 0) + 1
-        self.engine.schedule(now + self._keep_alive_ms, self._expire, (container, generation))
-
-    def _expire(self, container, generation):
-        freed = (generation == self.generation[container]
-                 and self.cluster.expire_container(container))
-        if not freed:
+    def _keep_alive(self, node_id, key):
+        pools = self.cluster.nodes[node_id].warm_pool.values()
+        container = next((c for pool in pools for c in pool if c.expiry == key), None)
+        if container is None or not self.cluster.expire_container(container):
             self.skipped.add(self.engine.log[-1][:2])
-        elif self.cluster.nodes[container.node].run_queue:
+        elif self.cluster.nodes[node_id].run_queue:
             self.drained_by_expiry += 1
-            self._drain(container.node)
+            self._drain(node_id)
 
 
 class CheckedEngine(Engine):
-    """Logs, counts dispatch offers, and fails if a node ever has two
-    keep-alive timers pending."""
+    """Logs, and fails if a node ever has two keep-alive timers pending."""
 
     def __init__(self):
         super().__init__(record_log=True)
-        self.offers = 0
         self.timers = Counter()  # pending keep-alive timers by node id
 
     def schedule(self, at, action, args=(), seq=None):
-        handler = getattr(action, "__func__", None)
-        if handler is runner.Simulation._offer:
-            self.offers += 1
-        if handler is runner.Simulation._keep_alive:
+        if getattr(action, "__func__", None) is runner.Simulation._keep_alive:
             node_id = args[0]
             self.timers[node_id] += 1
             assert self.timers[node_id] == 1, f"two timers pending for node {node_id}"
@@ -110,7 +112,9 @@ def assert_matches_eager(scenario, strategy_cfg, seed):
     assert result.row() == eager_result.row()
     assert completions == eager_completions
 
-    assert engine.offers == len(sim.trace)  # one dispatch offer per invocation
+    offers = [action for _, _, action, _ in engine.log
+              if getattr(action, "__func__", None) is runner.Simulation._try_start]
+    assert len(offers) == len(sim.trace)  # one dispatch offer per invocation
     assert not +engine.timers  # every timer fired
     kept = [(t, seq) for t, seq, *_ in eager.engine.log if (t, seq) not in eager.skipped]
     kept_set = set(kept)

@@ -74,7 +74,7 @@ class ReferenceSimulation(runner.Simulation):
         # recomputes it. The runner's own completion then releases, drains
         # and counts.
         inv = invocation_at(self.trace, index)
-        now = self.engine.now()
+        now = self.engine.now
         timeline = PhaseTimeline(*phases, started_at=inv.arrival, finished_at=now)
         if timeline.actual_ms() != phase_sum(timeline):
             raise SimulationError(f"phase accounting broken for {inv.id}")
@@ -100,11 +100,11 @@ class ReferenceSimulation(runner.Simulation):
             self.strategy.counters, self.cluster, self.cfg.replication_threshold
         )
         for action in actions:
-            self.result.replication_log.append((self.engine.now(), action))
+            self.result.replication_log.append((self.engine.now, action))
             if action.placed:
                 self.replications += 1
         if self._work_remaining():
-            self.engine.schedule(self.engine.now() + self.cfg.replication_period_ms,
+            self.engine.schedule(self.engine.now + self.cfg.replication_period_ms,
                                  self._replication_tick)
 
     def run(self):
@@ -218,7 +218,7 @@ def test_a_run_without_a_hook_calls_no_callback():
         pass
 
     without, with_spy = _called_from_complete(None), _called_from_complete(spy)
-    assert {"_release", "_drain"} <= without
+    assert {"release_container", "_drain"} <= without
     assert with_spy == without | {"spy"} and "spy" not in without
 
 

@@ -266,21 +266,20 @@ def test_sorted_trace_is_used_as_given_and_unsorted_one_is_sorted():
     assert reversed_completions == in_order_completions
 
 
-class LateCompletions(Engine):
-    """Fires every completion one millisecond after its phases end."""
-
-    def schedule(self, at, action, args=(), seq=None):
-        if getattr(action, "__func__", None) is Simulation._complete:
-            at += 1
-        super().schedule(at, action, args, seq=seq)
-
-
 def test_completion_check_refuses_a_finish_other_than_the_phase_sum():
     scenario = parse_scenario(scenario_dict())
     catalog, trace = prepare_workload(scenario, 1)
-    sim = Simulation(LateCompletions(), build_cluster(scenario, catalog),
+    engine = Engine()
+    sim = Simulation(engine, build_cluster(scenario, catalog),
                      make_strategy("round_robin"), trace, horizon_ms=1000,
                      strategy_cfg=scenario.strategies[0], seed=1)
+    complete = sim._complete
+
+    def late(*args):  # every completion one millisecond after its phases end
+        engine.now += 1
+        complete(*args)
+
+    sim._complete = late
     # The first completion is inv-000001's: it starts while inv-000000 is
     # still fetching f1's code, finds that code cached, and finishes first.
     with pytest.raises(SimulationError, match="phase accounting broken for inv-000001"):
@@ -346,9 +345,25 @@ def test_a_strategy_cfg_built_in_code_is_refused_naming_its_key(monkeypatch, str
     assert str(excinfo.value) == line
 
 
+def test_a_strategy_with_a_negative_latency_is_refused_before_the_run():
+    # Regression: Simulation took the latency from the strategy it was given,
+    # unchecked, so a strategy built in code with latency -5 and a valid
+    # StrategyConfig raised SchedulingInPastError at its first offer.
+    scenario = parse_scenario(scenario_dict())
+    catalog, trace = prepare_workload(scenario, 1)
+    with pytest.raises(ConfigError) as excinfo:
+        Simulation(Engine(), build_cluster(scenario, catalog),
+                   make_strategy("round_robin", latency_ms=-5), trace, horizon_ms=1000,
+                   strategy_cfg=scenario.strategies[0], seed=1)
+    assert str(excinfo.value) == "strategy.dispatch_latency_ms: must be non-negative"
+
+
 CLUSTER_CHANGES = [  # (ClusterParams attribute, value, the ConfigError's text)
     ("keep_alive_ms", -5, "cluster.keep_alive_ms: must be non-negative"),
     ("nodes", 0, "cluster.nodes: needs at least one node"),
+    ("code_store", 5, "cluster.code_store: must be external or a node id below cluster.nodes"),
+    ("result_store", 1,
+     "cluster.result_store: must be external or a node id below cluster.nodes"),
 ]
 
 
@@ -358,7 +373,8 @@ def test_a_cluster_changed_after_preparing_the_workload_is_refused_naming_its_ke
         monkeypatch, attribute, value, line):
     # Regression: run_one given a prepared catalog and trace checked nothing
     # of the cluster; a keep-alive of -5 raised SchedulingInPastError mid-run
-    # and no nodes raised SimulationError.
+    # and no nodes raised SimulationError. It then checked only the table's
+    # rules, so a store naming no node ran as if the store were external.
     scenario = load_scenario(MINIMAL)
     catalog, trace = prepare_workload(scenario, 1)
     setattr(scenario.cluster, attribute, value)

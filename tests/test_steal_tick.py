@@ -35,7 +35,7 @@ class PerNodeStealTick(runner.Simulation):
                 self.result.steals += len(batch)
                 self._drain(node_id)
         if self._work_remaining():
-            self.engine.schedule(self.engine.now() + self.cfg.steal_poll_ms, self._steal_tick)
+            self.engine.schedule(self.engine.now + self.cfg.steal_poll_ms, self._steal_tick)
 
 
 class CountedTicks(runner.Simulation):
