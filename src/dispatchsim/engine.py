@@ -2,9 +2,9 @@
 
 Virtual time is integer milliseconds. Occurrences fire in strict
 (fire_at, seq) order, where seq is assigned at scheduling time, so ties at
-the same instant resolve in scheduling order. The owner can also reserve a
-seq (see Engine) and schedule at it later: the occurrence then fires where
-it would have fired had it been scheduled when the seq was taken. An
+the same instant resolve in scheduling order. The owner can also take a seq
+(see Engine) and push an occurrence at it later: the occurrence then fires
+where it would have fired had it been scheduled when the seq was taken. An
 occurrence carries its handler and the handler's arguments, so scheduling a
 bound method needs no closure. Nothing is ever cancelled: every scheduled
 occurrence fires.
@@ -93,11 +93,11 @@ class Engine:
 
     ``now`` is the clock: the fire time of the occurrence firing, or of the
     last one fired. The owner takes the next seq by reading ``_seq`` and
-    advancing it by one, to reserve it for a later ``schedule(..., seq=)``
-    or to push an occurrence with no call: ``heappush(engine._heap,
-    (fire_at, seq, action, args))``. A push skips ``schedule``'s checks, so
-    its fire_at must be ``now`` plus a duration known to be non-negative.
-    The runner pushes its offers and completions so.
+    advancing it by one, and pushes an occurrence with no call:
+    ``heappush(engine._heap, (fire_at, seq, action, args))``. A push is
+    unchecked, so its (fire_at, seq) must come after the occurrence firing
+    now, as a fresh seq at ``now`` or later does. The runner pushes its
+    offers, completions and keep-alive timers so.
 
     With ``record_log`` set, ``log`` gets (fire_at, seq, action, args) for
     each fired occurrence, args (index,) for a batch item. Handlers and
@@ -110,30 +110,17 @@ class Engine:
         self._batch_heap: list[tuple] = []  # (fire_at, seq, times, action, index)
         self._seq = 0
         self.now = 0
-        self._fired_seq = -1  # seq of the last occurrence fired at now, else -1
         self.record_log = record_log
         self.log: list[tuple[int, int, Callable[..., None], tuple]] = []
 
-    def schedule(self, at: int, action: Callable[..., None], args: tuple = (),
-                 seq: int | None = None) -> None:
-        """Enqueue ``action(*args)`` at virtual time ``at`` (>= now). Given
-        ``seq``, a reserved seq, the occurrence takes that place in
-        the order instead of the next seq; (at, seq) must then come after
-        the occurrence firing now."""
-        if seq is None:
-            if at < self.now:
-                raise SchedulingInPastError(
-                    f"cannot schedule at t={at}; clock is already at t={self.now}"
-                )
-            seq = self._seq
-            self._seq = seq + 1
-        elif at < self.now or (at == self.now and seq <= self._fired_seq):
+    def schedule(self, at: int, action: Callable[..., None], args: tuple = ()) -> None:
+        """Enqueue ``action(*args)`` at virtual time ``at`` (>= now), next seq."""
+        if at < self.now:
             raise SchedulingInPastError(
-                f"cannot schedule at (t={at}, seq={seq}); the engine has fired "
-                f"(t={self.now}, seq={self._fired_seq})"
+                f"cannot schedule at t={at}; clock is already at t={self.now}"
             )
-        elif seq >= self._seq:
-            raise ValueError(f"seq {seq} has not been reserved")
+        seq = self._seq
+        self._seq = seq + 1
         heapq.heappush(self._heap, (at, seq, action, args))
 
     def schedule_sorted(self, times: Sequence[int], action: Callable[[int], None]) -> None:
@@ -167,13 +154,13 @@ class Engine:
                     heapreplace(batches, (times[index + 1], seq + 1, times, action, index + 1))
                 else:
                     heappop(batches)
-                self.now, self._fired_seq = at, seq
+                self.now = at
                 if log is not None:
                     log.append((at, seq, action, (index,)))
                 action(index)
             elif heap:
                 at, seq, action, args = heappop(heap)
-                self.now, self._fired_seq = at, seq
+                self.now = at
                 if log is not None:
                     log.append((at, seq, action, args))
                 action(*args)

@@ -23,10 +23,10 @@ the first replication tick, take the next, and a later tick takes its seq
 when the one before it fires. An offer takes its seq when its arrival
 fires, a completion when its start runs, and a keep-alive timer fires at
 the key reserved when its container was released. The ENGINE_LOGS digests
-in tests/test_golden_reports.py pin this order. Offers and completions skip
-``Engine.schedule``: ``_arrive`` and ``_try_start`` push them (the owner's
-push, engine.py), each at the clock plus a non-negative duration, the
-dispatch latency or the sum of the phases, so none lands in the past.
+in tests/test_golden_reports.py pin this order. Only ticks go through
+``Engine.schedule``. The rest are pushed (the owner's push, engine.py):
+offers and completions at the clock plus a non-negative duration, and a
+keep-alive timer at the key reserved at its container's release.
 """
 
 from __future__ import annotations
@@ -73,9 +73,10 @@ class Simulation:
                  on_complete: Callable[[int, int, tuple, float, bool], None] | None = None):
         for diag in record_diagnostics(strategy_cfg, "strategy"):  # a tick under 1 ms never ends
             raise ConfigError(f"{diag.key}: {diag.message}")
-        problem = FIELDS["strategy.dispatch_latency_ms"][1](strategy.dispatch_latency_ms)
-        if problem:  # offers are pushed unchecked (see _arrive), so none may land in the past
-            raise ConfigError(f"strategy.dispatch_latency_ms: {problem}")
+        for key, ms in (("strategy.dispatch_latency_ms", strategy.dispatch_latency_ms),
+                        ("cluster.keep_alive_ms", cluster.params.keep_alive_ms)):
+            if problem := FIELDS[key][1](ms):  # offers and timers are pushed unchecked
+                raise ConfigError(f"{key}: {problem}")
         self.engine = engine
         self.cluster = cluster
         self.strategy = strategy
@@ -172,7 +173,7 @@ class Simulation:
         node_id = container.node
         if not self._timer_armed[node_id]:
             self._timer_armed[node_id] = True
-            engine.schedule(key[0], self._keep_alive, (node_id, key), seq=seq)
+            heappush(self._events, (key[0], seq, self._keep_alive, (node_id, key)))
         result = self.result  # see RunResult for what each field holds
         if failed:
             result.failures += 1
@@ -204,7 +205,7 @@ class Simulation:
             self._timer_armed[node_id] = False
         else:
             key = oldest.expiry
-            self.engine.schedule(key[0], self._keep_alive, (node_id, key), seq=key[1])
+            heappush(self._events, (*key, self._keep_alive, (node_id, key)))
 
     def _drain(self, node_id: int) -> None:
         queue = self.cluster.nodes[node_id].run_queue

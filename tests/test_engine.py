@@ -43,6 +43,11 @@ def reserve(eng):
     return seq
 
 
+def push(eng, at, seq, action, args=()):
+    """Push an occurrence at (at, seq) as the engine's owner does (see Engine)."""
+    heapq.heappush(eng._heap, (at, seq, action, args))
+
+
 def test_zero_delay_fires_at_current_time():
     eng = Engine()
     log = []
@@ -238,7 +243,7 @@ def test_the_log_holds_each_fired_occurrence_as_scheduled():
     reserved = reserve(eng)  # seq 0
     eng.schedule(2, handler, ("x", 1))  # seq 1
     eng.schedule_sorted([1, 3], item)  # seqs 2 and 3
-    eng.schedule(3, handler, seq=reserved)
+    push(eng, 3, reserved, handler)
     assert eng.run() == 4
     assert eng.log == [(1, 2, item, (0,)), (2, 1, handler, ("x", 1)), (3, 0, handler, ()),
                        (3, 3, item, (1,))]
@@ -263,38 +268,13 @@ def test_a_batch_item_fires_as_action_of_its_index():
 def test_reserved_seq_fires_where_it_was_taken():
     eng = Engine(record_log=True)
     seq = reserve(eng)
-    eng.schedule(3, lambda _: eng.schedule(5, _noop, ("reserved",), seq=seq), ("arm",))
+    eng.schedule(3, lambda _: push(eng, 5, seq, _noop, ("reserved",)), ("arm",))
     eng.schedule(5, _noop, ("second",))
     eng.schedule(5, _noop, ("third",))
-    assert eng.pending() == 3  # a reserved seq is pending only once scheduled
+    assert eng.pending() == 3  # a reserved seq is pending only once pushed
     assert eng.run() == 4
     assert _named(eng) == [(3, 1, "arm"), (5, 0, "reserved"), (5, 2, "second"),
                            (5, 3, "third")]
-
-
-def test_schedule_at_a_reserved_seq_rejects_a_key_in_the_past():
-    eng = Engine(record_log=True)
-    early = reserve(eng)  # seq 0
-    outcomes = []
-
-    def at_five(_name):  # fires at (5, 1)
-        for at, seq in ((5, early), (4, late), (5, late)):
-            try:
-                eng.schedule(at, _noop, (f"reserved@{at}",), seq=seq)
-                outcomes.append(("scheduled", at, seq))
-            except SchedulingInPastError:
-                outcomes.append(("rejected", at, seq))
-
-    eng.schedule(5, at_five, ("at-five",))
-    late = reserve(eng)  # seq 2
-    assert eng.run() == 2
-    assert outcomes == [("rejected", 5, 0), ("rejected", 4, 2), ("scheduled", 5, 2)]
-    assert _named(eng) == [(5, 1, "at-five"), (5, 2, "reserved@5")]
-    with pytest.raises(ValueError, match="not been reserved"):
-        eng.schedule(9, lambda: None, seq=3)
-    eng.schedule(7, _noop, ("reserved@7",), seq=early)  # past the clock, any seq is open
-    assert eng.run() == 1
-    assert _named(eng)[-1] == (7, 0, "reserved@7")
 
 
 def test_schedule_sorted_fires_lazily_with_reserved_seqs():
@@ -317,7 +297,7 @@ def test_a_tie_fires_an_occurrence_scheduled_before_the_batch_first():
     eng.schedule(4, _noop, ("before",))
     early = reserve(eng)
     eng.schedule_sorted([4, 4, 6], _noop)
-    eng.schedule(4, _noop, ("reserved",), seq=early)
+    push(eng, 4, early, _noop, ("reserved",))
     assert eng.run() == 5
     assert _named(eng) == [(4, 0, "before"), (4, 1, "reserved"), (4, 2, 0), (4, 3, 1),
                            (6, 4, 2)]
@@ -365,17 +345,14 @@ def test_schedule_sorted_rejects_unsorted_or_past_times():
 class HeapEngine:
     """The engine before sorted batches: one binary heap holding every
     occurrence. ``schedule_sorted`` is plain ``schedule`` calls here, so it
-    is the reference for batches. A reserved seq must come after the last
-    occurrence fired, found from the clock and that occurrence's key. The
-    heap holds (fire_at, seq, action, args), so it takes the runner's own
-    pushes (see Engine) as they are."""
+    is the reference for batches. The heap holds (fire_at, seq, action,
+    args), so it takes the owner's pushes (see Engine) as they are."""
 
     def __init__(self, record_log: bool = False):
         self._heap = []
         self._batch_seqs = set()  # seqs of batch items, which pending() leaves out
         self._seq = 0
         self.now = 0
-        self._last = (-1, -1)  # (fire_at, seq) of the last occurrence fired
         self.record_log = record_log
         self.log = []
 
@@ -383,14 +360,10 @@ class HeapEngine:
         self._seq += 1
         return self._seq - 1
 
-    def schedule(self, at, action, args=(), seq=None):
-        if at < self.now or (seq is not None and (at, seq) <= self._last):
-            raise SchedulingInPastError(f"(t={at}, seq={seq}) is behind {self._last}")
-        if seq is None:
-            seq = self.reserve()
-        elif seq >= self._seq:
-            raise ValueError(f"seq {seq} has not been reserved")
-        heapq.heappush(self._heap, (at, seq, action, args))
+    def schedule(self, at, action, args=()):
+        if at < self.now:
+            raise SchedulingInPastError(f"t={at} is behind the clock, t={self.now}")
+        heapq.heappush(self._heap, (at, self.reserve(), action, args))
 
     def schedule_sorted(self, times, action):
         for i, at in enumerate(times):
@@ -406,7 +379,6 @@ class HeapEngine:
         while self._heap:
             at, seq, action, args = heapq.heappop(self._heap)
             self.now = at
-            self._last = (at, seq)
             if self.record_log:
                 self.log.append((at, seq, action, args))
             action(*args)
@@ -416,9 +388,10 @@ class HeapEngine:
 
 # An op schedules something (``schedule`` passes the handler its arguments),
 # schedules a sorted batch, reserves a seq for a time some delay ahead, or
-# schedules at an earlier reservation (which the engine may reject as in the
-# past). The top-level ops run at t=0, before ``run``; every firing handler
-# applies the next follow-up op.
+# pushes at an earlier reservation. A push must come after the occurrence
+# firing now, a rule the owner keeps, so the driver skips a reservation
+# that has fallen behind it. The top-level ops run at t=0, before ``run``;
+# every firing handler applies the next follow-up op.
 _delay = st.integers(min_value=0, max_value=30)
 _op = st.one_of(
     st.tuples(st.just("schedule"), _delay),
@@ -433,7 +406,7 @@ def _drive(engine, top_ops, followups):
     handler calls, the count run returned, the clock, and pending() after
     every top-level op."""
     fired = []
-    reserved = []  # (fire_at, seq) reserved and not yet scheduled
+    reserved = []  # (fire_at, seq) reserved and not yet pushed
     script = iter(followups)
     counter = itertools.count()
 
@@ -458,10 +431,10 @@ def _drive(engine, top_ops, followups):
             reserved.append((engine.now + arg, reserve(engine)))
         elif reserved:
             at, seq = reserved.pop(arg % len(reserved))
-            try:
-                engine.schedule(at, handler, (name, at), seq=seq)
-            except SchedulingInPastError:
-                fired.append((name, "rejected", engine.now))
+            if engine.log and (at, seq) <= engine.log[-1][:2]:  # behind the occurrence firing
+                fired.append((name, "skipped", engine.now))
+            else:
+                push(engine, at, seq, handler, (name, at))
 
     pending = []
     for op in top_ops:
@@ -556,8 +529,10 @@ MIXED = Path(__file__).parent / "fixtures" / "mixed.yaml"
 @pytest.mark.parametrize("path", DEMO_SCENARIOS + [MIXED], ids=lambda path: path.stem)
 def test_pushed_offers_and_completions_fire_in_order_after_their_pusher(monkeypatch, path,
                                                                         latency_ms):
-    # Offers and completions skip schedule's check that an occurrence is not
-    # in the past (the owner's push, see Engine); this stands in for it.
+    # Offers, completions and keep-alive timers skip schedule's check that
+    # an occurrence is not in the past (the owner's push, see Engine); this
+    # stands in for it. An event pushed behind the one firing would be the
+    # heap's next pop, so the strict order below catches it.
     scenario = load_scenario(path)
     engines = []
 
@@ -574,13 +549,18 @@ def test_pushed_offers_and_completions_fire_in_order_after_their_pusher(monkeypa
         log = engines[-1].log
         keys = [(at, seq) for at, seq, _, _ in log]
         assert all(a < b for a, b in zip(keys, keys[1:]))  # fired in strict (fire_at, seq) order
-        pushed = 0
-        for j, (_, seq, action, args) in enumerate(log):
-            if action.__name__ not in ("_try_start", "_complete"):
+        pushed = timers = 0
+        for j, (at, seq, action, args) in enumerate(log):
+            if action.__name__ not in ("_try_start", "_complete", "_keep_alive"):
                 continue
-            pushed += 1
             k = bisect.bisect_right(log.taken, seq) - 1  # the entry firing when seq was taken
             assert 0 <= k < j
+            if action.__name__ == "_keep_alive":  # at the key a release reserved
+                timers += 1
+                assert (log[k][2].__name__, args[1]) == ("_complete", (at, seq))
+                continue
+            pushed += 1
             if action.__name__ == "_try_start":  # an offer, pushed by its arrival
                 assert (log[k][2].__name__, log[k][3]) == ("_arrive", args[:1])
         assert pushed == 2 * result.tasks
+        assert timers >= min(result.tasks, 1)  # a release arms a timer when none is pending

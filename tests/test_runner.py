@@ -1,6 +1,7 @@
 """End-to-end run mechanics on small scenarios."""
 
 from functools import reduce
+from heapq import heappush
 from pathlib import Path
 
 import pytest
@@ -358,6 +359,20 @@ def test_a_strategy_with_a_negative_latency_is_refused_before_the_run():
     assert str(excinfo.value) == "strategy.dispatch_latency_ms: must be non-negative"
 
 
+def test_a_cluster_with_a_negative_keep_alive_is_refused_before_the_run():
+    # Keep-alive timers are pushed unchecked at the release's expiry key, so
+    # a keep-alive of -5 set on a built cluster would fire a timer behind the
+    # clock; schedule raised SchedulingInPastError for it when it checked them.
+    scenario = parse_scenario(scenario_dict())
+    catalog, trace = prepare_workload(scenario, 1)
+    cluster = build_cluster(scenario, catalog)
+    cluster.params.keep_alive_ms = -5
+    with pytest.raises(ConfigError) as excinfo:
+        Simulation(Engine(), cluster, make_strategy("round_robin"), trace, horizon_ms=1000,
+                   strategy_cfg=scenario.strategies[0], seed=1)
+    assert str(excinfo.value) == "cluster.keep_alive_ms: must be non-negative"
+
+
 CLUSTER_CHANGES = [  # (ClusterParams attribute, value, the ConfigError's text)
     ("keep_alive_ms", -5, "cluster.keep_alive_ms: must be non-negative"),
     ("nodes", 0, "cluster.nodes: needs at least one node"),
@@ -389,23 +404,40 @@ EVENT_CAP = 200_000
 
 class CappedEngine(Engine):
     """An engine that fails past EVENT_CAP fired events, so that a run that
-    would never end fails the test instead of stalling it."""
+    would never end fails the test instead of stalling it. It counts what
+    its log is given, so it sees every event, whichever way it entered."""
+
+    def __init__(self):
+        super().__init__(record_log=True)
+        self.log = CappedLog()
+
+
+class CappedLog(list):
+    """An engine log that keeps no entry: it counts them, and fails past
+    EVENT_CAP."""
 
     fired = 0
 
-    def _counted(self, action):
-        def fire(*args):
-            self.fired += 1
-            if self.fired > EVENT_CAP:
-                pytest.fail(f"the run fired more than {EVENT_CAP} events")
-            action(*args)
-        return fire
+    def append(self, entry):
+        self.fired += 1
+        if self.fired > EVENT_CAP:
+            pytest.fail(f"the run fired more than {EVENT_CAP} events")
 
-    def schedule(self, at, action, args=(), seq=None):
-        super().schedule(at, self._counted(action), args, seq)
 
-    def schedule_sorted(self, times, action):
-        super().schedule_sorted(times, self._counted(action))
+def test_the_hang_guard_counts_pushed_events():
+    # A handler that pushes itself at the clock, as the runner pushes its
+    # offers, completions and keep-alive timers, never ends the run.
+    engine = CappedEngine()
+
+    def again():
+        seq = engine._seq
+        engine._seq = seq + 1
+        heappush(engine._heap, (engine.now, seq, again, ()))
+
+    engine.schedule(0, again)
+    with pytest.raises(pytest.fail.Exception, match="more than"):
+        engine.run()
+    assert engine.log.fired == EVENT_CAP + 1
 
 
 # (record, attribute, a value that breaks a rule): record is "cluster",
