@@ -32,17 +32,19 @@ EXTERNAL_STORE = "external"
 
 
 class FunctionSpec:
-    """A deployed function: sizes in MB, pure compute time in ms."""
+    """A deployed function: sizes in MB, pure compute time in ms, and its
+    weight in the workload's function mix."""
 
-    __slots__ = ("name", "code_size", "flavor", "compute_ms", "write_back")
+    __slots__ = ("name", "code_size", "flavor", "compute_ms", "write_back", "weight")
 
     def __init__(self, name: str, code_size: float = 0.0, flavor: int = 128,
-                 compute_ms: int = 1, write_back: float = 0.0):
+                 compute_ms: int = 1, write_back: float = 0.0, weight: float = 1.0):
         self.name = name
         self.code_size = code_size
         self.flavor = flavor
         self.compute_ms = compute_ms
         self.write_back = write_back
+        self.weight = weight
 
 
 class DataObject:

@@ -1,13 +1,13 @@
 """Scenario configuration: YAML parsing, dotted overrides and validation.
 
-A scenario file is a key-value tree whose keys mirror the parameters of
-the simulator's record types (ClusterParams, WorkloadSpec, StrategyConfig
-and the types they hold). ``FIELDS`` below is the table of every accepted
-key with its kind, which parsing converts to, and its check, which validate
-applies to the records however they were built. Each mapping in the tree is
-passed as keyword arguments to the type it builds (``_BUILD``), so a key
-left out takes its default. A ``strategies`` list takes the place of the
-single ``strategy`` block.
+A scenario file is a key-value tree, and each record of a scenario has the
+shape of the mapping it is parsed from: one field per key, of the same name.
+``FIELDS`` below is the table of every accepted key with its kind, which
+parsing converts to, and its check, which validate applies to the records
+however they were built, reading each key as the attribute of its name.
+Each mapping in the tree is passed as keyword arguments to its record type
+(``_BUILD``), so a key left out takes the type's default. A ``strategies``
+list takes the place of the single ``strategy`` block.
 """
 
 from __future__ import annotations
@@ -16,30 +16,44 @@ import math
 import os
 from functools import reduce
 
-from .cluster import EXTERNAL_STORE, MAX_MS, ClusterParams, FunctionSpec, NetworkModel
+from .cluster import EXTERNAL_STORE, ClusterParams, FunctionSpec, NetworkModel
 from .errors import ConfigError
 from .metrics import REPORT_WRITERS
 from .slotted import Slotted
 from .strategies import DEFAULT_DECAY, strategy_problems
-from .workload import ArrivalSpec, ObjectSpec, PopularitySpec, WorkloadSpec, trace_problems
+from .workload import (
+    WHOLE_MS, ArrivalSpec, ObjectSpec, OriginSpec, PopularitySpec, WorkloadSpec, is_whole_ms,
+    trace_problems,
+)
+
+
+class ReplicationConfig:
+    """The popularity replication pass: its period, the demand threshold at
+    which an object is copied, and the decay of the counts per pass."""
+
+    __slots__ = ("period_ms", "threshold", "decay")
+
+    def __init__(self, period_ms: int = 1000, threshold: float = 10.0,
+                 decay: float = DEFAULT_DECAY):
+        self.period_ms = period_ms
+        self.threshold = threshold
+        self.decay = decay
 
 
 class StrategyConfig:
     __slots__ = ("name", "params", "work_stealing", "steal_poll_ms", "dispatch_latency_ms",
-                 "replication_period_ms", "replication_threshold", "replication_decay")
+                 "replication")
 
     def __init__(self, name: str = "round_robin", params: dict | None = None,
                  work_stealing: bool = False, steal_poll_ms: int = 10,
-                 dispatch_latency_ms: int | None = None, replication_period_ms: int = 1000,
-                 replication_threshold: float = 10.0, replication_decay: float = DEFAULT_DECAY):
+                 dispatch_latency_ms: int | None = None,
+                 replication: ReplicationConfig | None = None):
         self.name = name
         self.params = {} if params is None else params
         self.work_stealing = work_stealing
         self.steal_poll_ms = steal_poll_ms
         self.dispatch_latency_ms = dispatch_latency_ms
-        self.replication_period_ms = replication_period_ms
-        self.replication_threshold = replication_threshold
-        self.replication_decay = replication_decay
+        self.replication = ReplicationConfig() if replication is None else replication
 
     @property
     def label(self) -> str:
@@ -86,9 +100,8 @@ class Scenario:
                 out[f"{prefix}.steal_poll_ms"] = s.steal_poll_ms
             for key in sorted(s.params):
                 out[f"{prefix}.params.{key}"] = s.params[key]
-            out[f"{prefix}.replication"] = (
-                f"{s.replication_period_ms}/{s.replication_threshold}/{s.replication_decay}"
-            )
+            r = s.replication
+            out[f"{prefix}.replication"] = f"{r.period_ms}/{r.threshold}/{r.decay}"
         out["seeds"] = "|".join(str(s) for s in self.seeds)
         return out
 
@@ -134,17 +147,12 @@ def _as_int(value) -> int | None:
     return int(value)
 
 
-def _as_ms(value) -> int | None:
-    value = _as_int(value)
-    return value if value is not None and abs(value) <= MAX_MS else None
-
-
 def _as_float(value) -> float | None:
     return None if isinstance(value, bool) or not math.isfinite(float(value)) else float(value)
 
 
 _integer = _kind("an integer", _as_int)
-_ms = _kind(f"an integer number of ms up to {MAX_MS}", _as_ms)
+_ms = _kind(WHOLE_MS, lambda v: v if is_whole_ms(v := _as_int(v)) else None)
 _number = _kind("a number", _as_float)
 _boolean = _kind("a boolean", lambda v: v if isinstance(v, bool) else None)
 _string = _kind("a string", lambda v: v if isinstance(v, str) else None)
@@ -251,7 +259,7 @@ FIELDS = {
     "workload.refs_per_invocation": (_pair(_integer, spread=True), _is(
         lambda v: 0 <= v[0] <= v[1], "needs 0 <= lo <= hi")),
     "workload.origins": (_items("workload.origins.N"), None),
-    "workload.origins.N.tag": (_string, None),
+    "workload.origins.N.tag": (_string, _required),
     "workload.origins.N.weight": (_number, None),
     "workload.trace_path": (_string, None),
     "strategy.name": (_string, None),
@@ -273,36 +281,21 @@ FIELDS = {
 }
 
 
-def _function(weight: float = 1.0, **spec) -> tuple[FunctionSpec, float]:
-    return FunctionSpec(**spec), weight
-
-
-def _workload(origins=(), **fields) -> WorkloadSpec:
-    if origins:  # an empty list keeps the default origin
-        fields["origins"] = tuple((o.get("tag", f"origin{i}"), o.get("weight", 1.0))
-                                  for i, o in enumerate(origins))
-    return WorkloadSpec(**fields)
-
-
-def _strategy(replication=None, **fields) -> StrategyConfig:
-    return StrategyConfig(**fields, **{f"replication_{k}": v
-                                       for k, v in (replication or {}).items()})
-
-
-# What each mapping in the tree builds from its converted fields; the rest
-# stay dicts.
+# The record type each mapping in the tree builds, its converted keys passed
+# as keyword arguments of the same names; the root stays a dict.
 _BUILD = {
     "cluster": ClusterParams,
     "cluster.network": NetworkModel,
-    "workload": _workload,
+    "workload": WorkloadSpec,
     "workload.arrival": ArrivalSpec,
-    "workload.functions.N": _function,
+    "workload.functions.N": FunctionSpec,
     "workload.objects": ObjectSpec,
     "workload.objects.popularity": PopularitySpec,
-    "strategy": _strategy,
+    "workload.origins.N": OriginSpec,
+    "strategy": StrategyConfig,
+    "strategy.replication": ReplicationConfig,
     "output": OutputConfig,
 }
-
 
 
 def _keys_by_mapping() -> dict[str, dict[str, str]]:
@@ -414,29 +407,19 @@ def apply_override(raw: dict, override: str) -> None:
 # ---- validation -------------------------------------------------------------
 
 
-# How validate reads a key of a mapping, where not as the attribute of its name. The
-# scenario's cluster and strategy blocks go through record_diagnostics instead.
-_READ = {
-    "": lambda scenario, name: None if name == "cluster" else getattr(scenario, name, None),
-    "workload.functions.N": lambda p, name: p[1] if name == "weight" else getattr(p[0], name),
-    "workload.origins.N": lambda p, name: p[name == "weight"],
-    "strategy": lambda block, name: block if name == "replication" else getattr(block, name),
-    "strategy.replication": lambda block, name: getattr(block, f"replication_{name}"),
-}
-
-
 def _check(value, entry: str, key: str, diags: list[Diagnostic]) -> None:
     """Append a Diagnostic for each check that value (the table entry at
-    dotted path key) or any key or element in it fails; None is a default."""
+    dotted path key) or any key or element in it fails, reading a mapping's
+    key as the record's attribute of the same name; None is a default."""
+    if value is None:
+        return
     check = FIELDS.get(entry, (None, None))[1]
     problem = check(value) if check else None
     if problem:
         diags.append(Diagnostic(key, problem))
-    read = _READ.get(entry, getattr)
     for name, sub in _KEYS.get(entry, {}).items():
-        for i, item in enumerate(value) if name == "N" else [(name, read(value, name))]:
-            if item is not None:
-                _check(item, sub, f"{key}.{i}" if key else name, diags)
+        for i, item in enumerate(value) if name == "N" else [(name, getattr(value, name))]:
+            _check(item, sub, f"{key}.{i}", diags)
 
 
 def record_diagnostics(record, entry: str, key: str | None = None) -> list[Diagnostic]:
@@ -452,7 +435,7 @@ def record_diagnostics(record, entry: str, key: str | None = None) -> list[Diagn
                     for sub, store in stores.items()
                     if store != EXTERNAL_STORE and not 0 <= store < record.nodes]
     else:
-        problems = strategy_problems(record.name, record.params, record.replication_decay)
+        problems = strategy_problems(record.name, record.params, record.replication.decay)
     return diags + [Diagnostic(f"{key}.{sub}", problem) for sub, problem in problems]
 
 
@@ -461,7 +444,8 @@ def validate(scenario: Scenario) -> list[Diagnostic]:
     table's checks of the records, whoever built them, the record_diagnostics
     of the cluster and each strategy block, and the rules that compare fields."""
     diags = record_diagnostics(scenario.cluster, "cluster")
-    _check(scenario, "", "", diags)
+    for name in ("workload", "strategies", "seeds", "output"):
+        _check(getattr(scenario, name), name, name, diags)
     single = len(scenario.strategies) == 1
     for i, block in enumerate(scenario.strategies):
         diags += record_diagnostics(block, "strategy", "strategy" if single else f"strategies.{i}")
@@ -470,7 +454,7 @@ def validate(scenario: Scenario) -> list[Diagnostic]:
     c, w = scenario.cluster, scenario.workload
     diags += [Diagnostic(key, problem) for key, problem in trace_problems(w)]
     names = set()
-    for i, (fs, _) in enumerate(w.functions):
+    for i, fs in enumerate(w.functions):
         key = f"workload.functions.{i}"
         if fs.name in names:
             err(key, f"duplicate function name {fs.name!r}")

@@ -104,7 +104,7 @@ class Simulation:
         if self.cfg.work_stealing and self.trace:
             self.engine.schedule(self.cfg.steal_poll_ms, self._steal_tick)
         if self.strategy.needs_replication and self.trace:
-            self.engine.schedule(self.cfg.replication_period_ms, self._replication_tick)
+            self.engine.schedule(self.cfg.replication.period_ms, self._replication_tick)
         self.engine.run()
         result = self.result
         result.occupied_ms_total = sum(n.occupied_ms_accum for n in self.cluster.nodes)
@@ -239,10 +239,10 @@ class Simulation:
     def _replication_tick(self) -> None:
         now = self.engine.now
         actions = replication_tick(self.strategy.counters, self.cluster,
-                                   self.cfg.replication_threshold)
+                                   self.cfg.replication.threshold)
         self.result.replication_log.extend((now, action) for action in actions)
         if self._work_remaining():
-            self.engine.schedule(now + self.cfg.replication_period_ms, self._replication_tick)
+            self.engine.schedule(now + self.cfg.replication.period_ms, self._replication_tick)
 
 
 # ---- scenario-level entry points --------------------------------------------
@@ -299,7 +299,7 @@ def run_one(scenario: Scenario, strategy_cfg: StrategyConfig, seed: int,
         catalog, trace = prepare_workload(scenario, seed)
     cluster = build_cluster(scenario, catalog)
     strategy = make_strategy(strategy_cfg.name, strategy_cfg.params,
-                             strategy_cfg.dispatch_latency_ms, strategy_cfg.replication_decay)
+                             strategy_cfg.dispatch_latency_ms, strategy_cfg.replication.decay)
     sim = Simulation(Engine(), cluster, strategy, trace,
                      horizon_ms=scenario.workload.horizon_ms,
                      strategy_cfg=strategy_cfg, seed=seed, on_complete=on_complete)

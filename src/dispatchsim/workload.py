@@ -17,6 +17,7 @@ import json
 import math
 from array import array
 from bisect import bisect_right
+from collections import namedtuple
 from itertools import accumulate, islice, repeat
 from operator import gt
 
@@ -151,18 +152,24 @@ class ObjectSpec:
         self.popularity = PopularitySpec() if popularity is None else popularity
 
 
+# An origin tag and its weight in the workload's origin mix; a tuple, so
+# ``for tag, weight in spec.origins`` unpacks it.
+OriginSpec = namedtuple("OriginSpec", ("tag", "weight"), defaults=(1.0,))
+
+
 class WorkloadSpec:
-    """``functions`` holds (spec, weight) pairs, ``origins`` (tag, weight)
-    pairs, and ``refs_per_invocation`` an inclusive range."""
+    """A workload, field for field as the ``workload`` block of a scenario
+    file: ``functions`` holds FunctionSpecs, ``origins`` OriginSpecs, each
+    with its mix weight, and ``refs_per_invocation`` an inclusive range."""
 
     __slots__ = ("horizon_ms", "arrival", "functions", "objects", "refs_per_invocation",
                  "origins", "trace_path")
 
     def __init__(self, horizon_ms: int = 10_000, arrival: ArrivalSpec | None = None,
-                 functions: tuple[tuple[FunctionSpec, float], ...] = (),
+                 functions: tuple[FunctionSpec, ...] = (),
                  objects: ObjectSpec | None = None,
                  refs_per_invocation: tuple[int, int] = (0, 0),
-                 origins: tuple[tuple[str, float], ...] = (("default", 1.0),),
+                 origins: tuple[OriginSpec, ...] = (OriginSpec("default"),),
                  trace_path: str | None = None):
         self.horizon_ms = horizon_ms
         self.arrival = ArrivalSpec() if arrival is None else arrival
@@ -187,7 +194,7 @@ class Catalog:
 def build_catalog(spec: WorkloadSpec, rng: RandomSource) -> Catalog:
     """Materialize the catalogs; object sizes are drawn here (in id order)
     when the size is a range, before any trace draws."""
-    functions = {fs.name: fs for fs, _ in spec.functions}
+    functions = {fs.name: fs for fs in spec.functions}
     objects: dict[str, DataObject] = {}
     for i in range(spec.objects.count):
         oid = f"obj-{i:04d}"
@@ -259,7 +266,12 @@ def _popularity_weights(spec: ObjectSpec) -> list[float]:
     return [1.0] * spec.count
 
 
-def _whole_ms(value) -> bool:
+# The one rule for a millisecond value: the scenario kind of config.py and
+# trace_problems both apply it, and refuse a value in these words.
+WHOLE_MS = f"an integer number of ms up to {MAX_MS}"
+
+
+def is_whole_ms(value) -> bool:
     """Whether value is an int, or a float with an integer value, of at
     most MAX_MS either way; a bool is not."""
     return (isinstance(value, (int, float)) and not isinstance(value, bool)
@@ -274,19 +286,18 @@ def trace_problems(spec: WorkloadSpec) -> list[tuple[str, str]]:
     arrival = spec.arrival
     for key, value in (("workload.horizon_ms", spec.horizon_ms),
                        ("workload.arrival.interval_ms", arrival.interval_ms)):
-        if not _whole_ms(value):
-            problems.append((key, f"expected an integer number of ms up to {MAX_MS}, "
-                                  f"got {value!r}"))
+        if not is_whole_ms(value):
+            problems.append((key, f"expected {WHOLE_MS}, got {value!r}"))
     if arrival.kind == "poisson":
         if not 0 < arrival.rate_per_s < math.inf:
             problems.append(("workload.arrival.rate_per_s", "must be positive and finite"))
     elif arrival.kind != "fixed_interval":
         problems.append(("workload.arrival.kind", "must be poisson or fixed_interval"))
-    elif _whole_ms(arrival.interval_ms) and arrival.interval_ms < 1:
+    elif is_whole_ms(arrival.interval_ms) and arrival.interval_ms < 1:
         problems.append(("workload.arrival.interval_ms", "must be at least 1 ms"))
-    for key, pairs, item in (("workload.functions", spec.functions, "function"),
+    for key, specs, item in (("workload.functions", spec.functions, "function"),
                              ("workload.origins", spec.origins, "origin")):
-        weights = [weight for _, weight in pairs]
+        weights = [s.weight for s in specs]
         if not weights:
             problems.append((key, f"at least one {item} is required"))
         elif all(weight > 0 for weight in weights) and _cumulative(weights)[1] == math.inf:
@@ -314,8 +325,8 @@ def generate_trace(spec: WorkloadSpec, catalog: Catalog, rng: RandomSource) -> T
     problems = trace_problems(spec)
     if problems:
         raise ConfigError("%s: %s" % problems[0])
-    fn_cum, fn_total = _cumulative([w for _, w in spec.functions])
-    origin_cum, origin_total = _cumulative([w for _, w in spec.origins])
+    fn_cum, fn_total = _cumulative([fs.weight for fs in spec.functions])
+    origin_cum, origin_total = _cumulative([o.weight for o in spec.origins])
     object_ids = list(catalog.objects)
     obj_cum, obj_total = _cumulative(_popularity_weights(spec.objects)) if object_ids else ((), 0.0)
     arrival = spec.arrival
@@ -328,8 +339,8 @@ def generate_trace(spec: WorkloadSpec, catalog: Catalog, rng: RandomSource) -> T
     n_objects = len(object_ids)
     k_fixed = min(lo, n_objects)
 
-    trace = Trace(functions=[fs.name for fs, _ in spec.functions],
-                  origins=[tag for tag, _ in spec.origins])
+    trace = Trace(functions=[fs.name for fs in spec.functions],
+                  origins=[o.tag for o in spec.origins])
     ref_sets, add_refs = trace.ref_sets, trace.ref_codes.append
     if poisson:
         lambd = 1.0 / (1000.0 / arrival.rate_per_s)  # arrivals per ms

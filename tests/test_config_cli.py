@@ -24,8 +24,8 @@ from dispatchsim.errors import ConfigError
 from dispatchsim.strategies import make_strategy
 from dispatchsim.cluster import FunctionSpec
 from dispatchsim.workload import (
-    ArrivalSpec, ObjectSpec, PopularitySpec, WorkloadSpec, build_catalog, generate_trace,
-    trace_problems,
+    ArrivalSpec, ObjectSpec, OriginSpec, PopularitySpec, WorkloadSpec, build_catalog,
+    generate_trace, trace_problems,
 )
 
 from conftest import scenario_dict
@@ -162,7 +162,7 @@ def test_override_sets_nested_and_typed_values():
     scenario = parse_scenario(raw)
     assert scenario.cluster.nodes == 8
     assert scenario.workload.arrival.kind == "poisson"
-    assert scenario.workload.functions[0][0].compute_ms == 75
+    assert scenario.workload.functions[0].compute_ms == 75
     assert scenario.seeds == [4, 5]
 
 
@@ -582,6 +582,20 @@ def test_cli_flags_are_overrides_before_the_checks(tmp_path):
     assert main(["validate", cfg, "--seed", "3", "--format", "json"]) == 0
 
 
+@pytest.mark.parametrize("override, line", [
+    ("workload.origins=[{weight: 1}]", "error: workload.origins.0.tag: is required"),
+    ("workload.origins=[]", "error: workload.origins: at least one origin is required"),
+])
+def test_an_origin_needs_a_tag_and_the_origin_list_an_origin(tmp_path, capsys, override, line):
+    # Declared behaviour change: the first ran with the tag "origin0", and
+    # the second with the default origin, each exiting 0.
+    demo = str(DEMO_SCENARIOS / "minimal.yaml")
+    assert main(["run", demo, override, "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [line]
+    assert not (tmp_path / "out").exists()
+
+
 def test_null_keeps_the_default():
     scenario = parse_scenario(scenario_dict(cluster={"nodes": None, "network": None}))
     assert scenario.cluster == parse_scenario(scenario_dict(cluster={
@@ -811,7 +825,7 @@ def test_generate_trace_refuses_an_arrival_spec_that_validate_refuses(tmp_path, 
         "from dispatchsim.errors import ConfigError\n"
         "from dispatchsim.workload import ArrivalSpec, WorkloadSpec, build_catalog, generate_trace\n"
         "spec = WorkloadSpec(arrival=ArrivalSpec(**json.loads(sys.argv[1])),\n"
-        "                    functions=((FunctionSpec('f1', flavor=128, compute_ms=10), 1.0),))\n"
+        "                    functions=(FunctionSpec('f1', flavor=128, compute_ms=10),))\n"
         "try:\n"
         "    generate_trace(spec, build_catalog(spec, RandomSource(1, 'catalog')),\n"
         "                   RandomSource(1, 'trace'))\n"
@@ -837,7 +851,7 @@ def test_generate_trace_refuses_an_ms_value_that_validate_refuses(tmp_path, caps
     # Regression: a fractional fixed interval or horizon raised an unnamed
     # TypeError from the arrival column, and an interval of True ran as 1 ms.
     spec = WorkloadSpec(horizon_ms=horizon_ms, arrival=ArrivalSpec(**arrival),
-                        functions=((FunctionSpec("f1", flavor=128, compute_ms=10), 1.0),))
+                        functions=(FunctionSpec("f1", flavor=128, compute_ms=10),))
     problem = f"{key}: expected an integer number of ms up to 1000000000000, got {value!r}"
     with pytest.raises(ConfigError) as refused:
         generate_trace(spec, build_catalog(spec, RandomSource(1, "catalog")),
@@ -850,7 +864,6 @@ def test_generate_trace_refuses_an_ms_value_that_validate_refuses(tmp_path, caps
 
 
 F1 = FunctionSpec("f1", flavor=128, compute_ms=10)
-F2 = FunctionSpec("f2", flavor=128, compute_ms=10)
 
 
 def _generate(spec: WorkloadSpec):
@@ -861,9 +874,10 @@ def _generate(spec: WorkloadSpec):
 @pytest.mark.parametrize("fields", [
     {"functions": ()},
     {"origins": ()},
-    {"functions": ((F1, 0.0),)},
-    {"origins": (("web", 1.0), ("iot", 0.0))},
-    {"functions": ((F1, 1e308), (F2, 1e308))},
+    {"functions": (FunctionSpec("f1", flavor=128, compute_ms=10, weight=0.0),)},
+    {"origins": (OriginSpec("web"), OriginSpec("iot", 0.0))},
+    {"functions": (FunctionSpec("f1", flavor=128, compute_ms=10, weight=1e308),
+                   FunctionSpec("f2", flavor=128, compute_ms=10, weight=1e308))},
     {"arrival": ArrivalSpec(kind="burst")},
     {"objects": ObjectSpec(count=3, popularity=PopularitySpec(s=0.0)),
      "refs_per_invocation": (1, 1)},
@@ -873,7 +887,7 @@ def test_generate_trace_refuses_a_spec_with_validates_first_workload_error(field
     # Regression: no origins raised a bare IndexError, weights adding up to
     # inf drew function codes past the end of the trace's function table,
     # and the others raised messages that named no key.
-    spec = WorkloadSpec(**{"functions": ((F1, 1.0),), **fields})
+    spec = WorkloadSpec(**{"functions": (F1,), **fields})
     first = next(f"{d.key}: {d.message}" for d in validate(Scenario(workload=spec))
                  if d.severity == "error" and d.key.startswith("workload."))
     with pytest.raises(ConfigError) as refused:
@@ -908,7 +922,7 @@ def test_validate_refuses_a_workload_changed_after_parsing(owner, name, value, l
 def test_validate_refuses_a_workload_built_in_code():
     # Regression: validate passed this, and generate_trace then drew uniform
     # popularity and 3 references for every invocation.
-    spec = WorkloadSpec(functions=((F1, 1.0),), refs_per_invocation=(3, 1),
+    spec = WorkloadSpec(functions=(F1,), refs_per_invocation=(3, 1),
                         objects=ObjectSpec(count=5, popularity=PopularitySpec(kind="bogus")))
     assert [str(d) for d in validate(Scenario(workload=spec))] == [
         "error: workload.objects.popularity.kind: must be zipf or uniform",
@@ -934,9 +948,9 @@ _WEIGHTS = _mostly(st.lists(_WEIGHT, min_size=1, max_size=3), st.just([]))
 @st.composite
 def _workload_specs(draw) -> WorkloadSpec:
     """Small workload specs, some of which break each rule of trace_problems."""
-    functions = tuple((FunctionSpec(f"f{i}", flavor=128, compute_ms=10), weight)
+    functions = tuple(FunctionSpec(f"f{i}", flavor=128, compute_ms=10, weight=weight)
                       for i, weight in enumerate(draw(_WEIGHTS)))
-    origins = tuple((f"o{i}", weight) for i, weight in enumerate(draw(_WEIGHTS)))
+    origins = tuple(OriginSpec(f"o{i}", weight) for i, weight in enumerate(draw(_WEIGHTS)))
     arrival = ArrivalSpec(kind=draw(_mostly(st.sampled_from(["fixed_interval", "poisson"]),
                                             st.just("burst"))),
                           rate_per_s=draw(_RATES), interval_ms=draw(_INTERVALS))

@@ -94,7 +94,7 @@ def simulate(simulation_cls, engine, scenario, strategy_cfg, seed):
     completions = []
     cluster = runner.build_cluster(scenario, catalog)
     strategy = make_strategy(strategy_cfg.name, strategy_cfg.params,
-                             strategy_cfg.dispatch_latency_ms, strategy_cfg.replication_decay)
+                             strategy_cfg.dispatch_latency_ms, strategy_cfg.replication.decay)
     sim = simulation_cls(engine, cluster, strategy, trace,
                          horizon_ms=scenario.workload.horizon_ms,
                          strategy_cfg=strategy_cfg, seed=seed,

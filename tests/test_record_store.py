@@ -97,14 +97,14 @@ class ReferenceSimulation(runner.Simulation):
 
     def _replication_tick(self):
         actions = runner.replication_tick(
-            self.strategy.counters, self.cluster, self.cfg.replication_threshold
+            self.strategy.counters, self.cluster, self.cfg.replication.threshold
         )
         for action in actions:
             self.result.replication_log.append((self.engine.now, action))
             if action.placed:
                 self.replications += 1
         if self._work_remaining():
-            self.engine.schedule(self.engine.now + self.cfg.replication_period_ms,
+            self.engine.schedule(self.engine.now + self.cfg.replication.period_ms,
                                  self._replication_tick)
 
     def run(self):

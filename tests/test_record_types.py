@@ -4,7 +4,9 @@ Each type used to be a dataclass. API below holds, per type, its fields in
 positional order with their defaults, as the dataclass declared them; the
 tests check that the plain class takes the same calls and gives the same
 attribute values, and that importing the package loads neither
-``dataclasses`` nor ``inspect``.
+``dataclasses`` nor ``inspect``. FunctionSpec's weight, OriginSpec (a named
+tuple) and ReplicationConfig came later, when each record took the shape of
+the scenario mapping it is parsed from.
 """
 
 import importlib
@@ -16,6 +18,7 @@ from pathlib import Path
 import pytest
 
 import dispatchsim
+from dispatchsim import config
 from dispatchsim.cluster import NetworkModel
 from dispatchsim.config import Diagnostic
 
@@ -37,12 +40,13 @@ DEFAULT_OBJECTS = ("ObjectSpec", (("count", 0), ("size", 100.0),
 DEFAULT_WORKLOAD = ("WorkloadSpec", (
     ("horizon_ms", 10_000), ("arrival", DEFAULT_ARRIVAL), ("functions", ()),
     ("objects", DEFAULT_OBJECTS), ("refs_per_invocation", (0, 0)),
-    ("origins", (("default", 1.0),)), ("trace_path", None),
+    ("origins", (("OriginSpec", (("tag", "default"), ("weight", 1.0))),)), ("trace_path", None),
 ))
+DEFAULT_REPLICATION = ("ReplicationConfig", (("period_ms", 1000), ("threshold", 10.0),
+                                             ("decay", 0.5)))
 DEFAULT_STRATEGY = ("StrategyConfig", (
     ("name", "round_robin"), ("params", {}), ("work_stealing", False), ("steal_poll_ms", 10),
-    ("dispatch_latency_ms", None), ("replication_period_ms", 1000),
-    ("replication_threshold", 10.0), ("replication_decay", 0.5),
+    ("dispatch_latency_ms", None), ("replication", DEFAULT_REPLICATION),
 ))
 DEFAULT_OUTPUT = ("OutputConfig", (("dir", "out"), ("formats", ("csv",))))
 
@@ -53,7 +57,7 @@ DEFAULT_OUTPUT = ("OutputConfig", (("dir", "out"), ("formats", ("csv",))))
 API = {
     "cluster": {
         "FunctionSpec": (("name", REQUIRED), ("code_size", 0.0), ("flavor", 128),
-                         ("compute_ms", 1), ("write_back", 0.0)),
+                         ("compute_ms", 1), ("write_back", 0.0), ("weight", 1.0)),
         "DataObject": (("id", REQUIRED), ("size", REQUIRED), ("placements", set())),
         "Container": (("function", REQUIRED), ("node", REQUIRED), ("flavor", REQUIRED),
                       ("expiry", None)),
@@ -61,6 +65,7 @@ API = {
         "ClusterParams": DEFAULT_CLUSTER[1],
     },
     "config": {
+        "ReplicationConfig": DEFAULT_REPLICATION[1],
         "StrategyConfig": DEFAULT_STRATEGY[1],
         "OutputConfig": DEFAULT_OUTPUT[1],
         "Scenario": (("cluster", DEFAULT_CLUSTER), ("workload", DEFAULT_WORKLOAD),
@@ -72,6 +77,7 @@ API = {
         "ArrivalSpec": DEFAULT_ARRIVAL[1],
         "PopularitySpec": DEFAULT_POPULARITY[1],
         "ObjectSpec": DEFAULT_OBJECTS[1],
+        "OriginSpec": (("tag", REQUIRED), ("weight", 1.0)),
         "WorkloadSpec": DEFAULT_WORKLOAD[1],
         "Catalog": (("functions", {}), ("objects", {})),
     },
@@ -88,12 +94,17 @@ def is_record(value) -> bool:
     return hasattr(type(value), "__slots__") and type(value).__module__.startswith("dispatchsim.")
 
 
+def field_names(cls) -> tuple[str, ...]:
+    """A record type's fields: a named tuple's _fields, else its __slots__."""
+    return getattr(cls, "_fields", cls.__slots__)
+
+
 def as_pinned(value):
     """value in the form API writes a default in: a record type as (type
     name, ((field, value), ...)), containers element by element."""
     if is_record(value):
-        return (type(value).__name__,
-                tuple((name, as_pinned(getattr(value, name))) for name in value.__slots__))
+        return (type(value).__name__, tuple((name, as_pinned(getattr(value, name)))
+                                            for name in field_names(type(value))))
     if isinstance(value, (list, tuple)):
         return type(value)(as_pinned(v) for v in value)
     return value
@@ -108,7 +119,7 @@ def test_record_type_takes_the_same_calls(module, name):
     cls = record_type(module, name)
     fields = API[module][name]
     names = tuple(field for field, _ in fields)
-    assert cls.__slots__ == names
+    assert field_names(cls) == names
     values = [object() for _ in names]
     for made in (cls(*values), cls(**dict(zip(names, values)))):
         assert not hasattr(made, "__dict__")
@@ -128,6 +139,15 @@ def test_record_type_takes_the_same_calls(module, name):
     if required:
         with pytest.raises(TypeError):
             cls(*required[:-1])
+
+
+@pytest.mark.parametrize("entry", sorted(config._BUILD))
+def test_each_mapping_builds_a_record_type_with_its_keys_as_fields(entry):
+    # validate reads each key of a mapping as the record's attribute of the
+    # same name, so the record has the mapping's keys, in table order.
+    cls = config._BUILD[entry]
+    assert isinstance(cls, type)
+    assert field_names(cls) == tuple(config._KEYS[entry])
 
 
 def test_run_result_takes_the_run_settings_and_starts_an_empty_account():

@@ -5,12 +5,13 @@ from heapq import heappush
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dispatchsim import runner
 from dispatchsim.cluster import EXTERNAL_STORE, ClusterParams, FunctionSpec, NetworkModel
 from dispatchsim.config import (
-    Scenario, StrategyConfig, apply_override, load_scenario, parse_scenario, validate,
+    ReplicationConfig, Scenario, StrategyConfig, apply_override, load_scenario, parse_scenario,
+    validate,
 )
 from dispatchsim.engine import Engine
 from dispatchsim.errors import ConfigError, SimulationError
@@ -315,7 +316,7 @@ def test_library_path_refuses_what_validate_refuses(override, message):
 TICKS_AT_0_MS = [
     ("strategy.steal_poll_ms", StrategyConfig(work_stealing=True, steal_poll_ms=0)),
     ("strategy.replication.period_ms",
-     StrategyConfig("proactive_cluster", replication_period_ms=0)),
+     StrategyConfig("proactive_cluster", replication=ReplicationConfig(period_ms=0))),
 ]
 
 
@@ -331,7 +332,7 @@ def test_a_tick_period_under_1ms_is_refused_before_the_run(monkeypatch, key, str
 
 BUILT_IN_CODE = [  # (strategy_cfg, the ConfigError's text)
     (StrategyConfig(dispatch_latency_ms=-5), "strategy.dispatch_latency_ms: must be non-negative"),
-    (StrategyConfig("proactive_cluster", replication_threshold=-1.0),
+    (StrategyConfig("proactive_cluster", replication=ReplicationConfig(threshold=-1.0)),
      "strategy.replication.threshold: must be positive"),
 ]
 
@@ -441,8 +442,8 @@ def test_the_hang_guard_counts_pushed_events():
 
 
 # (record, attribute, a value that breaks a rule): record is "cluster",
-# "workload" or a dotted path below them, "function" (the first function's
-# spec) or "strategy" (the strategy block that runs).
+# "workload", "strategy" (the strategy block that runs) or a dotted path
+# below them, or "function" (the first function's spec).
 BREAKS = [
     ("cluster", "nodes", 0), ("cluster", "mem_capacity", 0), ("cluster", "store_capacity", -1.0),
     ("cluster", "flavors", ()), ("cluster", "flavors", (0, 128)),
@@ -459,8 +460,8 @@ BREAKS = [
     ("function", "compute_ms", 0), ("function", "code_size", -1.0),
     ("function", "write_back", -1.0), ("strategy", "name", "bogus"),
     ("strategy", "steal_poll_ms", 0), ("strategy", "dispatch_latency_ms", -5),
-    ("strategy", "replication_period_ms", 0), ("strategy", "replication_threshold", -1.0),
-    ("strategy", "replication_decay", 1.5),
+    ("strategy.replication", "period_ms", 0), ("strategy.replication", "threshold", -1.0),
+    ("strategy.replication", "decay", 1.5),
 ]
 
 
@@ -477,9 +478,9 @@ def _scenarios(draw) -> tuple[Scenario, StrategyConfig]:
         max_execution_ms=draw(st.integers(50, 2000)),
         code_store=draw(st.sampled_from([EXTERNAL_STORE, 0])),
         result_store=draw(st.sampled_from([EXTERNAL_STORE, 0])))
-    functions = tuple((FunctionSpec(f"f{i}", draw(st.floats(0, 20)),
-                                    draw(st.sampled_from([128, 256])), draw(st.integers(1, 50)),
-                                    draw(st.floats(0, 5))), draw(st.floats(0.1, 5)))
+    functions = tuple(FunctionSpec(f"f{i}", draw(st.floats(0, 20)),
+                                   draw(st.sampled_from([128, 256])), draw(st.integers(1, 50)),
+                                   draw(st.floats(0, 5)), draw(st.floats(0.1, 5)))
                       for i in range(draw(st.integers(1, 2))))
     lo = draw(st.integers(0, 2))
     workload = WorkloadSpec(
@@ -497,10 +498,9 @@ def _scenarios(draw) -> tuple[Scenario, StrategyConfig]:
         draw(st.sampled_from(STRATEGY_NAMES)), work_stealing=draw(st.booleans()),
         steal_poll_ms=draw(st.integers(5, 20)),
         dispatch_latency_ms=draw(st.none() | st.integers(0, 5)),
-        replication_period_ms=draw(st.integers(5, 200)),
-        replication_threshold=draw(st.floats(0.5, 20)),
-        replication_decay=draw(st.floats(0.1, 1)))
-    records = {"cluster": cluster, "workload": workload, "function": functions[0][0],
+        replication=ReplicationConfig(draw(st.integers(5, 200)), draw(st.floats(0.5, 20)),
+                                      draw(st.floats(0.1, 1))))
+    records = {"cluster": cluster, "workload": workload, "function": functions[0],
                "strategy": strategy_cfg}
     for path, attribute, value in draw(st.lists(st.sampled_from(BREAKS), max_size=2)):
         owner, *rest = path.split(".")
@@ -508,14 +508,25 @@ def _scenarios(draw) -> tuple[Scenario, StrategyConfig]:
     return Scenario(cluster, workload, [strategy_cfg]), strategy_cfg
 
 
+def _bogus_name_beside_a_store_warning() -> tuple[Scenario, StrategyConfig]:
+    """validate refuses strategy.name and warns that node 0 cannot hold its
+    six origin replicas; the run refuses cluster.store_capacity first."""
+    strategy_cfg = StrategyConfig("bogus")
+    workload = WorkloadSpec(functions=(FunctionSpec("f0"),), objects=ObjectSpec(6, 20.0),
+                            refs_per_invocation=(1, 1))
+    return Scenario(ClusterParams(store_capacity=50.0), workload, [strategy_cfg]), strategy_cfg
+
+
 @settings(max_examples=150, deadline=None)
 @given(drawn=_scenarios())
+@example(drawn=_bogus_name_beside_a_store_warning())
 def test_a_scenario_built_in_code_is_refused_naming_a_key_or_runs_to_the_end(drawn):
     # validate checks the records, whoever built them; the run checks its
     # strategy block itself, so it takes one validate has not seen here.
     scenario, strategy_cfg = drawn
     diags = validate(scenario)
     errors = {d.key for d in diags if d.severity == "error"}
+    warnings = {d.key for d in diags if d.severity == "warning"}
     scenario.strategies = [StrategyConfig()]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(runner, "Engine", CappedEngine)
@@ -524,7 +535,8 @@ def test_a_scenario_built_in_code_is_refused_naming_a_key_or_runs_to_the_end(dra
             result = runner.run_one(scenario, strategy_cfg, 1, catalog, trace)
         except ConfigError as exc:
             # an origin replica that does not fit is only a warning in validate
-            assert str(exc).partition(": ")[0] in (errors or {d.key for d in diags})
+            key = str(exc).partition(": ")[0]
+            assert key in errors or key == "cluster.store_capacity" and key in warnings
         else:
             assert not errors
             assert result.tasks == len(trace)

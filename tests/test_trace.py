@@ -27,6 +27,7 @@ from dispatchsim.errors import ConfigError
 from dispatchsim.workload import (
     ArrivalSpec,
     ObjectSpec,
+    OriginSpec,
     PopularitySpec,
     Trace,
     WorkloadSpec,
@@ -58,8 +59,8 @@ class ReferencePicker:
 
 
 def reference_generate_trace(spec, catalog, rng):
-    fn_picker = ReferencePicker([w for _, w in spec.functions])
-    fn_names = [fs.name for fs, _ in spec.functions]
+    fn_picker = ReferencePicker([fs.weight for fs in spec.functions])
+    fn_names = [fs.name for fs in spec.functions]
     origin_picker = ReferencePicker([w for _, w in spec.origins])
     origin_tags = [tag for tag, _ in spec.origins]
     object_ids = list(catalog.objects)
@@ -112,7 +113,8 @@ def reference_save_trace(invocations, path):
 
 # ---- differential ---------------------------------------------------------------------
 
-FUNCTIONS = [FunctionSpec(f"f{i}", flavor=128, compute_ms=10) for i in range(3)]
+def function(i: int, weight: float = 1.0) -> FunctionSpec:
+    return FunctionSpec(f"f{i}", flavor=128, compute_ms=10, weight=weight)
 
 
 @st.composite
@@ -122,8 +124,8 @@ def workload_specs(draw):
     else:
         arrival = ArrivalSpec(kind="fixed_interval", interval_ms=draw(st.integers(1, 50)))
     weights = st.floats(0.1, 5.0)
-    functions = tuple((fs, draw(weights)) for fs in FUNCTIONS[:draw(st.integers(1, 3))])
-    origins = tuple((tag, draw(weights))
+    functions = tuple(function(i, draw(weights)) for i in range(draw(st.integers(1, 3))))
+    origins = tuple(OriginSpec(tag, draw(weights))
                     for tag in ("web", "iot", "batch")[:draw(st.integers(1, 3))])
     count = draw(st.integers(0, 8))
     size = draw(st.one_of(st.just(10.0), st.tuples(st.just(5.0), st.floats(5.0, 90.0))))
@@ -170,10 +172,10 @@ def single_pick_specs(draw, counts=st.integers(2, 64), refs=st.just((1, 1))):
     return WorkloadSpec(
         horizon_ms=draw(st.integers(0, 5000)),
         arrival=ArrivalSpec(kind="fixed_interval", interval_ms=draw(st.integers(1, 50))),
-        functions=((FUNCTIONS[0], draw(st.floats(0.1, 5.0))),),
+        functions=(function(0, draw(st.floats(0.1, 5.0))),),
         objects=ObjectSpec(count=draw(counts), size=10.0, popularity=popularity),
         refs_per_invocation=draw(refs),
-        origins=(("web", draw(st.floats(0.1, 5.0))),),
+        origins=(OriginSpec("web", draw(st.floats(0.1, 5.0))),),
     )
 
 
@@ -232,10 +234,10 @@ def test_general_trace_plan_runs_no_python_frame_per_invocation():
         spec = WorkloadSpec(
             horizon_ms=horizon_ms,
             arrival=ArrivalSpec(kind="poisson", rate_per_s=200.0),
-            functions=tuple((fs, 1.0 + i) for i, fs in enumerate(FUNCTIONS)),
+            functions=tuple(function(i, 1.0 + i) for i in range(3)),
             objects=ObjectSpec(count=8, size=10.0, popularity=PopularitySpec("zipf", 1.1)),
             refs_per_invocation=(1, 3),
-            origins=(("web", 1.0), ("iot", 2.0)),
+            origins=(OriginSpec("web"), OriginSpec("iot", 2.0)),
         )
         catalog = build_catalog(spec, RandomSource(1, "catalog"))
         rng = RandomSource(1, "trace")
@@ -269,10 +271,10 @@ def small_trace():
     spec = WorkloadSpec(
         horizon_ms=500,
         arrival=ArrivalSpec(kind="fixed_interval", interval_ms=100),
-        functions=((FUNCTIONS[0], 1.0), (FUNCTIONS[1], 1.0)),
+        functions=(function(0), function(1)),
         objects=ObjectSpec(count=3, size=10.0),
         refs_per_invocation=(0, 2),
-        origins=(("web", 1.0), ("iot", 1.0)),
+        origins=(OriginSpec("web"), OriginSpec("iot")),
     )
     catalog = build_catalog(spec, RandomSource(4, "catalog"))
     return catalog, generate_trace(spec, catalog, RandomSource(4, "trace"))

@@ -12,6 +12,7 @@ from dispatchsim.workload import (
     ArrivalSpec,
     Catalog,
     ObjectSpec,
+    OriginSpec,
     PopularitySpec,
     WorkloadSpec,
     build_catalog,
@@ -30,10 +31,10 @@ def make_spec(**kw) -> WorkloadSpec:
     defaults = dict(
         horizon_ms=1000,
         arrival=ArrivalSpec(kind="fixed_interval", interval_ms=100),
-        functions=((F1, 1.0),),
+        functions=(F1,),
         objects=ObjectSpec(count=0),
         refs_per_invocation=(0, 0),
-        origins=(("web", 1.0),),
+        origins=(OriginSpec("web"),),
     )
     defaults.update(kw)
     return WorkloadSpec(**defaults)
@@ -89,7 +90,7 @@ def test_function_mix_shares_track_weights():
     spec = make_spec(
         horizon_ms=12_000,
         arrival=ArrivalSpec(kind="fixed_interval", interval_ms=1),
-        functions=((F1, 3.0), (F2, 1.0)),
+        functions=(FunctionSpec("f1", code_size=10, flavor=128, compute_ms=80, weight=3.0), F2),
     )
     _, trace = build(spec)
     share_f1 = sum(1 for inv in invocations(trace) if inv.function == "f1") / len(trace)
@@ -102,7 +103,7 @@ def test_same_spec_and_seed_give_identical_traces():
         arrival=ArrivalSpec(kind="poisson", rate_per_s=50),
         objects=ObjectSpec(count=10, size=(10.0, 50.0)),
         refs_per_invocation=(1, 3),
-        origins=(("web", 2.0), ("iot", 1.0)),
+        origins=(OriginSpec("web", 2.0), OriginSpec("iot")),
     )
     _, t1 = build(spec, seed=11)
     _, t2 = build(spec, seed=11)
@@ -139,7 +140,7 @@ def test_trace_round_trip(tmp_path):
         arrival=ArrivalSpec(kind="poisson", rate_per_s=100),
         objects=ObjectSpec(count=8, size=25.0),
         refs_per_invocation=(0, 2),
-        origins=(("web", 1.0), ("batch", 1.0)),
+        origins=(OriginSpec("web"), OriginSpec("batch")),
     )
     catalog, trace = build(spec, seed=3)
     path = tmp_path / "trace.jsonl"
