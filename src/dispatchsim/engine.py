@@ -99,19 +99,19 @@ class Engine:
     now, as a fresh seq at ``now`` or later does. The runner pushes its
     offers, completions and keep-alive timers so.
 
-    With ``record_log`` set, ``log`` gets (fire_at, seq, action, args) for
-    each fired occurrence, args (index,) for a batch item. Handlers and
+    ``log``, when not None, is any object with ``append``: it gets
+    (fire_at, seq, action, args) for each fired occurrence, args (index,)
+    for a batch item, just before the occurrence fires. Handlers and
     arguments compare by identity, so two logs compare by names derived
     from their entries; tests/reference.py names the runner's events.
     """
 
-    def __init__(self, record_log: bool = False):
+    def __init__(self, log=None):
         self._heap: list[tuple] = []  # (fire_at, seq, action, args)
         self._batch_heap: list[tuple] = []  # (fire_at, seq, times, action, index)
         self._seq = 0
         self.now = 0
-        self.record_log = record_log
-        self.log: list[tuple[int, int, Callable[..., None], tuple]] = []
+        self.log = log
 
     def schedule(self, at: int, action: Callable[..., None], args: tuple = ()) -> None:
         """Enqueue ``action(*args)`` at virtual time ``at`` (>= now), next seq."""
@@ -144,7 +144,7 @@ class Engine:
         each time the earlier of the two heaps' tops, until none is pending;
         the clock ends at the last fire time. Returns the number fired."""
         heap, batches = self._heap, self._batch_heap
-        log = self.log if self.record_log else None
+        log = self.log
         heappop, heapreplace = heapq.heappop, heapq.heapreplace
         processed = 0
         while True:

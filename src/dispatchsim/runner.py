@@ -1,4 +1,6 @@
 """Binds engine, cluster, workload and strategy into one deterministic run.
+Simulation builds its cluster, strategy and engine from the run's records,
+in one place, so what runs is what the records say.
 
 Event flow per invocation: at arrival the strategy picks a node; after the
 strategy's dispatch latency the invocation is offered to that node, where
@@ -36,29 +38,27 @@ from heapq import heappush
 from operator import add
 
 from .cluster import AcquireOutcome, Cluster, Container, PlacementOutcome
-from .config import FIELDS, Scenario, StrategyConfig, record_diagnostics, validate
+from .config import Scenario, StrategyConfig, record_diagnostics, validate
 from .engine import Engine, RandomSource
 from .errors import (
     ConfigError, SimulationError, TraceFormatError, UnknownFunctionError, UnknownObjectError,
 )
 from .metrics import RunResult, aggregate_rows, billed_gb_seconds
-from .strategies import DispatchStrategy, make_strategy, replication_tick, steal_work
+from .strategies import make_strategy, replication_tick, steal_work
 from .workload import Catalog, Trace, build_catalog, generate_trace, load_trace
 
 _REJECTED, _COLD_START = AcquireOutcome.REJECTED, AcquireOutcome.COLD_START  # see cluster.py
 
 
 class Simulation:
-    """One engine run of a trace against a cluster under a strategy. The
-    trace's functions are looked up in the cluster's function specs.
+    """One engine run of ``trace`` under ``strategy_cfg``, on the cluster
+    ``scenario`` describes, holding ``catalog``'s functions and objects.
 
-    The run's settings come from two places, which hold their defaults: the
-    cluster's ClusterParams (keep-alive, billing step) and the strategy's
-    StrategyConfig (work stealing and its poll period, the replication period
-    and threshold); a StrategyConfig with a record_diagnostics problem, or a
-    strategy with a negative latency, is a ConfigError naming its key. The
-    seed starts the random stream work stealing draws its victims from. The
-    run writes into ``result``, its RunResult, which is built here.
+    It builds its cluster and strategy through build_cluster and
+    make_strategy, so a cluster or strategy block with a problem of
+    record_diagnostics, built in code or not, is a ConfigError naming its
+    key before the run starts. The seed starts the random stream work
+    stealing draws its victims from. ``run`` returns ``result``, a RunResult.
 
     ``on_complete``, when given, is called once per invocation as it
     completes, in completion order: ``on_complete(index, node, phases,
@@ -67,26 +67,24 @@ class Simulation:
     its finish minus its arrival), the GB-s billed for it (0.0 when it
     failed) and whether it hit the execution cap."""
 
-    def __init__(self, engine: Engine, cluster: Cluster, strategy: DispatchStrategy,
-                 trace: Trace, *,
-                 horizon_ms: int, strategy_cfg: StrategyConfig, seed: int,
+    def __init__(self, scenario: Scenario, strategy_cfg: StrategyConfig, seed: int,
+                 catalog: Catalog, trace: Trace, *,
                  on_complete: Callable[[int, int, tuple, float, bool], None] | None = None):
-        for diag in record_diagnostics(strategy_cfg, "strategy"):  # a tick under 1 ms never ends
+        cluster = self.cluster = build_cluster(scenario, catalog)
+        strategy = self.strategy = make_strategy(
+            strategy_cfg.name, strategy_cfg.params, strategy_cfg.dispatch_latency_ms,
+            strategy_cfg.replication.decay)
+        # offers are pushed unchecked, so a negative latency must not run, nor a 0 ms tick
+        for diag in record_diagnostics(strategy_cfg, "strategy"):
             raise ConfigError(f"{diag.key}: {diag.message}")
-        for key, ms in (("strategy.dispatch_latency_ms", strategy.dispatch_latency_ms),
-                        ("cluster.keep_alive_ms", cluster.params.keep_alive_ms)):
-            if problem := FIELDS[key][1](ms):  # offers and timers are pushed unchecked
-                raise ConfigError(f"{key}: {problem}")
-        self.engine = engine
-        self.cluster = cluster
-        self.strategy = strategy
+        engine = self.engine = Engine()
         self._dispatch_ms = strategy.dispatch_latency_ms
         self.trace = trace
         self.cfg = strategy_cfg
         self.steal_rng = RandomSource(seed, "steal")
         self.result = RunResult(strategy_cfg.label, seed,
                                 [cluster.functions[name].compute_ms for name in trace.functions],
-                                trace.arrivals[0] if trace else 0, horizon_ms,
+                                trace.arrivals[0] if trace else 0, scenario.workload.horizon_ms,
                                 len(cluster.nodes))
         self.on_complete = on_complete
         self._billing_step = cluster.params.billing_granularity_ms
@@ -99,7 +97,7 @@ class Simulation:
 
     # ---- run loop ---------------------------------------------------------
 
-    def run(self) -> None:
+    def run(self) -> RunResult:
         self.engine.schedule_sorted(self.trace.arrivals, self._arrive)
         if self.cfg.work_stealing and self.trace:
             self.engine.schedule(self.cfg.steal_poll_ms, self._steal_tick)
@@ -112,6 +110,8 @@ class Simulation:
             raise SimulationError(
                 f"run ended with {len(self.trace) - result.tasks} invocations unaccounted"
             )
+        self.cluster.check_invariants()
+        return result
 
     def _work_remaining(self) -> bool:
         return self.result.tasks < len(self.trace)
@@ -294,20 +294,17 @@ def run_one(scenario: Scenario, strategy_cfg: StrategyConfig, seed: int,
             on_complete: Callable[[int, int, tuple, float, bool], None] | None = None,
             ) -> RunResult:
     """Run one (strategy, seed) pair to completion and collect results,
-    calling ``on_complete`` at every completion (see Simulation)."""
-    if catalog is None or trace is None:
+    calling ``on_complete`` at every completion (see Simulation), on
+    ``catalog`` and ``trace`` given together, or on the seed's workload."""
+    if (catalog is None) != (trace is None):
+        raise TypeError("run_one takes a catalog and its trace together, or neither")
+    if catalog is None:
         catalog, trace = prepare_workload(scenario, seed)
-    cluster = build_cluster(scenario, catalog)
-    strategy = make_strategy(strategy_cfg.name, strategy_cfg.params,
-                             strategy_cfg.dispatch_latency_ms, strategy_cfg.replication.decay)
-    sim = Simulation(Engine(), cluster, strategy, trace,
-                     horizon_ms=scenario.workload.horizon_ms,
-                     strategy_cfg=strategy_cfg, seed=seed, on_complete=on_complete)
-    sim.run()
-    cluster.check_invariants()
+    result = Simulation(scenario, strategy_cfg, seed, catalog, trace,
+                        on_complete=on_complete).run()
     if label is not None:
-        sim.result.strategy = label
-    return sim.result
+        result.strategy = label
+    return result
 
 
 def _unique_labels(strategies: list[StrategyConfig]) -> list[str]:

@@ -11,11 +11,10 @@ from typing import NamedTuple
 from dispatchsim import runner
 from dispatchsim.cluster import Cluster, _code_key, _truncate_at
 from dispatchsim.config import parse_scenario
-from dispatchsim.engine import Engine
 from dispatchsim.errors import UnknownObjectError
 from dispatchsim.metrics import efficiency, percentile_nearest_rank, utilization
 from dispatchsim.slotted import Slotted
-from dispatchsim.strategies import ReplicationAction, data_signature, make_strategy
+from dispatchsim.strategies import ReplicationAction, data_signature
 from dispatchsim.workload import Trace
 
 from conftest import scenario_dict
@@ -161,12 +160,24 @@ def record_collector(trace: Trace, functions, records: list):
 def run_with_records(scenario, strategy_cfg, seed, catalog=None, trace=None, label=None):
     """runner.run_one with a record_collector hook: (RunResult, its
     TaskRecords in completion order)."""
-    if catalog is None or trace is None:
+    if catalog is None and trace is None:
         catalog, trace = runner.prepare_workload(scenario, seed)
     records: list = []
     result = runner.run_one(scenario, strategy_cfg, seed, catalog, trace, label,
                             on_complete=record_collector(trace, catalog.functions, records))
     return result, records
+
+
+def simulate(simulation_cls, scenario, strategy_cfg, seed, log=lambda engine: []):
+    """Run ``simulation_cls`` (Simulation or a subclass) on the seed's
+    workload, its engine logging into ``log(engine)``: (simulation, result,
+    the hook's completions in completion order)."""
+    catalog, trace = runner.prepare_workload(scenario, seed)
+    completions = []
+    sim = simulation_cls(scenario, strategy_cfg, seed, catalog, trace,
+                         on_complete=lambda *completion: completions.append(completion))
+    sim.engine.log = log(sim.engine)
+    return sim, sim.run(), completions
 
 
 # ---- the engine log of a run -------------------------------------------------------
@@ -220,12 +231,10 @@ def complete_all(tasks):
         Invocation(f"inv-{i}", function, (), "", arrival)
         for i, (arrival, function, *_) in enumerate(tasks))
     catalog, _ = runner.prepare_workload(IDEAL_SCENARIO, 1)
-    engine = Engine()  # never run: the loop below sets its clock
     records: list = []
-    sim = runner.Simulation(engine, runner.build_cluster(IDEAL_SCENARIO, catalog),
-                            make_strategy("round_robin"), trace, horizon_ms=1000,
-                            strategy_cfg=IDEAL_SCENARIO.strategies[0], seed=1,
+    sim = runner.Simulation(IDEAL_SCENARIO, IDEAL_SCENARIO.strategies[0], 1, catalog, trace,
                             on_complete=record_collector(trace, catalog.functions, records))
+    engine = sim.engine  # never run: the loop below sets its clock
     sim.cluster.release_container = lambda container, now: None
     index = {inv_id: i for i, inv_id in enumerate(trace.ids)}  # trace order is sorted
     finish_order = sorted(range(len(tasks)), key=lambda k: tasks[k][0] + sum(tasks[k][2]))

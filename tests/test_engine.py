@@ -135,7 +135,7 @@ def test_handlers_can_schedule_followups():
 def _seeded_scenario(seed):
     """A small self-scheduling workload driven entirely by the random
     source; its log, each entry named by its (root, depth)."""
-    eng = Engine(record_log=True)
+    eng = Engine(log=[])
     rng = RandomSource(seed, "engine-test")
 
     def spawn(root, depth):
@@ -232,7 +232,7 @@ def test_a_batch_never_enters_the_event_heap():
 
 
 def test_the_log_holds_each_fired_occurrence_as_scheduled():
-    eng = Engine(record_log=True)
+    eng = Engine(log=[])
 
     def handler(*args):
         pass
@@ -250,7 +250,7 @@ def test_the_log_holds_each_fired_occurrence_as_scheduled():
 
 
 def test_a_batch_item_fires_as_action_of_its_index():
-    eng = Engine(record_log=True)
+    eng = Engine(log=[])
     seen = []
 
     def item(*args):  # every argument the item is called with
@@ -266,7 +266,7 @@ def test_a_batch_item_fires_as_action_of_its_index():
 
 
 def test_reserved_seq_fires_where_it_was_taken():
-    eng = Engine(record_log=True)
+    eng = Engine(log=[])
     seq = reserve(eng)
     eng.schedule(3, lambda _: push(eng, 5, seq, _noop, ("reserved",)), ("arm",))
     eng.schedule(5, _noop, ("second",))
@@ -278,7 +278,7 @@ def test_reserved_seq_fires_where_it_was_taken():
 
 
 def test_schedule_sorted_fires_lazily_with_reserved_seqs():
-    eng = Engine(record_log=True)
+    eng = Engine(log=[])
     seen = []
     eng.schedule_sorted([0, 4, 4, 9], lambda i: seen.append((i, eng.now)))
     eng.schedule(4, lambda: seen.append(("heap", eng.now)))
@@ -293,7 +293,7 @@ def test_schedule_sorted_fires_lazily_with_reserved_seqs():
 
 
 def test_a_tie_fires_an_occurrence_scheduled_before_the_batch_first():
-    eng = Engine(record_log=True)
+    eng = Engine(log=[])
     eng.schedule(4, _noop, ("before",))
     early = reserve(eng)
     eng.schedule_sorted([4, 4, 6], _noop)
@@ -304,7 +304,7 @@ def test_a_tie_fires_an_occurrence_scheduled_before_the_batch_first():
 
 
 def test_a_tie_fires_an_occurrence_scheduled_after_the_batch_last():
-    eng = Engine(record_log=True)
+    eng = Engine(log=[])
     eng.schedule_sorted([2, 4, 4], _noop)
     eng.schedule(4, _noop, ("after",))
     eng.schedule(2, _noop, ("after",))
@@ -313,7 +313,7 @@ def test_a_tie_fires_an_occurrence_scheduled_after_the_batch_last():
 
 
 def test_a_batch_scheduled_by_a_handler_at_its_own_time_fires_in_seq_order():
-    eng = Engine(record_log=True)
+    eng = Engine(log=[])
     seen = []
 
     def at_five(_name):
@@ -348,13 +348,12 @@ class HeapEngine:
     is the reference for batches. The heap holds (fire_at, seq, action,
     args), so it takes the owner's pushes (see Engine) as they are."""
 
-    def __init__(self, record_log: bool = False):
+    def __init__(self, log=None):
         self._heap = []
         self._batch_seqs = set()  # seqs of batch items, which pending() leaves out
         self._seq = 0
         self.now = 0
-        self.record_log = record_log
-        self.log = []
+        self.log = log
 
     def reserve(self):
         self._seq += 1
@@ -379,7 +378,7 @@ class HeapEngine:
         while self._heap:
             at, seq, action, args = heapq.heappop(self._heap)
             self.now = at
-            if self.record_log:
+            if self.log is not None:
                 self.log.append((at, seq, action, args))
             action(*args)
             processed += 1
@@ -450,15 +449,15 @@ def _drive(engine, top_ops, followups):
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_op, max_size=25), st.lists(_op, max_size=40))
 def test_engine_matches_heap_engine_on_random_programs(top_ops, followups):
-    assert (_drive(Engine(record_log=True), top_ops, followups)
-            == _drive(HeapEngine(record_log=True), top_ops, followups))
+    assert (_drive(Engine(log=[]), top_ops, followups)
+            == _drive(HeapEngine(log=[]), top_ops, followups))
 
 
 def _run_logged(monkeypatch, engine_cls, scenario, strategy_cfg, seed):
     engines = []
 
     def make_engine():
-        engines.append(engine_cls(record_log=True))
+        engines.append(engine_cls(log=[]))
         return engines[-1]
 
     monkeypatch.setattr(runner, "Engine", make_engine)
@@ -537,7 +536,7 @@ def test_pushed_offers_and_completions_fire_in_order_after_their_pusher(monkeypa
     engines = []
 
     def make_engine():
-        engines.append(Engine(record_log=True))
+        engines.append(Engine())
         engines[-1].log = SeqsAtFire(engines[-1])
         return engines[-1]
 

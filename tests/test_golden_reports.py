@@ -45,14 +45,12 @@ import yaml
 import dispatchsim
 from dispatchsim.cli import main
 from dispatchsim.config import load_scenario, parse_scenario
-from dispatchsim.engine import Engine
 from dispatchsim.runner import Simulation, prepare_workload, run_one
 from dispatchsim.strategies import STRATEGY_NAMES
 
 from conftest import scenario_dict
-from reference import event_label
+from reference import event_label, simulate
 from test_acceptance import DATA_INTENSIVE
-from test_keep_alive import simulate
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
 MIXED_FIXTURE = Path(__file__).resolve().parent / "fixtures" / "mixed.yaml"
@@ -278,10 +276,9 @@ def _seed_one_runs():
 
 def _engine_log_digest(path: Path, strategy_cfg) -> str:
     """Digest of the engine log of one demo scenario's seed-1 run."""
-    engine = Engine(record_log=True)
-    sim = simulate(Simulation, engine, load_scenario(path), strategy_cfg, 1)[0]
+    sim = simulate(Simulation, load_scenario(path), strategy_cfg, 1)[0]
     h = hashlib.sha256()
-    for at, seq, action, args in engine.log:
+    for at, seq, action, args in sim.engine.log:
         h.update(f"{at},{seq},{event_label(sim, action, args)}\n".encode())
     return h.hexdigest()
 

@@ -19,11 +19,9 @@ from hypothesis import given, settings, strategies as st
 
 from dispatchsim import runner
 from dispatchsim.config import load_scenario, parse_scenario
-from dispatchsim.engine import Engine
-from dispatchsim.strategies import make_strategy
 
 from conftest import scenario_dict
-from reference import event_label
+from reference import event_label, simulate
 
 TIGHT_MEMORY = Path(__file__).parent.parent / "demos" / "scenarios" / "tight_memory.yaml"
 STRATEGIES = [{"name": name} for name in (
@@ -63,18 +61,11 @@ class EagerKeepAlive(runner.Simulation):
             self._drain(node_id)
 
 
-class CheckedEngine(Engine):
-    """Logs, and fails if a node ever has two keep-alive timers pending."""
-
-    def __init__(self):
-        super().__init__(record_log=True)
-        self.log = TimersPending(self)
-
-
 class TimersPending(list):
     """An engine log that, as each entry is appended, counts the keep-alive
     timers pending per node: those in the event heap and the entry itself,
-    just popped. That is the pending set each handler left behind."""
+    just popped. That is the pending set each handler left behind, so the
+    log fails if a node ever has two keep-alive timers pending."""
 
     def __init__(self, engine):
         super().__init__()
@@ -88,38 +79,22 @@ class TimersPending(list):
         super().append(entry)
 
 
-def simulate(simulation_cls, engine, scenario, strategy_cfg, seed):
-    """(simulation, result, the hook's completions in completion order)."""
-    catalog, trace = runner.prepare_workload(scenario, seed)
-    completions = []
-    cluster = runner.build_cluster(scenario, catalog)
-    strategy = make_strategy(strategy_cfg.name, strategy_cfg.params,
-                             strategy_cfg.dispatch_latency_ms, strategy_cfg.replication.decay)
-    sim = simulation_cls(engine, cluster, strategy, trace,
-                         horizon_ms=scenario.workload.horizon_ms,
-                         strategy_cfg=strategy_cfg, seed=seed,
-                         on_complete=lambda *completion: completions.append(completion))
-    sim.run()
-    cluster.check_invariants()
-    return sim, sim.result, completions
-
-
 def assert_matches_eager(scenario, strategy_cfg, seed):
     """Run both schemes; return the eager reference's simulation."""
-    engine = CheckedEngine()
-    sim, result, completions = simulate(runner.Simulation, engine, scenario, strategy_cfg, seed)
-    eager, eager_result, eager_completions = simulate(EagerKeepAlive, Engine(record_log=True),
-                                                      scenario, strategy_cfg, seed)
+    sim, result, completions = simulate(runner.Simulation, scenario, strategy_cfg, seed,
+                                        log=TimersPending)
+    eager, eager_result, eager_completions = simulate(EagerKeepAlive, scenario, strategy_cfg, seed)
     assert result.row() == eager_result.row()
     assert completions == eager_completions
 
-    offers = [action for _, _, action, _ in engine.log
+    log = sim.engine.log
+    offers = [action for _, _, action, _ in log
               if getattr(action, "__func__", None) is runner.Simulation._try_start]
     assert len(offers) == len(sim.trace)  # one dispatch offer per invocation
     kept = [(t, seq) for t, seq, *_ in eager.engine.log if (t, seq) not in eager.skipped]
     kept_set = set(kept)
-    assert [(t, seq) for t, seq, *_ in engine.log if (t, seq) in kept_set] == kept
-    extra = [event_label(sim, action, args) for t, seq, action, args in engine.log
+    assert [(t, seq) for t, seq, *_ in log if (t, seq) in kept_set] == kept
+    extra = [event_label(sim, action, args) for t, seq, action, args in log
              if (t, seq) not in kept_set]
     assert all(label.startswith("keep-alive:") for label in extra)
     return eager

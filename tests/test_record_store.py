@@ -108,10 +108,9 @@ class ReferenceSimulation(runner.Simulation):
                                  self._replication_tick)
 
     def run(self):
-        # run_one returns this simulation's result: the reference's, here.
-        super().run()
-        result, nodes = self.result, self.cluster.nodes
-        self.result = ReferenceResult(result.strategy, result.seed, self.task_records, (
+        # run_one returns what run returns: the reference's result, here.
+        result, nodes = super().run(), self.cluster.nodes
+        return ReferenceResult(result.strategy, result.seed, self.task_records, (
             sum(self.compute_ms), sum(self.busy_ms), sum(n.occupied_ms_accum for n in nodes),
             len(nodes), max(result.horizon_ms, self.last_completion), self.replications,
             result.steals,

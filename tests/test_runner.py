@@ -17,18 +17,19 @@ from dispatchsim.engine import Engine
 from dispatchsim.errors import ConfigError, SimulationError
 from dispatchsim.runner import (
     Simulation,
-    build_cluster,
     compare_scenario,
     prepare_workload,
     run_scenario,
 )
-from dispatchsim.strategies import STRATEGY_NAMES, make_strategy
+from dispatchsim.strategies import STRATEGY_NAMES
 from dispatchsim.workload import ArrivalSpec, ObjectSpec, PopularitySpec, Trace, WorkloadSpec
 
 from conftest import scenario_dict
-from reference import COMPLETED, invocations, phase_sum, run_with_records, trace_of
+from reference import COMPLETED, invocations, phase_sum, run_with_records, simulate, trace_of
 
+DEMO_SCENARIOS = sorted((Path(__file__).parent.parent / "demos" / "scenarios").glob("*.yaml"))
 MINIMAL = Path(__file__).parent.parent / "demos" / "scenarios" / "minimal.yaml"
+MIXED = Path(__file__).parent / "fixtures" / "mixed.yaml"
 
 
 def run_first(raw):
@@ -249,21 +250,19 @@ def test_sorted_trace_is_used_as_given_and_unsorted_one_is_sorted():
     scenario = parse_scenario(scenario_dict(cluster={"nodes": 2}))
     catalog, trace = prepare_workload(scenario, 1)
 
-    def simulate(t):
+    def run_on(t):
         completions = []
-        sim = Simulation(Engine(), build_cluster(scenario, catalog), make_strategy("round_robin"),
-                         t, horizon_ms=scenario.workload.horizon_ms,
-                         strategy_cfg=scenario.strategies[0], seed=1,
+        sim = Simulation(scenario, scenario.strategies[0], 1, catalog, t,
                          on_complete=lambda *completion: completions.append(completion))
         sim.run()
         return sim, completions
 
     assert isinstance(trace, Trace)
-    in_order, in_order_completions = simulate(trace)
+    in_order, in_order_completions = run_on(trace)
     assert in_order.trace is trace  # no per-run copy
     # Built from its invocations latest arrival first, as load_trace builds a
     # trace from its file: the builder sorts it.
-    reversed_run, reversed_completions = simulate(trace_of(invocations(trace)[::-1]))
+    reversed_run, reversed_completions = run_on(trace_of(invocations(trace)[::-1]))
     assert invocations(reversed_run.trace) == invocations(trace)
     assert reversed_completions == in_order_completions
 
@@ -271,11 +270,8 @@ def test_sorted_trace_is_used_as_given_and_unsorted_one_is_sorted():
 def test_completion_check_refuses_a_finish_other_than_the_phase_sum():
     scenario = parse_scenario(scenario_dict())
     catalog, trace = prepare_workload(scenario, 1)
-    engine = Engine()
-    sim = Simulation(engine, build_cluster(scenario, catalog),
-                     make_strategy("round_robin"), trace, horizon_ms=1000,
-                     strategy_cfg=scenario.strategies[0], seed=1)
-    complete = sim._complete
+    sim = Simulation(scenario, scenario.strategies[0], 1, catalog, trace)
+    engine, complete = sim.engine, sim._complete
 
     def late(*args):  # every completion one millisecond after its phases end
         engine.now += 1
@@ -348,30 +344,56 @@ def test_a_strategy_cfg_built_in_code_is_refused_naming_its_key(monkeypatch, str
 
 
 def test_a_strategy_with_a_negative_latency_is_refused_before_the_run():
-    # Regression: Simulation took the latency from the strategy it was given,
-    # unchecked, so a strategy built in code with latency -5 and a valid
-    # StrategyConfig raised SchedulingInPastError at its first offer.
+    # Offers are pushed unchecked at the arrival plus the latency, so a
+    # latency of -5 would fire an offer behind the clock; one built into the
+    # strategy apart from its block raised SchedulingInPastError so.
     scenario = parse_scenario(scenario_dict())
     catalog, trace = prepare_workload(scenario, 1)
     with pytest.raises(ConfigError) as excinfo:
-        Simulation(Engine(), build_cluster(scenario, catalog),
-                   make_strategy("round_robin", latency_ms=-5), trace, horizon_ms=1000,
-                   strategy_cfg=scenario.strategies[0], seed=1)
+        Simulation(scenario, StrategyConfig(dispatch_latency_ms=-5), 1, catalog, trace)
     assert str(excinfo.value) == "strategy.dispatch_latency_ms: must be non-negative"
 
 
 def test_a_cluster_with_a_negative_keep_alive_is_refused_before_the_run():
     # Keep-alive timers are pushed unchecked at the release's expiry key, so
-    # a keep-alive of -5 set on a built cluster would fire a timer behind the
-    # clock; schedule raised SchedulingInPastError for it when it checked them.
+    # a keep-alive of -5 would fire a timer behind the clock; schedule raised
+    # SchedulingInPastError for it when it checked them.
     scenario = parse_scenario(scenario_dict())
     catalog, trace = prepare_workload(scenario, 1)
-    cluster = build_cluster(scenario, catalog)
-    cluster.params.keep_alive_ms = -5
+    scenario.cluster.keep_alive_ms = -5
     with pytest.raises(ConfigError) as excinfo:
-        Simulation(Engine(), cluster, make_strategy("round_robin"), trace, horizon_ms=1000,
-                   strategy_cfg=scenario.strategies[0], seed=1)
+        Simulation(scenario, scenario.strategies[0], 1, catalog, trace)
     assert str(excinfo.value) == "cluster.keep_alive_ms: must be non-negative"
+
+
+def test_a_trace_without_its_catalog_is_refused():
+    # Regression: given one of the two, run_one prepared both afresh and ran
+    # the seed's own trace, 10 tasks here, in place of the empty one.
+    scenario = load_scenario(MINIMAL)
+    catalog, _ = prepare_workload(scenario, 1)
+    empty = trace_of([])
+    assert runner.run_one(scenario, scenario.strategies[0], 1, catalog, empty).tasks == 0
+    for given in ({"trace": empty}, {"catalog": catalog}):
+        with pytest.raises(TypeError, match="together"):
+            runner.run_one(scenario, scenario.strategies[0], 1, **given)
+
+
+def _drain_cases():
+    for path in DEMO_SCENARIOS + [MIXED]:
+        scenario = load_scenario(path)
+        for cfg in scenario.strategies:
+            for seed in scenario.seeds[:2]:
+                yield pytest.param(scenario, cfg, seed, id=f"{path.stem}-{cfg.label}-{seed}")
+
+
+@pytest.mark.parametrize("scenario, strategy_cfg, seed", _drain_cases())
+def test_every_run_ends_drained(scenario, strategy_cfg, seed):
+    # The run's last keep-alive timers expire every idle container, so the
+    # cluster ends empty; check_invariants then sees only empty pools.
+    sim = simulate(Simulation, scenario, strategy_cfg, seed)[0]
+    for node in sim.cluster.nodes:
+        assert node.mem_used == node.busy_count == len(node.run_queue) == 0, node.id
+        assert not any(node.warm_pool.values()), node.id
 
 
 CLUSTER_CHANGES = [  # (ClusterParams attribute, value, the ConfigError's text)
@@ -403,14 +425,11 @@ def test_a_cluster_changed_after_preparing_the_workload_is_refused_naming_its_ke
 EVENT_CAP = 200_000
 
 
-class CappedEngine(Engine):
+def capped_engine():
     """An engine that fails past EVENT_CAP fired events, so that a run that
-    would never end fails the test instead of stalling it. It counts what
-    its log is given, so it sees every event, whichever way it entered."""
-
-    def __init__(self):
-        super().__init__(record_log=True)
-        self.log = CappedLog()
+    would never end fails the test instead of stalling it. Its log counts
+    what it is given, so it sees every event, whichever way it entered."""
+    return Engine(log=CappedLog())
 
 
 class CappedLog(list):
@@ -428,7 +447,7 @@ class CappedLog(list):
 def test_the_hang_guard_counts_pushed_events():
     # A handler that pushes itself at the clock, as the runner pushes its
     # offers, completions and keep-alive timers, never ends the run.
-    engine = CappedEngine()
+    engine = capped_engine()
 
     def again():
         seq = engine._seq
@@ -529,7 +548,7 @@ def test_a_scenario_built_in_code_is_refused_naming_a_key_or_runs_to_the_end(dra
     warnings = {d.key for d in diags if d.severity == "warning"}
     scenario.strategies = [StrategyConfig()]
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(runner, "Engine", CappedEngine)
+        patch.setattr(runner, "Engine", capped_engine)
         try:
             catalog, trace = prepare_workload(scenario, 1)
             result = runner.run_one(scenario, strategy_cfg, 1, catalog, trace)

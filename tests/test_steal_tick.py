@@ -14,11 +14,11 @@ from hypothesis import given, settings, strategies as st
 
 from dispatchsim import runner
 from dispatchsim.config import load_scenario, parse_scenario
-from dispatchsim.engine import Engine, RandomSource
-from dispatchsim.strategies import make_strategy, steal_work
+from dispatchsim.engine import RandomSource
+from dispatchsim.strategies import steal_work
 
 from conftest import scenario_dict
-from reference import event_label
+from reference import event_label, simulate
 
 DATA_INTENSIVE = Path(__file__).parent.parent / "demos" / "scenarios" / "data_intensive.yaml"
 
@@ -49,22 +49,6 @@ class CountedTicks(runner.Simulation):
         self.ticks += 1
         self.draw_only_ticks += max(self.cluster.queue_buckets) < 2
         super()._steal_tick()
-
-
-def simulate(simulation_cls, scenario, strategy_cfg, seed):
-    """(simulation, result, the hook's completions in completion order)."""
-    catalog, trace = runner.prepare_workload(scenario, seed)
-    completions = []
-    cluster = runner.build_cluster(scenario, catalog)
-    strategy = make_strategy(strategy_cfg.name, strategy_cfg.params,
-                             strategy_cfg.dispatch_latency_ms, strategy_cfg.replication.decay)
-    sim = simulation_cls(Engine(record_log=True), cluster, strategy, trace,
-                         horizon_ms=scenario.workload.horizon_ms,
-                         strategy_cfg=strategy_cfg, seed=seed,
-                         on_complete=lambda *completion: completions.append(completion))
-    sim.run()
-    cluster.check_invariants()
-    return sim, sim.result, completions
 
 
 def assert_matches_per_node_loop(scenario, strategy_cfg, seed):
