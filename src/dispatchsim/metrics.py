@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 from array import array
+from collections import defaultdict
 from collections.abc import Sequence
 from itertools import chain
 
@@ -70,11 +71,13 @@ class RunResult:
     row reads, which ``Simulation`` writes as the run goes (no per-task
     record is kept; see its ``on_complete``). A steal adds to ``steals``,
     a replication pass extends ``replication_log`` with (time, action)
-    pairs, the end of the run sets ``occupied_ms_total``, and
-    ``Simulation._complete`` updates the account in place, with no method
-    call:
-    - every task adds its seven phase durations into ``phase_totals``, a
-      list of seven ints in PHASES order;
+    pairs, the end of the run sets ``occupied_ms_total`` and
+    ``dispatch_ms_total`` (the run's one dispatch latency times its task
+    count), and ``Simulation._complete`` updates the account in place, with
+    no method call:
+    - every task adds one to ``active_counts[active]``, keyed by its five
+      active phase durations (the tuple the cost model returned), and adds
+      its queue wait to ``queue_ms_total``;
     - a failed task adds one to ``failures``;
     - a completed task appends its actual ms to ``actual_ms[code]``, one
       ``array('q')`` per trace function code, and adds its billed GB-s to
@@ -82,17 +85,20 @@ class RunResult:
     - ``last_finish`` takes the time of each completion, so it ends at the
       last one.
 
-    ``gb_seconds`` is left-to-right float addition over the completed tasks
-    in completion order, from the int 0: what builtin ``sum`` gives on 3.10
-    and 3.11 (3.12 compensates its float sums), and 0 when no task
-    completed. A completed task is retained as its 8-byte actual time;
-    ``first_arrival`` is the trace's earliest arrival, which the makespan
-    starts from because a run completes every invocation of its trace.
+    ``active_counts`` holds one entry per distinct outcome of the cost
+    model, not one per task; ``phase_totals`` is derived from it. ``gb_seconds`` is left-to-right float addition over the
+    completed tasks in completion order, from the int 0: what builtin
+    ``sum`` gives on 3.10 and 3.11 (3.12 compensates its float sums), and 0
+    when no task completed. A completed task is retained as its 8-byte
+    actual time; ``first_arrival`` is the trace's earliest arrival, which
+    the makespan starts from because a run completes every invocation of
+    its trace.
     """
 
     __slots__ = ("strategy", "seed", "horizon_ms", "node_count", "occupied_ms_total",
-                 "steals", "replication_log", "phase_totals", "failures", "actual_ms",
-                 "_ideal_ms", "gb_seconds", "first_arrival", "last_finish")
+                 "steals", "replication_log", "dispatch_ms_total", "queue_ms_total",
+                 "active_counts", "failures", "actual_ms", "_ideal_ms", "gb_seconds",
+                 "first_arrival", "last_finish")
 
     def __init__(self, strategy: str, seed: int, ideal_ms: Sequence[int], first_arrival: int,
                  horizon_ms: int, node_count: int):
@@ -103,12 +109,21 @@ class RunResult:
         self.node_count = node_count
         self.occupied_ms_total = self.steals = self.failures = 0
         self.replication_log: list = []
-        self.phase_totals = [0] * len(PHASES)
+        self.dispatch_ms_total = self.queue_ms_total = 0
+        self.active_counts: defaultdict[tuple, int] = defaultdict(int)
         self.actual_ms = [array("q") for _ in ideal_ms]
         self._ideal_ms = list(ideal_ms)
         self.gb_seconds = 0
         self.first_arrival = first_arrival
         self.last_finish = 0
+
+    @property
+    def phase_totals(self) -> list[int]:
+        """The seven phase totals over every task, in PHASES order: exact
+        int sums of each active phase times its outcome's count."""
+        counts = self.active_counts.items()
+        return [self.dispatch_ms_total, self.queue_ms_total,
+                *(sum(active[i] * count for active, count in counts) for i in range(5))]
 
     @property
     def tasks(self) -> int:
@@ -129,7 +144,8 @@ class RunResult:
         """One report row (see CSV_COLUMNS). Latency statistics and quality
         are over completed tasks; phase totals, efficiency and the elapsed
         time (the horizon, or the last finish if later) cover every task."""
-        compute, active = self.phase_totals[5], sum(self.phase_totals[2:])  # see PHASES
+        totals = self.phase_totals
+        compute, active = totals[5], sum(totals[2:])  # see PHASES
         actuals = sorted(chain.from_iterable(self.actual_ms))
         completed = len(actuals)
         # Each mean is an exactly rounded fsum over the count, as
@@ -158,7 +174,7 @@ class RunResult:
                                        max(self.horizon_ms, self.last_finish)),
             "gb_seconds": self.gb_seconds,
             "invocations_billed": completed,
-            **{f"{phase}_ms_total": total for phase, total in zip(PHASES, self.phase_totals)},
+            **{f"{phase}_ms_total": total for phase, total in zip(PHASES, totals)},
             "replications": self.replications,
             "steals": self.steals,
         }

@@ -15,8 +15,9 @@ which keeps what the report row reads, and, when one is given, into an
 ``on_complete`` callback, which sees each completion as it happens.
 
 From arrival to completion an invocation travels as its trace index alone:
-the strategy and the cost model read the trace's columns, and its phases
-are one tuple of ints, in the order of metrics.PHASES.
+the strategy and the cost model read the trace's columns, and its active
+phases are the one tuple of ints the cost model returns, which the run's
+account counts as one outcome.
 
 Events at one millisecond fire in seq order (engine.py). The arrival batch,
 which fires straight from the trace's arrival column and holds no pending
@@ -35,7 +36,6 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from heapq import heappush
-from operator import add
 
 from .cluster import AcquireOutcome, Cluster, Container, PlacementOutcome
 from .config import Scenario, StrategyConfig, record_diagnostics, validate
@@ -106,6 +106,7 @@ class Simulation:
         self.engine.run()
         result = self.result
         result.occupied_ms_total = sum(n.occupied_ms_accum for n in self.cluster.nodes)
+        result.dispatch_ms_total = self._dispatch_ms * result.tasks
         if result.tasks != len(self.trace):
             raise SimulationError(
                 f"run ended with {len(self.trace) - result.tasks} invocations unaccounted"
@@ -119,8 +120,9 @@ class Simulation:
     # ---- handlers ---------------------------------------------------------
     # An invocation travels as its trace index: an offer carries (index,
     # node id, True), a run queue holds indices, and a completion carries
-    # the seven phase durations in metrics.PHASES order, with the billed
-    # GB-s and the failure flag.
+    # (index, container, queue wait, the five active phases as the cost
+    # model returned them, billed GB-s, failure flag); dispatch is the run's
+    # one latency.
 
     def _arrive(self, index: int) -> None:
         trace = self.trace
@@ -128,7 +130,7 @@ class Simulation:
         engine = self.engine
         seq = engine._seq  # pushed, not scheduled: see the module docstring
         engine._seq = seq + 1
-        heappush(self._events, (trace.arrivals[index] + self._dispatch_ms, seq,
+        heappush(self._events, (engine.now + self._dispatch_ms, seq,
                                 self._try_start, (index, node_id, True)))
 
     def _try_start(self, index: int, node_id: int, offered: bool = False) -> bool:
@@ -146,16 +148,16 @@ class Simulation:
             function, trace.ref_sets[trace.ref_codes[index]], node_id, outcome is _COLD_START)
         busy = sum(active)
         billed = 0.0 if failed else billed_gb_seconds(busy, container.flavor, self._billing_step)
-        dispatch_ms = self._dispatch_ms
+        # an offer fires at its arrival plus the dispatch latency, so it waited 0 ms
+        wait = 0 if offered else now - trace.arrivals[index] - self._dispatch_ms
         seq = engine._seq  # pushed, not scheduled: see the module docstring
         engine._seq = seq + 1
-        heappush(self._events, (now + busy, seq, self._complete, (
-            index, container, (dispatch_ms, now - trace.arrivals[index] - dispatch_ms) + active,
-            billed, failed)))
+        heappush(self._events, (now + busy, seq, self._complete,
+                                (index, container, wait, active, billed, failed)))
         return True
 
-    def _complete(self, index: int, container: Container, phases: tuple, billed: float,
-                  failed: bool) -> None:
+    def _complete(self, index: int, container: Container, wait: int, active: tuple,
+                  billed: float, failed: bool) -> None:
         """Account for a finished invocation and return its container to its
         warm pool until its expiry: the (time, seq) an expiry event scheduled
         now would take. Arm the node's keep-alive timer at that key unless one
@@ -164,7 +166,7 @@ class Simulation:
         now = engine.now
         trace = self.trace
         actual = now - trace.arrivals[index]
-        if actual != sum(phases):
+        if actual != self._dispatch_ms + wait + sum(active):
             raise SimulationError(f"phase accounting broken for {trace.invocation_id(index)}")
         self.cluster.release_container(container, now)
         seq = engine._seq  # reserved for the expiry
@@ -180,11 +182,11 @@ class Simulation:
         else:
             result.actual_ms[trace.function_codes[index]].append(actual)
             result.gb_seconds += billed
-        totals = result.phase_totals
-        totals[:] = map(add, totals, phases)
+        result.active_counts[active] += 1
+        result.queue_ms_total += wait
         result.last_finish = now
         if self.on_complete is not None:
-            self.on_complete(index, node_id, phases, billed, failed)
+            self.on_complete(index, node_id, (self._dispatch_ms, wait) + active, billed, failed)
         if self.cluster.nodes[node_id].run_queue:
             self._drain(node_id)
 

@@ -10,7 +10,7 @@ from typing import NamedTuple
 
 from dispatchsim import runner
 from dispatchsim.cluster import Cluster, _code_key, _truncate_at
-from dispatchsim.config import parse_scenario
+from dispatchsim.config import StrategyConfig, parse_scenario
 from dispatchsim.errors import UnknownObjectError
 from dispatchsim.metrics import efficiency, percentile_nearest_rank, utilization
 from dispatchsim.slotted import Slotted
@@ -225,23 +225,32 @@ def complete_all(tasks):
     _complete at its finish (arrival plus phase sum) in finish order, ties
     in the order given, and the TaskRecords its record_collector hook
     built, as (simulation, records). A task is (arrival, function, phases,
-    billed, failed), its function one of IDEAL_MS; it is inv-<position>."""
+    billed, failed), its function one of IDEAL_MS; it is inv-<position>.
+    A run has one dispatch latency, so every task's dispatch phase must be
+    the same: the run is built with it, and its account is closed as the
+    end of a run closes it, with the dispatch total that latency times the
+    task count."""
     tasks = list(tasks)
+    latencies = {phases[0] for _, _, phases, *_ in tasks}
+    assert len(latencies) <= 1, f"tasks of one run with dispatch phases {latencies}"
+    latency = latencies.pop() if latencies else 0
     trace = trace_of(
         Invocation(f"inv-{i}", function, (), "", arrival)
         for i, (arrival, function, *_) in enumerate(tasks))
     catalog, _ = runner.prepare_workload(IDEAL_SCENARIO, 1)
     records: list = []
-    sim = runner.Simulation(IDEAL_SCENARIO, IDEAL_SCENARIO.strategies[0], 1, catalog, trace,
+    sim = runner.Simulation(IDEAL_SCENARIO, StrategyConfig(dispatch_latency_ms=latency), 1,
+                            catalog, trace,
                             on_complete=record_collector(trace, catalog.functions, records))
     engine = sim.engine  # never run: the loop below sets its clock
     sim.cluster.release_container = lambda container, now: None
     index = {inv_id: i for i, inv_id in enumerate(trace.ids)}  # trace order is sorted
     finish_order = sorted(range(len(tasks)), key=lambda k: tasks[k][0] + sum(tasks[k][2]))
     for k in finish_order:
-        arrival, _, phases, billed, failed = tasks[k]
-        engine.now = arrival + sum(phases)
-        sim._complete(index[f"inv-{k}"], _Container(), phases, billed, failed)
+        arrival, _, (_, wait, *active), billed, failed = tasks[k]
+        engine.now = arrival + latency + wait + sum(active)
+        sim._complete(index[f"inv-{k}"], _Container(), wait, tuple(active), billed, failed)
+    sim.result.dispatch_ms_total = latency * sim.result.tasks
     return sim, records
 
 

@@ -69,13 +69,14 @@ class ReferenceSimulation(runner.Simulation):
 
         self.cluster.simulate_invocation = start
 
-    def _complete(self, index, container, phases, billed, failed):
+    def _complete(self, index, container, wait, active, billed, failed):
         # The runner's billed GB-s is ignored: the float-division reference
-        # recomputes it. The runner's own completion then releases, drains
-        # and counts.
+        # recomputes it. Dispatch is the strategy's latency. The runner's own
+        # completion then releases, drains and counts.
         inv = invocation_at(self.trace, index)
         now = self.engine.now
-        timeline = PhaseTimeline(*phases, started_at=inv.arrival, finished_at=now)
+        timeline = PhaseTimeline(self.strategy.dispatch_latency_ms, wait, *active,
+                                 started_at=inv.arrival, finished_at=now)
         if timeline.actual_ms() != phase_sum(timeline):
             raise SimulationError(f"phase accounting broken for {inv.id}")
         spec = self.cluster.functions[inv.function]
@@ -93,7 +94,7 @@ class ReferenceSimulation(runner.Simulation):
             status=FAILED if failed else COMPLETED,
         ))
         self.last_completion = max(self.last_completion, timeline.finished_at)
-        super()._complete(index, container, phases, billed, failed)
+        super()._complete(index, container, wait, active, billed, failed)
 
     def _replication_tick(self):
         actions = runner.replication_tick(
@@ -225,8 +226,8 @@ def test_a_run_without_a_hook_calls_no_callback():
 
 
 @st.composite
-def task_records(draw):
-    phases = [draw(st.integers(0, 10**6)) for _ in range(7)]
+def task_records(draw, dispatch):
+    phases = [dispatch] + [draw(st.integers(0, 10**6)) for _ in range(6)]
     phases[5] = draw(st.integers(1, 10**6))  # compute > 0, so actual time > 0
     started = draw(st.integers(0, 10**9))
     function = draw(st.sampled_from(sorted(IDEAL_MS)))
@@ -253,7 +254,8 @@ TOTALS = st.tuples(st.integers(0, 10**9), st.integers(0, 64), st.integers(0, 10*
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(task_records(), max_size=60), TOTALS)
+@given(st.integers(0, 10**6).flatmap(  # the tasks of one run share its dispatch latency
+    lambda dispatch: st.lists(task_records(dispatch), max_size=60)), TOTALS)
 @example([], (0, 1, 1000, 0, 0))
 @example(_all_failed(5), (20, 1, 30, 0, 0))  # the last finish, 38, is past the horizon
 def test_columnar_summary_matches_object_summary(records, totals):

@@ -157,8 +157,8 @@ def test_run_result_takes_the_run_settings_and_starts_an_empty_account():
     assert cls is record_type("metrics", "RunResult")
     assert cls.__slots__ == (
         "strategy", "seed", "horizon_ms", "node_count", "occupied_ms_total", "steals",
-        "replication_log", "phase_totals", "failures", "actual_ms", "_ideal_ms",
-        "gb_seconds", "first_arrival", "last_finish")
+        "replication_log", "dispatch_ms_total", "queue_ms_total", "active_counts", "failures",
+        "actual_ms", "_ideal_ms", "gb_seconds", "first_arrival", "last_finish")
     names = ("strategy", "seed", "ideal_ms", "first_arrival", "horizon_ms", "node_count")
     strategy, seed, first_arrival, horizon_ms, node_count = (object() for _ in range(5))
     values = (strategy, seed, (80, 1), first_arrival, horizon_ms, node_count)
@@ -173,7 +173,7 @@ def test_run_result_takes_the_run_settings_and_starts_an_empty_account():
         assert repr(result.gb_seconds) == "0"  # the int 0, as builtin sum starts
         assert [list(column) for column in result.actual_ms] == [[], []]
     assert made[0].replication_log is not made[1].replication_log
-    assert made[0].phase_totals is not made[1].phase_totals
+    assert made[0].active_counts is not made[1].active_counts
     assert made[0].actual_ms[0] is not made[1].actual_ms[0]
     with pytest.raises(TypeError):
         cls(*values, object())
